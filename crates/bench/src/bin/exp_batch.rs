@@ -223,7 +223,7 @@ fn main() {
     );
 
     println!(
-        "\nReading: batch 1 is the unmodified per-record dataplane — one lock, one index \
+        "\nReading: batch 1 is the same code at a run of one — one lock, one index \
          publish, one doorbell, and one AEAD key schedule per record. Batched runs \
          amortize all four across the run and pack the ChaCha20 keystream lanes across \
          record boundaries, so small records stop wasting lane width; per-record \

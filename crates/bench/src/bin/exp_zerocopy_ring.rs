@@ -1,8 +1,9 @@
 //! E18 — seal-in-slot zero-copy ring (§3.2): copy counts and virtual-time
-//! throughput for the staged record path (seal into a scratch, copy into
-//! the ring) vs the in-slot path (seal directly where the consumer reads,
-//! consume in place). Both run the same cTLS -> cio-ring -> tunnel-gateway
-//! stack; only the data positioning differs.
+//! throughput for copy-early ring endpoints (seal into private staging,
+//! one metered copy into the ring, one out of it) vs in-place endpoints
+//! (seal directly where the consumer reads, consume in place). Both run
+//! the same code over the same cTLS -> cio-ring -> tunnel-gateway stack;
+//! only the endpoints' `CopyPolicy` differs.
 //!
 //! The in-slot rows must report exactly 0.00 staging copies per record —
 //! the binary exits non-zero otherwise, which is the CI guard for the
@@ -11,7 +12,7 @@
 use cio::world::speer::TunnelGateway;
 use cio::world::{BoundaryKind, WorldOptions};
 use cio_bench::{bench_opts, echo_latency, fmt_cycles, print_table};
-use cio_ctls::{Channel, RecordScratch, SimHooks, RECORD_OVERHEAD};
+use cio_ctls::{Channel, SimHooks, RECORD_OVERHEAD};
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_netstack::{MacAddr, NetDevice, PairDevice};
 use cio_sim::{Clock, CostModel, Meter, MeterSnapshot};
@@ -28,8 +29,9 @@ struct Row {
 }
 
 /// Pushes `frames` records of `size` bytes through the full record/ring
-/// stack on one path and returns the virtual-time cost and meter delta.
-fn run_ring(size: usize, in_slot: bool, frames: u32) -> Row {
+/// stack with both ring endpoints positioned by `policy`, and returns the
+/// virtual-time cost and meter delta.
+fn run_ring(size: usize, policy: CopyPolicy, frames: u32) -> Row {
     let clock = Clock::new();
     let cost = CostModel::default();
     let meter = Meter::new();
@@ -50,6 +52,8 @@ fn run_ring(size: usize, in_slot: bool, frames: u32) -> Row {
         .expect("share area");
     let mut producer = Producer::new(ring.clone(), mem.guest()).expect("producer");
     let mut consumer = Consumer::new(ring, mem.host()).expect("consumer");
+    producer.set_copy_policy(policy);
+    consumer.set_copy_policy(policy);
 
     let hooks = SimHooks {
         clock: clock.clone(),
@@ -64,34 +68,22 @@ fn run_ring(size: usize, in_slot: bool, frames: u32) -> Row {
     let mut gw = TunnelGateway::new(gw_chan, gw_side);
 
     let payload = vec![0x42u8; size];
-    let mut rec = RecordScratch::new();
-    let mut blob: Vec<u8> = Vec::new();
     let m0 = meter.snapshot();
     let t0 = clock.now();
     for _ in 0..frames {
-        if in_slot {
-            let grant = producer
-                .reserve(size + RECORD_OVERHEAD)
-                .expect("slot reservation");
-            let n = producer
-                .with_slot_mut(&grant, |slot| guest.seal_into_slot(&payload, slot))
-                .expect("slot access")
-                .expect("seal in slot");
-            producer.commit(grant, n).expect("commit");
-            let accepted = consumer
-                .consume_in_place(|record| gw.ingress(record))
-                .expect("consume")
-                .expect("record available");
-            assert!(accepted, "gateway must accept the record");
-        } else {
-            guest.seal_into(&payload, &mut rec).expect("seal");
-            producer.produce(rec.as_slice()).expect("produce");
-            consumer
-                .consume_into(&mut blob)
-                .expect("consume")
-                .expect("record available");
-            assert!(gw.ingress(&blob), "gateway must accept the record");
-        }
+        let grant = producer
+            .reserve(size + RECORD_OVERHEAD)
+            .expect("slot reservation");
+        let n = producer
+            .with_slot_mut(&grant, |slot| guest.seal_into_slot(&payload, slot))
+            .expect("slot access")
+            .expect("seal in slot");
+        producer.commit(grant, n).expect("commit");
+        let accepted = consumer
+            .consume_in_place(|record| gw.ingress(record))
+            .expect("consume")
+            .expect("record available");
+        assert!(accepted, "gateway must accept the record");
         let frame = peer_side.receive().expect("frame on segment");
         std::hint::black_box(&frame);
     }
@@ -99,7 +91,7 @@ fn run_ring(size: usize, in_slot: bool, frames: u32) -> Row {
     let d = meter.snapshot().delta(&m0);
     Row {
         size,
-        in_slot,
+        in_slot: policy == CopyPolicy::InPlace,
         cycles_per_rec: elapsed.get() / u64::from(frames),
         gbps: cio_sim::gbps(u64::from(frames) * size as u64, elapsed, cost.ghz),
         copies_per_rec: copies_per_record(&d),
@@ -128,8 +120,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut in_slot_copies_clean = true;
     for &size in sizes {
-        for in_slot in [false, true] {
-            let r = run_ring(size, in_slot, frames);
+        for policy in [CopyPolicy::CopyEarly, CopyPolicy::InPlace] {
+            let r = run_ring(size, policy, frames);
             if r.in_slot && r.copies_per_rec != 0.0 {
                 in_slot_copies_clean = false;
             }

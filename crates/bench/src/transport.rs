@@ -1,7 +1,7 @@
 //! Transport-level harness: drives the raw transports (no TCP, no TLS) so
 //! E5–E8 measure pure interface costs.
 
-use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Cycles, Meter, MeterSnapshot};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyMode, Producer, RingConfig};
 use cio_vring::hardened::HardenedDriver;
@@ -286,10 +286,16 @@ pub fn cio_pair(
             mem.share_range(base, ring.area_bytes()).unwrap();
         }
     }
-    let gp = Producer::new(tx_ring.clone(), mem.guest()).unwrap();
-    let hc = Consumer::new(tx_ring, mem.host()).unwrap();
-    let hp = Producer::new(rx_ring.clone(), mem.host()).unwrap();
-    let gc = Consumer::new(rx_ring, mem.guest()).unwrap();
+    let mut gp = Producer::new(tx_ring.clone(), mem.guest()).unwrap();
+    let mut hc = Consumer::new(tx_ring, mem.host()).unwrap();
+    let mut hp = Producer::new(rx_ring.clone(), mem.host()).unwrap();
+    let mut gc = Consumer::new(rx_ring, mem.guest()).unwrap();
+    // The microbenchmarks measure the copy-as-first-class discipline: one
+    // explicit, metered copy on each side of each ring.
+    gp.set_copy_policy(CopyPolicy::CopyEarly);
+    hc.set_copy_policy(CopyPolicy::CopyEarly);
+    hp.set_copy_policy(CopyPolicy::CopyEarly);
+    gc.set_copy_policy(CopyPolicy::CopyEarly);
     (mem, gp, hc, hp, gc)
 }
 
@@ -303,15 +309,14 @@ fn cio_echo(
     let mut cfg = bench_ring_config(DataMode::SharedArea, size as u32 + 64);
     cfg.notify = notify;
     let (mem, mut gp, mut hc, mut hp, mut gc) = cio_pair(cfg, cost);
+    if zero_copy {
+        gp.set_copy_policy(CopyPolicy::InPlace);
+    }
     let payload = vec![0xCDu8; size];
     let t0 = mem.clock().now();
     let m0 = mem.meter().snapshot();
     for _ in 0..frames {
-        if zero_copy {
-            gp.produce_zero_copy(&payload).unwrap();
-        } else {
-            gp.produce(&payload).unwrap();
-        }
+        gp.produce(&payload).unwrap();
         gp.kick();
         let f = hc.consume().unwrap().expect("host consume");
         hp.produce(&f).unwrap();
@@ -412,15 +417,18 @@ pub fn notify_bench(
         }
         if doorbell {
             gp.kick(); // one doorbell per burst
-            delivered += hc.on_doorbell().unwrap().len() as u64;
         } else {
-            // The consumer was polling while idle.
+            // The consumer was polling while idle: each empty poll costs
+            // the index read plus the idle quantum.
             for _ in 0..idle_polls {
-                let _ = hc.poll().unwrap();
+                if hc.consume().unwrap().is_none() {
+                    mem.clock().advance(mem.cost().poll_idle);
+                    mem.meter().idle_polls(1);
+                }
             }
-            while let Some(_m) = hc.consume().unwrap() {
-                delivered += 1;
-            }
+        }
+        while hc.consume().unwrap().is_some() {
+            delivered += 1;
         }
     }
     TransportResult {

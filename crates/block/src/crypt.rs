@@ -16,17 +16,19 @@
 //! physical `[0, n)` = ciphertext blocks, physical `[n, ...)` = packed
 //! 16-byte tags (256 per metadata block).
 //!
-//! Two data paths share that layout:
+//! Two entry points share that layout:
 //!
-//! * the serial [`BlockStore`] methods — the `storage_v1` shape, one
-//!   block per call, sealing through a private scratch buffer
-//!   ([`ChaCha20Poly1305::seal_fused_scatter`], bit-identical to the
-//!   legacy in-place seal);
+//! * the serial [`BlockStore`] methods — one block per call, sealing
+//!   through a private scratch buffer
+//!   ([`ChaCha20Poly1305::seal_fused_scatter`]). They are the reference
+//!   the run API is tested against (`run_path_is_bit_identical_to_serial`,
+//!   `tests/storage_parity.rs`);
 //! * the batched [`CryptStore::write_run`] / [`CryptStore::read_run`]
 //!   over a [`RunStore`] — writes seal *runs* of blocks with one
 //!   multi-stream pass ([`seal_batch_scatter`]) directly into whatever
-//!   buffers the store hands out (ring-slot memory for the block
-//!   transport: ciphertext never exists anywhere else), reads gather-open
+//!   buffers the store hands out (for the block transport, whatever its
+//!   request ring's data positioning hands out — ring-slot memory in
+//!   place, so ciphertext never exists anywhere else), reads gather-open
 //!   each block straight out of the store's buffers with a single fetch
 //!   per byte ([`ChaCha20Poly1305::open_fused_gather`]), and the tag-block
 //!   read-modify-write is amortized over the run. Ciphertext, tags, and

@@ -8,14 +8,17 @@
 //! The transport speaks the same performance dialects as the network
 //! dataplane, selected by [`BlkProfile`]:
 //!
-//! * **Copy discipline** — [`BlkCopyMode::Staged`] stages every frame
-//!   through a private buffer (one metered copy per block each way, the
-//!   historical `storage_v1` shape), while [`BlkCopyMode::InSlot`]
-//!   constructs frames directly in ring-slot memory
-//!   ([`cio_vring::cioring::Producer::reserve_batch`]) and consumes them
-//!   in place, so a block write's ciphertext is sealed straight into the
-//!   slot and a read's ciphertext is gathered straight out of it — zero
-//!   staging copies on the data path.
+//! * **Data positioning** — the profile's [`CopyPolicy`] is wired onto the
+//!   four ring endpoints and the transport never looks at it again on the
+//!   data path: frames are always built through
+//!   [`cio_vring::cioring::Producer::reserve_batch`] and parsed through
+//!   [`cio_vring::cioring::Consumer::consume_batch_in_place`]. Under
+//!   [`CopyPolicy::InPlace`] those hand out ring-slot memory, so a block
+//!   write's ciphertext is sealed straight into the slot and a read's
+//!   ciphertext is gathered straight out of it — zero staging copies.
+//!   Under [`CopyPolicy::CopyEarly`] they hand out endpoint-private
+//!   staging and the ring pays one explicit, metered copy per frame each
+//!   way (the `storage_v1` preset).
 //! * **Batching** — [`cio_vring::cioring::BatchPolicy`] sizes runs of
 //!   requests so a whole run costs one memory lock, one index publish,
 //!   and at most one doorbell ([`cio_vring::cioring::MAX_BATCH`] cap).
@@ -42,7 +45,7 @@
 
 use crate::blockdev::{BlockStore, RamDisk, RunStore, BLOCK_SIZE};
 use crate::BlockError;
-use cio_mem::{GuestView, HostView};
+use cio_mem::{CopyPolicy, GuestView, HostView};
 use cio_sim::{Meter, Stage, Telemetry};
 use cio_vring::cioring::{BatchPolicy, Consumer, NotifyMode, NotifyPolicy, Producer, MAX_BATCH};
 use cio_vring::RingError;
@@ -56,17 +59,6 @@ const ST_DATA: u8 = 0;
 const ST_OK: u8 = 1;
 const ST_ERR: u8 = 2;
 
-/// How block frames move between private memory and ring slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlkCopyMode {
-    /// Stage every frame through a private buffer: one metered copy per
-    /// block each way. The historical `storage_v1` discipline.
-    Staged,
-    /// Construct and consume frames directly in ring-slot memory: zero
-    /// staging copies on the block data path.
-    InSlot,
-}
-
 /// The block transport's performance profile.
 ///
 /// `notify` is the *ring-level* discipline and must match the
@@ -75,8 +67,8 @@ pub enum BlkCopyMode {
 /// [`ring_notify_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlkProfile {
-    /// Copy discipline for frames.
-    pub copy: BlkCopyMode,
+    /// Data positioning, wired onto the ring endpoints.
+    pub copy: CopyPolicy,
     /// Run sizing for requests and completions.
     pub batch: BatchPolicy,
     /// Ring notification mode (informational; the ring enforces it).
@@ -84,11 +76,11 @@ pub struct BlkProfile {
 }
 
 impl BlkProfile {
-    /// The legacy one-at-a-time shape: staged copies, serial requests,
-    /// pure polling. Charge-compatible with the pre-batching transport.
+    /// The one-at-a-time preset: copy-early, serial requests, pure
+    /// polling. Charge-compatible with the pre-batching transport.
     pub fn storage_v1() -> Self {
         BlkProfile {
-            copy: BlkCopyMode::Staged,
+            copy: CopyPolicy::CopyEarly,
             batch: BatchPolicy::Serial,
             notify: NotifyMode::Polling,
         }
@@ -98,7 +90,7 @@ impl BlkProfile {
     /// `depth` requests, event-idx doorbell suppression.
     pub fn batched(depth: usize) -> Self {
         BlkProfile {
-            copy: BlkCopyMode::InSlot,
+            copy: CopyPolicy::InPlace,
             batch: BatchPolicy::Fixed(depth),
             notify: NotifyMode::EventIdx,
         }
@@ -196,10 +188,13 @@ pub fn parse_resp(frame: &mut [u8]) -> BlkResp<'_> {
     }
 }
 
-fn warm_bufs() -> Vec<Vec<u8>> {
-    (0..MAX_BATCH)
-        .map(|_| vec![0u8; BLK_HDR + BLOCK_SIZE])
-        .collect()
+/// Staging copies `frames` payload-bearing frames cost on an endpoint
+/// positioned by `policy` (what the `blk_copies` meter counts).
+fn staged_copies(policy: CopyPolicy, frames: usize) -> u64 {
+    match policy {
+        CopyPolicy::InPlace => 0,
+        CopyPolicy::CopyEarly => frames as u64,
+    }
 }
 
 /// Guest frontend over the request/response rings.
@@ -210,27 +205,24 @@ pub struct CioBlkFrontend {
     meter: Meter,
     telemetry: Telemetry,
     tq: usize,
-    /// Warmed staging frames (staged mode; idle under in-slot).
-    req_bufs: Vec<Vec<u8>>,
-    resp_bufs: Vec<Vec<u8>>,
-    hdr_scratch: [u8; BLK_HDR],
 }
 
 impl CioBlkFrontend {
-    /// Creates the frontend with the legacy [`BlkProfile::storage_v1`]
-    /// profile.
+    /// Creates the frontend with the [`BlkProfile::storage_v1`] preset.
     pub fn new(req: Producer<GuestView>, resp: Consumer<GuestView>) -> Self {
         CioBlkFrontend::with_profile(req, resp, BlkProfile::default())
     }
 
-    /// Creates the frontend with an explicit profile. The rings must have
-    /// been built with `profile.notify` (and the shared-area layout for
-    /// [`BlkCopyMode::InSlot`]).
+    /// Creates the frontend with an explicit profile, wiring its data
+    /// positioning onto both ring endpoints. The rings must have been
+    /// built with `profile.notify`.
     pub fn with_profile(
-        req: Producer<GuestView>,
-        resp: Consumer<GuestView>,
+        mut req: Producer<GuestView>,
+        mut resp: Consumer<GuestView>,
         profile: BlkProfile,
     ) -> Self {
+        req.set_copy_policy(profile.copy);
+        resp.set_copy_policy(profile.copy);
         let meter = req.meter();
         CioBlkFrontend {
             req,
@@ -239,9 +231,6 @@ impl CioBlkFrontend {
             meter,
             telemetry: Telemetry::disabled(),
             tq: 0,
-            req_bufs: warm_bufs(),
-            resp_bufs: warm_bufs(),
-            hdr_scratch: [0u8; BLK_HDR],
         }
     }
 
@@ -256,93 +245,33 @@ impl CioBlkFrontend {
         self.profile
     }
 
-    /// Submits read requests for blocks `[lba, lba + count)`; returns how
-    /// many were accepted (ring backpressure may clamp — resubmit the
-    /// tail after draining completions).
-    ///
-    /// # Errors
-    ///
-    /// Ring errors other than backpressure.
-    pub fn submit_reads(&mut self, lba: u64, count: usize) -> Result<usize, BlockError> {
-        self.submit_reads_with(count, &|i| lba + i as u64)
-    }
-
-    /// Submits read requests for the arbitrary blocks named by `lbas`
+    /// Submits read requests for the `count` blocks named by `lba_of(i)`
     /// (block commands are independent: a scatter of LBAs batches exactly
-    /// like a run). Responses complete in submission order. Returns how
-    /// many were accepted.
+    /// like a contiguous run). Responses complete in submission order.
+    /// Returns how many were accepted (ring backpressure may clamp —
+    /// resubmit the tail after draining completions).
     ///
     /// # Errors
     ///
     /// Ring errors other than backpressure.
-    pub fn submit_reads_scatter(&mut self, lbas: &[u64]) -> Result<usize, BlockError> {
-        self.submit_reads_with(lbas.len(), &|i| lbas[i])
-    }
-
-    fn submit_reads_with(
+    pub fn submit_reads(
         &mut self,
         count: usize,
         lba_of: &dyn Fn(usize) -> u64,
     ) -> Result<usize, BlockError> {
         let _submit = self.telemetry.span(self.tq, Stage::BlkSubmit);
-        let mut done = 0;
-        while done < count {
-            let want = self.profile.batch.effective(count - done).min(count - done);
-            let n = match self.profile.copy {
-                BlkCopyMode::InSlot => {
-                    let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-                    let grant = match self.req.reserve_batch(BLK_HDR, want) {
-                        Ok(g) => g,
-                        Err(RingError::Full) => break,
-                        Err(e) => return Err(e.into()),
-                    };
-                    let n = grant.len();
-                    self.req.with_batch_mut(&grant, |slots| {
-                        for (i, s) in slots.iter_mut().enumerate() {
-                            put_hdr(s, OP_READ, lba_of(done + i));
-                        }
-                    })?;
-                    self.req.commit_batch(grant, &[BLK_HDR; MAX_BATCH][..n])?;
-                    if self.req.kick() {
-                        self.meter.blk_doorbells(1);
-                    }
-                    n
-                }
-                BlkCopyMode::Staged => {
-                    let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-                    let mut staged = 0;
-                    for i in 0..want {
-                        put_hdr(&mut self.hdr_scratch, OP_READ, lba_of(done + i));
-                        match self.req.stage(&self.hdr_scratch) {
-                            Ok(()) => staged += 1,
-                            Err(RingError::Full) => break,
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    if staged > 0 {
-                        self.req.publish()?;
-                        if self.req.kick() {
-                            self.meter.blk_doorbells(1);
-                        }
-                    }
-                    staged
-                }
-            };
-            if n == 0 {
-                break;
+        self.submit_with(BLK_HDR, count, &mut |base, slots| {
+            for (i, s) in slots.iter_mut().enumerate() {
+                put_hdr(s, OP_READ, lba_of(base + i));
             }
-            self.meter.blk_records(n as u64);
-            self.meter.blk_commits(1);
-            done += n;
-        }
-        Ok(done)
+        })
     }
 
     /// Submits write requests for blocks `[lba, lba + count)`, obtaining
     /// each block's payload from `fill` (see
-    /// [`RunStore::write_run_with`] for the closure contract — under
-    /// [`BlkCopyMode::InSlot`] the buffers are real ring-slot memory, so
-    /// the crypt layer seals ciphertext directly into the shared slot).
+    /// [`RunStore::write_run_with`] for the closure contract — on an
+    /// in-place request ring the buffers are real ring-slot memory, so the
+    /// crypt layer seals ciphertext directly into the shared slot).
     /// Returns how many requests were accepted.
     ///
     /// # Errors
@@ -355,99 +284,53 @@ impl CioBlkFrontend {
         fill: &mut dyn FnMut(usize, &mut [&mut [u8]]),
     ) -> Result<usize, BlockError> {
         let _submit = self.telemetry.span(self.tq, Stage::BlkSubmit);
+        let done = self.submit_with(BLK_HDR + BLOCK_SIZE, count, &mut |base, slots| {
+            let n = slots.len();
+            let mut payloads: [&mut [u8]; MAX_BATCH] = std::array::from_fn(|_| &mut [][..]);
+            for (i, s) in slots.iter_mut().enumerate() {
+                let (hdr, pay) = std::mem::take(s).split_at_mut(BLK_HDR);
+                put_hdr(hdr, OP_WRITE, lba + (base + i) as u64);
+                payloads[i] = pay;
+            }
+            fill(base, &mut payloads[..n]);
+        })?;
+        self.meter
+            .blk_copies(staged_copies(self.req.copy_policy(), done));
+        Ok(done)
+    }
+
+    /// Submits `count` request frames of `len` bytes in runs sized by the
+    /// profile's batch policy: `build(base, slots)` writes frames
+    /// `base..base + slots.len()`, then the run is committed with one
+    /// index publish and at most one doorbell. Returns how many frames
+    /// the ring accepted.
+    fn submit_with(
+        &mut self,
+        len: usize,
+        count: usize,
+        build: &mut dyn FnMut(usize, &mut [&mut [u8]]),
+    ) -> Result<usize, BlockError> {
         let mut done = 0;
         while done < count {
             let want = self.profile.batch.effective(count - done).min(count - done);
-            let n = match self.profile.copy {
-                BlkCopyMode::InSlot => self.submit_writes_in_slot(lba, done, want, fill)?,
-                BlkCopyMode::Staged => self.submit_writes_staged(lba, done, want, fill)?,
+            let _r = self.telemetry.span(self.tq, Stage::BlkRing);
+            let grant = match self.req.reserve_batch(len, want) {
+                Ok(g) => g,
+                Err(RingError::Full) => break,
+                Err(e) => return Err(e.into()),
             };
-            if n == 0 {
-                break;
+            let n = grant.len();
+            self.req
+                .with_batch_mut(&grant, |slots| build(done, slots))?;
+            self.req.commit_batch(grant, &[len; MAX_BATCH][..n])?;
+            if self.req.kick() {
+                self.meter.blk_doorbells(1);
             }
             self.meter.blk_records(n as u64);
             self.meter.blk_commits(1);
             done += n;
         }
         Ok(done)
-    }
-
-    fn submit_writes_in_slot(
-        &mut self,
-        lba: u64,
-        base: usize,
-        want: usize,
-        fill: &mut dyn FnMut(usize, &mut [&mut [u8]]),
-    ) -> Result<usize, BlockError> {
-        let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-        let grant = match self.req.reserve_batch(BLK_HDR + BLOCK_SIZE, want) {
-            Ok(g) => g,
-            Err(RingError::Full) => return Ok(0),
-            Err(e) => return Err(e.into()),
-        };
-        let n = grant.len();
-        self.req.with_batch_mut(&grant, |slots| {
-            let n = slots.len();
-            let mut payloads: [&mut [u8]; MAX_BATCH] = std::array::from_fn(|_| &mut [][..]);
-            for (i, s) in slots.iter_mut().enumerate() {
-                let slot = std::mem::take(s);
-                let (hdr, pay) = slot.split_at_mut(BLK_HDR);
-                put_hdr(hdr, OP_WRITE, lba + (base + i) as u64);
-                payloads[i] = &mut pay[..BLOCK_SIZE];
-            }
-            fill(base, &mut payloads[..n]);
-        })?;
-        self.req
-            .commit_batch(grant, &[BLK_HDR + BLOCK_SIZE; MAX_BATCH][..n])?;
-        if self.req.kick() {
-            self.meter.blk_doorbells(1);
-        }
-        Ok(n)
-    }
-
-    fn submit_writes_staged(
-        &mut self,
-        lba: u64,
-        base: usize,
-        want: usize,
-        fill: &mut dyn FnMut(usize, &mut [&mut [u8]]),
-    ) -> Result<usize, BlockError> {
-        // Don't build more frames than the ring can take: a frame whose
-        // payload was filled but never staged would be lost work.
-        let free = self.req.free_slots()? as usize;
-        let n = want.min(free);
-        if n == 0 {
-            return Ok(0);
-        }
-        {
-            let mut payloads: [&mut [u8]; MAX_BATCH] = std::array::from_fn(|_| &mut [][..]);
-            for (i, frame) in self.req_bufs.iter_mut().enumerate().take(n) {
-                frame.resize(BLK_HDR + BLOCK_SIZE, 0);
-                let (hdr, pay) = frame.split_at_mut(BLK_HDR);
-                put_hdr(hdr, OP_WRITE, lba + (base + i) as u64);
-                payloads[i] = pay;
-            }
-            fill(base, &mut payloads[..n]);
-        }
-        let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-        let mut staged = 0;
-        for frame in self.req_bufs.iter().take(n) {
-            match self.req.stage(frame) {
-                Ok(()) => {
-                    self.meter.blk_copies(1);
-                    staged += 1;
-                }
-                Err(RingError::Full) => break,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if staged > 0 {
-            self.req.publish()?;
-            if self.req.kick() {
-                self.meter.blk_doorbells(1);
-            }
-        }
-        Ok(staged)
     }
 
     /// Drains up to `max` pending responses, handing each to `sink` as a
@@ -466,38 +349,25 @@ impl CioBlkFrontend {
         sink: &mut dyn FnMut(usize, BlkResp<'_>),
     ) -> Result<usize, BlockError> {
         let mut got = 0;
+        let mut data = 0;
         while got < max {
             let want = self.profile.batch.effective(max - got).min(max - got);
-            let n = match self.profile.copy {
-                BlkCopyMode::InSlot => {
-                    let mut idx = got;
-                    let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-                    self.resp.consume_batch_in_place(want, |slots| {
-                        for s in slots.iter_mut() {
-                            sink(idx, parse_resp(s));
-                            idx += 1;
-                        }
-                    })?
+            let mut idx = got;
+            let _r = self.telemetry.span(self.tq, Stage::BlkRing);
+            let n = self.resp.consume_batch_in_place(want, |slots| {
+                for s in slots.iter_mut() {
+                    data += usize::from(s.len() > BLK_HDR);
+                    sink(idx, parse_resp(s));
+                    idx += 1;
                 }
-                BlkCopyMode::Staged => {
-                    let n = {
-                        let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-                        self.resp.consume_batch_into(&mut self.resp_bufs[..want])?
-                    };
-                    for i in 0..n {
-                        if self.resp_bufs[i].len() > BLK_HDR {
-                            self.meter.blk_copies(1);
-                        }
-                        sink(got + i, parse_resp(&mut self.resp_bufs[i]));
-                    }
-                    n
-                }
-            };
+            })?;
             if n == 0 {
                 break;
             }
             got += n;
         }
+        self.meter
+            .blk_copies(staged_copies(self.resp.copy_policy(), data));
         Ok(got)
     }
 }
@@ -515,25 +385,25 @@ pub struct CioBlkBackend {
     meter: Meter,
     telemetry: Telemetry,
     tq: usize,
-    req_bufs: Vec<Vec<u8>>,
-    resp_bufs: Vec<Vec<u8>>,
 }
 
 impl CioBlkBackend {
-    /// Creates the backend over the host's disk with the legacy
-    /// [`BlkProfile::storage_v1`] profile.
+    /// Creates the backend over the host's disk with the
+    /// [`BlkProfile::storage_v1`] preset.
     pub fn new(req: Consumer<HostView>, resp: Producer<HostView>, disk: RamDisk) -> Self {
         CioBlkBackend::with_profile(req, resp, disk, BlkProfile::default())
     }
 
     /// Creates the backend with an explicit profile (must match the
-    /// frontend's).
+    /// frontend's), wiring its data positioning onto both ring endpoints.
     pub fn with_profile(
-        req: Consumer<HostView>,
-        resp: Producer<HostView>,
+        mut req: Consumer<HostView>,
+        mut resp: Producer<HostView>,
         disk: RamDisk,
         profile: BlkProfile,
     ) -> Self {
+        req.set_copy_policy(profile.copy);
+        resp.set_copy_policy(profile.copy);
         let meter = resp.meter();
         CioBlkBackend {
             req,
@@ -543,8 +413,6 @@ impl CioBlkBackend {
             meter,
             telemetry: Telemetry::disabled(),
             tq: 0,
-            req_bufs: warm_bufs(),
-            resp_bufs: warm_bufs(),
         }
     }
 
@@ -581,10 +449,7 @@ impl CioBlkBackend {
     pub fn process(&mut self) -> Result<usize, BlockError> {
         let mut handled = 0;
         loop {
-            let n = match self.profile.copy {
-                BlkCopyMode::InSlot => self.process_chunk_in_slot()?,
-                BlkCopyMode::Staged => self.process_chunk_staged()?,
-            };
+            let n = self.process_chunk()?;
             if n == 0 {
                 break;
             }
@@ -593,7 +458,7 @@ impl CioBlkBackend {
         Ok(handled)
     }
 
-    fn process_chunk_in_slot(&mut self) -> Result<usize, BlockError> {
+    fn process_chunk(&mut self) -> Result<usize, BlockError> {
         let _svc = self.telemetry.span(self.tq, Stage::BlkService);
         let want = self.profile.batch.effective(MAX_BATCH);
         // Pull a run of requests under one lock. Writes land on the disk
@@ -602,11 +467,13 @@ impl CioBlkBackend {
         // payload is fetched exactly once.
         let mut ops: [(u64, u8); MAX_BATCH] = [(0, PENDING_ERR); MAX_BATCH];
         let mut k = 0usize;
+        let mut writes = 0;
         let disk = &mut self.disk;
         let consumed = {
             let _r = self.telemetry.span(self.tq, Stage::BlkRing);
             self.req.consume_batch_in_place(want, |slots| {
                 for s in slots.iter_mut() {
+                    writes += usize::from(s.len() > BLK_HDR);
                     let op = match parse_req(s) {
                         ReqView::Read(lba) => (lba, PENDING_READ),
                         ReqView::Write(lba) => {
@@ -628,6 +495,7 @@ impl CioBlkBackend {
         if consumed == 0 {
             return Ok(0);
         }
+        let mut reads = 0;
         let mut sent = 0;
         while sent < consumed {
             let _r = self.telemetry.span(self.tq, Stage::BlkRing);
@@ -654,7 +522,7 @@ impl CioBlkBackend {
                     let (lba, pend) = ops[base + i];
                     lens[i] = match pend {
                         // Read data goes straight from the disk into the
-                        // shared slot: no host-side staging either.
+                        // response frame: no host-side staging of its own.
                         PENDING_READ => {
                             put_hdr(s, ST_DATA, lba);
                             if disk
@@ -678,6 +546,7 @@ impl CioBlkBackend {
                     };
                 }
             })?;
+            reads += lens[..n].iter().filter(|&&l| l > BLK_HDR).count();
             self.resp.commit_batch(grant, &lens[..n])?;
             if self.resp.kick() {
                 self.meter.blk_doorbells(1);
@@ -685,87 +554,11 @@ impl CioBlkBackend {
             self.meter.blk_commits(1);
             sent += n;
         }
+        self.meter.blk_copies(
+            staged_copies(self.req.copy_policy(), writes)
+                + staged_copies(self.resp.copy_policy(), reads),
+        );
         Ok(consumed)
-    }
-
-    fn process_chunk_staged(&mut self) -> Result<usize, BlockError> {
-        let _svc = self.telemetry.span(self.tq, Stage::BlkService);
-        let want = self.profile.batch.effective(MAX_BATCH);
-        let n = {
-            let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-            self.req.consume_batch_into(&mut self.req_bufs[..want])?
-        };
-        if n == 0 {
-            return Ok(0);
-        }
-        for i in 0..n {
-            if self.req_bufs[i].len() > BLK_HDR {
-                self.meter.blk_copies(1);
-            }
-            let frame = &mut self.resp_bufs[i];
-            frame.clear();
-            match parse_req(&self.req_bufs[i]) {
-                ReqView::Read(lba) => {
-                    frame.resize(BLK_HDR + BLOCK_SIZE, 0);
-                    put_hdr(frame, ST_DATA, lba);
-                    if self.disk.read_block(lba, &mut frame[BLK_HDR..]).is_err() {
-                        frame.truncate(BLK_HDR);
-                        put_hdr(frame, ST_ERR, lba);
-                    }
-                }
-                ReqView::Write(lba) => {
-                    frame.resize(BLK_HDR, 0);
-                    if self
-                        .disk
-                        .write_block(lba, &self.req_bufs[i][BLK_HDR..])
-                        .is_ok()
-                    {
-                        put_hdr(frame, ST_OK, lba);
-                    } else {
-                        put_hdr(frame, ST_ERR, lba);
-                    }
-                }
-                ReqView::Malformed => {
-                    frame.resize(BLK_HDR, 0);
-                    put_hdr(frame, ST_ERR, 0);
-                }
-            }
-        }
-        let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-        let mut i = 0;
-        let mut pending = 0;
-        while i < n {
-            match self.resp.stage(&self.resp_bufs[i]) {
-                Ok(()) => {
-                    if self.resp_bufs[i].len() > BLK_HDR {
-                        self.meter.blk_copies(1);
-                    }
-                    pending += 1;
-                    i += 1;
-                }
-                Err(RingError::Full) => {
-                    // Flush what's staged so a concurrent guest can drain.
-                    if pending > 0 {
-                        self.resp.publish()?;
-                        self.meter.blk_commits(1);
-                        if self.resp.kick() {
-                            self.meter.blk_doorbells(1);
-                        }
-                        pending = 0;
-                    }
-                    std::hint::spin_loop();
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if pending > 0 {
-            self.resp.publish()?;
-            self.meter.blk_commits(1);
-            if self.resp.kick() {
-                self.meter.blk_doorbells(1);
-            }
-        }
-        Ok(n)
     }
 }
 
@@ -856,6 +649,50 @@ impl RingBlockStore {
     }
 }
 
+impl RingBlockStore {
+    /// Reads the `count` blocks named by `lba_of(i)`, delivering each to
+    /// `sink` in order; a response must echo the LBA it answers.
+    fn read_with(
+        &mut self,
+        count: usize,
+        lba_of: &dyn Fn(usize) -> u64,
+        sink: &mut dyn FnMut(usize, &mut [&mut [u8]]),
+    ) -> Result<(), BlockError> {
+        let mut done = 0;
+        while done < count {
+            let base = done;
+            let submitted = self
+                .front
+                .submit_reads(count - base, &|i| lba_of(base + i))?;
+            if submitted == 0 {
+                self.pump()?;
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut first_err: Option<BlockError> = None;
+            self.complete(submitted, &mut |i, resp| match resp {
+                BlkResp::Data { lba: echo, bytes } if echo == lba_of(base + i) => {
+                    // Past a failure the contract stops delivering.
+                    if first_err.is_none() {
+                        sink(base + i, &mut [bytes]);
+                    }
+                }
+                BlkResp::Err { .. } => {
+                    first_err.get_or_insert(BlockError::OutOfRange);
+                }
+                _ => {
+                    first_err.get_or_insert(BlockError::Protocol);
+                }
+            })?;
+            if let Some(e) = first_err {
+                return Err(e);
+            }
+            done += submitted;
+        }
+        Ok(())
+    }
+}
+
 impl RunStore for RingBlockStore {
     fn write_run_with(
         &mut self,
@@ -903,40 +740,7 @@ impl RunStore for RingBlockStore {
         count: usize,
         sink: &mut dyn FnMut(usize, &mut [&mut [u8]]),
     ) -> Result<(), BlockError> {
-        let mut done = 0;
-        while done < count {
-            let base = done;
-            let submitted = self.front.submit_reads(lba + base as u64, count - base)?;
-            if submitted == 0 {
-                self.pump()?;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut first_err: Option<BlockError> = None;
-            self.complete(submitted, &mut |i, resp| {
-                let expect_lba = lba + (base + i) as u64;
-                match resp {
-                    BlkResp::Data { lba: echo, bytes } if echo == expect_lba => {
-                        // Past a failure the contract stops delivering.
-                        if first_err.is_none() {
-                            let mut one: [&mut [u8]; 1] = [bytes];
-                            sink(base + i, &mut one[..]);
-                        }
-                    }
-                    BlkResp::Err { .. } => {
-                        first_err.get_or_insert(BlockError::OutOfRange);
-                    }
-                    _ => {
-                        first_err.get_or_insert(BlockError::Protocol);
-                    }
-                }
-            })?;
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            done += submitted;
-        }
-        Ok(())
+        self.read_with(count, &|i| lba + i as u64, sink)
     }
 
     fn read_scatter_with(
@@ -944,39 +748,7 @@ impl RunStore for RingBlockStore {
         lbas: &[u64],
         sink: &mut dyn FnMut(usize, &mut [&mut [u8]]),
     ) -> Result<(), BlockError> {
-        let mut done = 0;
-        while done < lbas.len() {
-            let base = done;
-            let submitted = self.front.submit_reads_scatter(&lbas[base..])?;
-            if submitted == 0 {
-                self.pump()?;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut first_err: Option<BlockError> = None;
-            self.complete(submitted, &mut |i, resp| {
-                let expect_lba = lbas[base + i];
-                match resp {
-                    BlkResp::Data { lba: echo, bytes } if echo == expect_lba => {
-                        if first_err.is_none() {
-                            let mut one: [&mut [u8]; 1] = [bytes];
-                            sink(base + i, &mut one[..]);
-                        }
-                    }
-                    BlkResp::Err { .. } => {
-                        first_err.get_or_insert(BlockError::OutOfRange);
-                    }
-                    _ => {
-                        first_err.get_or_insert(BlockError::Protocol);
-                    }
-                }
-            })?;
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            done += submitted;
-        }
-        Ok(())
+        self.read_with(lbas.len(), &|i| lbas[i], sink)
     }
 }
 
@@ -1145,12 +917,12 @@ mod tests {
             BlkProfile::storage_v1(),
             BlkProfile::batched(8),
             BlkProfile {
-                copy: BlkCopyMode::Staged,
+                copy: CopyPolicy::CopyEarly,
                 batch: BatchPolicy::Fixed(8),
                 notify: NotifyMode::Doorbell,
             },
             BlkProfile {
-                copy: BlkCopyMode::InSlot,
+                copy: CopyPolicy::InPlace,
                 batch: BatchPolicy::Serial,
                 notify: NotifyMode::Polling,
             },

@@ -511,6 +511,7 @@ pub fn payload_toctou() -> Result<(Outcome, Outcome, Outcome), CioError> {
         mem.share_range(GuestAddr(16 * PAGE_SIZE as u64), ring.area_bytes())?;
         let mut host_p = Producer::new(ring.clone(), mem.host())?;
         let mut guest_c = Consumer::new(ring.clone(), mem.guest())?;
+        guest_c.set_copy_policy(cio_mem::CopyPolicy::CopyEarly);
         host_p.produce(b"AMOUNT=00100")?;
         // The early copy happens inside consume(); afterwards the host may
         // flip the shared area all it wants.

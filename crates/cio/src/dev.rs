@@ -38,12 +38,14 @@ pub enum SendMode {
     ZeroCopy,
 }
 
-/// One queue's guest-side ring pair, plus the frames a batched receive
-/// pass drained ahead of the caller.
+/// One queue's guest-side ring pair, plus the frames a receive pass
+/// drained ahead of the caller and the (empty between passes) buffers
+/// the next pass drains into.
 struct GuestQueue {
     tx: Producer<GuestView>,
     rx: Consumer<GuestView>,
     rx_pending: VecDeque<Vec<u8>>,
+    rx_bufs: [Vec<u8>; MAX_BATCH],
 }
 
 /// The cio-ring as a (multi-queue) network device.
@@ -61,22 +63,21 @@ pub struct CioRingDevice {
     rx_cursor: usize,
     mac: MacAddr,
     mtu: usize,
-    send_mode: SendMode,
     recv_mode: RecvMode,
-    /// Record-batching discipline for receive draining. Serial (default)
-    /// routes through the historical per-record consume paths; non-serial
-    /// policies drain runs of slots with one shared-index read, one
-    /// memory-lock acquisition, and one consumer-index write per run —
-    /// the guest-side mirror of the host backend's batched servicing.
+    /// Record-batching discipline for receive draining: runs of up to this
+    /// many slots per shared-index read, memory-lock acquisition, and
+    /// consumer-index write (Serial, the default, is the run of one) —
+    /// the guest-side mirror of the host backend's servicing.
     batch: BatchPolicy,
     mem: GuestMemory,
 }
 
 impl CioRingDevice {
-    /// Wraps one ring pair per queue. The MTU and MAC come from the fixed
-    /// ring config (zero-negotiation: there is no other source); the queue
-    /// count must be a non-zero power of two so steering is a masked
-    /// index.
+    /// Wraps one ring pair per queue, wiring the send and receive modes
+    /// onto the ring endpoints as their data positioning. The MTU and MAC
+    /// come from the fixed ring config (zero-negotiation: there is no
+    /// other source); the queue count must be a non-zero power of two so
+    /// steering is a masked index.
     ///
     /// # Errors
     ///
@@ -105,21 +106,29 @@ impl CioRingDevice {
         }
         let cfg = queues[0].0.ring().config();
         let mask = queues.len() as u32 - 1;
+        let tx_policy = match send_mode {
+            SendMode::Copy => CopyPolicy::CopyEarly,
+            SendMode::ZeroCopy => CopyPolicy::InPlace,
+        };
         Ok(CioRingDevice {
             mac: MacAddr(cfg.mac),
             mtu: cfg.mtu as usize - cio_netstack::wire::ETH_HDR_LEN,
             queues: queues
                 .into_iter()
-                .map(|(tx, rx)| GuestQueue {
-                    tx,
-                    rx,
-                    rx_pending: VecDeque::new(),
+                .map(|(mut tx, mut rx)| {
+                    tx.set_copy_policy(tx_policy);
+                    rx.set_copy_policy(CopyPolicy::CopyEarly);
+                    GuestQueue {
+                        tx,
+                        rx,
+                        rx_pending: VecDeque::new(),
+                        rx_bufs: std::array::from_fn(|_| Vec::new()),
+                    }
                 })
                 .collect(),
             mask,
             active_rx: None,
             rx_cursor: 0,
-            send_mode,
             recv_mode,
             batch: BatchPolicy::default(),
             mem,
@@ -151,23 +160,20 @@ impl CioRingDevice {
     fn recv_from(&mut self, q: usize) -> Option<Vec<u8>> {
         let queue = &mut self.queues[q];
         match self.recv_mode {
-            RecvMode::Copy if !self.batch.is_serial() => {
-                // Batched drain: one pass pulls a run of frames under a
-                // single lock and a single consumer-index write, then the
-                // caller pops them one at a time. Each frame still pays
-                // the same metered copy as the serial `consume` path.
+            RecvMode::Copy => {
+                // One pass pulls a run of frames under a single lock and a
+                // single consumer-index write, then the caller pops them
+                // one at a time. Each frame pays the ring's metered early
+                // copy; the pass itself allocates nothing but the frames.
                 if let Some(frame) = queue.rx_pending.pop_front() {
                     return Some(frame);
                 }
-                let want = self.batch.max_batch().min(MAX_BATCH);
-                let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); want];
-                let n = queue.rx.consume_batch_into(&mut bufs).ok()?;
-                for buf in bufs.drain(..n) {
-                    queue.rx_pending.push_back(buf);
-                }
+                let bufs = &mut queue.rx_bufs[..self.batch.max_batch()];
+                let n = queue.rx.consume_batch_into(bufs).ok()?;
+                let frames = bufs[..n].iter_mut().map(std::mem::take);
+                queue.rx_pending.extend(frames);
                 queue.rx_pending.pop_front()
             }
-            RecvMode::Copy => queue.rx.consume().ok().flatten(),
             RecvMode::Revoke => {
                 let payload: RevokedPayload = queue.rx.consume_revoking().ok().flatten()?;
                 // In-place processing: materialize without a metered copy,
@@ -186,11 +192,7 @@ impl NetDevice for CioRingDevice {
     fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
         let q = cio_netstack::rss::steer(frame, self.mask);
         let queue = &mut self.queues[q];
-        let r = match self.send_mode {
-            SendMode::Copy => queue.tx.produce(frame),
-            SendMode::ZeroCopy => queue.tx.produce_zero_copy(frame),
-        };
-        match r {
+        match queue.tx.produce(frame) {
             Ok(()) => {
                 queue.tx.kick(); // no-op in polling mode
                 Ok(())
@@ -593,39 +595,36 @@ impl NetDevice for IdeNetDevice {
 /// channel provisioned at deployment, carried to the gateway as opaque
 /// blobs. The host (and the local network) learn only blob sizes and
 /// timing.
+///
+/// One transmit path and one receive path, whatever the policies: frames
+/// gather until the batch policy's run is full (Serial: at once), one
+/// AEAD pass seals the run into one reserved ring run, and receives drain
+/// and open a run at a time. Whether the seal lands in slot memory or in
+/// private staging that the ring then copies is the carrier endpoints'
+/// [`CopyPolicy`], wired by [`TunnelDevice::set_copy_policy`].
 pub struct TunnelDevice {
     inner_tx: Producer<GuestView>,
     inner_rx: Consumer<GuestView>,
     chan: cio_ctls::Channel,
     mac: MacAddr,
     mtu: usize,
-    /// Data-positioning discipline for the carrier ring (§3.2): in-place
-    /// seals records straight into reserved slots; copy-early stages
-    /// through the scratch and pays the explicit interface copy.
-    policy: CopyPolicy,
-    /// Reusable receive buffer for blobs consumed off the carrier ring.
-    blob: Vec<u8>,
-    /// Reusable scratches for the fused seal/open passes.
-    seal_scratch: cio_ctls::RecordScratch,
-    open_scratch: cio_ctls::RecordScratch,
-    /// Batch discipline for the carrier ring. Serial (the default) keeps
-    /// the historical one-record-per-crossing paths bit-identical.
+    /// Batch discipline for the carrier ring.
     batch: BatchPolicy,
     /// The carrier memory domain's virtual clock, read to enforce the
     /// adaptive policy's latency cap on partially filled batches.
     clock: Clock,
-    /// Frames accepted by `transmit` but not yet sealed onto the carrier
-    /// (batched transmit only). Bounded by the policy's batch size.
+    /// Frames accepted by `transmit` but not yet sealed onto the carrier.
+    /// Bounded by the policy's batch size.
     tx_pending: VecDeque<Vec<u8>>,
     /// Virtual time the oldest pending frame was accepted.
     tx_pending_since: Option<Cycles>,
-    /// Pool backing `tx_pending`, so steady-state batching allocates
+    /// Pool backing `tx_pending`, so steady-state transmit allocates
     /// nothing once the pool has warmed up.
     pool: BufPool,
-    /// Plaintexts opened by one batched receive pass, handed out one per
+    /// Plaintexts opened by one receive pass, handed out one per
     /// `receive` call.
     rx_pending: VecDeque<Vec<u8>>,
-    /// Per-record scratches for the batched open pass.
+    /// Per-record scratches for the open pass.
     batch_outs: Vec<cio_ctls::RecordScratch>,
 }
 
@@ -645,62 +644,44 @@ impl TunnelDevice {
             chan,
             mac,
             mtu,
-            policy: CopyPolicy::default(),
-            blob: Vec::new(),
-            seal_scratch: cio_ctls::RecordScratch::new(),
-            open_scratch: cio_ctls::RecordScratch::new(),
             batch: BatchPolicy::default(),
             clock,
             tx_pending: VecDeque::new(),
             tx_pending_since: None,
             pool: BufPool::new(MAX_BATCH),
             rx_pending: VecDeque::new(),
-            batch_outs: Vec::new(),
+            batch_outs: std::iter::repeat_with(cio_ctls::RecordScratch::new)
+                .take(MAX_BATCH)
+                .collect(),
         }
     }
 
-    /// Selects the carrier's data-positioning policy. [`CopyPolicy::CopyEarly`]
-    /// forces the staged path even on in-slot-capable rings (the
-    /// discipline adversarial double-fetch configurations demand).
+    /// Wires the carrier's data positioning (§3.2) onto both ring
+    /// endpoints: in place, records are sealed straight into reserved
+    /// slots and opened straight out of them; [`CopyPolicy::CopyEarly`]
+    /// (the discipline adversarial double-fetch configurations demand)
+    /// seals into private staging and pays the explicit interface copy
+    /// each way.
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
-        self.policy = policy;
+        self.inner_tx.set_copy_policy(policy);
+        self.inner_rx.set_copy_policy(policy);
     }
 
-    /// Whether transmit will seal records in slot (policy allows it and
-    /// the ring layout supports it).
-    pub fn seals_in_slot(&self) -> bool {
-        self.policy.allows_in_place() && self.inner_tx.in_slot_capable()
-    }
-
-    /// Selects the carrier's batch discipline. Non-serial policies gather
-    /// transmits and seal them with one shared-keystream AEAD pass into
-    /// one reserved run (one lock, one index publish), and drain receives
-    /// a run at a time. Batched transmit requires the in-slot layout;
-    /// where in-slot sealing is unavailable the device falls back to the
-    /// staged per-record path, exactly as serial does.
+    /// Selects the carrier's batch discipline: how many transmits gather
+    /// for one shared-keystream AEAD pass into one reserved run (one
+    /// lock, one index publish), and how many records one receive pass
+    /// drains.
     pub fn set_batch_policy(&mut self, batch: BatchPolicy) {
         self.batch = batch;
-        let want = if batch.is_serial() { 0 } else { MAX_BATCH };
-        self.batch_outs
-            .resize_with(want, cio_ctls::RecordScratch::new);
-    }
-
-    /// Whether transmit gathers frames for batched seal-in-slot.
-    fn batched_tx(&self) -> bool {
-        !self.batch.is_serial() && self.policy.allows_in_place() && self.inner_tx.in_slot_capable()
     }
 
     /// Seals as many pending frames as the carrier grants, in reserved
     /// runs of up to the policy's batch size. Returns whether the queue
     /// fully drained; a partial grant seals the granted prefix and leaves
     /// the rest pending (transient backpressure, retried next flush).
-    fn flush_tx_batch(&mut self) -> bool {
+    fn flush_tx(&mut self) -> bool {
         while !self.tx_pending.is_empty() {
-            let n = self
-                .tx_pending
-                .len()
-                .min(self.batch.max_batch())
-                .min(MAX_BATCH);
+            let n = self.tx_pending.len().min(self.batch.max_batch());
             let cap = self
                 .tx_pending
                 .iter()
@@ -740,18 +721,18 @@ impl TunnelDevice {
         true
     }
 
-    /// Drains one batched run off the carrier: a single locked pass
-    /// fetches the run, one batched AEAD pass opens it, and the opened
-    /// plaintexts queue for per-call hand-out. Host-injected garbage
-    /// fails its own open and is dropped without touching the rest of
-    /// the run. Returns how many records were consumed.
-    fn drain_rx_batch(&mut self) -> usize {
-        let want = self.batch.max_batch().min(MAX_BATCH);
+    /// Drains one run off the carrier: a single locked pass fetches the
+    /// run, one AEAD pass opens it, and the opened plaintexts queue for
+    /// per-call hand-out. Host-injected garbage fails its own open and is
+    /// dropped without touching the rest of the run — the tunnel boundary
+    /// is exactly one AEAD check wide. Returns how many records were
+    /// consumed.
+    fn drain_rx(&mut self) -> usize {
         let chan = &mut self.chan;
         let outs = &mut self.batch_outs;
         let rx_pending = &mut self.rx_pending;
         self.inner_rx
-            .consume_batch_in_place(want, |slots| {
+            .consume_batch_in_place(self.batch.max_batch(), |slots| {
                 let k = slots.len();
                 let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
                 for (i, s) in slots.iter().enumerate() {
@@ -774,65 +755,26 @@ impl NetDevice for TunnelDevice {
         if frame.len() > self.mtu + cio_netstack::wire::ETH_HDR_LEN {
             return Err(NetError::TooLarge);
         }
-        if self.batched_tx() {
-            // Gather-then-flush: frames queue until the policy's batch
-            // fills or the adaptive latency cap expires, then one
-            // reserved run takes the whole batch. A full queue that will
-            // not flush (carrier backpressure) refuses the frame, which
-            // is the same transient signal the serial path's failed
-            // reserve produces.
-            if self.tx_pending.len() >= self.batch.max_batch() && !self.flush_tx_batch() {
-                return Err(NetError::DeviceFull);
-            }
-            let now = self.clock.now();
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(frame);
-            self.tx_pending.push_back(buf);
-            if self.tx_pending_since.is_none() {
-                self.tx_pending_since = Some(now);
-            }
-            let due = match (self.batch.latency_cap(), self.tx_pending_since) {
-                (Some(cap), Some(t0)) => now.get().saturating_sub(t0.get()) >= cap.get(),
-                _ => false,
-            };
-            if self.tx_pending.len() >= self.batch.max_batch() || due {
-                self.flush_tx_batch();
-            }
-            return Ok(());
+        // Gather-then-flush: frames queue until the policy's batch fills
+        // or the adaptive latency cap expires, then one reserved run takes
+        // the whole batch. A full queue that will not flush (carrier
+        // backpressure) refuses the frame.
+        if self.tx_pending.len() >= self.batch.max_batch() && !self.flush_tx() {
+            return Err(NetError::DeviceFull);
         }
-        if self.seals_in_slot() {
-            // Seal-in-slot: reserve the slot, run the fused AEAD directly
-            // over slot memory (plaintext never touches the shared area),
-            // and publish. Zero staging copies.
-            let record_len = frame.len() + cio_ctls::RECORD_OVERHEAD;
-            let grant = match self.inner_tx.reserve(record_len) {
-                Ok(g) => g,
-                Err(cio_vring::RingError::TooLarge) => return Err(NetError::TooLarge),
-                Err(_) => return Err(NetError::DeviceFull),
-            };
-            let chan = &mut self.chan;
-            let sealed = self
-                .inner_tx
-                .with_slot_mut(&grant, |slot| chan.seal_into_slot(frame, slot))
-                .map_err(|_| NetError::DeviceFull)?
-                .map_err(|_| NetError::Malformed)?;
-            return match self.inner_tx.commit(grant, sealed) {
-                Ok(()) => Ok(()),
-                Err(cio_vring::RingError::TooLarge) => Err(NetError::TooLarge),
-                Err(_) => Err(NetError::DeviceFull),
-            };
+        let now = self.clock.now();
+        let mut buf = self.pool.get();
+        buf.extend_from_slice(frame);
+        self.tx_pending.push_back(buf);
+        let since = *self.tx_pending_since.get_or_insert(now);
+        let due = self
+            .batch
+            .latency_cap()
+            .is_some_and(|cap| now.get().saturating_sub(since.get()) >= cap.get());
+        if self.tx_pending.len() >= self.batch.max_batch() || due {
+            self.flush_tx();
         }
-        // Staged path (copy-early policy or non-shared-area layout): seal
-        // into the reused scratch, then the explicit, metered copy onto
-        // the ring — no per-frame allocation.
-        self.chan
-            .seal_into(frame, &mut self.seal_scratch)
-            .map_err(|_| NetError::Malformed)?;
-        match self.inner_tx.produce(self.seal_scratch.as_slice()) {
-            Ok(()) => Ok(()),
-            Err(cio_vring::RingError::TooLarge) => Err(NetError::TooLarge),
-            Err(_) => Err(NetError::DeviceFull),
-        }
+        Ok(())
     }
 
     fn receive(&mut self) -> Option<Vec<u8>> {
@@ -840,44 +782,14 @@ impl NetDevice for TunnelDevice {
         // gathered transmit batch first so partially filled batches never
         // outlive the pump iteration that could have sent them.
         if !self.tx_pending.is_empty() {
-            self.flush_tx_batch();
-        }
-        if !self.batch.is_serial() && self.policy.allows_in_place() {
-            loop {
-                if let Some(frame) = self.rx_pending.pop_front() {
-                    return Some(frame);
-                }
-                if self.drain_rx_batch() == 0 {
-                    return None;
-                }
-            }
-        }
-        // Host-injected garbage fails to open and is dropped — the tunnel
-        // boundary is exactly one AEAD check wide.
-        if self.policy.allows_in_place() {
-            // Open-in-slot: the record is fetched exactly once from slot
-            // memory and decrypted straight into the private scratch.
-            loop {
-                let chan = &mut self.chan;
-                let scratch = &mut self.open_scratch;
-                let opened = self
-                    .inner_rx
-                    .consume_in_place(|rec| chan.open_in_slot(rec, scratch).is_ok())
-                    .ok()
-                    .flatten()?;
-                if opened {
-                    return Some(self.open_scratch.as_slice().to_vec());
-                }
-            }
+            self.flush_tx();
         }
         loop {
-            self.inner_rx.consume_into(&mut self.blob).ok().flatten()?;
-            if self
-                .chan
-                .open_into(&self.blob, &mut self.open_scratch)
-                .is_ok()
-            {
-                return Some(self.open_scratch.as_slice().to_vec());
+            if let Some(frame) = self.rx_pending.pop_front() {
+                return Some(frame);
+            }
+            if self.drain_rx() == 0 {
+                return None;
             }
         }
     }

@@ -22,14 +22,13 @@
 use crate::CioError;
 use cio_block::blockdev::{BlockStore, BLOCK_SIZE};
 use cio_block::transport::{
-    ring_notify_mode, BlkCopyMode, BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore,
-    BLK_HDR,
+    ring_notify_mode, BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore, BLK_HDR,
 };
 use cio_block::{CryptStore, MultiQueueStore, RamDisk};
 use cio_ctls::record::Channel;
 use cio_ctls::{RecordScratch, SimHooks};
 use cio_host::backend::NotifyGate;
-use cio_mem::{GuestAddr, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, PAGE_SIZE};
 use cio_sim::{CostModel, Meter, Telemetry};
 use cio_tee::{Tee, TeeKind};
 use cio_vring::cioring::{
@@ -135,7 +134,7 @@ impl KvConfig {
     /// Whether this configuration runs the serial v1 storage shape
     /// (one staged block per call — the pre-run-API data path).
     fn serial(&self) -> bool {
-        matches!(self.profile.copy, BlkCopyMode::Staged)
+        self.profile.copy == CopyPolicy::CopyEarly
     }
 }
 

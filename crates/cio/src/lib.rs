@@ -61,7 +61,8 @@ pub enum Transient {
     /// step the world) and retry.
     WouldBlock,
     /// The operation made partial progress and should be retried later
-    /// for the remainder.
+    /// for the remainder. (`World::send` never returns it: a record TCP
+    /// has buffered is accepted, not partial.)
     AgainLater,
 }
 

@@ -1385,7 +1385,7 @@ impl World {
             let _poll = self.telemetry.span(0, Stage::GuestPoll);
             match &mut self.guest {
                 Guest::Stack { iface } | Guest::Dual { iface, .. } => {
-                    iface.poll()?;
+                    ring_full_is_backpressure(iface.poll())?;
                 }
                 Guest::L5 { svc } => {
                     svc.poll()?;
@@ -1470,7 +1470,7 @@ impl World {
                 match &mut self.guest {
                     Guest::Stack { iface } | Guest::Dual { iface, .. } => {
                         iface.device_mut().select_rx_queue(Some(q));
-                        let r = iface.poll();
+                        let r = ring_full_is_backpressure(iface.poll());
                         iface.device_mut().select_rx_queue(None);
                         r
                     }
@@ -1835,12 +1835,18 @@ impl World {
     /// Backpressure is *not* a fault: when the connection's unsent backlog
     /// is over the high-water mark the call returns
     /// [`CioError::Transient`]`(`[`Transient::WouldBlock`]`)` with nothing
-    /// consumed — step the world and retry. The §3.2 "errors are fatal"
-    /// principle is reserved for host-facing interface faults.
+    /// consumed — step the world and retry. A device ring that fills
+    /// mid-write is not even that: TCP already holds the sealed record and
+    /// flushes it on later steps, so the call reports the bytes as
+    /// accepted (retrying would duplicate them) and only the
+    /// `backpressure_again` meter and a `Backpressure` flight event show
+    /// it happened. The §3.2 "errors are fatal" principle is reserved for
+    /// host-facing interface faults.
     ///
     /// # Errors
     ///
-    /// [`CioError::Transient`] for backpressure;
+    /// [`CioError::Transient`]`(`[`Transient::WouldBlock`]`)` for
+    /// backpressure;
     /// [`CioError::Session`]`(`[`SessionError::Handshaking`]`)` before
     /// the handshake completes; stale handles return the other
     /// [`SessionError`] variants; stream/transport errors otherwise.
@@ -1892,13 +1898,14 @@ impl World {
                     .record(lane, EventKind::SealOk, data.len() as u64, 1);
                 Ok(data.len())
             }
-            // A saturated device queue is backpressure too (TCP keeps the
-            // sealed record buffered; flushing resumes on later steps).
+            // A saturated device queue is backpressure, but the record is
+            // accepted: TCP keeps it buffered and flushing resumes on
+            // later steps.
             Err(CioError::Net(cio_netstack::NetError::DeviceFull)) => {
                 self.meter.backpressure_again(1);
                 self.flight
                     .record(lane, EventKind::Backpressure, 1, backlog as u64);
-                Err(CioError::Transient(Transient::AgainLater))
+                Ok(data.len())
             }
             Err(e) => {
                 self.flight
@@ -2036,6 +2043,19 @@ impl World {
         self.raw_close(conn.handle)?;
         self.draining.push(conn.handle);
         Ok(())
+    }
+}
+
+/// A device ring that fills while the guest stack flushes is
+/// backpressure, not a fault: the segments stay in TCP's retransmission
+/// queue, the host drains the ring later in the same step, and the world
+/// keeps stepping.
+fn ring_full_is_backpressure(
+    polled: Result<usize, cio_netstack::NetError>,
+) -> Result<usize, cio_netstack::NetError> {
+    match polled {
+        Err(cio_netstack::NetError::DeviceFull) => Ok(0),
+        other => other,
     }
 }
 

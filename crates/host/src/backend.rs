@@ -33,10 +33,6 @@ use std::collections::VecDeque;
 /// this the queue tail-drops like a full NIC ring.
 pub(crate) const PENDING_CAP: usize = 256;
 
-/// How many guest->host frames one batched consume pass pulls per queue
-/// (one shared-index read per batch).
-const TX_BATCH: usize = 16;
-
 /// Fewest consecutive empty service passes before an adaptive queue goes
 /// cold (stops being polled every round).
 pub const IDLE_BUDGET_MIN: u32 = 4;
@@ -434,7 +430,6 @@ impl FrameSink for PortSink<'_> {
 /// fields; a worker owns per-thread instances (lane clock, telemetry
 /// fork).
 pub(crate) struct CioLaneCtx<'a> {
-    pub(crate) policy: CopyPolicy,
     pub(crate) batch: BatchPolicy,
     pub(crate) fbits: u32,
     pub(crate) recorder: &'a Recorder,
@@ -456,7 +451,6 @@ pub(crate) fn service_cio_lane(
     lane: &mut QueueLane<HostQueue>,
     q: usize,
     ctx: &CioLaneCtx<'_>,
-    scratch: &mut Vec<Vec<u8>>,
     sink: &mut dyn FrameSink,
 ) -> Result<usize, HostError> {
     let _svc = ctx.telemetry.span(q, Stage::HostService);
@@ -464,104 +458,49 @@ pub(crate) fn service_cio_lane(
     let tx_armed_before = lane.end.tx.is_armed();
     let mut moved = 0;
 
-    // Guest -> network: under the in-place policy each record is read
-    // straight out of slot memory and handed to the sink — no staging
-    // copy ever happens on the host side. Otherwise the batched staged
-    // path: one shared-index read per TX_BATCH frames, buffers reused
-    // from the queue's pool.
-    if ctx.policy.allows_in_place() && ctx.batch.is_serial() {
-        let recorder = ctx.recorder;
-        let clock = ctx.clock;
-        let mut sent = 0u64;
-        while let Some(len) = lane.end.tx.consume_in_place(|frame| {
-            let now = clock.now();
-            recorder.record(now, "frame.tx", fbits);
-            sink.send(now, frame);
-            frame.len()
-        })? {
-            lane.note_frame(len);
-            moved += 1;
-            sent += 1;
-        }
-        if sent > 0 {
-            ctx.telemetry.record_batch(q, sent);
-        }
-    } else if ctx.policy.allows_in_place() {
-        // Batched in-place guest->net: each pass drains a run of
-        // records with one shared-index read, one memory-lock
-        // acquisition, and one consumer-index write. Every record is
-        // still fetched exactly once and transmitted in ring order.
-        let recorder = ctx.recorder;
-        let clock = ctx.clock;
-        let want = ctx.batch.max_batch();
-        let mut sent = 0u64;
-        loop {
-            let mut lens = [0usize; MAX_BATCH];
-            let mut k = 0usize;
-            let n = lane.end.tx.consume_batch_in_place(want, |frames| {
+    // Guest -> network: each pass drains a run of up to the policy's
+    // batch (Serial is the run of one) with one shared-index read, one
+    // memory-lock acquisition, and one consumer-index write. Every record
+    // is fetched exactly once and transmitted in ring order; whether the
+    // sink sees slot memory or a private copy is the ring endpoint's
+    // positioning, not this loop's business.
+    let mut sent = 0;
+    loop {
+        let mut lens = [0usize; MAX_BATCH];
+        let mut k = 0usize;
+        let n = lane
+            .end
+            .tx
+            .consume_batch_in_place(ctx.batch.max_batch(), |frames| {
                 for frame in frames.iter() {
-                    let now = clock.now();
-                    recorder.record(now, "frame.tx", fbits);
+                    let now = ctx.clock.now();
+                    ctx.recorder.record(now, "frame.tx", fbits);
                     sink.send(now, frame);
                     lens[k] = frame.len();
                     k += 1;
                 }
             })?;
-            if n == 0 {
-                break;
-            }
-            for &len in &lens[..n] {
-                lane.note_frame(len);
-            }
-            moved += n;
-            sent += n as u64;
+        if n == 0 {
+            break;
         }
-        if sent > 0 {
-            ctx.telemetry.record_batch(q, sent);
+        for &len in &lens[..n] {
+            lane.note_frame(len);
         }
-    } else {
-        scratch.clear();
-        while scratch.len() < TX_BATCH {
-            scratch.push(lane.pool.get());
-        }
-        loop {
-            let n = lane.end.tx.consume_batch(scratch)?;
-            if n > 0 {
-                ctx.telemetry.record_batch(q, n as u64);
-            }
-            for frame in &scratch[..n] {
-                let now = ctx.clock.now();
-                ctx.recorder.record(now, "frame.tx", fbits);
-                lane.note_frame(frame.len());
-                sink.send(now, frame);
-                moved += 1;
-            }
-            if n < TX_BATCH {
-                break;
-            }
-        }
-        for buf in scratch.drain(..) {
-            lane.pool.put(buf);
-        }
+        sent += n;
+    }
+    if sent > 0 {
+        moved += sent;
+        ctx.telemetry.record_batch(q, sent as u64);
     }
 
     // Network -> guest: stage every deliverable frame, then one index
-    // publish (and at most one kick) for the whole batch. Under the
-    // in-place policy the single write into the slot IS the data
-    // positioning, so it is not metered as a copy.
-    let zc = ctx.policy.allows_in_place() && lane.end.rx.zero_copy_capable();
+    // publish (and at most one kick) for the whole batch.
     let mut staged = 0;
     while let Some(frame) = lane.end.pending.pop_front() {
         ctx.recorder.record(ctx.clock.now(), "frame.rx", fbits);
-        let res = if zc {
-            lane.end.rx.stage_zero_copy(&frame)
-        } else {
-            lane.end.rx.stage(&frame)
-        };
-        match res {
+        match lane.end.rx.stage(&frame) {
             Ok(()) => {
                 lane.note_frame(frame.len());
-                lane.pool.put(frame);
                 staged += 1;
                 moved += 1;
             }
@@ -613,18 +552,10 @@ pub struct CioNetBackend {
     /// When set, frames are treated as opaque blobs (tunnel carrier): the
     /// recorder only sees length and timing, never headers.
     pub opaque: bool,
-    /// Data-positioning discipline for ring servicing. Under the default
-    /// [`CopyPolicy::InPlace`], guest->net records are consumed straight
-    /// out of slot memory and net->guest frames are placed with a single
-    /// positioning write; [`CopyPolicy::CopyEarly`] forces the staged
-    /// copy path (the defensive arm for adversarial double-fetch
-    /// configurations).
-    policy: CopyPolicy,
-    /// Record-batching discipline for guest->net servicing. Under the
-    /// default [`BatchPolicy::Serial`] every record is consumed on the
-    /// historical per-record path; non-serial policies drain runs of
-    /// records with one shared-index read, one memory-lock acquisition,
-    /// and one consumer-index write per run.
+    /// Record-batching discipline for guest->net servicing: each pass
+    /// drains runs of up to this many records with one shared-index read,
+    /// one memory-lock acquisition, and one consumer-index write per run
+    /// ([`BatchPolicy::Serial`], the default, is the run of one).
     batch: BatchPolicy,
     /// Notification discipline for ring servicing. Under the default
     /// [`NotifyPolicy::Always`] every pass services every queue (the
@@ -635,9 +566,6 @@ pub struct CioNetBackend {
     notify: NotifyPolicy,
     /// Per-queue poll-vs-notify controllers (active under `Adaptive`).
     gates: Vec<NotifyGate>,
-    /// Reusable scratch for batched consumes (buffers come from the
-    /// serviced queue's own pool).
-    scratch: Vec<Vec<u8>>,
     telemetry: Telemetry,
     flight: FlightRecorder,
 }
@@ -673,19 +601,26 @@ impl CioNetBackend {
             recorder,
             clock,
             opaque: false,
-            policy: CopyPolicy::default(),
             batch: BatchPolicy::default(),
             notify: NotifyPolicy::default(),
             gates,
-            scratch: Vec::new(),
             telemetry: Telemetry::disabled(),
             flight: FlightRecorder::disabled(),
         })
     }
 
-    /// Sets the data-positioning discipline for ring servicing.
+    /// Wires the data-positioning discipline onto every queue's ring
+    /// endpoints. Under the default [`CopyPolicy::InPlace`], guest->net
+    /// records are handed to the fabric straight out of slot memory and
+    /// net->guest frames are placed with a single positioning write;
+    /// [`CopyPolicy::CopyEarly`] makes both directions pay the explicit
+    /// early copy (the defensive arm for adversarial double-fetch
+    /// configurations).
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
-        self.policy = policy;
+        for lane in self.queues.iter_mut() {
+            lane.end.tx.set_copy_policy(policy);
+            lane.end.rx.set_copy_policy(policy);
+        }
     }
 
     /// Sets the record-batching discipline for guest->net servicing.
@@ -712,11 +647,6 @@ impl CioNetBackend {
     /// while hot — the idle-spin audit trail E23 gates on.
     pub fn idle_passes(&self) -> u64 {
         self.gates.iter().map(NotifyGate::idle_passes).sum()
-    }
-
-    /// The active data-positioning discipline.
-    pub fn copy_policy(&self) -> CopyPolicy {
-        self.policy
     }
 
     /// Arms telemetry: queue servicing is recorded as
@@ -799,7 +729,7 @@ impl CioNetBackend {
     /// lane clock, a telemetry fork bound to that clock, and a host view
     /// whose memory handle charges it. Ring endpoints are rebound
     /// mid-stream onto that view ([`Consumer::rebind`]) — indices,
-    /// pending frames, pools, and per-queue meters all carry over, so
+    /// pending frames, and per-queue meters all carry over, so
     /// splitting is transparent to the guest.
     pub fn split_parallel(
         self,
@@ -819,10 +749,8 @@ impl CioNetBackend {
                 q,
                 QueueLane {
                     end: HostQueue { tx, rx, pending },
-                    pool: lane.pool,
                     meter: lane.meter,
                 },
-                self.policy,
                 self.batch,
                 fbits,
                 self.recorder.clone(),
@@ -939,7 +867,6 @@ impl Backend for CioNetBackend {
             }
         }
         let ctx = CioLaneCtx {
-            policy: self.policy,
             batch: self.batch,
             fbits: self.frame_bits(),
             recorder: &self.recorder,
@@ -951,13 +878,7 @@ impl Backend for CioNetBackend {
         let mut sink = PortSink {
             port: &mut self.port,
         };
-        let moved = service_cio_lane(
-            self.queues.lane_mut(q),
-            q,
-            &ctx,
-            &mut self.scratch,
-            &mut sink,
-        )?;
+        let moved = service_cio_lane(self.queues.lane_mut(q), q, &ctx, &mut sink)?;
         if adaptive {
             self.gates[q].observe(moved);
         }
@@ -1146,10 +1067,10 @@ mod tests {
 
         let (dev_port, mut peer_port) = fabric_pair(&clock);
         let mut backend = CioNetBackend::single(host_tx, host_rx, dev_port, Recorder::new(), clock);
-        assert!(backend.copy_policy().allows_in_place());
+        assert_eq!(backend.rx_ring().copy_policy(), CopyPolicy::InPlace);
 
         // Guest positions the payload once; the backend reads it in place.
-        guest_tx.produce_zero_copy(b"out with no copies").unwrap();
+        guest_tx.produce(b"out with no copies").unwrap();
         let before = meter.snapshot().copies;
         backend.process().unwrap();
         assert_eq!(peer_port.receive().unwrap(), b"out with no copies");

@@ -2,7 +2,7 @@
 //!
 //! A [`CioQueueWorker`] owns one cio queue end-to-end: the host-side ring
 //! endpoints (rebound onto a view that charges the worker's private lane
-//! clock), the queue's pending backlog, buffer pool, per-queue meter, a
+//! clock), the queue's pending backlog, per-queue meter, a
 //! telemetry fork, and a deferred-transmit outbox. Everything it needs on
 //! the hot path is thread-private or striped per queue, so two workers
 //! never contend: guest memory is lock-striped with ring arenas on
@@ -24,7 +24,6 @@
 use crate::backend::{service_cio_lane, CioLaneCtx, FrameSink, HostQueue, PENDING_CAP};
 use crate::observe::Recorder;
 use crate::HostError;
-use cio_mem::CopyPolicy;
 use cio_sim::{Clock, Cycles, FlightRecorder, Meter, MeterSnapshot, Telemetry};
 use cio_vring::cioring::{BatchPolicy, QueueLane};
 
@@ -58,14 +57,12 @@ impl FrameSink for OutboxSink<'_> {
 pub struct CioQueueWorker {
     q: usize,
     lane: QueueLane<HostQueue>,
-    policy: CopyPolicy,
     batch: BatchPolicy,
     fbits: u32,
     recorder: Recorder,
     clock: Clock,
     telemetry: Telemetry,
     flight: FlightRecorder,
-    scratch: Vec<Vec<u8>>,
     outbox: Vec<(Cycles, Vec<u8>)>,
     outpool: Vec<Vec<u8>>,
 }
@@ -75,7 +72,6 @@ impl CioQueueWorker {
     pub(crate) fn new(
         q: usize,
         lane: QueueLane<HostQueue>,
-        policy: CopyPolicy,
         batch: BatchPolicy,
         fbits: u32,
         recorder: Recorder,
@@ -86,14 +82,12 @@ impl CioQueueWorker {
         CioQueueWorker {
             q,
             lane,
-            policy,
             batch,
             fbits,
             recorder,
             clock,
             telemetry,
             flight,
-            scratch: Vec::new(),
             outbox: Vec::new(),
             outpool: Vec::new(),
         }
@@ -179,7 +173,6 @@ impl CioQueueWorker {
     /// transport errors a malicious guest can provoke on its own queue.
     pub fn service(&mut self, door: bool) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
-            policy: self.policy,
             batch: self.batch,
             fbits: self.fbits,
             recorder: &self.recorder,
@@ -192,7 +185,7 @@ impl CioQueueWorker {
             outbox: &mut self.outbox,
             outpool: &mut self.outpool,
         };
-        service_cio_lane(&mut self.lane, self.q, &ctx, &mut self.scratch, &mut sink)
+        service_cio_lane(&mut self.lane, self.q, &ctx, &mut sink)
     }
 
     /// Takes the stamped outbound frames accumulated by

@@ -112,8 +112,8 @@ meter_fields! {
     /// `World::send` calls bounced with `Transient(WouldBlock)` because the
     /// connection's unacked backlog was over the high-water mark.
     backpressure_wouldblock,
-    /// `World::send` calls bounced with `Transient(AgainLater)` because the
-    /// device ring was full mid-write.
+    /// `World::send` calls that found the device ring full mid-write (the
+    /// sealed record stays buffered in TCP and is flushed by later steps).
     backpressure_again,
     /// Sessions opened through the session control plane (flow-table
     /// inserts; the churn numerator together with `sessions_closed`).

@@ -72,6 +72,42 @@ fn tcp_recovers_over_lossy_link() {
 }
 
 #[test]
+fn send_into_a_full_device_ring_is_accepted_exactly_once() {
+    // The revocation layout is the smallest ring the world builder lays
+    // out (64 slots). A burst of small records with no world step in
+    // between overruns it, so later sends find the device full mid-write
+    // — after TCP has already buffered the sealed record. Such a send must
+    // report the bytes as accepted: a caller that saw an error and retried
+    // would put the record on the stream twice.
+    let tiny = WorldOptions {
+        recv_mode: RecvMode::Revoke,
+        ..opts()
+    };
+    let mut w = World::new(BoundaryKind::L2CioRing, tiny).unwrap();
+    let c = w.connect(ECHO_PORT).unwrap();
+    w.establish(c, 5_000).unwrap();
+    let before = w.meter().snapshot().backpressure_again;
+    let mut sent = Vec::new();
+    for i in 0..200u32 {
+        let mut record = [0xA5u8; 48];
+        record[..4].copy_from_slice(&i.to_le_bytes());
+        assert_eq!(w.send(c, &record).unwrap(), record.len(), "send {i}");
+        sent.extend_from_slice(&record);
+    }
+    assert!(
+        w.meter().snapshot().backpressure_again > before,
+        "the burst never overran the ring"
+    );
+    // One send, one echo: every record comes back once, in order, and
+    // nothing follows it.
+    assert_eq!(w.recv_exact(c, sent.len(), 100_000).unwrap(), sent);
+    for _ in 0..500 {
+        w.step().unwrap();
+    }
+    assert!(w.recv(c).unwrap().is_empty(), "a record was echoed twice");
+}
+
+#[test]
 fn close_is_clean() {
     let mut w = World::new(BoundaryKind::L2CioRing, opts()).unwrap();
     let c = w.connect(ECHO_PORT).unwrap();

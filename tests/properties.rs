@@ -10,7 +10,7 @@
 //! Randomness comes from the in-repo deterministic `cio_sim::SimRng`
 //! (no external proptest dependency): fully offline, reproducible seeds.
 
-use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Meter, SimRng};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
 
@@ -84,138 +84,295 @@ fn ring_consumer_is_total_under_host_corruption() {
     }
 }
 
-/// Seal-in-slot is byte-identical to the staged path: for every payload
-/// size and every data-positioning mode, the record a consumer sees is
-/// exactly the record the staged `seal_into` would have produced, and it
-/// opens back to the payload. Modes whose layout cannot host in-place
-/// sealing (inline, indirect) exercise the automatic staged fallback.
+/// A guest-producer / host-consumer ring of `slots` slots carrying up to
+/// `mtu` bytes in `mode`, both endpoints positioned by `policy`.
+fn tx_ring(
+    mode: DataMode,
+    policy: CopyPolicy,
+    slots: u32,
+    mtu: u32,
+) -> (
+    GuestMemory,
+    Producer<cio_mem::GuestView>,
+    Consumer<cio_mem::HostView>,
+) {
+    let inline = mode == DataMode::Inline;
+    let area = GuestAddr(64 * PAGE_SIZE as u64);
+    let cfg = RingConfig {
+        slots,
+        slot_size: if inline {
+            (mtu + 4).next_power_of_two()
+        } else {
+            16
+        },
+        mode,
+        mtu,
+        area_size: slots * mtu.next_power_of_two(),
+        ..RingConfig::default()
+    };
+    let pages = 64 + cfg.area_size as usize / PAGE_SIZE + 1;
+    let mem = GuestMemory::new(pages, Clock::new(), CostModel::default(), Meter::new());
+    let ring = CioRing::new(cfg, GuestAddr(0), area).unwrap();
+    mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
+    if ring.area_bytes() > 0 {
+        mem.share_range(area, ring.area_bytes()).unwrap();
+    }
+    let mut p = Producer::new(ring.clone(), mem.guest()).unwrap();
+    let mut c = Consumer::new(ring, mem.host()).unwrap();
+    p.set_copy_policy(policy);
+    c.set_copy_policy(policy);
+    (mem, p, c)
+}
+
+const MODES: [DataMode; 3] = [DataMode::SharedArea, DataMode::Inline, DataMode::Indirect];
+const POLICIES: [CopyPolicy; 2] = [CopyPolicy::InPlace, CopyPolicy::CopyEarly];
+
+/// One ring path: for every data mode, positioning policy, run size and
+/// payload length 0..=MTU, every produce adapter (`produce`,
+/// `stage`+`publish`, `reserve`/`with_slot_mut`/`commit`) and every
+/// consume adapter (`consume_in_place`, `consume_into` over one reused
+/// buffer, `consume_batch_into`, `consume`) delivers exactly the bytes,
+/// in exactly the order, that the primitives (`reserve_batch` /
+/// `with_batch_mut` / `commit_batch`, `consume_batch_in_place`) deliver —
+/// and at a run size of 1 charges exactly the same meters and virtual
+/// cycles, because a batch of one *is* the serial path.
+#[test]
+fn ring_adapters_are_the_primitive_at_a_run_of_one() {
+    const MTU: usize = 1024;
+    // Thirteen records: no run size divides it, so every size ends on a
+    // partial run. Lengths shrink as well as grow (stale-byte hazard for
+    // the reused `consume_into` buffer) and touch both ends of the range.
+    let lens = [100, MTU, 3, 0, 512, 1, MTU - 1, 64, 0, 777, 2, MTU, 31];
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Put {
+        Primitive,
+        Produce,
+        StagePublish,
+        ReserveCommit,
+    }
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Get {
+        Primitive,
+        InPlace,
+        IntoReused,
+        BatchInto,
+        Consume,
+    }
+
+    let mut rng = SimRng::seed_from(0x0e1a7);
+    let payloads: Vec<Vec<u8>> = lens
+        .iter()
+        .map(|&len| {
+            let mut v = vec![0u8; len];
+            rng.fill_bytes(&mut v);
+            v
+        })
+        .collect();
+
+    // Drives one world; returns what the consumer saw plus the charges.
+    let run = |mode, policy, bs: usize, put: Put, get: Get| {
+        let (mem, mut p, mut c) = tx_ring(mode, policy, 16, MTU as u32);
+        for chunk in payloads.chunks(bs) {
+            match put {
+                Put::Primitive => {
+                    let cap = chunk.iter().map(Vec::len).max().unwrap();
+                    let grant = p.reserve_batch(cap, chunk.len()).unwrap();
+                    assert_eq!(grant.len(), chunk.len(), "16 slots never wrap 13 records");
+                    p.with_batch_mut(&grant, |slots| {
+                        for (slot, pay) in slots.iter_mut().zip(chunk) {
+                            slot[..pay.len()].copy_from_slice(pay);
+                        }
+                    })
+                    .unwrap();
+                    let lens: Vec<usize> = chunk.iter().map(Vec::len).collect();
+                    p.commit_batch(grant, &lens).unwrap();
+                }
+                Put::Produce => chunk.iter().for_each(|pay| p.produce(pay).unwrap()),
+                Put::StagePublish => {
+                    chunk.iter().for_each(|pay| p.stage(pay).unwrap());
+                    p.publish().unwrap();
+                }
+                Put::ReserveCommit => {
+                    for pay in chunk {
+                        let grant = p.reserve(pay.len()).unwrap();
+                        p.with_slot_mut(&grant, |slot| slot.copy_from_slice(pay))
+                            .unwrap();
+                        p.commit(grant, pay.len()).unwrap();
+                    }
+                }
+            }
+        }
+        let mut seen: Vec<Vec<u8>> = Vec::new();
+        let mut reused = Vec::new();
+        let mut bufs = vec![Vec::new(); bs];
+        loop {
+            let n = match get {
+                Get::Primitive => c
+                    .consume_batch_in_place(bs, |slots| {
+                        seen.extend(slots.iter().map(|s| s.to_vec()));
+                    })
+                    .unwrap(),
+                Get::InPlace => match c.consume_in_place(|rec| rec.to_vec()).unwrap() {
+                    Some(rec) => {
+                        seen.push(rec);
+                        1
+                    }
+                    None => 0,
+                },
+                Get::IntoReused => match c.consume_into(&mut reused).unwrap() {
+                    Some(len) => {
+                        assert_eq!(len, reused.len());
+                        seen.push(reused.clone());
+                        1
+                    }
+                    None => 0,
+                },
+                Get::BatchInto => {
+                    let n = c.consume_batch_into(&mut bufs).unwrap();
+                    seen.extend(bufs[..n].iter().cloned());
+                    n
+                }
+                Get::Consume => match c.consume().unwrap() {
+                    Some(rec) => {
+                        seen.push(rec);
+                        1
+                    }
+                    None => 0,
+                },
+            };
+            if n == 0 {
+                break;
+            }
+        }
+        (seen, mem.meter().snapshot(), mem.clock().now())
+    };
+
+    let records = payloads.len() as u64;
+    for mode in MODES {
+        for policy in POLICIES {
+            for bs in [1usize, 2, 8, 16] {
+                let tag = format!("{mode:?} {policy:?} run {bs}");
+                let (seen, meter, cycles) = run(mode, policy, bs, Put::Primitive, Get::Primitive);
+                assert_eq!(seen, payloads, "{tag}: primitive roundtrip");
+
+                // What the endpoints' positioning costs, whoever calls:
+                // one lock per run and side; one metered copy per record
+                // and copy-early side (inline producers always copy).
+                let runs = records.div_ceil(bs as u64);
+                assert_eq!(meter.lock_acquisitions, 2 * runs, "{tag}");
+                assert_eq!(meter.ring_commits, runs, "{tag}");
+                assert_eq!(meter.ring_records, records, "{tag}");
+                let copying_sides = match (policy, mode) {
+                    (CopyPolicy::CopyEarly, _) => 2,
+                    (CopyPolicy::InPlace, DataMode::Inline) => 1,
+                    (CopyPolicy::InPlace, _) => 0,
+                };
+                let bytes: u64 = lens.iter().map(|&l| l as u64).sum();
+                assert_eq!(meter.copies, copying_sides * records, "{tag}");
+                assert_eq!(meter.bytes_copied, copying_sides * bytes, "{tag}");
+                assert_eq!(meter.bytes_zero_copy, (2 - copying_sides) * bytes, "{tag}");
+
+                let puts = [Put::Produce, Put::StagePublish, Put::ReserveCommit];
+                let gets = [Get::InPlace, Get::IntoReused, Get::BatchInto, Get::Consume];
+                let variants = puts
+                    .iter()
+                    .map(|&put| (put, Get::Primitive))
+                    .chain(gets.iter().map(|&get| (Put::Primitive, get)));
+                for (put, get) in variants {
+                    let (seen_v, meter_v, cycles_v) = run(mode, policy, bs, put, get);
+                    assert_eq!(seen_v, payloads, "{tag} {put:?}/{get:?}: bytes and order");
+                    if bs == 1 {
+                        assert_eq!(meter_v, meter, "{tag} {put:?}/{get:?}: meters");
+                        assert_eq!(cycles_v, cycles, "{tag} {put:?}/{get:?}: virtual cycles");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Seal-in-slot is byte-identical to the staged seal: for every payload
+/// size, data mode and positioning policy, the record a consumer sees
+/// after `reserve` → `seal_into_slot` → `commit` is exactly the record the
+/// staged `seal_into` would have produced, and it opens back to the
+/// payload — whether the "slot" the seal ran over was ring memory or the
+/// copy-early endpoint's private staging (which inline layouts force).
 #[test]
 fn seal_in_slot_byte_identical_to_staged_across_modes() {
     use cio_ctls::{Channel, RecordScratch, RECORD_OVERHEAD};
 
     let mut rng = SimRng::seed_from(0x5ea1);
-    for mode in [DataMode::SharedArea, DataMode::Inline, DataMode::Indirect] {
-        let mem = GuestMemory::new(400, Clock::new(), CostModel::default(), Meter::new());
-        let inline = mode == DataMode::Inline;
-        let cfg = RingConfig {
-            slots: 2,
-            slot_size: if inline { 2048 } else { 16 },
-            mode,
-            mtu: if inline { 1514 } else { 1 << 17 },
-            area_size: 1 << 18,
-            ..RingConfig::default()
-        };
-        let ring = CioRing::new(cfg, GuestAddr(0), GuestAddr(96 * PAGE_SIZE as u64)).unwrap();
-        mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
-        if ring.area_bytes() > 0 {
-            mem.share_range(GuestAddr(96 * PAGE_SIZE as u64), ring.area_bytes())
-                .unwrap();
-        }
-        let mut p = Producer::new(ring.clone(), mem.guest()).unwrap();
-        let mut c = Consumer::new(ring, mem.host()).unwrap();
+    for mode in MODES {
+        for policy in POLICIES {
+            // The shared area carries jumbo records; the frame-sized
+            // layouts carry frames.
+            let (mtu, sizes): (u32, &[usize]) = if mode == DataMode::SharedArea {
+                (
+                    1 << 17,
+                    &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
+                )
+            } else {
+                (1514, &[0, 1, 64, 447, 448, 449, 1024, 1400])
+            };
+            let (_mem, mut p, mut c) = tx_ring(mode, policy, 2, mtu);
 
-        // Two channels with identical secrets: one seals staged (the
-        // reference), the twin seals in slot (or falls back staged when
-        // the layout demands it). An opener checks the roundtrip.
-        let mut reference = Channel::from_secrets([9; 32], [8; 32], true, None);
-        let mut twin = Channel::from_secrets([9; 32], [8; 32], true, None);
-        let mut opener = Channel::from_secrets([9; 32], [8; 32], false, None);
-        let mut ref_rec = RecordScratch::new();
-        let mut fallback_rec = RecordScratch::new();
+            // Two channels with identical secrets: one seals staged (the
+            // reference), the twin seals through the ring.
+            let mut reference = Channel::from_secrets([9; 32], [8; 32], true, None);
+            let mut twin = Channel::from_secrets([9; 32], [8; 32], true, None);
+            let mut opener = Channel::from_secrets([9; 32], [8; 32], false, None);
+            let mut ref_rec = RecordScratch::new();
+            for &size in sizes {
+                let mut payload = vec![0u8; size];
+                rng.fill_bytes(&mut payload);
+                reference.seal_into(&payload, &mut ref_rec).unwrap();
 
-        let full_range: &[usize] = &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536];
-        let frame_range: &[usize] = &[0, 1, 64, 447, 448, 449, 1024, 1400];
-        let sizes = if mode == DataMode::SharedArea {
-            full_range
-        } else {
-            frame_range
-        };
-        for &size in sizes {
-            let mut payload = vec![0u8; size];
-            rng.fill_bytes(&mut payload);
-            reference.seal_into(&payload, &mut ref_rec).unwrap();
-
-            if p.in_slot_capable() {
                 let grant = p.reserve(size + RECORD_OVERHEAD).unwrap();
                 let sealed = p
                     .with_slot_mut(&grant, |slot| twin.seal_into_slot(&payload, slot))
                     .unwrap()
                     .unwrap();
                 p.commit(grant, sealed).unwrap();
-            } else {
-                twin.seal_into(&payload, &mut fallback_rec).unwrap();
-                p.produce(fallback_rec.as_slice()).unwrap();
-            }
 
-            let seen = c
-                .consume_in_place(|rec| rec.to_vec())
-                .unwrap()
-                .expect("one record available");
-            assert_eq!(seen, ref_rec.as_slice(), "{mode:?} size {size}");
-            let mut plain = RecordScratch::new();
-            opener.open_in_slot(&seen, &mut plain).unwrap();
-            assert_eq!(plain.as_slice(), payload, "{mode:?} size {size}");
+                let seen = c
+                    .consume_in_place(|rec| rec.to_vec())
+                    .unwrap()
+                    .expect("one record available");
+                assert_eq!(seen, ref_rec.as_slice(), "{mode:?} {policy:?} size {size}");
+                let mut plain = RecordScratch::new();
+                opener.open_in_slot(&seen, &mut plain).unwrap();
+                assert_eq!(plain.as_slice(), payload, "{mode:?} {policy:?} size {size}");
+            }
         }
     }
 }
 
 /// The batched dataplane is observationally identical to the per-record
-/// path: for every payload size, batch size, data-positioning mode, and
-/// copy policy, the batched seal/commit/consume/open pipeline yields the
-/// same record bytes in the same ring order, the same opened plaintexts,
-/// and the same metered copy counts as the serial twin. Modes and
-/// policies that cannot host in-slot sealing exercise the batched path's
-/// staged per-record fallback — in exactly the cases serial falls back.
+/// path: for every payload size, batch size, data mode, and positioning
+/// policy, the batched seal/commit/consume/open pipeline yields the same
+/// record bytes in the same ring order, the same opened plaintexts, and
+/// the same metered copy counts as the serial twin.
 #[test]
 fn batched_dataplane_byte_identical_to_serial() {
     use cio_ctls::{Channel, CtlsError, RecordScratch, RECORD_OVERHEAD};
-    use cio_mem::CopyPolicy;
     use cio_vring::cioring::MAX_BATCH;
 
-    fn batch_ring(
-        mode: DataMode,
-    ) -> (
-        GuestMemory,
-        Producer<cio_mem::GuestView>,
-        Consumer<cio_mem::HostView>,
-    ) {
-        let inline = mode == DataMode::Inline;
-        let mem = GuestMemory::new(600, Clock::new(), CostModel::default(), Meter::new());
-        let cfg = RingConfig {
-            slots: 16,
-            slot_size: if inline { 2048 } else { 16 },
-            mode,
-            mtu: if inline { 1514 } else { 1 << 17 },
-            area_size: 1 << 21,
-            ..RingConfig::default()
-        };
-        let ring = CioRing::new(cfg, GuestAddr(0), GuestAddr(32 * PAGE_SIZE as u64)).unwrap();
-        mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
-        if ring.area_bytes() > 0 {
-            mem.share_range(GuestAddr(32 * PAGE_SIZE as u64), ring.area_bytes())
-                .unwrap();
-        }
-        let p = Producer::new(ring.clone(), mem.guest()).unwrap();
-        let c = Consumer::new(ring, mem.host()).unwrap();
-        (mem, p, c)
-    }
-
     let mut rng = SimRng::seed_from(0xba7c4);
-    for mode in [DataMode::SharedArea, DataMode::Inline, DataMode::Indirect] {
-        for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
+    for mode in MODES {
+        for policy in POLICIES {
             for bs in [1usize, 2, 3, 8, 16] {
                 // Sixteen payloads (the ring's capacity): the edge sizes
                 // plus random fill, truncated to what the mode can carry.
-                let base: &[usize] = if mode == DataMode::SharedArea {
-                    &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536]
+                let (mtu, base): (u32, &[usize]) = if mode == DataMode::SharedArea {
+                    (
+                        1 << 17,
+                        &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
+                    )
                 } else {
-                    &[0, 1, 64, 447, 448, 449, 1024, 1400]
+                    (1514, &[0, 1, 64, 447, 448, 449, 1024, 1400])
                 };
-                let hi = if mode == DataMode::SharedArea {
-                    65536
-                } else {
-                    1400
-                };
+                let hi = *base.last().unwrap();
                 let mut payloads: Vec<Vec<u8>> = base
                     .iter()
                     .map(|&s| {
@@ -229,128 +386,86 @@ fn batched_dataplane_byte_identical_to_serial() {
                 }
 
                 // Serial twin: one record per boundary crossing.
-                let (mem_s, mut ps, mut cs) = batch_ring(mode);
+                let (mem_s, mut ps, mut cs) = tx_ring(mode, policy, 16, mtu);
                 let mut seal_s = Channel::from_secrets([9; 32], [8; 32], true, None);
                 let mut open_s = Channel::from_secrets([9; 32], [8; 32], false, None);
-                let mut rec = RecordScratch::new();
                 let mut plain = RecordScratch::new();
-                let in_slot = policy.allows_in_place() && ps.in_slot_capable();
                 for payload in &payloads {
-                    if in_slot {
-                        let grant = ps.reserve(payload.len() + RECORD_OVERHEAD).unwrap();
-                        let n = ps
-                            .with_slot_mut(&grant, |slot| seal_s.seal_into_slot(payload, slot))
-                            .unwrap()
-                            .unwrap();
-                        ps.commit(grant, n).unwrap();
-                    } else {
-                        seal_s.seal_into(payload, &mut rec).unwrap();
-                        ps.produce(rec.as_slice()).unwrap();
-                    }
+                    let grant = ps.reserve(payload.len() + RECORD_OVERHEAD).unwrap();
+                    let n = ps
+                        .with_slot_mut(&grant, |slot| seal_s.seal_into_slot(payload, slot))
+                        .unwrap()
+                        .unwrap();
+                    ps.commit(grant, n).unwrap();
                 }
                 let mut serial_records: Vec<Vec<u8>> = Vec::new();
                 let mut serial_plains: Vec<Vec<u8>> = Vec::new();
-                if policy.allows_in_place() {
-                    while let Some(record) = cs.consume_in_place(|r| r.to_vec()).unwrap() {
-                        open_s.open_in_slot(&record, &mut plain).unwrap();
-                        serial_records.push(record);
-                        serial_plains.push(plain.as_slice().to_vec());
-                    }
-                } else {
-                    let mut buf = Vec::new();
-                    while cs.consume_into(&mut buf).unwrap().is_some() {
-                        open_s.open_into(&buf, &mut plain).unwrap();
-                        serial_records.push(buf.clone());
-                        serial_plains.push(plain.as_slice().to_vec());
-                    }
+                while let Some(record) = cs.consume_in_place(|r| r.to_vec()).unwrap() {
+                    open_s.open_in_slot(&record, &mut plain).unwrap();
+                    serial_records.push(record);
+                    serial_plains.push(plain.as_slice().to_vec());
                 }
 
                 // Batched twin: runs of up to `bs` records per crossing.
-                let (mem_b, mut pb, mut cb) = batch_ring(mode);
+                let (mem_b, mut pb, mut cb) = tx_ring(mode, policy, 16, mtu);
                 let mut seal_b = Channel::from_secrets([9; 32], [8; 32], true, None);
                 let mut open_b = Channel::from_secrets([9; 32], [8; 32], false, None);
-                if policy.allows_in_place() && pb.in_slot_capable() {
-                    let mut done = 0usize;
-                    while done < payloads.len() {
-                        let want = (payloads.len() - done).min(bs);
-                        let cap = payloads[done..done + want]
-                            .iter()
-                            .map(Vec::len)
-                            .max()
-                            .unwrap()
-                            + RECORD_OVERHEAD;
-                        let grant = pb.reserve_batch(cap, want).unwrap();
-                        let g = grant.len().min(want);
-                        let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                        for (i, p) in payloads[done..done + g].iter().enumerate() {
-                            pts[i] = p;
-                        }
-                        let mut lens = [0usize; MAX_BATCH];
-                        pb.with_batch_mut(&grant, |slots| {
-                            seal_b.seal_batch_into_slots(&pts[..g], &mut slots[..g], &mut lens[..g])
-                        })
+                let mut done = 0usize;
+                while done < payloads.len() {
+                    let want = (payloads.len() - done).min(bs);
+                    let cap = payloads[done..done + want]
+                        .iter()
+                        .map(Vec::len)
+                        .max()
                         .unwrap()
-                        .unwrap();
-                        pb.commit_batch(grant, &lens[..g]).unwrap();
-                        done += g;
+                        + RECORD_OVERHEAD;
+                    let grant = pb.reserve_batch(cap, want).unwrap();
+                    let g = grant.len().min(want);
+                    let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                    for (i, p) in payloads[done..done + g].iter().enumerate() {
+                        pts[i] = p;
                     }
-                } else {
-                    // Exactly where serial stages, batched stages.
-                    for payload in &payloads {
-                        seal_b.seal_into(payload, &mut rec).unwrap();
-                        pb.produce(rec.as_slice()).unwrap();
-                    }
+                    let mut lens = [0usize; MAX_BATCH];
+                    pb.with_batch_mut(&grant, |slots| {
+                        seal_b.seal_batch_into_slots(&pts[..g], &mut slots[..g], &mut lens[..g])
+                    })
+                    .unwrap()
+                    .unwrap();
+                    pb.commit_batch(grant, &lens[..g]).unwrap();
+                    done += g;
                 }
                 let mut batch_records: Vec<Vec<u8>> = Vec::new();
                 let mut batch_plains: Vec<Vec<u8>> = Vec::new();
-                if policy.allows_in_place() {
-                    let mut outs: Vec<RecordScratch> =
-                        (0..MAX_BATCH).map(|_| RecordScratch::new()).collect();
-                    loop {
-                        let mut raw: Vec<Vec<u8>> = Vec::new();
-                        let chan = &mut open_b;
-                        let outs_ref = &mut outs;
-                        let n = cb
-                            .consume_batch_in_place(bs, |slots| {
-                                let k = slots.len();
-                                let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                                for (i, s) in slots.iter().enumerate() {
-                                    recs[i] = s;
-                                    raw.push(s.to_vec());
-                                }
-                                let mut results: [Result<(), CtlsError>; MAX_BATCH] =
-                                    [Ok(()); MAX_BATCH];
-                                chan.open_batch_in_slots(
-                                    &recs[..k],
-                                    &mut outs_ref[..k],
-                                    &mut results[..k],
-                                );
-                                for r in &results[..k] {
-                                    assert!(r.is_ok(), "{mode:?} {policy:?} bs {bs}: {r:?}");
-                                }
-                            })
-                            .unwrap();
-                        if n == 0 {
-                            break;
-                        }
-                        for (i, r) in raw.into_iter().enumerate() {
-                            batch_records.push(r);
-                            batch_plains.push(outs[i].as_slice().to_vec());
-                        }
+                let mut outs: Vec<RecordScratch> =
+                    (0..MAX_BATCH).map(|_| RecordScratch::new()).collect();
+                loop {
+                    let mut raw: Vec<Vec<u8>> = Vec::new();
+                    let n = cb
+                        .consume_batch_in_place(bs, |slots| {
+                            let k = slots.len();
+                            let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                            for (i, s) in slots.iter().enumerate() {
+                                recs[i] = s;
+                                raw.push(s.to_vec());
+                            }
+                            let mut results: [Result<(), CtlsError>; MAX_BATCH] =
+                                [Ok(()); MAX_BATCH];
+                            open_b.open_batch_in_slots(
+                                &recs[..k],
+                                &mut outs[..k],
+                                &mut results[..k],
+                            );
+                            for r in &results[..k] {
+                                assert!(r.is_ok(), "{mode:?} {policy:?} bs {bs}: {r:?}");
+                            }
+                        })
+                        .unwrap();
+                    if n == 0 {
+                        break;
                     }
-                } else {
-                    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); bs.min(MAX_BATCH)];
-                    let mut plain_b = RecordScratch::new();
-                    loop {
-                        let n = cb.consume_batch_into(&mut bufs).unwrap();
-                        if n == 0 {
-                            break;
-                        }
-                        for b in &bufs[..n] {
-                            open_b.open_into(b, &mut plain_b).unwrap();
-                            batch_records.push(b.clone());
-                            batch_plains.push(plain_b.as_slice().to_vec());
-                        }
+                    for (i, r) in raw.into_iter().enumerate() {
+                        batch_records.push(r);
+                        batch_plains.push(outs[i].as_slice().to_vec());
                     }
                 }
 

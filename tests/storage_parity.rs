@@ -7,11 +7,9 @@
 //! staged, or sealed in place.
 
 use cio_block::blockdev::{BlockStore, BLOCK_SIZE};
-use cio_block::transport::{
-    BlkCopyMode, BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore, BLK_HDR,
-};
+use cio_block::transport::{BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore, BLK_HDR};
 use cio_block::{BlockError, CryptStore, RamDisk};
-use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Meter};
 use cio_vring::cioring::{
     BatchPolicy, CioRing, Consumer, DataMode, NotifyMode, Producer, RingConfig,
@@ -20,10 +18,10 @@ use cio_vring::cioring::{
 const DISK_BLOCKS: u64 = 256;
 
 /// Every profile under test: the serial baseline plus batch depths 1–16
-/// under both copy policies (staged copies and seal-in-slot).
+/// under both copy policies (copy-early and seal-in-slot).
 fn profiles() -> Vec<(String, BlkProfile)> {
     let mut out = vec![("storage_v1".to_string(), BlkProfile::storage_v1())];
-    for copy in [BlkCopyMode::Staged, BlkCopyMode::InSlot] {
+    for copy in [CopyPolicy::CopyEarly, CopyPolicy::InPlace] {
         for depth in [1usize, 2, 4, 8, 16] {
             out.push((
                 format!("{copy:?}/batch{depth}"),

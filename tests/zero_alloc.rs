@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cio::session::{SessionId, SessionTable};
 use cio_ctls::{Channel, RecordScratch, SimHooks, RECORD_OVERHEAD};
 use cio_host::backend::NotifyGate;
-use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::{
     Clock, CostModel, Cycles, EventKind, FlightRecorder, Meter, SloConfig, SloWatchdog, Stage,
     Telemetry,
@@ -99,6 +99,10 @@ fn steady_state_record_path_does_not_allocate() {
         .unwrap();
     let mut producer = Producer::new(ring.clone(), mem.guest()).unwrap();
     let mut consumer = Consumer::new(ring, mem.host()).unwrap();
+    // Phase 1 runs copy-early endpoints: their private staging is
+    // allocated here, at wiring, never on the data path.
+    producer.set_copy_policy(CopyPolicy::CopyEarly);
+    consumer.set_copy_policy(CopyPolicy::CopyEarly);
 
     // Telemetry rides along: spans, flat attribution (via the cTLS AEAD
     // hooks), and histogram recording all happen inside the measured loop
@@ -154,6 +158,8 @@ fn steady_state_record_path_does_not_allocate() {
     // record is sealed directly into a reserved slot and opened in place
     // out of slot memory — no scratch-to-slot staging, no consume buffer,
     // and still zero heap traffic once warm.
+    producer.set_copy_policy(CopyPolicy::InPlace);
+    consumer.set_copy_policy(CopyPolicy::InPlace);
     let mut in_slot_cycle = |plain: &mut RecordScratch| {
         let _span = telemetry.span(0, Stage::GuestSend);
         let grant = producer
@@ -216,6 +222,8 @@ fn steady_state_record_path_does_not_allocate() {
         let mut consumer = Consumer::new(ring, mem.host()).unwrap();
         producer.set_telemetry(mq_telemetry.clone(), q);
         consumer.set_telemetry(mq_telemetry.clone(), q);
+        producer.set_copy_policy(CopyPolicy::CopyEarly);
+        consumer.set_copy_policy(CopyPolicy::CopyEarly);
         lanes.push((producer, consumer, Vec::<u8>::new(), mem));
     }
     // Eight synthetic flows, hashed to queues like connect() assigns lanes.
