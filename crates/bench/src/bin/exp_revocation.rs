@@ -1,7 +1,7 @@
 //! E7 — copy vs. revocation on the receive path (§3.2): where is the
 //! crossover, and how does it move with platform costs?
 
-use cio::policy::CopyPolicy;
+use cio::policy::revoke_threshold;
 use cio_bench::transport::rx_delivery;
 use cio_bench::{fmt_cycles, print_table};
 use cio_sim::{CostModel, Cycles};
@@ -52,13 +52,12 @@ fn main() {
         &rows,
     );
 
-    let policy = CopyPolicy::from_cost_model(&cost);
     println!(
         "\nMeasured crossover: {}; analytic policy threshold (unshare+reshare vs copy): {} bytes.",
         crossover
             .map(|s| format!("{} KiB", s / 1024))
             .unwrap_or_else(|| "none in range".into()),
-        policy.revoke_threshold
+        revoke_threshold(&cost)
     );
 
     // Sensitivity: how the crossover moves with page-operation cost.
@@ -67,13 +66,13 @@ fn main() {
         let mut c = cost.clone();
         c.page_unshare = Cycles(unshare);
         c.page_share = Cycles(unshare);
-        let p = CopyPolicy::from_cost_model(&c);
+        let threshold = revoke_threshold(&c);
         srows.push(vec![
             unshare.to_string(),
-            if p.revoke_threshold == usize::MAX {
+            if threshold == usize::MAX {
                 "never".into()
             } else {
-                format!("{} B", p.revoke_threshold)
+                format!("{threshold} B")
             },
         ]);
     }

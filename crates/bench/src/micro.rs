@@ -15,6 +15,10 @@ use std::time::Instant;
 pub struct Measurement {
     /// Iterations executed in the timed window.
     pub iters: u64,
+    /// Iterations executed over every calibration window, the timed one
+    /// included: the divisor for anything the caller accumulated across
+    /// the whole [`measure`] call (e.g. virtual cycles).
+    pub total_iters: u64,
     /// Total wall-clock nanoseconds for all iterations.
     pub ns: u64,
     /// Payload bytes processed per iteration (0 if not byte-oriented).
@@ -51,15 +55,18 @@ impl Measurement {
 pub fn measure<F: FnMut()>(target_ms: u64, bytes_per_iter: u64, mut f: F) -> Measurement {
     let target_ns = target_ms.max(1) * 1_000_000;
     let mut iters: u64 = 1;
+    let mut total_iters: u64 = 0;
     loop {
         let t = Instant::now();
         for _ in 0..iters {
             f();
         }
         let ns = (t.elapsed().as_nanos() as u64).max(1);
+        total_iters += iters;
         if ns >= target_ns || iters >= (1 << 32) {
             return Measurement {
                 iters,
+                total_iters,
                 ns,
                 bytes_per_iter,
             };
@@ -145,7 +152,9 @@ mod tests {
     fn measure_counts_iterations_and_time() {
         let mut n = 0u64;
         let m = measure(1, 8, || n += 1);
-        // `n` counts every calibration window; `iters` only the last.
+        // `total_iters` counts every calibration window; `iters` only
+        // the last.
+        assert_eq!(n, m.total_iters);
         assert!(n >= m.iters && m.iters >= 1, "n={n} iters={}", m.iters);
         assert!(m.ns >= 1);
         assert_eq!(m.bytes_per_iter, 8);

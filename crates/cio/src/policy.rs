@@ -1,85 +1,24 @@
 //! The copy policy: "copies are part of the protocol — performed early,
 //! but only when necessary, and avoided when possible" (§3.2).
 //!
-//! The policy engine answers two questions the harness sweeps in E7/E9:
-//! when is a receive-side copy cheaper than revoking the pages, and when
-//! can a copy be skipped entirely because the layout makes a double fetch
-//! impossible?
+//! The one question the harness sweeps in E7: when is a receive-side
+//! copy cheaper than revoking the pages?
 
 use cio_mem::pages_for;
 use cio_sim::CostModel;
 
-/// Notification economics for the dataplane, re-exported here beside the
-/// copy policy because the two answer the same shape of question: the
-/// copy policy decides when data movement pays for itself, the notify
-/// policy decides when a *boundary crossing* does. `Always` kicks on
-/// every publish (one exit per batch), `EventIdx` suppresses kicks while
-/// the consumer is provably awake (one exit covers many batches), and
-/// `Adaptive` additionally lets the host stop polling provably idle
-/// queues within a bounded idle-spin budget. See
-/// [`cio_vring::cioring::NotifyPolicy`] for the mechanism.
-pub use cio_vring::cioring::NotifyPolicy;
-
-/// Receive-side delivery decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Copy the payload into private memory early.
-    CopyEarly,
-    /// Un-share the payload pages and process in place.
-    Revoke,
-}
-
-/// The copy/revocation policy derived from the platform cost model.
-#[derive(Debug, Clone)]
-pub struct CopyPolicy {
-    /// Payloads at or above this size are delivered by revocation.
-    pub revoke_threshold: usize,
-}
-
-impl CopyPolicy {
-    /// Derives the crossover from the cost model: the smallest payload for
-    /// which the *full* revocation cycle — un-share plus the eventual
-    /// re-share that returns the pages to the pool — beats the copy.
-    pub fn from_cost_model(cost: &CostModel) -> Self {
-        let mut threshold = usize::MAX;
-        let mut bytes = 256;
-        while bytes <= 4 * 1024 * 1024 {
+/// The smallest payload (bytes) for which the *full* revocation cycle —
+/// un-share plus the eventual re-share that returns the pages to the
+/// pool — beats the copy under `cost`; `usize::MAX` when copying always
+/// wins (revocation never pays).
+pub fn revoke_threshold(cost: &CostModel) -> usize {
+    (1..=(4 * 1024 * 1024) / 256)
+        .map(|step| step * 256)
+        .find(|&bytes| {
             let pages = pages_for(bytes);
-            let revoke_cycle = cost.unshare(pages).saturating_add(cost.share(pages));
-            if revoke_cycle <= cost.copy(bytes) {
-                threshold = bytes;
-                break;
-            }
-            bytes += 256;
-        }
-        CopyPolicy {
-            revoke_threshold: threshold,
-        }
-    }
-
-    /// Policy that always copies (revocation disabled).
-    pub fn always_copy() -> Self {
-        CopyPolicy {
-            revoke_threshold: usize::MAX,
-        }
-    }
-
-    /// Picks the delivery mechanism for a payload of `len` bytes.
-    pub fn delivery(&self, len: usize) -> Delivery {
-        if len >= self.revoke_threshold {
-            Delivery::Revoke
-        } else {
-            Delivery::CopyEarly
-        }
-    }
-
-    /// Whether a transmit copy can be skipped for the given placement:
-    /// true when the payload region is single-writer and consumed with a
-    /// single fetch (shared-area and indirect modes of the cio-ring), so a
-    /// double fetch is impossible by layout.
-    pub fn tx_copy_needed(single_fetch_layout: bool) -> bool {
-        !single_fetch_layout
-    }
+            cost.unshare(pages).saturating_add(cost.share(pages)) <= cost.copy(bytes)
+        })
+        .unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -88,15 +27,9 @@ mod tests {
 
     #[test]
     fn default_model_has_a_crossover() {
-        let p = CopyPolicy::from_cost_model(&CostModel::default());
-        assert!(
-            p.revoke_threshold > cio_mem::PAGE_SIZE,
-            "{}",
-            p.revoke_threshold
-        );
-        assert!(p.revoke_threshold < 1024 * 1024, "{}", p.revoke_threshold);
-        assert_eq!(p.delivery(256), Delivery::CopyEarly);
-        assert_eq!(p.delivery(p.revoke_threshold), Delivery::Revoke);
+        let t = revoke_threshold(&CostModel::default());
+        assert!(t > cio_mem::PAGE_SIZE, "{t}");
+        assert!(t < 1024 * 1024, "{t}");
     }
 
     #[test]
@@ -106,9 +39,7 @@ mod tests {
             tlb_shootdown: cio_sim::Cycles(1_000_000),
             ..CostModel::default()
         };
-        let p = CopyPolicy::from_cost_model(&cost);
-        assert_eq!(p.revoke_threshold, usize::MAX);
-        assert_eq!(p.delivery(1 << 20), Delivery::CopyEarly);
+        assert_eq!(revoke_threshold(&cost), usize::MAX);
     }
 
     #[test]
@@ -118,20 +49,6 @@ mod tests {
             tlb_shootdown: cio_sim::Cycles(100),
             ..CostModel::default()
         };
-        let a = CopyPolicy::from_cost_model(&CostModel::default());
-        let b = CopyPolicy::from_cost_model(&cheap);
-        assert!(b.revoke_threshold < a.revoke_threshold);
-    }
-
-    #[test]
-    fn tx_copy_policy() {
-        assert!(!CopyPolicy::tx_copy_needed(true));
-        assert!(CopyPolicy::tx_copy_needed(false));
-    }
-
-    #[test]
-    fn always_copy_policy() {
-        let p = CopyPolicy::always_copy();
-        assert_eq!(p.delivery(10 << 20), Delivery::CopyEarly);
+        assert!(revoke_threshold(&cheap) < revoke_threshold(&CostModel::default()));
     }
 }

@@ -32,28 +32,56 @@ pub fn peer_measurement() -> Measurement {
     Measurement::of(PEER_IMAGE)
 }
 
-/// Total length (header included) of one complete `[len u32-le][body]`
-/// record at the head of `buf`, if whole.
-///
-/// Hot paths peek with this and process the record in place in the
-/// receive buffer, then `drain(..n)` — no per-record allocation.
-pub fn record_len(buf: &[u8]) -> Option<usize> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > (1 << 22) || buf.len() < 4 + len {
-        return None;
-    }
-    Some(4 + len)
-}
+/// Largest `[len]` prefix a buffered record may carry. The prefix is
+/// host-writable (the carrier is untrusted), so a larger one fails the
+/// stream closed instead of buffering toward it.
+const MAX_RECORD_BODY: usize = 1 << 22;
 
-/// Extracts one complete `[len u32-le][body]` record from `buf`, if whole.
+/// Gathers the run of complete `[len u32-le][body]` records buffered at
+/// the head of `inbuf` — at most `outs.len()`, the batch policy's run
+/// (`Serial`: one) — and opens it in place out of the buffer with one
+/// record-layer pass. Returns how many records opened (plaintexts in
+/// `outs[..n]`), the buffered bytes they span (for the caller to drain
+/// once served), and the verdict on the first record that did not:
+/// records before a failure are still delivered, records after it are
+/// discarded, and the caller must drop the connection. `(0, 0, Ok)`
+/// means no complete record is buffered yet.
 ///
-/// Allocating convenience over [`record_len`].
-pub fn take_record(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    let n = record_len(buf)?;
-    Some(buf.drain(..n).collect())
+/// The record layer's run primitive consumes a failed record's sequence
+/// number; that is unobservable here because a failure ends the stream.
+fn open_buffered_run(
+    chan: &mut Channel,
+    inbuf: &[u8],
+    outs: &mut [RecordScratch],
+) -> (usize, usize, Result<(), CtlsError>) {
+    let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+    let mut cnt = 0usize;
+    let mut rest = inbuf;
+    while cnt < outs.len() {
+        let Some((head, body)) = rest.split_first_chunk::<4>() else {
+            break;
+        };
+        let len = u32::from_le_bytes(*head) as usize;
+        // An oversize prefix behind complete records is judged when it
+        // reaches the head, after those records were served.
+        if len > MAX_RECORD_BODY && cnt == 0 {
+            return (0, 0, Err(CtlsError::Malformed));
+        }
+        if len > MAX_RECORD_BODY.min(body.len()) {
+            break;
+        }
+        (recs[cnt], rest) = rest.split_at(4 + len);
+        cnt += 1;
+    }
+    if cnt == 0 {
+        return (0, 0, Ok(()));
+    }
+    let mut results: [Result<(), CtlsError>; MAX_BATCH] = [Ok(()); MAX_BATCH];
+    chan.open_batch_in_slots(&recs[..cnt], &mut outs[..cnt], &mut results[..cnt]);
+    let good = results[..cnt].iter().take_while(|r| r.is_ok()).count();
+    let used = recs[..good].iter().map(|r| r.len()).sum();
+    let verdict = results[..cnt].get(good).copied().unwrap_or(Ok(()));
+    (good, used, verdict)
 }
 
 #[allow(clippy::large_enum_variant)] // few, long-lived per-connection states
@@ -75,27 +103,22 @@ struct PeerConn {
 ///
 /// The record dataplane is allocation-free in steady state: records are
 /// opened in place out of the connection's receive buffer into reusable
-/// scratches, responses are built in a reusable buffer and sealed into a
-/// reusable record scratch, and receive buffers of closed connections are
-/// recycled through a small [`BufPool`].
+/// scratches, responses are sealed straight into the reusable send
+/// buffer, and receive buffers of closed connections are recycled
+/// through a small [`BufPool`].
 pub struct SecurePeer<D: NetDevice> {
     iface: Interface<D>,
     tls: bool,
     rng: SimRng,
     conns: Vec<PeerConn>,
     pool: BufPool,
-    plain: RecordScratch,
-    resp: Vec<u8>,
-    rec: RecordScratch,
     txbuf: Vec<u8>,
     telemetry: Telemetry,
-    /// Record-batch discipline: non-serial policies open runs of buffered
-    /// records with one shared-keystream AEAD pass and batch-seal the
-    /// responses. Serial (default) is the historical per-record loop.
-    batch: BatchPolicy,
-    /// Per-record scratches for the batched open pass.
+    /// Per-record scratches for the open pass, one per record of the
+    /// batch policy's run: buffered records are opened a run at a time
+    /// and the responses sealed as one run (`Serial`, the default: one).
     batch_outs: Vec<RecordScratch>,
-    /// Per-record response staging for the batched serve pass.
+    /// Per-record RPC response staging, sized like `batch_outs`.
     batch_resps: Vec<Vec<u8>>,
     /// Pending key-rotation override (`Some(interval)`): applied to every
     /// channel already open and to every future handshake, so both ends
@@ -115,14 +138,10 @@ impl<D: NetDevice> SecurePeer<D> {
             rng: SimRng::seed_from(seed),
             conns: Vec::new(),
             pool: BufPool::default(),
-            plain: RecordScratch::new(),
-            resp: Vec::new(),
-            rec: RecordScratch::new(),
             txbuf: Vec::new(),
             telemetry: Telemetry::disabled(),
-            batch: BatchPolicy::default(),
-            batch_outs: Vec::new(),
-            batch_resps: Vec::new(),
+            batch_outs: vec![RecordScratch::new()],
+            batch_resps: vec![Vec::new()],
             rekey: None,
         }
     }
@@ -134,10 +153,9 @@ impl<D: NetDevice> SecurePeer<D> {
 
     /// Selects the record-batch discipline for open connections.
     pub fn set_batch_policy(&mut self, batch: BatchPolicy) {
-        self.batch = batch;
-        let want = if batch.is_serial() { 0 } else { MAX_BATCH };
-        self.batch_outs.resize_with(want, RecordScratch::new);
-        self.batch_resps.resize_with(want, Vec::new);
+        self.batch_outs
+            .resize_with(batch.max_batch(), RecordScratch::new);
+        self.batch_resps.resize_with(batch.max_batch(), Vec::new);
     }
 
     /// Overrides the per-session key-rotation interval (`None` disables
@@ -160,13 +178,9 @@ impl<D: NetDevice> SecurePeer<D> {
         }
     }
 
-    fn serve_into(port: u16, request: &[u8], resp: &mut Vec<u8>) {
+    /// RPC: 4-byte LE size request -> length-prefixed 0x5A response.
+    fn serve_rpc(request: &[u8], resp: &mut Vec<u8>) {
         resp.clear();
-        if port == ECHO_PORT {
-            resp.extend_from_slice(request);
-            return;
-        }
-        // RPC: 4-byte LE size request -> length-prefixed 0x5A response.
         if request.len() < 4 {
             return;
         }
@@ -215,9 +229,9 @@ impl<D: NetDevice> SecurePeer<D> {
                             if conn.inbuf.len() < 4 {
                                 break;
                             }
-                            Self::serve_into(conn.port, &conn.inbuf[..4], &mut self.resp);
+                            Self::serve_rpc(&conn.inbuf[..4], &mut self.batch_resps[0]);
                             conn.inbuf.drain(..4);
-                            self.txbuf.extend_from_slice(&self.resp);
+                            self.txbuf.extend_from_slice(&self.batch_resps[0]);
                         } else {
                             // Echo: the response is the buffered bytes.
                             if conn.inbuf.is_empty() {
@@ -273,138 +287,61 @@ impl<D: NetDevice> SecurePeer<D> {
                         }
                     }
                     PeerTls::Open(chan) => {
-                        // Gather the run of complete records buffered at
-                        // the head of the receive buffer. The serial
-                        // policy gathers exactly one, which reduces to
-                        // the historical per-record loop.
-                        let maxb = if self.batch.is_serial() {
-                            1
-                        } else {
-                            self.batch.max_batch().min(MAX_BATCH)
-                        };
-                        let mut ends = [0usize; MAX_BATCH];
-                        let mut cnt = 0usize;
-                        let mut off = 0usize;
-                        while cnt < maxb {
-                            let Some(n) = record_len(&conn.inbuf[off..]) else {
-                                break;
+                        let (good, used, verdict) =
+                            open_buffered_run(chan, &conn.inbuf, &mut self.batch_outs);
+                        // Echo replies seal straight from the opened
+                        // request scratches; RPC stages its responses.
+                        let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                        let mut m = 0usize;
+                        for (out, resp) in self.batch_outs[..good].iter().zip(&mut self.batch_resps)
+                        {
+                            let reply = if conn.port == ECHO_PORT {
+                                out.as_slice()
+                            } else {
+                                Self::serve_rpc(out.as_slice(), resp);
+                                resp
                             };
-                            off += n;
-                            ends[cnt] = off;
-                            cnt += 1;
+                            if !reply.is_empty() {
+                                pts[m] = reply;
+                                m += 1;
+                            }
                         }
-                        if cnt == 0 {
-                            break;
-                        }
-                        if cnt == 1 {
-                            // Open in place out of the receive buffer: the
-                            // record is only drained once it verified, and
-                            // request, response, and sealed reply all live
-                            // in reusable scratches.
-                            let n = ends[0];
-                            match chan.open_into(&conn.inbuf[..n], &mut self.plain) {
-                                Ok(()) => {
-                                    conn.inbuf.drain(..n);
-                                    if conn.port == ECHO_PORT {
-                                        // Echo seals the reply straight from
-                                        // the opened request scratch — no
-                                        // response-buffer copy per record.
-                                        if !self.plain.as_slice().is_empty()
-                                            && chan
-                                                .seal_into(self.plain.as_slice(), &mut self.rec)
-                                                .is_ok()
-                                        {
-                                            self.txbuf.extend_from_slice(self.rec.as_slice());
-                                        }
-                                    } else {
-                                        Self::serve_into(
-                                            conn.port,
-                                            self.plain.as_slice(),
-                                            &mut self.resp,
-                                        );
-                                        if !self.resp.is_empty()
-                                            && chan.seal_into(&self.resp, &mut self.rec).is_ok()
-                                        {
-                                            self.txbuf.extend_from_slice(self.rec.as_slice());
-                                        }
-                                    }
-                                }
-                                Err(_) => {
-                                    dead.push(i);
-                                    break;
-                                }
+                        // One seal run covers every non-empty response,
+                        // written straight into the send buffer (no
+                        // per-record scratch bounce).
+                        if m > 0 {
+                            let base = self.txbuf.len();
+                            let total: usize = pts[..m]
+                                .iter()
+                                .map(|p| p.len() + cio_ctls::RECORD_OVERHEAD)
+                                .sum();
+                            self.txbuf.resize(base + total, 0);
+                            let mut slots: [&mut [u8]; MAX_BATCH] =
+                                std::array::from_fn(|_| &mut [][..]);
+                            let mut rest = &mut self.txbuf[base..];
+                            for (slot, pt) in slots.iter_mut().zip(&pts[..m]) {
+                                (*slot, rest) = std::mem::take(&mut rest)
+                                    .split_at_mut(pt.len() + cio_ctls::RECORD_OVERHEAD);
                             }
-                        } else {
-                            // Batched open: one shared-keystream AEAD pass
-                            // over the whole run. A failed record ends the
-                            // connection exactly as the serial path does —
-                            // records before the failure are served,
-                            // records after it are discarded.
-                            let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                            let mut start = 0usize;
-                            for (k, &end) in ends[..cnt].iter().enumerate() {
-                                recs[k] = &conn.inbuf[start..end];
-                                start = end;
-                            }
-                            let mut results: [Result<(), CtlsError>; MAX_BATCH] =
-                                [Ok(()); MAX_BATCH];
-                            chan.open_batch_in_slots(
-                                &recs[..cnt],
-                                &mut self.batch_outs[..cnt],
-                                &mut results[..cnt],
-                            );
-                            let good = results[..cnt].iter().take_while(|r| r.is_ok()).count();
-                            for k in 0..good {
-                                let (outs, resps) = (&self.batch_outs[k], &mut self.batch_resps[k]);
-                                Self::serve_into(conn.port, outs.as_slice(), resps);
-                            }
-                            // One batched seal covers every non-empty
-                            // response, written straight into the send
-                            // buffer (no per-record scratch bounce).
-                            let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                            let mut m = 0usize;
-                            for resp in self.batch_resps[..good].iter() {
-                                if !resp.is_empty() {
-                                    pts[m] = resp;
-                                    m += 1;
-                                }
-                            }
-                            if m > 0 {
-                                let base = self.txbuf.len();
-                                let total: usize = pts[..m]
-                                    .iter()
-                                    .map(|p| p.len() + cio_ctls::RECORD_OVERHEAD)
-                                    .sum();
-                                self.txbuf.resize(base + total, 0);
-                                let mut slots: [&mut [u8]; MAX_BATCH] =
-                                    std::array::from_fn(|_| &mut [][..]);
-                                let mut rest = &mut self.txbuf[base..];
-                                for (j, pt) in pts[..m].iter().enumerate() {
-                                    let take = pt.len() + cio_ctls::RECORD_OVERHEAD;
-                                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                                    slots[j] = head;
-                                    rest = tail;
-                                }
-                                let mut lens = [0usize; MAX_BATCH];
-                                if chan
-                                    .seal_batch_into_slots(
-                                        &pts[..m],
-                                        &mut slots[..m],
-                                        &mut lens[..m],
-                                    )
-                                    .is_err()
-                                {
-                                    dead.push(i);
-                                    break;
-                                }
-                            }
-                            if good > 0 {
-                                conn.inbuf.drain(..ends[good - 1]);
-                            }
-                            if good < cnt {
+                            let mut lens = [0usize; MAX_BATCH];
+                            if chan
+                                .seal_batch_into_slots(&pts[..m], &mut slots[..m], &mut lens[..m])
+                                .is_err()
+                            {
                                 dead.push(i);
                                 break;
                             }
+                        }
+                        conn.inbuf.drain(..used);
+                        // A failed record ends the connection: records
+                        // before it were served, records after it are
+                        // discarded.
+                        if verdict.is_err() {
+                            dead.push(i);
+                            break;
+                        }
+                        if good == 0 {
+                            break;
                         }
                     }
                 }
@@ -451,19 +388,15 @@ enum StreamState {
     Open {
         chan: Box<Channel>,
         inbuf: Vec<u8>,
-        /// Per-record decrypt scratch, reused across the stream's life.
-        plain: RecordScratch,
     },
 }
 
 /// Client-side stream protection: plaintext pass-through or cTLS.
 pub struct SecureStream {
     state: StreamState,
-    /// Record-batch discipline for draining buffered records: non-serial
-    /// policies open runs with one shared-keystream AEAD pass. Serial
-    /// (default) is the historical per-record loop, bit for bit.
-    batch: BatchPolicy,
-    /// Per-record scratches for the batched open pass.
+    /// Per-record decrypt scratches, one per record of the batch
+    /// policy's run and reused across the stream's life: buffered
+    /// records are drained a run at a time (`Serial`, the default: one).
     batch_outs: Vec<RecordScratch>,
     /// Pending key-rotation override (`Some(interval)`): applied as soon
     /// as the channel opens (and immediately when already open).
@@ -475,8 +408,7 @@ impl SecureStream {
     pub fn plain() -> Self {
         SecureStream {
             state: StreamState::Plain,
-            batch: BatchPolicy::default(),
-            batch_outs: Vec::new(),
+            batch_outs: vec![RecordScratch::new()],
             rekey: None,
         }
     }
@@ -491,8 +423,7 @@ impl SecureStream {
                     hs: Some(hs),
                     inbuf: Vec::new(),
                 },
-                batch: BatchPolicy::default(),
-                batch_outs: Vec::new(),
+                batch_outs: vec![RecordScratch::new()],
                 rekey: None,
             },
         )
@@ -500,9 +431,8 @@ impl SecureStream {
 
     /// Selects the record-batch discipline for inbound records.
     pub fn set_batch_policy(&mut self, batch: BatchPolicy) {
-        self.batch = batch;
-        let want = if batch.is_serial() { 0 } else { MAX_BATCH };
-        self.batch_outs.resize_with(want, RecordScratch::new);
+        self.batch_outs
+            .resize_with(batch.max_batch(), RecordScratch::new);
     }
 
     /// Overrides the per-session key-rotation interval (`None` disables
@@ -608,68 +538,26 @@ impl SecureStream {
                     self.state = StreamState::Open {
                         chan: Box::new(chan),
                         inbuf: leftover,
-                        plain: RecordScratch::new(),
                     };
                     // Any piggybacked records are processed below.
                     self.feed_append(&[], result)?;
                 }
             }
-            StreamState::Open { chan, inbuf, plain } => {
+            StreamState::Open { chan, inbuf } => {
                 inbuf.extend_from_slice(bytes);
-                let maxb = if self.batch.is_serial() {
-                    1
-                } else {
-                    self.batch.max_batch().min(MAX_BATCH)
-                };
                 loop {
-                    // Gather the run of complete records (one under the
-                    // serial policy — the historical per-record loop).
-                    let mut ends = [0usize; MAX_BATCH];
-                    let mut cnt = 0usize;
-                    let mut off = 0usize;
-                    while cnt < maxb {
-                        let Some(n) = record_len(&inbuf[off..]) else {
-                            break;
-                        };
-                        off += n;
-                        ends[cnt] = off;
-                        cnt += 1;
+                    // A failed record kills the stream: plaintexts before
+                    // it are delivered, the error propagates, and the
+                    // stream is dead to the caller.
+                    let (good, used, verdict) =
+                        open_buffered_run(chan, inbuf, &mut self.batch_outs);
+                    for out in &self.batch_outs[..good] {
+                        result.app_data.extend_from_slice(out.as_slice());
                     }
-                    if cnt == 0 {
+                    inbuf.drain(..used);
+                    verdict?;
+                    if good == 0 {
                         break;
-                    }
-                    if cnt == 1 {
-                        chan.open_into(&inbuf[..ends[0]], plain)?;
-                        inbuf.drain(..ends[0]);
-                        result.app_data.extend_from_slice(plain.as_slice());
-                    } else {
-                        // One shared-keystream AEAD pass over the run. A
-                        // failed record kills the stream exactly where the
-                        // serial loop would: plaintexts before it are
-                        // delivered, the error propagates, and the stream
-                        // is dead to the caller.
-                        let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                        let mut start = 0usize;
-                        for (k, &end) in ends[..cnt].iter().enumerate() {
-                            recs[k] = &inbuf[start..end];
-                            start = end;
-                        }
-                        let mut results: [Result<(), CtlsError>; MAX_BATCH] = [Ok(()); MAX_BATCH];
-                        chan.open_batch_in_slots(
-                            &recs[..cnt],
-                            &mut self.batch_outs[..cnt],
-                            &mut results[..cnt],
-                        );
-                        let good = results[..cnt].iter().take_while(|r| r.is_ok()).count();
-                        for out in self.batch_outs[..good].iter() {
-                            result.app_data.extend_from_slice(out.as_slice());
-                        }
-                        if good > 0 {
-                            inbuf.drain(..ends[good - 1]);
-                        }
-                        if good < cnt {
-                            results[good]?;
-                        }
                     }
                 }
             }
@@ -735,17 +623,64 @@ impl TunnelGateway {
 mod tests {
     use super::*;
 
+    /// A header whose length prefix is one past [`MAX_RECORD_BODY`].
+    fn oversize_header() -> [u8; 5] {
+        let mut h = [0u8; 5];
+        h[..4].copy_from_slice(&(MAX_RECORD_BODY as u32 + 1).to_le_bytes());
+        h
+    }
+
     #[test]
-    fn take_record_framing() {
-        let mut buf = Vec::new();
-        assert!(take_record(&mut buf).is_none());
-        buf.extend_from_slice(&5u32.to_le_bytes());
-        buf.extend_from_slice(b"hel");
-        assert!(take_record(&mut buf).is_none(), "incomplete");
-        buf.extend_from_slice(b"lo");
-        let rec = take_record(&mut buf).unwrap();
-        assert_eq!(&rec[4..], b"hello");
-        assert!(buf.is_empty());
+    fn oversize_length_prefix_fails_the_stream_closed() {
+        let (hello, mut stream) = SecureStream::client([3u8; 64], None);
+        let identity = ServerIdentity {
+            platform_key: PLATFORM_KEY,
+            measurement: peer_measurement(),
+        };
+        let (sh, _) = ServerHandshake::respond(&hello, &identity, [4u8; 64], None).unwrap();
+        stream.feed(&sh.to_bytes()).unwrap();
+        assert!(stream.is_open());
+        // Not "incomplete, keep buffering": a typed error, at once.
+        assert_eq!(
+            stream.feed(&oversize_header()),
+            Err(CioError::Ctls(CtlsError::Malformed))
+        );
+    }
+
+    #[test]
+    fn oversize_length_prefix_drops_the_peer_connection() {
+        let clock = Clock::new();
+        let (cdev, pdev) = cio_netstack::PairDevice::pair(
+            [cio_netstack::MacAddr([1; 6]), cio_netstack::MacAddr([2; 6])],
+            1500,
+        );
+        let (cip, pip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let mut client = Interface::new(cdev, InterfaceConfig::new(cip), clock.clone());
+        let mut peer = SecurePeer::new(pdev, pip, clock, true, 1);
+        let h = client.tcp_connect(pip, ECHO_PORT).unwrap();
+        let (hello, mut stream) = SecureStream::client([5u8; 64], None);
+        let mut to_send = hello;
+        let mut pump = |stream: &mut SecureStream, extra: &[u8]| {
+            to_send.extend_from_slice(extra);
+            for _ in 0..8 {
+                client.poll().unwrap();
+                peer.poll();
+                if client.tcp_established(h).unwrap() && !to_send.is_empty() {
+                    client.tcp_send(h, &to_send).unwrap();
+                    to_send.clear();
+                }
+                let rx = client.tcp_recv(h, usize::MAX).unwrap();
+                to_send.extend(stream.feed(&rx).unwrap().to_send);
+            }
+            peer.connections()
+        };
+        assert_eq!(pump(&mut stream, &[]), 1);
+        assert!(stream.is_open());
+        assert_eq!(
+            pump(&mut stream, &oversize_header()),
+            0,
+            "connection dropped"
+        );
     }
 
     #[test]

@@ -410,22 +410,6 @@ impl ChaCha20Poly1305 {
         Ok(out)
     }
 
-    /// Seals `plaintext` into a caller-provided buffer, appending
-    /// `ciphertext || tag` to `out` without intermediate allocations, so
-    /// steady-state paths can reuse the buffer's capacity.
-    pub fn seal_fused_into(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        aad: &[u8],
-        plaintext: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        let start = out.len();
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_fused_in_place(nonce, aad, &mut out[start..]);
-        out.extend_from_slice(&tag);
-    }
-
     /// Opens `sealed` (= ciphertext || tag) into a caller-provided
     /// buffer: `out` is cleared, then filled with the plaintext. The
     /// only steady-state cost is one pass over the data — no allocation

@@ -84,19 +84,10 @@ pub struct SimHooks {
 }
 
 impl SimHooks {
-    pub(crate) fn charge_aead(&self, bytes: usize) {
-        let spent = self.cost.aead(bytes);
-        self.clock.advance(spent);
-        self.meter.aead_ops(1);
-        self.meter.aead_bytes(bytes as u64);
-        self.telemetry.attribute_here(Stage::Crypto, spent);
-    }
-
-    /// Charges one batched AEAD pass over `records` records totalling
-    /// `bytes` bytes. A batch of one charges exactly what
-    /// [`SimHooks::charge_aead`] would, so the serial path's virtual
-    /// time is unchanged by the batch model's existence.
-    pub(crate) fn charge_aead_batch(&self, records: usize, bytes: usize) {
+    /// Charges one AEAD pass over a run of `records` records totalling
+    /// `bytes` bytes ([`CostModel::aead_batch`]: a run of one costs
+    /// exactly one serial AEAD).
+    pub(crate) fn charge_aead(&self, records: usize, bytes: usize) {
         let spent = self.cost.aead_batch(records, bytes);
         self.clock.advance(spent);
         self.meter.aead_ops(records as u64);

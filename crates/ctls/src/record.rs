@@ -105,14 +105,17 @@ impl Direction {
         n
     }
 
-    /// Advances to the next key generation when the deterministic rekey
-    /// point is reached (forward secrecy within a connection: old traffic
-    /// keys are unrecoverable from the current secret).
-    fn maybe_rekey(&mut self) {
-        let Some(interval) = self.rekey_interval else {
-            return;
+    /// Brings the key up to the generation `seq` belongs to and returns
+    /// how many of the next `n` records share it. The generation is a
+    /// pure function of the sequence number (`seq / interval`; forward
+    /// secrecy within a connection: old traffic keys are unrecoverable
+    /// from the current secret), so re-running this at an unchanged `seq`
+    /// — a stream adapter retrying after a failed open — derives nothing.
+    fn key_run(&mut self, n: usize) -> usize {
+        let Some(interval) = self.rekey_interval.filter(|&iv| iv > 0) else {
+            return n;
         };
-        if self.seq > 0 && self.seq.is_multiple_of(interval) {
+        while self.generation < self.seq / interval {
             let prk = hkdf::extract(b"", &self.secret);
             let mut next = [0u8; 32];
             hkdf::expand(&prk, b"ctls1 upd", &mut next).expect("32 bytes is within HKDF limits");
@@ -120,59 +123,23 @@ impl Direction {
             self.aead = ChaCha20Poly1305::new(next);
             self.generation += 1;
         }
+        (interval - self.seq % interval).min(n as u64) as usize
     }
 
-    /// Encrypts one record into `out` (cleared first): the header is
-    /// written straight into the buffer, the payload is encrypted in
-    /// place by the fused one-pass AEAD, and the tag appended — no
-    /// intermediate Vec anywhere.
-    fn seal_into(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
-        self.maybe_rekey();
-        let aad = self.seq.to_be_bytes();
-        let nonce = Self::nonce(self.seq);
-        out.clear();
-        out.reserve(4 + plaintext.len() + TAG_LEN);
-        out.extend_from_slice(&((plaintext.len() + TAG_LEN) as u32).to_le_bytes());
-        out.extend_from_slice(plaintext);
-        let tag = self.aead.seal_fused_in_place(&nonce, &aad, &mut out[4..]);
-        out.extend_from_slice(&tag);
-        self.seq += 1;
-    }
-
-    /// Seals one record directly into `slot` (the in-slot zero-copy
-    /// path): header at `[0..4]`, ciphertext at `[4..4+n]`, tag after —
-    /// scatter-gather segments laid out in place. The plaintext is
-    /// combined with the keystream on the way in, so it never touches the
-    /// slot; the slot may live in host-observable shared memory. Returns
-    /// the record length. Byte-identical to [`Direction::seal_into`].
-    fn seal_into_slot(&mut self, plaintext: &[u8], slot: &mut [u8]) -> Result<usize, CtlsError> {
-        let record_len = 4 + plaintext.len() + TAG_LEN;
-        if slot.len() < record_len {
-            return Err(CtlsError::Crypto(CryptoError::BadLength));
-        }
-        self.maybe_rekey();
-        let aad = self.seq.to_be_bytes();
-        let nonce = Self::nonce(self.seq);
-        slot[..4].copy_from_slice(&((plaintext.len() + TAG_LEN) as u32).to_le_bytes());
-        let (ct, rest) = slot[4..].split_at_mut(plaintext.len());
-        let tag = self.aead.seal_fused_scatter(&nonce, &aad, plaintext, ct);
-        rest[..TAG_LEN].copy_from_slice(&tag);
-        self.seq += 1;
-        Ok(record_len)
-    }
-
-    /// Seals a run of records into their slots with one batched AEAD
-    /// pass per key generation: nonces, AADs, and sequence numbers are
-    /// assigned positionally (`seq`, `seq+1`, ...), the wide keystream
-    /// lanes are packed across record boundaries, and each record is
-    /// byte-identical to what [`Direction::seal_into_slot`] would have
-    /// produced at the same sequence number. A deterministic rekey point
-    /// inside the run splits it into per-generation crypto batches.
+    /// Seals a run of records into their slots — the one seal body of the
+    /// record layer. Record `k` is framed in place (`[len][ciphertext]
+    /// [tag]`: header at `[0..4]`, ciphertext after it, tag last) with
+    /// nonce and AAD derived from `seq + k`; the plaintext is combined
+    /// with the keystream on the way in, so it never touches the slot,
+    /// which may live in host-observable shared memory. A deterministic
+    /// rekey point inside the run splits it into per-generation crypto
+    /// runs, and the run length picks the kernel: one record takes the
+    /// fused single-record pass, two or more share one lane-packed pass.
+    /// `lens[k]` receives the bytes written to slot `k`.
     ///
     /// All slot capacities are validated before any state advances; on
-    /// `BadLength` nothing is written and `seq` is unchanged, so the
-    /// caller can fall back to the serial path.
-    fn seal_batch_into_slots(
+    /// `BadLength` nothing is written and `seq` is unchanged.
+    fn seal_run(
         &mut self,
         plaintexts: &[&[u8]],
         slots: &mut [&mut [u8]],
@@ -188,196 +155,156 @@ impl Direction {
         }
         let mut i = 0;
         while i < n {
-            self.maybe_rekey();
-            // Records sharing the current key generation form one crypto
-            // batch; the run ends where the next deterministic rekey
-            // point falls.
-            let mut j = i + 1;
-            while j < n {
-                let s = self.seq + (j - i) as u64;
-                if let Some(iv) = self.rekey_interval {
-                    if s > 0 && s.is_multiple_of(iv) {
-                        break;
-                    }
+            let run = self.key_run(n - i);
+            if run == 1 {
+                let pt = plaintexts[i];
+                let (head, rest) = slots[i].split_at_mut(4);
+                head.copy_from_slice(&((pt.len() + TAG_LEN) as u32).to_le_bytes());
+                let (ct, rest) = rest.split_at_mut(pt.len());
+                let aad = self.seq.to_be_bytes();
+                let tag = self
+                    .aead
+                    .seal_fused_scatter(&Self::nonce(self.seq), &aad, pt, ct);
+                rest[..TAG_LEN].copy_from_slice(&tag);
+                lens[i] = pt.len() + RECORD_OVERHEAD;
+            } else {
+                let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&self.aead; MAX_BATCH_RECORDS];
+                let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
+                let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
+                for k in 0..run {
+                    let s = self.seq + k as u64;
+                    nonces[k] = Self::nonce(s);
+                    aad_store[k] = s.to_be_bytes();
                 }
-                j += 1;
-            }
-            let run = j - i;
-            let aead = self.aead.clone();
-            let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&aead; MAX_BATCH_RECORDS];
-            let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
-            let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
-            for k in 0..run {
-                let s = self.seq + k as u64;
-                nonces[k] = Self::nonce(s);
-                aad_store[k] = s.to_be_bytes();
-            }
-            let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
+                let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
 
-            // Headers first, then carve disjoint ciphertext and tag
-            // regions out of each slot.
-            let mut cts: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
-            let mut tag_slots: [&mut [u8]; MAX_BATCH_RECORDS] =
-                std::array::from_fn(|_| &mut [][..]);
-            let mut rest: &mut [&mut [u8]] = &mut slots[i..j];
-            let mut k = 0;
-            while !rest.is_empty() {
-                let (slot, tail) = std::mem::take(&mut rest)
-                    .split_first_mut()
-                    .expect("non-empty");
-                let pt_len = plaintexts[i + k].len();
-                slot[..4].copy_from_slice(&((pt_len + TAG_LEN) as u32).to_le_bytes());
-                let (head, after) = slot.split_at_mut(4 + pt_len);
-                cts[k] = &mut head[4..];
-                tag_slots[k] = &mut after[..TAG_LEN];
-                lens[i + k] = pt_len + RECORD_OVERHEAD;
-                rest = tail;
-                k += 1;
-            }
+                // Headers first, then carve disjoint ciphertext and tag
+                // regions out of each slot.
+                let mut cts: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
+                let mut tag_slots: [&mut [u8]; MAX_BATCH_RECORDS] =
+                    std::array::from_fn(|_| &mut [][..]);
+                for (k, slot) in slots[i..i + run].iter_mut().enumerate() {
+                    let pt_len = plaintexts[i + k].len();
+                    slot[..4].copy_from_slice(&((pt_len + TAG_LEN) as u32).to_le_bytes());
+                    let (head, after) = slot.split_at_mut(4 + pt_len);
+                    cts[k] = &mut head[4..];
+                    tag_slots[k] = &mut after[..TAG_LEN];
+                    lens[i + k] = pt_len + RECORD_OVERHEAD;
+                }
 
-            let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-            aead::seal_batch_scatter(
-                &aeads[..run],
-                &nonces[..run],
-                &aads[..run],
-                &plaintexts[i..j],
-                &mut cts[..run],
-                &mut tags,
-            );
-            for (tag_slot, tag) in tag_slots[..run].iter_mut().zip(&tags) {
-                tag_slot.copy_from_slice(tag);
+                let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
+                aead::seal_batch_scatter(
+                    &aeads[..run],
+                    &nonces[..run],
+                    &aads[..run],
+                    &plaintexts[i..i + run],
+                    &mut cts[..run],
+                    &mut tags,
+                );
+                for (tag_slot, tag) in tag_slots[..run].iter_mut().zip(&tags) {
+                    tag_slot.copy_from_slice(tag);
+                }
             }
             self.seq += run as u64;
-            i = j;
+            i += run;
         }
         Ok(())
     }
 
-    /// Opens a run of records fetched from transport slots with one
-    /// batched AEAD pass per key generation. Sequence numbers are
-    /// assigned *positionally*: record `k` authenticates against
-    /// `seq + k`, and — unlike the serial path, where a failed open does
-    /// not advance — a failed record *consumes* its sequence number so
-    /// the rest of the batch still opens. That is the batch fail-closed
-    /// contract: a corrupted slot yields exactly one per-record error
-    /// (its scratch left empty) without poisoning or reordering its
-    /// neighbours.
-    fn open_batch_in_slots(
+    /// Opens a run of records into private scratches — the one open body
+    /// of the record layer. Sequence numbers are assigned *positionally*:
+    /// record `k` authenticates against `seq + k`, and a failed record
+    /// *consumes* its sequence number so the rest of the run still opens.
+    /// That is the run's fail-closed contract: a bad frame or corrupted
+    /// slot yields exactly one per-record error (its scratch left empty)
+    /// without poisoning or reordering its neighbours. Rekey points split
+    /// the run and the run length picks the kernel, as in
+    /// [`Direction::seal_run`]. Plaintext is written only to the
+    /// scratches, never back to `records`.
+    fn open_run(
         &mut self,
         records: &[&[u8]],
         outs: &mut [RecordScratch],
         results: &mut [Result<(), CtlsError>],
     ) {
+        // `ciphertext || tag` of a well-framed record.
+        fn body(rec: &[u8]) -> Result<&[u8], CtlsError> {
+            let Some((head, body)) = rec.split_first_chunk::<4>() else {
+                return Err(CtlsError::Malformed);
+            };
+            if body.len() != u32::from_le_bytes(*head) as usize {
+                return Err(CtlsError::Malformed);
+            }
+            if body.len() < TAG_LEN {
+                return Err(CtlsError::Crypto(CryptoError::BadLength));
+            }
+            Ok(body)
+        }
+        fn seq_failure(e: CryptoError) -> CtlsError {
+            match e {
+                CryptoError::BadTag => CtlsError::BadSequence,
+                other => CtlsError::Crypto(other),
+            }
+        }
+
         let n = records.len();
         assert!(n <= MAX_BATCH_RECORDS, "batch exceeds MAX_BATCH_RECORDS");
         debug_assert!(outs.len() >= n && results.len() >= n);
         let mut i = 0;
         while i < n {
-            self.maybe_rekey();
-            let mut j = i + 1;
-            while j < n {
-                let s = self.seq + (j - i) as u64;
-                if let Some(iv) = self.rekey_interval {
-                    if s > 0 && s.is_multiple_of(iv) {
-                        break;
+            let run = self.key_run(n - i);
+            if run == 1 {
+                let out = &mut outs[i].buf;
+                out.clear();
+                let aad = self.seq.to_be_bytes();
+                results[i] = body(records[i]).and_then(|sealed| {
+                    self.aead
+                        .open_fused_into(&Self::nonce(self.seq), &aad, sealed, out)
+                        .map_err(seq_failure)
+                });
+            } else {
+                let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&self.aead; MAX_BATCH_RECORDS];
+                let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
+                let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
+                let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
+                let mut bufs: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
+                for (k, out) in outs[i..i + run].iter_mut().enumerate() {
+                    let s = self.seq + k as u64;
+                    nonces[k] = Self::nonce(s);
+                    aad_store[k] = s.to_be_bytes();
+                    out.buf.clear();
+                    // A bad frame simply sits the crypto pass out (empty
+                    // buffer); its error is already in `results`.
+                    results[i + k] = body(records[i + k]).map(|sealed| {
+                        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+                        out.buf.extend_from_slice(ct);
+                        tags[k].copy_from_slice(tag);
+                    });
+                    bufs[k] = &mut out.buf[..];
+                }
+                let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
+
+                let mut crypto_results = [Ok(()); MAX_BATCH_RECORDS];
+                aead::open_batch_in_place(
+                    &aeads[..run],
+                    &nonces[..run],
+                    &aads[..run],
+                    &mut bufs[..run],
+                    &tags[..run],
+                    &mut crypto_results[..run],
+                );
+                for k in 0..run {
+                    if results[i + k].is_ok() {
+                        results[i + k] = crypto_results[k].map_err(seq_failure);
+                    }
+                    if results[i + k].is_err() {
+                        outs[i + k].buf.clear();
                     }
                 }
-                j += 1;
-            }
-            let run = j - i;
-            let aead = self.aead.clone();
-            let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&aead; MAX_BATCH_RECORDS];
-            let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
-            let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
-            let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-            let mut pre_err: [Option<CtlsError>; MAX_BATCH_RECORDS] = [None; MAX_BATCH_RECORDS];
-            for k in 0..run {
-                let s = self.seq + k as u64;
-                nonces[k] = Self::nonce(s);
-                aad_store[k] = s.to_be_bytes();
-                let rec = records[i + k];
-                let out = &mut outs[i + k];
-                out.buf.clear();
-                // Framing checks mirror the serial open; a bad frame
-                // simply sits the crypto batch out (empty buffer).
-                if rec.len() < 4 {
-                    pre_err[k] = Some(CtlsError::Malformed);
-                    continue;
-                }
-                let len = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as usize;
-                if rec.len() != 4 + len {
-                    pre_err[k] = Some(CtlsError::Malformed);
-                    continue;
-                }
-                if len < TAG_LEN {
-                    pre_err[k] = Some(CtlsError::Crypto(CryptoError::BadLength));
-                    continue;
-                }
-                out.buf.extend_from_slice(&rec[4..rec.len() - TAG_LEN]);
-                tags[k].copy_from_slice(&rec[rec.len() - TAG_LEN..]);
-            }
-            let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
-
-            let mut bufs: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
-            let mut rest: &mut [RecordScratch] = &mut outs[i..j];
-            let mut k = 0;
-            while !rest.is_empty() {
-                let (out, tail) = std::mem::take(&mut rest)
-                    .split_first_mut()
-                    .expect("non-empty");
-                bufs[k] = &mut out.buf[..];
-                rest = tail;
-                k += 1;
-            }
-
-            let mut crypto_results = [Ok(()); MAX_BATCH_RECORDS];
-            aead::open_batch_in_place(
-                &aeads[..run],
-                &nonces[..run],
-                &aads[..run],
-                &mut bufs[..run],
-                &tags[..run],
-                &mut crypto_results[..run],
-            );
-            for k in 0..run {
-                let res = if let Some(e) = pre_err[k] {
-                    Err(e)
-                } else {
-                    crypto_results[k].map_err(|e| match e {
-                        CryptoError::BadTag => CtlsError::BadSequence,
-                        other => CtlsError::Crypto(other),
-                    })
-                };
-                if res.is_err() {
-                    outs[i + k].buf.clear();
-                }
-                results[i + k] = res;
             }
             self.seq += run as u64;
-            i = j;
+            i += run;
         }
-    }
-
-    /// Verifies and decrypts one record into `out` (cleared first; left
-    /// empty on failure).
-    fn open_into(&mut self, record: &[u8], out: &mut Vec<u8>) -> Result<(), CtlsError> {
-        if record.len() < 4 {
-            return Err(CtlsError::Malformed);
-        }
-        let len = u32::from_le_bytes([record[0], record[1], record[2], record[3]]) as usize;
-        if record.len() != 4 + len {
-            return Err(CtlsError::Malformed);
-        }
-        self.maybe_rekey();
-        let aad = self.seq.to_be_bytes();
-        self.aead
-            .open_fused_into(&Self::nonce(self.seq), &aad, &record[4..], out)
-            .map_err(|e| match e {
-                CryptoError::BadTag => CtlsError::BadSequence,
-                other => CtlsError::Crypto(other),
-            })?;
-        self.seq += 1;
-        Ok(())
     }
 }
 
@@ -410,7 +337,9 @@ impl Channel {
     }
 
     /// Overrides the deterministic rekey interval (`None` disables
-    /// rekeying; both endpoints must choose the same value).
+    /// rekeying). The key generation is `seq / interval`, so both
+    /// endpoints must choose the same value at the same sequence number —
+    /// in practice before any record flows.
     pub fn set_rekey_interval(&mut self, interval: Option<u64>) {
         self.tx.rekey_interval = interval;
         self.rx.rekey_interval = interval;
@@ -443,15 +372,15 @@ impl Channel {
     /// Currently infallible in practice; kept fallible for API stability
     /// with future length limits.
     pub fn seal(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, CtlsError> {
-        let mut out = Vec::new();
-        self.seal_into_vec(plaintext, &mut out)?;
-        Ok(out)
+        let mut out = RecordScratch::new();
+        self.seal_into(plaintext, &mut out)?;
+        Ok(out.buf)
     }
 
-    /// Encrypts one application message into a reusable scratch.
-    ///
-    /// The record (`[len][ciphertext][tag]`) is assembled in place in the
-    /// scratch's backing buffer; steady state performs zero allocations.
+    /// Encrypts one application message into a reusable scratch: the
+    /// scratch is sized to the record and becomes the slot of
+    /// [`Channel::seal_into_slot`]; steady state performs zero
+    /// allocations.
     ///
     /// # Errors
     ///
@@ -462,65 +391,50 @@ impl Channel {
         plaintext: &[u8],
         out: &mut RecordScratch,
     ) -> Result<(), CtlsError> {
-        self.seal_into_vec(plaintext, &mut out.buf)
-    }
-
-    pub(crate) fn seal_into_vec(
-        &mut self,
-        plaintext: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CtlsError> {
-        if let Some(h) = &self.hooks {
-            h.charge_aead(plaintext.len());
-        }
-        self.tx.seal_into(plaintext, out);
-        Ok(())
+        out.buf.resize(plaintext.len() + RECORD_OVERHEAD, 0);
+        self.seal_into_slot(plaintext, &mut out.buf).map(drop)
     }
 
     /// Encrypts one application message directly into a transport slot
-    /// (e.g. a reserved cio-ring slot): the `[len][ciphertext][tag]`
-    /// record is laid out in place with the fused AEAD running over the
-    /// slot bytes, and plaintext never touches the slot memory. Returns
-    /// the number of slot bytes written.
-    ///
-    /// Byte-identical output to [`Channel::seal_into`]; a record sealed
-    /// in slot opens with [`Channel::open_into`] and vice versa.
+    /// (e.g. a reserved cio-ring slot): [`Channel::seal_batch_into_slots`]
+    /// at a run of one. Returns the number of slot bytes written.
     ///
     /// # Errors
     ///
     /// [`CtlsError::Crypto`] with `BadLength` if the slot is smaller than
     /// `plaintext.len()` plus [`RECORD_OVERHEAD`] (the channel state does
-    /// not advance, so the caller can fall back to the staged path).
+    /// not advance).
     pub fn seal_into_slot(
         &mut self,
         plaintext: &[u8],
         slot: &mut [u8],
     ) -> Result<usize, CtlsError> {
-        if let Some(h) = &self.hooks {
-            h.charge_aead(plaintext.len());
-        }
-        self.tx.seal_into_slot(plaintext, slot)
+        let mut len = [0];
+        self.seal_batch_into_slots(&[plaintext], &mut [slot], &mut len)?;
+        Ok(len[0])
     }
 
     /// Encrypts a run of application messages directly into transport
-    /// slots (e.g. a batch of reserved cio-ring slots) with one batched
-    /// AEAD pass: the wide keystream lanes are scheduled across record
-    /// boundaries, amortizing per-record setup, while every record keeps
-    /// its own sequence number, nonce, and tag. `lens[i]` receives the
-    /// slot bytes written for record `i`. Each record is byte-identical
-    /// to sealing the same messages one at a time with
-    /// [`Channel::seal_into_slot`], and opens with any open path.
+    /// slots (e.g. a batch of reserved cio-ring slots) — the record
+    /// layer's one seal path; every other seal entry point is this at a
+    /// run of one. Each record is laid out in place as `[len][ciphertext]
+    /// [tag]` with its own sequence number, nonce, and tag; plaintext
+    /// never touches slot memory. `lens[i]` receives the slot bytes
+    /// written for record `i`. The record layer picks the AEAD kernel
+    /// from the run length (a single fused pass for one record, one
+    /// lane-packed pass amortizing per-record setup for more), and the
+    /// bytes do not depend on that choice or on how messages are grouped
+    /// into runs, so a record sealed here opens with any open path.
     ///
     /// # Errors
     ///
     /// [`CtlsError::Crypto`] with `BadLength` if *any* slot is smaller
     /// than its message plus [`RECORD_OVERHEAD`] — nothing is written
-    /// and the channel state does not advance, so the caller can fall
-    /// back to the per-record path.
+    /// and the channel state does not advance.
     ///
     /// # Panics
     ///
-    /// If the batch exceeds [`MAX_BATCH_RECORDS`] records.
+    /// If the run exceeds [`MAX_BATCH_RECORDS`] records.
     pub fn seal_batch_into_slots(
         &mut self,
         plaintexts: &[&[u8]],
@@ -528,23 +442,25 @@ impl Channel {
         lens: &mut [usize],
     ) -> Result<(), CtlsError> {
         if let Some(h) = &self.hooks {
-            h.charge_aead_batch(plaintexts.len(), plaintexts.iter().map(|p| p.len()).sum());
+            h.charge_aead(plaintexts.len(), plaintexts.iter().map(|p| p.len()).sum());
         }
-        self.tx.seal_batch_into_slots(plaintexts, slots, lens)
+        self.tx.seal_run(plaintexts, slots, lens)
     }
 
     /// Verifies and decrypts a run of records fetched in place from
-    /// transport memory with one batched AEAD pass. Sequence numbers are
-    /// positional (`records[k]` must be the record sealed at
+    /// transport memory — the record layer's one open path. Sequence
+    /// numbers are positional (`records[k]` must be the record sealed at
     /// `rx.seq + k`), and a record that fails *consumes* its sequence
     /// number — fail-closed per record: `results[k]` reports the error,
-    /// `outs[k]` is left empty, and the rest of the batch opens
-    /// normally. Plaintext is written only to the private scratches,
-    /// never back to the slots.
+    /// `outs[k]` is left empty, and the rest of the run opens normally.
+    /// (The single-record stream adapters, [`Channel::open_into`] and
+    /// friends, instead give the number back on failure.) Each
+    /// ciphertext is read exactly once and plaintext is written only to
+    /// the private scratches, never back to the slots.
     ///
     /// # Panics
     ///
-    /// If the batch exceeds [`MAX_BATCH_RECORDS`] records.
+    /// If the run exceeds [`MAX_BATCH_RECORDS`] records.
     pub fn open_batch_in_slots(
         &mut self,
         records: &[&[u8]],
@@ -552,18 +468,17 @@ impl Channel {
         results: &mut [Result<(), CtlsError>],
     ) {
         if let Some(h) = &self.hooks {
-            h.charge_aead_batch(
+            h.charge_aead(
                 records.len(),
                 records.iter().map(|r| r.len().saturating_sub(4)).sum(),
             );
         }
-        self.rx.open_batch_in_slots(records, outs, results)
+        self.rx.open_run(records, outs, results)
     }
 
     /// Verifies and decrypts one record fetched in place from transport
-    /// memory (e.g. a ring slot seen through `consume_in_place`): the
-    /// ciphertext is read exactly once from `record` and the plaintext is
-    /// written to the private scratch, never back to the slot.
+    /// memory (e.g. a ring slot seen through `consume_in_place`); the
+    /// same adapter as [`Channel::open_into`].
     ///
     /// # Errors
     ///
@@ -573,7 +488,7 @@ impl Channel {
         record: &[u8],
         out: &mut RecordScratch,
     ) -> Result<(), CtlsError> {
-        self.open_into_vec(record, &mut out.buf)
+        self.open_into(record, out)
     }
 
     /// Verifies and decrypts one record.
@@ -586,32 +501,30 @@ impl Channel {
     /// stream (replay, reorder, tamper); [`CtlsError::Malformed`] for
     /// framing damage.
     pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, CtlsError> {
-        let mut out = Vec::new();
-        self.open_into_vec(record, &mut out)?;
-        Ok(out)
+        let mut out = RecordScratch::new();
+        self.open_into(record, &mut out)?;
+        Ok(out.buf)
     }
 
-    /// Verifies and decrypts one record into a reusable scratch.
-    ///
-    /// On success the scratch holds the plaintext; on failure it is left
-    /// empty. Steady state performs zero allocations.
+    /// Verifies and decrypts one record into a reusable scratch:
+    /// [`Channel::open_batch_in_slots`] at a run of one, under the
+    /// *stream* contract — a failed open gives its sequence number back,
+    /// so the genuine record still opens afterwards (a forgery cannot
+    /// desynchronize the stream). On success the scratch holds the
+    /// plaintext; on failure it is left empty. Steady state performs
+    /// zero allocations.
     ///
     /// # Errors
     ///
     /// Same as [`Channel::open`].
     pub fn open_into(&mut self, record: &[u8], out: &mut RecordScratch) -> Result<(), CtlsError> {
-        self.open_into_vec(record, &mut out.buf)
-    }
-
-    pub(crate) fn open_into_vec(
-        &mut self,
-        record: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CtlsError> {
-        if let Some(h) = &self.hooks {
-            h.charge_aead(record.len().saturating_sub(4));
+        let seq = self.rx.seq;
+        let mut result = [Ok(())];
+        self.open_batch_in_slots(&[record], std::slice::from_mut(out), &mut result);
+        if result[0].is_err() {
+            self.rx.seq = seq;
         }
-        self.rx.open_into(record, out)
+        result[0]
     }
 
     /// Records sent so far.
@@ -768,24 +681,29 @@ mod tests {
     }
 
     #[test]
-    fn scratch_seal_open_matches_vec_api() {
-        // Two channel pairs with identical secrets: one driven through
-        // the Vec API, one through reusable scratches. Records and
-        // plaintexts must match byte for byte at every step.
-        let (mut c1, mut s1) = pair();
-        let (mut c2, mut s2) = pair();
-        let mut rec = RecordScratch::new();
-        let mut plain = RecordScratch::new();
-        for i in 0..8usize {
-            let msg: Vec<u8> = (0..i * 37).map(|b| b as u8).collect();
-            let vec_record = c1.seal(&msg).unwrap();
-            c2.seal_into(&msg, &mut rec).unwrap();
-            assert_eq!(vec_record, rec.as_slice(), "record {i}");
-
-            let vec_plain = s1.open(&vec_record).unwrap();
-            s2.open_into(rec.as_slice(), &mut plain).unwrap();
-            assert_eq!(vec_plain, plain.as_slice(), "plain {i}");
-            assert_eq!(plain.as_slice(), &msg[..], "roundtrip {i}");
+    fn failed_open_at_rekey_boundary_then_genuine_opens() {
+        // A forgery arriving exactly at a rekey point must not advance
+        // the key schedule twice: the failed open gives its sequence
+        // number back and the retry derives nothing.
+        type Open = fn(&mut Channel, &[u8], &mut RecordScratch) -> Result<(), CtlsError>;
+        for open in [Channel::open_into as Open, Channel::open_in_slot as Open] {
+            let (mut c, mut s) = pair();
+            c.set_rekey_interval(Some(4));
+            s.set_rekey_interval(Some(4));
+            let mut plain = RecordScratch::new();
+            for i in 0..4u8 {
+                open(&mut s, &c.seal(&[i]).unwrap(), &mut plain).unwrap();
+            }
+            let genuine = c.seal(b"first of generation 1").unwrap();
+            let mut forged = genuine.clone();
+            *forged.last_mut().unwrap() ^= 1;
+            assert_eq!(
+                open(&mut s, &forged, &mut plain),
+                Err(CtlsError::BadSequence)
+            );
+            assert_eq!(s.records_received(), 4);
+            open(&mut s, &genuine, &mut plain).unwrap();
+            assert_eq!(plain.as_slice(), b"first of generation 1");
         }
     }
 
@@ -809,32 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn seal_into_slot_matches_staged_seal() {
-        // The in-slot record must be byte-identical to the staged one,
-        // interoperate with both open paths, and never write plaintext
-        // into the slot (the slot starts poisoned; after sealing it holds
-        // exactly header+ciphertext+tag).
-        let (mut c1, mut s1) = pair();
-        let (mut c2, mut s2) = pair();
-        let mut staged = RecordScratch::new();
-        let mut slot = vec![0xEEu8; 4096 + RECORD_OVERHEAD];
-        let mut plain = RecordScratch::new();
-        for len in [0usize, 1, 64, 447, 448, 449, 1024, 4096] {
-            let msg: Vec<u8> = (0..len).map(|b| (b * 13) as u8).collect();
-            c1.seal_into(&msg, &mut staged).unwrap();
-            let written = c2.seal_into_slot(&msg, &mut slot).unwrap();
-            assert_eq!(written, len + RECORD_OVERHEAD);
-            assert_eq!(&slot[..written], staged.as_slice(), "record len {len}");
-
-            // Staged record opens via the in-slot path and vice versa.
-            s1.open_in_slot(staged.as_slice(), &mut plain).unwrap();
-            assert_eq!(plain.as_slice(), &msg[..], "in-slot open len {len}");
-            s2.open_into(&slot[..written], &mut plain).unwrap();
-            assert_eq!(plain.as_slice(), &msg[..], "staged open len {len}");
-        }
-    }
-
-    #[test]
     fn seal_into_slot_too_small_does_not_advance() {
         let (mut c, mut s) = pair();
         let mut slot = vec![0u8; 10];
@@ -845,88 +737,6 @@ mod tests {
         // Sequence did not advance: the staged fallback still lines up.
         let r = c.seal(b"does not fit here").unwrap();
         assert_eq!(s.open(&r).unwrap(), b"does not fit here");
-    }
-
-    #[test]
-    fn seal_batch_matches_serial_across_rekey() {
-        // Twin channels with small rekey intervals: one seals a 10-record
-        // batch (spanning two rekey points), the other seals the same
-        // messages one at a time. Records must be byte-identical, and
-        // each side's records must open on the other's path.
-        let (mut batch_tx, mut serial_rx) = pair();
-        let (mut serial_tx, mut batch_rx) = pair();
-        batch_tx.set_rekey_interval(Some(4));
-        serial_rx.set_rekey_interval(Some(4));
-        serial_tx.set_rekey_interval(Some(4));
-        batch_rx.set_rekey_interval(Some(4));
-
-        let lens = [0usize, 1, 64, 447, 448, 449, 1024, 4096, 3, 512];
-        let msgs: Vec<Vec<u8>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (0..l).map(|b| (b * 13 + i) as u8).collect())
-            .collect();
-        let pts: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
-
-        let mut slot_store: Vec<Vec<u8>> = lens
-            .iter()
-            .map(|&l| vec![0xEEu8; l + RECORD_OVERHEAD])
-            .collect();
-        let mut slots: Vec<&mut [u8]> = slot_store.iter_mut().map(|s| &mut s[..]).collect();
-        let mut out_lens = [0usize; MAX_BATCH_RECORDS];
-        batch_tx
-            .seal_batch_into_slots(&pts, &mut slots, &mut out_lens)
-            .unwrap();
-        assert_eq!(batch_tx.records_sent(), 10);
-        assert_eq!(
-            batch_tx.tx_generation(),
-            2,
-            "rekeyed twice inside the batch"
-        );
-
-        let mut plain = RecordScratch::new();
-        for (i, msg) in msgs.iter().enumerate() {
-            assert_eq!(out_lens[i], msg.len() + RECORD_OVERHEAD, "len {i}");
-            let serial = serial_tx.seal(msg).unwrap();
-            assert_eq!(&slot_store[i][..out_lens[i]], &serial[..], "record {i}");
-            // Batch-sealed record opens serially.
-            serial_rx
-                .open_into(&slot_store[i][..out_lens[i]], &mut plain)
-                .unwrap();
-            assert_eq!(plain.as_slice(), &msg[..], "serial open {i}");
-        }
-
-        // Serially sealed records open through the batched path.
-        let serial_records: Vec<Vec<u8>> =
-            msgs.iter().map(|m| serial_tx.seal(m).unwrap()).collect();
-        let recs: Vec<&[u8]> = serial_records.iter().map(|r| &r[..]).collect();
-        let mut outs: Vec<RecordScratch> = (0..recs.len()).map(|_| RecordScratch::new()).collect();
-        let mut results = [Ok(()); MAX_BATCH_RECORDS];
-        // Advance batch_rx past the first 10 records it never saw: open
-        // the batch-sealed slots first.
-        let first: Vec<&[u8]> = slot_store
-            .iter()
-            .zip(out_lens)
-            .map(|(s, l)| &s[..l])
-            .collect();
-        batch_rx.open_batch_in_slots(&first, &mut outs, &mut results);
-        for (i, r) in results[..first.len()].iter().enumerate() {
-            assert_eq!(*r, Ok(()), "first batch record {i}");
-            assert_eq!(
-                outs[i].as_slice(),
-                &msgs[i][..],
-                "first batch plaintext {i}"
-            );
-        }
-        batch_rx.open_batch_in_slots(&recs, &mut outs, &mut results);
-        for (i, r) in results[..recs.len()].iter().enumerate() {
-            assert_eq!(*r, Ok(()), "second batch record {i}");
-            assert_eq!(
-                outs[i].as_slice(),
-                &msgs[i][..],
-                "second batch plaintext {i}"
-            );
-        }
     }
 
     #[test]

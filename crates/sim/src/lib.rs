@@ -13,7 +13,6 @@
 //!   harnesses to attribute where time went.
 //! * [`rng`] — a small deterministic PRNG so every experiment is exactly
 //!   reproducible from a seed.
-//! * [`trace`] — an optional event log used by tests and debugging.
 //! * [`telemetry`] — deterministic spans, latency histograms, and cycle
 //!   attribution riding the virtual clock.
 //! * [`flight`] — the bounded flight recorder: typed event timelines, a
@@ -32,7 +31,6 @@ pub mod lanes;
 pub mod meter;
 pub mod rng;
 pub mod telemetry;
-pub mod trace;
 
 pub use cost::CostModel;
 pub use flight::{
@@ -43,7 +41,6 @@ pub use lanes::Lanes;
 pub use meter::{Meter, MeterSnapshot};
 pub use rng::SimRng;
 pub use telemetry::{Histogram, Profile, Span, Stage, Telemetry};
-pub use trace::{Trace, TraceEvent};
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -310,10 +310,6 @@ struct State {
     /// Attached flight recorder ([`Telemetry::attach_flight`]): lets the
     /// exporters surface per-queue `flight_events_dropped` counters.
     flight: Option<crate::flight::FlightRecorder>,
-    /// Attached bounded trace ([`Telemetry::attach_trace`]): lets the
-    /// exporters surface the trace's eviction counter, which was
-    /// previously tracked but never exported.
-    trace: Option<crate::Trace>,
 }
 
 /// Point-in-time session control-plane gauges (per-RSS-shard occupancy
@@ -349,7 +345,6 @@ impl State {
             meter: None,
             sessions: None,
             flight: None,
-            trace: None,
         }
     }
 
@@ -552,15 +547,6 @@ impl Telemetry {
     pub fn attach_flight(&self, flight: &crate::flight::FlightRecorder) {
         if let Some(inner) = &self.inner {
             inner.lock().flight = Some(flight.clone());
-        }
-    }
-
-    /// Attaches a (typically bounded) [`crate::Trace`], so the exporters
-    /// can surface its `dropped` eviction counter. A no-op on a disabled
-    /// handle.
-    pub fn attach_trace(&self, trace: &crate::Trace) {
-        if let Some(inner) = &self.inner {
-            inner.lock().trace = Some(trace.clone());
         }
     }
 
@@ -952,16 +938,6 @@ impl Telemetry {
                 ));
             }
         }
-        if let Some(tr) = &s.trace {
-            out.push_str(
-                "# HELP cio_trace_events_dropped_total Events evicted from the bounded trace ring.\n\
-                 # TYPE cio_trace_events_dropped_total counter\n",
-            );
-            out.push_str(&format!(
-                "cio_trace_events_dropped_total {}\n",
-                tr.dropped()
-            ));
-        }
         out
     }
 
@@ -1084,15 +1060,12 @@ impl Telemetry {
                 g.live, g.peak, g.created, g.reclaimed, g.slots
             ));
         }
-        if s.flight.is_some() || s.trace.is_some() {
-            let flight_dropped: Vec<u64> = s.flight.as_ref().map_or_else(Vec::new, |fr| {
-                (0..fr.queues()).map(|q| fr.dropped(q)).collect()
-            });
-            let trace_dropped = s.trace.as_ref().map_or(0, |tr| tr.dropped());
+        if let Some(fr) = &s.flight {
+            let flight_dropped: Vec<u64> = (0..fr.queues()).map(|q| fr.dropped(q)).collect();
             let slo = s.meter.as_ref().map_or(0, |m| m.snapshot().slo_breaches);
             out.push_str(&format!(
                 ",\n  \"observe\": {{\"flight_events_dropped\": {flight_dropped:?}, \
-                 \"trace_events_dropped\": {trace_dropped}, \"slo_breaches\": {slo}}}"
+                 \"slo_breaches\": {slo}}}"
             ));
         }
         out.push_str("\n}\n");

@@ -353,12 +353,6 @@ pub enum BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Whether this policy crosses the boundary one record at a time.
-    #[inline]
-    pub fn is_serial(&self) -> bool {
-        matches!(self, BatchPolicy::Serial)
-    }
-
     /// The largest batch this policy will ever attempt.
     #[inline]
     pub fn max_batch(&self) -> usize {
@@ -1978,7 +1972,7 @@ mod tests {
 
     #[test]
     fn batch_policy_sizing() {
-        assert!(BatchPolicy::default().is_serial());
+        assert_eq!(BatchPolicy::default().max_batch(), 1);
         assert_eq!(BatchPolicy::Serial.effective(100), 1);
         assert_eq!(BatchPolicy::Fixed(8).effective(1), 8);
         assert_eq!(BatchPolicy::Fixed(64).max_batch(), MAX_BATCH);

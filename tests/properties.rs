@@ -488,6 +488,151 @@ fn batched_dataplane_byte_identical_to_serial() {
     }
 }
 
+/// The record layer has one seal body and one open body (the run
+/// primitives behind `seal_batch_into_slots` / `open_batch_in_slots`);
+/// every other `Channel` entry point is that primitive at a run of one.
+/// For payloads 0 B–64 KiB (including the AEAD's private 448/449 and
+/// 512/513 B kernel edges) × rekey interval {off, 3, default} × run
+/// 1/2/8/16: every seal adapter emits the bytes the primitive emits at
+/// the same sequence number — however the primitive's messages were
+/// grouped into runs, and whichever AEAD kernel the run length picked —
+/// every open path yields the payload back, the channels agree on record
+/// counts and key generation, and at a run of one the adapters charge
+/// exactly the primitive's meter counts and virtual cycles.
+#[test]
+fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
+    use cio_ctls::{Channel, RecordScratch, SimHooks, MAX_BATCH_RECORDS, RECORD_OVERHEAD};
+
+    const SIZES: [usize; 12] = [0, 1, 64, 448, 449, 512, 513, 1024, 4096, 16384, 65536, 3];
+    let mut rng = SimRng::seed_from(0xc715);
+    let mut msgs: Vec<Vec<u8>> = SIZES
+        .iter()
+        .map(|&s| {
+            let mut v = vec![0u8; s];
+            rng.fill_bytes(&mut v);
+            v
+        })
+        .collect();
+    while msgs.len() < MAX_BATCH_RECORDS {
+        msgs.push(rand_vec(&mut rng, 0, 2048));
+    }
+
+    // `None` leaves the channel's default interval in place.
+    for interval in [None, Some(None), Some(Some(3))] {
+        for run in [1usize, 2, 8, 16] {
+            let tag = format!("interval {interval:?} run {run}");
+            let endpoint = |is_client: bool| {
+                let hooks = SimHooks {
+                    clock: Clock::new(),
+                    cost: CostModel::default(),
+                    meter: Meter::new(),
+                    telemetry: cio_sim::Telemetry::disabled(),
+                };
+                let mut chan =
+                    Channel::from_secrets([9; 32], [8; 32], is_client, Some(hooks.clone()));
+                if let Some(iv) = interval {
+                    chan.set_rekey_interval(iv);
+                }
+                (chan, hooks)
+            };
+            let charged = |h: &SimHooks| (h.clock.now(), h.meter.snapshot());
+
+            // The primitive, in runs of `run`.
+            let (mut prim_tx, prim_tx_hooks) = endpoint(true);
+            let mut records: Vec<Vec<u8>> = msgs
+                .iter()
+                .map(|m| vec![0xEE; m.len() + RECORD_OVERHEAD])
+                .collect();
+            for (pts, slots) in msgs.chunks(run).zip(records.chunks_mut(run)) {
+                let pts: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
+                let mut slots: Vec<&mut [u8]> = slots.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut lens = [0usize; MAX_BATCH_RECORDS];
+                prim_tx
+                    .seal_batch_into_slots(&pts, &mut slots, &mut lens)
+                    .unwrap();
+                for (len, pt) in lens.iter().zip(&pts) {
+                    assert_eq!(*len, pt.len() + RECORD_OVERHEAD, "{tag}: lens");
+                }
+            }
+            let (mut prim_rx, prim_rx_hooks) = endpoint(false);
+            let mut outs: Vec<RecordScratch> = (0..run).map(|_| RecordScratch::new()).collect();
+            for (recs, want) in records.chunks(run).zip(msgs.chunks(run)) {
+                let recs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
+                let mut results = [Ok(()); MAX_BATCH_RECORDS];
+                prim_rx.open_batch_in_slots(&recs, &mut outs, &mut results);
+                for ((res, out), want) in results.iter().zip(&outs).zip(want) {
+                    assert_eq!(*res, Ok(()), "{tag}: primitive open");
+                    assert_eq!(out.as_slice(), &want[..], "{tag}: primitive plaintext");
+                }
+            }
+
+            // Seal adapters, one record at a time.
+            type Seal = fn(&mut Channel, &[u8]) -> Vec<u8>;
+            let seals: [(&str, Seal); 3] = [
+                ("seal", |c, m| c.seal(m).unwrap()),
+                ("seal_into", |c, m| {
+                    // A scratch that last held a longer record.
+                    let mut out = RecordScratch::new();
+                    out.copy_from(&[0xEE; 100]);
+                    c.seal_into(m, &mut out).unwrap();
+                    out.as_slice().to_vec()
+                }),
+                ("seal_into_slot", |c, m| {
+                    // A roomier, poisoned slot: the tail stays untouched.
+                    let mut slot = vec![0xEE; m.len() + RECORD_OVERHEAD + 7];
+                    let n = c.seal_into_slot(m, &mut slot).unwrap();
+                    assert!(slot[n..].iter().all(|&b| b == 0xEE));
+                    slot.truncate(n);
+                    slot
+                }),
+            ];
+            for (name, seal) in seals {
+                let (mut tx, hooks) = endpoint(true);
+                for (i, (msg, want)) in msgs.iter().zip(&records).enumerate() {
+                    assert_eq!(&seal(&mut tx, msg), want, "{tag}: {name} record {i}");
+                }
+                assert_eq!(tx.records_sent(), prim_tx.records_sent(), "{tag}: {name}");
+                assert_eq!(tx.tx_generation(), prim_tx.tx_generation(), "{tag}: {name}");
+                if run == 1 {
+                    assert_eq!(charged(&hooks), charged(&prim_tx_hooks), "{tag}: {name}");
+                }
+            }
+            let rekeys = if interval == Some(Some(3)) { 5 } else { 0 };
+            assert_eq!(prim_tx.tx_generation(), rekeys, "{tag}: generation");
+
+            // Open adapters, one record at a time.
+            type Open = fn(&mut Channel, &[u8]) -> Vec<u8>;
+            let opens: [(&str, Open); 3] = [
+                ("open", |c, r| c.open(r).unwrap()),
+                ("open_into", |c, r| {
+                    let mut out = RecordScratch::new();
+                    c.open_into(r, &mut out).unwrap();
+                    out.as_slice().to_vec()
+                }),
+                ("open_in_slot", |c, r| {
+                    let mut out = RecordScratch::new();
+                    c.open_in_slot(r, &mut out).unwrap();
+                    out.as_slice().to_vec()
+                }),
+            ];
+            for (name, open) in opens {
+                let (mut rx, hooks) = endpoint(false);
+                for (i, (rec, want)) in records.iter().zip(&msgs).enumerate() {
+                    assert_eq!(&open(&mut rx, rec), want, "{tag}: {name} record {i}");
+                }
+                assert_eq!(
+                    rx.records_received(),
+                    prim_rx.records_received(),
+                    "{tag}: {name}"
+                );
+                if run == 1 {
+                    assert_eq!(charged(&hooks), charged(&prim_rx_hooks), "{tag}: {name}");
+                }
+            }
+        }
+    }
+}
+
 /// AEAD: any bit flip anywhere in any sealed message is rejected.
 #[test]
 fn aead_rejects_every_single_bitflip() {
