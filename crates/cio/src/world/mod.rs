@@ -341,6 +341,9 @@ pub struct World {
     lanes: Lanes,
     /// Reusable scratch for sealing outgoing application data.
     seal_scratch: RecordScratch,
+    /// Reusable scratch the stack's received bytes are read into before
+    /// they are fed to a session's stream.
+    recv_scratch: Vec<u8>,
     /// Telemetry domain (a disabled no-op handle unless
     /// [`WorldOptions::telemetry`] armed it).
     telemetry: Telemetry,
@@ -948,6 +951,7 @@ impl WorldBuilder {
             layout,
             lanes,
             seal_scratch: RecordScratch::new(),
+            recv_scratch: Vec::new(),
             telemetry,
             flight,
             watchdog,
@@ -1585,10 +1589,15 @@ impl World {
         Ok(())
     }
 
-    fn raw_recv(&mut self, handle: SocketHandle) -> Result<Vec<u8>, CioError> {
-        let data = match &mut self.guest {
-            Guest::Stack { iface } => iface.tcp_recv(handle, usize::MAX)?,
-            Guest::Dual { iface, gate, .. } => gate.call(|| iface.tcp_recv(handle, usize::MAX))?,
+    /// Appends whatever the stack has received on `handle` to `out`.
+    fn raw_recv_into(&mut self, handle: SocketHandle, out: &mut Vec<u8>) -> Result<(), CioError> {
+        match &mut self.guest {
+            Guest::Stack { iface } => {
+                iface.tcp_recv_into(handle, out)?;
+            }
+            Guest::Dual { iface, gate, .. } => {
+                gate.call(|| iface.tcp_recv_into(handle, out))?;
+            }
             Guest::L5 { svc } => {
                 let _exit = self.telemetry.span(0, Stage::HostExit);
                 self.tee.exit_to_host();
@@ -1598,10 +1607,10 @@ impl World {
                     self.meter.copies(1);
                     self.meter.bytes_copied(data.len() as u64);
                 }
-                data
+                out.extend_from_slice(&data);
             }
-        };
-        Ok(data)
+        }
+        Ok(())
     }
 
     fn raw_established(&mut self, handle: SocketHandle) -> Result<bool, CioError> {
@@ -1736,58 +1745,70 @@ impl World {
                 conn.outbox = out;
             }
         }
-        let data = self.raw_recv(handle)?;
-        if !data.is_empty() {
-            let healthy = {
-                let Ok(conn) = self.conns.get_mut(id) else {
-                    return Ok(());
-                };
-                let was_handshaking = conn.stream.is_handshaking();
-                let _open = self.telemetry.span(lane, Stage::RxOpen);
-                match conn.stream.feed_into(&data, &mut conn.feed_scratch) {
-                    Ok(()) => {
-                        if was_handshaking && conn.stream.is_open() {
-                            self.flight
-                                .record(lane, EventKind::HandshakeOk, sid_bits(id), 0);
-                        }
-                        if !conn.feed_scratch.app_data.is_empty() {
-                            self.flight.record(
-                                lane,
-                                EventKind::OpenOk,
-                                conn.feed_scratch.app_data.len() as u64,
-                                0,
-                            );
-                        }
-                        if let Some(ep) = conn.stream.tx_epoch() {
-                            if ep > conn.epoch_seen {
-                                conn.epoch_seen = ep;
-                                self.flight
-                                    .record(lane, EventKind::SessionRekey, sid_bits(id), ep);
-                            }
-                        }
-                        conn.app_in.extend_from_slice(&conn.feed_scratch.app_data);
-                        conn.outbox.extend_from_slice(&conn.feed_scratch.to_send);
-                        true
-                    }
-                    Err(_) => {
-                        // A broken handshake and a bad record on an open
-                        // stream are different forensic facts; both are
-                        // security events and land in the audit chain.
-                        let kind = if was_handshaking {
-                            EventKind::HandshakeFail
-                        } else {
-                            EventKind::OpenFail
-                        };
-                        self.flight.record(lane, kind, sid_bits(id), 0);
-                        false
-                    }
-                }
-            };
-            if !healthy {
-                self.quarantine(id);
-            }
+        // Read into the world's reusable scratch (taken for the duration
+        // so the borrow checker sees a local): a steady-state flush
+        // allocates nothing per connection.
+        let mut data = std::mem::take(&mut self.recv_scratch);
+        data.clear();
+        let received = self.raw_recv_into(handle, &mut data);
+        if received.is_ok() && !data.is_empty() {
+            self.feed_conn(id, lane, &data);
         }
-        Ok(())
+        self.recv_scratch = data;
+        received
+    }
+
+    /// Feeds bytes received on `id` through its stream, quarantining the
+    /// session if the stream rejects them.
+    fn feed_conn(&mut self, id: SessionId, lane: usize, data: &[u8]) {
+        let healthy = {
+            let Ok(conn) = self.conns.get_mut(id) else {
+                return;
+            };
+            let was_handshaking = conn.stream.is_handshaking();
+            let _open = self.telemetry.span(lane, Stage::RxOpen);
+            match conn.stream.feed_into(data, &mut conn.feed_scratch) {
+                Ok(()) => {
+                    if was_handshaking && conn.stream.is_open() {
+                        self.flight
+                            .record(lane, EventKind::HandshakeOk, sid_bits(id), 0);
+                    }
+                    if !conn.feed_scratch.app_data.is_empty() {
+                        self.flight.record(
+                            lane,
+                            EventKind::OpenOk,
+                            conn.feed_scratch.app_data.len() as u64,
+                            0,
+                        );
+                    }
+                    if let Some(ep) = conn.stream.tx_epoch() {
+                        if ep > conn.epoch_seen {
+                            conn.epoch_seen = ep;
+                            self.flight
+                                .record(lane, EventKind::SessionRekey, sid_bits(id), ep);
+                        }
+                    }
+                    conn.app_in.extend_from_slice(&conn.feed_scratch.app_data);
+                    conn.outbox.extend_from_slice(&conn.feed_scratch.to_send);
+                    true
+                }
+                Err(_) => {
+                    // A broken handshake and a bad record on an open
+                    // stream are different forensic facts; both are
+                    // security events and land in the audit chain.
+                    let kind = if was_handshaking {
+                        EventKind::HandshakeFail
+                    } else {
+                        EventKind::OpenFail
+                    };
+                    self.flight.record(lane, kind, sid_bits(id), 0);
+                    false
+                }
+            }
+        };
+        if !healthy {
+            self.quarantine(id);
+        }
     }
 
     /// Serial flush over all sessions (single-queue path), in the same
@@ -2278,9 +2299,13 @@ mod tests {
         // backlog grows past the high-water mark.
         let chunk = vec![0x42u8; 16 * 1024];
         let mut hit_backpressure = false;
+        let mut accepted = 0;
         for _ in 0..64 {
             match w.send(c, &chunk) {
-                Ok(n) => assert_eq!(n, chunk.len()),
+                Ok(n) => {
+                    assert_eq!(n, chunk.len());
+                    accepted += n;
+                }
                 Err(e) => {
                     assert!(e.is_transient(), "expected backpressure, got {e}");
                     assert_eq!(e, CioError::Transient(Transient::WouldBlock));
@@ -2290,6 +2315,18 @@ mod tests {
             }
         }
         assert!(hit_backpressure, "never hit the high-water mark");
+        // The mark is measured on *unsent* bytes: the window's worth in
+        // flight sits in the same send ring but does not count, so eight
+        // records fit (four fill the window, four the backlog) where
+        // counting the whole ring would bounce the fifth.
+        assert_eq!(accepted, 8 * chunk.len());
+        let handle = w.conns.get(c).unwrap().handle;
+        let Guest::Stack { iface } = &mut w.guest else {
+            panic!("an L2 world runs the stack in the guest");
+        };
+        let backlog = iface.tcp_send_backlog(handle).unwrap();
+        assert!(backlog > SEND_HIGH_WATER);
+        assert!(backlog < accepted, "in-flight bytes counted as backlog");
         // The bounce is metered at the send site.
         assert!(
             w.meter().snapshot().backpressure_wouldblock >= 1,

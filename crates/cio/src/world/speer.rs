@@ -213,11 +213,10 @@ impl<D: NetDevice> SecurePeer<D> {
 
         let mut dead = Vec::new();
         for (i, conn) in self.conns.iter_mut().enumerate() {
-            let Ok(data) = self.iface.tcp_recv(conn.h, usize::MAX) else {
+            if self.iface.tcp_recv_into(conn.h, &mut conn.inbuf).is_err() {
                 dead.push(i);
                 continue;
-            };
-            conn.inbuf.extend(data);
+            }
 
             self.txbuf.clear();
             loop {

@@ -16,6 +16,8 @@ pub struct TcpEchoPeer {
     iface: Interface<FabricPort>,
     port: u16,
     active: Vec<SocketHandle>,
+    /// Reusable buffer between receive and echo.
+    buf: Vec<u8>,
 }
 
 impl TcpEchoPeer {
@@ -27,6 +29,7 @@ impl TcpEchoPeer {
             iface,
             port,
             active: Vec::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -38,13 +41,13 @@ impl TcpEchoPeer {
         }
         let mut closed = Vec::new();
         for (i, &h) in self.active.iter().enumerate() {
-            if let Ok(data) = self.iface.tcp_recv(h, usize::MAX) {
-                if !data.is_empty() {
-                    let _ = self.iface.tcp_send(h, &data);
-                }
-            } else {
+            self.buf.clear();
+            if self.iface.tcp_recv_into(h, &mut self.buf).is_err() {
                 closed.push(i);
                 continue;
+            }
+            if !self.buf.is_empty() {
+                let _ = self.iface.tcp_send(h, &self.buf);
             }
             if self.iface.tcp_peer_closed(h).unwrap_or(true) {
                 let _ = self.iface.tcp_close(h);
@@ -120,12 +123,9 @@ impl RpcPeer {
         }
         let mut closed = Vec::new();
         for (i, (h, buf)) in self.active.iter_mut().enumerate() {
-            match self.iface.tcp_recv(*h, usize::MAX) {
-                Ok(data) => buf.extend(data),
-                Err(_) => {
-                    closed.push(i);
-                    continue;
-                }
+            if self.iface.tcp_recv_into(*h, buf).is_err() {
+                closed.push(i);
+                continue;
             }
             while buf.len() >= 4 {
                 let want = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;

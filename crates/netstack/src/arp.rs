@@ -1,6 +1,6 @@
 //! ARP resolution and cache.
 
-use crate::wire::{ArpPacket, EthFrame, EtherType, Ipv4Addr, MacAddr};
+use crate::wire::{ArpPacket, EthHeader, EtherType, Ipv4Addr, MacAddr};
 use std::collections::HashMap;
 
 /// A bounded ARP cache plus request/reply logic.
@@ -39,6 +39,19 @@ impl ArpCache {
         self.entries.insert(ip, mac);
     }
 
+    /// Frames one of our ARP packets for `dst`.
+    fn frame(&self, dst: MacAddr, arp: &ArpPacket) -> Vec<u8> {
+        let mut out = Vec::new();
+        EthHeader {
+            dst,
+            src: self.our_mac,
+            ethertype: EtherType::Arp,
+        }
+        .emit(&mut out);
+        out.extend_from_slice(&arp.build());
+        out
+    }
+
     /// Builds a broadcast ARP request frame for `target_ip`.
     pub fn request_frame(&self, target_ip: Ipv4Addr) -> Vec<u8> {
         let arp = ArpPacket {
@@ -48,13 +61,7 @@ impl ArpCache {
             target_mac: MacAddr::default(),
             target_ip,
         };
-        EthFrame {
-            dst: MacAddr::BROADCAST,
-            src: self.our_mac,
-            ethertype: EtherType::Arp,
-            payload: arp.build(),
-        }
-        .build()
+        self.frame(MacAddr::BROADCAST, &arp)
     }
 
     /// Processes a received ARP payload. Learns the sender mapping and, if
@@ -70,15 +77,7 @@ impl ArpCache {
                 target_mac: arp.sender_mac,
                 target_ip: arp.sender_ip,
             };
-            return Some(
-                EthFrame {
-                    dst: arp.sender_mac,
-                    src: self.our_mac,
-                    ethertype: EtherType::Arp,
-                    payload: reply.build(),
-                }
-                .build(),
-            );
+            return Some(self.frame(arp.sender_mac, &reply));
         }
         None
     }
@@ -99,15 +98,15 @@ mod tests {
         let mut b = ArpCache::new(MAC_B, IP_B);
 
         let req = a.request_frame(IP_B);
-        let req_frame = EthFrame::parse(&req).unwrap();
-        assert!(req_frame.dst.is_broadcast());
+        let (req_hdr, req_arp) = EthHeader::parse(&req).unwrap();
+        assert!(req_hdr.dst.is_broadcast());
 
-        let reply = b.handle(&req_frame.payload).expect("b replies");
+        let reply = b.handle(req_arp).expect("b replies");
         assert_eq!(b.lookup(IP_A), Some(MAC_A));
 
-        let reply_frame = EthFrame::parse(&reply).unwrap();
-        assert_eq!(reply_frame.dst, MAC_A);
-        assert!(a.handle(&reply_frame.payload).is_none());
+        let (reply_hdr, reply_arp) = EthHeader::parse(&reply).unwrap();
+        assert_eq!(reply_hdr.dst, MAC_A);
+        assert!(a.handle(reply_arp).is_none());
         assert_eq!(a.lookup(IP_B), Some(MAC_B));
     }
 
@@ -116,8 +115,8 @@ mod tests {
         let mut b = ArpCache::new(MAC_B, IP_B);
         let a = ArpCache::new(MAC_A, IP_A);
         let req = a.request_frame(Ipv4Addr::new(10, 0, 0, 99));
-        let frame = EthFrame::parse(&req).unwrap();
-        assert!(b.handle(&frame.payload).is_none());
+        let (_, arp) = EthHeader::parse(&req).unwrap();
+        assert!(b.handle(arp).is_none());
         // But the sender was still learned.
         assert_eq!(b.lookup(IP_A), Some(MAC_A));
     }

@@ -88,7 +88,9 @@ pub struct PairDevice {
     is_a: bool,
     mac: MacAddr,
     mtu: usize,
-    capacity: usize,
+    /// Frames the queue toward the peer holds before `transmit` reports
+    /// [`NetError::DeviceFull`].
+    pub(crate) capacity: usize,
 }
 
 impl PairDevice {

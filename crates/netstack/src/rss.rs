@@ -122,32 +122,33 @@ fn endpoint_bytes((ip, port): (Ipv4Addr, u16)) -> [u8; 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{EthFrame, Ipv4Packet, MacAddr, TcpSegment};
+    use crate::wire::{EthHeader, Ipv4Header, MacAddr, TcpHeader, TCP_HDR_LEN};
 
     fn tcp_frame(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
-        let seg = TcpSegment {
+        let mut frame = Vec::new();
+        EthHeader {
+            dst: MacAddr([2; 6]),
+            src: MacAddr([1; 6]),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut frame);
+        Ipv4Header {
+            src: src.0,
+            dst: dst.0,
+            proto: IpProto::Tcp,
+            ttl: 64,
+        }
+        .emit(TCP_HDR_LEN + 1, &mut frame);
+        TcpHeader {
             src_port: src.1,
             dst_port: dst.1,
             seq: 1,
             ack: 0,
             flags: 0x10,
             window: 65535,
-            payload: b"x".to_vec(),
-        };
-        let pkt = Ipv4Packet {
-            src: src.0,
-            dst: dst.0,
-            proto: IpProto::Tcp,
-            ttl: 64,
-            payload: seg.build(src.0, dst.0),
-        };
-        EthFrame {
-            dst: MacAddr([2; 6]),
-            src: MacAddr([1; 6]),
-            ethertype: EtherType::Ipv4,
-            payload: pkt.build(),
         }
-        .build()
+        .emit(src.0, dst.0, (b"x", &[]), &mut frame);
+        frame
     }
 
     const A: (Ipv4Addr, u16) = (Ipv4Addr([10, 0, 0, 1]), 49152);
@@ -184,13 +185,14 @@ mod tests {
     fn non_flow_traffic_steers_to_queue_zero() {
         assert_eq!(steer(b"runt", 7), 0);
         // An ARP frame: valid Ethernet, not steerable.
-        let arp = EthFrame {
+        let mut arp = Vec::new();
+        EthHeader {
             dst: MacAddr::BROADCAST,
             src: MacAddr([1; 6]),
             ethertype: EtherType::Arp,
-            payload: vec![0u8; 28],
         }
-        .build();
+        .emit(&mut arp);
+        arp.extend_from_slice(&[0u8; 28]);
         assert_eq!(steer(&arp, 7), 0);
     }
 

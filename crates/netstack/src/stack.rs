@@ -4,17 +4,25 @@
 //! Everything is poll-driven: [`Interface::poll`] drains received frames,
 //! advances TCP timers, and flushes outbound segments — matching the
 //! paper's no-notifications default at every layer.
+//!
+//! A byte crosses the interface with one copy each way. Outbound, every
+//! packet is built in the interface's one frame buffer — headers written
+//! in place, TCP payload copied straight out of the connection's send
+//! ring, checksummed where it lies — and handed to the device as a slice.
+//! Inbound, the frame the device returned is parsed in place and a TCP
+//! payload is copied straight into the connection's receive ring.
 
 use crate::arp::ArpCache;
 use crate::device::NetDevice;
 use crate::tcp::{Connection, State, TcpConfig};
 use crate::udp::{Datagram, UdpSocket};
 use crate::wire::{
-    EthFrame, EtherType, IcmpEcho, IpProto, Ipv4Addr, Ipv4Packet, MacAddr, TcpSegment, UdpDatagram,
+    tcp_flags, EthHeader, EtherType, IcmpEcho, IpProto, Ipv4Addr, Ipv4Header, MacAddr, RingSlices,
+    TcpHeader, UdpHeader, ETH_HDR_LEN, ICMP_ECHO_HDR_LEN, IPV4_HDR_LEN, TCP_HDR_LEN, UDP_HDR_LEN,
 };
 use crate::NetError;
 use cio_sim::{Clock, SimRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Static configuration of one interface.
 #[derive(Debug, Clone)]
@@ -56,19 +64,106 @@ struct TcpSock {
     accepted: bool,
 }
 
-/// A network interface with a socket API.
-pub struct Interface<D: NetDevice> {
+/// The half of an interface below the sockets: device, ARP, routing, and
+/// the one buffer every outbound frame is built in. Its own struct so the
+/// TCP flush can transmit while it walks the socket table.
+struct Link<D: NetDevice> {
     dev: D,
     cfg: InterfaceConfig,
     arp: ArpCache,
+    /// Built frames waiting for ARP resolution (destination MAC still
+    /// blank), keyed by next-hop IP.
+    pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    frame: Vec<u8>,
+}
+
+impl<D: NetDevice> Link<D> {
+    fn next_hop(&self, dst: Ipv4Addr) -> Result<Ipv4Addr, NetError> {
+        if self.cfg.ip.same_subnet(&dst) {
+            Ok(dst)
+        } else {
+            self.cfg.gateway.ok_or(NetError::Unreachable)
+        }
+    }
+
+    /// Builds one IPv4 frame in the frame buffer — Ethernet and IPv4
+    /// headers, then the `transport_len` bytes `transport` appends — and
+    /// transmits it, or parks it behind an ARP request for its next hop.
+    fn send_ipv4(
+        &mut self,
+        dst: Ipv4Addr,
+        proto: IpProto,
+        transport_len: usize,
+        transport: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
+        if transport_len > self.dev.mtu().saturating_sub(IPV4_HDR_LEN) {
+            return Err(NetError::TooLarge);
+        }
+        let hop = self.next_hop(dst)?;
+        let mac = self.arp.lookup(hop);
+        let frame = &mut self.frame;
+        frame.clear();
+        EthHeader {
+            dst: mac.unwrap_or_default(),
+            src: self.dev.mac(),
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(frame);
+        Ipv4Header {
+            src: self.cfg.ip,
+            dst,
+            proto,
+            ttl: self.cfg.ttl,
+        }
+        .emit(transport_len, frame);
+        transport(frame);
+        debug_assert_eq!(frame.len(), ETH_HDR_LEN + IPV4_HDR_LEN + transport_len);
+        match mac {
+            Some(_) => self.dev.transmit(frame),
+            None => {
+                self.pending.entry(hop).or_default().push(frame.clone());
+                let req = self.arp.request_frame(hop);
+                self.dev.transmit(&req)
+            }
+        }
+    }
+
+    fn send_tcp(
+        &mut self,
+        dst: Ipv4Addr,
+        hdr: &TcpHeader,
+        payload: RingSlices,
+    ) -> Result<(), NetError> {
+        let (src, len) = (self.cfg.ip, TCP_HDR_LEN + payload.0.len() + payload.1.len());
+        self.send_ipv4(dst, IpProto::Tcp, len, |out| {
+            hdr.emit(src, dst, payload, out);
+        })
+    }
+
+    /// Transmits every parked frame whose next hop has resolved.
+    fn drain_pending(&mut self) -> Result<(), NetError> {
+        let hops: Vec<Ipv4Addr> = self.pending.keys().copied().collect();
+        for hop in hops {
+            if let Some(mac) = self.arp.lookup(hop) {
+                for mut frame in self.pending.remove(&hop).unwrap_or_default() {
+                    frame[..6].copy_from_slice(&mac.0);
+                    self.dev.transmit(&frame)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A network interface with a socket API.
+pub struct Interface<D: NetDevice> {
+    link: Link<D>,
     clock: Clock,
     rng: SimRng,
     udp: HashMap<u16, UdpSocket>,
     tcp: Vec<Option<TcpSock>>,
     /// TCP ports with a live listener.
-    listening: std::collections::HashSet<u16>,
-    /// IP packets waiting for ARP resolution, keyed by next-hop IP.
-    pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    listening: HashSet<u16>,
     /// Echo replies received, for [`Interface::ping_reply`].
     ping_replies: Vec<(Ipv4Addr, u16, u16)>,
     next_ephemeral: u16,
@@ -80,15 +175,18 @@ impl<D: NetDevice> Interface<D> {
         let arp = ArpCache::new(dev.mac(), cfg.ip);
         let rng = SimRng::seed_from(cfg.seed);
         Interface {
-            dev,
-            cfg,
-            arp,
+            link: Link {
+                dev,
+                cfg,
+                arp,
+                pending: HashMap::new(),
+                frame: Vec::new(),
+            },
             clock,
             rng,
             udp: HashMap::new(),
             tcp: Vec::new(),
-            listening: std::collections::HashSet::new(),
-            pending: HashMap::new(),
+            listening: HashSet::new(),
             ping_replies: Vec::new(),
             next_ephemeral: 49152,
         }
@@ -104,9 +202,11 @@ impl<D: NetDevice> Interface<D> {
             is_request: true,
             ident,
             seq,
-            payload: b"cio-ping".to_vec(),
         };
-        self.send_ipv4(dst, IpProto::Icmp, echo.build())
+        let payload = b"cio-ping";
+        let len = ICMP_ECHO_HDR_LEN + payload.len();
+        self.link
+            .send_ipv4(dst, IpProto::Icmp, len, |out| echo.emit(payload, out))
     }
 
     /// Takes a received echo reply matching `ident`, if any.
@@ -118,17 +218,17 @@ impl<D: NetDevice> Interface<D> {
 
     /// Our address.
     pub fn ip(&self) -> Ipv4Addr {
-        self.cfg.ip
+        self.link.cfg.ip
     }
 
     /// Our MAC.
     pub fn mac(&self) -> MacAddr {
-        self.dev.mac()
+        self.link.dev.mac()
     }
 
     /// Direct access to the device (diagnostics).
     pub fn device_mut(&mut self) -> &mut D {
-        &mut self.dev
+        &mut self.link.dev
     }
 
     // ---------- UDP ----------
@@ -158,13 +258,11 @@ impl<D: NetDevice> Interface<D> {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), NetError> {
-        let dgram = UdpDatagram {
-            src_port,
-            dst_port,
-            payload: payload.to_vec(),
-        };
-        let bytes = dgram.build(self.cfg.ip, dst_ip);
-        self.send_ipv4(dst_ip, IpProto::Udp, bytes)
+        let hdr = UdpHeader { src_port, dst_port };
+        let (src, len) = (self.link.cfg.ip, UDP_HDR_LEN + payload.len());
+        self.link.send_ipv4(dst_ip, IpProto::Udp, len, |out| {
+            hdr.emit(src, dst_ip, payload, out);
+        })
     }
 
     /// Receives a datagram on a bound port.
@@ -210,7 +308,7 @@ impl<D: NetDevice> Interface<D> {
             dst_port,
             iss,
             self.clock.clone(),
-            self.cfg.tcp.clone(),
+            self.link.cfg.tcp.clone(),
         );
         let h = self.alloc_handle(TcpSock {
             conn,
@@ -302,19 +400,46 @@ impl<D: NetDevice> Interface<D> {
         self.flush_tcp()
     }
 
-    /// Receives up to `max` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`]; a peer reset surfaces as [`NetError::Reset`].
-    pub fn tcp_recv(&mut self, h: SocketHandle, max: usize) -> Result<Vec<u8>, NetError> {
+    fn recv_up_to(
+        &mut self,
+        h: SocketHandle,
+        max: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, NetError> {
         let sock = self.sock(h)?;
         if let Some(e) = sock.conn.error() {
             return Err(e);
         }
-        let data = sock.conn.recv(max);
-        self.flush_tcp()?;
-        Ok(data)
+        let n = sock.conn.recv_into(out, max);
+        // The read may have queued a window update. A full device keeps
+        // it for the next poll; it must not fail a read whose bytes the
+        // caller already holds.
+        match self.flush_tcp() {
+            Err(NetError::DeviceFull) => {}
+            flushed => flushed?,
+        }
+        Ok(n)
+    }
+
+    /// Appends everything received so far to `out` (one copy, out of the
+    /// connection's receive ring); returns how many bytes that was.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::BadSocket`]; a peer reset surfaces as [`NetError::Reset`].
+    pub fn tcp_recv_into(&mut self, h: SocketHandle, out: &mut Vec<u8>) -> Result<usize, NetError> {
+        self.recv_up_to(h, usize::MAX, out)
+    }
+
+    /// Receives up to `max` bytes into a fresh `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As [`tcp_recv_into`](Self::tcp_recv_into).
+    pub fn tcp_recv(&mut self, h: SocketHandle, max: usize) -> Result<Vec<u8>, NetError> {
+        let mut out = Vec::new();
+        self.recv_up_to(h, max, &mut out)?;
+        Ok(out)
     }
 
     /// Whether the peer has closed and all data is drained.
@@ -363,7 +488,7 @@ impl<D: NetDevice> Interface<D> {
     /// stack must.
     pub fn poll(&mut self) -> Result<usize, NetError> {
         let mut processed = 0;
-        while let Some(frame) = self.dev.receive() {
+        while let Some(frame) = self.link.dev.receive() {
             processed += 1;
             self.handle_frame(&frame)?;
         }
@@ -374,32 +499,33 @@ impl<D: NetDevice> Interface<D> {
         Ok(processed)
     }
 
+    /// Parses one received frame where it lies and dispatches it.
     fn handle_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let Ok(eth) = EthFrame::parse(frame) else {
+        let Ok((eth, l3)) = EthHeader::parse(frame) else {
             return Ok(()); // drop
         };
-        if eth.dst != self.dev.mac() && !eth.dst.is_broadcast() {
+        if eth.dst != self.link.dev.mac() && !eth.dst.is_broadcast() {
             return Ok(());
         }
         match eth.ethertype {
             EtherType::Arp => {
-                if let Some(reply) = self.arp.handle(&eth.payload) {
-                    self.dev.transmit(&reply)?;
+                if let Some(reply) = self.link.arp.handle(l3) {
+                    self.link.dev.transmit(&reply)?;
                 }
                 // Resolution may unblock queued packets.
-                self.drain_pending()?;
+                self.link.drain_pending()?;
             }
             EtherType::Ipv4 => {
-                let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+                let Ok((ip, l4)) = Ipv4Header::parse(l3) else {
                     return Ok(());
                 };
-                if pkt.dst != self.cfg.ip {
+                if ip.dst != self.link.cfg.ip {
                     return Ok(());
                 }
-                match pkt.proto {
-                    IpProto::Udp => self.handle_udp(&pkt),
-                    IpProto::Tcp => self.handle_tcp(&pkt)?,
-                    IpProto::Icmp => self.handle_icmp(&pkt)?,
+                match ip.proto {
+                    IpProto::Udp => self.handle_udp(&ip, l4),
+                    IpProto::Tcp => self.handle_tcp(&ip, l4)?,
+                    IpProto::Icmp => self.handle_icmp(&ip, l4)?,
                     IpProto::Other(_) => {}
                 }
             }
@@ -408,22 +534,22 @@ impl<D: NetDevice> Interface<D> {
         Ok(())
     }
 
-    fn handle_udp(&mut self, pkt: &Ipv4Packet) {
-        let Ok(d) = UdpDatagram::parse(pkt.src, pkt.dst, &pkt.payload) else {
+    fn handle_udp(&mut self, ip: &Ipv4Header, l4: &[u8]) {
+        let Ok((udp, payload)) = UdpHeader::parse(ip.src, ip.dst, l4) else {
             return;
         };
-        if let Some(sock) = self.udp.get_mut(&d.dst_port) {
+        if let Some(sock) = self.udp.get_mut(&udp.dst_port) {
             sock.push(Datagram {
-                src_ip: pkt.src,
-                src_port: d.src_port,
-                payload: d.payload,
+                src_ip: ip.src,
+                src_port: udp.src_port,
+                payload: payload.to_vec(),
             });
         }
         // Unbound port: drop (no ICMP in this stack).
     }
 
-    fn handle_icmp(&mut self, pkt: &Ipv4Packet) -> Result<(), NetError> {
-        let Ok(echo) = IcmpEcho::parse(&pkt.payload) else {
+    fn handle_icmp(&mut self, ip: &Ipv4Header, l4: &[u8]) -> Result<(), NetError> {
+        let Ok((echo, payload)) = IcmpEcho::parse(l4) else {
             return Ok(());
         };
         if echo.is_request {
@@ -431,15 +557,17 @@ impl<D: NetDevice> Interface<D> {
                 is_request: false,
                 ..echo
             };
-            self.send_ipv4(pkt.src, IpProto::Icmp, reply.build())?;
+            let len = ICMP_ECHO_HDR_LEN + payload.len();
+            self.link
+                .send_ipv4(ip.src, IpProto::Icmp, len, |out| reply.emit(payload, out))?;
         } else {
-            self.ping_replies.push((pkt.src, echo.ident, echo.seq));
+            self.ping_replies.push((ip.src, echo.ident, echo.seq));
         }
         Ok(())
     }
 
-    fn handle_tcp(&mut self, pkt: &Ipv4Packet) -> Result<(), NetError> {
-        let Ok(seg) = TcpSegment::parse(pkt.src, pkt.dst, &pkt.payload) else {
+    fn handle_tcp(&mut self, ip: &Ipv4Header, l4: &[u8]) -> Result<(), NetError> {
+        let Ok((seg, payload)) = TcpHeader::parse(ip.src, ip.dst, l4) else {
             return Ok(());
         };
         // Demux: exact 4-tuple first; otherwise a SYN to a listening port
@@ -449,7 +577,7 @@ impl<D: NetDevice> Interface<D> {
             if let Some(s) = slot {
                 if s.conn.local_port() == seg.dst_port
                     && s.conn.remote_port() == seg.src_port
-                    && s.remote_ip == pkt.src
+                    && s.remote_ip == ip.src
                     && s.conn.state() != State::Listen
                 {
                     target = Some(i);
@@ -459,110 +587,59 @@ impl<D: NetDevice> Interface<D> {
         }
         if target.is_none()
             && self.listening.contains(&seg.dst_port)
-            && seg.flags & crate::wire::tcp_flags::SYN != 0
+            && seg.flags & tcp_flags::SYN != 0
         {
             let iss = self.rng.next_u64() as u32;
-            let conn =
-                Connection::listen(seg.dst_port, iss, self.clock.clone(), self.cfg.tcp.clone());
+            let conn = Connection::listen(
+                seg.dst_port,
+                iss,
+                self.clock.clone(),
+                self.link.cfg.tcp.clone(),
+            );
             let h = self.alloc_handle(TcpSock {
                 conn,
-                remote_ip: pkt.src,
+                remote_ip: ip.src,
                 accepted: false,
             });
             target = Some(h.0);
         }
         let Some(i) = target else {
             // No socket: emit RST for non-RST segments.
-            if seg.flags & crate::wire::tcp_flags::RST == 0 {
-                let rst = TcpSegment {
+            if seg.flags & tcp_flags::RST == 0 {
+                let rst = TcpHeader {
                     src_port: seg.dst_port,
                     dst_port: seg.src_port,
                     seq: seg.ack,
-                    ack: seg.seq.wrapping_add(seg.payload.len() as u32),
-                    flags: crate::wire::tcp_flags::RST | crate::wire::tcp_flags::ACK,
+                    ack: seg.seq.wrapping_add(payload.len() as u32),
+                    flags: tcp_flags::RST | tcp_flags::ACK,
                     window: 0,
-                    payload: Vec::new(),
                 };
-                let bytes = rst.build(self.cfg.ip, pkt.src);
-                self.send_ipv4(pkt.src, IpProto::Tcp, bytes)?;
+                self.link.send_tcp(ip.src, &rst, (&[], &[]))?;
             }
             return Ok(());
         };
         let sock = self.tcp[i].as_mut().expect("slot checked above");
-        let _ = sock.conn.on_segment(&seg); // resets surface via error()
+        let _ = sock.conn.on_segment_in_place(&seg, payload); // resets surface via error()
         self.flush_tcp()
     }
 
+    /// Puts every queued segment of every socket on the wire, each built
+    /// in the link's frame buffer from the header in the outbox and the
+    /// payload in the send ring.
+    ///
+    /// A segment leaves its outbox only once the device took it: on
+    /// [`NetError::DeviceFull`] it and everything behind it stay queued
+    /// for the next flush. Any other failure loses that one segment, as a
+    /// lossy wire would.
     fn flush_tcp(&mut self) -> Result<(), NetError> {
-        // Collect first to satisfy the borrow checker.
-        let mut outgoing: Vec<(Ipv4Addr, Vec<u8>)> = Vec::new();
         for s in self.tcp.iter_mut().flatten() {
-            while let Some(seg) = s.conn.poll_outbox() {
-                outgoing.push((s.remote_ip, seg.build(self.cfg.ip, s.remote_ip)));
-            }
-        }
-        for (dst, bytes) in outgoing {
-            self.send_ipv4(dst, IpProto::Tcp, bytes)?;
-        }
-        Ok(())
-    }
-
-    fn next_hop(&self, dst: Ipv4Addr) -> Result<Ipv4Addr, NetError> {
-        if self.cfg.ip.same_subnet(&dst) {
-            Ok(dst)
-        } else {
-            self.cfg.gateway.ok_or(NetError::Unreachable)
-        }
-    }
-
-    fn send_ipv4(
-        &mut self,
-        dst: Ipv4Addr,
-        proto: IpProto,
-        transport: Vec<u8>,
-    ) -> Result<(), NetError> {
-        if transport.len() > self.dev.mtu().saturating_sub(crate::wire::IPV4_HDR_LEN) {
-            return Err(NetError::TooLarge);
-        }
-        let pkt = Ipv4Packet {
-            src: self.cfg.ip,
-            dst,
-            proto,
-            ttl: self.cfg.ttl,
-            payload: transport,
-        };
-        let bytes = pkt.build();
-        let hop = self.next_hop(dst)?;
-        match self.arp.lookup(hop) {
-            Some(mac) => self.transmit_ip(mac, bytes),
-            None => {
-                self.pending.entry(hop).or_default().push(bytes);
-                let req = self.arp.request_frame(hop);
-                self.dev.transmit(&req)?;
-                Ok(())
-            }
-        }
-    }
-
-    fn transmit_ip(&mut self, dst_mac: MacAddr, ip_bytes: Vec<u8>) -> Result<(), NetError> {
-        let frame = EthFrame {
-            dst: dst_mac,
-            src: self.dev.mac(),
-            ethertype: EtherType::Ipv4,
-            payload: ip_bytes,
-        };
-        self.dev.transmit(&frame.build())
-    }
-
-    fn drain_pending(&mut self) -> Result<(), NetError> {
-        let hops: Vec<Ipv4Addr> = self.pending.keys().copied().collect();
-        for hop in hops {
-            if let Some(mac) = self.arp.lookup(hop) {
-                if let Some(queue) = self.pending.remove(&hop) {
-                    for bytes in queue {
-                        self.transmit_ip(mac, bytes)?;
-                    }
+            while let Some((hdr, payload)) = s.conn.peek_outbox() {
+                let sent = self.link.send_tcp(s.remote_ip, &hdr, payload);
+                if sent == Err(NetError::DeviceFull) {
+                    return sent;
                 }
+                s.conn.pop_outbox();
+                sent?;
             }
         }
         Ok(())
@@ -573,22 +650,26 @@ impl<D: NetDevice> Interface<D> {
 mod tests {
     use super::*;
     use crate::device::PairDevice;
+    use cio_sim::Cycles;
 
     const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     fn pair() -> (Interface<PairDevice>, Interface<PairDevice>) {
-        let clock = Clock::new();
+        pair_on(&Clock::new())
+    }
+
+    fn pair_on(clock: &Clock) -> (Interface<PairDevice>, Interface<PairDevice>) {
         let (da, db) = PairDevice::pair([MacAddr([0xA; 6]), MacAddr([0xB; 6])], 1500);
         let a = Interface::new(da, InterfaceConfig::new(IP_A), clock.clone());
-        let b = Interface::new(db, InterfaceConfig::new(IP_B), clock);
+        let b = Interface::new(db, InterfaceConfig::new(IP_B), clock.clone());
         (a, b)
     }
 
     fn settle(a: &mut Interface<PairDevice>, b: &mut Interface<PairDevice>) {
         for _ in 0..256 {
             let n = a.poll().unwrap() + b.poll().unwrap();
-            if n == 0 && a.dev.pending() == 0 && b.dev.pending() == 0 {
+            if n == 0 && a.link.dev.pending() == 0 && b.link.dev.pending() == 0 {
                 return;
             }
         }
@@ -665,6 +746,133 @@ mod tests {
     }
 
     #[test]
+    fn a_full_device_delays_segments_instead_of_dropping_them() {
+        let clock = Clock::new();
+        let (mut a, mut b) = pair_on(&clock);
+        b.tcp_listen(9000);
+        let cli = a.tcp_connect(IP_B, 9000).unwrap();
+        settle(&mut a, &mut b);
+        let srv = b.tcp_accept(9000).expect("inbound connection");
+        // A few frames of room each way: data segments one way, ACKs and
+        // window updates the other, all through a device that is mostly
+        // full.
+        a.link.dev.capacity = 4;
+        b.link.dev.capacity = 2;
+
+        // Fill the device, and keep sending: the stack takes every byte.
+        let data: Vec<u8> = (0..120_000u32).map(|i| (i * 31) as u8).collect();
+        let mut refused = 0;
+        for chunk in data.chunks(8_000) {
+            match a.tcp_send(cli, chunk) {
+                Ok(()) => {}
+                Err(NetError::DeviceFull) => refused += 1,
+                Err(e) => panic!("send: {e}"),
+            }
+        }
+        assert!(refused > 0, "the burst never filled the device");
+
+        // Drain and poll. A poll may find the device full again; whatever
+        // it could not send stays queued for the next one.
+        let mut received = Vec::new();
+        for _ in 0..10_000 {
+            for polled in [b.poll(), a.poll()] {
+                assert!(matches!(polled, Ok(_) | Err(NetError::DeviceFull)));
+            }
+            b.tcp_recv_into(srv, &mut received).unwrap();
+            if received.len() == data.len() {
+                break;
+            }
+        }
+        assert_eq!(received, data, "every byte, in order");
+        // The clock never moved, so no retransmission timer can have fired:
+        // the bytes arrived because nothing was dropped.
+        assert_eq!(clock.now(), Cycles(0));
+    }
+
+    /// A cable end that loses the first transmission of every `k`-th data
+    /// segment, and checks every retransmission against what was first
+    /// sent at that sequence number.
+    struct Lossy {
+        inner: PairDevice,
+        k: usize,
+        first_sent: HashMap<u32, Vec<u8>>,
+        dropped: usize,
+        retransmitted: usize,
+    }
+
+    impl NetDevice for Lossy {
+        fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            let (_, l3) = EthHeader::parse(frame).unwrap();
+            if let Ok((ip, l4)) = Ipv4Header::parse(l3) {
+                let (tcp, payload) = TcpHeader::parse(ip.src, ip.dst, l4).unwrap();
+                if let Some(first) = self.first_sent.get(&tcp.seq) {
+                    assert_eq!(payload, first, "retransmission of seq {}", tcp.seq);
+                    self.retransmitted += 1;
+                } else if !payload.is_empty() {
+                    self.first_sent.insert(tcp.seq, payload.to_vec());
+                    if self.first_sent.len() % self.k == 0 {
+                        self.dropped += 1;
+                        return Ok(());
+                    }
+                }
+            }
+            self.inner.transmit(frame)
+        }
+        fn receive(&mut self) -> Option<Vec<u8>> {
+            self.inner.receive()
+        }
+        fn mac(&self) -> MacAddr {
+            self.inner.mac()
+        }
+        fn mtu(&self) -> usize {
+            self.inner.mtu()
+        }
+    }
+
+    #[test]
+    fn retransmissions_carry_the_original_bytes_over_a_lossy_link() {
+        let clock = Clock::new();
+        let (da, db) = PairDevice::pair([MacAddr([0xA; 6]), MacAddr([0xB; 6])], 1500);
+        let lossy = Lossy {
+            inner: da,
+            k: 5,
+            first_sent: HashMap::new(),
+            dropped: 0,
+            retransmitted: 0,
+        };
+        let mut a = Interface::new(lossy, InterfaceConfig::new(IP_A), clock.clone());
+        let mut b = Interface::new(db, InterfaceConfig::new(IP_B), clock.clone());
+        b.tcp_listen(9000);
+        let cli = a.tcp_connect(IP_B, 9000).unwrap();
+        while a.poll().unwrap() + b.poll().unwrap() > 0 {}
+        let srv = b.tcp_accept(9000).expect("inbound connection");
+
+        let data: Vec<u8> = (0..150_000u32).map(|i| (i * 17) as u8).collect();
+        let mut chunks = data.chunks(9_000);
+        let mut received = Vec::new();
+        for _ in 0..10_000 {
+            if a.tcp_send_backlog(cli).unwrap() == 0 {
+                if let Some(chunk) = chunks.next() {
+                    a.tcp_send(cli, chunk).unwrap();
+                }
+            }
+            let moved = a.poll().unwrap() + b.poll().unwrap();
+            let got = b.tcp_recv_into(srv, &mut received).unwrap();
+            if received.len() == data.len() {
+                break;
+            }
+            if moved + got == 0 {
+                // Stalled on a lost segment: let its timer fire.
+                clock.advance(Cycles(a.link.cfg.tcp.rto.get() + 1));
+            }
+        }
+        assert_eq!(received, data, "the stream arrives intact and in order");
+        let link = &a.link.dev;
+        assert!(link.dropped >= 15, "lost {} segments", link.dropped);
+        assert!(link.retransmitted >= link.dropped);
+    }
+
+    #[test]
     fn connection_to_closed_port_resets() {
         let (mut a, mut b) = pair();
         let cli = a.tcp_connect(IP_B, 4444).unwrap(); // nobody listening
@@ -697,19 +905,19 @@ mod tests {
 
         // First wire frame: an ARP request for the *gateway*, not `far`.
         let req = db.receive().expect("arp request");
-        let eth = crate::wire::EthFrame::parse(&req).unwrap();
+        let (eth, arp) = EthHeader::parse(&req).unwrap();
         assert_eq!(eth.ethertype, EtherType::Arp);
         let mut gw_arp = crate::arp::ArpCache::new(MacAddr([0xB; 6]), IP_B);
-        let reply = gw_arp.handle(&eth.payload).expect("request for gateway ip");
+        let reply = gw_arp.handle(arp).expect("request for gateway ip");
         db.transmit(&reply).unwrap();
         a.poll().unwrap();
 
         // The queued data frame now goes out addressed to the gateway MAC
         // while carrying the far destination IP.
         let data = db.receive().expect("routed data frame");
-        let eth = crate::wire::EthFrame::parse(&data).unwrap();
+        let (eth, l3) = EthHeader::parse(&data).unwrap();
         assert_eq!(eth.dst, MacAddr([0xB; 6]));
-        let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+        let (ip, _) = Ipv4Header::parse(l3).unwrap();
         assert_eq!(ip.dst, far);
     }
 

@@ -10,11 +10,19 @@
 //! dynamics — and options (SACK, timestamps, window scaling) are omitted.
 //!
 //! A [`Connection`] is sans-io: it consumes parsed segments via
-//! [`Connection::on_segment`], produces segments into an outbox drained by
-//! [`Connection::poll_outbox`], and is clocked by [`Connection::on_tick`].
-//! The [`crate::stack::Interface`] wires connections to IP/Ethernet.
+//! [`Connection::on_segment_in_place`], queues segments in an outbox read
+//! with [`Connection::peek_outbox`] / [`Connection::pop_outbox`], and is
+//! clocked by [`Connection::on_tick`]. The [`crate::stack::Interface`]
+//! wires connections to IP/Ethernet.
+//!
+//! Application bytes live in two rings and nowhere else. The send ring
+//! holds unacknowledged then unsent data; in-flight segments, queued
+//! segments and retransmissions are `(seq, len)` ranges into it, and a
+//! range leaves the ring only when its whole segment is cumulatively
+//! acknowledged. The receive ring holds in-order data until the
+//! application reads it. In steady state neither path allocates.
 
-use crate::wire::{tcp_flags, TcpSegment};
+use crate::wire::{tcp_flags, RingSlices, TcpHeader, TcpSegment};
 use crate::NetError;
 use cio_sim::{Clock, Cycles};
 use std::collections::{BTreeMap, VecDeque};
@@ -85,28 +93,40 @@ impl Default for TcpConfig {
     }
 }
 
-/// An in-flight segment awaiting acknowledgement.
+/// Sequence space a segment occupies: its payload plus SYN and FIN.
+fn seq_len(len: u32, flags: u8) -> u32 {
+    len + u32::from(flags & tcp_flags::SYN != 0) + u32::from(flags & tcp_flags::FIN != 0)
+}
+
+/// The `len` bytes at `off` of a byte ring.
+fn ring_range(ring: &VecDeque<u8>, off: usize, len: usize) -> RingSlices<'_> {
+    let (a, b) = ring.as_slices();
+    if off >= a.len() {
+        (&b[off - a.len()..off - a.len() + len], &[])
+    } else if off + len <= a.len() {
+        (&a[off..off + len], &[])
+    } else {
+        (&a[off..], &b[..off + len - a.len()])
+    }
+}
+
+/// An in-flight segment awaiting acknowledgement: `len` send-ring bytes
+/// from `seq`, not a copy of them.
 #[derive(Debug, Clone)]
-struct Unacked {
+struct InFlight {
     seq: u32,
-    payload: Vec<u8>,
+    len: u32,
     flags: u8,
     sent_at: Cycles,
     retries: u32,
 }
 
-impl Unacked {
-    /// Sequence space this entry occupies (payload + SYN/FIN).
-    fn seq_len(&self) -> u32 {
-        let mut n = self.payload.len() as u32;
-        if self.flags & tcp_flags::SYN != 0 {
-            n += 1;
-        }
-        if self.flags & tcp_flags::FIN != 0 {
-            n += 1;
-        }
-        n
-    }
+/// A segment queued for the wire: its header, and how many send-ring
+/// bytes from `hdr.seq` it carries.
+#[derive(Debug, Clone)]
+struct Queued {
+    hdr: TcpHeader,
+    len: u32,
 }
 
 /// A sans-io TCP connection.
@@ -122,17 +142,22 @@ pub struct Connection {
     snd_una: u32,
     snd_nxt: u32,
     snd_wnd: u16,
-    send_buf: VecDeque<u8>,
-    unacked: VecDeque<Unacked>,
+    /// Unacknowledged, then unsent, application bytes.
+    send_ring: VecDeque<u8>,
+    /// Sequence number of the first byte of `send_ring`.
+    ring_seq: u32,
+    /// Bytes at the tail of `send_ring` not yet cut into segments.
+    unsent: usize,
+    in_flight: VecDeque<InFlight>,
     fin_queued: bool,
 
     // Receive state.
     rcv_nxt: u32,
-    recv_buf: VecDeque<u8>,
+    recv_ring: VecDeque<u8>,
     ooo: BTreeMap<u32, Vec<u8>>,
     peer_fin: bool,
 
-    outbox: VecDeque<TcpSegment>,
+    outbox: VecDeque<Queued>,
     time_wait_until: Option<Cycles>,
     error: Option<NetError>,
 }
@@ -149,11 +174,14 @@ impl Connection {
             snd_una: iss,
             snd_nxt: iss,
             snd_wnd: 0,
-            send_buf: VecDeque::new(),
-            unacked: VecDeque::new(),
+            send_ring: VecDeque::new(),
+            // Data starts after the SYN.
+            ring_seq: iss.wrapping_add(1),
+            unsent: 0,
+            in_flight: VecDeque::new(),
             fin_queued: false,
             rcv_nxt: 0,
-            recv_buf: VecDeque::new(),
+            recv_ring: VecDeque::new(),
             ooo: BTreeMap::new(),
             peer_fin: false,
             outbox: VecDeque::new(),
@@ -172,7 +200,7 @@ impl Connection {
     ) -> Self {
         let mut c = Self::base(local_port, remote_port, iss, clock, cfg);
         c.state = State::SynSent;
-        c.emit(iss, 0, tcp_flags::SYN, Vec::new(), true);
+        c.emit(iss, 0, tcp_flags::SYN, 0, true);
         c.snd_nxt = iss.wrapping_add(1);
         c
     }
@@ -206,40 +234,41 @@ impl Connection {
 
     /// Bytes of application data ready to read.
     pub fn readable(&self) -> usize {
-        self.recv_buf.len()
+        self.recv_ring.len()
     }
 
     /// Bytes queued by [`send`](Self::send) but not yet emitted as
     /// segments (the unsent backlog; excludes in-flight data).
     pub fn send_backlog(&self) -> usize {
-        self.send_buf.len()
+        self.unsent
     }
 
     /// Whether the peer closed its direction and all data was drained.
     pub fn peer_closed(&self) -> bool {
-        self.peer_fin && self.recv_buf.is_empty() && self.ooo.is_empty()
+        self.peer_fin && self.recv_ring.is_empty() && self.ooo.is_empty()
     }
 
     fn recv_window(&self) -> u16 {
-        let used = self.recv_buf.len().min(usize::from(self.cfg.window));
+        let used = self.recv_ring.len().min(usize::from(self.cfg.window));
         self.cfg.window - used as u16
     }
 
-    fn emit(&mut self, seq: u32, ack: u32, flags: u8, payload: Vec<u8>, track: bool) {
-        let seg = TcpSegment {
+    /// Queues a segment carrying `len` send-ring bytes from `seq`; `track`
+    /// also records it as in flight (anything that occupies sequence space).
+    fn emit(&mut self, seq: u32, ack: u32, flags: u8, len: u32, track: bool) {
+        let hdr = TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
             seq,
             ack,
             flags,
             window: self.recv_window(),
-            payload: payload.clone(),
         };
-        self.outbox.push_back(seg);
+        self.outbox.push_back(Queued { hdr, len });
         if track {
-            self.unacked.push_back(Unacked {
+            self.in_flight.push_back(InFlight {
                 seq,
-                payload,
+                len,
                 flags,
                 sent_at: self.clock.now(),
                 retries: 0,
@@ -249,7 +278,7 @@ impl Connection {
 
     fn emit_ack(&mut self) {
         let (snd_nxt, rcv_nxt) = (self.snd_nxt, self.rcv_nxt);
-        self.emit(snd_nxt, rcv_nxt, tcp_flags::ACK, Vec::new(), false);
+        self.emit(snd_nxt, rcv_nxt, tcp_flags::ACK, 0, false);
     }
 
     fn bytes_in_flight(&self) -> u32 {
@@ -264,7 +293,8 @@ impl Connection {
     pub fn send(&mut self, data: &[u8]) -> Result<(), NetError> {
         match self.state {
             State::Established | State::CloseWait => {
-                self.send_buf.extend(data);
+                self.send_ring.extend(data);
+                self.unsent += data.len();
                 self.pump_output();
                 Ok(())
             }
@@ -272,14 +302,18 @@ impl Connection {
         }
     }
 
-    /// Reads up to `max` bytes of in-order received data.
+    /// Appends up to `max` bytes of in-order received data to `out`;
+    /// returns how many.
     ///
-    /// Draining the buffer reopens the receive window, so a window-update
+    /// Draining the ring reopens the receive window, so a window-update
     /// ACK is emitted when data was consumed on a synchronized connection
     /// (otherwise a peer stalled on zero window would never resume).
-    pub fn recv(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.recv_buf.len());
-        let out: Vec<u8> = self.recv_buf.drain(..n).collect();
+    pub fn recv_into(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
+        let n = max.min(self.recv_ring.len());
+        let (a, b) = ring_range(&self.recv_ring, 0, n);
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
+        self.recv_ring.drain(..n);
         if n > 0
             && matches!(
                 self.state,
@@ -288,6 +322,13 @@ impl Connection {
         {
             self.emit_ack();
         }
+        n
+    }
+
+    /// [`recv_into`](Self::recv_into) a fresh `Vec`.
+    pub fn recv(&mut self, max: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.recv_into(&mut out, max);
         out
     }
 
@@ -318,64 +359,98 @@ impl Connection {
         }
     }
 
-    /// Moves queued data (and a queued FIN) into segments, respecting the
+    /// Cuts unsent data (and a queued FIN) into segments, respecting the
     /// peer window, our fixed window cap, and the MSS.
     fn pump_output(&mut self) {
         loop {
             let window = u32::from(self.snd_wnd.min(self.cfg.window));
             let in_flight = self.bytes_in_flight();
             let room = window.saturating_sub(in_flight) as usize;
-            if self.send_buf.is_empty() || room == 0 {
+            if self.unsent == 0 || room == 0 {
                 break;
             }
-            let take = room.min(self.cfg.mss).min(self.send_buf.len());
-            let payload: Vec<u8> = self.send_buf.drain(..take).collect();
+            let take = room.min(self.cfg.mss).min(self.unsent);
             let flags = tcp_flags::ACK | tcp_flags::PSH;
             let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-            self.emit(seq, ack, flags, payload, true);
+            self.emit(seq, ack, flags, take as u32, true);
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
+            self.unsent -= take;
         }
-        if self.fin_queued && self.send_buf.is_empty() {
+        if self.fin_queued && self.unsent == 0 {
             self.fin_queued = false;
             let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-            self.emit(seq, ack, tcp_flags::FIN | tcp_flags::ACK, Vec::new(), true);
+            self.emit(seq, ack, tcp_flags::FIN | tcp_flags::ACK, 0, true);
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
         }
     }
 
-    /// Takes the next segment to put on the wire.
+    /// The next segment to put on the wire, left queued: its header and
+    /// its payload where it lies in the send ring. Call
+    /// [`pop_outbox`](Self::pop_outbox) once the segment is on the wire.
+    pub fn peek_outbox(&self) -> Option<(TcpHeader, RingSlices<'_>)> {
+        let q = self.outbox.front()?;
+        let payload = match q.len {
+            0 => (&[][..], &[][..]),
+            len => {
+                let off = q.hdr.seq.wrapping_sub(self.ring_seq) as usize;
+                ring_range(&self.send_ring, off, len as usize)
+            }
+        };
+        Some((q.hdr, payload))
+    }
+
+    /// Dequeues the segment [`peek_outbox`](Self::peek_outbox) returned.
+    pub fn pop_outbox(&mut self) {
+        self.outbox.pop_front();
+    }
+
+    /// Takes the next segment to put on the wire as an owned copy.
     pub fn poll_outbox(&mut self) -> Option<TcpSegment> {
-        self.outbox.pop_front()
+        let (hdr, (a, b)) = self.peek_outbox()?;
+        let payload = [a, b].concat();
+        self.pop_outbox();
+        Some(TcpSegment { hdr, payload })
     }
 
     fn process_ack(&mut self, ack: u32, window: u16) {
         if seq_lt(self.snd_una, ack) && seq_le(ack, self.snd_nxt) {
             self.snd_una = ack;
-            while let Some(front) = self.unacked.front() {
-                let end = front.seq.wrapping_add(front.seq_len());
-                if seq_le(end, ack) {
-                    self.unacked.pop_front();
-                } else {
+            // Whole segments only: a retransmission re-sends the original
+            // bytes, so a partly acknowledged segment stays in the ring.
+            let mut released = 0;
+            while let Some(front) = self.in_flight.front() {
+                let end = front.seq.wrapping_add(seq_len(front.len, front.flags));
+                if !seq_le(end, ack) {
                     break;
                 }
+                released += front.len;
+                self.in_flight.pop_front();
+            }
+            if released > 0 {
+                self.send_ring.drain(..released as usize);
+                self.ring_seq = self.ring_seq.wrapping_add(released);
+                // A copy of a released segment still waiting for the wire
+                // has nothing left to carry, and the peer has its bytes.
+                let ring_seq = self.ring_seq;
+                self.outbox
+                    .retain(|q| q.len == 0 || !seq_lt(q.hdr.seq, ring_seq));
             }
         }
         self.snd_wnd = window;
         self.pump_output();
     }
 
-    fn accept_data(&mut self, seq: u32, mut payload: Vec<u8>) {
+    fn accept_data(&mut self, mut seq: u32, mut payload: &[u8]) {
         if payload.is_empty() {
             return;
         }
-        let mut seq = seq;
         // Trim any prefix we already have.
         if seq_lt(seq, self.rcv_nxt) {
             let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
             if skip >= payload.len() {
                 return; // pure duplicate
             }
-            payload.drain(..skip);
+            payload = &payload[skip..];
             seq = self.rcv_nxt;
         }
         let window = u32::from(self.cfg.window);
@@ -385,7 +460,7 @@ impl Connection {
         }
         if seq == self.rcv_nxt {
             self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
-            self.recv_buf.extend(payload);
+            self.recv_ring.extend(payload);
             // Drain contiguous out-of-order segments.
             while let Some((&s, _)) = self.ooo.iter().next() {
                 if seq_lt(self.rcv_nxt, s) {
@@ -395,11 +470,11 @@ impl Connection {
                 let skip = self.rcv_nxt.wrapping_sub(s) as usize;
                 if skip < data.len() {
                     self.rcv_nxt = self.rcv_nxt.wrapping_add((data.len() - skip) as u32);
-                    self.recv_buf.extend(&data[skip..]);
+                    self.recv_ring.extend(&data[skip..]);
                 }
             }
         } else {
-            self.ooo.insert(seq, payload);
+            self.ooo.insert(seq, payload.to_vec());
         }
     }
 
@@ -411,17 +486,30 @@ impl Connection {
     fn reset(&mut self, err: NetError) {
         self.state = State::Closed;
         self.error = Some(err);
-        self.send_buf.clear();
-        self.unacked.clear();
+        self.send_ring.clear();
+        self.unsent = 0;
+        self.in_flight.clear();
         self.outbox.clear();
     }
 
-    /// Feeds one parsed segment into the state machine.
+    /// Feeds one owned segment into the state machine
+    /// ([`on_segment_in_place`](Self::on_segment_in_place) on its parts).
+    ///
+    /// # Errors
+    ///
+    /// As [`on_segment_in_place`](Self::on_segment_in_place).
+    pub fn on_segment(&mut self, seg: &TcpSegment) -> Result<(), NetError> {
+        self.on_segment_in_place(&seg.hdr, &seg.payload)
+    }
+
+    /// Feeds one parsed segment into the state machine: its header and
+    /// its payload wherever the caller holds it (in-order bytes are copied
+    /// once, into the receive ring).
     ///
     /// # Errors
     ///
     /// [`NetError::Reset`] when the segment resets the connection.
-    pub fn on_segment(&mut self, seg: &TcpSegment) -> Result<(), NetError> {
+    pub fn on_segment_in_place(&mut self, seg: &TcpHeader, payload: &[u8]) -> Result<(), NetError> {
         if seg.flags & tcp_flags::RST != 0 {
             if self.state != State::Listen && self.state != State::Closed {
                 self.reset(NetError::Reset);
@@ -439,13 +527,7 @@ impl Connection {
                     self.snd_wnd = seg.window;
                     self.state = State::SynRcvd;
                     let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-                    self.emit(
-                        iss,
-                        rcv_nxt,
-                        tcp_flags::SYN | tcp_flags::ACK,
-                        Vec::new(),
-                        true,
-                    );
+                    self.emit(iss, rcv_nxt, tcp_flags::SYN | tcp_flags::ACK, 0, true);
                     self.snd_nxt = self.iss.wrapping_add(1);
                 }
                 Ok(())
@@ -466,13 +548,7 @@ impl Connection {
                     self.snd_wnd = seg.window;
                     self.state = State::SynRcvd;
                     let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-                    self.emit(
-                        iss,
-                        rcv_nxt,
-                        tcp_flags::SYN | tcp_flags::ACK,
-                        Vec::new(),
-                        true,
-                    );
+                    self.emit(iss, rcv_nxt, tcp_flags::SYN | tcp_flags::ACK, 0, true);
                 }
                 Ok(())
             }
@@ -481,7 +557,7 @@ impl Connection {
                     self.process_ack(seg.ack, seg.window);
                     self.state = State::Established;
                     // The ACK may carry data already.
-                    self.segment_data_and_fin(seg);
+                    self.segment_data_and_fin(seg, payload);
                 }
                 Ok(())
             }
@@ -495,21 +571,21 @@ impl Connection {
                 if seg.flags & tcp_flags::ACK != 0 {
                     self.process_ack(seg.ack, seg.window);
                 }
-                self.segment_data_and_fin(seg);
-                self.advance_close_states(seg);
+                self.segment_data_and_fin(seg, payload);
+                self.advance_close_states();
                 Ok(())
             }
         }
     }
 
     /// Handles payload bytes and FIN for synchronized states.
-    fn segment_data_and_fin(&mut self, seg: &TcpSegment) {
+    fn segment_data_and_fin(&mut self, seg: &TcpHeader, payload: &[u8]) {
         let had = self.rcv_nxt;
-        self.accept_data(seg.seq, seg.payload.clone());
-        let mut should_ack = !seg.payload.is_empty();
+        self.accept_data(seg.seq, payload);
+        let mut should_ack = !payload.is_empty();
 
         if seg.flags & tcp_flags::FIN != 0 && !self.peer_fin {
-            let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
+            let fin_seq = seg.seq.wrapping_add(payload.len() as u32);
             if fin_seq == self.rcv_nxt {
                 self.peer_fin = true;
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
@@ -533,8 +609,8 @@ impl Connection {
     }
 
     /// State transitions that depend on our FIN being acknowledged.
-    fn advance_close_states(&mut self, seg: &TcpSegment) {
-        let fin_acked = self.unacked.is_empty() && self.send_buf.is_empty();
+    fn advance_close_states(&mut self) {
+        let fin_acked = self.in_flight.is_empty() && self.unsent == 0;
         match self.state {
             State::FinWait1 => {
                 if fin_acked && self.peer_fin {
@@ -553,7 +629,6 @@ impl Connection {
             }
             _ => {}
         }
-        let _ = seg;
     }
 
     /// Clock-driven processing: retransmissions and TIME-WAIT expiry.
@@ -565,37 +640,30 @@ impl Connection {
             }
         }
         let now = self.clock.now();
-        let rto = self.cfg.rto;
-        let max_retries = self.cfg.max_retries;
+        let mut hdr = TcpHeader {
+            src_port: self.local_port,
+            dst_port: self.remote_port,
+            seq: 0,
+            ack: self.rcv_nxt,
+            flags: 0,
+            window: self.recv_window(),
+        };
         let mut abort = false;
-        let mut resend: Vec<TcpSegment> = Vec::new();
-        let rcv_nxt = self.rcv_nxt;
-        let window = self.recv_window();
-        let (lp, rp) = (self.local_port, self.remote_port);
-        for u in &mut self.unacked {
-            if now.get().saturating_sub(u.sent_at.get()) >= rto.get() {
-                if u.retries >= max_retries {
+        for u in &mut self.in_flight {
+            if now.get().saturating_sub(u.sent_at.get()) >= self.cfg.rto.get() {
+                if u.retries >= self.cfg.max_retries {
                     abort = true;
                     break;
                 }
                 u.retries += 1;
                 u.sent_at = now;
-                resend.push(TcpSegment {
-                    src_port: lp,
-                    dst_port: rp,
-                    seq: u.seq,
-                    ack: rcv_nxt,
-                    flags: u.flags,
-                    window,
-                    payload: u.payload.clone(),
-                });
+                (hdr.seq, hdr.flags) = (u.seq, u.flags);
+                self.outbox.push_back(Queued { hdr, len: u.len });
             }
         }
         if abort {
             self.reset(NetError::Reset);
-            return;
         }
-        self.outbox.extend(resend);
     }
 }
 
@@ -698,7 +766,7 @@ mod tests {
         assert_eq!(s.recv(100), b"12345678");
         // Overlapping: manufacture a segment re-sending the tail + new data.
         let mut overlap = seg.clone();
-        overlap.seq = seg.seq.wrapping_add(4);
+        overlap.hdr.seq = seg.hdr.seq.wrapping_add(4);
         overlap.payload = b"5678EXTRA".to_vec();
         s.on_segment(&overlap).unwrap();
         assert_eq!(s.recv(100), b"EXTRA");
@@ -715,6 +783,75 @@ mod tests {
         let retrans = c.poll_outbox().expect("retransmission");
         s.on_segment(&retrans).unwrap();
         assert_eq!(s.recv(100), b"lost data");
+    }
+
+    #[test]
+    fn send_ring_holds_a_segment_until_it_is_cumulatively_acked() {
+        let clock = Clock::new();
+        let (mut c, mut s) = established_pair(&clock);
+        let mss = cfg().mss;
+        let data: Vec<u8> = (0..3 * mss).map(|i| (i % 251) as u8).collect();
+        c.send(&data).unwrap();
+        assert_eq!(c.send_backlog(), 0, "all three segments fit the window");
+        let first = c.poll_outbox().unwrap();
+        let second = c.poll_outbox().unwrap();
+        let third = c.poll_outbox().unwrap();
+        assert_eq!(first.payload, &data[..mss]);
+
+        // The first segment is lost; the other two arrive out of order and
+        // are acknowledged only with duplicate ACKs for the gap.
+        s.on_segment(&second).unwrap();
+        s.on_segment(&third).unwrap();
+        settle(&mut c, &mut s);
+        assert_eq!(c.send_ring.len(), 3 * mss, "nothing cumulatively acked");
+        assert_eq!(c.in_flight.len(), 3);
+
+        // An ACK that lands inside the first segment releases none of it:
+        // the retransmission still has to carry the original bytes.
+        let partial = TcpHeader {
+            src_port: s.local_port(),
+            dst_port: c.local_port(),
+            seq: c.rcv_nxt,
+            ack: first.hdr.seq.wrapping_add(10),
+            flags: tcp_flags::ACK,
+            window: 65_535,
+        };
+        c.on_segment_in_place(&partial, &[]).unwrap();
+        assert_eq!(c.send_ring.len(), 3 * mss);
+
+        clock.advance(Cycles(cfg().rto.get() + 1));
+        c.on_tick();
+        let again = c.poll_outbox().expect("retransmission");
+        assert_eq!(again.hdr.seq, first.hdr.seq);
+        assert_eq!(again.payload, first.payload, "same bytes, from the ring");
+
+        // It fills the gap; the cumulative ACK releases all three at once.
+        s.on_segment(&again).unwrap();
+        settle(&mut c, &mut s);
+        assert!(c.send_ring.is_empty());
+        assert!(c.in_flight.is_empty());
+        assert_eq!(s.recv(usize::MAX), data);
+    }
+
+    #[test]
+    fn an_ack_drops_queued_copies_of_the_segments_it_releases() {
+        let clock = Clock::new();
+        let (mut c, mut s) = established_pair(&clock);
+        c.send(b"acked while a retransmission waits").unwrap();
+        let seg = c.poll_outbox().unwrap();
+        s.on_segment(&seg).unwrap();
+        // The retransmission timer fires before the ACK gets back, and the
+        // copy it queued is still waiting for the wire when it does.
+        clock.advance(Cycles(cfg().rto.get() + 1));
+        c.on_tick();
+        assert!(c.peek_outbox().is_some());
+        let ack = s.poll_outbox().unwrap();
+        c.on_segment(&ack).unwrap();
+        assert!(c.send_ring.is_empty());
+        assert!(
+            c.peek_outbox().is_none(),
+            "a queued segment must not outlive its bytes"
+        );
     }
 
     #[test]
@@ -787,16 +924,15 @@ mod tests {
     fn rst_tears_down() {
         let clock = Clock::new();
         let (mut c, s) = established_pair(&clock);
-        let rst = TcpSegment {
+        let rst = TcpHeader {
             src_port: s.local_port(),
             dst_port: c.local_port(),
             seq: 0,
             ack: 0,
             flags: tcp_flags::RST,
             window: 0,
-            payload: Vec::new(),
         };
-        assert_eq!(c.on_segment(&rst), Err(NetError::Reset));
+        assert_eq!(c.on_segment_in_place(&rst, &[]), Err(NetError::Reset));
         assert_eq!(c.state(), State::Closed);
         let _ = s;
     }

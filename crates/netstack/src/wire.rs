@@ -1,8 +1,12 @@
-//! Wire formats: Ethernet II, ARP, IPv4, UDP, TCP headers.
+//! Wire formats: Ethernet II, ARP, IPv4, ICMP echo, UDP, TCP.
 //!
-//! Plain parse/serialize functions over byte slices — no lifetimes tied to
-//! device buffers, because the copy policy is decided by the transports,
-//! not here.
+//! Each layer is a header type with one parser and one emitter. `parse`
+//! validates in place and returns the header by value plus the payload as
+//! a sub-slice of the input; `emit` appends the wire bytes to a caller-owned
+//! buffer. Neither allocates, so the [`crate::stack::Interface`] builds a
+//! whole frame in one reusable buffer and reads a received one where the
+//! device put it. [`TcpSegment`], a header with a `Vec` payload for code
+//! that wants to hold a segment, is an adapter over the same parse/emit.
 
 use crate::NetError;
 
@@ -89,31 +93,31 @@ impl From<EtherType> for u16 {
 pub const ETH_HDR_LEN: usize = 14;
 /// IPv4 header length (no options supported).
 pub const IPV4_HDR_LEN: usize = 20;
+/// ICMP echo header length.
+pub const ICMP_ECHO_HDR_LEN: usize = 8;
 /// UDP header length.
 pub const UDP_HDR_LEN: usize = 8;
 /// TCP header length (no options beyond MSS on SYN).
 pub const TCP_HDR_LEN: usize = 20;
 
-/// A parsed Ethernet frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthFrame {
+/// The Ethernet II header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EthHeader {
     /// Destination MAC.
     pub dst: MacAddr,
     /// Source MAC.
     pub src: MacAddr,
     /// Payload type.
     pub ethertype: EtherType,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
-impl EthFrame {
-    /// Parses a frame.
+impl EthHeader {
+    /// Splits a frame into its header and payload.
     ///
     /// # Errors
     ///
     /// [`NetError::Malformed`] if shorter than the header.
-    pub fn parse(data: &[u8]) -> Result<EthFrame, NetError> {
+    pub fn parse(data: &[u8]) -> Result<(EthHeader, &[u8]), NetError> {
         if data.len() < ETH_HDR_LEN {
             return Err(NetError::Malformed);
         }
@@ -121,40 +125,56 @@ impl EthFrame {
         let mut src = [0u8; 6];
         dst.copy_from_slice(&data[0..6]);
         src.copy_from_slice(&data[6..12]);
-        let ethertype = u16::from_be_bytes([data[12], data[13]]).into();
-        Ok(EthFrame {
+        let hdr = EthHeader {
             dst: MacAddr(dst),
             src: MacAddr(src),
-            ethertype,
-            payload: data[ETH_HDR_LEN..].to_vec(),
-        })
+            ethertype: u16::from_be_bytes([data[12], data[13]]).into(),
+        };
+        Ok((hdr, &data[ETH_HDR_LEN..]))
     }
 
-    /// Serializes the frame.
-    pub fn build(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETH_HDR_LEN + self.payload.len());
+    /// Appends the header to `out`.
+    pub fn emit(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.dst.0);
         out.extend_from_slice(&self.src.0);
         out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
     }
 }
 
-/// The Internet checksum (RFC 1071).
-pub fn inet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+/// Ones-complement sum of `data` read as big-endian 16-bit words (an odd
+/// trailing byte is padded with zero), unfolded.
+///
+/// Eight bytes are added per step as two 32-bit halves: 2^16 ≡ 1 modulo
+/// 0xFFFF, so a wide word folds to the same value as its 16-bit words
+/// summed one by one, and a `u64` has room for gigabytes of them.
+fn ones_sum(data: &[u8]) -> u64 {
+    let mut sum = 0u64;
+    let mut wide = data.chunks_exact(8);
+    for c in &mut wide {
+        let w = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+        sum += (w >> 32) + (w & 0xFFFF_FFFF);
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let mut words = wide.remainder().chunks_exact(2);
+    for c in &mut words {
+        sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
     }
+    if let [last] = words.remainder() {
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
+    }
+    sum
+}
+
+/// Folds a ones-complement sum to 16 bits and complements it.
+fn fold_checksum(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     !(sum as u16)
+}
+
+/// The Internet checksum (RFC 1071).
+pub fn inet_checksum(data: &[u8]) -> u16 {
+    fold_checksum(ones_sum(data))
 }
 
 /// IP protocol numbers.
@@ -192,9 +212,10 @@ impl From<IpProto> for u8 {
     }
 }
 
-/// An ICMP echo message (request or reply) — the only ICMP types the
-/// stack speaks; everything else is dropped like any unknown protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The header of an ICMP echo message (request or reply) — the only ICMP
+/// types the stack speaks; everything else is dropped like any unknown
+/// protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcmpEcho {
     /// True for echo request (type 8), false for reply (type 0).
     pub is_request: bool,
@@ -202,19 +223,18 @@ pub struct IcmpEcho {
     pub ident: u16,
     /// Sequence number.
     pub seq: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
 impl IcmpEcho {
-    /// Parses an ICMP echo message, verifying the checksum.
+    /// Parses an ICMP echo message, verifying the checksum; returns the
+    /// header and the echoed payload.
     ///
     /// # Errors
     ///
     /// [`NetError::Malformed`] for non-echo types or truncation;
     /// [`NetError::BadChecksum`] on checksum failure.
-    pub fn parse(data: &[u8]) -> Result<IcmpEcho, NetError> {
-        if data.len() < 8 {
+    pub fn parse(data: &[u8]) -> Result<(IcmpEcho, &[u8]), NetError> {
+        if data.len() < ICMP_ECHO_HDR_LEN {
             return Err(NetError::Malformed);
         }
         let is_request = match data[0] {
@@ -228,30 +248,29 @@ impl IcmpEcho {
         if inet_checksum(data) != 0 {
             return Err(NetError::BadChecksum);
         }
-        Ok(IcmpEcho {
+        let hdr = IcmpEcho {
             is_request,
             ident: u16::from_be_bytes([data[4], data[5]]),
             seq: u16::from_be_bytes([data[6], data[7]]),
-            payload: data[8..].to_vec(),
-        })
+        };
+        Ok((hdr, &data[ICMP_ECHO_HDR_LEN..]))
     }
 
-    /// Serializes with checksum.
-    pub fn build(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 8 + self.payload.len()];
-        out[0] = if self.is_request { 8 } else { 0 };
-        out[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        out[6..8].copy_from_slice(&self.seq.to_be_bytes());
-        out[8..].copy_from_slice(&self.payload);
-        let csum = inet_checksum(&out);
-        out[2..4].copy_from_slice(&csum.to_be_bytes());
-        out
+    /// Appends the message (header, `payload`, checksum) to `out`.
+    pub fn emit(&self, payload: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[if self.is_request { 8 } else { 0 }, 0, 0, 0]);
+        out.extend_from_slice(&self.ident.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        out.extend_from_slice(payload);
+        let csum = inet_checksum(&out[start..]);
+        out[start + 2..start + 4].copy_from_slice(&csum.to_be_bytes());
     }
 }
 
-/// A parsed IPv4 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
+/// The IPv4 header fields the stack uses (no options, no fragments).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ipv4Header {
     /// Source address.
     pub src: Ipv4Addr,
     /// Destination address.
@@ -260,18 +279,17 @@ pub struct Ipv4Packet {
     pub proto: IpProto,
     /// Time to live.
     pub ttl: u8,
-    /// Transport payload.
-    pub payload: Vec<u8>,
 }
 
-impl Ipv4Packet {
-    /// Parses and validates an IPv4 packet (header checksum verified).
+impl Ipv4Header {
+    /// Validates an IPv4 packet (header checksum verified) and splits it
+    /// into header and transport payload.
     ///
     /// # Errors
     ///
-    /// [`NetError::Malformed`] on truncation or options (unsupported);
-    /// [`NetError::BadChecksum`] on a bad header checksum.
-    pub fn parse(data: &[u8]) -> Result<Ipv4Packet, NetError> {
+    /// [`NetError::Malformed`] on truncation, options or fragments
+    /// (unsupported); [`NetError::BadChecksum`] on a bad header checksum.
+    pub fn parse(data: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
         if data.len() < IPV4_HDR_LEN {
             return Err(NetError::Malformed);
         }
@@ -295,69 +313,68 @@ impl Ipv4Packet {
             // Fragments unsupported: fixed MTU by design.
             return Err(NetError::Malformed);
         }
-        Ok(Ipv4Packet {
+        let hdr = Ipv4Header {
             src: Ipv4Addr([data[12], data[13], data[14], data[15]]),
             dst: Ipv4Addr([data[16], data[17], data[18], data[19]]),
             proto: data[9].into(),
             ttl: data[8],
-            payload: data[ihl..total_len].to_vec(),
-        })
+        };
+        Ok((hdr, &data[ihl..total_len]))
     }
 
-    /// Serializes the packet with a correct header checksum.
-    pub fn build(&self) -> Vec<u8> {
-        let total = IPV4_HDR_LEN + self.payload.len();
-        let mut out = vec![0u8; total];
-        out[0] = 0x45;
-        out[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-        out[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF
-        out[8] = self.ttl;
-        out[9] = self.proto.into();
-        out[12..16].copy_from_slice(&self.src.0);
-        out[16..20].copy_from_slice(&self.dst.0);
-        let csum = inet_checksum(&out[..IPV4_HDR_LEN]);
-        out[10..12].copy_from_slice(&csum.to_be_bytes());
-        out[IPV4_HDR_LEN..].copy_from_slice(&self.payload);
-        out
+    /// Appends the header, with a correct checksum, for a transport
+    /// payload of `payload_len` bytes.
+    pub fn emit(&self, payload_len: usize, out: &mut Vec<u8>) {
+        let mut h = [0u8; IPV4_HDR_LEN];
+        h[0] = 0x45;
+        h[2..4].copy_from_slice(&((IPV4_HDR_LEN + payload_len) as u16).to_be_bytes());
+        h[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF
+        h[8] = self.ttl;
+        h[9] = self.proto.into();
+        h[12..16].copy_from_slice(&self.src.0);
+        h[16..20].copy_from_slice(&self.dst.0);
+        let csum = inet_checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        out.extend_from_slice(&h);
     }
-}
-
-fn pseudo_header_sum(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, len: u16) -> Vec<u8> {
-    let mut ph = Vec::with_capacity(12);
-    ph.extend_from_slice(&src.0);
-    ph.extend_from_slice(&dst.0);
-    ph.push(0);
-    ph.push(proto.into());
-    ph.extend_from_slice(&len.to_be_bytes());
-    ph
 }
 
 /// Computes a transport checksum over the IPv4 pseudo-header + segment.
+///
+/// The pseudo-header (addresses, protocol, length) is added to the sum
+/// arithmetically rather than materialised in front of the segment.
 pub fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, segment: &[u8]) -> u16 {
-    let mut buf = pseudo_header_sum(src, dst, proto, segment.len() as u16);
-    buf.extend_from_slice(segment);
-    inet_checksum(&buf)
+    let word = |hi: u8, lo: u8| u64::from(u16::from_be_bytes([hi, lo]));
+    let pseudo = word(src.0[0], src.0[1])
+        + word(src.0[2], src.0[3])
+        + word(dst.0[0], dst.0[1])
+        + word(dst.0[2], dst.0[3])
+        + u64::from(u8::from(proto))
+        + u64::from(segment.len() as u16);
+    fold_checksum(pseudo + ones_sum(segment))
 }
 
-/// A parsed UDP datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// The UDP header (length and checksum are derived on emit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
-    /// Payload.
-    pub payload: Vec<u8>,
 }
 
-impl UdpDatagram {
+impl UdpHeader {
     /// Parses a UDP datagram, verifying the checksum against the
-    /// pseudo-header.
+    /// pseudo-header; returns the header and the payload.
     ///
     /// # Errors
     ///
     /// [`NetError::Malformed`] / [`NetError::BadChecksum`].
-    pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, data: &[u8]) -> Result<UdpDatagram, NetError> {
+    pub fn parse(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        data: &[u8],
+    ) -> Result<(UdpHeader, &[u8]), NetError> {
         if data.len() < UDP_HDR_LEN {
             return Err(NetError::Malformed);
         }
@@ -369,25 +386,24 @@ impl UdpDatagram {
         if csum != 0 && transport_checksum(src, dst, IpProto::Udp, &data[..len]) != 0 {
             return Err(NetError::BadChecksum);
         }
-        Ok(UdpDatagram {
+        let hdr = UdpHeader {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: data[UDP_HDR_LEN..len].to_vec(),
-        })
+        };
+        Ok((hdr, &data[UDP_HDR_LEN..len]))
     }
 
-    /// Serializes with checksum.
-    pub fn build(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let len = UDP_HDR_LEN + self.payload.len();
-        let mut out = vec![0u8; len];
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-        out[UDP_HDR_LEN..].copy_from_slice(&self.payload);
-        let csum = transport_checksum(src, dst, IpProto::Udp, &out);
+    /// Appends the datagram (header, `payload`, checksum) to `out`.
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&self.src_port.to_be_bytes());
+        out.extend_from_slice(&self.dst_port.to_be_bytes());
+        out.extend_from_slice(&((UDP_HDR_LEN + payload.len()) as u16).to_be_bytes());
+        out.extend_from_slice(&[0, 0]);
+        out.extend_from_slice(payload);
+        let csum = transport_checksum(src, dst, IpProto::Udp, &out[start..]);
         let csum = if csum == 0 { 0xFFFF } else { csum };
-        out[6..8].copy_from_slice(&csum.to_be_bytes());
-        out
+        out[start + 6..start + 8].copy_from_slice(&csum.to_be_bytes());
     }
 }
 
@@ -405,9 +421,14 @@ pub mod tcp_flags {
     pub const ACK: u8 = 0x10;
 }
 
-/// A parsed TCP segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// A byte range of a ring buffer: the (up to) two slices that hold it, in
+/// order. Either may be empty.
+pub type RingSlices<'a> = (&'a [u8], &'a [u8]);
+
+/// The TCP header fields the stack uses (no options; data offset and
+/// checksum are derived on emit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -420,17 +441,21 @@ pub struct TcpSegment {
     pub flags: u8,
     /// Receive window.
     pub window: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
-impl TcpSegment {
-    /// Parses a TCP segment, verifying the checksum.
+impl TcpHeader {
+    /// Parses a TCP segment, verifying the checksum against the
+    /// pseudo-header; returns the header and the payload (options, if
+    /// any, are skipped).
     ///
     /// # Errors
     ///
     /// [`NetError::Malformed`] / [`NetError::BadChecksum`].
-    pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, data: &[u8]) -> Result<TcpSegment, NetError> {
+    pub fn parse(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        data: &[u8],
+    ) -> Result<(TcpHeader, &[u8]), NetError> {
         if data.len() < TCP_HDR_LEN {
             return Err(NetError::Malformed);
         }
@@ -441,30 +466,65 @@ impl TcpSegment {
         if transport_checksum(src, dst, IpProto::Tcp, data) != 0 {
             return Err(NetError::BadChecksum);
         }
-        Ok(TcpSegment {
+        let hdr = TcpHeader {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
             seq: u32::from_be_bytes([data[4], data[5], data[6], data[7]]),
             ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
             flags: data[13],
             window: u16::from_be_bytes([data[14], data[15]]),
-            payload: data[data_off..].to_vec(),
+        };
+        Ok((hdr, &data[data_off..]))
+    }
+
+    /// Appends the segment to `out`: the header, then the payload, then
+    /// the checksum, computed over the bytes where they now lie.
+    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: RingSlices, out: &mut Vec<u8>) {
+        let start = out.len();
+        let mut h = [0u8; TCP_HDR_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = (TCP_HDR_LEN as u8 / 4) << 4;
+        h[13] = self.flags;
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        out.extend_from_slice(&h);
+        out.extend_from_slice(payload.0);
+        out.extend_from_slice(payload.1);
+        let csum = transport_checksum(src, dst, IpProto::Tcp, &out[start..]);
+        out[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
+    }
+}
+
+/// An owned TCP segment: what the sans-io [`crate::tcp::Connection`]
+/// hands out and takes in when the caller wants a value, not a borrow.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TcpSegment {
+    /// The header.
+    pub hdr: TcpHeader,
+    /// Payload bytes.
+    pub payload: Vec<u8>,
+}
+
+impl TcpSegment {
+    /// Parses a segment ([`TcpHeader::parse`] plus a copy of the payload).
+    ///
+    /// # Errors
+    ///
+    /// As [`TcpHeader::parse`].
+    pub fn parse(src: Ipv4Addr, dst: Ipv4Addr, data: &[u8]) -> Result<TcpSegment, NetError> {
+        let (hdr, payload) = TcpHeader::parse(src, dst, data)?;
+        Ok(TcpSegment {
+            hdr,
+            payload: payload.to_vec(),
         })
     }
 
     /// Serializes with checksum (no options).
     pub fn build(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let mut out = vec![0u8; TCP_HDR_LEN + self.payload.len()];
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        out[12] = (TCP_HDR_LEN as u8 / 4) << 4;
-        out[13] = self.flags;
-        out[14..16].copy_from_slice(&self.window.to_be_bytes());
-        out[TCP_HDR_LEN..].copy_from_slice(&self.payload);
-        let csum = transport_checksum(src, dst, IpProto::Tcp, &out);
-        out[16..18].copy_from_slice(&csum.to_be_bytes());
+        let mut out = Vec::with_capacity(TCP_HDR_LEN + self.payload.len());
+        self.hdr.emit(src, dst, (&self.payload, &[]), &mut out);
         out
     }
 }
@@ -557,15 +617,16 @@ mod tests {
 
     #[test]
     fn eth_roundtrip() {
-        let f = EthFrame {
+        let h = EthHeader {
             dst: MacAddr([1; 6]),
             src: MacAddr([2; 6]),
             ethertype: EtherType::Ipv4,
-            payload: b"payload".to_vec(),
         };
-        let bytes = f.build();
-        assert_eq!(EthFrame::parse(&bytes).unwrap(), f);
-        assert_eq!(EthFrame::parse(&bytes[..10]), Err(NetError::Malformed));
+        let mut bytes = Vec::new();
+        h.emit(&mut bytes);
+        bytes.extend_from_slice(b"payload");
+        assert_eq!(EthHeader::parse(&bytes).unwrap(), (h, &b"payload"[..]));
+        assert_eq!(EthHeader::parse(&bytes[..10]), Err(NetError::Malformed));
     }
 
     #[test]
@@ -591,81 +652,84 @@ mod tests {
 
     #[test]
     fn ipv4_roundtrip_and_validation() {
-        let p = Ipv4Packet {
+        let h = Ipv4Header {
             src: A,
             dst: B,
             proto: IpProto::Udp,
             ttl: 64,
-            payload: b"data".to_vec(),
         };
-        let bytes = p.build();
-        let q = Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(p, q);
+        let mut bytes = Vec::new();
+        h.emit(4, &mut bytes);
+        bytes.extend_from_slice(b"data");
+        assert_eq!(Ipv4Header::parse(&bytes).unwrap(), (h, &b"data"[..]));
 
         // Corrupt a header byte: checksum must catch it.
         let mut bad = bytes.clone();
         bad[12] ^= 1;
-        assert_eq!(Ipv4Packet::parse(&bad), Err(NetError::BadChecksum));
+        assert_eq!(Ipv4Header::parse(&bad), Err(NetError::BadChecksum));
 
         // Truncated.
-        assert_eq!(Ipv4Packet::parse(&bytes[..10]), Err(NetError::Malformed));
+        assert_eq!(Ipv4Header::parse(&bytes[..10]), Err(NetError::Malformed));
 
         // Wrong version.
         let mut bad = bytes.clone();
         bad[0] = 0x65;
-        assert_eq!(Ipv4Packet::parse(&bad), Err(NetError::Malformed));
+        assert_eq!(Ipv4Header::parse(&bad), Err(NetError::Malformed));
     }
 
     #[test]
     fn ipv4_total_len_cannot_exceed_buffer() {
-        let p = Ipv4Packet {
+        let h = Ipv4Header {
             src: A,
             dst: B,
             proto: IpProto::Tcp,
             ttl: 64,
-            payload: vec![1, 2, 3],
         };
-        let mut bytes = p.build();
+        let mut bytes = Vec::new();
+        h.emit(3, &mut bytes);
+        bytes.extend_from_slice(&[1, 2, 3]);
         // Forge a larger total_len and fix the checksum.
         bytes[2..4].copy_from_slice(&1000u16.to_be_bytes());
         bytes[10..12].copy_from_slice(&[0, 0]);
         let c = inet_checksum(&bytes[..IPV4_HDR_LEN]);
         bytes[10..12].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(Ipv4Packet::parse(&bytes), Err(NetError::Malformed));
+        assert_eq!(Ipv4Header::parse(&bytes), Err(NetError::Malformed));
     }
 
     #[test]
     fn udp_roundtrip_and_checksum() {
-        let d = UdpDatagram {
+        let h = UdpHeader {
             src_port: 1234,
             dst_port: 53,
-            payload: b"query".to_vec(),
         };
-        let bytes = d.build(A, B);
-        assert_eq!(UdpDatagram::parse(A, B, &bytes).unwrap(), d);
+        let mut bytes = Vec::new();
+        h.emit(A, B, b"query", &mut bytes);
+        assert_eq!(UdpHeader::parse(A, B, &bytes).unwrap(), (h, &b"query"[..]));
         // Wrong pseudo-header fails. (Note: merely *swapping* src and dst
         // does not change the one's-complement sum — use a different
         // address.)
         let other = Ipv4Addr::new(10, 0, 0, 7);
         assert_eq!(
-            UdpDatagram::parse(A, other, &bytes),
+            UdpHeader::parse(A, other, &bytes),
             Err(NetError::BadChecksum)
         );
         // Payload corruption fails.
         let mut bad = bytes.clone();
         *bad.last_mut().unwrap() ^= 1;
-        assert_eq!(UdpDatagram::parse(A, B, &bad), Err(NetError::BadChecksum));
+        assert_eq!(UdpHeader::parse(A, B, &bad), Err(NetError::BadChecksum));
     }
 
     #[test]
     fn tcp_roundtrip_and_checksum() {
         let s = TcpSegment {
-            src_port: 4000,
-            dst_port: 80,
-            seq: 0x11223344,
-            ack: 0x55667788,
-            flags: tcp_flags::ACK | tcp_flags::PSH,
-            window: 8192,
+            hdr: TcpHeader {
+                src_port: 4000,
+                dst_port: 80,
+                seq: 0x11223344,
+                ack: 0x55667788,
+                flags: tcp_flags::ACK | tcp_flags::PSH,
+                window: 8192,
+            },
             payload: b"GET /".to_vec(),
         };
         let bytes = s.build(A, B);
@@ -681,10 +745,13 @@ mod tests {
             is_request: true,
             ident: 0x1234,
             seq: 7,
-            payload: b"ping payload".to_vec(),
         };
-        let bytes = e.build();
-        assert_eq!(IcmpEcho::parse(&bytes).unwrap(), e);
+        let mut bytes = Vec::new();
+        e.emit(b"ping payload", &mut bytes);
+        assert_eq!(
+            IcmpEcho::parse(&bytes).unwrap(),
+            (e, b"ping payload".as_slice())
+        );
         let mut bad = bytes.clone();
         bad[9] ^= 1;
         assert_eq!(IcmpEcho::parse(&bad), Err(NetError::BadChecksum));

@@ -7,7 +7,8 @@
 
 use cio_netstack::tcp::{Connection, TcpConfig};
 use cio_netstack::wire::{
-    ArpPacket, EthFrame, EtherType, IpProto, Ipv4Addr, Ipv4Packet, MacAddr, TcpSegment, UdpDatagram,
+    ArpPacket, EthHeader, EtherType, IcmpEcho, IpProto, Ipv4Addr, Ipv4Header, MacAddr, TcpHeader,
+    TcpSegment, UdpHeader,
 };
 use cio_sim::{Clock, SimRng};
 
@@ -26,10 +27,11 @@ fn parsers_are_total() {
     let mut rng = SimRng::seed_from(0x707a1);
     for _ in 0..256 {
         let bytes = rand_vec(&mut rng, 0, 3000);
-        let _ = EthFrame::parse(&bytes);
-        let _ = Ipv4Packet::parse(&bytes);
-        let _ = UdpDatagram::parse(A, B, &bytes);
-        let _ = TcpSegment::parse(A, B, &bytes);
+        let _ = EthHeader::parse(&bytes);
+        let _ = Ipv4Header::parse(&bytes);
+        let _ = IcmpEcho::parse(&bytes);
+        let _ = UdpHeader::parse(A, B, &bytes);
+        let _ = TcpHeader::parse(A, B, &bytes);
         let _ = ArpPacket::parse(&bytes);
     }
 }
@@ -42,13 +44,16 @@ fn eth_roundtrip_exact() {
         let mut src = [0u8; 6];
         rng.fill_bytes(&mut dst);
         rng.fill_bytes(&mut src);
-        let f = EthFrame {
+        let hdr = EthHeader {
             dst: MacAddr(dst),
             src: MacAddr(src),
             ethertype: EtherType::from(rng.next_u64() as u16),
-            payload: rand_vec(&mut rng, 0, 2000),
         };
-        assert_eq!(EthFrame::parse(&f.build()).unwrap(), f);
+        let payload = rand_vec(&mut rng, 0, 2000);
+        let mut frame = Vec::new();
+        hdr.emit(&mut frame);
+        frame.extend_from_slice(&payload);
+        assert_eq!(EthHeader::parse(&frame).unwrap(), (hdr, &payload[..]));
     }
 }
 
@@ -60,14 +65,17 @@ fn ipv4_roundtrip_exact() {
         let mut dst = [0u8; 4];
         rng.fill_bytes(&mut src);
         rng.fill_bytes(&mut dst);
-        let p = Ipv4Packet {
+        let hdr = Ipv4Header {
             src: Ipv4Addr(src),
             dst: Ipv4Addr(dst),
             proto: IpProto::from(rng.next_u64() as u8),
             ttl: rng.next_u64() as u8,
-            payload: rand_vec(&mut rng, 0, 1480),
         };
-        assert_eq!(Ipv4Packet::parse(&p.build()).unwrap(), p);
+        let payload = rand_vec(&mut rng, 0, 1480);
+        let mut packet = Vec::new();
+        hdr.emit(payload.len(), &mut packet);
+        packet.extend_from_slice(&payload);
+        assert_eq!(Ipv4Header::parse(&packet).unwrap(), (hdr, &payload[..]));
     }
 }
 
@@ -76,12 +84,14 @@ fn tcp_roundtrip_exact() {
     let mut rng = SimRng::seed_from(0x7c9);
     for _ in 0..64 {
         let s = TcpSegment {
-            src_port: rng.next_u64() as u16,
-            dst_port: rng.next_u64() as u16,
-            seq: rng.next_u64() as u32,
-            ack: rng.next_u64() as u32,
-            flags: rng.next_u64() as u8,
-            window: rng.next_u64() as u16,
+            hdr: TcpHeader {
+                src_port: rng.next_u64() as u16,
+                dst_port: rng.next_u64() as u16,
+                seq: rng.next_u64() as u32,
+                ack: rng.next_u64() as u32,
+                flags: rng.next_u64() as u8,
+                window: rng.next_u64() as u16,
+            },
             payload: rand_vec(&mut rng, 0, 1460),
         };
         assert_eq!(TcpSegment::parse(A, B, &s.build(A, B)).unwrap(), s);
@@ -92,12 +102,17 @@ fn tcp_roundtrip_exact() {
 fn udp_roundtrip_exact() {
     let mut rng = SimRng::seed_from(0x0d9);
     for _ in 0..64 {
-        let d = UdpDatagram {
+        let hdr = UdpHeader {
             src_port: rng.next_u64() as u16,
             dst_port: rng.next_u64() as u16,
-            payload: rand_vec(&mut rng, 0, 1400),
         };
-        assert_eq!(UdpDatagram::parse(A, B, &d.build(A, B)).unwrap(), d);
+        let payload = rand_vec(&mut rng, 0, 1400);
+        let mut datagram = Vec::new();
+        hdr.emit(A, B, &payload, &mut datagram);
+        assert_eq!(
+            UdpHeader::parse(A, B, &datagram).unwrap(),
+            (hdr, &payload[..])
+        );
     }
 }
 
@@ -111,12 +126,14 @@ fn every_single_byte_corruption_is_rejected_or_differs() {
     let mut rng = SimRng::seed_from(0xc0440);
     for _ in 0..128 {
         let s = TcpSegment {
-            src_port: 1,
-            dst_port: 2,
-            seq: 3,
-            ack: 4,
-            flags: 0x10,
-            window: 100,
+            hdr: TcpHeader {
+                src_port: 1,
+                dst_port: 2,
+                seq: 3,
+                ack: 4,
+                flags: 0x10,
+                window: 100,
+            },
             payload: rand_vec(&mut rng, 1, 200),
         };
         let mut bytes = s.build(A, B);
@@ -141,12 +158,14 @@ fn tcp_state_machine_is_total() {
         let n_segs = rng.next_below(24) as usize;
         for _ in 0..n_segs {
             let seg = TcpSegment {
-                src_port: 2000,
-                dst_port: 1000,
-                seq: rng.next_u64() as u32,
-                ack: rng.next_u64() as u32,
-                flags: rng.next_u64() as u8,
-                window: rng.next_u64() as u16,
+                hdr: TcpHeader {
+                    src_port: 2000,
+                    dst_port: 1000,
+                    seq: rng.next_u64() as u32,
+                    ack: rng.next_u64() as u32,
+                    flags: rng.next_u64() as u8,
+                    window: rng.next_u64() as u16,
+                },
                 payload: rand_vec(&mut rng, 0, 64),
             };
             let _ = conn.on_segment(&seg);

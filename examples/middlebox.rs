@@ -12,26 +12,29 @@
 //! cannot push the filter out of bounds — demonstrated live at the end.
 
 use cio_bench::transport::{bench_ring_config, cio_pair};
-use cio_netstack::wire::{EthFrame, EtherType, IpProto, Ipv4Addr, Ipv4Packet, TcpSegment};
+use cio_netstack::wire::{
+    EthHeader, EtherType, IpProto, Ipv4Addr, Ipv4Header, TcpHeader, TCP_HDR_LEN,
+};
 use cio_netstack::MacAddr;
 use cio_sim::CostModel;
 use cio_vring::cioring::DataMode;
 
-/// The filter: drop TCP port 23, pass everything else.
+/// The filter: drop TCP port 23, pass everything else. Frames are
+/// inspected where they lie — nothing is copied to classify one.
 fn verdict(frame: &[u8]) -> (&'static str, bool) {
-    let Ok(eth) = EthFrame::parse(frame) else {
+    let Ok((eth, l3)) = EthHeader::parse(frame) else {
         return ("malformed-l2", false);
     };
     if eth.ethertype != EtherType::Ipv4 {
         return ("non-ip", true);
     }
-    let Ok(ip) = Ipv4Packet::parse(&eth.payload) else {
+    let Ok((ip, l4)) = Ipv4Header::parse(l3) else {
         return ("malformed-ip", false);
     };
     if ip.proto != IpProto::Tcp {
         return ("non-tcp", true);
     }
-    let Ok(tcp) = TcpSegment::parse(ip.src, ip.dst, &ip.payload) else {
+    let Ok((tcp, _payload)) = TcpHeader::parse(ip.src, ip.dst, l4) else {
         return ("malformed-tcp", false);
     };
     if tcp.dst_port == 23 || tcp.src_port == 23 {
@@ -44,29 +47,30 @@ fn verdict(frame: &[u8]) -> (&'static str, bool) {
 fn frame(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
     let a = Ipv4Addr::new(192, 168, 1, 10);
     let b = Ipv4Addr::new(192, 168, 1, 20);
-    let tcp = TcpSegment {
+    let mut out = Vec::new();
+    EthHeader {
+        dst: MacAddr([2; 6]),
+        src: MacAddr([1; 6]),
+        ethertype: EtherType::Ipv4,
+    }
+    .emit(&mut out);
+    Ipv4Header {
+        src: a,
+        dst: b,
+        proto: IpProto::Tcp,
+        ttl: 64,
+    }
+    .emit(TCP_HDR_LEN + payload.len(), &mut out);
+    TcpHeader {
         src_port,
         dst_port,
         seq: 1,
         ack: 0,
         flags: cio_netstack::wire::tcp_flags::ACK,
         window: 1000,
-        payload: payload.to_vec(),
-    };
-    EthFrame {
-        dst: MacAddr([2; 6]),
-        src: MacAddr([1; 6]),
-        ethertype: EtherType::Ipv4,
-        payload: Ipv4Packet {
-            src: a,
-            dst: b,
-            proto: IpProto::Tcp,
-            ttl: 64,
-            payload: tcp.build(a, b),
-        }
-        .build(),
     }
-    .build()
+    .emit(a, b, (payload, &[]), &mut out);
+    out
 }
 
 fn main() {
