@@ -9,7 +9,7 @@
 //!
 //! Usage: `cio_top [--quick] [--prom] [--json] [--trace <path>]`
 //! `--prom` / `--json` additionally dump the raw exporter payloads;
-//! `--trace <path>` writes the flight recorder's merged Chrome-trace
+//! `--trace <path>` writes the telemetry domain's merged Chrome-trace
 //! JSON (load it at `chrome://tracing` or <https://ui.perfetto.dev>).
 
 use cio::world::WorldOptions;
@@ -119,7 +119,7 @@ fn main() {
          virtual clock — rerunning this binary reproduces them exactly."
     );
 
-    println!("\nflight events dropped: {}", w.flight().total_dropped());
+    println!("\nflight events dropped: {}", w.telemetry().total_dropped());
 
     if let Some(path) = trace_path {
         let doc = w.chrome_trace();

@@ -1,6 +1,6 @@
 //! E22 — observability overhead, determinism, and forensic integrity.
 //!
-//! Three claims about the flight recorder / audit chain / SLO watchdog
+//! Three claims about the event timeline / audit chain / SLO watchdog
 //! stack, measured on the E17 telemetry echo workload:
 //!
 //! - **Overhead**: arming the recorder and watchdog may cost at most 3%
@@ -65,23 +65,23 @@ fn main() {
     let cycles_per_record = armed_cycles as f64 / records as f64;
 
     // Determinism: same-seed rerun, then the 4-thread host.
-    let serial_events = armed.flight().event_log();
+    let serial_events = armed.telemetry().event_log();
     let serial_trace = armed.chrome_trace();
-    let serial_audit = armed.flight().audit_log();
+    let serial_audit = armed.telemetry().audit_log();
     let (rerun, _) = run_echo(true, 0, quick);
-    let rerun_ok = rerun.flight().event_log() == serial_events
+    let rerun_ok = rerun.telemetry().event_log() == serial_events
         && rerun.chrome_trace() == serial_trace
-        && rerun.flight().audit_log() == serial_audit;
+        && rerun.telemetry().audit_log() == serial_audit;
     let (par, par_cycles) = run_echo(true, 4, quick);
-    let parallel_ok = par.flight().event_log() == serial_events
+    let parallel_ok = par.telemetry().event_log() == serial_events
         && par.chrome_trace() == serial_trace
-        && par.flight().audit_log() == serial_audit;
+        && par.telemetry().audit_log() == serial_audit;
     let exports_deterministic = rerun_ok && parallel_ok;
 
     // Forensics: chains verify on both hosts, the adversary matrix seals
     // every verdict, and tampering is pinpointed.
     let chains_verify =
-        armed.flight().verify_audit().is_ok() && par.flight().verify_audit().is_ok();
+        armed.telemetry().verify_audit().is_ok() && par.telemetry().verify_audit().is_ok();
     let reports = run_matrix(&[BoundaryKind::L2CioRing]).expect("E22 adversary matrix failed");
     let verdicts_sealed = reports.iter().all(|r| r.audit_ok);
     let tamper = audit_chain_tamper().expect("E22 tamper scenario failed");
@@ -89,7 +89,7 @@ fn main() {
         chains_verify && verdicts_sealed && tamper.clean_ok && tamper.flagged_exact;
 
     let slo_breaches = armed.meter().snapshot().slo_breaches;
-    let events_dropped = armed.flight().total_dropped();
+    let events_dropped = armed.telemetry().total_dropped();
 
     let rows = vec![
         vec![
@@ -105,7 +105,7 @@ fn main() {
             "0".into(),
             armed_cycles.to_string(),
             format!("{cycles_per_record:.0}"),
-            armed.flight().audit_records().len().to_string(),
+            armed.telemetry().audit_records().len().to_string(),
             slo_breaches.to_string(),
         ],
         vec![
@@ -113,7 +113,7 @@ fn main() {
             "4".into(),
             par_cycles.to_string(),
             format!("{:.0}", par_cycles as f64 / records as f64),
-            par.flight().audit_records().len().to_string(),
+            par.telemetry().audit_records().len().to_string(),
             par.meter().snapshot().slo_breaches.to_string(),
         ],
     ];
@@ -141,7 +141,7 @@ fn main() {
          queue order like telemetry, so serial, rerun, and 4-thread logs are \
          byte-identical; the audit chain over {} security events verifies on \
          both hosts and a single mutated link is named by index ({}/{}).",
-        armed.flight().audit_records().len(),
+        armed.telemetry().audit_records().len(),
         tamper.tampered_link,
         tamper.chain_len,
     );
@@ -181,7 +181,10 @@ fn main() {
                     .str("recorder", "armed")
                     .int("threads", 0)
                     .int("cycles", armed_cycles)
-                    .int("audit_links", armed.flight().audit_records().len() as u64)
+                    .int(
+                        "audit_links",
+                        armed.telemetry().audit_records().len() as u64,
+                    )
                     .int("slo_breaches", slo_breaches)
                     .int("events_dropped", events_dropped)
                     .finish(),
@@ -189,7 +192,7 @@ fn main() {
                     .str("recorder", "armed")
                     .int("threads", 4)
                     .int("cycles", par_cycles)
-                    .int("audit_links", par.flight().audit_records().len() as u64)
+                    .int("audit_links", par.telemetry().audit_records().len() as u64)
                     .finish(),
             ]),
         )

@@ -1,7 +1,7 @@
 //! E10 — the attack-resilience matrix: adversary suite × boundary designs.
 //!
-//! Every verdict below is also sealed into the flight recorder's
-//! tamper-evident audit chain; the matrix asserts the chains verified,
+//! Every verdict below is also sealed into its world's tamper-evident
+//! audit chain (the timeline half of the telemetry domain); the matrix asserts the chains verified,
 //! and the closing micro-scenario shows a single mutated audit record
 //! being pinpointed by link index.
 

@@ -365,7 +365,7 @@ fn echo_rounds(
 /// Outcome of [`steady_echo_run`]: the finished world plus virtual time
 /// and meter delta measured over the steady-state phase only.
 pub struct SteadyEcho {
-    /// The finished world (inspect telemetry, flight log, idle passes).
+    /// The finished world (inspect telemetry, event log, idle passes).
     pub world: World,
     /// Virtual time of the measured steady-state phase.
     pub elapsed: Cycles,

@@ -596,11 +596,6 @@ impl RingBlockStore {
         self.back.as_mut().expect("backend detached")
     }
 
-    /// Frontend access (telemetry wiring, adversary fixtures).
-    pub fn frontend_mut(&mut self) -> &mut CioBlkFrontend {
-        &mut self.front
-    }
-
     /// Detaches the backend for servicing from a worker thread.
     pub fn take_backend(&mut self) -> Option<CioBlkBackend> {
         self.back.take()

@@ -27,7 +27,7 @@ use crate::CioError;
 use cio_host::adversary::AttackKind;
 use cio_host::fabric::LinkParams;
 use cio_host::VirtioNetBackend;
-use cio_sim::{verify_audit_chain, AuditViolation, Cycles, EventKind, FlightRecorder};
+use cio_sim::{verify_audit_chain, AuditViolation, Cycles, EventKind, Telemetry};
 use cio_vring::cioring::{BatchPolicy, CioRing};
 
 pub use cio_host::adversary::ALL_ATTACKS;
@@ -100,7 +100,7 @@ fn attack_opts() -> WorldOptions {
 }
 
 /// Index of `attack` in [`ALL_ATTACKS`], carried as the `a` payload word
-/// of the [`EventKind::AttackVerdict`] flight event.
+/// of the [`EventKind::AttackVerdict`] timeline event.
 fn attack_index(attack: AttackKind) -> u64 {
     ALL_ATTACKS
         .iter()
@@ -108,15 +108,15 @@ fn attack_index(attack: AttackKind) -> u64 {
         .unwrap_or(ALL_ATTACKS.len()) as u64
 }
 
-/// Records the classification verdict in the world's flight recorder
+/// Records the classification verdict in the world's event timeline
 /// (which appends it to the tamper-evident audit chain, `AttackVerdict`
 /// being a security event) and checks that the chain verifies end to end
 /// with the fresh verdict as its newest link.
-fn seal_verdict(flight: &FlightRecorder, attack: AttackKind, outcome: Outcome) -> bool {
+fn seal_verdict(timeline: &Telemetry, attack: AttackKind, outcome: Outcome) -> bool {
     let (scenario, code) = (attack_index(attack), outcome.code());
-    flight.record(0, EventKind::AttackVerdict, scenario, code);
-    flight.verify_audit().is_ok()
-        && flight
+    timeline.record(0, EventKind::AttackVerdict, scenario, code);
+    timeline.verify_audit().is_ok()
+        && timeline
             .audit_records()
             .last()
             .is_some_and(|r| r.kind == EventKind::AttackVerdict && r.a == scenario && r.b == code)
@@ -392,7 +392,7 @@ fn run_scenario_inner(
     let before = world.meter().snapshot();
     let attempted = launch(&mut world, attack)?;
     if !attempted {
-        let audit_ok = seal_verdict(world.flight(), attack, Outcome::NoSurface);
+        let audit_ok = seal_verdict(world.telemetry(), attack, Outcome::NoSurface);
         return Ok(AttackReport {
             boundary,
             attack,
@@ -419,7 +419,7 @@ fn run_scenario_inner(
     } else {
         Outcome::Prevented
     };
-    let audit_ok = seal_verdict(world.flight(), attack, outcome);
+    let audit_ok = seal_verdict(world.telemetry(), attack, outcome);
     Ok(AttackReport {
         boundary,
         attack,
@@ -768,10 +768,10 @@ fn blk_pattern(seed: usize, blocks: usize) -> Vec<u8> {
 
 /// Seals a block-scenario verdict into a fresh tamper-evident audit chain
 /// (the block fixture runs below the [`World`] layer, so it carries its
-/// own recorder — same chain discipline, same verification).
+/// own timeline — same chain discipline, same verification).
 fn seal_blk_verdict(attack: AttackKind, outcome: Outcome) -> bool {
-    let flight = FlightRecorder::new(cio_sim::Clock::new(), 1);
-    seal_verdict(&flight, attack, outcome)
+    let timeline = Telemetry::with_arming(&cio_sim::Clock::new(), 1, false, true);
+    seal_verdict(&timeline, attack, outcome)
 }
 
 /// Response-aliasing TOCTOU on the batched block ring (sealed under the
@@ -1066,7 +1066,7 @@ pub fn parallel_hostile_mutation(threads: usize) -> Result<(AttackReport, u64), 
     } else {
         Outcome::Prevented
     };
-    let audit_ok = seal_verdict(world.flight(), AttackKind::IndexJump, outcome);
+    let audit_ok = seal_verdict(world.telemetry(), AttackKind::IndexJump, outcome);
     Ok((
         AttackReport {
             boundary: BoundaryKind::L2CioRing,
@@ -1262,7 +1262,7 @@ pub fn event_idx_hostile(attack: EventIdxAttack) -> Result<EventIdxHostileReport
     // Sealed under the notification-surface attack class: the event-idx
     // word is notification state, and extending `ALL_ATTACKS` would
     // re-pin every existing matrix artifact.
-    let audit_ok = seal_verdict(world.flight(), AttackKind::NotificationStorm, outcome);
+    let audit_ok = seal_verdict(world.telemetry(), AttackKind::NotificationStorm, outcome);
     Ok(EventIdxHostileReport {
         attack,
         outcome,
@@ -1288,7 +1288,7 @@ pub struct AuditTamperReport {
 }
 
 /// Chain-tamper micro-scenario: runs the mid-handshake record poisoning
-/// with the flight recorder armed — so the chain carries the organic
+/// with the event timeline armed — so the chain carries the organic
 /// security events (handshake failure, session quarantine) plus the
 /// sealed verdict — then mutates a single audit record in a copy of the
 /// chain and checks the verifier pinpoints exactly that link — i.e. a
@@ -1306,13 +1306,13 @@ pub fn audit_chain_tamper() -> Result<AuditTamperReport, CioError> {
     let est = world.establish(victim, 3_000);
     debug_assert!(est.is_err(), "poisoned handshake completed");
     seal_verdict(
-        world.flight(),
+        world.telemetry(),
         AttackKind::PayloadDoubleFetch,
         Outcome::Detected,
     );
 
-    let head = world.flight().audit_head();
-    let mut records = world.flight().audit_records();
+    let head = world.telemetry().audit_head();
+    let mut records = world.telemetry().audit_records();
     let clean_ok = verify_audit_chain(&records, &head).is_ok();
     let tampered_link = records.len() / 2;
     records[tampered_link].a ^= 1;

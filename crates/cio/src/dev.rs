@@ -409,7 +409,6 @@ pub struct HardenedVirtioNetDevice {
     tx: HardenedDriver,
     rx: HardenedDriver,
     mtu: usize,
-    posted: u32,
     tokens: u64,
 }
 
@@ -424,10 +423,10 @@ impl HardenedVirtioNetDevice {
         mut rx: HardenedDriver,
         rx_buffers: u32,
     ) -> Result<Self, CioError> {
-        let mut posted = 0;
-        for t in 0..rx_buffers {
-            match rx.post_recv(u64::from(t)) {
-                Ok(()) => posted += 1,
+        let mut tokens = 0;
+        for t in 0..u64::from(rx_buffers) {
+            match rx.post_recv(t) {
+                Ok(()) => tokens += 1,
                 Err(cio_vring::RingError::Full) => break,
                 Err(e) => return Err(e.into()),
             }
@@ -437,14 +436,8 @@ impl HardenedVirtioNetDevice {
             tx,
             rx,
             mtu,
-            posted,
-            tokens: u64::from(posted),
+            tokens,
         })
-    }
-
-    /// Receive buffers posted at construction (diagnostic).
-    pub fn initial_rx_buffers(&self) -> u32 {
-        self.posted
     }
 
     fn reclaim_tx(&mut self) {
@@ -512,7 +505,6 @@ pub struct IdeNetDevice {
     dev_end: IdeChannel,
     port: cio_host::FabricPort,
     recorder: cio_host::Recorder,
-    clock: cio_sim::Clock,
     mac: MacAddr,
     mtu: usize,
     /// When set, the (attested!) device flips a bit in every forwarded
@@ -522,13 +514,11 @@ pub struct IdeNetDevice {
 
 impl IdeNetDevice {
     /// Builds the device from two ends of an attested IDE session.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         tee_end: IdeChannel,
         dev_end: IdeChannel,
         port: cio_host::FabricPort,
         recorder: cio_host::Recorder,
-        clock: cio_sim::Clock,
         mac: MacAddr,
         mtu: usize,
     ) -> Self {
@@ -537,7 +527,6 @@ impl IdeNetDevice {
             dev_end,
             port,
             recorder,
-            clock,
             mac,
             mtu,
             tamper_after_attestation: false,
@@ -547,7 +536,6 @@ impl IdeNetDevice {
     fn record_tlp(&self, len: usize) {
         // The host sees only encrypted TLPs: size and timing, no headers.
         self.recorder.record(
-            self.clock.now(),
             "tlp",
             cio_host::observe::bits::LENGTH + cio_host::observe::bits::TIMING,
         );
@@ -843,12 +831,6 @@ impl GuestLayoutAlloc {
     pub fn alloc_pages(&mut self, pages: usize) -> Result<GuestAddr, CioError> {
         self.alloc(pages * cio_mem::PAGE_SIZE, cio_mem::PAGE_SIZE as u64)
     }
-}
-
-/// Charges one poll iteration that found no work (used by world drivers).
-pub fn charge_idle_poll(mem: &GuestMemory) {
-    mem.clock().advance(Cycles(mem.cost().poll_idle.get()));
-    mem.meter().idle_polls(1);
 }
 
 #[cfg(test)]

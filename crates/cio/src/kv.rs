@@ -31,9 +31,7 @@ use cio_host::backend::NotifyGate;
 use cio_mem::{CopyPolicy, GuestAddr, PAGE_SIZE};
 use cio_sim::{CostModel, Meter, Telemetry};
 use cio_tee::{Tee, TeeKind};
-use cio_vring::cioring::{
-    BatchPolicy, CioRing, Consumer, DataMode, NotifyPolicy, Producer, RingConfig,
-};
+use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyPolicy, Producer, RingConfig};
 use std::collections::HashMap;
 
 /// Default blocks per log segment: the flush unit, sized to one crypto
@@ -107,13 +105,6 @@ impl KvConfig {
     pub fn with_notify(mut self, notify: NotifyPolicy) -> Self {
         self.notify = notify;
         self.profile.notify = ring_notify_mode(notify);
-        self
-    }
-
-    /// Sets the batch policy on the block profile.
-    #[must_use]
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.profile.batch = batch;
         self
     }
 

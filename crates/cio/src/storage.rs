@@ -23,7 +23,7 @@ use cio_block::transport::{CioBlkBackend, CioBlkFrontend, RingBlockStore};
 use cio_block::{BlockError, CryptStore, SimpleFs};
 use cio_host::observe::{bits, Recorder};
 use cio_mem::GuestAddr;
-use cio_sim::{Clock, CostModel};
+use cio_sim::CostModel;
 use cio_tee::{Tee, TeeKind};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
 
@@ -49,26 +49,19 @@ impl std::fmt::Display for StorageBoundary {
 struct ObservedStore {
     inner: RingBlockStore,
     recorder: Recorder,
-    clock: Clock,
 }
 
 impl BlockStore for ObservedStore {
     fn read_block(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
         // The host sees: a read, its LBA, its size, and when.
-        self.recorder.record(
-            self.clock.now(),
-            "blk.read",
-            bits::OP_TYPE + 32 + bits::TIMING,
-        );
+        self.recorder
+            .record("blk.read", bits::OP_TYPE + 32 + bits::TIMING);
         self.inner.read_block(lba, buf)
     }
 
     fn write_block(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        self.recorder.record(
-            self.clock.now(),
-            "blk.write",
-            bits::OP_TYPE + 32 + bits::TIMING,
-        );
+        self.recorder
+            .record("blk.write", bits::OP_TYPE + 32 + bits::TIMING);
         self.inner.write_block(lba, data)
     }
 
@@ -153,10 +146,9 @@ impl StorageWorld {
                 let observed = ObservedStore {
                     inner: RingBlockStore::new(front, back),
                     recorder: recorder.clone(),
-                    clock: clock.clone(),
                 };
                 let mut crypt = CryptStore::new(observed, [0x2A; 32])?;
-                crypt.set_hooks(clock.clone(), tee.cost().clone(), tee.meter().clone());
+                crypt.set_hooks(clock, tee.cost().clone(), tee.meter().clone());
                 StorageInner::Tee(SimpleFs::format(crypt)?)
             }
             StorageBoundary::FileOnHost => {
@@ -191,11 +183,7 @@ impl StorageWorld {
     /// the world switch.
     fn file_call(tee: &Tee, recorder: &Recorder, kind: &'static str, extra: u32) {
         tee.exit_to_host();
-        recorder.record(
-            tee.clock().now(),
-            kind,
-            bits::OP_TYPE + bits::SOCKET_ID + bits::TIMING + extra,
-        );
+        recorder.record(kind, bits::OP_TYPE + bits::SOCKET_ID + bits::TIMING + extra);
     }
 
     /// Creates a file.

@@ -25,8 +25,8 @@ use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_netstack::stack::{Interface, InterfaceConfig, SocketHandle};
 use cio_netstack::{rss, Ipv4Addr, MacAddr, NetDevice, PairDevice};
 use cio_sim::{
-    Clock, CostModel, Cycles, EventKind, FlightRecorder, Lanes, Meter, SimRng, SloConfig,
-    SloWatchdog, Stage, Telemetry,
+    Clock, CostModel, Cycles, EventKind, Lanes, Meter, SimRng, SloConfig, SloWatchdog, Stage,
+    Telemetry,
 };
 use cio_tee::compartment::Gate;
 use cio_tee::dda::{spdm_attest, Device, IdeChannel};
@@ -170,18 +170,18 @@ pub struct WorldOptions {
     /// clock, while the virtual-time schedule stays record-for-record
     /// identical to the serial multiqueue sweep. Must divide `queues`.
     pub parallel: usize,
-    /// Arm the deterministic telemetry layer (spans, histograms, cycle
-    /// attribution — see [`cio_sim::telemetry`]). Off by default: a
-    /// disabled handle costs one branch per instrumentation site and
-    /// records nothing. Telemetry never advances the clock, so enabling
-    /// it cannot perturb the simulation.
+    /// Arm the instruments of the world's telemetry domain (spans,
+    /// histograms, cycle attribution — see [`cio_sim::telemetry`]). Off
+    /// by default: an unarmed half costs one branch per instrumentation
+    /// site and records nothing. Telemetry never advances the clock, so
+    /// enabling it cannot perturb the simulation.
     pub telemetry: bool,
-    /// Arm the flight recorder and SLO watchdog (typed event timelines,
-    /// the tamper-evident audit chain, breach detection — see
-    /// [`cio_sim::flight`]). Off by default: a disabled recorder handle
-    /// costs one branch per event site and records nothing. Like
-    /// telemetry, the recorder never advances the clock, so arming it
-    /// cannot perturb the simulation.
+    /// Arm the timeline of the same domain plus the SLO watchdog (typed
+    /// events, the tamper-evident audit chain, breach detection — see
+    /// [`cio_sim::flight`]). Off by default, and independent of
+    /// [`WorldOptions::telemetry`]: the adversary matrix seals verdicts
+    /// with the timeline alone, the determinism suites arm the
+    /// instruments alone. Recording never advances the clock either.
     pub observe: bool,
 }
 
@@ -306,8 +306,8 @@ struct ConnState {
     /// The virtual core / queue this connection's flow steers to
     /// (always 0 when the world runs a single queue).
     lane: usize,
-    /// Highest transmit key epoch already reported to the flight
-    /// recorder (rekey events fire on the transition past this mark).
+    /// Highest transmit key epoch already reported to the event
+    /// timeline (rekey events fire on the transition past this mark).
     epoch_seen: u64,
 }
 
@@ -344,12 +344,10 @@ pub struct World {
     /// Reusable scratch the stack's received bytes are read into before
     /// they are fed to a session's stream.
     recv_scratch: Vec<u8>,
-    /// Telemetry domain (a disabled no-op handle unless
-    /// [`WorldOptions::telemetry`] armed it).
+    /// The observation domain: instruments armed by
+    /// [`WorldOptions::telemetry`], timeline by
+    /// [`WorldOptions::observe`]; a disabled no-op handle with neither.
     telemetry: Telemetry,
-    /// Flight recorder (a disabled no-op handle unless
-    /// [`WorldOptions::observe`] armed it).
-    flight: FlightRecorder,
     /// Online SLO watchdog, pumped once per step against the telemetry
     /// RTT histograms (present only when [`WorldOptions::observe`] is
     /// set; silently idle unless telemetry is armed too, since the RTT
@@ -475,9 +473,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Arms the flight recorder and SLO watchdog (typed event
-    /// timelines, the tamper-evident audit chain, breach detection).
-    /// Off by default.
+    /// Arms the event timeline and SLO watchdog (typed events, the
+    /// tamper-evident audit chain, breach detection). Off by default.
     pub fn observe(mut self, on: bool) -> Self {
         self.opts.observe = on;
         self
@@ -525,22 +522,8 @@ impl WorldBuilder {
         let meter = tee.meter().clone();
         let mem = tee.memory().clone();
         let recorder = Recorder::new();
-        let telemetry = if opts.telemetry {
-            let t = Telemetry::new(clock.clone(), opts.queues);
-            t.attach_meter(&meter);
-            t
-        } else {
-            Telemetry::disabled()
-        };
-        let flight = if opts.observe {
-            let f = FlightRecorder::new(clock.clone(), opts.queues);
-            // Exporters surface per-queue drop counters whenever telemetry
-            // is also armed (attach is a no-op on a disabled handle).
-            telemetry.attach_flight(&f);
-            f
-        } else {
-            FlightRecorder::disabled()
-        };
+        let telemetry = Telemetry::with_arming(&clock, opts.queues, opts.telemetry, opts.observe);
+        telemetry.attach_meter(&meter);
         let watchdog = opts
             .observe
             .then(|| SloWatchdog::new(SloConfig::default(), opts.queues));
@@ -697,7 +680,6 @@ impl WorldBuilder {
                     recorder.clone(),
                     clock.clone(),
                     &telemetry,
-                    &flight,
                 )?;
                 anatomy.cio_rings = rings.first().cloned();
                 anatomy.cio_queues = rings;
@@ -806,7 +788,6 @@ impl WorldBuilder {
                 backend.set_batch_policy(opts.batch);
                 backend.set_notify_policy(opts.notify_policy);
                 backend.set_telemetry(telemetry.clone());
-                backend.set_flight(flight.clone());
 
                 let (gw_side, peer_side) = PairDevice::pair([PEER_MAC, PEER_MAC], 1500);
                 let gw = TunnelGateway::new(gw_chan, gw_side);
@@ -872,7 +853,6 @@ impl WorldBuilder {
                     dev_end,
                     nic_port,
                     recorder.clone(),
-                    clock.clone(),
                     GUEST_MAC,
                     1500,
                 );
@@ -920,13 +900,7 @@ impl WorldBuilder {
                     "parallel host execution needs a cio-ring backend",
                 ));
             };
-            Some(ParallelHost::new(
-                *cio,
-                opts.parallel,
-                &mem,
-                &telemetry,
-                &flight,
-            )?)
+            Some(ParallelHost::new(*cio, opts.parallel, &mem, &telemetry)?)
         } else {
             None
         };
@@ -953,7 +927,6 @@ impl WorldBuilder {
             seal_scratch: RecordScratch::new(),
             recv_scratch: Vec::new(),
             telemetry,
-            flight,
             watchdog,
             parallel,
         })
@@ -1051,7 +1024,6 @@ impl World {
         recorder: Recorder,
         clock: Clock,
         telemetry: &Telemetry,
-        flight: &FlightRecorder,
     ) -> Result<CioRingParts, CioError> {
         let mut rings = Vec::with_capacity(opts.queues);
         let mut guest_pairs = Vec::with_capacity(opts.queues);
@@ -1077,7 +1049,6 @@ impl World {
         backend.set_batch_policy(opts.batch);
         backend.set_notify_policy(opts.notify_policy);
         backend.set_telemetry(telemetry.clone());
-        backend.set_flight(flight.clone());
         Ok((device, backend, rings))
     }
 
@@ -1165,18 +1136,13 @@ impl World {
             .map_or(0, |b| b.idle_passes())
     }
 
-    /// The telemetry domain. Disabled (inert) unless the world was built
-    /// with [`WorldBuilder::telemetry`]; use it to pull
-    /// [`cio_sim::Profile`] tables, histograms, and exporter snapshots.
+    /// The observation domain. [`WorldBuilder::telemetry`] arms its
+    /// instruments ([`cio_sim::Profile`] tables, histograms, exporter
+    /// snapshots), [`WorldBuilder::observe`] its timeline (typed events,
+    /// audit-chain records, their exporters); with neither it is a
+    /// disabled, inert handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The flight recorder. Disabled (inert) unless the world was built
-    /// with [`WorldBuilder::observe`]; use it to pull typed event
-    /// timelines, audit-chain records, and the exporters.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// The online SLO watchdog, when [`WorldBuilder::observe`] armed it
@@ -1186,11 +1152,11 @@ impl World {
         self.watchdog.as_ref()
     }
 
-    /// Renders the merged Chrome-trace timeline (flight events as
-    /// instants, telemetry cycle attribution as counters) — loadable in
+    /// Renders the merged Chrome-trace timeline (typed events as
+    /// instants, cycle attribution as counters) — loadable in
     /// `chrome://tracing` / Perfetto.
     pub fn chrome_trace(&self) -> String {
-        self.flight.chrome_trace(&self.telemetry)
+        self.telemetry.chrome_trace()
     }
 
     /// The RSS lane / queue this session's flow steers to (`None` for a
@@ -1284,7 +1250,6 @@ impl World {
             self.recorder.clone(),
             self.clock.clone(),
             &self.telemetry,
-            &self.flight,
         )?;
         self.anatomy.cio_rings = rings.first().cloned();
         self.anatomy.cio_queues = rings;
@@ -1353,7 +1318,7 @@ impl World {
         // incrementally; it runs after lane absorption so parallel and
         // serial schedules see identical cumulative bucket states.
         if let Some(w) = &mut self.watchdog {
-            w.pump(&self.telemetry, &self.flight, &self.meter, self.clock.now());
+            w.pump(&self.telemetry, &self.meter, self.clock.now());
         }
         result
     }
@@ -1695,7 +1660,7 @@ impl World {
             },
         );
         self.meter.sessions_opened(1);
-        self.flight
+        self.telemetry
             .record(lane, EventKind::SessionOpen, sid_bits(id), 0);
         Ok(id)
     }
@@ -1715,7 +1680,7 @@ impl World {
             let _ = self.raw_close(conn.handle);
             self.draining.push(conn.handle);
             self.meter.session_failures(1);
-            self.flight
+            self.telemetry
                 .record(conn.lane, EventKind::SessionQuarantine, sid_bits(id), 0);
         }
     }
@@ -1770,11 +1735,11 @@ impl World {
             match conn.stream.feed_into(data, &mut conn.feed_scratch) {
                 Ok(()) => {
                     if was_handshaking && conn.stream.is_open() {
-                        self.flight
+                        self.telemetry
                             .record(lane, EventKind::HandshakeOk, sid_bits(id), 0);
                     }
                     if !conn.feed_scratch.app_data.is_empty() {
-                        self.flight.record(
+                        self.telemetry.record(
                             lane,
                             EventKind::OpenOk,
                             conn.feed_scratch.app_data.len() as u64,
@@ -1784,7 +1749,7 @@ impl World {
                     if let Some(ep) = conn.stream.tx_epoch() {
                         if ep > conn.epoch_seen {
                             conn.epoch_seen = ep;
-                            self.flight
+                            self.telemetry
                                 .record(lane, EventKind::SessionRekey, sid_bits(id), ep);
                         }
                     }
@@ -1801,7 +1766,7 @@ impl World {
                     } else {
                         EventKind::OpenFail
                     };
-                    self.flight.record(lane, kind, sid_bits(id), 0);
+                    self.telemetry.record(lane, kind, sid_bits(id), 0);
                     false
                 }
             }
@@ -1860,7 +1825,7 @@ impl World {
     /// mid-write is not even that: TCP already holds the sealed record and
     /// flushes it on later steps, so the call reports the bytes as
     /// accepted (retrying would duplicate them) and only the
-    /// `backpressure_again` meter and a `Backpressure` flight event show
+    /// `backpressure_again` meter and a `Backpressure` timeline event show
     /// it happened. The §3.2 "errors are fatal" principle is reserved for
     /// host-facing interface faults.
     ///
@@ -1888,7 +1853,7 @@ impl World {
         };
         if backlog > SEND_HIGH_WATER {
             self.meter.backpressure_wouldblock(1);
-            self.flight
+            self.telemetry
                 .record(lane, EventKind::Backpressure, 0, backlog as u64);
             return Err(CioError::Transient(Transient::WouldBlock));
         }
@@ -1915,7 +1880,7 @@ impl World {
         }
         match result {
             Ok(()) => {
-                self.flight
+                self.telemetry
                     .record(lane, EventKind::SealOk, data.len() as u64, 1);
                 Ok(data.len())
             }
@@ -1924,12 +1889,12 @@ impl World {
             // later steps.
             Err(CioError::Net(cio_netstack::NetError::DeviceFull)) => {
                 self.meter.backpressure_again(1);
-                self.flight
+                self.telemetry
                     .record(lane, EventKind::Backpressure, 1, backlog as u64);
                 Ok(data.len())
             }
             Err(e) => {
-                self.flight
+                self.telemetry
                     .record(lane, EventKind::SealFail, data.len() as u64, 0);
                 Err(e)
             }
@@ -2059,7 +2024,7 @@ impl World {
     pub fn close(&mut self, c: SessionId) -> Result<(), CioError> {
         let conn = self.conns.remove(c).map_err(CioError::from)?;
         self.meter.sessions_closed(1);
-        self.flight
+        self.telemetry
             .record(conn.lane, EventKind::SessionClose, sid_bits(c), 0);
         self.raw_close(conn.handle)?;
         self.draining.push(conn.handle);
@@ -2080,7 +2045,7 @@ fn ring_full_is_backpressure(
     }
 }
 
-/// Packs a generational session handle into one flight-event payload
+/// Packs a generational session handle into one event payload
 /// word (`generation << 32 | index`).
 fn sid_bits(id: SessionId) -> u64 {
     u64::from(id.generation()) << 32 | u64::from(id.index())

@@ -41,7 +41,7 @@ use crate::CioError;
 use cio_host::backend::{CioNetBackend, CioSteer, NotifyGate, WorkerCtx};
 use cio_host::worker::CioQueueWorker;
 use cio_mem::{GuestAddr, GuestMemory, HostView};
-use cio_sim::{Clock, Cycles, FlightRecorder, Lanes, Meter, MeterSnapshot, Telemetry};
+use cio_sim::{Clock, Cycles, Lanes, Meter, MeterSnapshot, Telemetry};
 use cio_vring::cioring::{NotifyMode, NotifyPolicy};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -123,11 +123,6 @@ pub(super) struct ParallelHost {
     lane_clocks: Vec<Clock>,
     /// Per-queue telemetry forks, absorbed in queue order each round.
     forks: Vec<Telemetry>,
-    /// The world's flight recorder (absorption target).
-    flight: FlightRecorder,
-    /// Per-queue flight-recorder forks, absorbed in queue order each
-    /// round right after the telemetry forks.
-    flight_forks: Vec<FlightRecorder>,
     /// Shared handles to each queue's traffic meter (the workers own the
     /// lanes, but meters are atomic and readable from the coordinator).
     queue_meters: Vec<Meter>,
@@ -175,24 +170,19 @@ impl ParallelHost {
         threads: usize,
         mem: &GuestMemory,
         telemetry: &Telemetry,
-        flight: &FlightRecorder,
     ) -> Result<Self, CioError> {
         let mut lane_clocks = Vec::new();
         let mut forks = Vec::new();
-        let mut flight_forks = Vec::new();
         let policy = backend.notify_policy();
         let (steer, workers) = backend.split_parallel(|_q| {
             let clock = Clock::new();
             let fork = telemetry.fork(clock.clone());
-            let ffork = flight.fork(clock.clone());
             lane_clocks.push(clock.clone());
             forks.push(fork.clone());
-            flight_forks.push(ffork.clone());
             WorkerCtx {
                 clock: clock.clone(),
                 telemetry: fork,
                 view: mem.with_clock(clock).host(),
-                flight: ffork,
             }
         });
         let queues = workers.len();
@@ -235,8 +225,6 @@ impl ParallelHost {
             threads: handles,
             lane_clocks,
             forks,
-            flight: flight.clone(),
-            flight_forks,
             queue_meters,
             staged: (0..queues).map(|_| Vec::new()).collect(),
             starts: vec![Cycles::ZERO; queues],
@@ -358,7 +346,6 @@ impl ParallelHost {
                 let _ = self.steer.port_mut().transmit_at(frame, *at);
             }
             telemetry.absorb(&self.forks[q]);
-            self.flight.absorb(&self.flight_forks[q]);
             self.backlogs[q] = set[i].backlog;
             if self.policy == NotifyPolicy::Adaptive && self.door_addrs[q].is_some() {
                 self.gates[q].observe(set[i].moved);

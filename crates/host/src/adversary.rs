@@ -10,8 +10,6 @@
 
 use cio_mem::{GuestAddr, HostView, MemError};
 use cio_sim::SimRng;
-use cio_vring::virtqueue::DeviceSide;
-use cio_vring::RingError;
 
 /// The attack classes exercised by E10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,25 +126,6 @@ impl Adversary {
     /// As [`Adversary::flip_bytes`].
     pub fn write_u16(&self, addr: GuestAddr, v: u16) -> Result<(), MemError> {
         self.host.write_u16(addr, v)
-    }
-
-    /// Forges a completion on a virtqueue used ring.
-    ///
-    /// # Errors
-    ///
-    /// Ring/memory errors.
-    pub fn forge_completion(
-        &self,
-        device: &mut DeviceSide,
-        id: u16,
-        len: u32,
-    ) -> Result<(), RingError> {
-        device.complete(id, len)
-    }
-
-    /// A deterministic garbage value.
-    pub fn garbage_u32(&mut self) -> u32 {
-        self.rng.next_u64() as u32
     }
 }
 

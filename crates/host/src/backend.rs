@@ -20,7 +20,7 @@ use crate::observe::{bits, Recorder};
 use crate::HostError;
 use cio_mem::{CopyPolicy, HostView};
 use cio_netstack::{rss, NetDevice};
-use cio_sim::{Clock, Cycles, EventKind, FlightRecorder, Stage, Telemetry};
+use cio_sim::{Clock, Cycles, EventKind, Stage, Telemetry};
 use cio_vring::cioring::{
     BatchPolicy, Consumer, MultiQueue, NotifyMode, NotifyPolicy, Producer, QueueLane, MAX_BATCH,
 };
@@ -216,18 +216,14 @@ impl Backend for NullBackend {
     }
 }
 
-/// One virtio queue pair (TX + RX split virtqueues) with its posted
-/// receive chains and steered inbound frames.
-struct VirtioQueuePair {
+/// Host backend for a virtio-net device: one TX + RX pair of split
+/// virtqueues (the world rejects multi-queue virtio) with its posted
+/// receive chains and inbound frames.
+pub struct VirtioNetBackend {
     tx: DeviceSide,
     rx: DeviceSide,
     rx_chains: VecDeque<Chain>,
     pending: VecDeque<Vec<u8>>,
-}
-
-/// Host backend for a virtio-net device (split virtqueues, multi-queue).
-pub struct VirtioNetBackend {
-    pairs: Vec<VirtioQueuePair>,
     port: FabricPort,
     recorder: Recorder,
     clock: Clock,
@@ -241,7 +237,7 @@ pub struct VirtioNetBackend {
 }
 
 impl VirtioNetBackend {
-    /// Creates the backend over the guest's first TX and RX queues.
+    /// Creates the backend over the guest's TX and RX queues.
     pub fn new(
         tx: DeviceSide,
         rx: DeviceSide,
@@ -250,12 +246,10 @@ impl VirtioNetBackend {
         clock: Clock,
     ) -> Self {
         VirtioNetBackend {
-            pairs: vec![VirtioQueuePair {
-                tx,
-                rx,
-                rx_chains: VecDeque::new(),
-                pending: VecDeque::new(),
-            }],
+            tx,
+            rx,
+            rx_chains: VecDeque::new(),
+            pending: VecDeque::new(),
             port,
             recorder,
             clock,
@@ -272,17 +266,6 @@ impl VirtioNetBackend {
         self.telemetry = telemetry;
     }
 
-    /// Adds another guest queue pair; inbound flows spread across pairs
-    /// by the RSS hash.
-    pub fn add_queue_pair(&mut self, tx: DeviceSide, rx: DeviceSide) {
-        self.pairs.push(VirtioQueuePair {
-            tx,
-            rx,
-            rx_chains: VecDeque::new(),
-            pending: VecDeque::new(),
-        });
-    }
-
     /// Enables interrupt-driven receive charging against `meter`.
     pub fn enable_rx_interrupts(&mut self, cost: cio_sim::CostModel, meter: cio_sim::Meter) {
         self.irq_on_rx = true;
@@ -290,43 +273,29 @@ impl VirtioNetBackend {
         self.meter = meter;
     }
 
-    /// Receive buffers currently posted by the guest (all queues).
-    pub fn posted_rx(&self) -> usize {
-        self.pairs.iter().map(|p| p.rx_chains.len()).sum()
-    }
-
-    /// The guest-facing TX queue of pair 0 (adversary access).
+    /// The guest-facing TX queue (adversary access).
     pub fn tx_device(&mut self) -> &mut DeviceSide {
-        &mut self.pairs[0].tx
+        &mut self.tx
     }
 
-    /// The guest-facing RX queue of pair 0 (adversary access).
+    /// The guest-facing RX queue (adversary access).
     pub fn rx_device(&mut self) -> &mut DeviceSide {
-        &mut self.pairs[0].rx
+        &mut self.rx
     }
 }
 
 impl Backend for VirtioNetBackend {
     fn queue_count(&self) -> usize {
-        self.pairs.len()
+        1
     }
 
     fn ingress(&mut self) -> usize {
-        let n = self.pairs.len();
         let mut staged = 0;
         while let Some(frame) = self.port.receive() {
-            // Legacy virtio has no masked-queue discipline; reduce the
-            // flow hash modulo the pair count.
-            let q = if n == 1 {
-                0
-            } else {
-                rss::steer(&frame, u32::MAX) % n
-            };
-            let pair = &mut self.pairs[q];
-            if pair.pending.len() >= PENDING_CAP {
+            if self.pending.len() >= PENDING_CAP {
                 continue; // tail-drop, like a full NIC queue
             }
-            pair.pending.push_back(frame);
+            self.pending.push_back(frame);
             staged += 1;
         }
         staged
@@ -335,41 +304,38 @@ impl Backend for VirtioNetBackend {
     fn service_queue(&mut self, q: usize) -> Result<usize, HostError> {
         let _svc = self.telemetry.span(q, Stage::HostService);
         let mut moved = 0;
-        let pair = &mut self.pairs[q];
 
         // Guest -> network.
-        while let Some(chain) = pair.tx.pop()? {
-            let frame = pair.tx.read_payload(&chain)?;
+        while let Some(chain) = self.tx.pop()? {
+            let frame = self.tx.read_payload(&chain)?;
             self.recorder.record(
-                self.clock.now(),
                 "frame.tx",
                 bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
             );
             // Device-side MTU errors are the guest's problem; drop silently
             // like hardware would.
             let _ = self.port.transmit(&frame);
-            pair.tx.complete(chain.head, 0)?;
+            self.tx.complete(chain.head, 0)?;
             moved += 1;
         }
 
         // Collect posted receive buffers.
-        while let Some(chain) = pair.rx.pop()? {
-            pair.rx_chains.push_back(chain);
+        while let Some(chain) = self.rx.pop()? {
+            self.rx_chains.push_back(chain);
         }
 
         // Network -> guest.
-        while !pair.rx_chains.is_empty() {
-            let Some(frame) = pair.pending.pop_front() else {
+        while !self.rx_chains.is_empty() {
+            let Some(frame) = self.pending.pop_front() else {
                 break;
             };
-            let chain = pair.rx_chains.pop_front().expect("checked non-empty");
+            let chain = self.rx_chains.pop_front().expect("checked non-empty");
             self.recorder.record(
-                self.clock.now(),
                 "frame.rx",
                 bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
             );
-            let written = pair.rx.write_payload(&chain, &frame)?;
-            pair.rx.complete(chain.head, written)?;
+            let written = self.rx.write_payload(&chain, &frame)?;
+            self.rx.complete(chain.head, written)?;
             if self.irq_on_rx {
                 self.clock.advance(self.cost.interrupt_inject);
                 self.meter.interrupts_received(1);
@@ -435,7 +401,6 @@ pub(crate) struct CioLaneCtx<'a> {
     pub(crate) recorder: &'a Recorder,
     pub(crate) clock: &'a Clock,
     pub(crate) telemetry: &'a Telemetry,
-    pub(crate) flight: &'a FlightRecorder,
     /// Whether the guest rang the guest->host doorbell since the last
     /// pass (event-idx bookkeeping; always false outside
     /// [`NotifyMode::EventIdx`]). A rang-but-empty pass is metered as a
@@ -473,9 +438,8 @@ pub(crate) fn service_cio_lane(
             .tx
             .consume_batch_in_place(ctx.batch.max_batch(), |frames| {
                 for frame in frames.iter() {
-                    let now = ctx.clock.now();
-                    ctx.recorder.record(now, "frame.tx", fbits);
-                    sink.send(now, frame);
+                    ctx.recorder.record("frame.tx", fbits);
+                    sink.send(ctx.clock.now(), frame);
                     lens[k] = frame.len();
                     k += 1;
                 }
@@ -497,7 +461,7 @@ pub(crate) fn service_cio_lane(
     // publish (and at most one kick) for the whole batch.
     let mut staged = 0;
     while let Some(frame) = lane.end.pending.pop_front() {
-        ctx.recorder.record(ctx.clock.now(), "frame.rx", fbits);
+        ctx.recorder.record("frame.rx", fbits);
         match lane.end.rx.stage(&frame) {
             Ok(()) => {
                 lane.note_frame(frame.len());
@@ -514,16 +478,17 @@ pub(crate) fn service_cio_lane(
     }
     if staged > 0 {
         ctx.telemetry.record_batch(q, staged);
-        ctx.flight.record(q, EventKind::BatchCommit, staged, 0);
+        ctx.telemetry.record(q, EventKind::BatchCommit, staged, 0);
         lane.end.rx.publish()?;
         let rang = lane.end.rx.kick();
         // In event-idx mode a suppressed kick is the interesting event;
-        // in the legacy modes the flight trace keeps its historical
+        // in the legacy modes the timeline keeps its historical
         // Doorbell record (kick() is a no-op under Polling).
         if !rang && lane.end.rx.ring().config().notify == NotifyMode::EventIdx {
-            ctx.flight.record(q, EventKind::NotifySuppress, staged, 0);
+            ctx.telemetry
+                .record(q, EventKind::NotifySuppress, staged, 0);
         } else {
-            ctx.flight.record(q, EventKind::Doorbell, staged, 0);
+            ctx.telemetry.record(q, EventKind::Doorbell, staged, 0);
         }
     }
 
@@ -532,12 +497,12 @@ pub(crate) fn service_cio_lane(
     // if the guest rang but there was nothing to do, the wakeup was
     // spurious — the worst a hostile event index can cause.
     if !tx_armed_before && lane.end.tx.is_armed() {
-        ctx.flight
+        ctx.telemetry
             .record(q, EventKind::NotifyArm, lane.end.tx.armed_at() as u64, 0);
     }
     if ctx.door && moved == 0 {
         lane.end.tx.note_spurious_wakeup();
-        ctx.flight.record(q, EventKind::SpuriousWake, 0, 0);
+        ctx.telemetry.record(q, EventKind::SpuriousWake, 0, 0);
     }
     Ok(moved)
 }
@@ -567,7 +532,6 @@ pub struct CioNetBackend {
     /// Per-queue poll-vs-notify controllers (active under `Adaptive`).
     gates: Vec<NotifyGate>,
     telemetry: Telemetry,
-    flight: FlightRecorder,
 }
 
 impl CioNetBackend {
@@ -605,7 +569,6 @@ impl CioNetBackend {
             notify: NotifyPolicy::default(),
             gates,
             telemetry: Telemetry::disabled(),
-            flight: FlightRecorder::disabled(),
         })
     }
 
@@ -628,11 +591,6 @@ impl CioNetBackend {
         self.batch = batch;
     }
 
-    /// The active record-batching discipline.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.batch
-    }
-
     /// Sets the notification discipline for ring servicing.
     pub fn set_notify_policy(&mut self, notify: NotifyPolicy) {
         self.notify = notify;
@@ -650,8 +608,10 @@ impl CioNetBackend {
     }
 
     /// Arms telemetry: queue servicing is recorded as
-    /// [`Stage::HostService`] spans with batch-size histograms, and every
-    /// queue's ring endpoints report their own ring-op spans.
+    /// [`Stage::HostService`] spans with batch-size histograms, every
+    /// queue's ring endpoints report their own ring-op spans, and batch
+    /// commits and doorbells on the host->guest path are recorded as
+    /// typed events per queue.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for q in 0..self.queues.queues() {
             let lane = self.queues.lane_mut(q);
@@ -659,12 +619,6 @@ impl CioNetBackend {
             lane.end.rx.set_telemetry(telemetry.clone(), q);
         }
         self.telemetry = telemetry;
-    }
-
-    /// Arms the flight recorder: batch commits and doorbells on the
-    /// host->guest path are recorded as typed events per queue.
-    pub fn set_flight(&mut self, flight: FlightRecorder) {
-        self.flight = flight;
     }
 
     /// Single-queue convenience constructor.
@@ -756,7 +710,6 @@ impl CioNetBackend {
                 self.recorder.clone(),
                 ctx.clock,
                 ctx.telemetry,
-                ctx.flight,
             ));
         }
         (
@@ -776,14 +729,11 @@ pub struct WorkerCtx {
     /// at the lane's virtual-time frontier each round).
     pub clock: Clock,
     /// Telemetry fork bound to the lane clock (absorbed by the
-    /// coordinator after each round).
+    /// coordinator after each round, in queue order).
     pub telemetry: Telemetry,
     /// Host view of the shared guest memory whose handle charges the
     /// lane clock.
     pub view: HostView,
-    /// Flight-recorder fork bound to the lane clock (absorbed by the
-    /// coordinator after each round, in queue order).
-    pub flight: FlightRecorder,
 }
 
 /// The coordinator's share of a split [`CioNetBackend`]: the fabric port
@@ -872,7 +822,6 @@ impl Backend for CioNetBackend {
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,
-            flight: &self.flight,
             door,
         };
         let mut sink = PortSink {

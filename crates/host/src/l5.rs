@@ -25,13 +25,11 @@ use cio_sim::Clock;
 pub struct ObservedPort {
     inner: FabricPort,
     recorder: Recorder,
-    clock: Clock,
 }
 
 impl NetDevice for ObservedPort {
     fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.recorder.record(
-            self.clock.now(),
             "frame.tx",
             bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
         );
@@ -40,7 +38,6 @@ impl NetDevice for ObservedPort {
     fn receive(&mut self) -> Option<Vec<u8>> {
         let f = self.inner.receive()?;
         self.recorder.record(
-            self.clock.now(),
             "frame.rx",
             bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
         );
@@ -58,7 +55,6 @@ impl NetDevice for ObservedPort {
 pub struct L5Service {
     iface: Interface<ObservedPort>,
     recorder: Recorder,
-    clock: Clock,
 }
 
 impl L5Service {
@@ -67,21 +63,16 @@ impl L5Service {
         let observed = ObservedPort {
             inner: port,
             recorder: recorder.clone(),
-            clock: clock.clone(),
         };
         L5Service {
-            iface: Interface::new(observed, cfg, clock.clone()),
+            iface: Interface::new(observed, cfg, clock),
             recorder,
-            clock,
         }
     }
 
     fn observe(&self, kind: &'static str, extra: u32) {
-        self.recorder.record(
-            self.clock.now(),
-            kind,
-            bits::OP_TYPE + bits::SOCKET_ID + bits::TIMING + extra,
-        );
+        self.recorder
+            .record(kind, bits::OP_TYPE + bits::SOCKET_ID + bits::TIMING + extra);
     }
 
     /// Guest call: open a TCP connection.

@@ -39,7 +39,7 @@ pub mod worker;
 
 pub use backend::{Backend, CioNetBackend, CioSteer, NullBackend, VirtioNetBackend, WorkerCtx};
 pub use fabric::{Fabric, FabricPort, LinkParams};
-pub use observe::{ObsEvent, Recorder};
+pub use observe::Recorder;
 pub use worker::CioQueueWorker;
 
 /// Errors raised by host components.

@@ -24,7 +24,7 @@
 use crate::backend::{service_cio_lane, CioLaneCtx, FrameSink, HostQueue, PENDING_CAP};
 use crate::observe::Recorder;
 use crate::HostError;
-use cio_sim::{Clock, Cycles, FlightRecorder, Meter, MeterSnapshot, Telemetry};
+use cio_sim::{Clock, Cycles, Meter, MeterSnapshot, Telemetry};
 use cio_vring::cioring::{BatchPolicy, QueueLane};
 
 /// Deferred sink: outbound frames are stamped with the lane clock and
@@ -62,13 +62,11 @@ pub struct CioQueueWorker {
     recorder: Recorder,
     clock: Clock,
     telemetry: Telemetry,
-    flight: FlightRecorder,
     outbox: Vec<(Cycles, Vec<u8>)>,
     outpool: Vec<Vec<u8>>,
 }
 
 impl CioQueueWorker {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         q: usize,
         lane: QueueLane<HostQueue>,
@@ -77,7 +75,6 @@ impl CioQueueWorker {
         recorder: Recorder,
         clock: Clock,
         telemetry: Telemetry,
-        flight: FlightRecorder,
     ) -> Self {
         CioQueueWorker {
             q,
@@ -87,7 +84,6 @@ impl CioQueueWorker {
             recorder,
             clock,
             telemetry,
-            flight,
             outbox: Vec::new(),
             outpool: Vec::new(),
         }
@@ -106,15 +102,9 @@ impl CioQueueWorker {
     }
 
     /// The worker's telemetry fork (the coordinator absorbs it after the
-    /// barrier).
+    /// barrier, in queue order).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The worker's flight-recorder fork (the coordinator absorbs it
-    /// after the barrier, in queue order).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// Per-queue traffic snapshot (frames in `copies`, bytes in
@@ -178,7 +168,6 @@ impl CioQueueWorker {
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,
-            flight: &self.flight,
             door,
         };
         let mut sink = OutboxSink {

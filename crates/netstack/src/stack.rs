@@ -22,7 +22,7 @@ use crate::wire::{
 };
 use crate::NetError;
 use cio_sim::{Clock, SimRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Static configuration of one interface.
 #[derive(Debug, Clone)]
@@ -72,8 +72,8 @@ struct Link<D: NetDevice> {
     cfg: InterfaceConfig,
     arp: ArpCache,
     /// Built frames waiting for ARP resolution (destination MAC still
-    /// blank), keyed by next-hop IP.
-    pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
+    /// blank) with their next-hop IP, oldest first.
+    pending: VecDeque<(Ipv4Addr, Vec<u8>)>,
     frame: Vec<u8>,
 }
 
@@ -121,9 +121,12 @@ impl<D: NetDevice> Link<D> {
         match mac {
             Some(_) => self.dev.transmit(frame),
             None => {
-                self.pending.entry(hop).or_default().push(frame.clone());
-                let req = self.arp.request_frame(hop);
-                self.dev.transmit(&req)
+                // Request first: a device that refuses the request has
+                // taken nothing, so the frame stays with the caller (TCP
+                // keeps it queued) instead of being parked once per retry.
+                self.dev.transmit(&self.arp.request_frame(hop))?;
+                self.pending.push_back((hop, frame.clone()));
+                Ok(())
             }
         }
     }
@@ -140,18 +143,22 @@ impl<D: NetDevice> Link<D> {
         })
     }
 
-    /// Transmits every parked frame whose next hop has resolved.
+    /// Transmits every parked frame whose next hop has resolved, oldest
+    /// first. A frame leaves the queue only once the device took it: on
+    /// [`NetError::DeviceFull`] it and everything behind it stay parked
+    /// for the next poll. Any other failure loses that one frame, as a
+    /// lossy wire would, and ends the pass.
     fn drain_pending(&mut self) -> Result<(), NetError> {
-        let hops: Vec<Ipv4Addr> = self.pending.keys().copied().collect();
-        for hop in hops {
-            if let Some(mac) = self.arp.lookup(hop) {
-                for mut frame in self.pending.remove(&hop).unwrap_or_default() {
-                    frame[..6].copy_from_slice(&mac.0);
-                    self.dev.transmit(&frame)?;
-                }
-            }
-        }
-        Ok(())
+        let mut sent = Ok(());
+        self.pending.retain_mut(|(hop, frame)| {
+            let Some(mac) = self.arp.lookup(*hop).filter(|_| sent.is_ok()) else {
+                return true;
+            };
+            frame[..6].copy_from_slice(&mac.0);
+            sent = self.dev.transmit(frame);
+            sent == Err(NetError::DeviceFull)
+        });
+        sent
     }
 }
 
@@ -179,7 +186,7 @@ impl<D: NetDevice> Interface<D> {
                 dev,
                 cfg,
                 arp,
-                pending: HashMap::new(),
+                pending: VecDeque::new(),
                 frame: Vec::new(),
             },
             clock,
@@ -295,12 +302,16 @@ impl<D: NetDevice> Interface<D> {
     ///
     /// # Errors
     ///
+    /// [`NetError::Unreachable`] without a route to `dst_ip`;
     /// [`NetError::Exhausted`] if no ephemeral ports remain.
     pub fn tcp_connect(
         &mut self,
         dst_ip: Ipv4Addr,
         dst_port: u16,
     ) -> Result<SocketHandle, NetError> {
+        // Every way to fail comes before the socket exists: once a slot
+        // and a port are taken, the caller gets the handle that owns them.
+        self.link.next_hop(dst_ip)?;
         let local_port = self.alloc_ephemeral()?;
         let iss = self.rng.next_u64() as u32;
         let conn = Connection::connect(
@@ -315,7 +326,10 @@ impl<D: NetDevice> Interface<D> {
             remote_ip: dst_ip,
             accepted: true,
         });
-        self.flush_tcp()?;
+        // The SYN is queued. A full device keeps it there for the next
+        // poll and a lossy one leaves it to the retransmission timer; the
+        // connection completes on this handle either way.
+        let _ = self.flush_tcp();
         Ok(h)
     }
 
@@ -412,12 +426,9 @@ impl<D: NetDevice> Interface<D> {
         }
         let n = sock.conn.recv_into(out, max);
         // The read may have queued a window update. A full device keeps
-        // it for the next poll; it must not fail a read whose bytes the
-        // caller already holds.
-        match self.flush_tcp() {
-            Err(NetError::DeviceFull) => {}
-            flushed => flushed?,
-        }
+        // it for the next poll and a lossy one drops it; neither may fail
+        // a read whose bytes already left the receive ring.
+        let _ = self.flush_tcp();
         Ok(n)
     }
 
@@ -495,6 +506,12 @@ impl<D: NetDevice> Interface<D> {
         for s in self.tcp.iter_mut().flatten() {
             s.conn.on_tick();
         }
+        // Parked frames whose hop has resolved go first: they are older
+        // than anything still in an outbox. (Checked here: polls are hot
+        // and the queue is almost always empty.)
+        if !self.link.pending.is_empty() {
+            self.link.drain_pending()?;
+        }
         self.flush_tcp()?;
         Ok(processed)
     }
@@ -509,11 +526,11 @@ impl<D: NetDevice> Interface<D> {
         }
         match eth.ethertype {
             EtherType::Arp => {
+                // Resolution may unblock parked frames; `poll` drains
+                // them once the receive loop is done.
                 if let Some(reply) = self.link.arp.handle(l3) {
                     self.link.dev.transmit(&reply)?;
                 }
-                // Resolution may unblock queued packets.
-                self.link.drain_pending()?;
             }
             EtherType::Ipv4 => {
                 let Ok((ip, l4)) = Ipv4Header::parse(l3) else {
@@ -787,6 +804,79 @@ mod tests {
         // The clock never moved, so no retransmission timer can have fired:
         // the bytes arrived because nothing was dropped.
         assert_eq!(clock.now(), Cycles(0));
+    }
+
+    #[test]
+    fn a_refused_first_flush_neither_fails_nor_leaks_the_connect() {
+        let (mut a, mut b) = pair();
+        b.tcp_listen(9000);
+        // A device with no room at all: the SYN's ARP request is refused.
+        a.link.dev.capacity = 0;
+        let cli = a
+            .tcp_connect(IP_B, 9000)
+            .expect("backpressure is not failure");
+        assert_eq!(a.tcp_state(cli).unwrap(), State::SynSent);
+        assert_eq!(a.poll(), Err(NetError::DeviceFull), "still full");
+        // Room for one frame at a time is enough to finish the handshake.
+        a.link.dev.capacity = 1;
+        for _ in 0..64 {
+            for polled in [a.poll(), b.poll()] {
+                assert!(matches!(polled, Ok(_) | Err(NetError::DeviceFull)));
+            }
+        }
+        assert!(a.tcp_established(cli).unwrap(), "connects once it drains");
+        assert!(b.tcp_accept(9000).is_some());
+
+        // A host that keeps the device full at connect time must not be
+        // able to drain the socket table or the ephemeral range.
+        let (mut a, _b) = pair();
+        a.link.dev.capacity = 0;
+        for _ in 0..1_000 {
+            let h = a
+                .tcp_connect(IP_B, 9000)
+                .expect("handle despite a full device");
+            assert_eq!(a.tcp_close(h), Err(NetError::DeviceFull));
+            a.tcp_release(h).unwrap();
+        }
+        assert!(a.tcp.len() <= 1, "socket table grew to {}", a.tcp.len());
+        assert_eq!(a.tcp.iter().flatten().count(), 0, "ports still held");
+        assert!(a.link.pending.is_empty(), "refused frames were parked");
+
+        // A connect that cannot succeed fails before it holds anything.
+        let unroutable = Ipv4Addr::new(192, 168, 7, 7);
+        assert_eq!(a.tcp_connect(unroutable, 9000), Err(NetError::Unreachable));
+        assert_eq!(a.tcp.iter().flatten().count(), 0);
+    }
+
+    #[test]
+    fn parked_frames_survive_a_device_that_fills_at_resolution() {
+        const N: usize = 12;
+        let (mut a, mut b) = pair();
+        b.udp_bind(5353).unwrap();
+        // Park N datagrams behind the unresolved ARP entry for B.
+        for i in 0..N as u8 {
+            a.udp_send(1111, IP_B, 5353, &[i; 32]).unwrap();
+        }
+        assert_eq!(a.link.pending.len(), N);
+        // B answers the requests; A resolves with room for only 5 frames.
+        b.poll().unwrap();
+        a.link.dev.capacity = 5;
+        assert_eq!(a.poll(), Err(NetError::DeviceFull));
+        assert_eq!(a.link.pending.len(), N - 5, "unsent tail stays");
+        // Polling again as the device drains delivers the rest.
+        for _ in 0..8 {
+            b.poll().unwrap();
+            assert!(matches!(a.poll(), Ok(_) | Err(NetError::DeviceFull)));
+        }
+        assert!(a.link.pending.is_empty());
+        let got: Vec<u8> = std::iter::from_fn(|| b.udp_recv(5353))
+            .map(|d| d.payload[0])
+            .collect();
+        assert_eq!(
+            got,
+            (0..N as u8).collect::<Vec<_>>(),
+            "all N, in order, once"
+        );
     }
 
     /// A cable end that loses the first transmission of every `k`-th data

@@ -13,11 +13,12 @@
 //!   harnesses to attribute where time went.
 //! * [`rng`] — a small deterministic PRNG so every experiment is exactly
 //!   reproducible from a seed.
-//! * [`telemetry`] — deterministic spans, latency histograms, and cycle
-//!   attribution riding the virtual clock.
-//! * [`flight`] — the bounded flight recorder: typed event timelines, a
-//!   tamper-evident audit chain, a Chrome-trace exporter, and the online
-//!   SLO watchdog.
+//! * [`telemetry`] — the one observation domain riding the virtual
+//!   clock: spans, latency histograms and cycle attribution, plus the
+//!   typed event timeline, audit chain and every exporter.
+//! * [`flight`] — what the timeline is made of (typed events, the
+//!   tamper-evident audit chain as pure functions) and the online SLO
+//!   watchdog.
 //!
 //! Nothing in this crate is specific to networking or storage; it is the
 //! lowest layer of the dependency DAG.
@@ -34,8 +35,8 @@ pub mod telemetry;
 
 pub use cost::CostModel;
 pub use flight::{
-    verify_audit_chain, AuditHead, AuditRecord, AuditViolation, EventKind, FlightEvent,
-    FlightRecorder, SloConfig, SloWatchdog,
+    verify_audit_chain, AuditHead, AuditRecord, AuditViolation, EventKind, FlightEvent, SloConfig,
+    SloWatchdog,
 };
 pub use lanes::Lanes;
 pub use meter::{Meter, MeterSnapshot};

@@ -7,7 +7,8 @@
 //! virtual clock, so two runs with the same seed produce byte-identical
 //! exports.
 //!
-//! Three instruments share one [`Telemetry`] handle:
+//! One [`Telemetry`] handle is the whole observation domain. Its first
+//! half is three instruments:
 //!
 //! * **Spans** — [`Telemetry::span`] returns a guard that records
 //!   enter/exit [`Cycles`] for one [`Stage`] of the dataplane path
@@ -23,14 +24,26 @@
 //!   spans), answering "what fraction of virtual time went to crypto vs.
 //!   copies vs. ring ops vs. exits".
 //!
-//! Exporters ([`Telemetry::prometheus_text`],
-//! [`Telemetry::json_snapshot`]) walk fixed-order arrays, so identical
+//! Its second half is the typed event **timeline** ([`crate::flight`]):
+//! [`Telemetry::record`] is the single emission point for "what happened"
+//! events, which land in bounded per-queue rings, and security-relevant
+//! kinds also extend a tamper-evident audit chain.
+//!
+//! Both halves live in one state behind one lock and are armed by two
+//! independent bits ([`Telemetry::with_arming`]); a half whose bit is off
+//! answers every query exactly as a disabled handle does. Exporters
+//! ([`Telemetry::prometheus_text`], [`Telemetry::json_snapshot`],
+//! [`Telemetry::event_log`], [`Telemetry::audit_log`],
+//! [`Telemetry::chrome_trace`]) walk fixed-order arrays, so identical
 //! runs export identical bytes.
 //!
 //! A disabled handle ([`Telemetry::disabled`]) is an inert no-op that
 //! costs one branch per call site; components hold one unconditionally
 //! and worlds only arm it when asked.
 
+use crate::flight::{
+    verify_audit_chain, AuditHead, AuditRecord, AuditViolation, EventKind, FlightEvent, Timeline,
+};
 use crate::{Clock, Cycles, Meter};
 use std::sync::{Arc, Mutex};
 
@@ -186,6 +199,15 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Adds `n` values known only by their bucket (a diff of two
+    /// snapshots): each counts as the bucket's upper bound, which is what
+    /// percentiles report anyway. The sum is left alone.
+    pub(crate) fn add_bucket(&mut self, i: usize, n: u64) {
+        self.buckets[i] += n;
+        self.count += n;
+        self.max = self.max.max(Self::bucket_upper_bound(i));
+    }
+
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -307,9 +329,9 @@ struct State {
     /// per-shard live/peak occupancy plus flow-table totals. `None` until
     /// a session layer publishes; exporters omit the section then.
     sessions: Option<SessionGauges>,
-    /// Attached flight recorder ([`Telemetry::attach_flight`]): lets the
-    /// exporters surface per-queue `flight_events_dropped` counters.
-    flight: Option<crate::flight::FlightRecorder>,
+    /// The timeline half: per-queue event rings and the audit chain
+    /// (empty storage unless the domain observes).
+    log: Timeline,
 }
 
 /// Point-in-time session control-plane gauges (per-RSS-shard occupancy
@@ -330,7 +352,7 @@ struct SessionGauges {
 }
 
 impl State {
-    fn new(queues: usize) -> Self {
+    fn new(queues: usize, observe: bool) -> Self {
         State {
             queues,
             stack: [IDLE_FRAME; MAX_SPAN_DEPTH],
@@ -344,7 +366,7 @@ impl State {
             batch: vec![Histogram::new(); queues],
             meter: None,
             sessions: None,
-            flight: None,
+            log: Timeline::new(if observe { queues } else { 0 }),
         }
     }
 
@@ -352,11 +374,22 @@ impl State {
     fn cell(&self, queue: usize, stage: Stage) -> usize {
         queue.min(self.queues - 1) * Stage::COUNT + stage.idx()
     }
+
+    /// Every histogram of the domain, in one fixed order.
+    fn histograms_mut(&mut self) -> impl Iterator<Item = &mut Histogram> {
+        (self.residency.iter_mut())
+            .chain(&mut self.rtt)
+            .chain(&mut self.batch)
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
     clock: Clock,
+    /// Arm bits, fixed at construction and read before the lock: a call
+    /// into a half that is off costs one branch, like a disabled handle.
+    instruments: bool,
+    observe: bool,
     state: Mutex<State>,
 }
 
@@ -430,13 +463,13 @@ impl Inner {
     }
 }
 
-/// Shared handle to one deterministic telemetry domain.
+/// Shared handle to one deterministic observation domain.
 ///
 /// Cloning is cheap (an `Arc` bump) and yields a handle to the same
 /// state; a [`Telemetry::disabled`] handle makes every operation a no-op.
 /// All steady-state operations (spans, histogram records, flat
-/// attribution) are allocation-free — the stack and bucket arrays are
-/// preallocated at construction.
+/// attribution, event recording) are allocation-free — the stack, bucket
+/// arrays and event rings are preallocated at construction.
 ///
 /// # Examples
 ///
@@ -463,14 +496,27 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Creates an armed telemetry domain over `clock` with per-queue
-    /// instruments for `queues` queues (at least one).
+    /// Creates a domain over `clock` with the instruments armed (spans,
+    /// histograms, attribution) for `queues` queues (at least one) and
+    /// the timeline off.
     pub fn new(clock: Clock, queues: usize) -> Self {
+        Telemetry::with_arming(&clock, queues, true, false)
+    }
+
+    /// Creates a domain with each half armed independently:
+    /// `instruments` arms spans, histograms and attribution; `observe`
+    /// arms the event timeline and audit chain. With neither, the handle
+    /// is [`Telemetry::disabled`].
+    pub fn with_arming(clock: &Clock, queues: usize, instruments: bool, observe: bool) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                clock,
-                state: Mutex::new(State::new(queues.max(1))),
-            })),
+            inner: (instruments || observe).then(|| {
+                Arc::new(Inner {
+                    clock: clock.clone(),
+                    instruments,
+                    observe,
+                    state: Mutex::new(State::new(queues.max(1), observe)),
+                })
+            }),
         }
     }
 
@@ -479,12 +525,27 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Whether this handle records anything.
+    /// Whether the instruments record anything.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.ins().is_some()
     }
 
-    /// Number of instrumented queues (0 when disabled).
+    /// Whether the event timeline and audit chain record anything.
+    pub fn observing(&self) -> bool {
+        self.obs().is_some()
+    }
+
+    /// The domain, if its instruments are armed.
+    fn ins(&self) -> Option<&Arc<Inner>> {
+        self.inner.as_ref().filter(|i| i.instruments)
+    }
+
+    /// The domain, if its timeline is armed.
+    fn obs(&self) -> Option<&Arc<Inner>> {
+        self.inner.as_ref().filter(|i| i.observe)
+    }
+
+    /// Number of queues in the domain (0 when disabled).
     pub fn queues(&self) -> usize {
         self.inner.as_ref().map_or(0, |i| i.lock().queues)
     }
@@ -493,12 +554,11 @@ impl Telemetry {
     /// on drop. The guard owns a handle clone, so holding it borrows
     /// nothing.
     pub fn span(&self, queue: usize, stage: Stage) -> Span {
-        let active = match &self.inner {
-            Some(inner) => inner.enter(queue, stage),
-            None => false,
-        };
         Span {
-            inner: if active { self.inner.clone() } else { None },
+            inner: self
+                .ins()
+                .filter(|inner| inner.enter(queue, stage))
+                .cloned(),
         }
     }
 
@@ -506,7 +566,7 @@ impl Telemetry {
     /// without a span — used where the cost is known at the charge site
     /// (exits, idle quanta).
     pub fn attribute(&self, queue: usize, stage: Stage, cycles: Cycles) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.ins() {
             inner.attribute(Some(queue), stage, cycles.get());
         }
     }
@@ -515,17 +575,46 @@ impl Telemetry {
     /// innermost open span (queue 0 when none) — used by layers that
     /// don't know their queue, like the record layer's AEAD charge.
     pub fn attribute_here(&self, stage: Stage, cycles: Cycles) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.ins() {
             inner.attribute(None, stage, cycles.get());
         }
     }
 
     /// Records one request round-trip time for `queue`.
     pub fn record_rtt(&self, queue: usize, rtt: Cycles) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.ins() {
             let mut s = inner.lock();
             let q = queue.min(s.queues - 1);
             s.rtt[q].record(rtt.get());
+        }
+    }
+
+    /// Records one batch size (frames per servicing batch) for `queue`.
+    pub fn record_batch(&self, queue: usize, frames: u64) {
+        if let Some(inner) = self.ins() {
+            let mut s = inner.lock();
+            let q = queue.min(s.queues - 1);
+            s.batch[q].record(frames);
+        }
+    }
+
+    /// Records one typed event on `queue`, stamped with the domain's
+    /// clock — the single emission point for the timeline.
+    /// Security-relevant kinds ([`EventKind::is_security`]) also extend
+    /// the audit chain. Allocation-free in the steady state; a no-op
+    /// unless the timeline is armed.
+    pub fn record(&self, queue: usize, kind: EventKind, a: u64, b: u64) {
+        if let Some(inner) = self.obs() {
+            let at = inner.clock.now();
+            let mut s = inner.lock();
+            let queue = queue.min(s.queues - 1) as u32;
+            s.log.record(FlightEvent {
+                at,
+                queue,
+                kind,
+                a,
+                b,
+            });
         }
     }
 
@@ -535,27 +624,8 @@ impl Telemetry {
     /// charge. A no-op on a disabled handle; without an attached meter the
     /// exporters simply omit the dataplane section.
     pub fn attach_meter(&self, meter: &Meter) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.ins() {
             inner.lock().meter = Some(meter.clone());
-        }
-    }
-
-    /// Attaches a [`crate::flight::FlightRecorder`], so the exporters
-    /// can surface its per-queue `flight_events_dropped` eviction
-    /// counters next to the instruments. A no-op on a disabled handle;
-    /// without an attachment the exporters omit the observe section.
-    pub fn attach_flight(&self, flight: &crate::flight::FlightRecorder) {
-        if let Some(inner) = &self.inner {
-            inner.lock().flight = Some(flight.clone());
-        }
-    }
-
-    /// Records one batch size (frames per servicing batch) for `queue`.
-    pub fn record_batch(&self, queue: usize, frames: u64) {
-        if let Some(inner) = &self.inner {
-            let mut s = inner.lock();
-            let q = queue.min(s.queues - 1);
-            s.batch[q].record(frames);
         }
     }
 
@@ -574,7 +644,7 @@ impl Telemetry {
         reclaimed: u64,
         slots: u64,
     ) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.ins() {
             let mut s = inner.lock();
             let g = s.sessions.get_or_insert_with(SessionGauges::default);
             g.live.clear();
@@ -587,27 +657,33 @@ impl Telemetry {
         }
     }
 
-    /// Creates a worker-private fork of this domain: a fresh armed
-    /// domain with the same queue count, bound to `clock` (a worker's
+    /// Creates a worker-private fork of this domain: a fresh domain with
+    /// the same queue count and arm bits, bound to `clock` (a worker's
     /// lane clock in the parallel host). Forking a disabled handle
-    /// yields a disabled handle. The fork has its own span stack, so a
-    /// worker thread can open spans without racing the shared domain;
-    /// the coordinator folds it back with [`Telemetry::absorb`].
+    /// yields a disabled handle. The fork has its own span stack and
+    /// event rings, so a worker thread can record without racing the
+    /// shared domain; the coordinator folds it back with
+    /// [`Telemetry::absorb`].
     pub fn fork(&self, clock: Clock) -> Telemetry {
         match &self.inner {
-            Some(inner) => Telemetry::new(clock, inner.lock().queues),
+            Some(i) => Telemetry::with_arming(&clock, i.lock().queues, i.instruments, i.observe),
             None => Telemetry::disabled(),
         }
     }
 
-    /// Drains `worker`'s closed-span state into this domain: attribution
-    /// cells, residency/RTT/batch histograms, covered cycles, and span
-    /// overflows all add, and the worker's tallies reset to zero so the
-    /// next round is not double-counted. Merging is order-insensitive
-    /// cell-wise, but the parallel host absorbs forks in ascending queue
-    /// order after every barrier so exports stay byte-identical
-    /// regardless of worker scheduling. A no-op when either handle is
-    /// disabled or both are the same domain. Allocation-free.
+    /// Drains `worker` into this domain and resets it, so the next round
+    /// is not double-counted: attribution cells, residency/RTT/batch
+    /// histograms, covered cycles and span overflows add; per-queue
+    /// events append in recording order, drop counters add, and the
+    /// worker's audit payloads are re-chained onto this domain's chain.
+    ///
+    /// The instrument merge is order-insensitive cell-wise, but event
+    /// order and the audit chain are not: the parallel host absorbs forks
+    /// in ascending queue order after every barrier, which reproduces the
+    /// serial schedule's recording order and keeps every export
+    /// byte-identical regardless of worker scheduling. A no-op when
+    /// either handle is disabled or both are the same domain.
+    /// Allocation-free in the steady state.
     ///
     /// # Panics
     ///
@@ -625,51 +701,33 @@ impl Telemetry {
         debug_assert_eq!(ws.depth, 0, "absorb with open worker spans");
         debug_assert_eq!(ws.queues, s.queues, "absorb across queue counts");
         for (d, src) in s.attr_cycles.iter_mut().zip(ws.attr_cycles.iter_mut()) {
-            *d += *src;
-            *src = 0;
+            *d += std::mem::take(src);
         }
         for (d, src) in s.attr_counts.iter_mut().zip(ws.attr_counts.iter_mut()) {
-            *d += *src;
-            *src = 0;
+            *d += std::mem::take(src);
         }
-        for (d, src) in s.residency.iter_mut().zip(ws.residency.iter_mut()) {
+        for (d, src) in s.histograms_mut().zip(ws.histograms_mut()) {
             d.merge_from(src);
             *src = Histogram::new();
         }
-        for (d, src) in s.rtt.iter_mut().zip(ws.rtt.iter_mut()) {
-            d.merge_from(src);
-            *src = Histogram::new();
-        }
-        for (d, src) in s.batch.iter_mut().zip(ws.batch.iter_mut()) {
-            d.merge_from(src);
-            *src = Histogram::new();
-        }
-        s.covered = s.covered.saturating_add(ws.covered);
-        s.overflows += ws.overflows;
-        ws.covered = 0;
-        ws.overflows = 0;
+        s.covered = s.covered.saturating_add(std::mem::take(&mut ws.covered));
+        s.overflows += std::mem::take(&mut ws.overflows);
+        s.log.absorb(&mut ws.log);
     }
 
-    /// Snapshot of the cycle-attribution table.
+    /// Snapshot of the cycle-attribution table (empty unless the
+    /// instruments are armed).
     pub fn profile(&self) -> Profile {
-        match &self.inner {
-            Some(inner) => {
-                let s = inner.lock();
-                Profile {
-                    queues: s.queues,
-                    covered: s.covered,
-                    overflows: s.overflows,
-                    cycles: s.attr_cycles.clone(),
-                    counts: s.attr_counts.clone(),
-                }
-            }
-            None => Profile {
-                queues: 0,
-                covered: 0,
-                overflows: 0,
-                cycles: Vec::new(),
-                counts: Vec::new(),
-            },
+        let Some(inner) = self.ins() else {
+            return Profile::default();
+        };
+        let s = inner.lock();
+        Profile {
+            queues: s.queues,
+            covered: s.covered,
+            overflows: s.overflows,
+            cycles: s.attr_cycles.clone(),
+            counts: s.attr_counts.clone(),
         }
     }
 
@@ -689,58 +747,188 @@ impl Telemetry {
     }
 
     fn hist(&self, f: impl FnOnce(&State) -> Option<Histogram>) -> Histogram {
-        self.inner
-            .as_ref()
-            .and_then(|i| f(&i.lock()))
-            .unwrap_or_default()
+        self.ins().and_then(|i| f(&i.lock())).unwrap_or_default()
+    }
+
+    /// Runs `f` over the timeline; a handle without one (disabled, or
+    /// the timeline bit off) answers from empty storage.
+    fn log<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
+        match &self.inner {
+            Some(inner) => f(&inner.lock().log),
+            None => f(&Timeline::new(0)),
+        }
+    }
+
+    /// Snapshot of `queue`'s retained events, oldest first (empty when
+    /// not observing or out of range). Allocates; export-path only.
+    pub fn events(&self, queue: usize) -> Vec<FlightEvent> {
+        self.log(|l| {
+            l.rings()
+                .nth(queue)
+                .map_or_else(Vec::new, |(events, _)| events.iter().copied().collect())
+        })
+    }
+
+    /// Events evicted from the rings across all queues.
+    pub fn total_dropped(&self) -> u64 {
+        self.log(|l| l.rings().map(|(_, dropped)| dropped).sum())
+    }
+
+    /// Snapshot of the audit chain (empty when not observing).
+    /// Allocates; export-path only.
+    pub fn audit_records(&self) -> Vec<AuditRecord> {
+        self.log(|l| l.audit().to_vec())
+    }
+
+    /// The current trusted chain head (length + final digest).
+    pub fn audit_head(&self) -> AuditHead {
+        self.log(Timeline::head)
+    }
+
+    /// Self-check: verifies the domain's own chain against its head.
+    ///
+    /// # Errors
+    ///
+    /// The first [`AuditViolation`] encountered.
+    pub fn verify_audit(&self) -> Result<(), AuditViolation> {
+        self.log(|l| verify_audit_chain(l.audit(), &l.head()))
+    }
+
+    /// Renders the full event timeline as deterministic text, one line
+    /// per event in queue order: the byte-identity artifact the E22
+    /// determinism suite compares across reruns and thread counts.
+    pub fn event_log(&self) -> String {
+        self.log(Timeline::event_log)
+    }
+
+    /// Renders the audit chain as deterministic text, one line per
+    /// record plus a trailing head line (hex digests).
+    pub fn audit_log(&self) -> String {
+        self.log(Timeline::audit_log)
+    }
+
+    /// Renders the event timeline merged with the per-queue stage
+    /// attribution as a Chrome-trace JSON document (load it at
+    /// `chrome://tracing` or <https://ui.perfetto.dev>).
+    ///
+    /// Timestamps are raw virtual cycles (the `displayTimeUnit` is
+    /// nominal). Each queue is a `tid`: events render as instant events
+    /// on the queue's track, and the attribution (the aggregate the span
+    /// layer retains) renders as one counter sample per non-zero
+    /// `(queue, stage)` cell at the export timestamp — the timeline's
+    /// "now", so 0 when only the instruments are armed. The output walk
+    /// order is fixed, so identical runs export identical bytes. Returns
+    /// an empty event list when disabled.
+    pub fn chrome_trace(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+        let mut first = true;
+        let mut push = |out: &mut String, line: String| {
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            out.push_str(&line);
+        };
+        if let Some(inner) = &self.inner {
+            let s = inner.lock();
+            for (q, (events, _)) in s.log.rings().enumerate() {
+                push(
+                    &mut out,
+                    format!(
+                        "{{\"ph\":\"M\",\"pid\":0,\"tid\":{q},\"name\":\"thread_name\",\
+                         \"args\":{{\"name\":\"queue{q}\"}}}}"
+                    ),
+                );
+                for e in events {
+                    push(
+                        &mut out,
+                        format!(
+                            "{{\"ph\":\"i\",\"pid\":0,\"tid\":{q},\"ts\":{},\"s\":\"t\",\
+                             \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
+                            e.at.get(),
+                            e.kind.name(),
+                            e.a,
+                            e.b
+                        ),
+                    );
+                }
+            }
+            let now = if inner.observe {
+                inner.clock.now().get()
+            } else {
+                0
+            };
+            // Unarmed instruments hold only zero cells, so they add nothing.
+            for q in 0..s.queues {
+                for stage in Stage::ALL {
+                    let cycles = s.attr_cycles[q * Stage::COUNT + stage.idx()];
+                    if cycles == 0 {
+                        continue;
+                    }
+                    push(
+                        &mut out,
+                        format!(
+                            "{{\"ph\":\"C\",\"pid\":0,\"tid\":{q},\"ts\":{now},\
+                             \"name\":\"stage.{}\",\"args\":{{\"cycles\":{cycles}}}}}",
+                            stage.name()
+                        ),
+                    );
+                }
+            }
+        }
+        out.push_str("\n]}\n");
+        out
     }
 
     /// Renders every instrument in Prometheus exposition text. The walk
     /// order is fixed, so identical runs export identical bytes. Returns
-    /// an empty string when disabled.
+    /// an empty string unless the instruments are armed.
     pub fn prometheus_text(&self) -> String {
-        let Some(inner) = &self.inner else {
+        let Some(inner) = self.ins() else {
             return String::new();
         };
         let s = inner.lock();
         let mut out = String::with_capacity(4096);
+        let header = |out: &mut String, name: &str, help: &str, kind: &str| {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        };
 
-        out.push_str(
-            "# HELP cio_stage_cycles_total Self virtual cycles attributed to a dataplane stage.\n\
-             # TYPE cio_stage_cycles_total counter\n",
-        );
-        for q in 0..s.queues {
-            for stage in Stage::ALL {
-                let cell = q * Stage::COUNT + stage.idx();
-                out.push_str(&format!(
-                    "cio_stage_cycles_total{{queue=\"{q}\",stage=\"{}\"}} {}\n",
-                    stage.name(),
-                    s.attr_cycles[cell]
-                ));
+        for (name, help, cells) in [
+            (
+                "cio_stage_cycles_total",
+                "Self virtual cycles attributed to a dataplane stage.",
+                &s.attr_cycles,
+            ),
+            (
+                "cio_stage_spans_total",
+                "Closed spans and flat charges per stage.",
+                &s.attr_counts,
+            ),
+        ] {
+            header(&mut out, name, help, "counter");
+            for q in 0..s.queues {
+                for stage in Stage::ALL {
+                    out.push_str(&format!(
+                        "{name}{{queue=\"{q}\",stage=\"{}\"}} {}\n",
+                        stage.name(),
+                        cells[q * Stage::COUNT + stage.idx()]
+                    ));
+                }
             }
         }
-        out.push_str(
-            "# HELP cio_stage_spans_total Closed spans and flat charges per stage.\n\
-             # TYPE cio_stage_spans_total counter\n",
-        );
-        for q in 0..s.queues {
-            for stage in Stage::ALL {
-                let cell = q * Stage::COUNT + stage.idx();
-                out.push_str(&format!(
-                    "cio_stage_spans_total{{queue=\"{q}\",stage=\"{}\"}} {}\n",
-                    stage.name(),
-                    s.attr_counts[cell]
-                ));
-            }
-        }
-        out.push_str(
-            "# HELP cio_covered_cycles_total Virtual cycles covered by top-level spans.\n\
-             # TYPE cio_covered_cycles_total counter\n",
+        header(
+            &mut out,
+            "cio_covered_cycles_total",
+            "Virtual cycles covered by top-level spans.",
+            "counter",
         );
         out.push_str(&format!("cio_covered_cycles_total {}\n", s.covered));
-        out.push_str(
-            "# HELP cio_span_overflows_total Spans dropped because the fixed stack was full.\n\
-             # TYPE cio_span_overflows_total counter\n",
+        header(
+            &mut out,
+            "cio_span_overflows_total",
+            "Spans dropped because the fixed stack was full.",
+            "counter",
         );
         out.push_str(&format!("cio_span_overflows_total {}\n", s.overflows));
 
@@ -765,16 +953,20 @@ impl Telemetry {
             ));
         };
 
-        out.push_str(
-            "# HELP cio_rtt_cycles Per-queue request round-trip time in virtual cycles.\n\
-             # TYPE cio_rtt_cycles histogram\n",
+        header(
+            &mut out,
+            "cio_rtt_cycles",
+            "Per-queue request round-trip time in virtual cycles.",
+            "histogram",
         );
         for (q, h) in s.rtt.iter().enumerate() {
             emit_hist(&mut out, "cio_rtt_cycles", "queue", &q.to_string(), h);
         }
-        out.push_str(
-            "# HELP cio_stage_residency_cycles Span elapsed time per stage in virtual cycles.\n\
-             # TYPE cio_stage_residency_cycles histogram\n",
+        header(
+            &mut out,
+            "cio_stage_residency_cycles",
+            "Span elapsed time per stage in virtual cycles.",
+            "histogram",
         );
         for stage in Stage::ALL {
             emit_hist(
@@ -785,157 +977,41 @@ impl Telemetry {
                 &s.residency[stage.idx()],
             );
         }
-        out.push_str(
-            "# HELP cio_batch_frames Frames moved per servicing batch, per queue.\n\
-             # TYPE cio_batch_frames histogram\n",
+        header(
+            &mut out,
+            "cio_batch_frames",
+            "Frames moved per servicing batch, per queue.",
+            "histogram",
         );
         for (q, h) in s.batch.iter().enumerate() {
             emit_hist(&mut out, "cio_batch_frames", "queue", &q.to_string(), h);
         }
-        if let Some(m) = &s.meter {
-            let snap = m.snapshot();
-            out.push_str(
-                "# HELP cio_ring_records_total Records published onto cio rings.\n\
-                 # TYPE cio_ring_records_total counter\n",
-            );
-            out.push_str(&format!("cio_ring_records_total {}\n", snap.ring_records));
-            out.push_str(
-                "# HELP cio_bytes_copied_total Payload bytes moved by staging copies.\n\
-                 # TYPE cio_bytes_copied_total counter\n",
-            );
-            out.push_str(&format!("cio_bytes_copied_total {}\n", snap.bytes_copied));
-            out.push_str(
-                "# HELP cio_bytes_zero_copy_total Payload bytes positioned without a copy.\n\
-                 # TYPE cio_bytes_zero_copy_total counter\n",
-            );
-            out.push_str(&format!(
-                "cio_bytes_zero_copy_total {}\n",
-                snap.bytes_zero_copy
-            ));
-            out.push_str(
-                "# HELP cio_copies_per_record Staging copies per published ring record.\n\
-                 # TYPE cio_copies_per_record gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_copies_per_record {:.6}\n",
-                copies_per_record(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_records_per_commit Ring records published per producer index write.\n\
-                 # TYPE cio_records_per_commit gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_records_per_commit {:.6}\n",
-                records_per_commit(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_lock_acquisitions_per_record Memory-lock acquisitions per ring record.\n\
-                 # TYPE cio_lock_acquisitions_per_record gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_lock_acquisitions_per_record {:.6}\n",
-                locks_per_record(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_doorbells_per_record Doorbells (host notifies + injected interrupts) per ring record.\n\
-                 # TYPE cio_doorbells_per_record gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_doorbells_per_record {:.6}\n",
-                doorbells_per_record(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_suppressed_kicks_total Doorbells suppressed by the event-idx window.\n\
-                 # TYPE cio_suppressed_kicks_total counter\n",
-            );
-            out.push_str(&format!(
-                "cio_suppressed_kicks_total {}\n",
-                snap.suppressed_kicks
-            ));
-            out.push_str(
-                "# HELP cio_spurious_wakeups_total Doorbells that woke a consumer to a drained ring.\n\
-                 # TYPE cio_spurious_wakeups_total counter\n",
-            );
-            out.push_str(&format!(
-                "cio_spurious_wakeups_total {}\n",
-                snap.spurious_wakeups
-            ));
-            out.push_str(
-                "# HELP cio_slo_breaches_total SLO watchdog breach events.\n\
-                 # TYPE cio_slo_breaches_total counter\n",
-            );
-            out.push_str(&format!("cio_slo_breaches_total {}\n", snap.slo_breaches));
-            out.push_str(
-                "# HELP cio_blk_records_total Logical blocks moved through the block transport.\n\
-                 # TYPE cio_blk_records_total counter\n",
-            );
-            out.push_str(&format!("cio_blk_records_total {}\n", snap.blk_records));
-            out.push_str(
-                "# HELP cio_blk_copies_per_record Staging copies per block moved.\n\
-                 # TYPE cio_blk_copies_per_record gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_blk_copies_per_record {:.6}\n",
-                blk_copies_per_record(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_blk_records_per_commit Blocks published per block-ring producer index write.\n\
-                 # TYPE cio_blk_records_per_commit gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_blk_records_per_commit {:.6}\n",
-                blk_records_per_commit(&snap)
-            ));
-            out.push_str(
-                "# HELP cio_blk_doorbells_per_record Doorbells actually rung on the block rings per block.\n\
-                 # TYPE cio_blk_doorbells_per_record gauge\n",
-            );
-            out.push_str(&format!(
-                "cio_blk_doorbells_per_record {:.6}\n",
-                blk_doorbells_per_record(&snap)
-            ));
-        }
-        if let Some(g) = &s.sessions {
-            out.push_str(
-                "# HELP cio_sessions_live Live sessions per RSS shard.\n\
-                 # TYPE cio_sessions_live gauge\n",
-            );
-            for (q, v) in g.live.iter().enumerate() {
-                out.push_str(&format!("cio_sessions_live{{shard=\"{q}\"}} {v}.000000\n"));
+
+        for row in flat_rows(&s, inner.observe) {
+            if row.metric.is_empty() {
+                continue;
             }
-            out.push_str(
-                "# HELP cio_sessions_peak Peak concurrent sessions per RSS shard.\n\
-                 # TYPE cio_sessions_peak gauge\n",
-            );
-            for (q, v) in g.peak.iter().enumerate() {
-                out.push_str(&format!("cio_sessions_peak{{shard=\"{q}\"}} {v}.000000\n"));
-            }
-            out.push_str(
-                "# HELP cio_sessions_created_total Sessions ever opened through the flow table.\n\
-                 # TYPE cio_sessions_created_total counter\n",
-            );
-            out.push_str(&format!("cio_sessions_created_total {}\n", g.created));
-            out.push_str(
-                "# HELP cio_sessions_reclaimed_total Sessions closed and their slots reclaimed.\n\
-                 # TYPE cio_sessions_reclaimed_total counter\n",
-            );
-            out.push_str(&format!("cio_sessions_reclaimed_total {}\n", g.reclaimed));
-            out.push_str(
-                "# HELP cio_session_table_slots Flow-table slots ever allocated (memory footprint).\n\
-                 # TYPE cio_session_table_slots gauge\n",
-            );
-            out.push_str(&format!("cio_session_table_slots {}.000000\n", g.slots));
-        }
-        if let Some(fr) = &s.flight {
-            out.push_str(
-                "# HELP cio_flight_events_dropped_total Flight-recorder ring evictions per queue.\n\
-                 # TYPE cio_flight_events_dropped_total counter\n",
-            );
-            for q in 0..fr.queues() {
-                out.push_str(&format!(
-                    "cio_flight_events_dropped_total{{queue=\"{q}\"}} {}\n",
-                    fr.dropped(q)
-                ));
+            let counter = row.metric.ends_with("_total");
+            let kind = if counter { "counter" } else { "gauge" };
+            header(&mut out, row.metric, row.help, kind);
+            // Counters print as integers, gauges as fixed-point.
+            let int = |v: u64| {
+                if counter {
+                    v.to_string()
+                } else {
+                    format!("{v}.000000")
+                }
+            };
+            match &row.value {
+                Value::Int(v) => out.push_str(&format!("{} {}\n", row.metric, int(*v))),
+                Value::Ratio(..) => {
+                    out.push_str(&format!("{} {}\n", row.metric, row.value.json()));
+                }
+                Value::PerIndex(label, vs) => {
+                    for (i, v) in vs.iter().enumerate() {
+                        out.push_str(&format!("{}{{{label}=\"{i}\"}} {}\n", row.metric, int(*v)));
+                    }
+                }
             }
         }
         out
@@ -943,9 +1019,10 @@ impl Telemetry {
 
     /// Renders every instrument as a JSON document (fixed key order,
     /// integers and fixed-precision fractions only — byte-identical for
-    /// identical runs). Returns `{"enabled":false}` when disabled.
+    /// identical runs). Returns `{"enabled":false}` unless the
+    /// instruments are armed.
     pub fn json_snapshot(&self) -> String {
-        let Some(inner) = &self.inner else {
+        let Some(inner) = self.ins() else {
             return String::from("{\"enabled\":false}");
         };
         let s = inner.lock();
@@ -967,15 +1044,11 @@ impl Telemetry {
                 .map(|q| s.attr_counts[q * Stage::COUNT + stage.idx()])
                 .collect();
             let total: u64 = per_q.iter().sum();
-            let frac = if s.covered > 0 {
-                total as f64 / s.covered as f64
-            } else {
-                0.0
-            };
             out.push_str(&format!(
                 "    {{\"stage\": \"{}\", \"cycles\": {per_q:?}, \"spans\": {spans:?}, \
-                 \"total_cycles\": {total}, \"fraction\": {frac:.6}}}{}\n",
+                 \"total_cycles\": {total}, \"fraction\": {:.6}}}{}\n",
                 stage.name(),
+                ratio(total, s.covered),
                 if si + 1 < Stage::ALL.len() { "," } else { "" }
             ));
         }
@@ -1018,129 +1091,116 @@ impl Telemetry {
             ));
         }
         out.push_str("  ]");
-        if let Some(m) = &s.meter {
-            let snap = m.snapshot();
-            out.push_str(&format!(
-                ",\n  \"dataplane\": {{\"ring_records\": {}, \"copies\": {}, \
-                 \"bytes_copied\": {}, \"bytes_zero_copy\": {}, \
-                 \"copies_per_record\": {:.6}, \"records_per_commit\": {:.6}, \
-                 \"lock_acquisitions_per_record\": {:.6}, \
-                 \"doorbells_per_record\": {:.6}, \"suppressed_kicks\": {}, \
-                 \"spurious_wakeups\": {}}}",
-                snap.ring_records,
-                snap.copies,
-                snap.bytes_copied,
-                snap.bytes_zero_copy,
-                copies_per_record(&snap),
-                records_per_commit(&snap),
-                locks_per_record(&snap),
-                doorbells_per_record(&snap),
-                snap.suppressed_kicks,
-                snap.spurious_wakeups
-            ));
-            out.push_str(&format!(
-                ",\n  \"storage\": {{\"blk_records\": {}, \"blk_copies\": {}, \
-                 \"blk_commits\": {}, \"blk_doorbells\": {}, \
-                 \"blk_copies_per_record\": {:.6}, \
-                 \"blk_records_per_commit\": {:.6}, \
-                 \"blk_doorbells_per_record\": {:.6}}}",
-                snap.blk_records,
-                snap.blk_copies,
-                snap.blk_commits,
-                snap.blk_doorbells,
-                blk_copies_per_record(&snap),
-                blk_records_per_commit(&snap),
-                blk_doorbells_per_record(&snap)
-            ));
+        // Each flat section is one object, opened at its first row.
+        let mut section = "";
+        for row in flat_rows(&s, inner.observe) {
+            if row.name.is_empty() {
+                continue;
+            }
+            if row.section == section {
+                out.push_str(", ");
+            } else {
+                if !section.is_empty() {
+                    out.push('}');
+                }
+                out.push_str(&format!(",\n  \"{}\": {{", row.section));
+                section = row.section;
+            }
+            out.push_str(&format!("\"{}\": {}", row.name, row.value.json()));
         }
-        if let Some(g) = &s.sessions {
-            out.push_str(&format!(
-                ",\n  \"sessions\": {{\"live\": {:?}, \"peak\": {:?}, \
-                 \"created\": {}, \"reclaimed\": {}, \"slots\": {}}}",
-                g.live, g.peak, g.created, g.reclaimed, g.slots
-            ));
-        }
-        if let Some(fr) = &s.flight {
-            let flight_dropped: Vec<u64> = (0..fr.queues()).map(|q| fr.dropped(q)).collect();
-            let slo = s.meter.as_ref().map_or(0, |m| m.snapshot().slo_breaches);
-            out.push_str(&format!(
-                ",\n  \"observe\": {{\"flight_events_dropped\": {flight_dropped:?}, \
-                 \"slo_breaches\": {slo}}}"
-            ));
+        if !section.is_empty() {
+            out.push('}');
         }
         out.push_str("\n}\n");
         out
     }
 }
 
-/// Staging copies per published ring record (0 before any record moved).
-fn copies_per_record(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.ring_records == 0 {
+/// `n / d`, reading 0 before the denominator moved.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
         0.0
     } else {
-        snap.copies as f64 / snap.ring_records as f64
+        n as f64 / d as f64
     }
 }
 
-/// Records published per producer-index write: 1.0 under the serial
-/// policy, approaching the batch size as commits amortize.
-fn records_per_commit(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.ring_commits == 0 {
-        0.0
-    } else {
-        snap.ring_records as f64 / snap.ring_commits as f64
+/// One scalar (or one per-index series) both exporters render.
+struct Row {
+    /// JSON object the row belongs to.
+    section: &'static str,
+    /// JSON key inside the section; empty for a Prometheus-only row.
+    name: &'static str,
+    /// Prometheus metric name; empty for a JSON-only row. A `_total`
+    /// suffix makes it a counter, anything else a gauge.
+    metric: &'static str,
+    help: &'static str,
+    value: Value,
+}
+
+enum Value {
+    Int(u64),
+    /// Numerator over denominator, rendered to six places.
+    Ratio(u64, u64),
+    /// One integer per index under a Prometheus label (`shard`, `queue`).
+    PerIndex(&'static str, Vec<u64>),
+}
+
+impl Value {
+    fn json(&self) -> String {
+        match self {
+            Value::Int(v) => v.to_string(),
+            Value::Ratio(n, d) => format!("{:.6}", ratio(*n, *d)),
+            Value::PerIndex(_, vs) => format!("{vs:?}"),
+        }
     }
 }
 
-/// Memory-lock acquisitions per ring record: below 1.0 once batched
-/// paths cover runs of records with single locked regions.
-fn locks_per_record(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.ring_records == 0 {
-        0.0
-    } else {
-        snap.lock_acquisitions as f64 / snap.ring_records as f64
+/// The flat export sections — dataplane, storage, sessions, observe — as
+/// one fixed-order table both formatters walk, so a gauge is declared
+/// once. Dataplane and storage rows need an attached meter, session rows
+/// a published table, observe rows an armed timeline; a missing source
+/// drops its rows (and with them the JSON section).
+#[rustfmt::skip]
+fn flat_rows(s: &State, observe: bool) -> Vec<Row> {
+    use Value::{Int, PerIndex, Ratio};
+    let mut rows = Vec::new();
+    let mut row = |section, name, metric, help, value| rows.push(Row { section, name, metric, help, value });
+    let meter = s.meter.as_ref().map(Meter::snapshot);
+    if let Some(m) = &meter {
+        let doorbells = m.notifications_sent + m.interrupts_received;
+        row("dataplane", "ring_records", "cio_ring_records_total", "Records published onto cio rings.", Int(m.ring_records));
+        row("dataplane", "copies", "", "", Int(m.copies));
+        row("dataplane", "bytes_copied", "cio_bytes_copied_total", "Payload bytes moved by staging copies.", Int(m.bytes_copied));
+        row("dataplane", "bytes_zero_copy", "cio_bytes_zero_copy_total", "Payload bytes positioned without a copy.", Int(m.bytes_zero_copy));
+        row("dataplane", "copies_per_record", "cio_copies_per_record", "Staging copies per published ring record.", Ratio(m.copies, m.ring_records));
+        row("dataplane", "records_per_commit", "cio_records_per_commit", "Ring records published per producer index write.", Ratio(m.ring_records, m.ring_commits));
+        row("dataplane", "lock_acquisitions_per_record", "cio_lock_acquisitions_per_record", "Memory-lock acquisitions per ring record.", Ratio(m.lock_acquisitions, m.ring_records));
+        row("dataplane", "doorbells_per_record", "cio_doorbells_per_record", "Doorbells (host notifies + injected interrupts) per ring record.", Ratio(doorbells, m.ring_records));
+        row("dataplane", "suppressed_kicks", "cio_suppressed_kicks_total", "Doorbells suppressed by the event-idx window.", Int(m.suppressed_kicks));
+        row("dataplane", "spurious_wakeups", "cio_spurious_wakeups_total", "Doorbells that woke a consumer to a drained ring.", Int(m.spurious_wakeups));
+        row("dataplane", "", "cio_slo_breaches_total", "SLO watchdog breach events.", Int(m.slo_breaches));
+        row("storage", "blk_records", "cio_blk_records_total", "Logical blocks moved through the block transport.", Int(m.blk_records));
+        row("storage", "blk_copies", "", "", Int(m.blk_copies));
+        row("storage", "blk_commits", "", "", Int(m.blk_commits));
+        row("storage", "blk_doorbells", "", "", Int(m.blk_doorbells));
+        row("storage", "blk_copies_per_record", "cio_blk_copies_per_record", "Staging copies per block moved.", Ratio(m.blk_copies, m.blk_records));
+        row("storage", "blk_records_per_commit", "cio_blk_records_per_commit", "Blocks published per block-ring producer index write.", Ratio(m.blk_records, m.blk_commits));
+        row("storage", "blk_doorbells_per_record", "cio_blk_doorbells_per_record", "Doorbells actually rung on the block rings per block.", Ratio(m.blk_doorbells, m.blk_records));
     }
-}
-
-/// Doorbells (guest-to-host notifies plus host-injected interrupts) per
-/// ring record: 0 under pure polling, collapsing toward 0 under event-idx
-/// suppression at load.
-fn doorbells_per_record(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.ring_records == 0 {
-        0.0
-    } else {
-        (snap.notifications_sent + snap.interrupts_received) as f64 / snap.ring_records as f64
+    if let Some(g) = &s.sessions {
+        row("sessions", "live", "cio_sessions_live", "Live sessions per RSS shard.", PerIndex("shard", g.live.clone()));
+        row("sessions", "peak", "cio_sessions_peak", "Peak concurrent sessions per RSS shard.", PerIndex("shard", g.peak.clone()));
+        row("sessions", "created", "cio_sessions_created_total", "Sessions ever opened through the flow table.", Int(g.created));
+        row("sessions", "reclaimed", "cio_sessions_reclaimed_total", "Sessions closed and their slots reclaimed.", Int(g.reclaimed));
+        row("sessions", "slots", "cio_session_table_slots", "Flow-table slots ever allocated (memory footprint).", Int(g.slots));
     }
-}
-
-/// Staging copies per block moved through the block transport (0 before
-/// any block moved; stays 0 on the seal-in-slot path).
-fn blk_copies_per_record(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.blk_records == 0 {
-        0.0
-    } else {
-        snap.blk_copies as f64 / snap.blk_records as f64
+    if observe {
+        let dropped = s.log.rings().map(|(_, dropped)| dropped).collect();
+        row("observe", "flight_events_dropped", "cio_flight_events_dropped_total", "Flight-recorder ring evictions per queue.", PerIndex("queue", dropped));
+        row("observe", "slo_breaches", "", "", Int(meter.map_or(0, |m| m.slo_breaches)));
     }
-}
-
-/// Blocks published per block-ring producer-index write: 1.0 serial,
-/// approaching the batch depth as commits amortize over runs.
-fn blk_records_per_commit(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.blk_commits == 0 {
-        0.0
-    } else {
-        snap.blk_records as f64 / snap.blk_commits as f64
-    }
-}
-
-/// Doorbells actually rung on the block rings per block moved: collapses
-/// toward 0 under event-idx suppression with batched runs.
-fn blk_doorbells_per_record(snap: &crate::MeterSnapshot) -> f64 {
-    if snap.blk_records == 0 {
-        0.0
-    } else {
-        snap.blk_doorbells as f64 / snap.blk_records as f64
-    }
+    rows
 }
 
 /// Span guard: closes its span when dropped. Obtained from
@@ -1165,7 +1225,7 @@ impl Drop for Span {
 /// [`Profile::covered`] exactly: summing [`Profile::cycles`] over every
 /// queue and stage reproduces the covered total, which is what makes the
 /// fractions sum to 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Profile {
     queues: usize,
     covered: u64,
@@ -1221,10 +1281,7 @@ impl Profile {
     /// `stage`'s share of the covered virtual time (0 when nothing was
     /// covered).
     pub fn fraction(&self, stage: Stage) -> f64 {
-        if self.covered == 0 {
-            return 0.0;
-        }
-        self.stage_cycles(stage) as f64 / self.covered as f64
+        ratio(self.stage_cycles(stage), self.covered)
     }
 
     /// Renders the attribution table: one row per stage with per-queue
@@ -1383,6 +1440,53 @@ mod tests {
         assert_eq!(t.prometheus_text(), "");
         assert_eq!(t.json_snapshot(), "{\"enabled\":false}");
         assert_eq!(t.rtt_histogram(0).count(), 0);
+        t.record(0, EventKind::SealOk, 1, 2);
+        assert!(!t.observing());
+        assert_eq!(t.queues(), 0);
+        assert!(t.events(0).is_empty());
+        assert_eq!(t.total_dropped(), 0);
+        assert_eq!(t.event_log(), "");
+        assert!(t.verify_audit().is_ok());
+    }
+
+    #[test]
+    fn a_half_that_is_off_answers_like_a_disabled_handle() {
+        let off = Telemetry::disabled();
+        let drive = |t: &Telemetry, clock: &Clock| {
+            {
+                let _g = t.span(0, Stage::GuestSend);
+                clock.advance(Cycles(5));
+            }
+            t.record_rtt(0, Cycles(5));
+            t.record(0, EventKind::OpenFail, 1, 2);
+        };
+        // Instruments only: the timeline half is inert.
+        let clock = Clock::new();
+        let t = Telemetry::new(clock.clone(), 2);
+        drive(&t, &clock);
+        assert!(t.enabled() && !t.observing());
+        assert_eq!(t.event_log(), off.event_log());
+        assert_eq!(t.audit_log(), off.audit_log());
+        assert_eq!(t.audit_head(), off.audit_head());
+        assert!(t.events(0).is_empty() && t.audit_records().is_empty());
+        assert!(!t.json_snapshot().contains("\"observe\""));
+        assert!(!t
+            .prometheus_text()
+            .contains("cio_flight_events_dropped_total"));
+        // Timeline only: the instrument half is inert.
+        let clock = Clock::new();
+        let t = Telemetry::with_arming(&clock, 2, false, true);
+        drive(&t, &clock);
+        assert!(!t.enabled() && t.observing());
+        assert_eq!(t.prometheus_text(), off.prometheus_text());
+        assert_eq!(t.json_snapshot(), off.json_snapshot());
+        assert_eq!(t.profile().render_table(), off.profile().render_table());
+        assert_eq!(t.rtt_histogram(0).count(), 0);
+        assert_eq!(t.events(0).len(), 1);
+        // Neither bit: the handle itself is the disabled one.
+        assert!(Telemetry::with_arming(&clock, 2, false, false)
+            .inner
+            .is_none());
     }
 
     #[test]
@@ -1550,6 +1654,87 @@ mod tests {
         let (pf, jf) = run_forked();
         assert_eq!(pd, pf, "forked exports must match direct exports");
         assert_eq!(jd, jf);
+    }
+
+    #[test]
+    fn fork_absorb_matches_direct_event_recording() {
+        let clock = Clock::new();
+        let direct = Telemetry::with_arming(&clock, 2, true, true);
+        let parent = Telemetry::with_arming(&clock, 2, true, true);
+        let lane = Clock::new();
+        let f = parent.fork(lane.clone());
+        assert!(f.enabled() && f.observing(), "a fork keeps both arm bits");
+        for i in 0..6u64 {
+            clock.advance(Cycles(10));
+            lane.reposition(clock.now());
+            direct.record((i % 2) as usize, EventKind::BatchCommit, i, 0);
+            f.record((i % 2) as usize, EventKind::BatchCommit, i, 0);
+            if i == 3 {
+                direct.record(0, EventKind::OpenFail, i, 0);
+                f.record(0, EventKind::OpenFail, i, 0);
+            }
+        }
+        parent.absorb(&f);
+        assert_eq!(parent.event_log(), direct.event_log());
+        assert_eq!(parent.audit_log(), direct.audit_log());
+        assert_eq!(parent.chrome_trace(), direct.chrome_trace());
+        parent.verify_audit().expect("absorbed chain verifies");
+        // The fork drained: a second absorb adds nothing.
+        parent.absorb(&f);
+        assert_eq!(parent.event_log(), direct.event_log());
+        assert_eq!(f.event_log(), "");
+        assert_eq!(f.audit_head().len, 0);
+    }
+
+    #[test]
+    fn absorb_carries_drop_counters() {
+        let parent = Telemetry::with_arming(&Clock::new(), 1, false, true);
+        let f = parent.fork(Clock::new());
+        let n = crate::flight::FLIGHT_RING_CAPACITY as u64 + 3;
+        for i in 0..n {
+            f.record(0, EventKind::Doorbell, i, 0);
+        }
+        assert_eq!(f.total_dropped(), 3);
+        parent.absorb(&f);
+        assert_eq!(parent.total_dropped(), 3);
+        assert_eq!(parent.events(0)[0].a, 3);
+        assert_eq!(f.total_dropped(), 0, "worker counters reset on absorb");
+        assert!(parent.prometheus_text().is_empty());
+    }
+
+    #[test]
+    fn chrome_trace_contains_events_and_counters() {
+        let clock = Clock::new();
+        let t = Telemetry::with_arming(&clock, 2, true, true);
+        {
+            let _s = t.span(1, Stage::TxSeal);
+            clock.advance(Cycles(40));
+        }
+        t.record(1, EventKind::SealOk, 64, 1);
+        let json = t.chrome_trace();
+        assert!(json.starts_with("{\"displayTimeUnit\""));
+        assert!(json.contains("\"name\":\"seal.ok\""));
+        assert!(json.contains("\"ts\":40,\"name\":\"stage.tx.seal\""));
+        assert!(json.contains("\"tid\":1"));
+        assert!(json.ends_with("]}\n"));
+        // Deterministic: same state, same bytes.
+        assert_eq!(json, t.chrome_trace());
+        // Both exporters surface the timeline's drop counters.
+        assert!(t
+            .json_snapshot()
+            .contains("\"observe\": {\"flight_events_dropped\": [0, 0], \"slo_breaches\": 0}"));
+        assert!(t
+            .prometheus_text()
+            .ends_with("cio_flight_events_dropped_total{queue=\"1\"} 0\n"));
+        // Timeline only: events, no counters, still well-formed.
+        let f = Telemetry::with_arming(&clock, 1, false, true);
+        f.record(0, EventKind::SealOk, 64, 1);
+        let events_only = f.chrome_trace();
+        assert!(events_only.contains("seal.ok") && !events_only.contains("stage."));
+        assert_eq!(
+            Telemetry::disabled().chrome_trace(),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n"
+        );
     }
 
     #[test]

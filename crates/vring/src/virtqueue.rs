@@ -205,11 +205,6 @@ impl ConfigSpace {
         guest.read_u64(self.base.add(Self::DEVICE_FEATURES))
     }
 
-    /// Reads the accepted feature word (host side).
-    pub fn read_driver_features(&self, host: &HostView) -> Result<u64, MemError> {
-        host.read_u64(self.base.add(Self::DRIVER_FEATURES))
-    }
-
     /// Reads the status byte (either side; it lives in shared memory).
     pub fn read_status(&self, guest: &GuestView) -> Result<u8, MemError> {
         let mut b = [0u8; 1];
@@ -220,13 +215,6 @@ impl ConfigSpace {
     /// Guest-side status write.
     pub fn write_status(&self, guest: &GuestView, status: u8) -> Result<(), MemError> {
         guest.write(self.base.add(Self::STATUS), &[status])
-    }
-
-    /// Host-side status read.
-    pub fn host_read_status(&self, host: &HostView) -> Result<u8, MemError> {
-        let mut b = [0u8; 1];
-        host.read(self.base.add(Self::STATUS), &mut b)?;
-        Ok(b[0])
     }
 
     /// Host-side status write (e.g. clearing FEATURES_OK to reject).
@@ -806,11 +794,6 @@ impl DeviceSide {
         self.host
             .write_u16(self.layout.used_idx(), used_idx.wrapping_add(1))?;
         Ok(())
-    }
-
-    /// Raw access to the host view (used by the adversary).
-    pub fn host_view(&self) -> &HostView {
-        &self.host
     }
 }
 

@@ -1,11 +1,11 @@
-//! Flight-recorder determinism and audit-chain integrity (E22).
+//! Event-timeline determinism and audit-chain integrity (E22).
 //!
-//! The flight recorder rides the virtual clock like telemetry, so its
-//! exports join the determinism contract: same-seed worlds must produce
-//! byte-identical event logs, Chrome-trace JSON, and audit logs — and
-//! the thread-per-queue host, which records into per-queue forks on the
-//! workers' lane clocks and absorbs them in ascending queue order, must
-//! reproduce the serial logs exactly. The hash-chained audit stream must
+//! The timeline half of the telemetry domain rides the virtual clock
+//! like the instruments, so its exports join the determinism contract:
+//! same-seed worlds must produce byte-identical event logs, Chrome-trace
+//! JSON, and audit logs — and the thread-per-queue host, which records
+//! into per-queue forks on the workers' lane clocks and absorbs them in
+//! ascending queue order, must reproduce the serial logs exactly. The hash-chained audit stream must
 //! verify end to end and pinpoint any mutated link.
 
 use cio::world::WorldOptions;
@@ -49,8 +49,8 @@ fn event_streams_are_byte_identical_across_same_seed_runs() {
     let b = run_world(0);
     assert_eq!(a.clock().now(), b.clock().now(), "virtual clocks diverged");
     assert_eq!(
-        a.flight().event_log(),
-        b.flight().event_log(),
+        a.telemetry().event_log(),
+        b.telemetry().event_log(),
         "event logs diverged between identical runs"
     );
     assert_eq!(
@@ -59,12 +59,12 @@ fn event_streams_are_byte_identical_across_same_seed_runs() {
         "Chrome-trace exports diverged between identical runs"
     );
     assert_eq!(
-        a.flight().audit_log(),
-        b.flight().audit_log(),
+        a.telemetry().audit_log(),
+        b.telemetry().audit_log(),
         "audit logs diverged between identical runs"
     );
     assert!(
-        !a.flight().event_log().is_empty(),
+        !a.telemetry().event_log().is_empty(),
         "recorder captured nothing"
     );
 }
@@ -80,10 +80,13 @@ fn event_streams_are_byte_identical_under_worker_threads() {
             "{threads} threads: virtual clock diverged"
         );
         assert_eq!(
-            serial.flight().event_log(),
-            par.flight().event_log(),
+            serial.telemetry().event_log(),
+            par.telemetry().event_log(),
             "{threads} threads: event log diverged from serial; first diff: {}",
-            first_diff(&serial.flight().event_log(), &par.flight().event_log()),
+            first_diff(
+                &serial.telemetry().event_log(),
+                &par.telemetry().event_log()
+            ),
         );
         assert_eq!(
             serial.chrome_trace(),
@@ -91,19 +94,21 @@ fn event_streams_are_byte_identical_under_worker_threads() {
             "{threads} threads: Chrome trace diverged from serial"
         );
         assert_eq!(
-            serial.flight().audit_log(),
-            par.flight().audit_log(),
+            serial.telemetry().audit_log(),
+            par.telemetry().audit_log(),
             "{threads} threads: audit log diverged from serial"
         );
-        par.flight().verify_audit().expect("parallel audit chain");
+        par.telemetry()
+            .verify_audit()
+            .expect("parallel audit chain");
     }
 }
 
 #[test]
 fn audit_chain_round_trips_and_detects_tampering() {
     let w = run_world(0);
-    let head = w.flight().audit_head();
-    let records = w.flight().audit_records();
+    let head = w.telemetry().audit_head();
+    let records = w.telemetry().audit_records();
     verify_audit_chain(&records, &head).expect("clean chain must verify");
 
     if !records.is_empty() {
@@ -128,7 +133,7 @@ fn audit_chain_round_trips_and_detects_tampering() {
 #[test]
 fn recorder_captures_the_dataplane_story() {
     let w = run_world(0);
-    let log = w.flight().event_log();
+    let log = w.telemetry().event_log();
     for kind in [
         EventKind::SessionOpen,
         EventKind::HandshakeOk,
@@ -145,7 +150,7 @@ fn recorder_captures_the_dataplane_story() {
         );
     }
     assert_eq!(
-        w.flight().total_dropped(),
+        w.telemetry().total_dropped(),
         0,
         "echo workload overflowed the ring"
     );

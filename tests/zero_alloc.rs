@@ -24,9 +24,9 @@ use cio::session::{SessionId, SessionTable};
 use cio_ctls::{Channel, RecordScratch, SimHooks, RECORD_OVERHEAD};
 use cio_host::backend::NotifyGate;
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_sim::flight::FLIGHT_RING_CAPACITY;
 use cio_sim::{
-    Clock, CostModel, Cycles, EventKind, FlightRecorder, Meter, SloConfig, SloWatchdog, Stage,
-    Telemetry,
+    Clock, CostModel, Cycles, EventKind, Meter, SloConfig, SloWatchdog, Stage, Telemetry,
 };
 use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyMode, Producer, RingConfig};
 
@@ -554,18 +554,21 @@ fn steady_state_record_path_does_not_allocate() {
     assert!(table.capacity() as u64 <= table.peak_live());
     assert_eq!(table.probes(), table.lookups());
 
-    // Phase 7: observability armed — flight recorder and SLO watchdog
+    // Phase 7: the whole observation domain armed — instruments, event
+    // timeline, a worker fork absorbed every cycle, and the SLO watchdog
     // join the audit. Recording an event is a mutex lock plus a write
     // into a preallocated ring; a security event additionally extends
-    // the audit chain, whose backing store is preallocated; the watchdog
-    // pump diffs fixed-size histogram snapshots into fixed-size windows.
-    // Once warm, none of it touches the heap.
+    // the audit chain, whose backing store is preallocated; absorbing a
+    // fork drains its rings into the parent's and re-chains its audit
+    // records; the watchdog pump diffs fixed-size histogram snapshots
+    // into fixed-size windows. Once warm, none of it touches the heap.
     let obs_clock = Clock::new();
-    let flight = FlightRecorder::new(obs_clock.clone(), 1);
+    let observed = Telemetry::with_arming(&obs_clock, 1, true, true);
+    let fork = observed.fork(obs_clock.clone());
     let mut watchdog = SloWatchdog::new(SloConfig::default(), 1);
     let obs_meter = Meter::new();
     let mut observe_cycle = |plain: &mut RecordScratch| {
-        let _span = telemetry.span(0, Stage::GuestSend);
+        let _span = observed.span(0, Stage::GuestSend);
         let grant = producer
             .reserve(payload.len() + RECORD_OVERHEAD)
             .expect("slot reservation");
@@ -574,18 +577,21 @@ fn steady_state_record_path_does_not_allocate() {
             .expect("slot access")
             .expect("seal in slot");
         producer.commit(grant, n).expect("commit");
-        flight.record(0, EventKind::SealOk, payload.len() as u64, 1);
+        observed.record(0, EventKind::SealOk, payload.len() as u64, 1);
         consumer
             .consume_in_place(|record| host.open_in_slot(record, plain).expect("open in slot"))
             .expect("consume")
             .expect("record available");
-        flight.record(0, EventKind::OpenOk, payload.len() as u64, 0);
-        flight.record(0, EventKind::BatchCommit, 1, 0);
-        // One security event per cycle keeps the audit chain growing
-        // inside the measured loop.
-        flight.record(0, EventKind::SessionQuarantine, 7, 0);
-        telemetry.record_rtt(0, Cycles(1_000));
-        watchdog.pump(&telemetry, &flight, &obs_meter, obs_clock.now());
+        observed.record(0, EventKind::OpenOk, payload.len() as u64, 0);
+        // The host half of the cycle lands in the worker fork. One
+        // security event per cycle keeps the audit chain growing (and
+        // the absorb re-chaining) inside the measured loop.
+        fork.record_batch(0, 1);
+        fork.record(0, EventKind::BatchCommit, 1, 0);
+        fork.record(0, EventKind::SessionQuarantine, 7, 0);
+        observed.absorb(&fork);
+        observed.record_rtt(0, Cycles(1_000));
+        watchdog.pump(&observed, &obs_meter, obs_clock.now());
         obs_clock.advance(Cycles(50_000));
         assert_eq!(plain.as_slice(), &payload[..]);
     };
@@ -600,13 +606,42 @@ fn steady_state_record_path_does_not_allocate() {
     let during = allocations() - before;
     assert_eq!(
         during, 0,
-        "steady state with flight recorder + SLO watchdog armed must not \
-         touch the heap ({during} allocations over 250 observed records)"
+        "steady state with timeline + fork/absorb + SLO watchdog armed must \
+         not touch the heap ({during} allocations over 250 observed records)"
     );
-    assert!(flight.verify_audit().is_ok(), "audit chain self-check");
+    assert!(observed.verify_audit().is_ok(), "audit chain self-check");
+    assert_eq!(
+        observed.audit_head().len,
+        282,
+        "one re-chained link per cycle"
+    );
     // 282 cycles x 4 events overflowed the 1024-slot ring mid-audit, so
     // the zero-allocation figure covers eviction too.
-    assert_eq!(flight.dropped(0), 282 * 4 - flight.capacity() as u64);
+    assert_eq!(
+        observed.total_dropped(),
+        282 * 4 - FLIGHT_RING_CAPACITY as u64
+    );
+
+    // The host-visibility tally is not instrumentation — it is always on,
+    // once per frame — so it rides the audit unconditionally: after the
+    // first sighting of each kind, a record is one lock and one in-place
+    // update.
+    let tally = cio_host::Recorder::new();
+    let kinds = ["frame.tx", "frame.rx", "tlp", "blk.read", "sock.send"];
+    for kind in kinds {
+        tally.record(kind, 36);
+    }
+    let before = allocations();
+    for i in 0..100_000usize {
+        tally.record(kinds[i % kinds.len()], 36);
+    }
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "the host-visibility tally must not touch the heap ({during} \
+         allocations over 100000 records)"
+    );
+    assert_eq!(tally.summary().events, 100_005);
 
     // Phase 8: the adaptive notify controller armed. An event-idx ring
     // plus a [`NotifyGate`] is the full notification economy: the
