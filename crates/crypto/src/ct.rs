@@ -53,11 +53,13 @@ pub fn ct_swap<const N: usize>(choice: u64, a: &mut [u64; N], b: &mut [u64; N]) 
 
 /// Zeroizes a byte buffer.
 ///
-/// Best-effort hygiene for key material. Without volatile writes the
-/// compiler may elide dead stores; the write is routed through
-/// `std::ptr::write_volatile`-free black-box (`std::hint::black_box`) to
-/// keep the crate `forbid(unsafe_code)` while still defeating trivial
-/// dead-store elimination.
+/// Best-effort hygiene for key material: the cTLS handshake clears its
+/// ephemeral X25519 scalar and the raw Diffie-Hellman output with this
+/// once the key schedule is derived. A plain store loop may be elided as
+/// dead; a volatile write needs `unsafe`, which this crate confines to
+/// the ChaCha20 SIMD kernels, so the buffer is instead passed through
+/// `std::hint::black_box` after clearing, which defeats trivial
+/// dead-store elimination without guaranteeing more.
 pub fn zeroize(buf: &mut [u8]) {
     for b in buf.iter_mut() {
         *b = 0;

@@ -17,12 +17,25 @@
 //!
 //! Every module carries the relevant RFC/NIST test vectors in its unit
 //! tests. The implementations favour clarity and branch-free handling of
-//! secret data over raw speed, with one exception: the ChaCha20 session
-//! keystream has explicit SSE2/AVX2 kernels on `x86_64` (the dataplane
-//! benchmarks are wall-clock, so the AEAD really is the hot loop). The
-//! SIMD code is confined to one module, tested bit-for-bit against the
-//! scalar oracle, and is the only unsafe code in the crate
-//! (`#![deny(unsafe_code)]` with a scoped allow there).
+//! secret data over raw speed, with three exceptions, because the
+//! benchmarks are wall-clock and these kernels sit on every connection
+//! and every sealed byte:
+//!
+//! * the ChaCha20 session keystream has explicit SSE2/AVX2 kernels on
+//!   `x86_64`. The SIMD code is confined to one module, tested bit-for-bit
+//!   against the scalar oracle, and is the only unsafe code in the crate
+//!   (`#![deny(unsafe_code)]` with a scoped allow there);
+//! * [`poly1305`] absorbs four blocks per carry over cached powers of `r`
+//!   once a record is long enough to pay for them;
+//! * [`x25519`] reduces lazily: additions and subtractions do not carry,
+//!   squaring is a real squaring, and one carry chain follows each
+//!   multiply.
+//!
+//! The last two are plain safe `u64`/`u128` arithmetic whose output is
+//! byte-identical to the textbook one-block / carry-after-every-operation
+//! forms; each module header gives the limb-bound argument, and the unit
+//! tests check it mechanically (dev builds panic on overflow) against an
+//! independent oracle.
 //!
 //! # Security note
 //!

@@ -1,10 +1,49 @@
 //! X25519 Diffie-Hellman (RFC 7748).
 //!
-//! Field arithmetic over GF(2^255 - 19) in radix-2^51 (five 51-bit limbs in
-//! `u64`, products accumulated in `u128`), with a constant-time Montgomery
-//! ladder. Used by the cTLS handshake for ephemeral key agreement.
+//! Field arithmetic over GF(2^255 - 19) in radix-2^51 (five limbs in `u64`,
+//! products accumulated in `u128`), with a constant-time Montgomery ladder.
+//! Used by the cTLS handshake for ephemeral key agreement.
+//!
+//! # Lazy reduction and the bounds argument
+//!
+//! A ladder step is 5 multiplications, 4 squarings, one small multiple and
+//! 8 additions/subtractions. Carrying after every one of them makes the
+//! step a single serial chain; here only the multiplier carries, so the
+//! step is bounded by how fast the core issues 64x64 multiplies rather
+//! than by how long a carry chain takes to settle:
+//!
+//! * `Fe::add` is five limb additions and `Fe::sub` is `a + 2p - b`;
+//!   neither carries.
+//! * `Fe::mul`, `Fe::square` and `Fe::mul_small` accept *loose*
+//!   limbs and return *carried* ones through one shared chain
+//!   (`Fe::carry`). The `19 *` wrap of limbs above 2^255 is folded into
+//!   a `u64` operand before widening, and squaring forms each cross
+//!   product once (15 widening multiplies where `mul` needs 25).
+//!
+//! The two limb classes, and why nothing overflows:
+//!
+//! * **carried** — every limb `< 2^51 + 2^13`. `from_bytes` gives
+//!   `< 2^51`; `carry` masks every limb to 51 bits and then adds one final
+//!   carry `< 2^13` into limb 1.
+//! * **loose** — every limb `< 2^54` (`LOOSE`, debug-asserted), what
+//!   `mul`/`square`/`mul_small` accept. Then `19 * limb < 2^58.3` and
+//!   `38 * limb < 2^59.3` fit a `u64`; a column is at most
+//!   `a0*b0 + 19 * (4 products) < 77 * 2^108 < 2^114.3` plus a carry-in
+//!   `< 2^63.3`, inside `u128`; the top column is `< 5 * 2^108 + 2^63.3`,
+//!   its carry-out `< 2^59.4`, and `19 *` that, computed in `u64`, is
+//!   `< 2^63.6`. That last figure is the tight one — 0.4 bits from `2^64`
+//!   *at* the loose bound — so the ladder keeps clear of it: `sub` biases
+//!   by `2p`, the least that works for a carried right-hand side, and no
+//!   ladder intermediate exceeds `2^52.6` (written beside each line of
+//!   the step), where the same product is `< 2^60.9`, three bits clear.
+//!
+//! Every term is a product or sum of non-negative limbs, so the all-limbs-
+//! maximal input is the worst case for every column at once; the oracle
+//! tests below run exactly that input (and chains of `sub` of tiny values,
+//! whose limbs sit just under `2p`'s) in dev, where `u64`/`u128` overflow
+//! panics, against a big-integer implementation that shares none of this.
 
-use crate::ct::ct_swap;
+use crate::ct::{ct_eq, ct_swap};
 use crate::CryptoError;
 
 /// X25519 public/private key and shared-secret length.
@@ -19,7 +58,26 @@ pub const BASEPOINT: [u8; KEY_LEN] = {
 
 const MASK51: u64 = (1u64 << 51) - 1;
 
-/// Field element: 5 limbs of 51 bits, little-endian.
+/// Exclusive limb bound `mul`/`square`/`mul_small` accept (see the module
+/// doc).
+const LOOSE: u64 = 1 << 54;
+
+/// `2p` in radix-2^51, the bias that keeps `sub` non-negative.
+const TWO_P: [u64; 5] = [
+    2 * 0x7ffffffffffed,
+    2 * 0x7ffffffffffff,
+    2 * 0x7ffffffffffff,
+    2 * 0x7ffffffffffff,
+    2 * 0x7ffffffffffff,
+];
+
+/// One 64x64 -> 128 multiply.
+#[inline(always)]
+fn m(x: u64, y: u64) -> u128 {
+    u128::from(x) * u128::from(y)
+}
+
+/// Field element: 5 limbs in radix 2^51, little-endian, lazily reduced.
 #[derive(Clone, Copy, Debug)]
 struct Fe([u64; 5]);
 
@@ -41,27 +99,23 @@ impl Fe {
         ])
     }
 
+    /// Canonical little-endian encoding of a carried element.
     fn to_bytes(self) -> [u8; 32] {
-        // Three weak-carry passes leave every limb <= 2^51 - 1 and the value
-        // in [0, 2^255), after which one conditional subtraction of p fully
-        // reduces.
-        let mut t = self.weak_carry().weak_carry().weak_carry().0;
-
-        // Subtract p if t >= p, branch-free: compute t + 19, check bit 255.
-        let mut u = [0u64; 5];
-        u[0] = t[0].wrapping_add(19);
-        let mut c = u[0] >> 51;
-        u[0] &= MASK51;
-        for i in 1..5 {
-            u[i] = t[i].wrapping_add(c);
-            c = u[i] >> 51;
-            u[i] &= MASK51;
+        let mut t = self.0;
+        // A carried element is < 2^255 + 2^218 < 2p, so the quotient by p
+        // is q = floor((t + 19) / 2^255), 0 or 1: run the carry chain of
+        // t + 19 and keep only what falls out of the top.
+        let mut q = (t[0] + 19) >> 51;
+        for limb in &t[1..] {
+            q = (limb + q) >> 51;
         }
-        // c is 1 iff t >= p; select u (t - p mod 2^255) in that case.
-        let mask = c.wrapping_neg();
-        for i in 0..5 {
-            t[i] = (t[i] & !mask) | (u[i] & mask);
+        // t - q*p = t + 19q - q*2^255: add 19q, carry, and drop bit 255.
+        t[0] += 19 * q;
+        for i in 0..4 {
+            t[i + 1] += t[i] >> 51;
+            t[i] &= MASK51;
         }
+        t[4] &= MASK51;
 
         let mut out = [0u8; 32];
         let write = |out: &mut [u8; 32], bit: usize, v: u64| {
@@ -82,6 +136,13 @@ impl Fe {
         out
     }
 
+    fn is_loose(self) -> bool {
+        self.0.iter().all(|&limb| limb < LOOSE)
+    }
+
+    /// Limb-wise sum, not carried: the bound of the result is the sum of
+    /// the operands' bounds.
+    #[inline(always)]
     fn add(self, rhs: Fe) -> Fe {
         let a = self.0;
         let b = rhs.0;
@@ -92,100 +153,90 @@ impl Fe {
             a[3] + b[3],
             a[4] + b[4],
         ])
-        .weak_carry()
     }
 
+    /// `self + 2p - rhs`, not carried. `rhs` must be carried (its limbs
+    /// must not exceed `2p`'s, the smallest of which is `2^52 - 38`); the
+    /// result's limbs are below `self`'s bound plus `2^52`.
+    #[inline(always)]
     fn sub(self, rhs: Fe) -> Fe {
-        // Add 4p (in 51-bit limb form) before subtracting so every limb
-        // stays non-negative; the result is congruent mod p.
-        const FOUR_P: [u64; 5] = [
-            4 * 0x7ffffffffffed,
-            4 * 0x7ffffffffffff,
-            4 * 0x7ffffffffffff,
-            4 * 0x7ffffffffffff,
-            4 * 0x7ffffffffffff,
-        ];
         let a = self.0;
         let b = rhs.0;
         Fe([
-            a[0] + FOUR_P[0] - b[0],
-            a[1] + FOUR_P[1] - b[1],
-            a[2] + FOUR_P[2] - b[2],
-            a[3] + FOUR_P[3] - b[3],
-            a[4] + FOUR_P[4] - b[4],
+            a[0] + TWO_P[0] - b[0],
+            a[1] + TWO_P[1] - b[1],
+            a[2] + TWO_P[2] - b[2],
+            a[3] + TWO_P[3] - b[3],
+            a[4] + TWO_P[4] - b[4],
         ])
-        .weak_carry()
     }
 
-    /// Propagates carries once so every limb fits in 52 bits.
-    fn weak_carry(self) -> Fe {
-        let mut t = self.0;
-        let mut c;
-        c = t[0] >> 51;
-        t[0] &= MASK51;
-        t[1] += c;
-        c = t[1] >> 51;
-        t[1] &= MASK51;
-        t[2] += c;
-        c = t[2] >> 51;
-        t[2] &= MASK51;
-        t[3] += c;
-        c = t[3] >> 51;
-        t[3] &= MASK51;
-        t[4] += c;
-        c = t[4] >> 51;
-        t[4] &= MASK51;
-        t[0] += c * 19;
-        Fe(t)
-    }
-
+    /// Product of two loose elements, carried.
+    #[inline(always)]
     fn mul(self, rhs: Fe) -> Fe {
-        let [a0, a1, a2, a3, a4] = self.0.map(u128::from);
-        let [b0, b1, b2, b3, b4] = rhs.0.map(u128::from);
+        debug_assert!(self.is_loose() && rhs.is_loose());
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = rhs.0;
+        // Limbs above 2^255 wrap with a factor 19, folded into the `u64`
+        // operand so every product below is one 64x64 -> 128 multiply.
+        let (b1_19, b2_19, b3_19, b4_19) = (19 * b1, 19 * b2, 19 * b3, 19 * b4);
 
-        // Schoolbook with 19-fold wraparound for limbs above 2^255.
-        let c0 = a0 * b0 + 19 * (a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1);
-        let c1 = a0 * b1 + a1 * b0 + 19 * (a2 * b4 + a3 * b3 + a4 * b2);
-        let c2 = a0 * b2 + a1 * b1 + a2 * b0 + 19 * (a3 * b4 + a4 * b3);
-        let c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + 19 * (a4 * b4);
-        let c4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-
-        Fe::carry_wide([c0, c1, c2, c3, c4])
+        Fe::carry([
+            m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19),
+            m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19),
+            m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19),
+            m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19),
+            m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0),
+        ])
     }
 
+    /// Square of a loose element, carried: the same columns as
+    /// `self.mul(self)` with each cross product formed once and doubled
+    /// in its `u64` operand.
+    #[inline(always)]
     fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(self.is_loose());
+        let [a0, a1, a2, a3, a4] = self.0;
+        let (a0_2, a1_2) = (2 * a0, 2 * a1);
+        let (a3_19, a4_19) = (19 * a3, 19 * a4);
+        let (a3_38, a4_38) = (38 * a3, 38 * a4);
+
+        Fe::carry([
+            m(a0, a0) + m(a1, a4_38) + m(a2, a3_38),
+            m(a0_2, a1) + m(a2, a4_38) + m(a3, a3_19),
+            m(a0_2, a2) + m(a1, a1) + m(a3, a4_38),
+            m(a0_2, a3) + m(a1_2, a2) + m(a4, a4_19),
+            m(a0_2, a4) + m(a1_2, a3) + m(a2, a2),
+        ])
     }
 
-    fn carry_wide(c: [u128; 5]) -> Fe {
-        let mut out = [0u64; 5];
-        let mut carry: u128 = 0;
-        for i in 0..5 {
-            let v = c[i] + carry;
-            out[i] = (v as u64) & MASK51;
-            carry = v >> 51;
-        }
-        // Fold the final carry back with factor 19. Inputs are weakly
-        // carried (limbs < 2^52), so `carry < 2^60` and `carry * 19` fits a
-        // `u64`; adding it to limb 0 and letting `weak_carry` propagate is
-        // lossless (an explicit per-limb fold loop here would drop a carry
-        // out of the top limb for near-maximal inputs such as `sub` results
-        // of tiny values).
-        let mut t = out;
-        t[0] += (carry as u64) * 19;
-        Fe(t).weak_carry()
-    }
-
+    /// `k * self` for a loose element and `k < 2^51`, carried.
+    #[inline(always)]
     fn mul_small(self, k: u64) -> Fe {
-        let k = u128::from(k);
-        let c: [u128; 5] = [
-            u128::from(self.0[0]) * k,
-            u128::from(self.0[1]) * k,
-            u128::from(self.0[2]) * k,
-            u128::from(self.0[3]) * k,
-            u128::from(self.0[4]) * k,
-        ];
-        Fe::carry_wide(c)
+        debug_assert!(self.is_loose() && k < 1 << 51);
+        Fe::carry(self.0.map(|limb| m(limb, k)))
+    }
+
+    /// The one carry chain: five columns, each `< 2^115` (see the module
+    /// doc), to a carried element.
+    #[inline(always)]
+    fn carry(c: [u128; 5]) -> Fe {
+        let [c0, mut c1, mut c2, mut c3, mut c4] = c;
+        c1 += c0 >> 51;
+        c2 += c1 >> 51;
+        c3 += c2 >> 51;
+        c4 += c3 >> 51;
+        // What leaves the top limb re-enters limb 0 with factor 19; that
+        // sum is < 2^51 + 2^63.6, so one more carry (< 2^13) into limb 1
+        // finishes the job.
+        let l0 = (c0 as u64 & MASK51) + 19 * (c4 >> 51) as u64;
+        Fe([
+            l0 & MASK51,
+            (c1 as u64 & MASK51) + (l0 >> 51),
+            c2 as u64 & MASK51,
+            c3 as u64 & MASK51,
+            c4 as u64 & MASK51,
+        ])
     }
 
     /// Computes self^(p-2) = 1/self via Fermat's little theorem.
@@ -197,46 +248,19 @@ impl Fe {
         let z11 = z2.mul(z9);
         let z22 = z11.square();
         let z_5_0 = z9.mul(z22);
-        let mut t = z_5_0;
-        for _ in 0..5 {
-            t = t.square();
-        }
-        let z_10_0 = t.mul(z_5_0);
-        t = z_10_0;
-        for _ in 0..10 {
-            t = t.square();
-        }
-        let z_20_0 = t.mul(z_10_0);
-        t = z_20_0;
-        for _ in 0..20 {
-            t = t.square();
-        }
-        let z_40_0 = t.mul(z_20_0);
-        t = z_40_0;
-        for _ in 0..10 {
-            t = t.square();
-        }
-        let z_50_0 = t.mul(z_10_0);
-        t = z_50_0;
-        for _ in 0..50 {
-            t = t.square();
-        }
-        let z_100_0 = t.mul(z_50_0);
-        t = z_100_0;
-        for _ in 0..100 {
-            t = t.square();
-        }
-        let z_200_0 = t.mul(z_100_0);
-        t = z_200_0;
-        for _ in 0..50 {
-            t = t.square();
-        }
-        let z_250_0 = t.mul(z_50_0);
-        t = z_250_0;
-        for _ in 0..5 {
-            t = t.square();
-        }
-        t.mul(z11)
+        let z_10_0 = z_5_0.square_n(5).mul(z_5_0);
+        let z_20_0 = z_10_0.square_n(10).mul(z_10_0);
+        let z_40_0 = z_20_0.square_n(20).mul(z_20_0);
+        let z_50_0 = z_40_0.square_n(10).mul(z_10_0);
+        let z_100_0 = z_50_0.square_n(50).mul(z_50_0);
+        let z_200_0 = z_100_0.square_n(100).mul(z_100_0);
+        let z_250_0 = z_200_0.square_n(50).mul(z_50_0);
+        z_250_0.square_n(5).mul(z11)
+    }
+
+    /// `self^(2^n)`.
+    fn square_n(self, n: usize) -> Fe {
+        (0..n).fold(self, |t, _| t.square())
     }
 }
 
@@ -270,20 +294,23 @@ pub fn scalarmult(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
         ct_swap(swap, &mut z2.0, &mut z3.0);
         swap = bit;
 
-        // Montgomery ladder step (RFC 7748 §5).
-        let a = x2.add(z2);
-        let aa = a.square();
-        let b = x2.sub(z2);
-        let bb = b.square();
-        let e = aa.sub(bb);
-        let c = x3.add(z3);
-        let d = x3.sub(z3);
-        let da = d.mul(a);
-        let cb = c.mul(b);
-        x3 = da.add(cb).square();
-        z3 = x1.mul(da.sub(cb).square());
-        x2 = aa.mul(bb);
-        z2 = e.mul(aa.add(e.mul_small(121_665)));
+        // Montgomery ladder step (RFC 7748 §5). x2, z2, x3, z3 enter
+        // carried (< 2^51.01) and x1 is < 2^51; the bound of each
+        // intermediate's limbs is on its line, "carried" where a
+        // multiplier produced it.
+        let a = x2.add(z2); // < 2^52.01
+        let aa = a.square(); // carried
+        let b = x2.sub(z2); // < 2^52.6
+        let bb = b.square(); // carried
+        let e = aa.sub(bb); // < 2^52.6
+        let c = x3.add(z3); // < 2^52.01
+        let d = x3.sub(z3); // < 2^52.6
+        let da = d.mul(a); // carried
+        let cb = c.mul(b); // carried
+        x3 = da.add(cb).square(); // (< 2^52.01)^2, carried
+        z3 = x1.mul(da.sub(cb).square()); // (< 2^52.6)^2, carried
+        x2 = aa.mul(bb); // carried
+        z2 = e.mul(aa.add(e.mul_small(121_665))); // < 2^52.6 times < 2^52.01, carried
     }
     ct_swap(swap, &mut x2.0, &mut x3.0);
     ct_swap(swap, &mut z2.0, &mut z3.0);
@@ -307,7 +334,9 @@ pub fn shared_secret(
     their_public: &[u8; 32],
 ) -> Result<[u8; 32], CryptoError> {
     let out = scalarmult(our_private, their_public);
-    if out.iter().all(|&b| b == 0) {
+    // `out` is secret: compare without an early exit on its first
+    // non-zero byte.
+    if ct_eq(&out, &[0u8; KEY_LEN]) {
         return Err(CryptoError::ZeroSharedSecret);
     }
     Ok(out)
@@ -316,6 +345,9 @@ pub fn shared_secret(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exclusive limb bound of a carried element (see the module doc).
+    const CARRIED: u64 = (1 << 51) + (1 << 13);
 
     fn unhex(s: &str) -> [u8; 32] {
         let v: Vec<u8> = (0..s.len())
@@ -392,14 +424,46 @@ mod tests {
         );
     }
 
+    /// The seven small-order u-coordinates (orders 1, 2, 4, 8, 8 and the
+    /// non-canonical encodings p - 1, p, p + 1 of the first three): every
+    /// one must yield the all-zero output and be rejected.
     #[test]
     fn zero_point_rejected() {
         let priv_key = [0x11u8; 32];
-        let zero_point = [0u8; 32];
-        assert_eq!(
-            shared_secret(&priv_key, &zero_point),
-            Err(CryptoError::ZeroSharedSecret)
-        );
+        let near_p = |low: u8| {
+            let mut u = [0xffu8; 32];
+            u[0] = low;
+            u[31] = 0x7f;
+            u
+        };
+        let small_order = [
+            [0u8; 32],
+            unhex("0100000000000000000000000000000000000000000000000000000000000000"),
+            unhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+            unhex("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+            near_p(0xec),
+            near_p(0xed),
+            near_p(0xee),
+        ];
+        for point in small_order {
+            assert_eq!(scalarmult(&priv_key, &point), [0u8; 32], "{point:02x?}");
+            assert_eq!(
+                shared_secret(&priv_key, &point),
+                Err(CryptoError::ZeroSharedSecret),
+                "{point:02x?}"
+            );
+        }
+    }
+
+    /// RFC 7748 §5: non-canonical u-coordinates are accepted and mean
+    /// their value mod p, so u = p + 9 is the base point.
+    #[test]
+    fn non_canonical_point_is_reduced() {
+        let priv_key = [0x11u8; 32];
+        let mut p_plus_9 = [0xffu8; 32];
+        p_plus_9[0] = 0xf6;
+        p_plus_9[31] = 0x7f;
+        assert_eq!(scalarmult(&priv_key, &p_plus_9), public_key(&priv_key));
     }
 
     #[test]
@@ -423,6 +487,235 @@ mod tests {
             bytes[31] &= 0x7f;
             let fe = Fe::from_bytes(&bytes);
             assert_eq!(fe.to_bytes(), bytes, "byte index {i}");
+        }
+    }
+
+    /// Test-only oracle for GF(2^255 - 19): 512-bit integers in 32-bit
+    /// digits, schoolbook multiplication and reduction by binary long
+    /// division. It shares no radix, fold or lazy carry with `Fe`.
+    mod oracle {
+        pub type Big = [u32; 16];
+
+        pub fn small(v: u64) -> Big {
+            let mut x = [0u32; 16];
+            x[0] = v as u32;
+            x[1] = (v >> 32) as u32;
+            x
+        }
+
+        pub fn p() -> Big {
+            let mut p = [0u32; 16];
+            p[..8].fill(u32::MAX);
+            p[0] -= 18;
+            p[7] >>= 1;
+            p
+        }
+
+        pub fn shl(x: &Big, bits: usize) -> Big {
+            let (digits, bits) = (bits / 32, bits % 32);
+            let mut out = [0u32; 16];
+            for i in digits..16 {
+                let lo = u64::from(x[i - digits]) << bits;
+                let carried = if i > digits {
+                    u64::from(x[i - digits - 1]) << bits >> 32
+                } else {
+                    0
+                };
+                out[i] = (lo | carried) as u32;
+            }
+            out
+        }
+
+        pub fn add(a: &Big, b: &Big) -> Big {
+            let mut out = [0u32; 16];
+            let mut carry = 0u64;
+            for i in 0..16 {
+                let v = u64::from(a[i]) + u64::from(b[i]) + carry;
+                out[i] = v as u32;
+                carry = v >> 32;
+            }
+            assert_eq!(carry, 0, "oracle overflow");
+            out
+        }
+
+        /// `a - b`, or `None` if `a < b`.
+        fn checked_sub(a: &Big, b: &Big) -> Option<Big> {
+            let mut out = [0u32; 16];
+            let mut borrow = 0i64;
+            for i in 0..16 {
+                let v = i64::from(a[i]) - i64::from(b[i]) - borrow;
+                out[i] = v as u32;
+                borrow = i64::from(v < 0);
+            }
+            (borrow == 0).then_some(out)
+        }
+
+        /// `x mod p` by shift-and-subtract long division.
+        pub fn rem_p(x: &Big) -> Big {
+            let mut x = *x;
+            for k in (0..=257).rev() {
+                if let Some(d) = checked_sub(&x, &shl(&p(), k)) {
+                    x = d;
+                }
+            }
+            x
+        }
+
+        /// `a * b mod p` for reduced operands.
+        pub fn mul(a: &Big, b: &Big) -> Big {
+            let mut out = [0u32; 16];
+            for i in 0..8 {
+                let mut carry = 0u64;
+                for j in 0..8 {
+                    let v = u64::from(a[i]) * u64::from(b[j]) + u64::from(out[i + j]) + carry;
+                    out[i + j] = v as u32;
+                    carry = v >> 32;
+                }
+                out[i + 8] = carry as u32;
+            }
+            rem_p(&out)
+        }
+
+        /// `a - b mod p` for reduced operands.
+        pub fn sub(a: &Big, b: &Big) -> Big {
+            rem_p(&checked_sub(&add(a, &p()), b).expect("b is reduced"))
+        }
+
+        /// `a^(p-2) mod p` by square-and-multiply.
+        pub fn invert(a: &Big) -> Big {
+            let exponent = checked_sub(&p(), &small(2)).expect("p > 2");
+            let mut acc = small(1);
+            for bit in (0..255).rev() {
+                acc = mul(&acc, &acc);
+                if (exponent[bit / 32] >> (bit % 32)) & 1 == 1 {
+                    acc = mul(&acc, a);
+                }
+            }
+            acc
+        }
+    }
+
+    /// The value of `fe` mod p, read limb by limb without any `Fe` code.
+    fn value(fe: Fe) -> oracle::Big {
+        let mut x = [0u32; 16];
+        for (i, &limb) in fe.0.iter().enumerate() {
+            x = oracle::add(&x, &oracle::shl(&oracle::small(limb), 51 * i));
+        }
+        oracle::rem_p(&x)
+    }
+
+    fn assert_limbs_below(fe: Fe, bound: u64, what: &str) {
+        assert!(fe.0.iter().all(|&l| l < bound), "{what}: {:x?}", fe.0);
+    }
+
+    /// Checks every operation on one pair of loose operands (`b` also
+    /// carried, as `sub` requires of its right-hand side) against the
+    /// oracle, and that multiplier outputs really are carried.
+    fn check_ops(a: Fe, b: Fe, what: &str) {
+        assert_limbs_below(a, LOOSE, what);
+        assert_limbs_below(b, CARRIED, what);
+        let (va, vb) = (value(a), value(b));
+
+        assert_eq!(
+            value(a.add(b)),
+            oracle::rem_p(&oracle::add(&va, &vb)),
+            "{what}: add"
+        );
+        assert_eq!(value(a.sub(b)), oracle::sub(&va, &vb), "{what}: sub");
+        let products = [
+            ("mul", a.mul(b), oracle::mul(&va, &vb)),
+            ("mul, swapped", b.mul(a), oracle::mul(&va, &vb)),
+            ("mul by itself", a.mul(a), oracle::mul(&va, &va)),
+            ("square", a.square(), oracle::mul(&va, &va)),
+            (
+                "mul_small",
+                a.mul_small(121_665),
+                oracle::mul(&va, &oracle::small(121_665)),
+            ),
+        ];
+        for (op, got, want) in products {
+            assert_limbs_below(got, CARRIED, what);
+            assert_eq!(value(got), want, "{what}: {op}");
+            // A carried element encodes canonically: the bytes are the
+            // reduced value itself, not merely congruent to it.
+            let mut encoded = [0u32; 16];
+            for (digit, chunk) in encoded.iter_mut().zip(got.to_bytes().chunks_exact(4)) {
+                *digit = u32::from_le_bytes(chunk.try_into().unwrap());
+            }
+            assert_eq!(encoded, want, "{what}: {op} to_bytes");
+        }
+    }
+
+    /// Near-maximal limbs. Every column of `mul`/`square` is a sum of
+    /// products of non-negative limbs, so all limbs at the loose bound is
+    /// the worst case for every column, carry and `19 *` fold at once: in
+    /// dev, where overflow panics, this test is the mechanical check of
+    /// the module doc's bounds argument.
+    #[test]
+    fn field_ops_match_oracle_at_the_limb_bounds() {
+        let loose_max = Fe([LOOSE - 1; 5]);
+        let carried_max = Fe([CARRIED - 1; 5]);
+        check_ops(loose_max, carried_max, "all limbs maximal");
+        check_ops(carried_max, Fe::ZERO, "carried max, zero");
+        check_ops(Fe(TWO_P), Fe::ONE, "2p");
+        let k = (1 << 51) - 1;
+        assert_eq!(
+            value(loose_max.mul_small(k)),
+            oracle::mul(&value(loose_max), &oracle::small(k)),
+            "mul_small at its largest k"
+        );
+
+        // Chains of `sub` of tiny values: each link adds 2p limb-wise, so
+        // three links from a carried element is the deepest chain that
+        // stays loose, and its limbs sit just under 2^51 + 3 * 2^52.
+        let tiny = [Fe::ZERO, Fe::ONE, Fe([0, 0, 0, 0, 1]), Fe([19, 0, 0, 0, 0])];
+        for start in [Fe::ZERO, Fe::ONE, carried_max] {
+            for t in tiny {
+                let mut x = start;
+                for depth in 1..=3 {
+                    x = x.sub(t);
+                    check_ops(x, t, &format!("sub chain depth {depth}"));
+                    check_ops(x, carried_max, &format!("sub chain depth {depth} by max"));
+                }
+            }
+        }
+
+        // The largest operands the ladder itself can form: a difference
+        // of carried elements squared, and multiplied by a sum of two.
+        let diff = carried_max.sub(Fe::ZERO);
+        let sum = carried_max.add(carried_max);
+        assert_eq!(
+            value(diff.mul(sum)),
+            oracle::mul(&value(diff), &value(sum)),
+            "ladder-shaped product"
+        );
+    }
+
+    #[test]
+    fn field_ops_match_oracle_on_random_limbs() {
+        let mut rng = cio_sim::SimRng::seed_from(0x25519);
+        for case in 0..200 {
+            let a = Fe(core::array::from_fn(|_| rng.next_below(LOOSE)));
+            let b = Fe(core::array::from_fn(|_| rng.next_below(CARRIED)));
+            check_ops(a, b, &format!("random case {case}"));
+        }
+    }
+
+    #[test]
+    fn invert_matches_oracle() {
+        let mut rng = cio_sim::SimRng::seed_from(0x1271);
+        let mut inputs = vec![
+            Fe::ONE,
+            Fe([CARRIED - 1; 5]),
+            Fe([LOOSE - 1; 5]),
+            Fe(TWO_P),
+            Fe::ZERO.sub(Fe::ONE),
+        ];
+        inputs.extend((0..4).map(|_| Fe(core::array::from_fn(|_| rng.next_below(LOOSE)))));
+        for x in inputs {
+            let inv = x.invert();
+            assert_limbs_below(inv, CARRIED, "invert");
+            assert_eq!(value(inv), oracle::invert(&value(x)), "{:x?}", x.0);
         }
     }
 

@@ -17,7 +17,7 @@
 
 use crate::record::Channel;
 use crate::{CtlsError, SimHooks};
-use cio_crypto::ct::ct_eq;
+use cio_crypto::ct::{ct_eq, zeroize};
 use cio_crypto::hkdf;
 use cio_crypto::hmac::HmacSha256;
 use cio_crypto::sha256::Sha256;
@@ -51,8 +51,11 @@ struct Schedule {
     server_finished_key: [u8; 32],
 }
 
-fn schedule(shared: &[u8; 32], transcript: &[u8; 32]) -> Result<Schedule, CtlsError> {
+/// Derives the key schedule and clears `shared`: nothing reads the raw
+/// Diffie-Hellman output once the PRK exists.
+fn schedule(shared: &mut [u8; 32], transcript: &[u8; 32]) -> Result<Schedule, CtlsError> {
     let prk = hkdf::extract(transcript, shared);
+    zeroize(shared);
     let make = |label: &[u8]| -> Result<[u8; 32], CtlsError> {
         let mut info = Vec::with_capacity(16 + label.len());
         info.extend_from_slice(b"ctls1 ");
@@ -162,7 +165,7 @@ impl ClientHandshake {
     /// [`CtlsError::Crypto`] on any verification failure — no channel is
     /// produced in that case.
     pub fn finish(
-        self,
+        mut self,
         sh: &ServerHello,
         platform_key: &[u8; 32],
         expected: &Measurement,
@@ -183,9 +186,11 @@ impl ClientHandshake {
         if let Some(h) = &self.hooks {
             h.charge_x25519(1);
         }
-        let shared = x25519::shared_secret(&self.private, &sh.public)?;
+        let shared = x25519::shared_secret(&self.private, &sh.public);
+        zeroize(&mut self.private);
+        let mut shared = shared?;
         let transcript = transcript_hash(&[&self.hello, &sh.random, &sh.public]);
-        let sched = schedule(&shared, &transcript)?;
+        let sched = schedule(&mut shared, &transcript)?;
 
         // 3. Server Finished.
         let expected_fin = finished_mac(&sched.server_finished_key, &transcript);
@@ -236,7 +241,10 @@ impl ServerHandshake {
             h.charge_x25519(1);
         }
         let public = x25519::public_key(&private);
-        Self::respond_with_key(client_hello, identity, random, &private, &public, hooks)
+        let response =
+            Self::respond_with_key(client_hello, identity, random, &private, &public, hooks);
+        zeroize(&mut private);
+        response
     }
 
     /// Responds to a run of ClientHellos with one shared server ephemeral
@@ -265,7 +273,7 @@ impl ServerHandshake {
             h.charge_x25519(1);
         }
         let public = x25519::public_key(&private);
-        client_hellos
+        let responses = client_hellos
             .iter()
             .map(|hello| {
                 if hello.len() != CLIENT_HELLO_LEN {
@@ -273,7 +281,9 @@ impl ServerHandshake {
                 }
                 Self::respond_with_key(hello, identity, random, &private, &public, hooks.clone())
             })
-            .collect()
+            .collect();
+        zeroize(&mut private);
+        responses
     }
 
     /// The per-connection half of a server response: shared secret, key
@@ -291,9 +301,9 @@ impl ServerHandshake {
         if let Some(h) = &hooks {
             h.charge_x25519(1);
         }
-        let shared = x25519::shared_secret(private, &client_pub)?;
+        let mut shared = x25519::shared_secret(private, &client_pub)?;
         let transcript = transcript_hash(&[client_hello, &random, public]);
-        let sched = schedule(&shared, &transcript)?;
+        let sched = schedule(&mut shared, &transcript)?;
 
         // Quote: nonce is the hash of the client hello (freshness), report
         // data commits to our ephemeral key (binding).
