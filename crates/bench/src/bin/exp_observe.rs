@@ -19,7 +19,7 @@
 //! Writes `BENCH_observe.json` for CI assertion. Usage:
 //! `exp_observe [--quick]`.
 
-use cio::attacks::{audit_chain_tamper, run_matrix};
+use cio::attacks::{attack_opts, audit_chain_tamper, run_matrix};
 use cio::world::{BoundaryKind, World, WorldOptions};
 use cio_bench::micro::{json_array, JsonObj};
 use cio_bench::{bench_opts, print_table, telemetry_echo_world_with};
@@ -82,7 +82,8 @@ fn main() {
     // every verdict, and tampering is pinpointed.
     let chains_verify =
         armed.telemetry().verify_audit().is_ok() && par.telemetry().verify_audit().is_ok();
-    let reports = run_matrix(&[BoundaryKind::L2CioRing]).expect("E22 adversary matrix failed");
+    let reports = run_matrix(&[BoundaryKind::L2CioRing], &attack_opts())
+        .expect("E22 adversary matrix failed");
     let verdicts_sealed = reports.iter().all(|r| r.audit_ok);
     let tamper = audit_chain_tamper().expect("E22 tamper scenario failed");
     let audit_chain_ok =

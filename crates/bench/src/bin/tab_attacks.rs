@@ -6,14 +6,14 @@
 //! being pinpointed by link index.
 
 use cio::attacks::{
-    audit_chain_tamper, netvsc_offset_forgery, payload_toctou, run_blk_suite, run_matrix, Outcome,
-    ALL_ATTACKS,
+    attack_opts, audit_chain_tamper, netvsc_offset_forgery, payload_toctou, run_blk_suite,
+    run_matrix, Outcome, ALL_ATTACKS,
 };
 use cio::world::ALL_BOUNDARIES;
 use cio_bench::print_table;
 
 fn main() {
-    let reports = run_matrix(&ALL_BOUNDARIES).expect("attack matrix");
+    let reports = run_matrix(&ALL_BOUNDARIES, &attack_opts()).expect("attack matrix");
 
     // Forensics gate: every scenario that ran (surface or not) must have
     // sealed its verdict into a chain that verifies end to end.

@@ -88,7 +88,10 @@ pub struct AttackReport {
     pub audit_ok: bool,
 }
 
-fn attack_opts() -> WorldOptions {
+/// The world profile the adversary suite runs on: a short lossless link
+/// and the event timeline armed, so every verdict lands in the audit
+/// chain. The base for [`run_scenario_on`] / [`run_matrix`] variations.
+pub fn attack_opts() -> WorldOptions {
     WorldOptions {
         link: LinkParams {
             latency: Cycles(1_000),
@@ -254,108 +257,31 @@ fn launch(world: &mut World, attack: AttackKind) -> Result<bool, CioError> {
     Ok(true)
 }
 
-/// Runs one attack scenario and classifies the outcome.
+/// Runs one attack scenario on the suite's own world profile
+/// ([`attack_opts`]) and classifies the outcome.
 ///
 /// # Errors
 ///
 /// Only infrastructure failures; attack effects are the *result*.
 pub fn run_scenario(boundary: BoundaryKind, attack: AttackKind) -> Result<AttackReport, CioError> {
-    run_scenario_with(boundary, attack, 1)
+    run_scenario_on(boundary, attack, attack_opts())
 }
 
-/// [`run_scenario`] with a dataplane queue count. Designs without
-/// multi-queue support run single-queue regardless (the matrix stays
-/// complete). Ring attacks hit the last queue — see [`launch`].
+/// Runs one attack scenario on a world built from `opts` — start from
+/// [`attack_opts`] and vary the profile under test (queue count, worker
+/// threads, data positioning, batch discipline): every defense must
+/// classify identically across profiles. Designs without multi-queue
+/// support run single-queue on the stepping thread regardless (the
+/// matrix stays complete). Ring attacks hit the last queue — see
+/// [`launch`].
 ///
 /// # Errors
 ///
 /// Only infrastructure failures; attack effects are the *result*.
-pub fn run_scenario_with(
+pub fn run_scenario_on(
     boundary: BoundaryKind,
     attack: AttackKind,
-    queues: usize,
-) -> Result<AttackReport, CioError> {
-    run_scenario_inner(
-        boundary,
-        attack,
-        queues,
-        0,
-        cio_mem::CopyPolicy::default(),
-        BatchPolicy::Serial,
-    )
-}
-
-/// [`run_scenario_with`] on a world whose host runs thread-per-queue
-/// (`threads` worker threads): the same hostile mutations now land on
-/// state that live OS threads are servicing. Every outcome must match
-/// the serial matrix — parallel execution widens no attack surface. Only
-/// meaningful for the cio-ring designs (others ignore `threads`).
-///
-/// # Errors
-///
-/// Only infrastructure failures; attack effects are the *result*.
-pub fn run_scenario_parallel(
-    boundary: BoundaryKind,
-    attack: AttackKind,
-    queues: usize,
-    threads: usize,
-) -> Result<AttackReport, CioError> {
-    run_scenario_inner(
-        boundary,
-        attack,
-        queues,
-        threads,
-        cio_mem::CopyPolicy::default(),
-        BatchPolicy::Serial,
-    )
-}
-
-/// [`run_scenario`] with an explicit data-positioning policy: proves the
-/// seal-in-slot dataplane ([`cio_mem::CopyPolicy::InPlace`]) and the
-/// staged fallback ([`cio_mem::CopyPolicy::CopyEarly`]) leave every
-/// attack outcome unchanged.
-///
-/// # Errors
-///
-/// Only infrastructure failures; attack effects are the *result*.
-pub fn run_scenario_with_policy(
-    boundary: BoundaryKind,
-    attack: AttackKind,
-    policy: cio_mem::CopyPolicy,
-) -> Result<AttackReport, CioError> {
-    run_scenario_inner(boundary, attack, 1, 0, policy, BatchPolicy::Serial)
-}
-
-/// [`run_scenario`] with an explicit record-batch discipline: proves the
-/// batched dataplane (multi-record commit/consume, shared-keystream
-/// AEAD) leaves every attack outcome unchanged — amortizing boundary
-/// crossings must never amortize validation.
-///
-/// # Errors
-///
-/// Only infrastructure failures; attack effects are the *result*.
-pub fn run_scenario_with_batch(
-    boundary: BoundaryKind,
-    attack: AttackKind,
-    batch: BatchPolicy,
-) -> Result<AttackReport, CioError> {
-    run_scenario_inner(
-        boundary,
-        attack,
-        1,
-        0,
-        cio_mem::CopyPolicy::default(),
-        batch,
-    )
-}
-
-fn run_scenario_inner(
-    boundary: BoundaryKind,
-    attack: AttackKind,
-    queues: usize,
-    parallel: usize,
-    copy_policy: cio_mem::CopyPolicy,
-    batch: BatchPolicy,
+    mut opts: WorldOptions,
 ) -> Result<AttackReport, CioError> {
     if !has_surface(boundary, attack) {
         return Ok(AttackReport {
@@ -367,19 +293,12 @@ fn run_scenario_inner(
         });
     }
 
-    let multiqueue_capable = matches!(
+    if !matches!(
         boundary,
         BoundaryKind::L2CioRing | BoundaryKind::DualBoundary
-    );
-    let queues = if multiqueue_capable { queues } else { 1 };
-    let parallel = if multiqueue_capable { parallel } else { 0 };
-    let opts = WorldOptions {
-        queues,
-        parallel,
-        copy_policy,
-        batch,
-        ..attack_opts()
-    };
+    ) {
+        (opts.queues, opts.parallel) = (1, 0);
+    }
     let mut world = World::new(boundary, opts)?;
     let conn = world.connect(ECHO_PORT)?;
     world.establish(conn, 3_000)?;
@@ -429,29 +348,20 @@ fn run_scenario_inner(
     })
 }
 
-/// Runs the full matrix.
+/// Runs the full matrix on worlds built from `opts` (see
+/// [`run_scenario_on`]).
 ///
 /// # Errors
 ///
 /// Infrastructure failures only.
-pub fn run_matrix(boundaries: &[BoundaryKind]) -> Result<Vec<AttackReport>, CioError> {
-    run_matrix_with(boundaries, 1)
-}
-
-/// Runs the full matrix with a dataplane queue count (applied to the
-/// multi-queue-capable designs; others run single-queue).
-///
-/// # Errors
-///
-/// Infrastructure failures only.
-pub fn run_matrix_with(
+pub fn run_matrix(
     boundaries: &[BoundaryKind],
-    queues: usize,
+    opts: &WorldOptions,
 ) -> Result<Vec<AttackReport>, CioError> {
     let mut out = Vec::new();
     for &b in boundaries {
         for &a in &ALL_ATTACKS {
-            out.push(run_scenario_with(b, a, queues)?);
+            out.push(run_scenario_on(b, a, opts.clone())?);
         }
     }
     Ok(out)
@@ -1786,7 +1696,11 @@ mod tests {
         // last of 4 queues must classify exactly like the single-queue
         // matrix does.
         let designs = [BoundaryKind::L2CioRing, BoundaryKind::DualBoundary];
-        let reports = run_matrix_with(&designs, 4).unwrap();
+        let four_queues = WorldOptions {
+            queues: 4,
+            ..attack_opts()
+        };
+        let reports = run_matrix(&designs, &four_queues).unwrap();
         assert_eq!(reports.len(), designs.len() * ALL_ATTACKS.len());
         for r in &reports {
             assert_ne!(
@@ -1835,7 +1749,7 @@ mod tests {
 
     #[test]
     fn full_matrix_runs_and_safe_designs_have_no_undetected() {
-        let reports = run_matrix(&ALL_BOUNDARIES).unwrap();
+        let reports = run_matrix(&ALL_BOUNDARIES, &attack_opts()).unwrap();
         assert_eq!(reports.len(), ALL_BOUNDARIES.len() * ALL_ATTACKS.len());
         for r in &reports {
             let safe = matches!(
@@ -1868,7 +1782,7 @@ mod tests {
 
     #[test]
     fn every_verdict_lands_in_the_audit_chain() {
-        let reports = run_matrix(&[BoundaryKind::L2CioRing]).unwrap();
+        let reports = run_matrix(&[BoundaryKind::L2CioRing], &attack_opts()).unwrap();
         for r in &reports {
             assert!(
                 r.audit_ok,

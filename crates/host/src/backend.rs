@@ -6,23 +6,36 @@
 //! [`Recorder`] with wire-tap-equivalent metadata (L2 boundary
 //! observability = what the network already sees, §2.4).
 //!
-//! Both backends are multi-queue: the guest interface is a set of
-//! independent queues and the backend services them with batched
-//! round-robin polling, steering inbound frames with the same symmetric
-//! RSS hash the guest uses ([`cio_netstack::rss`]). The [`Backend`] trait
-//! is the uniform host-side handle — callers that need a concrete device
-//! model (the adversary harness, hot-swap) downcast through
-//! [`Backend::as_any_mut`] instead of the `World` growing one accessor
-//! per device type.
+//! The [`Backend`] trait is the uniform host-side handle, and it has one
+//! world-facing entry point: [`Backend::round`], "the host side of one
+//! scheduling round". Inside it a backend pulls delivered frames off the
+//! fabric, steers them with the same symmetric RSS hash the guest uses
+//! ([`cio_netstack::rss`]), and services each queue on that queue's
+//! [`Lanes`] lane; what a queue error means is the backend's own policy
+//! (virtio propagates it, cio swallows a wedged queue). Four
+//! implementations exist: [`NullBackend`], [`VirtioNetBackend`],
+//! [`CioNetBackend`], and the thread-per-queue
+//! [`ParallelHost`](crate::parallel::ParallelHost) a `CioNetBackend`
+//! splits into. Callers that need a concrete device model (the adversary
+//! harness, hot-swap) downcast through [`Backend::as_any_mut`] instead of
+//! the `World` growing one accessor per device type.
+//!
+//! Whether a cio queue is serviced at all in a round is decided once, by
+//! [`Admission`]: it takes the queue's door word and consults the
+//! queue's [`NotifyGate`]. Whoever drives the round owns it — the serial
+//! backend, or after the split the parallel host's coordinator, which is
+//! handed the same object (gate state included) and so never wakes a cold
+//! queue's thread.
 
 use crate::fabric::FabricPort;
 use crate::observe::{bits, Recorder};
 use crate::HostError;
-use cio_mem::{CopyPolicy, HostView};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, HostView};
 use cio_netstack::{rss, NetDevice};
-use cio_sim::{Clock, Cycles, EventKind, Stage, Telemetry};
+use cio_sim::{Clock, Cycles, EventKind, Lanes, MeterSnapshot, Stage, Telemetry};
 use cio_vring::cioring::{
-    BatchPolicy, Consumer, MultiQueue, NotifyMode, NotifyPolicy, Producer, QueueLane, MAX_BATCH,
+    BatchPolicy, CioRing, Consumer, MultiQueue, NotifyMode, NotifyPolicy, Producer, QueueLane,
+    MAX_BATCH,
 };
 use cio_vring::virtqueue::{Chain, DeviceSide};
 use cio_vring::RingError;
@@ -31,7 +44,31 @@ use std::collections::VecDeque;
 
 /// Frames a backend retains per queue while the guest is slow; beyond
 /// this the queue tail-drops like a full NIC ring.
-pub(crate) const PENDING_CAP: usize = 256;
+const PENDING_CAP: usize = 256;
+
+/// Pulls every delivered frame off the fabric and hands it to `stage`
+/// with the queue the symmetric RSS hash steers it to (`mask` = queue
+/// count - 1) — cost-free bookkeeping; the metered work is the ring
+/// traffic.
+pub(crate) fn steer_ingress(
+    port: &mut FabricPort,
+    mask: u32,
+    mut stage: impl FnMut(usize, Vec<u8>),
+) {
+    while let Some(frame) = port.receive() {
+        stage(rss::steer(&frame, mask), frame);
+    }
+}
+
+/// Queues one inbound frame for delivery to the guest, tail-dropping
+/// against [`PENDING_CAP`] like a full NIC queue. The cap is judged
+/// against the queue's true backlog, so whoever owns `pending` (serial
+/// backend or worker) drops exactly the same frames.
+pub(crate) fn enqueue_capped(pending: &mut VecDeque<Vec<u8>>, frame: Vec<u8>) {
+    if pending.len() < PENDING_CAP {
+        pending.push_back(frame);
+    }
+}
 
 /// Fewest consecutive empty service passes before an adaptive queue goes
 /// cold (stops being polled every round).
@@ -141,56 +178,129 @@ impl NotifyGate {
     }
 }
 
-/// The uniform host-side device-backend interface.
+/// The per-round admission decision for a set of cio queues: door-take
+/// plus [`NotifyGate`], written once for both hosts.
 ///
-/// One processing pass is split so a scheduler can attribute work to
-/// queues: [`Backend::ingress`] pulls delivered frames off the fabric and
-/// steers them (cost-free bookkeeping — the metered work is the ring
-/// traffic), then [`Backend::service_queue`] does the per-queue batched
-/// ring servicing. [`Backend::process`] is the convenience that does both
-/// in round-robin order.
-pub trait Backend {
-    /// Number of guest-facing queues.
-    fn queue_count(&self) -> usize {
-        1
+/// Owned by whoever drives the round: the serial [`CioNetBackend`], and
+/// after the split the parallel host's coordinator, which is handed this
+/// object — gate state included — so the decision stays coordinator-side
+/// and a cold queue's worker thread is never woken.
+pub(crate) struct Admission {
+    /// The host's window onto guest memory, for the uncharged door-word
+    /// reads (the kick that set the word paid for the notification).
+    host: HostView,
+    pub(crate) policy: NotifyPolicy,
+    /// Door-word address of each queue's guest->host ring (`None` unless
+    /// that ring runs [`NotifyMode::EventIdx`]).
+    doors: Vec<Option<GuestAddr>>,
+    /// Per-queue poll-vs-notify controllers (consulted under
+    /// [`NotifyPolicy::Adaptive`] on event-idx rings).
+    gates: Vec<NotifyGate>,
+}
+
+impl Admission {
+    pub(crate) fn new<'a>(
+        host: HostView,
+        policy: NotifyPolicy,
+        tx_rings: impl Iterator<Item = &'a CioRing>,
+    ) -> Self {
+        let doors: Vec<_> = tx_rings
+            .map(|r| (r.config().notify == NotifyMode::EventIdx).then(|| r.door_addr()))
+            .collect();
+        Admission {
+            host,
+            policy,
+            gates: vec![NotifyGate::new(); doors.len()],
+            doors,
+        }
     }
 
-    /// Pulls delivered frames from the fabric and steers them to queues.
-    /// Returns frames staged for delivery.
-    fn ingress(&mut self) -> usize {
+    /// Takes queue `q`'s door word (read and clear) and decides whether
+    /// this round services the queue, given whether inbound `work` is
+    /// staged for it. `Some(door)` admits the pass, `door` telling it
+    /// whether the guest rang; `None` keeps the queue cold — no span, no
+    /// ring traffic, no virtual-time charge — and accounts the skip.
+    ///
+    /// An unreadable door word (the guest pulled the ring header from
+    /// under the host) fails toward service, like every other
+    /// notification doubt: the pass is admitted as rung, meets the same
+    /// fault on the ring itself, and surfaces it there. A skip never
+    /// rests on a word that could not be read.
+    pub(crate) fn admit(&mut self, q: usize, work: bool) -> Option<bool> {
+        let Some(addr) = self.doors[q] else {
+            return Some(false);
+        };
+        // Anything but a readable zero counts as rung.
+        let door = self.host.read_u32(addr) != Ok(0);
+        if door {
+            let _ = self.host.write_u32(addr, 0);
+        }
+        if self.policy == NotifyPolicy::Adaptive && !self.gates[q].should_service(door, work) {
+            self.gates[q].observe_skip();
+            return None;
+        }
+        Some(door)
+    }
+
+    /// Accounts an admitted pass over queue `q` that moved `moved` frames
+    /// (a pass that failed counts as empty).
+    pub(crate) fn observe(&mut self, q: usize, moved: usize) {
+        if self.policy == NotifyPolicy::Adaptive && self.doors[q].is_some() {
+            self.gates[q].observe(moved);
+        }
+    }
+
+    /// Total empty passes burned by the gates while hot.
+    pub(crate) fn idle_passes(&self) -> u64 {
+        self.gates.iter().map(NotifyGate::idle_passes).sum()
+    }
+
+    /// The guest memory the door words live in (the split derives its
+    /// per-lane views from it).
+    pub(crate) fn memory(&self) -> &GuestMemory {
+        self.host.memory()
+    }
+}
+
+/// The uniform host-side device-backend interface: the host side of one
+/// world round.
+pub trait Backend {
+    /// Runs the host's share of one scheduling round: pulls delivered
+    /// frames off the fabric, steers them, and services every queue `q`
+    /// on lane `q` of `lanes` (a one-lane set is the shared clock, see
+    /// [`Lanes`]). Returns frames moved.
+    ///
+    /// # Errors
+    ///
+    /// Each backend owns its error policy. The virtio backends propagate
+    /// transport errors (a corrupted virtqueue is fatal to the device).
+    /// The cio backends swallow a wedged queue — the violation surfaces
+    /// on the meter and the world keeps stepping — and fail only when the
+    /// host itself breaks (a worker thread died).
+    fn round(&mut self, lanes: &mut Lanes) -> Result<usize, HostError>;
+
+    /// Per-queue traffic snapshots (frames in `copies`, bytes in
+    /// `bytes_copied`), index = queue id; empty for backends that keep
+    /// none.
+    fn queue_meters(&self) -> Vec<MeterSnapshot> {
+        Vec::new()
+    }
+
+    /// Total empty service passes burned by the adaptive notify
+    /// controllers while hot — the idle-spin audit trail E23 gates on.
+    fn idle_passes(&self) -> u64 {
         0
     }
 
-    /// Services queue `q`: drains guest->net work and delivers staged
-    /// net->guest frames, with batched index publication.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors (a malicious *guest* could still wedge its own
-    /// queues; the host defends itself and surfaces the error).
-    fn service_queue(&mut self, q: usize) -> Result<usize, HostError>;
-
-    /// One full processing pass over every queue; returns frames moved.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::service_queue`].
-    fn process(&mut self) -> Result<usize, HostError> {
-        self.ingress();
-        let mut moved = 0;
-        for q in 0..self.queue_count() {
-            moved += self.service_queue(q)?;
-        }
-        Ok(moved)
+    /// Host worker threads servicing the queues (`0`: the round runs on
+    /// the calling thread).
+    fn threads(&self) -> usize {
+        0
     }
 
     /// Downcast access for callers that need the concrete device model
-    /// (adversary harness, per-queue ring access).
+    /// (adversary harness, per-queue ring access, hot swap).
     fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Consumes the boxed backend for ownership-taking teardown
-    /// (hot-swap needs the fabric port back).
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 /// Backend for designs with no paravirtual device at all (the L5 socket
@@ -199,19 +309,11 @@ pub trait Backend {
 pub struct NullBackend;
 
 impl Backend for NullBackend {
-    fn queue_count(&self) -> usize {
-        0
-    }
-
-    fn service_queue(&mut self, _q: usize) -> Result<usize, HostError> {
+    fn round(&mut self, _lanes: &mut Lanes) -> Result<usize, HostError> {
         Ok(0)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
@@ -282,27 +384,11 @@ impl VirtioNetBackend {
     pub fn rx_device(&mut self) -> &mut DeviceSide {
         &mut self.rx
     }
-}
 
-impl Backend for VirtioNetBackend {
-    fn queue_count(&self) -> usize {
-        1
-    }
-
-    fn ingress(&mut self) -> usize {
-        let mut staged = 0;
-        while let Some(frame) = self.port.receive() {
-            if self.pending.len() >= PENDING_CAP {
-                continue; // tail-drop, like a full NIC queue
-            }
-            self.pending.push_back(frame);
-            staged += 1;
-        }
-        staged
-    }
-
-    fn service_queue(&mut self, q: usize) -> Result<usize, HostError> {
-        let _svc = self.telemetry.span(q, Stage::HostService);
+    /// Services the queue pair: drains guest->net chains and delivers
+    /// pending net->guest frames into posted receive buffers.
+    fn service(&mut self) -> Result<usize, HostError> {
+        let _svc = self.telemetry.span(0, Stage::HostService);
         let mut moved = 0;
 
         // Guest -> network.
@@ -343,16 +429,25 @@ impl Backend for VirtioNetBackend {
             moved += 1;
         }
         if moved > 0 {
-            self.telemetry.record_batch(q, moved as u64);
+            self.telemetry.record_batch(0, moved as u64);
         }
         Ok(moved)
     }
+}
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Backend for VirtioNetBackend {
+    fn round(&mut self, lanes: &mut Lanes) -> Result<usize, HostError> {
+        // One queue pair: nothing to steer.
+        while let Some(frame) = self.port.receive() {
+            enqueue_capped(&mut self.pending, frame);
+        }
+        let base = lanes.begin(0);
+        let serviced = self.service();
+        lanes.end(0, base);
+        serviced
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -510,10 +605,10 @@ pub(crate) fn service_cio_lane(
 /// Host backend for the cio-ring interface: N independent ring pairs
 /// serviced with batched round-robin polling.
 pub struct CioNetBackend {
-    queues: MultiQueue<HostQueue>,
-    port: FabricPort,
-    recorder: Recorder,
-    clock: Clock,
+    pub(crate) queues: MultiQueue<HostQueue>,
+    pub(crate) port: FabricPort,
+    pub(crate) recorder: Recorder,
+    pub(crate) clock: Clock,
     /// When set, frames are treated as opaque blobs (tunnel carrier): the
     /// recorder only sees length and timing, never headers.
     pub opaque: bool,
@@ -521,22 +616,37 @@ pub struct CioNetBackend {
     /// drains runs of up to this many records with one shared-index read,
     /// one memory-lock acquisition, and one consumer-index write per run
     /// ([`BatchPolicy::Serial`], the default, is the run of one).
-    batch: BatchPolicy,
-    /// Notification discipline for ring servicing. Under the default
-    /// [`NotifyPolicy::Always`] every pass services every queue (the
-    /// historical path); [`NotifyPolicy::EventIdx`] adds suppression
-    /// bookkeeping on the rings; [`NotifyPolicy::Adaptive`] additionally
-    /// runs one [`NotifyGate`] per queue, skipping service passes
-    /// (charging nothing) while a queue is provably idle.
-    notify: NotifyPolicy,
-    /// Per-queue poll-vs-notify controllers (active under `Adaptive`).
-    gates: Vec<NotifyGate>,
-    telemetry: Telemetry,
+    pub(crate) batch: BatchPolicy,
+    /// The data positioning wired onto every ring endpoint (kept so a
+    /// hot swap wires the replacement endpoints the same way).
+    copy: CopyPolicy,
+    /// Which queues a round services. Under the default
+    /// [`NotifyPolicy::Always`] every round services every queue;
+    /// [`NotifyPolicy::EventIdx`] adds suppression bookkeeping on the
+    /// rings; [`NotifyPolicy::Adaptive`] additionally runs one
+    /// [`NotifyGate`] per queue, skipping service passes (charging
+    /// nothing) while a queue is provably idle.
+    pub(crate) admission: Admission,
+    pub(crate) telemetry: Telemetry,
+}
+
+/// Wraps `(guest->host, host->guest)` endpoint pairs as steerable host
+/// queues with empty backlogs.
+fn host_queues(
+    pairs: Vec<(Consumer<HostView>, Producer<HostView>)>,
+) -> Result<MultiQueue<HostQueue>, HostError> {
+    let ends = pairs.into_iter().map(|(tx, rx)| HostQueue {
+        tx,
+        rx,
+        pending: VecDeque::new(),
+    });
+    Ok(MultiQueue::new(ends.collect())?)
 }
 
 impl CioNetBackend {
     /// Creates the backend over one `(guest->host, host->guest)` ring
-    /// pair per queue.
+    /// pair per queue. `host` is the host's window onto guest memory,
+    /// through which the round's admission decision reads the door words.
     ///
     /// # Errors
     ///
@@ -544,21 +654,14 @@ impl CioNetBackend {
     /// two — the ring's own masked-index rule, applied to steering.
     pub fn new(
         queues: Vec<(Consumer<HostView>, Producer<HostView>)>,
+        host: HostView,
         port: FabricPort,
         recorder: Recorder,
         clock: Clock,
     ) -> Result<Self, HostError> {
-        let queues = MultiQueue::new(
-            queues
-                .into_iter()
-                .map(|(tx, rx)| HostQueue {
-                    tx,
-                    rx,
-                    pending: VecDeque::new(),
-                })
-                .collect(),
-        )?;
-        let gates = (0..queues.queues()).map(|_| NotifyGate::new()).collect();
+        let queues = host_queues(queues)?;
+        let tx_rings = queues.iter().map(|lane| lane.end.tx.ring());
+        let admission = Admission::new(host, NotifyPolicy::default(), tx_rings);
         Ok(CioNetBackend {
             queues,
             port,
@@ -566,10 +669,34 @@ impl CioNetBackend {
             clock,
             opaque: false,
             batch: BatchPolicy::default(),
-            notify: NotifyPolicy::default(),
-            gates,
+            copy: CopyPolicy::default(),
+            admission,
             telemetry: Telemetry::disabled(),
         })
+    }
+
+    /// Hot swap (§3.2): attaches the replacement device's endpoints — in
+    /// a world, fresh endpoints over the *same* rings, since the fixed
+    /// config fixes the layout too — to the same link. Frames the old
+    /// device still held are lost (TCP recovers them); per-queue meters
+    /// and admission state start afresh; batch, positioning, notify and
+    /// telemetry wiring carry over.
+    ///
+    /// # Errors
+    ///
+    /// As [`CioNetBackend::new`], before anything of the old device is
+    /// retired.
+    pub fn reattach(
+        &mut self,
+        queues: Vec<(Consumer<HostView>, Producer<HostView>)>,
+    ) -> Result<(), HostError> {
+        self.queues = host_queues(queues)?;
+        let tx_rings = self.queues.iter().map(|lane| lane.end.tx.ring());
+        self.admission =
+            Admission::new(self.admission.host.clone(), self.admission.policy, tx_rings);
+        self.set_copy_policy(self.copy);
+        self.set_telemetry(self.telemetry.clone());
+        Ok(())
     }
 
     /// Wires the data-positioning discipline onto every queue's ring
@@ -580,6 +707,7 @@ impl CioNetBackend {
     /// early copy (the defensive arm for adversarial double-fetch
     /// configurations).
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
+        self.copy = policy;
         for lane in self.queues.iter_mut() {
             lane.end.tx.set_copy_policy(policy);
             lane.end.rx.set_copy_policy(policy);
@@ -593,18 +721,7 @@ impl CioNetBackend {
 
     /// Sets the notification discipline for ring servicing.
     pub fn set_notify_policy(&mut self, notify: NotifyPolicy) {
-        self.notify = notify;
-    }
-
-    /// The active notification discipline.
-    pub fn notify_policy(&self) -> NotifyPolicy {
-        self.notify
-    }
-
-    /// Total empty service passes burned by the adaptive controllers
-    /// while hot — the idle-spin audit trail E23 gates on.
-    pub fn idle_passes(&self) -> u64 {
-        self.gates.iter().map(NotifyGate::idle_passes).sum()
+        self.admission.policy = notify;
     }
 
     /// Arms telemetry: queue servicing is recorded as
@@ -621,36 +738,12 @@ impl CioNetBackend {
         self.telemetry = telemetry;
     }
 
-    /// Single-queue convenience constructor.
-    pub fn single(
-        tx: Consumer<HostView>,
-        rx: Producer<HostView>,
-        port: FabricPort,
-        recorder: Recorder,
-        clock: Clock,
-    ) -> Self {
-        CioNetBackend::new(vec![(tx, rx)], port, recorder, clock)
-            .expect("one queue is a power of two")
-    }
-
-    fn frame_bits(&self) -> u32 {
+    pub(crate) fn frame_bits(&self) -> u32 {
         if self.opaque {
             bits::LENGTH + bits::TIMING
         } else {
             bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING
         }
-    }
-
-    /// Dismantles the backend, returning the fabric port so a fresh
-    /// backend can be attached to the same link (device hot-swap, §3.2).
-    pub fn into_port(self) -> FabricPort {
-        self.port
-    }
-
-    /// Per-queue traffic snapshot (frames in `copies`, bytes in
-    /// `bytes_copied`).
-    pub fn queue_meter(&self, q: usize) -> cio_sim::MeterSnapshot {
-        self.queues.lane(q).meter.snapshot()
     }
 
     /// The guest->host consumer of queue `q` (adversary access).
@@ -663,159 +756,8 @@ impl CioNetBackend {
         &mut self.queues.lane_mut(q).end.rx
     }
 
-    /// The guest->host consumer of queue 0 (adversary access).
-    pub fn tx_ring(&mut self) -> &mut Consumer<HostView> {
-        self.tx_ring_of(0)
-    }
-
-    /// The host->guest producer of queue 0 (adversary access).
-    pub fn rx_ring(&mut self) -> &mut Producer<HostView> {
-        self.rx_ring_of(0)
-    }
-
-    /// Splits the backend for thread-per-queue execution: the fabric port
-    /// and steering arithmetic stay with the coordinator (as a
-    /// [`CioSteer`]), and each queue lane becomes a self-contained
-    /// [`CioQueueWorker`](crate::worker::CioQueueWorker) that can be moved
-    /// to its own OS thread.
-    ///
-    /// `ctx_for(q)` supplies queue `q`'s execution context: its private
-    /// lane clock, a telemetry fork bound to that clock, and a host view
-    /// whose memory handle charges it. Ring endpoints are rebound
-    /// mid-stream onto that view ([`Consumer::rebind`]) — indices,
-    /// pending frames, and per-queue meters all carry over, so
-    /// splitting is transparent to the guest.
-    pub fn split_parallel(
-        self,
-        mut ctx_for: impl FnMut(usize) -> WorkerCtx,
-    ) -> (CioSteer, Vec<crate::worker::CioQueueWorker>) {
-        let fbits = self.frame_bits();
-        let mask = self.queues.mask();
-        let mut workers = Vec::new();
-        for (q, lane) in self.queues.into_lanes().into_iter().enumerate() {
-            let ctx = ctx_for(q);
-            let HostQueue { tx, rx, pending } = lane.end;
-            let mut tx = tx.rebind(ctx.view.clone());
-            let mut rx = rx.rebind(ctx.view);
-            tx.set_telemetry(ctx.telemetry.clone(), q);
-            rx.set_telemetry(ctx.telemetry.clone(), q);
-            workers.push(crate::worker::CioQueueWorker::new(
-                q,
-                QueueLane {
-                    end: HostQueue { tx, rx, pending },
-                    meter: lane.meter,
-                },
-                self.batch,
-                fbits,
-                self.recorder.clone(),
-                ctx.clock,
-                ctx.telemetry,
-            ));
-        }
-        (
-            CioSteer {
-                port: self.port,
-                mask,
-            },
-            workers,
-        )
-    }
-}
-
-/// Per-worker execution context supplied to
-/// [`CioNetBackend::split_parallel`].
-pub struct WorkerCtx {
-    /// The worker's private lane clock (repositioned by the coordinator
-    /// at the lane's virtual-time frontier each round).
-    pub clock: Clock,
-    /// Telemetry fork bound to the lane clock (absorbed by the
-    /// coordinator after each round, in queue order).
-    pub telemetry: Telemetry,
-    /// Host view of the shared guest memory whose handle charges the
-    /// lane clock.
-    pub view: HostView,
-}
-
-/// The coordinator's share of a split [`CioNetBackend`]: the fabric port
-/// plus the RSS steering arithmetic. Workers never touch the fabric (its
-/// shared PRNG would make draw order schedule-dependent); the
-/// coordinator drains inbound frames here and flushes worker outboxes
-/// through [`CioSteer::port_mut`] with
-/// [`FabricPort::transmit_at`].
-pub struct CioSteer {
-    port: FabricPort,
-    mask: u32,
-}
-
-impl CioSteer {
-    /// Number of queues being steered to.
-    pub fn queues(&self) -> usize {
-        self.mask as usize + 1
-    }
-
-    /// Pulls every delivered frame off the fabric and steers it into
-    /// `staged[q]` by the symmetric RSS hash — the same masked-index
-    /// discipline as the serial backend's ingress. Tail-dropping against
-    /// the per-queue pending cap happens at the owning worker (which
-    /// sees the queue's true backlog).
-    pub fn drain_into(&mut self, staged: &mut [Vec<Vec<u8>>]) -> usize {
-        debug_assert_eq!(staged.len(), self.queues());
-        let mut n = 0;
-        while let Some(frame) = self.port.receive() {
-            staged[rss::steer(&frame, self.mask)].push(frame);
-            n += 1;
-        }
-        n
-    }
-
-    /// The fabric port (deferred-transmit flushing).
-    pub fn port_mut(&mut self) -> &mut FabricPort {
-        &mut self.port
-    }
-
-    /// Dismantles the coordinator, returning the fabric port.
-    pub fn into_port(self) -> FabricPort {
-        self.port
-    }
-}
-
-impl Backend for CioNetBackend {
-    fn queue_count(&self) -> usize {
-        self.queues.queues()
-    }
-
-    fn ingress(&mut self) -> usize {
-        let mask = self.queues.mask();
-        let mut staged = 0;
-        while let Some(frame) = self.port.receive() {
-            let lane = self.queues.lane_mut(rss::steer(&frame, mask));
-            if lane.end.pending.len() >= PENDING_CAP {
-                continue; // tail-drop, like a full NIC queue
-            }
-            lane.end.pending.push_back(frame);
-            staged += 1;
-        }
-        staged
-    }
-
-    fn service_queue(&mut self, q: usize) -> Result<usize, HostError> {
-        let lane = self.queues.lane_mut(q);
-        let event_idx = lane.end.tx.ring().config().notify == NotifyMode::EventIdx;
-        let door = if event_idx {
-            lane.end.tx.take_doorbell()?
-        } else {
-            false
-        };
-        let adaptive = event_idx && self.notify == NotifyPolicy::Adaptive;
-        if adaptive {
-            let work = !lane.end.pending.is_empty();
-            if !self.gates[q].should_service(door, work) {
-                // Skip the pass outright: no telemetry span, no ring
-                // traffic, no virtual-time charge — the queue is cold.
-                self.gates[q].observe_skip();
-                return Ok(0);
-            }
-        }
+    /// One admitted service pass over queue `q`.
+    fn service_queue(&mut self, q: usize, door: bool) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.frame_bits(),
@@ -827,18 +769,46 @@ impl Backend for CioNetBackend {
         let mut sink = PortSink {
             port: &mut self.port,
         };
-        let moved = service_cio_lane(self.queues.lane_mut(q), q, &ctx, &mut sink)?;
-        if adaptive {
-            self.gates[q].observe(moved);
+        service_cio_lane(self.queues.lane_mut(q), q, &ctx, &mut sink)
+    }
+}
+
+impl Backend for CioNetBackend {
+    fn round(&mut self, lanes: &mut Lanes) -> Result<usize, HostError> {
+        let queues = &mut self.queues;
+        steer_ingress(&mut self.port, queues.mask(), |q, frame| {
+            enqueue_capped(&mut queues.lane_mut(q).end.pending, frame);
+        });
+        let mut moved = 0;
+        for q in 0..self.queues.queues() {
+            let work = !self.queues.lane(q).end.pending.is_empty();
+            let Some(door) = self.admission.admit(q, work) else {
+                continue;
+            };
+            let base = lanes.begin(q);
+            // The adversary may have wedged this queue: the violation
+            // surfaces on the meter, the pass counts as empty, and the
+            // other queues (and later rounds) keep running.
+            let n = self.service_queue(q, door).unwrap_or(0);
+            lanes.end(q, base);
+            self.admission.observe(q, n);
+            moved += n;
         }
         Ok(moved)
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn queue_meters(&self) -> Vec<MeterSnapshot> {
+        self.queues
+            .iter()
+            .map(|lane| lane.meter.snapshot())
+            .collect()
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+    fn idle_passes(&self) -> u64 {
+        self.admission.idle_passes()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -852,6 +822,11 @@ mod tests {
     use cio_sim::{CostModel, Meter};
     use cio_vring::cioring::{CioRing, DataMode, RingConfig};
     use cio_vring::virtqueue::{DescSeg, Driver, Layout};
+
+    /// One un-laned host round (a one-lane set is the shared clock).
+    fn pass(backend: &mut impl Backend, clock: &Clock) -> usize {
+        backend.round(&mut Lanes::new(clock.clone(), 1)).unwrap()
+    }
 
     fn fabric_pair(clock: &Clock) -> (FabricPort, FabricPort) {
         let fabric = Fabric::new(clock.clone(), 7);
@@ -907,7 +882,7 @@ mod tests {
                 1,
             )
             .unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert_eq!(peer_port.receive().unwrap(), b"frame out");
         assert!(tx_drv.poll_used().unwrap().is_some());
 
@@ -923,7 +898,7 @@ mod tests {
             )
             .unwrap();
         peer_port.transmit(b"frame in").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         let done = rx_drv.poll_used().unwrap().unwrap();
         assert_eq!(done.len, 8);
         let mut got = vec![0u8; 8];
@@ -987,19 +962,25 @@ mod tests {
 
         let (dev_port, mut peer_port) = fabric_pair(&clock);
         let recorder = Recorder::new();
-        let mut backend =
-            CioNetBackend::single(host_tx, host_rx, dev_port, recorder.clone(), clock);
+        let mut backend = CioNetBackend::new(
+            vec![(host_tx, host_rx)],
+            mem.host(),
+            dev_port,
+            recorder.clone(),
+            clock.clone(),
+        )
+        .unwrap();
 
         guest_tx.produce(b"cio frame out").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert_eq!(peer_port.receive().unwrap(), b"cio frame out");
 
         peer_port.transmit(b"cio frame in").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert_eq!(guest_rx.consume().unwrap().unwrap(), b"cio frame in");
 
         assert_eq!(recorder.summary().events, 2);
-        assert_eq!(backend.queue_meter(0).copies, 2);
+        assert_eq!(backend.queue_meters()[0].copies, 2);
     }
 
     #[test]
@@ -1015,18 +996,25 @@ mod tests {
         let mut guest_rx = Consumer::new(rx_ring, mem.guest()).unwrap();
 
         let (dev_port, mut peer_port) = fabric_pair(&clock);
-        let mut backend = CioNetBackend::single(host_tx, host_rx, dev_port, Recorder::new(), clock);
-        assert_eq!(backend.rx_ring().copy_policy(), CopyPolicy::InPlace);
+        let mut backend = CioNetBackend::new(
+            vec![(host_tx, host_rx)],
+            mem.host(),
+            dev_port,
+            Recorder::new(),
+            clock.clone(),
+        )
+        .unwrap();
+        assert_eq!(backend.rx_ring_of(0).copy_policy(), CopyPolicy::InPlace);
 
         // Guest positions the payload once; the backend reads it in place.
         guest_tx.produce(b"out with no copies").unwrap();
         let before = meter.snapshot().copies;
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert_eq!(peer_port.receive().unwrap(), b"out with no copies");
 
         // Inbound: the backend positions once, the guest reads in place.
         peer_port.transmit(b"in with no copies!").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         let got = guest_rx.consume_in_place(|f| f.to_vec()).unwrap().unwrap();
         assert_eq!(got, b"in with no copies!");
         assert_eq!(
@@ -1038,15 +1026,18 @@ mod tests {
         // The defensive policy restores the staged-copy discipline.
         backend.set_copy_policy(CopyPolicy::CopyEarly);
         peer_port.transmit(b"copied early").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert!(meter.snapshot().copies > before);
     }
 
     #[test]
     fn cio_backend_requires_power_of_two_queues() {
         let clock = Clock::new();
+        let mem = GuestMemory::new(1, clock.clone(), CostModel::default(), Meter::new());
         let (dev_port, _peer) = fabric_pair(&clock);
-        assert!(CioNetBackend::new(Vec::new(), dev_port, Recorder::new(), clock).is_err());
+        assert!(
+            CioNetBackend::new(Vec::new(), mem.host(), dev_port, Recorder::new(), clock).is_err()
+        );
     }
 
     #[test]
@@ -1069,14 +1060,15 @@ mod tests {
 
         let (dev_port, mut peer_port) = fabric_pair(&clock);
         let recorder = Recorder::new();
-        let mut backend = CioNetBackend::new(host, dev_port, recorder, clock).unwrap();
-        assert_eq!(backend.queue_count(), 4);
+        let mut backend =
+            CioNetBackend::new(host, mem.host(), dev_port, recorder, clock.clone()).unwrap();
+        assert_eq!(backend.queue_meters().len(), 4);
 
         // A frame produced on every guest queue crosses in one pass.
         for (q, (tx, _)) in guest.iter_mut().enumerate() {
             tx.produce(format!("queue {q}").as_bytes()).unwrap();
         }
-        assert_eq!(backend.process().unwrap(), 4);
+        assert_eq!(pass(&mut backend, &clock), 4);
         let mut seen = Vec::new();
         while let Some(f) = peer_port.receive() {
             seen.push(String::from_utf8(f).unwrap());
@@ -1085,7 +1077,7 @@ mod tests {
         assert_eq!(seen, ["queue 0", "queue 1", "queue 2", "queue 3"]);
         for q in 0..4 {
             assert_eq!(
-                backend.queue_meter(q).copies,
+                backend.queue_meters()[q].copies,
                 1,
                 "queue {q} moved its frame"
             );
@@ -1093,7 +1085,7 @@ mod tests {
 
         // Inbound non-flow traffic steers to queue 0.
         peer_port.transmit(b"not ip").unwrap();
-        backend.process().unwrap();
+        pass(&mut backend, &clock);
         assert_eq!(guest[0].1.consume().unwrap().unwrap(), b"not ip");
         for (q, (_, rx)) in guest.iter_mut().enumerate().skip(1) {
             assert_eq!(rx.available().unwrap(), 0, "queue {q} stays idle");

@@ -21,10 +21,11 @@
 //!   completions, index storms) used by experiment E10.
 //! * [`peers`] — remote endpoints (echo / request-response servers) that
 //!   workloads talk to across the fabric.
-//! * [`worker`] — thread-per-queue execution: a [`CioNetBackend`] splits
-//!   into per-queue [`worker::CioQueueWorker`]s that run the same
-//!   servicing routine as the serial backend on their own OS threads,
-//!   while a [`backend::CioSteer`] keeps fabric I/O on the coordinator.
+//! * [`parallel`] — thread-per-queue execution: a [`CioNetBackend`]
+//!   splits into a [`ParallelHost`], itself a [`Backend`], whose
+//!   per-queue workers run the same servicing routine as the serial
+//!   backend on their own OS threads while fabric I/O and the admission
+//!   decision stay on the coordinator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,13 +35,14 @@ pub mod backend;
 pub mod fabric;
 pub mod l5;
 pub mod observe;
+pub mod parallel;
 pub mod peers;
-pub mod worker;
+mod worker;
 
-pub use backend::{Backend, CioNetBackend, CioSteer, NullBackend, VirtioNetBackend, WorkerCtx};
+pub use backend::{Backend, CioNetBackend, NullBackend, VirtioNetBackend};
 pub use fabric::{Fabric, FabricPort, LinkParams};
 pub use observe::Recorder;
-pub use worker::CioQueueWorker;
+pub use parallel::ParallelHost;
 
 /// Errors raised by host components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +55,9 @@ pub enum HostError {
     Mem(cio_mem::MemError),
     /// A fabric port id was invalid or unlinked.
     BadPort,
+    /// The thread-per-queue host could not start a worker thread, or one
+    /// died mid-round.
+    Worker(&'static str),
 }
 
 impl From<cio_vring::RingError> for HostError {
@@ -80,6 +85,7 @@ impl std::fmt::Display for HostError {
             HostError::Net(e) => write!(f, "net: {e}"),
             HostError::Mem(e) => write!(f, "mem: {e}"),
             HostError::BadPort => write!(f, "bad fabric port"),
+            HostError::Worker(s) => write!(f, "worker thread: {s}"),
         }
     }
 }

@@ -21,10 +21,10 @@
 //!
 //! [`FabricPort::transmit_at`]: crate::fabric::FabricPort::transmit_at
 
-use crate::backend::{service_cio_lane, CioLaneCtx, FrameSink, HostQueue, PENDING_CAP};
+use crate::backend::{enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue};
 use crate::observe::Recorder;
 use crate::HostError;
-use cio_sim::{Clock, Cycles, Meter, MeterSnapshot, Telemetry};
+use cio_sim::{Clock, Cycles, Telemetry};
 use cio_vring::cioring::{BatchPolicy, QueueLane};
 
 /// Deferred sink: outbound frames are stamped with the lane clock and
@@ -46,15 +46,15 @@ impl FrameSink for OutboxSink<'_> {
 /// One queue of a split [`CioNetBackend`](crate::backend::CioNetBackend),
 /// packaged to run on its own OS thread.
 ///
-/// Obtained from
-/// [`CioNetBackend::split_parallel`](crate::backend::CioNetBackend::split_parallel).
-/// Per round, the embedding loop: repositions the worker's lane clock at
-/// the lane frontier, [`enqueue`](Self::enqueue)s the frames the
-/// coordinator steered to this queue, calls [`service`](Self::service),
-/// and afterwards drains [`take_outbox`](Self::take_outbox) (returning
-/// the flushed container via [`recycle_outbox`](Self::recycle_outbox) so
-/// steady state allocates nothing).
-pub struct CioQueueWorker {
+/// Built by [`ParallelHost::new`](crate::parallel::ParallelHost::new).
+/// Per round, the worker loop: finds the worker's lane clock
+/// repositioned at the lane frontier, [`enqueue`](Self::enqueue)s the
+/// frames the coordinator steered to this queue, calls
+/// [`service`](Self::service), and afterwards hands over
+/// [`take_outbox`](Self::take_outbox) (getting the flushed container
+/// back via [`recycle_outbox`](Self::recycle_outbox) so steady state
+/// allocates nothing).
+pub(crate) struct CioQueueWorker {
     q: usize,
     lane: QueueLane<HostQueue>,
     batch: BatchPolicy,
@@ -89,64 +89,19 @@ impl CioQueueWorker {
         }
     }
 
-    /// The queue index this worker owns.
-    pub fn queue(&self) -> usize {
-        self.q
-    }
-
-    /// The worker's private lane clock (shared handle; the coordinator
-    /// repositions it at the lane frontier before dispatch and reads the
-    /// elapsed lane time after the barrier).
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The worker's telemetry fork (the coordinator absorbs it after the
-    /// barrier, in queue order).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Per-queue traffic snapshot (frames in `copies`, bytes in
-    /// `bytes_copied`).
-    pub fn queue_meter(&self) -> MeterSnapshot {
-        self.lane.meter.snapshot()
-    }
-
-    /// Shared handle to this queue's traffic meter, so a coordinator can
-    /// keep reading per-queue counters after the worker moved to its
-    /// thread.
-    pub fn meter_handle(&self) -> Meter {
-        self.lane.meter.clone()
-    }
-
-    /// Accepts the frames the coordinator steered to this queue,
-    /// tail-dropping against the same per-queue cap as the serial
-    /// backend's ingress (the worker sees the queue's true backlog, so
-    /// drop decisions match the serial schedule exactly). Returns frames
-    /// kept; the input vector is drained but keeps its capacity.
-    pub fn enqueue(&mut self, frames: &mut Vec<Vec<u8>>) -> usize {
-        let mut kept = 0;
+    /// Accepts the frames the coordinator steered to this queue under
+    /// the one tail-drop rule ([`enqueue_capped`]): the worker sees the
+    /// queue's true backlog, so drop decisions match the serial schedule
+    /// exactly. The input vector is drained but keeps its capacity.
+    pub(crate) fn enqueue(&mut self, frames: &mut Vec<Vec<u8>>) {
         for frame in frames.drain(..) {
-            if self.lane.end.pending.len() >= PENDING_CAP {
-                continue; // tail-drop, like a full NIC queue
-            }
-            self.lane.end.pending.push_back(frame);
-            kept += 1;
+            enqueue_capped(&mut self.lane.end.pending, frame);
         }
-        kept
-    }
-
-    /// The guest->host ring geometry this worker consumes from, so the
-    /// coordinator can locate the doorbell word and notification mode
-    /// without reaching into the worker's thread.
-    pub fn tx_ring(&self) -> &cio_vring::cioring::CioRing {
-        self.lane.end.tx.ring()
     }
 
     /// Frames still pending delivery to the guest (the coordinator's
-    /// work hint for the adaptive skip decision).
-    pub fn backlog(&self) -> usize {
+    /// work hint for the admission decision).
+    pub(crate) fn backlog(&self) -> usize {
         self.lane.end.pending.len()
     }
 
@@ -158,10 +113,9 @@ impl CioQueueWorker {
     ///
     /// # Errors
     ///
-    /// As the serial
-    /// [`Backend::service_queue`](crate::backend::Backend::service_queue):
-    /// transport errors a malicious guest can provoke on its own queue.
-    pub fn service(&mut self, door: bool) -> Result<usize, HostError> {
+    /// Transport errors a malicious guest can provoke on its own queue
+    /// (the worker loop swallows them exactly like the serial round).
+    pub(crate) fn service(&mut self, door: bool) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.fbits,
@@ -179,13 +133,13 @@ impl CioQueueWorker {
 
     /// Takes the stamped outbound frames accumulated by
     /// [`service`](Self::service), leaving an empty outbox behind.
-    pub fn take_outbox(&mut self) -> Vec<(Cycles, Vec<u8>)> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<(Cycles, Vec<u8>)> {
         std::mem::take(&mut self.outbox)
     }
 
     /// Returns a flushed outbox container so its frame buffers (and the
     /// container itself) are reused next round.
-    pub fn recycle_outbox(&mut self, mut flushed: Vec<(Cycles, Vec<u8>)>) {
+    pub(crate) fn recycle_outbox(&mut self, mut flushed: Vec<(Cycles, Vec<u8>)>) {
         for (_, buf) in flushed.drain(..) {
             self.outpool.push(buf);
         }

@@ -24,14 +24,23 @@
 //! Within a region the clock transiently runs ahead of the shared frontier
 //! and is then put back; observers that only compare timestamps produced
 //! inside the same lane still see monotonic time.
+//!
+//! **One lane is the shared clock.** The rewind exists so that sibling
+//! lanes overlap; with a single lane there is no sibling, so a region
+//! neither repositions nor rewinds, [`Lanes::charge`] advances the clock
+//! directly, the tally stays zero and [`Lanes::sync`] has nothing to
+//! publish. Code written against lanes therefore *is* the serial schedule
+//! at one lane — un-laned observers (fabric stamps, peers) see the clock
+//! exactly where serial code would have left it — and needs no
+//! single-queue twin.
 
 use crate::{Clock, Cycles};
 
 /// Per-lane virtual-time tallies over a shared [`Clock`].
 ///
 /// See the [module docs](self) for the model. A `Lanes` with a single lane
-/// degenerates to fully serial accounting: `sync` advances the clock by
-/// exactly the sum of all charged work.
+/// is the shared clock itself: work charges it in place and `sync`
+/// publishes nothing.
 ///
 /// # Examples
 ///
@@ -104,20 +113,34 @@ impl Lanes {
     #[must_use = "pass the base to end() or the region never closes"]
     pub fn begin(&mut self, lane: usize) -> Cycles {
         let base = self.clock.now();
-        self.clock.store(base.saturating_add(self.pending[lane]));
+        if self.overlapping() {
+            self.clock.store(base.saturating_add(self.pending[lane]));
+        }
         base
     }
 
     /// Closes a region opened by [`begin`](Self::begin): folds the elapsed
     /// time into `lane`'s tally and rewinds the shared clock to `base`.
     pub fn end(&mut self, lane: usize, base: Cycles) {
-        self.pending[lane] = self.clock.now().saturating_sub(base);
-        self.clock.store(base);
+        if self.overlapping() {
+            self.pending[lane] = self.clock.now().saturating_sub(base);
+            self.clock.store(base);
+        }
     }
 
     /// Adds `delta` to `lane`'s tally without running a closure.
     pub fn charge(&mut self, lane: usize, delta: Cycles) {
-        self.pending[lane] = self.pending[lane].saturating_add(delta);
+        if self.overlapping() {
+            self.pending[lane] = self.pending[lane].saturating_add(delta);
+        } else {
+            self.clock.advance(delta);
+        }
+    }
+
+    /// Whether there is a sibling lane to overlap with (see the module
+    /// docs: one lane is the shared clock).
+    fn overlapping(&self) -> bool {
+        self.pending.len() > 1
     }
 
     /// Barrier: advances the shared clock by the largest pending tally,
@@ -181,6 +204,24 @@ mod tests {
         }
         lanes.sync();
         assert_eq!(clock.now(), Cycles(30));
+    }
+
+    #[test]
+    fn one_lane_is_the_shared_clock() {
+        let clock = Clock::new();
+        let mut lanes = Lanes::new(clock.clone(), 1);
+        let base = lanes.begin(0);
+        clock.advance(Cycles(100));
+        lanes.end(0, base);
+        // No sibling to overlap with: the region did not rewind.
+        assert_eq!(clock.now(), Cycles(100));
+        assert_eq!(lanes.pending(0), Cycles::ZERO);
+        lanes.charge(0, Cycles(40));
+        assert_eq!(clock.now(), Cycles(140));
+        assert_eq!(lanes.pending(0), Cycles::ZERO);
+        // Nothing left to publish at the barrier.
+        assert_eq!(lanes.sync(), Cycles::ZERO);
+        assert_eq!(clock.now(), Cycles(140));
     }
 
     #[test]

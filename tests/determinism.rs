@@ -4,7 +4,6 @@
 
 use cio::world::{BoundaryKind, World, WorldOptions, ALL_BOUNDARIES, ECHO_PORT};
 use cio_host::fabric::LinkParams;
-use cio_host::Backend;
 use cio_sim::Cycles;
 
 fn opts(seed: u64) -> WorldOptions {
@@ -82,14 +81,7 @@ fn run_multiqueue(
         let got = w.recv_exact(c, msg.len(), 20_000).unwrap();
         assert_eq!(got, msg, "queue-steered echo corrupted");
     }
-    let backend = w
-        .backend_mut()
-        .as_any_mut()
-        .downcast_mut::<cio_host::CioNetBackend>()
-        .expect("cio backend");
-    let per_queue: Vec<_> = (0..backend.queue_count())
-        .map(|q| backend.queue_meter(q))
-        .collect();
+    let per_queue = w.queue_meters();
     (
         w.clock().now().get(),
         w.meter().snapshot(),

@@ -1,14 +1,14 @@
 //! The serial deterministic simulation is the correctness oracle for the
 //! thread-per-queue parallel host: for every policy combination, a world
-//! run with `parallel(n)` must reproduce the serial multiqueue schedule
-//! exactly — per-flow byte streams record for record, the virtual clock,
-//! the global and per-queue cycle meters, and the telemetry exports byte
-//! for byte. These tests sweep batch policies x copy policies x queue
-//! counts x worker-thread counts and diff full traces.
+//! run with `parallel(n)` must reproduce the serial host's schedule
+//! exactly, at every queue count from one up — per-flow byte streams
+//! record for record, the virtual clock, the global and per-queue cycle
+//! meters, and the telemetry exports byte for byte. These tests sweep
+//! batch policies x copy policies x queue counts x worker-thread counts
+//! and diff full traces.
 
 use cio::world::{BoundaryKind, World, WorldOptions, ECHO_PORT};
 use cio_host::fabric::LinkParams;
-use cio_host::{Backend, CioNetBackend};
 use cio_mem::CopyPolicy;
 use cio_sim::{Cycles, MeterSnapshot};
 use cio_vring::cioring::{BatchPolicy, NotifyMode, NotifyPolicy};
@@ -90,17 +90,11 @@ fn run_with(
     }
     let prometheus = w.telemetry().prometheus_text();
     let telemetry_json = w.telemetry().json_snapshot();
-    let per_queue = match w.backend_mut().as_any_mut().downcast_mut::<CioNetBackend>() {
-        // Serial world: the backend still lives in the world.
-        Some(b) => (0..b.queue_count()).map(|q| b.queue_meter(q)).collect(),
-        // Parallel world: per-queue meters live on the workers.
-        None => w.parallel_queue_meters(),
-    };
     Trace {
         clock: w.clock().now().get(),
         meter: w.meter().snapshot(),
         flows,
-        per_queue,
+        per_queue: w.queue_meters(),
         obs_bits: w.recorder().summary().bits,
         prometheus,
         telemetry_json,
@@ -120,7 +114,7 @@ fn thread_counts(queues: usize) -> Vec<usize> {
 
 #[test]
 fn parallel_matches_serial_across_queue_counts() {
-    for queues in [2usize, 4] {
+    for queues in [1usize, 2, 4] {
         let serial = run(queues, 0, BatchPolicy::Serial, CopyPolicy::InPlace, 0.0);
         assert!(serial.per_queue.len() == queues);
         for threads in thread_counts(queues) {
@@ -141,36 +135,29 @@ fn parallel_matches_serial_across_queue_counts() {
 
 #[test]
 fn single_queue_parallel_matches_the_serial_dataplane() {
-    // A 1-queue serial world steps the historical pre-lane schedule,
-    // whose idle cadence (and hence commit grouping and clock) differs
-    // slightly from the lane schedule the parallel host generalizes.
-    // The dataplane itself must still agree byte for byte: per-flow
-    // record streams, copy/lock/AEAD meters, per-queue meters, and the
-    // host-observability trace.
+    // One queue is one lane, and one lane is the shared clock: the
+    // one-queue world runs the same round as every other, so the whole
+    // trace — clock, meters, per-queue meters, flows, observability bits
+    // and both telemetry exports — must agree, under every notify
+    // policy (the admission decision is the same object on both hosts).
     let serial = run(1, 0, BatchPolicy::Serial, CopyPolicy::InPlace, 0.0);
     let par = run(1, 1, BatchPolicy::Serial, CopyPolicy::InPlace, 0.0);
-    assert_eq!(serial.flows, par.flows, "per-flow byte streams diverged");
-    assert_eq!(serial.per_queue, par.per_queue, "queue meters diverged");
-    assert_eq!(serial.obs_bits, par.obs_bits, "observability diverged");
-    let data = |m: &MeterSnapshot| {
-        (
-            m.copies,
-            m.bytes_copied,
-            m.bytes_zero_copy,
-            m.ring_records,
-            m.lock_acquisitions,
-            m.aead_ops,
-            m.aead_bytes,
-            m.validations,
-            m.violations_detected,
-            m.violations_undetected,
-        )
-    };
-    assert_eq!(
-        data(&serial.meter),
-        data(&par.meter),
-        "copy/lock/AEAD meters diverged"
-    );
+    assert_eq!(serial.per_queue.len(), 1);
+    assert_eq!(serial, par, "1 queue / 1 thread diverged from serial");
+    for policy in [NotifyPolicy::EventIdx, NotifyPolicy::Adaptive] {
+        let [serial, par] = [0usize, 1].map(|threads| {
+            run_with(
+                1,
+                threads,
+                BatchPolicy::Fixed(8),
+                CopyPolicy::InPlace,
+                0.0,
+                NotifyMode::Doorbell,
+                policy,
+            )
+        });
+        assert_eq!(serial, par, "policy={policy:?}: 1 queue diverged");
+    }
 }
 
 #[test]
@@ -214,9 +201,10 @@ fn parallel_matches_serial_under_loss() {
 
 #[test]
 fn parallel_matches_serial_under_every_notify_policy() {
-    // The notify gate (arm / suppress / re-poll) runs on worker threads
-    // in parallel mode, but every decision it takes is a function of
-    // ring state that the serial schedule reproduces exactly — so the
+    // The admission decision (door-take + notify gate) is one object:
+    // the serial backend runs it, and the parallel host's coordinator is
+    // handed the same one at the split. Every decision it takes is a
+    // function of ring state that both hosts reproduce exactly — so the
     // full trace, doorbell meters included, must match.
     for policy in [
         NotifyPolicy::Always,

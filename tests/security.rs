@@ -53,7 +53,7 @@ fn compromised_io_path_cannot_forge_application_data() {
 
     // Now the compromised path mangles everything in the rx payload area.
     let mem = w.guest_memory().clone();
-    let (_, rx_ring) = w.anatomy().cio_rings.clone().expect("cio rings");
+    let (_, rx_ring) = w.anatomy().cio_queues[0].clone();
     w.send(c, b"second request").unwrap();
     for _ in 0..400 {
         // Corrupt continuously while the reply is in flight.
@@ -148,8 +148,16 @@ fn wrong_measurement_peer_is_rejected() {
 /// double-fetch window closed.
 #[test]
 fn attack_outcomes_unchanged_under_in_slot_dataplane() {
-    use cio::attacks::{payload_toctou_in_slot, run_scenario_with_policy};
+    use cio::attacks::{attack_opts, payload_toctou_in_slot, run_scenario_on};
     use cio_mem::CopyPolicy;
+
+    let run = |b, a, copy_policy| {
+        let opts = WorldOptions {
+            copy_policy,
+            ..attack_opts()
+        };
+        run_scenario_on(b, a, opts).unwrap()
+    };
 
     for b in [
         BoundaryKind::L2CioRing,
@@ -161,8 +169,8 @@ fn attack_outcomes_unchanged_under_in_slot_dataplane() {
             AttackKind::SlotForgery,
             AttackKind::NotificationStorm,
         ] {
-            let in_place = run_scenario_with_policy(b, a, CopyPolicy::InPlace).unwrap();
-            let staged = run_scenario_with_policy(b, a, CopyPolicy::CopyEarly).unwrap();
+            let in_place = run(b, a, CopyPolicy::InPlace);
+            let staged = run(b, a, CopyPolicy::CopyEarly);
             assert_eq!(
                 in_place.outcome, staged.outcome,
                 "{b} vs {a}: in-place and staged outcomes diverged"
@@ -187,8 +195,16 @@ fn attack_outcomes_unchanged_under_in_slot_dataplane() {
 /// opens byte-correct and in order.
 #[test]
 fn attack_outcomes_unchanged_under_batched_dataplane() {
-    use cio::attacks::{batch_partial_poison, run_scenario_with_batch};
+    use cio::attacks::{attack_opts, batch_partial_poison, run_scenario_on};
     use cio::world::BatchPolicy;
+
+    let run = |b, a, batch| {
+        let opts = WorldOptions {
+            batch,
+            ..attack_opts()
+        };
+        run_scenario_on(b, a, opts).unwrap()
+    };
 
     for b in [
         BoundaryKind::L2CioRing,
@@ -196,8 +212,8 @@ fn attack_outcomes_unchanged_under_batched_dataplane() {
         BoundaryKind::Tunneled,
     ] {
         for a in ALL_ATTACKS {
-            let serial = run_scenario_with_batch(b, a, BatchPolicy::Serial).unwrap();
-            let batched = run_scenario_with_batch(b, a, BatchPolicy::Fixed(8)).unwrap();
+            let serial = run(b, a, BatchPolicy::Serial);
+            let batched = run(b, a, BatchPolicy::Fixed(8));
             assert_eq!(
                 serial.outcome, batched.outcome,
                 "{b} vs {a}: serial and batched outcomes diverged"
@@ -221,12 +237,21 @@ fn attack_outcomes_unchanged_under_batched_dataplane() {
 /// the serial multiqueue host, with the same workload survival.
 #[test]
 fn attack_outcomes_unchanged_under_parallel_host() {
-    use cio::attacks::{run_scenario_parallel, run_scenario_with};
+    use cio::attacks::{attack_opts, run_scenario_on};
+
+    let run = |b, a, parallel| {
+        let opts = WorldOptions {
+            queues: 4,
+            parallel,
+            ..attack_opts()
+        };
+        run_scenario_on(b, a, opts).unwrap()
+    };
 
     for b in [BoundaryKind::L2CioRing, BoundaryKind::DualBoundary] {
         for a in ALL_ATTACKS {
-            let serial = run_scenario_with(b, a, 4).unwrap();
-            let parallel = run_scenario_parallel(b, a, 4, 4).unwrap();
+            let serial = run(b, a, 0);
+            let parallel = run(b, a, 4);
             assert_eq!(
                 serial.outcome, parallel.outcome,
                 "{b} vs {a}: serial and parallel-host outcomes diverged"

@@ -10,7 +10,6 @@ use cio::session::{Arrival, LoadGen, LoadGenConfig};
 use cio::world::{BoundaryKind, SessionId, SessionScratch, World, WorldOptions, ECHO_PORT};
 use cio::CioError;
 use cio_host::fabric::LinkParams;
-use cio_host::{Backend, CioNetBackend};
 use cio_mem::CopyPolicy;
 use cio_sim::{Cycles, MeterSnapshot};
 use cio_vring::cioring::BatchPolicy;
@@ -180,10 +179,7 @@ fn churn_trace(
 
     let prometheus = w.telemetry().prometheus_text();
     let telemetry_json = w.telemetry().json_snapshot();
-    let per_queue = match w.backend_mut().as_any_mut().downcast_mut::<CioNetBackend>() {
-        Some(b) => (0..b.queue_count()).map(|q| b.queue_meter(q)).collect(),
-        None => w.parallel_queue_meters(),
-    };
+    let per_queue = w.queue_meters();
     Trace {
         clock: w.clock().now().get(),
         meter: w.meter().snapshot(),
