@@ -256,8 +256,9 @@ fn bench_multiqueue_world(target_ms: u64, queues: usize, parallel: usize) -> (Me
             parallel,
             ..bench_opts()
         };
-        let r = multi_stream_download(BoundaryKind::L2CioRing, opts, MQ_FLOWS, MQ_PER_FLOW, 4096)
-            .expect("multiqueue workload");
+        let (r, _rounds) =
+            multi_stream_download(BoundaryKind::L2CioRing, opts, MQ_FLOWS, MQ_PER_FLOW, 4096)
+                .expect("multiqueue workload");
         sim_cycles = r.elapsed.get();
         black_box(r.app_bytes);
     });

@@ -4,10 +4,15 @@
 //! 32 concurrent RPC flows are RSS-steered across the queues; each queue
 //! runs on its own virtual lane, so the world's clock advances by the
 //! *busiest* queue per step instead of the sum — the simulated analogue of
-//! one core per queue. Usage: `exp_multiqueue [--quick]`.
+//! one core per queue. The loop is closed and a request waits whole
+//! `World::step` rounds, so elapsed time is rounds × cycles per round and
+//! both are printed: more queues make a round cheaper, but the same
+//! requests then need more of them (ROADMAP item 1).
+//! Usage: `exp_multiqueue [--quick]`.
 
 use cio::world::{BoundaryKind, WorldOptions, MAX_QUEUES};
 use cio_bench::{bench_opts, fmt_cycles, multi_stream_download, print_table};
+use cio_sim::Cycles;
 
 const FLOWS: usize = 32;
 
@@ -30,8 +35,9 @@ fn main() {
                 queues,
                 ..bench_opts()
             };
-            let r = multi_stream_download(BoundaryKind::L2CioRing, opts, FLOWS, per_flow, chunk)
-                .expect("E16 workload failed");
+            let (r, rounds) =
+                multi_stream_download(BoundaryKind::L2CioRing, opts, FLOWS, per_flow, chunk)
+                    .expect("E16 workload failed");
             if queues == 1 {
                 base = r.gbps;
             }
@@ -45,13 +51,23 @@ fn main() {
                 format!("{:.2}", r.gbps),
                 fmt_cycles(r.elapsed),
                 format!("{speedup:.2}x"),
+                rounds.to_string(),
+                fmt_cycles(Cycles(r.elapsed.get() / rounds)),
             ]);
         }
     }
 
     print_table(
         "E16 — multi-queue cio-ring scaling (32 flows, virtual time)",
-        &["queues", "payload B", "Gbit/s", "elapsed cyc", "speedup"],
+        &[
+            "queues",
+            "payload B",
+            "Gbit/s",
+            "elapsed cyc",
+            "speedup",
+            "rounds",
+            "cyc/round",
+        ],
         &rows,
     );
 

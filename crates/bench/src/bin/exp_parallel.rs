@@ -194,7 +194,7 @@ fn world_wall_ms(parallel: usize, per_flow: u64) -> f64 {
         ..bench_opts()
     };
     let t = Instant::now();
-    let r = multi_stream_download(BoundaryKind::L2CioRing, opts, 8, per_flow, 4096)
+    let (r, _rounds) = multi_stream_download(BoundaryKind::L2CioRing, opts, 8, per_flow, 4096)
         .expect("E20 world workload");
     black_box(r.app_bytes);
     t.elapsed().as_secs_f64() * 1e3

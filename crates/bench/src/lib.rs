@@ -108,7 +108,8 @@ pub fn stream_download(
 /// the RSS-steered flows exercise all queues concurrently — this is the
 /// workload behind the E16 queue-scaling sweep. Transient backpressure
 /// from [`World::send`] is retried on later rounds, never treated as
-/// failure.
+/// failure. Also returns how many [`World::step`] rounds the measured
+/// window took: the loop is closed, so a request waits whole rounds.
 ///
 /// # Errors
 ///
@@ -119,7 +120,7 @@ pub fn multi_stream_download(
     flows: usize,
     per_flow_bytes: u64,
     chunk: u32,
-) -> Result<RunResult, CioError> {
+) -> Result<(RunResult, u64), CioError> {
     let ghz = opts.cost.ghz;
     let mut w = World::new(kind, opts)?;
     let conns: Vec<_> = (0..flows)
@@ -147,6 +148,7 @@ pub fn multi_stream_download(
     let mut moved = 0u64;
     let total = per_flow_bytes * flows as u64;
     let mut idle_steps = 0u32;
+    let mut rounds = 0u64;
     // One reusable receive scratch across all flows: the polling loop
     // stays allocation-free via the `recv_into` hot path.
     let mut rx = SessionScratch::new();
@@ -162,6 +164,7 @@ pub fn multi_stream_download(
             }
         }
         w.step()?;
+        rounds += 1;
         let mut progressed = false;
         for (i, &c) in conns.iter().enumerate() {
             if inflight[i] == 0 {
@@ -188,7 +191,7 @@ pub fn multi_stream_download(
     }
     let elapsed = w.clock().since(t0);
     let obs = w.recorder().summary();
-    Ok(RunResult {
+    let run = RunResult {
         boundary: kind,
         app_bytes: moved,
         elapsed,
@@ -197,7 +200,8 @@ pub fn multi_stream_download(
         obs_events: obs.events,
         obs_bits: obs.bits,
         obs_kinds: obs.kinds,
-    })
+    };
+    Ok((run, rounds))
 }
 
 /// Measures small-message echo round-trip latency: mean cycles per round
@@ -511,7 +515,8 @@ mod tests {
                 queues,
                 ..bench_opts()
             };
-            multi_stream_download(BoundaryKind::L2CioRing, opts, 8, 16 * 1024, 4 * 1024).unwrap()
+            let run = multi_stream_download(BoundaryKind::L2CioRing, opts, 8, 16 * 1024, 4 * 1024);
+            run.unwrap().0
         };
         let one = run(1);
         let four = run(4);

@@ -5,8 +5,7 @@
 //! the LBA space is cut into fixed-size extents and extent `e` is owned by
 //! lane `e % lanes`. Every block has exactly one home lane (the storage
 //! analogue of flow affinity), so per-lane backends need no cross-lane
-//! locking and the whole store can ride `World::builder(..).parallel(t)`
-//! with one backend thread per lane via [`MultiQueueStore::take_backend`].
+//! locking.
 //!
 //! Both `lanes` and `extent` must be powers of two so steering is a
 //! shift-and-mask, like the RSS indirection mask. Runs submitted through
@@ -15,7 +14,7 @@
 //! its amortization within a segment.
 
 use crate::blockdev::{BlockStore, RunStore};
-use crate::transport::{CioBlkBackend, RingBlockStore};
+use crate::transport::RingBlockStore;
 use crate::BlockError;
 use cio_sim::Telemetry;
 
@@ -119,17 +118,6 @@ impl<S: BlockStore> MultiQueueStore<S> {
 }
 
 impl MultiQueueStore<RingBlockStore> {
-    /// Detaches lane `lane`'s backend so a dedicated host thread can
-    /// service it (the storage analogue of thread-per-queue).
-    pub fn take_backend(&mut self, lane: usize) -> Option<CioBlkBackend> {
-        self.lanes[lane].take_backend()
-    }
-
-    /// Re-attaches a backend taken with [`MultiQueueStore::take_backend`].
-    pub fn restore_backend(&mut self, lane: usize, back: CioBlkBackend) {
-        self.lanes[lane].restore_backend(back);
-    }
-
     /// Attributes each lane's work to its own telemetry queue.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for (q, lane) in self.lanes.iter_mut().enumerate() {

@@ -499,19 +499,12 @@ impl CioBlkBackend {
         let mut sent = 0;
         while sent < consumed {
             let _r = self.telemetry.span(self.tq, Stage::BlkRing);
-            let grant = match self
+            // The flow is synchronous — the guest collects every response
+            // before it submits again — so the ring always has room; a
+            // full one is an error like any other.
+            let grant = self
                 .resp
-                .reserve_batch(BLK_HDR + BLOCK_SIZE, consumed - sent)
-            {
-                Ok(g) => g,
-                Err(RingError::Full) => {
-                    // The guest is draining concurrently (detached mode);
-                    // in the synchronous flow the ring always has room.
-                    std::hint::spin_loop();
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
+                .reserve_batch(BLK_HDR + BLOCK_SIZE, consumed - sent)?;
             let n = grant.len();
             let mut lens = [0usize; MAX_BATCH];
             let disk = &mut self.disk;
@@ -566,63 +559,29 @@ impl CioBlkBackend {
 /// operation submits, lets the backend run, and collects the responses.
 /// The caller accounts for boundary-crossing costs (the `cio` crate
 /// charges exits around this).
-///
-/// The backend can be detached ([`RingBlockStore::take_backend`]) and
-/// serviced from a worker thread; the store then spins on completions
-/// instead of pumping the backend inline.
 pub struct RingBlockStore {
     front: CioBlkFrontend,
-    back: Option<CioBlkBackend>,
-    blocks: u64,
+    back: CioBlkBackend,
 }
 
 impl RingBlockStore {
     /// Couples a frontend and backend.
     pub fn new(front: CioBlkFrontend, back: CioBlkBackend) -> Self {
-        let blocks = back.disk.blocks();
-        RingBlockStore {
-            front,
-            back: Some(back),
-            blocks,
-        }
+        RingBlockStore { front, back }
     }
 
-    /// Backend/disk access (adversary).
-    ///
-    /// # Panics
-    ///
-    /// If the backend was detached with [`RingBlockStore::take_backend`].
+    /// Backend/disk access (host-side servicing, adversary).
     pub fn backend_mut(&mut self) -> &mut CioBlkBackend {
-        self.back.as_mut().expect("backend detached")
-    }
-
-    /// Detaches the backend for servicing from a worker thread.
-    pub fn take_backend(&mut self) -> Option<CioBlkBackend> {
-        self.back.take()
-    }
-
-    /// Re-attaches a detached backend (returning to inline servicing).
-    pub fn restore_backend(&mut self, back: CioBlkBackend) {
-        self.back = Some(back);
+        &mut self.back
     }
 
     /// Attributes both ends' stages to `queue` in `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry, queue: usize) {
         self.front.set_telemetry(telemetry.clone(), queue);
-        if let Some(b) = self.back.as_mut() {
-            b.set_telemetry(telemetry, queue);
-        }
+        self.back.set_telemetry(telemetry, queue);
     }
 
-    fn pump(&mut self) -> Result<(), BlockError> {
-        if let Some(b) = self.back.as_mut() {
-            b.process()?;
-        }
-        Ok(())
-    }
-
-    /// Collects exactly `expect` responses, pumping the inline backend
-    /// (or spinning on a detached one).
+    /// Collects exactly `expect` responses, pumping the backend.
     fn complete(
         &mut self,
         expect: usize,
@@ -630,15 +589,11 @@ impl RingBlockStore {
     ) -> Result<(), BlockError> {
         let mut got = 0;
         while got < expect {
-            self.pump()?;
+            self.back.process()?;
             let base = got;
-            let n = self
+            got += self
                 .front
                 .collect(expect - got, &mut |i, r| sink(base + i, r))?;
-            if n == 0 {
-                std::hint::spin_loop();
-            }
-            got += n;
         }
         Ok(())
     }
@@ -660,8 +615,7 @@ impl RingBlockStore {
                 .front
                 .submit_reads(count - base, &|i| lba_of(base + i))?;
             if submitted == 0 {
-                self.pump()?;
-                std::hint::spin_loop();
+                self.back.process()?;
                 continue;
             }
             let mut first_err: Option<BlockError> = None;
@@ -704,8 +658,7 @@ impl RunStore for RingBlockStore {
                         fill(base + b, slots)
                     })?;
             if submitted == 0 {
-                self.pump()?;
-                std::hint::spin_loop();
+                self.back.process()?;
                 continue;
             }
             let mut first_err: Option<BlockError> = None;
@@ -767,7 +720,7 @@ impl BlockStore for RingBlockStore {
     }
 
     fn blocks(&self) -> u64 {
-        self.blocks
+        self.back.disk.blocks()
     }
 }
 

@@ -1255,6 +1255,7 @@ fn poison_pending_rx_record(
     ring: &CioRing,
     from_port: u16,
 ) -> Result<bool, CioError> {
+    use cio_mem::MemView;
     use cio_netstack::wire::{
         transport_checksum, IpProto, Ipv4Addr, ETH_HDR_LEN, IPV4_HDR_LEN, TCP_HDR_LEN,
     };

@@ -569,32 +569,21 @@ impl KvWorld {
     /// Backend processing failures.
     pub fn service(&mut self) -> Result<usize, CioError> {
         let mut moved_total = 0;
-        for lane in 0..self.cfg.queues {
-            let Some(mut back) = self.store.inner_mut().take_backend(lane) else {
-                continue;
-            };
+        for (lane, gate) in self.gates.iter_mut().enumerate() {
+            let back = self.store.inner_mut().lane_mut(lane).backend_mut();
             let door = back.take_doorbell()?;
-            let gate = &mut self.gates[lane];
             let service = match self.cfg.notify {
                 NotifyPolicy::Always => true,
                 NotifyPolicy::EventIdx => door,
                 NotifyPolicy::Adaptive => gate.should_service(door, false),
             };
-            let r = if service {
-                match back.process() {
-                    Ok(moved) => {
-                        gate.observe(moved);
-                        moved_total += moved;
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
+            if service {
+                let moved = back.process()?;
+                gate.observe(moved);
+                moved_total += moved;
             } else {
                 gate.observe_skip();
-                Ok(())
-            };
-            self.store.inner_mut().restore_backend(lane, back);
-            r?;
+            }
         }
         Ok(moved_total)
     }

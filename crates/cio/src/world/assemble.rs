@@ -7,21 +7,22 @@
 //! [`ParallelHost`]); once built, a world holds one `Box<dyn Backend>`
 //! and the round never asks which.
 
+use super::guest::{Crossing, GuestStack};
+use super::layout::GuestLayoutAlloc;
 use super::options::{FABRIC_MTU, GUEST_MAC, GUEST_PAGES, PEER_MAC};
 use super::speer::{SecurePeer, TunnelGateway};
 use super::{
-    Anatomy, BoundaryKind, Guest, PeerNode, World, WorldBuilder, WorldOptions, GUEST_IP, PEER_IP,
+    Anatomy, BoundaryKind, PeerNode, World, WorldBuilder, WorldOptions, GUEST_IP, PEER_IP,
 };
 use crate::dev::{
-    CioRingDevice, GuestLayoutAlloc, HardenedVirtioNetDevice, IdeNetDevice, TunnelDevice,
-    VirtqueueNetDevice, VqArena,
+    CioRingDevice, HardenedVirtioNetDevice, IdeNetDevice, TunnelDevice, VirtqueueNetDevice, VqArena,
 };
 use crate::session::SessionTable;
 use crate::CioError;
 use cio_ctls::{Channel, RecordScratch, SimHooks};
 use cio_host::backend::{Backend, CioNetBackend, NullBackend, VirtioNetBackend};
 use cio_host::fabric::Fabric;
-use cio_host::l5::L5Service;
+use cio_host::l5::ObservedPort;
 use cio_host::observe::Recorder;
 use cio_host::ParallelHost;
 use cio_mem::{GuestAddr, GuestMemory, HostView, PAGE_SIZE};
@@ -138,20 +139,19 @@ impl WorldBuilder {
             GuestLayoutAlloc::new(GuestAddr(0), GuestAddr((GUEST_PAGES * PAGE_SIZE) as u64));
         let direct_peer = |port| PeerNode::Direct(secure_peer(port, &clock, &opts, &telemetry));
 
-        let (guest, backend, peer): (Guest, Box<dyn Backend>, PeerNode) = match kind {
-            BoundaryKind::L5Host => {
-                let svc = L5Service::new(
-                    nic_port,
-                    InterfaceConfig::new(GUEST_IP),
-                    clock.clone(),
-                    recorder.clone(),
-                );
-                (
-                    Guest::L5 { svc },
-                    Box::new(NullBackend),
-                    direct_peer(peer_port),
-                )
-            }
+        // A design is a transport (the device the one stack runs over and
+        // the host model serving it) and a crossing (what separates the
+        // application from that stack).
+        type Design = (Box<dyn NetDevice>, Crossing, Box<dyn Backend>, PeerNode);
+        let (device, crossing, backend, peer): Design = match kind {
+            // The stack is host software over the host's own NIC; the
+            // host tallies every socket call that reaches it.
+            BoundaryKind::L5Host => (
+                Box::new(ObservedPort::new(nic_port, recorder.clone())),
+                Crossing::Host(recorder.clone()),
+                Box::new(NullBackend),
+                direct_peer(peer_port),
+            ),
 
             BoundaryKind::L2VirtioUnhardened | BoundaryKind::L2VirtioHardened => {
                 let hardened = kind == BoundaryKind::L2VirtioHardened;
@@ -232,7 +232,6 @@ impl WorldBuilder {
                     )?)
                 };
 
-                let iface = Interface::new(device, InterfaceConfig::new(GUEST_IP), clock.clone());
                 let mut backend = VirtioNetBackend::new(
                     DeviceSide::new(mem.host(), tx_layout),
                     DeviceSide::new(mem.host(), rx_layout),
@@ -245,7 +244,8 @@ impl WorldBuilder {
                 }
                 backend.set_telemetry(telemetry.clone());
                 (
-                    Guest::Stack { iface },
+                    device,
+                    Crossing::None,
                     Box::new(backend),
                     direct_peer(peer_port),
                 )
@@ -270,8 +270,7 @@ impl WorldBuilder {
                 backend.set_batch_policy(opts.batch);
                 backend.set_notify_policy(opts.notify_policy);
                 backend.set_telemetry(telemetry.clone());
-                let iface = Interface::new(device, InterfaceConfig::new(GUEST_IP), clock.clone());
-                let guest = if kind == BoundaryKind::DualBoundary {
+                let crossing = if kind == BoundaryKind::DualBoundary {
                     let app = tee.compartments_mut().create("app");
                     let iostack = tee.compartments_mut().create("iostack");
                     // The I/O compartment owns every queue's rings and
@@ -299,15 +298,9 @@ impl WorldBuilder {
                     let arena = layout.alloc_pages(16)?;
                     tee.compartments_mut()
                         .assign_shared(app, iostack, arena, 16 * PAGE_SIZE)?;
-                    let gate = tee.gate(app, iostack)?;
-                    Guest::Dual {
-                        iface,
-                        gate,
-                        app,
-                        iostack,
-                    }
+                    Crossing::Compartment(tee.gate(app, iostack)?)
                 } else {
-                    Guest::Stack { iface }
+                    Crossing::None
                 };
                 // Thread-per-queue mode: the backend splits into a
                 // coordinator plus per-queue workers on persistent OS
@@ -317,7 +310,7 @@ impl WorldBuilder {
                 } else {
                     Box::new(backend)
                 };
-                (guest, backend, direct_peer(peer_port))
+                (device, crossing, backend, direct_peer(peer_port))
             }
 
             BoundaryKind::Tunneled => {
@@ -359,8 +352,6 @@ impl WorldBuilder {
                     TunnelDevice::new(guest_tx, guest_rx, guest_chan, GUEST_MAC, 1500);
                 tunnel_dev.set_copy_policy(opts.copy_policy);
                 tunnel_dev.set_batch_policy(opts.batch);
-                let device: Box<dyn NetDevice> = Box::new(tunnel_dev);
-                let iface = Interface::new(device, InterfaceConfig::new(GUEST_IP), clock.clone());
                 let mut backend = CioNetBackend::new(
                     vec![(host_tx, host_rx)],
                     mem.host(),
@@ -376,7 +367,8 @@ impl WorldBuilder {
 
                 let (gw_side, peer_side) = PairDevice::pair([PEER_MAC, PEER_MAC], 1500);
                 (
-                    Guest::Stack { iface },
+                    Box::new(tunnel_dev),
+                    Crossing::None,
                     Box::new(backend),
                     PeerNode::Tunnel {
                         gw_port: peer_port,
@@ -434,13 +426,9 @@ impl WorldBuilder {
                     1500,
                 );
                 ide_dev.tamper_after_attestation = opts.dda_tamper;
-                let iface = Interface::new(
-                    Box::new(ide_dev) as Box<dyn NetDevice>,
-                    InterfaceConfig::new(GUEST_IP),
-                    clock.clone(),
-                );
                 (
-                    Guest::Stack { iface },
+                    Box::new(ide_dev),
+                    Crossing::None,
                     Box::new(NullBackend),
                     direct_peer(peer_port),
                 )
@@ -453,7 +441,10 @@ impl WorldBuilder {
             meter,
             recorder,
             tee,
-            guest,
+            guest: GuestStack {
+                iface: Interface::new(device, InterfaceConfig::new(GUEST_IP), clock.clone()),
+                crossing,
+            },
             backend,
             peer,
             // One session-table shard per dataplane queue: a session's
@@ -510,10 +501,7 @@ impl World {
             &self.telemetry,
         )?;
         backend.reattach(host_pairs)?;
-        match &mut self.guest {
-            Guest::Stack { iface } | Guest::Dual { iface, .. } => *iface.device_mut() = device,
-            Guest::L5 { .. } => unreachable!("kind checked above"),
-        }
+        *self.guest.iface.device_mut() = device;
         Ok(())
     }
 }

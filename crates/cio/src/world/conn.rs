@@ -1,14 +1,16 @@
 //! Connection glue: the application API ([`World::connect`] /
 //! [`World::send`] / the `recv` family / [`World::close`]) over the
-//! session table, the per-design charging of each transport call, and
-//! the per-session stream pump the round's flush sweep runs.
+//! session table, and the per-session stream pump the round's flush sweep
+//! runs. Every socket call goes through `World::cross` (see `guest`),
+//! which is where a design's crossing is charged and observed.
 //!
 //! A session's lane is its RSS queue, fixed at connect; everything done
 //! on a session's behalf runs on that lane, at every queue count — one
 //! lane being the shared clock (see [`cio_sim::Lanes`]).
 
+use super::guest::{Call, Crossing};
 use super::speer::{FeedResult, SecureStream};
-use super::{sid_bits, ConnState, Guest, World, GUEST_IP, PEER_IP, SEND_HIGH_WATER};
+use super::{sid_bits, ConnState, World, GUEST_IP, PEER_IP, SEND_HIGH_WATER};
 use crate::session::{SessionError, SessionId, SessionScratch};
 use crate::{CioError, Transient};
 use cio_ctls::SimHooks;
@@ -17,76 +19,12 @@ use cio_netstack::stack::SocketHandle;
 use cio_sim::{EventKind, Stage};
 
 impl World {
-    // ---------- Transport plumbing (per-design charging) ----------
-
     fn raw_send(&mut self, handle: SocketHandle, bytes: &[u8]) -> Result<(), CioError> {
         if bytes.is_empty() {
             return Ok(());
         }
-        match &mut self.guest {
-            Guest::Stack { iface } => {
-                iface.tcp_send(handle, bytes)?;
-            }
-            Guest::Dual { iface, gate, .. } => {
-                // Trusted-component-allocates zero-copy send (E9) needs
-                // both the zero-copy option and an in-place copy policy;
-                // otherwise the app→stack payload copy is charged.
-                if self.opts.l5_app_copy || !self.opts.copy_policy.allows_in_place() {
-                    let cost = self.opts.cost.copy(bytes.len());
-                    self.clock.advance(cost);
-                    self.meter.copies(1);
-                    self.meter.bytes_copied(bytes.len() as u64);
-                } else {
-                    self.meter.bytes_zero_copy(bytes.len() as u64);
-                }
-                gate.call(|| iface.tcp_send(handle, bytes))?;
-            }
-            Guest::L5 { svc } => {
-                // World switch plus marshalling: the payload is copied
-                // through an untrusted exchange buffer on every call.
-                let _exit = self.telemetry.span(0, Stage::HostExit);
-                self.tee.exit_to_host();
-                self.clock.advance(self.opts.cost.copy(bytes.len()));
-                self.meter.copies(1);
-                self.meter.bytes_copied(bytes.len() as u64);
-                svc.send(handle, bytes)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends whatever the stack has received on `handle` to `out`.
-    fn raw_recv_into(&mut self, handle: SocketHandle, out: &mut Vec<u8>) -> Result<(), CioError> {
-        match &mut self.guest {
-            Guest::Stack { iface } => {
-                iface.tcp_recv_into(handle, out)?;
-            }
-            Guest::Dual { iface, gate, .. } => {
-                gate.call(|| iface.tcp_recv_into(handle, out))?;
-            }
-            Guest::L5 { svc } => {
-                let _exit = self.telemetry.span(0, Stage::HostExit);
-                self.tee.exit_to_host();
-                let data = svc.recv(handle, usize::MAX)?;
-                if !data.is_empty() {
-                    self.clock.advance(self.opts.cost.copy(data.len()));
-                    self.meter.copies(1);
-                    self.meter.bytes_copied(data.len() as u64);
-                }
-                out.extend_from_slice(&data);
-            }
-        }
-        Ok(())
-    }
-
-    fn raw_established(&mut self, handle: SocketHandle) -> Result<bool, CioError> {
-        Ok(match &mut self.guest {
-            Guest::Stack { iface } => iface.tcp_established(handle)?,
-            Guest::Dual { iface, gate, .. } => gate.call(|| iface.tcp_established(handle))?,
-            Guest::L5 { svc } => {
-                self.tee.exit_to_host();
-                svc.established(handle)?
-            }
+        self.cross(Call::Send, bytes.len(), |iface| {
+            iface.tcp_send(handle, bytes)
         })
     }
 
@@ -105,14 +43,7 @@ impl World {
     ///
     /// Stack/transport errors.
     pub fn connect(&mut self, port: u16) -> Result<SessionId, CioError> {
-        let handle = match &mut self.guest {
-            Guest::Stack { iface } => iface.tcp_connect(PEER_IP, port)?,
-            Guest::Dual { iface, gate, .. } => gate.call(|| iface.tcp_connect(PEER_IP, port))?,
-            Guest::L5 { svc } => {
-                self.tee.exit_to_host();
-                svc.connect(PEER_IP, port)?
-            }
-        };
+        let handle = self.cross(Call::Connect, 0, |iface| iface.tcp_connect(PEER_IP, port))?;
         let (outbox, stream) = if self.opts.app_tls {
             let mut entropy = [0u8; 64];
             self.rng.fill_bytes(&mut entropy);
@@ -134,15 +65,10 @@ impl World {
         // The connection's lane is its RSS queue: the same symmetric hash
         // the device and backend steer with, so all of this flow's work
         // lands on one virtual core (lane 0 when there is one queue — the
-        // mask is zero).
-        let lane = match &mut self.guest {
-            Guest::Stack { iface } | Guest::Dual { iface, .. } => {
-                let local_port = iface.tcp_local_port(handle)?;
-                let hash = rss::flow_hash((GUEST_IP, local_port), (PEER_IP, port));
-                (hash as usize) & (self.opts.queues - 1)
-            }
-            Guest::L5 { .. } => 0,
-        };
+        // mask is zero — which is every design but the cio-ring pair).
+        let local_port = self.guest.iface.tcp_local_port(handle)?;
+        let hash = rss::flow_hash((GUEST_IP, local_port), (PEER_IP, port));
+        let lane = (hash as usize) & (self.opts.queues - 1);
         // The session's shard is its lane: insert issues the generational
         // handle and the lane is recoverable from the handle's low bits.
         let id = self.conns.insert(
@@ -175,7 +101,7 @@ impl World {
     /// reissued slot.
     fn quarantine(&mut self, id: SessionId) {
         if let Ok(conn) = self.conns.remove(id) {
-            let _ = self.raw_close(conn.handle);
+            let _ = self.cross(Call::Close, 0, |iface| iface.tcp_close(conn.handle));
             self.draining.push(conn.handle);
             self.meter.session_failures(1);
             self.telemetry
@@ -195,7 +121,7 @@ impl World {
         let has_outbox = !conn.outbox.is_empty();
         let _flush = self.telemetry.span(lane, Stage::AppFlush);
         // Only push protocol bytes once TCP is up.
-        if has_outbox && self.raw_established(handle)? {
+        if has_outbox && self.cross(Call::Poll, 0, |iface| iface.tcp_established(handle))? {
             let mut out = match self.conns.get_mut(id) {
                 Ok(conn) => std::mem::take(&mut conn.outbox),
                 Err(_) => return Ok(()),
@@ -213,12 +139,14 @@ impl World {
         // allocates nothing per connection.
         let mut data = std::mem::take(&mut self.recv_scratch);
         data.clear();
-        let received = self.raw_recv_into(handle, &mut data);
+        let received = self.cross(Call::Recv, 0, |iface| {
+            iface.tcp_recv_into(handle, &mut data)
+        });
         if received.is_ok() && !data.is_empty() {
             self.feed_conn(id, lane, &data);
         }
         self.recv_scratch = data;
-        received
+        received.map(drop)
     }
 
     /// Feeds bytes received on `id` through its stream, quarantining the
@@ -287,7 +215,7 @@ impl World {
         for _ in 0..max_steps {
             self.step()?;
             let handle = self.conns.get(c)?.handle;
-            let tcp_up = self.raw_established(handle)?;
+            let tcp_up = self.cross(Call::Poll, 0, |iface| iface.tcp_established(handle))?;
             let s = self.conns.get(c)?;
             if tcp_up && s.stream.is_open() && s.outbox.is_empty() {
                 return Ok(());
@@ -327,10 +255,13 @@ impl World {
         }
         let (handle, lane) = (s.handle, s.lane);
         // The backlog probe is the app reading its own socket bookkeeping
-        // — no boundary is crossed, so nothing is charged.
-        let backlog = match &mut self.guest {
-            Guest::Stack { iface } | Guest::Dual { iface, .. } => iface.tcp_send_backlog(handle)?,
-            Guest::L5 { .. } => 0,
+        // — no boundary is crossed, so nothing is charged; where the stack
+        // is host software there is no such bookkeeping to read.
+        let backlog = match self.guest.crossing {
+            Crossing::None | Crossing::Compartment(_) => {
+                self.guest.iface.tcp_send_backlog(handle)?
+            }
+            Crossing::Host(_) => 0,
         };
         if backlog > SEND_HIGH_WATER {
             self.meter.backpressure_wouldblock(1);
@@ -476,20 +407,6 @@ impl World {
         Ok(scratch.buf)
     }
 
-    /// TCP close across the boundary designs (the charged call under
-    /// [`World::close`] and the quarantine path).
-    fn raw_close(&mut self, handle: SocketHandle) -> Result<(), CioError> {
-        match &mut self.guest {
-            Guest::Stack { iface } => iface.tcp_close(handle)?,
-            Guest::Dual { iface, gate, .. } => gate.call(|| iface.tcp_close(handle))?,
-            Guest::L5 { svc } => {
-                self.tee.exit_to_host();
-                svc.close(handle)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Closes a session: TCP FIN goes out, the stream is dropped, and the
     /// session slot is reclaimed immediately — any copy of the handle is
     /// now stale and answers [`CioError::Session`]. The TCP handle joins
@@ -505,7 +422,7 @@ impl World {
         self.meter.sessions_closed(1);
         self.telemetry
             .record(conn.lane, EventKind::SessionClose, sid_bits(c), 0);
-        self.raw_close(conn.handle)?;
+        self.cross(Call::Close, 0, |iface| iface.tcp_close(conn.handle))?;
         self.draining.push(conn.handle);
         Ok(())
     }

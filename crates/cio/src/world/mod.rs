@@ -7,23 +7,35 @@
 //! streams), so experiments E4/E9/E10/E11 run identical workloads across
 //! designs and differences are attributable to the boundary alone.
 //!
-//! The module is split along the four things a world is:
+//! A design is a *transport* and a *crossing* — the paper's P2 and P1 —
+//! and the world has one seam for each: the guest stack drives whatever
+//! [`NetDevice`](cio_netstack::NetDevice) the design's transport is
+//! while the round drives whatever [`Backend`] serves it, and every socket
+//! call the application makes goes through `World::cross`, which charges
+//! and observes it by the design's `Crossing` (none, compartment, host).
+//!
+//! The module is split along the five things a world is:
 //!
 //! * `options` — [`WorldOptions`], the [`WorldBuilder`] setters, fixed
 //!   addresses and limits, construction-time validation;
 //! * `assemble` — per-design assembly ([`WorldBuilder::build`]) and
 //!   device hot swap: the only code that names a concrete host type;
+//!   `layout` is its guest-memory bump allocator;
+//! * `guest` — the one guest stack, its `Crossing`, and `World::cross`:
+//!   the L5 seam, the only code that charges a socket call;
 //! * `round` — [`World::step`]: one schedule for every design, queue
 //!   count and host, driving exactly one host handle
 //!   (`Box<dyn `[`Backend`]`>`) through [`Backend::round`];
 //! * `conn` — connection glue: the application API over the session
-//!   table, per-design charging, the per-session stream pump.
+//!   table, the per-session stream pump.
 //!
 //! This file keeps what they share: the design enum, the `World` struct
 //! and its read-only accessors.
 
 mod assemble;
 mod conn;
+mod guest;
+mod layout;
 mod options;
 mod round;
 pub mod speer;
@@ -33,16 +45,15 @@ use crate::CioError;
 use cio_ctls::RecordScratch;
 use cio_host::backend::Backend;
 use cio_host::fabric::FabricPort;
-use cio_host::l5::L5Service;
 use cio_host::observe::Recorder;
 use cio_mem::{GuestAddr, GuestMemory};
-use cio_netstack::stack::{Interface, SocketHandle};
-use cio_netstack::{NetDevice, PairDevice};
+use cio_netstack::stack::SocketHandle;
+use cio_netstack::PairDevice;
 use cio_sim::{Clock, CostModel, Lanes, Meter, MeterSnapshot, SimRng, SloWatchdog, Telemetry};
-use cio_tee::compartment::Gate;
 use cio_tee::Tee;
 use cio_vring::cioring::CioRing;
 use cio_vring::virtqueue::Layout;
+use guest::GuestStack;
 use speer::{FeedResult, SecurePeer, SecureStream, TunnelGateway};
 
 pub use cio_vring::cioring::{BatchPolicy, NotifyMode, NotifyPolicy};
@@ -100,23 +111,6 @@ impl std::fmt::Display for BoundaryKind {
         };
         f.write_str(s)
     }
-}
-
-// One long-lived guest per world: variant size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Guest {
-    Stack {
-        iface: Interface<Box<dyn NetDevice>>,
-    },
-    Dual {
-        iface: Interface<Box<dyn NetDevice>>,
-        gate: Gate,
-        app: cio_tee::CompartmentId,
-        iostack: cio_tee::CompartmentId,
-    },
-    L5 {
-        svc: L5Service,
-    },
 }
 
 #[allow(clippy::large_enum_variant)] // one per world
@@ -186,7 +180,9 @@ pub struct World {
     meter: Meter,
     recorder: Recorder,
     tee: Tee,
-    guest: Guest,
+    /// The one TCP/IP stack and the crossing in front of it (see
+    /// `guest`).
+    guest: GuestStack,
     /// The host side of the round: the one host handle, whatever runs
     /// behind it (see [`Backend`]).
     backend: Box<dyn Backend>,
@@ -387,10 +383,7 @@ impl World {
 
     /// The dual boundary's (app, iostack) compartment ids, when present.
     pub fn dual_compartments(&self) -> Option<(cio_tee::CompartmentId, cio_tee::CompartmentId)> {
-        match &self.guest {
-            Guest::Dual { app, iostack, .. } => Some((*app, *iostack)),
-            _ => None,
-        }
+        self.guest.crossing.compartments()
     }
 }
 
@@ -639,10 +632,7 @@ mod tests {
         // counting the whole ring would bounce the fifth.
         assert_eq!(accepted, 8 * chunk.len());
         let handle = w.conns.get(c).unwrap().handle;
-        let Guest::Stack { iface } = &mut w.guest else {
-            panic!("an L2 world runs the stack in the guest");
-        };
-        let backlog = iface.tcp_send_backlog(handle).unwrap();
+        let backlog = w.guest.iface.tcp_send_backlog(handle).unwrap();
         assert!(backlog > SEND_HIGH_WATER);
         assert!(backlog < accepted, "in-flight bytes counted as backlog");
         // The bounce is metered at the send site.

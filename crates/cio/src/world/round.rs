@@ -15,7 +15,8 @@
 //! threads — is the [`Backend`](cio_host::Backend)'s business, error
 //! policy included.
 
-use super::{Guest, PeerNode, World};
+use super::guest::{Call, Crossing};
+use super::{PeerNode, World};
 use crate::CioError;
 use cio_netstack::NetDevice;
 use cio_sim::{Cycles, Stage};
@@ -63,15 +64,13 @@ impl World {
             // clock is positioned at this lane's local frontier.
             let polled = {
                 let _poll = self.telemetry.span(q, Stage::GuestPoll);
-                match &mut self.guest {
-                    Guest::Stack { iface } | Guest::Dual { iface, .. } => {
-                        iface.device_mut().select_rx_queue(Some(q));
-                        let r = ring_full_is_backpressure(iface.poll());
-                        iface.device_mut().select_rx_queue(None);
-                        r
-                    }
-                    Guest::L5 { svc } => svc.poll(),
-                }
+                // Driving the stack is no socket call: in the TEE it is the
+                // guest's own poll loop, on L5 the host's housekeeping.
+                let iface = &mut self.guest.iface;
+                iface.device_mut().select_rx_queue(Some(q));
+                let r = ring_full_is_backpressure(iface.poll());
+                iface.device_mut().select_rx_queue(None);
+                r
             };
             self.lanes.end(q, base);
             polled?;
@@ -115,19 +114,21 @@ impl World {
     /// Releases the netstack slot (and ephemeral port) of every closed
     /// session whose TCP connection has fully drained; handles that have
     /// not quiesced yet stay queued for later rounds. For the in-TEE
-    /// stacks release is local socket bookkeeping (nothing charged); on
-    /// the L5 design the stack is host software, so even this freeing
-    /// call is an observable world switch.
+    /// stacks release is local socket bookkeeping (nothing crossed,
+    /// nothing charged); where the stack is host software even this
+    /// freeing call — every attempt of it — is an observable world
+    /// switch, one more `close` to the host.
     fn release_drained(&mut self) {
         let mut i = 0;
         while i < self.draining.len() {
             let h = self.draining[i];
-            let released = match &mut self.guest {
-                Guest::Stack { iface } | Guest::Dual { iface, .. } => iface.tcp_release(h).is_ok(),
-                Guest::L5 { svc } => {
-                    self.tee.exit_to_host();
-                    svc.release(h).is_ok()
+            let released = match self.guest.crossing {
+                Crossing::None | Crossing::Compartment(_) => {
+                    self.guest.iface.tcp_release(h).is_ok()
                 }
+                Crossing::Host(_) => self
+                    .cross(Call::Close, 0, |iface| iface.tcp_release(h))
+                    .is_ok(),
             };
             if released {
                 self.draining.swap_remove(i);

@@ -8,7 +8,7 @@
 //! taxonomy). The `cio` crate's attack harness composes these against each
 //! boundary configuration and scores the outcome.
 
-use cio_mem::{GuestAddr, HostView, MemError};
+use cio_mem::{GuestAddr, HostView, MemError, MemView};
 use cio_sim::SimRng;
 
 /// The attack classes exercised by E10.

@@ -28,14 +28,14 @@
 //! queue's thread.
 
 use crate::fabric::FabricPort;
+use crate::mq::{MultiQueue, QueueLane};
 use crate::observe::{bits, Recorder};
 use crate::HostError;
-use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, HostView};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, HostView, MemView};
 use cio_netstack::{rss, NetDevice};
 use cio_sim::{Clock, Cycles, EventKind, Lanes, MeterSnapshot, Stage, Telemetry};
 use cio_vring::cioring::{
-    BatchPolicy, CioRing, Consumer, MultiQueue, NotifyMode, NotifyPolicy, Producer, QueueLane,
-    MAX_BATCH,
+    BatchPolicy, CioRing, Consumer, NotifyMode, NotifyPolicy, Producer, MAX_BATCH,
 };
 use cio_vring::virtqueue::{Chain, DeviceSide};
 use cio_vring::RingError;

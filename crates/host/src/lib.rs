@@ -12,15 +12,17 @@
 //!   host's own stack for the L5 baseline).
 //! * [`backend`] — paravirtual device models: a virtio-net backend over
 //!   two split virtqueues and a cio-net backend over a cio-ring pair.
-//! * [`l5`] — the Graphene/CCF-shaped socket service: the I/O stack runs
-//!   *in the host*, and every guest call crosses the boundary.
+//! * [`l5`] — the Graphene/CCF-shaped design's NIC: the I/O stack runs
+//!   *in the host* over an observed fabric port, and every guest socket
+//!   call crosses the boundary (charged and tallied in `cio::world`).
 //! * [`observe`] — records what the host can see (call types, sizes,
 //!   timings), quantifying the paper's "observability" axis (Figure 5,
 //!   experiment E11).
 //! * [`adversary`] — scripted interface attacks (double fetches, forged
 //!   completions, index storms) used by experiment E10.
-//! * [`peers`] — remote endpoints (echo / request-response servers) that
-//!   workloads talk to across the fabric.
+//! * [`mq`] — [`MultiQueue`] / [`QueueLane`]: N independent cio-ring
+//!   endpoints steered as one multi-queue device model, each lane with its
+//!   own traffic meter.
 //! * [`parallel`] — thread-per-queue execution: a [`CioNetBackend`]
 //!   splits into a [`ParallelHost`], itself a [`Backend`], whose
 //!   per-queue workers run the same servicing routine as the serial
@@ -34,13 +36,14 @@ pub mod adversary;
 pub mod backend;
 pub mod fabric;
 pub mod l5;
+pub mod mq;
 pub mod observe;
 pub mod parallel;
-pub mod peers;
 mod worker;
 
 pub use backend::{Backend, CioNetBackend, NullBackend, VirtioNetBackend};
 pub use fabric::{Fabric, FabricPort, LinkParams};
+pub use mq::{MultiQueue, QueueLane};
 pub use observe::Recorder;
 pub use parallel::ParallelHost;
 

@@ -45,10 +45,10 @@
 
 use crate::backend::{steer_ingress, Admission, Backend, CioNetBackend, HostQueue};
 use crate::fabric::FabricPort;
+use crate::mq::QueueLane;
 use crate::worker::CioQueueWorker;
 use crate::HostError;
 use cio_sim::{Clock, Cycles, Lanes, Meter, MeterSnapshot, Telemetry};
-use cio_vring::cioring::QueueLane;
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;

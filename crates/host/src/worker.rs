@@ -22,10 +22,11 @@
 //! [`FabricPort::transmit_at`]: crate::fabric::FabricPort::transmit_at
 
 use crate::backend::{enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue};
+use crate::mq::QueueLane;
 use crate::observe::Recorder;
 use crate::HostError;
 use cio_sim::{Clock, Cycles, Telemetry};
-use cio_vring::cioring::{BatchPolicy, QueueLane};
+use cio_vring::cioring::BatchPolicy;
 
 /// Deferred sink: outbound frames are stamped with the lane clock and
 /// buffered for the coordinator to flush in queue order.

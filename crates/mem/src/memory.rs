@@ -422,6 +422,13 @@ pub trait MemView {
     /// costs: doorbell vs. interrupt injection).
     fn is_host(&self) -> bool;
 
+    /// Reads a little-endian `u16`.
+    fn read_u16(&self, addr: GuestAddr) -> Result<u16, MemError> {
+        let mut b = [0u8; 2];
+        self.read(addr, &mut b)?;
+        Ok(u16::from_le_bytes(b))
+    }
+
     /// Reads a little-endian `u32`.
     fn read_u32(&self, addr: GuestAddr) -> Result<u32, MemError> {
         let mut b = [0u8; 4];
@@ -429,8 +436,25 @@ pub trait MemView {
         Ok(u32::from_le_bytes(b))
     }
 
+    /// Reads a little-endian `u64`.
+    fn read_u64(&self, addr: GuestAddr) -> Result<u64, MemError> {
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Writes a little-endian `u16`.
+    fn write_u16(&self, addr: GuestAddr, v: u16) -> Result<(), MemError> {
+        self.write(addr, &v.to_le_bytes())
+    }
+
     /// Writes a little-endian `u32`.
     fn write_u32(&self, addr: GuestAddr, v: u32) -> Result<(), MemError> {
+        self.write(addr, &v.to_le_bytes())
+    }
+
+    /// Writes a little-endian `u64`.
+    fn write_u64(&self, addr: GuestAddr, v: u64) -> Result<(), MemError> {
         self.write(addr, &v.to_le_bytes())
     }
 
@@ -496,42 +520,6 @@ impl GuestView {
         self.mem.access(addr, data.len(), false, Some(data), None)
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&self, addr: GuestAddr) -> Result<u16, MemError> {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&self, addr: GuestAddr) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&self, addr: GuestAddr) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u16`.
-    pub fn write_u16(&self, addr: GuestAddr, v: u16) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&self, addr: GuestAddr, v: u32) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Writes a little-endian `u64`.
-    pub fn write_u64(&self, addr: GuestAddr, v: u64) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
     /// Copies `data` into guest memory, charging copy cost and metering it.
     ///
     /// Use this (not [`GuestView::write`]) when modelling a *data-path
@@ -582,42 +570,6 @@ impl HostView {
     /// [`MemError::Protected`] if any touched page is private.
     pub fn write(&self, addr: GuestAddr, data: &[u8]) -> Result<(), MemError> {
         self.mem.access(addr, data.len(), true, Some(data), None)
-    }
-
-    /// Reads a little-endian `u16` from shared memory.
-    pub fn read_u16(&self, addr: GuestAddr) -> Result<u16, MemError> {
-        let mut b = [0u8; 2];
-        self.read(addr, &mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u32` from shared memory.
-    pub fn read_u32(&self, addr: GuestAddr) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a little-endian `u64` from shared memory.
-    pub fn read_u64(&self, addr: GuestAddr) -> Result<u64, MemError> {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u16` to shared memory.
-    pub fn write_u16(&self, addr: GuestAddr, v: u16) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Writes a little-endian `u32` to shared memory.
-    pub fn write_u32(&self, addr: GuestAddr, v: u32) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-
-    /// Writes a little-endian `u64` to shared memory.
-    pub fn write_u64(&self, addr: GuestAddr, v: u64) -> Result<(), MemError> {
-        self.write(addr, &v.to_le_bytes())
     }
 
     /// The underlying memory handle (for state queries in tests).

@@ -277,7 +277,7 @@ impl HardenedDriver {
 mod tests {
     use super::*;
     use crate::virtqueue::{DeviceSide, F_NET_MAC, F_NET_MTU, F_VERSION_1};
-    use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+    use cio_mem::{GuestAddr, GuestMemory, MemView, PAGE_SIZE};
     use cio_sim::{Clock, CostModel};
 
     const CFG_BASE: u64 = 6 * PAGE_SIZE as u64;

@@ -6,7 +6,7 @@
 //! `cio_sim::SimRng` drives the host's writes across many seeded cases, so
 //! the suite runs fully offline and every failure reproduces.
 
-use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{GuestAddr, GuestMemory, MemView, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Meter, SimRng};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
 use cio_vring::hardened::HardenedDriver;

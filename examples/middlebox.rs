@@ -12,6 +12,7 @@
 //! cannot push the filter out of bounds — demonstrated live at the end.
 
 use cio_bench::transport::{bench_ring_config, cio_pair};
+use cio_mem::MemView;
 use cio_netstack::wire::{
     EthHeader, EtherType, IpProto, Ipv4Addr, Ipv4Header, TcpHeader, TCP_HDR_LEN,
 };

@@ -10,7 +10,7 @@
 //! Randomness comes from the in-repo deterministic `cio_sim::SimRng`
 //! (no external proptest dependency): fully offline, reproducible seeds.
 
-use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, MemView, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Meter, SimRng};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
 
