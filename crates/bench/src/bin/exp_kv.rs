@@ -305,7 +305,7 @@ fn main() {
                     .finish()
             })),
         )
-        .raw("value_sizes", json_array(size_json.into_iter()))
+        .raw("value_sizes", json_array(size_json))
         .raw(
             "kv",
             JsonObj::new()

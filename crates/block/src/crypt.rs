@@ -9,8 +9,12 @@
 //! * **integrity** — tags live in a metadata region; any host tampering
 //!   surfaces as [`BlockError::IntegrityViolation`];
 //! * **freshness** — a per-block generation counter, kept in *private*
-//!   guest memory and bound into the nonce/AAD, turns replay of an old
+//!   guest memory and bound into the nonce, turns replay of an old
 //!   (validly sealed) block into [`BlockError::Rollback`].
+//!
+//! Block `lba` at generation `g` (its write count, from 1) is RFC 8439
+//! ChaCha20-Poly1305 under nonce `lba as u32 (le) ‖ g as u64 (le)` and AAD
+//! `lba as u64 (le)`, whichever entry point wrote it.
 //!
 //! Layout on the underlying store for `n` logical blocks:
 //! physical `[0, n)` = ciphertext blocks, physical `[n, ...)` = packed
@@ -24,28 +28,31 @@
 //!   the run API is tested against (`run_path_is_bit_identical_to_serial`,
 //!   `tests/storage_parity.rs`);
 //! * the batched [`CryptStore::write_run`] / [`CryptStore::read_run`]
-//!   over a [`RunStore`] — writes seal *runs* of blocks with one
-//!   multi-stream pass ([`seal_batch_scatter`]) directly into whatever
-//!   buffers the store hands out (for the block transport, whatever its
-//!   request ring's data positioning hands out — ring-slot memory in
-//!   place, so ciphertext never exists anywhere else), reads gather-open
-//!   each block straight out of the store's buffers with a single fetch
-//!   per byte ([`ChaCha20Poly1305::open_fused_gather`]), and the tag-block
-//!   read-modify-write is amortized over the run. Ciphertext, tags, and
-//!   tamper/rollback verdicts are bit-identical to the serial path.
+//!   over a [`RunStore`] — writes scatter-seal each block of a run
+//!   directly into whatever buffer the store hands out for it (for the
+//!   block transport, whatever its request ring's data positioning hands
+//!   out — ring-slot memory in place, written and never read back, so
+//!   ciphertext never exists anywhere else), reads gather-open each block
+//!   straight out of the store's buffers with a single fetch per byte
+//!   ([`ChaCha20Poly1305::open_fused_gather`]), and what the run
+//!   amortizes is the ring grant, lock and doorbell and the tag-block
+//!   read-modify-write. Ciphertext, tags, and tamper/rollback verdicts
+//!   are bit-identical to the serial path.
 
 use crate::blockdev::{BlockStore, RunStore, BLOCK_SIZE};
 use crate::BlockError;
-use cio_crypto::aead::{seal_batch_scatter, ChaCha20Poly1305, MAX_BATCH_RECORDS};
+use cio_crypto::aead::ChaCha20Poly1305;
 use cio_crypto::poly1305::TAG_LEN;
 use cio_sim::{Clock, CostModel, Meter, Stage, Telemetry};
+use cio_vring::cioring::MAX_BATCH;
 
 /// Tags packed per metadata block.
 const TAGS_PER_BLOCK: u64 = (BLOCK_SIZE / TAG_LEN) as u64;
 
-/// Blocks sealed/opened per batched chunk (the crypto batch width, which
-/// deliberately equals the ring's `MAX_BATCH`).
-const RUN: usize = MAX_BATCH_RECORDS;
+/// Blocks submitted per chunk of a write run: the ring's batch bound,
+/// which is what caps the slots one [`RunStore::write_run_with`] grant
+/// hands out.
+const RUN: usize = MAX_BATCH;
 
 /// An encrypting, integrity-protecting, rollback-detecting block layer.
 pub struct CryptStore<S: BlockStore> {
@@ -194,9 +201,9 @@ impl<S: BlockStore> CryptStore<S> {
 
 impl<S: RunStore> CryptStore<S> {
     /// Writes `data` (a whole number of blocks) to consecutive logical
-    /// blocks starting at `lba`, sealing runs of up to [`RUN`] blocks
-    /// with one multi-stream AEAD pass directly into the buffers the
-    /// underlying store hands out — for the ring transport that is slot
+    /// blocks starting at `lba`, scatter-sealing each block directly into
+    /// the buffer the underlying store hands out for it, [`MAX_BATCH`]
+    /// blocks per submission — for the ring transport that is slot
     /// memory, so ciphertext is born in the shared slot and plaintext
     /// never leaves private memory.
     ///
@@ -243,15 +250,6 @@ impl<S: RunStore> CryptStore<S> {
 
     fn write_chunk(&mut self, lba: u64, data: &[u8], tag_off: usize) -> Result<(), BlockError> {
         let k = data.len() / BLOCK_SIZE;
-        let mut gens = [0u64; RUN];
-        let mut nonces = [[0u8; 12]; RUN];
-        let mut aads = [[0u8; 8]; RUN];
-        for i in 0..k {
-            let b = lba + i as u64;
-            gens[i] = self.generations[b as usize] + 1;
-            nonces[i] = Self::nonce(b, gens[i]);
-            aads[i] = b.to_le_bytes();
-        }
         let Self {
             inner,
             aead,
@@ -259,9 +257,11 @@ impl<S: RunStore> CryptStore<S> {
             telemetry,
             tq,
             run_tags,
+            generations,
             ..
         } = self;
-        let (aead, hooks, telemetry, tq) = (&*aead, &*hooks, &*telemetry, *tq);
+        let (aead, hooks, telemetry, tq, generations) =
+            (&*aead, &*hooks, &*telemetry, *tq, &*generations);
         let tags = &mut run_tags[tag_off..tag_off + k];
         inner.write_run_with(lba, k, &mut |base, slots| {
             let kk = slots.len();
@@ -271,21 +271,15 @@ impl<S: RunStore> CryptStore<S> {
                 meter.aead_ops(kk as u64);
                 meter.aead_bytes((kk * BLOCK_SIZE) as u64);
             }
-            let aead_refs: [&ChaCha20Poly1305; RUN] = [aead; RUN];
-            let mut aad_refs: [&[u8]; RUN] = [&[]; RUN];
-            let mut pt_refs: [&[u8]; RUN] = [&[]; RUN];
-            for i in 0..kk {
-                aad_refs[i] = &aads[base + i];
-                pt_refs[i] = &data[(base + i) * BLOCK_SIZE..(base + i + 1) * BLOCK_SIZE];
+            // The mirror of `read_segment`'s gather-open: the slot is
+            // written once and never read back.
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let i = base + i;
+                let b = lba + i as u64;
+                let nonce = Self::nonce(b, generations[b as usize] + 1);
+                let pt = &data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE];
+                tags[i] = aead.seal_fused_scatter(&nonce, &b.to_le_bytes(), pt, slot);
             }
-            seal_batch_scatter(
-                &aead_refs[..kk],
-                &nonces[base..base + kk],
-                &aad_refs[..kk],
-                &pt_refs[..kk],
-                slots,
-                &mut tags[base..base + kk],
-            );
         })?;
         Ok(())
     }

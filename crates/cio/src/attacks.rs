@@ -273,7 +273,7 @@ pub fn run_scenario(boundary: BoundaryKind, attack: AttackKind) -> Result<Attack
 /// classify identically across profiles. Designs without multi-queue
 /// support run single-queue on the stepping thread regardless (the
 /// matrix stays complete). Ring attacks hit the last queue — see
-/// [`launch`].
+/// `launch`.
 ///
 /// # Errors
 ///

@@ -10,7 +10,7 @@
 //!
 //! The write path is the parity story of this module: a segment of
 //! records is flushed with one [`CryptStore::write_run`], which seals up
-//! to 16 blocks per multi-stream AEAD pass *directly into ring-slot
+//! to 16 blocks per run, one scatter-seal each, *directly into ring-slot
 //! memory* and publishes them under one lock and (at most) one doorbell.
 //! Nothing on the flush path copies a data block: plaintext lives in the
 //! segment buffer, ciphertext is born in the slot.
@@ -34,8 +34,8 @@ use cio_tee::{Tee, TeeKind};
 use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyPolicy, Producer, RingConfig};
 use std::collections::HashMap;
 
-/// Default blocks per log segment: the flush unit, sized to one crypto
-/// batch so a full segment seals in one multi-stream pass
+/// Default blocks per log segment: the flush unit, sized to one ring
+/// batch so a full segment seals into one run of slots
 /// (configurable via [`KvConfig::with_seg_blocks`]).
 pub const SEG_BLOCKS: usize = 16;
 

@@ -30,8 +30,8 @@ impl World {
 
     // ---------- Application API ----------
 
-    /// Opens a session to the peer service on `port` ([`ECHO_PORT`] or
-    /// [`RPC_PORT`]). With `app_tls` the cTLS handshake starts as soon as
+    /// Opens a session to the peer service on `port` ([`ECHO_PORT`](super::ECHO_PORT)
+    /// or [`RPC_PORT`](super::RPC_PORT)). With `app_tls` the cTLS handshake starts as soon as
     /// TCP establishes; use [`World::establish`] to drive it.
     ///
     /// The returned [`SessionId`] is generational: it stays valid until

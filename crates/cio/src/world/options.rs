@@ -132,8 +132,8 @@ impl Default for WorldOptions {
 /// fixed guest layout).
 pub const MAX_QUEUES: usize = 8;
 
-/// Unsent-backlog threshold above which [`World::send`] reports
-/// backpressure ([`Transient::WouldBlock`]) instead of buffering more.
+/// Unsent-backlog threshold above which [`World::send`](super::World::send) reports
+/// backpressure ([`Transient::WouldBlock`](crate::Transient::WouldBlock)) instead of buffering more.
 pub const SEND_HIGH_WATER: usize = 64 * 1024;
 
 /// Guest address of the world (fixed).
@@ -217,9 +217,9 @@ impl WorldOptions {
     }
 }
 
-/// Step-by-step construction of a [`World`].
+/// Step-by-step construction of a [`World`](super::World).
 ///
-/// Obtained from [`World::builder`]; finish with
+/// Obtained from [`World::builder`](super::World::builder); finish with
 /// [`build`](WorldBuilder::build). Setters cover the common knobs; the
 /// rest of [`WorldOptions`] is reachable through
 /// [`options`](WorldBuilder::options).

@@ -27,7 +27,7 @@ const STEP_QUANTUM: Cycles = Cycles(5_000);
 
 impl World {
     /// Advances the whole world one scheduling round (see the
-    /// [module docs](self) for the schedule).
+    /// module docs of `world/round.rs` for the schedule).
     ///
     /// # Errors
     ///

@@ -1,4 +1,22 @@
-//! ChaCha20-Poly1305 AEAD (RFC 8439 §2.8).
+//! ChaCha20-Poly1305 AEAD (RFC 8439 §2.8), one record per call.
+//!
+//! Two families produce bit-identical bytes:
+//!
+//! * the two-pass reference — [`ChaCha20Poly1305::seal`] / `open` /
+//!   `seal_in_place` / `open_in_place` over [`chacha20::block`] and
+//!   [`chacha20::xor_stream`]: encrypt, then MAC, written to be read
+//!   against the RFC. It is the oracle the differential tests compare
+//!   against, not a target;
+//! * the fused one-pass shapes the dataplane runs, which differ by
+//!   *memory contract*, not by speed: **in place** (`seal_fused_in_place`
+//!   / `open_fused_in_place`: private buffer, read and written),
+//!   **scatter** (`seal_fused_scatter`: the output is written, never
+//!   read) and **gather** (`open_fused_gather`: the ciphertext is fetched
+//!   once, never written). The last two are what may point at
+//!   host-observable shared memory.
+//!
+//! There is no multi-record entry point: a run of records is a loop over
+//! one of the fused shapes (see `chacha20`'s module docs for why).
 
 use crate::chacha20::{self, ChaCha20, BLOCK_LEN, KEY_LEN, NONCE_LEN, WIDE_BLOCKS};
 use crate::ct::ct_eq;
@@ -17,11 +35,6 @@ const FUSE_CHUNK: usize = WIDE_BLOCKS * BLOCK_LEN;
 /// scalar keystream — the shape that made small records slower than the
 /// two-pass reference.
 const SMALL_CUTOFF: usize = FUSE_CHUNK - BLOCK_LEN;
-
-/// Upper bound on records per batched seal/open call. Matches the
-/// dataplane's ring batch bound; a fixed bound keeps every batch scratch
-/// on the stack.
-pub const MAX_BATCH_RECORDS: usize = 16;
 
 /// An RFC 8439 ChaCha20-Poly1305 AEAD key.
 ///
@@ -189,9 +202,9 @@ impl ChaCha20Poly1305 {
 
     /// One-pass in-place seal: each 256-byte run is encrypted by the
     /// wide keystream path and immediately absorbed by the MAC while
-    /// still hot in cache. Records at or below [`SMALL_CUTOFF`] take a
-    /// single-run small path instead. Output is bit-identical to
-    /// [`seal_in_place`].
+    /// still hot in cache. Records of at most 448 B (`SMALL_CUTOFF`) take
+    /// a single-run small path instead. Output is bit-identical to
+    /// [`ChaCha20Poly1305::seal_in_place`].
     pub fn seal_fused_in_place(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -224,16 +237,24 @@ impl ChaCha20Poly1305 {
     /// One-pass scatter seal: reads `plaintext`, writes ciphertext of the
     /// same length into `ct`, and returns the detached tag.
     ///
-    /// The plaintext never touches the output buffer — each byte is
-    /// combined with the keystream on the way in, so only ciphertext is
-    /// ever written there. That makes `ct` safe to point at
-    /// adversary-observable shared memory: the in-slot dataplane seals
-    /// records directly into ring slots with this. Output is bit-identical
-    /// to [`ChaCha20Poly1305::seal_in_place`].
+    /// `ct` is **write-only**: each ciphertext chunk is built in a private
+    /// scratch, absorbed by the MAC *from that scratch*, and only then
+    /// copied out, so neither plaintext nor anything read back ever
+    /// passes through `ct`. That makes `ct` safe to point at
+    /// adversary-writable shared memory — the in-slot dataplane seals
+    /// records and blocks directly into ring slots with this — because
+    /// the tag authenticates the bytes this function produced, not
+    /// whatever the slot holds at a second access (a host flipping a bit
+    /// between a write and a read-back would otherwise earn a valid tag
+    /// over its own bytes). The mirror of [`open_fused_gather`]'s single
+    /// fetch. Output is bit-identical to
+    /// [`ChaCha20Poly1305::seal_in_place`].
     ///
     /// # Panics
     ///
     /// If `ct.len() != plaintext.len()`.
+    ///
+    /// [`open_fused_gather`]: ChaCha20Poly1305::open_fused_gather
     pub fn seal_fused_scatter(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -247,34 +268,33 @@ impl ChaCha20Poly1305 {
             let mut ks = [0u8; FUSE_CHUNK];
             Self::small_keystream(&session, plaintext.len(), &mut ks);
             let mut mac = Self::small_mac(&ks, aad);
-            for ((c, p), k) in ct.iter_mut().zip(plaintext).zip(&ks[BLOCK_LEN..]) {
-                *c = p ^ k;
+            // The payload keystream becomes the ciphertext where it lies.
+            let built = &mut ks[BLOCK_LEN..][..plaintext.len()];
+            for (k, p) in built.iter_mut().zip(plaintext) {
+                *k ^= p;
             }
-            mac.update(ct);
+            mac.update(built);
+            ct.copy_from_slice(built);
             return Self::fused_finish(mac, aad.len(), ct.len());
         }
         let (session, mut mac) = self.fused_start(nonce, aad);
         let mut counter = 1u32;
-        let aad_len = aad.len();
-        let ct_len = ct.len();
-        let mut ks = [0u8; FUSE_CHUNK];
+        let mut tmp = [0u8; FUSE_CHUNK];
         for (pt_chunk, ct_chunk) in plaintext.chunks(FUSE_CHUNK).zip(ct.chunks_mut(FUSE_CHUNK)) {
-            let n = pt_chunk.len();
-            // XOR over zeros yields the raw keystream for this chunk.
-            ks[..n].fill(0);
-            session.xor_at(counter, &mut ks[..n]);
-            counter = counter.wrapping_add(n.div_ceil(BLOCK_LEN) as u32);
-            for ((c, p), k) in ct_chunk.iter_mut().zip(pt_chunk).zip(&ks[..n]) {
-                *c = p ^ k;
-            }
-            mac.update(ct_chunk);
+            let built = &mut tmp[..pt_chunk.len()];
+            built.copy_from_slice(pt_chunk);
+            session.xor_at(counter, built);
+            counter = counter.wrapping_add(built.len().div_ceil(BLOCK_LEN) as u32);
+            mac.update(built);
+            ct_chunk.copy_from_slice(built);
         }
-        Self::fused_finish(mac, aad_len, ct_len)
+        Self::fused_finish(mac, aad.len(), ct.len())
     }
 
     /// One-pass in-place open of `buf` (ciphertext) against the detached
     /// `tag`: each run is absorbed by the MAC and then decrypted, so the
-    /// data is read once. Output is bit-identical to [`open_in_place`].
+    /// data is read once. Output is bit-identical to
+    /// [`ChaCha20Poly1305::open_in_place`].
     ///
     /// On tag mismatch the buffer is restored to ciphertext (ChaCha20 is
     /// an involution, so re-encrypting undoes the speculative decrypt)
@@ -388,8 +408,8 @@ impl ChaCha20Poly1305 {
         Ok(())
     }
 
-    /// Fused counterpart of [`seal`]: returns `ciphertext || tag`,
-    /// bit-identical to the two-pass API.
+    /// Fused counterpart of [`ChaCha20Poly1305::seal`]: returns
+    /// `ciphertext || tag`, bit-identical to the two-pass API.
     pub fn seal_fused(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
@@ -398,7 +418,7 @@ impl ChaCha20Poly1305 {
         out
     }
 
-    /// Fused counterpart of [`open`].
+    /// Fused counterpart of [`ChaCha20Poly1305::open`].
     pub fn open_fused(
         &self,
         nonce: &[u8; NONCE_LEN],
@@ -439,195 +459,6 @@ impl ChaCha20Poly1305 {
             return Err(e);
         }
         Ok(())
-    }
-}
-
-/// Seals up to [`MAX_BATCH_RECORDS`] records in one multi-stream
-/// keystream pass: the wide ChaCha20 lanes are scheduled *across* record
-/// boundaries (via [`chacha20::multi_blocks`]), so a batch of small
-/// records fills all eight lanes where the per-record path wastes most
-/// of each run. Every record keeps its own key, nonce, AAD, and tag;
-/// ciphertext and tags are bit-identical to sealing each record with
-/// [`ChaCha20Poly1305::seal_fused_scatter`].
-///
-/// Record `i` reads `plaintexts[i]`, writes ciphertext of the same
-/// length into `cts[i]`, and leaves its detached tag in `tags[i]`. Like
-/// the scatter seal, plaintext never touches the output buffers, so they
-/// may point at adversary-observable shared memory.
-///
-/// # Panics
-///
-/// If the slices disagree in length, a ciphertext buffer does not match
-/// its plaintext's length, or the batch exceeds [`MAX_BATCH_RECORDS`].
-pub fn seal_batch_scatter(
-    aeads: &[&ChaCha20Poly1305],
-    nonces: &[[u8; NONCE_LEN]],
-    aads: &[&[u8]],
-    plaintexts: &[&[u8]],
-    cts: &mut [&mut [u8]],
-    tags: &mut [[u8; TAG_LEN]],
-) {
-    let n = plaintexts.len();
-    assert!(n <= MAX_BATCH_RECORDS, "batch exceeds MAX_BATCH_RECORDS");
-    assert!(
-        aeads.len() == n && nonces.len() == n && aads.len() == n && cts.len() == n,
-        "batch slice lengths disagree"
-    );
-    assert!(tags.len() >= n, "tag buffer shorter than the batch");
-    for (pt, ct) in plaintexts.iter().zip(cts.iter()) {
-        assert_eq!(pt.len(), ct.len(), "scatter seal length mismatch");
-    }
-    if n == 0 {
-        return;
-    }
-
-    let sessions: [ChaCha20; MAX_BATCH_RECORDS] = std::array::from_fn(|j| {
-        let j = j.min(n - 1);
-        ChaCha20::new(&aeads[j].key, &nonces[j])
-    });
-
-    // Walk (record, counter) requests in record order — counter 0 is the
-    // Poly1305 key block, counters 1.. the payload — packing every wide
-    // run with up to WIDE_BLOCKS requests drawn across records.
-    let mut pk = [[0u8; 32]; MAX_BATCH_RECORDS];
-    let mut group = [(0usize, 0u32); WIDE_BLOCKS];
-    let mut blocks = [[0u8; BLOCK_LEN]; WIDE_BLOCKS];
-    let mut cur = (0usize, 0u32);
-    while cur.0 < n {
-        let mut k = 0;
-        while k < WIDE_BLOCKS && cur.0 < n {
-            group[k] = cur;
-            k += 1;
-            cur.1 += 1;
-            if cur.1 as usize > plaintexts[cur.0].len().div_ceil(BLOCK_LEN) {
-                cur = (cur.0 + 1, 0);
-            }
-        }
-        let requests: [(&ChaCha20, u32); WIDE_BLOCKS] = std::array::from_fn(|j| {
-            let (r, c) = group[j.min(k - 1)];
-            (&sessions[r], c)
-        });
-        chacha20::multi_blocks(&requests[..k], &mut blocks);
-        for (j, &(r, c)) in group[..k].iter().enumerate() {
-            if c == 0 {
-                pk[r].copy_from_slice(&blocks[j][..32]);
-            } else {
-                let off = (c as usize - 1) * BLOCK_LEN;
-                let pt = plaintexts[r];
-                let end = pt.len().min(off + BLOCK_LEN);
-                for ((cb, pb), kb) in cts[r][off..end]
-                    .iter_mut()
-                    .zip(&pt[off..end])
-                    .zip(&blocks[j])
-                {
-                    *cb = pb ^ kb;
-                }
-            }
-        }
-    }
-
-    for i in 0..n {
-        tags[i] = compute_tag(&pk[i], aads[i], cts[i]);
-    }
-}
-
-/// Opens up to [`MAX_BATCH_RECORDS`] records in place with the same
-/// cross-record lane packing as [`seal_batch_scatter`]. MAC-then-decrypt
-/// per record: every tag is verified over the ciphertext first, and only
-/// verified records are decrypted, so a corrupted record fails closed
-/// (its buffer keeps the exact ciphertext bytes, `results[i]` reports
-/// [`CryptoError::BadTag`]) without disturbing its neighbours. Verified
-/// records decrypt to exactly what [`ChaCha20Poly1305::open_fused_in_place`]
-/// would produce.
-///
-/// # Panics
-///
-/// If the slices disagree in length or the batch exceeds
-/// [`MAX_BATCH_RECORDS`].
-pub fn open_batch_in_place(
-    aeads: &[&ChaCha20Poly1305],
-    nonces: &[[u8; NONCE_LEN]],
-    aads: &[&[u8]],
-    bufs: &mut [&mut [u8]],
-    tags: &[[u8; TAG_LEN]],
-    results: &mut [Result<(), CryptoError>],
-) {
-    let n = bufs.len();
-    assert!(n <= MAX_BATCH_RECORDS, "batch exceeds MAX_BATCH_RECORDS");
-    assert!(
-        aeads.len() == n && nonces.len() == n && aads.len() == n && tags.len() == n,
-        "batch slice lengths disagree"
-    );
-    assert!(results.len() >= n, "result buffer shorter than the batch");
-    if n == 0 {
-        return;
-    }
-
-    let sessions: [ChaCha20; MAX_BATCH_RECORDS] = std::array::from_fn(|j| {
-        let j = j.min(n - 1);
-        ChaCha20::new(&aeads[j].key, &nonces[j])
-    });
-
-    // Phase 1: the counter-0 (Poly1305 key) blocks for the whole batch.
-    let mut pk = [[0u8; 32]; MAX_BATCH_RECORDS];
-    let mut blocks = [[0u8; BLOCK_LEN]; WIDE_BLOCKS];
-    let mut done = 0;
-    while done < n {
-        let k = (n - done).min(WIDE_BLOCKS);
-        let requests: [(&ChaCha20, u32); WIDE_BLOCKS] =
-            std::array::from_fn(|j| (&sessions[done + j.min(k - 1)], 0u32));
-        chacha20::multi_blocks(&requests[..k], &mut blocks);
-        for j in 0..k {
-            pk[done + j].copy_from_slice(&blocks[j][..32]);
-        }
-        done += k;
-    }
-
-    // Phase 2: verify every tag over the still-encrypted buffers.
-    for i in 0..n {
-        let expected = compute_tag(&pk[i], aads[i], bufs[i]);
-        results[i] = if ct_eq(&expected, &tags[i]) {
-            Ok(())
-        } else {
-            Err(CryptoError::BadTag)
-        };
-    }
-
-    // Phase 3: payload keystream for verified records only, lane-packed
-    // across record boundaries again. Failed records are never written.
-    let mut group = [(0usize, 0u32); WIDE_BLOCKS];
-    let mut cur_rec = 0usize;
-    let mut cur_ctr = 1u32;
-    while cur_rec < n && (results[cur_rec].is_err() || bufs[cur_rec].is_empty()) {
-        cur_rec += 1;
-    }
-    while cur_rec < n {
-        let mut k = 0;
-        while k < WIDE_BLOCKS && cur_rec < n {
-            group[k] = (cur_rec, cur_ctr);
-            k += 1;
-            cur_ctr += 1;
-            if cur_ctr as usize > bufs[cur_rec].len().div_ceil(BLOCK_LEN) {
-                cur_rec += 1;
-                cur_ctr = 1;
-                while cur_rec < n && (results[cur_rec].is_err() || bufs[cur_rec].is_empty()) {
-                    cur_rec += 1;
-                }
-            }
-        }
-        let requests: [(&ChaCha20, u32); WIDE_BLOCKS] = std::array::from_fn(|j| {
-            let (r, c) = group[j.min(k - 1)];
-            (&sessions[r], c)
-        });
-        chacha20::multi_blocks(&requests[..k], &mut blocks);
-        for (j, &(r, c)) in group[..k].iter().enumerate() {
-            let off = (c as usize - 1) * BLOCK_LEN;
-            let len = bufs[r].len();
-            let end = len.min(off + BLOCK_LEN);
-            for (b, kb) in bufs[r][off..end].iter_mut().zip(&blocks[j]) {
-                *b ^= kb;
-            }
-        }
     }
 }
 
@@ -813,114 +644,6 @@ mod tests {
             );
             assert!(sunk.iter().all(|&b| b == 0), "gather zeroed len {len}");
         }
-    }
-
-    // The batched seal/open must be bit-identical to the serial scatter
-    // path for every record of a mixed-size batch with distinct keys and
-    // nonces, at every batch width 1..=MAX_BATCH_RECORDS.
-    #[test]
-    fn batch_seal_open_matches_serial() {
-        let lens: [usize; MAX_BATCH_RECORDS] = [
-            0, 1, 63, 64, 65, 447, 448, 449, 1024, 13, 200, 512, 700, 64, 0, 1500,
-        ];
-        let keys: Vec<[u8; 32]> = (0..MAX_BATCH_RECORDS as u8)
-            .map(|i| [i ^ 0x42; 32])
-            .collect();
-        let aead_objs: Vec<ChaCha20Poly1305> =
-            keys.iter().map(|k| ChaCha20Poly1305::new(*k)).collect();
-        let nonces: Vec<[u8; NONCE_LEN]> = (0..MAX_BATCH_RECORDS as u8)
-            .map(|i| [i.wrapping_mul(3); 12])
-            .collect();
-        let aad_store: Vec<[u8; 8]> = (0..MAX_BATCH_RECORDS as u64)
-            .map(|i| i.to_be_bytes())
-            .collect();
-        let msgs: Vec<Vec<u8>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (0..l).map(|b| (b * 7 + i) as u8).collect())
-            .collect();
-
-        for n in 1..=MAX_BATCH_RECORDS {
-            // Serial reference.
-            let mut ref_cts = Vec::new();
-            let mut ref_tags = Vec::new();
-            for i in 0..n {
-                let mut ct = vec![0xEEu8; msgs[i].len()];
-                let tag =
-                    aead_objs[i].seal_fused_scatter(&nonces[i], &aad_store[i], &msgs[i], &mut ct);
-                ref_cts.push(ct);
-                ref_tags.push(tag);
-            }
-
-            // Batched seal into poisoned buffers.
-            let aeads: Vec<&ChaCha20Poly1305> = aead_objs[..n].iter().collect();
-            let aads: Vec<&[u8]> = aad_store[..n].iter().map(|a| &a[..]).collect();
-            let pts: Vec<&[u8]> = msgs[..n].iter().map(|m| &m[..]).collect();
-            let mut ct_bufs: Vec<Vec<u8>> = lens[..n].iter().map(|&l| vec![0xEEu8; l]).collect();
-            let mut cts: Vec<&mut [u8]> = ct_bufs.iter_mut().map(|c| &mut c[..]).collect();
-            let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-            seal_batch_scatter(&aeads, &nonces[..n], &aads, &pts, &mut cts, &mut tags);
-            for i in 0..n {
-                assert_eq!(ct_bufs[i], ref_cts[i], "width {n} ciphertext {i}");
-                assert_eq!(tags[i], ref_tags[i], "width {n} tag {i}");
-            }
-
-            // Batched open round-trips every record.
-            let mut open_bufs = ct_bufs.clone();
-            let mut bufs: Vec<&mut [u8]> = open_bufs.iter_mut().map(|c| &mut c[..]).collect();
-            let mut results = [Ok(()); MAX_BATCH_RECORDS];
-            open_batch_in_place(
-                &aeads,
-                &nonces[..n],
-                &aads,
-                &mut bufs,
-                &tags[..n],
-                &mut results,
-            );
-            for i in 0..n {
-                assert_eq!(results[i], Ok(()), "width {n} open {i}");
-                assert_eq!(open_bufs[i], msgs[i], "width {n} plaintext {i}");
-            }
-        }
-    }
-
-    // A corrupted record in a batched open fails closed — its buffer
-    // keeps the exact ciphertext, its result reports BadTag — while
-    // every other record still decrypts.
-    #[test]
-    fn batch_open_partial_failure_is_isolated() {
-        let n = 6usize;
-        let aead_objs: Vec<ChaCha20Poly1305> = (0..n as u8)
-            .map(|i| ChaCha20Poly1305::new([i; 32]))
-            .collect();
-        let nonces: Vec<[u8; NONCE_LEN]> = (0..n as u8).map(|i| [i; 12]).collect();
-        let aads: Vec<&[u8]> = (0..n).map(|_| &b"hdr"[..]).collect();
-        let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 100 + i * 77]).collect();
-
-        let mut bufs_store: Vec<Vec<u8>> = msgs.clone();
-        let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-        for i in 0..n {
-            tags[i] = aead_objs[i].seal_fused_in_place(&nonces[i], aads[i], &mut bufs_store[i]);
-        }
-        // Corrupt record 2's ciphertext and record 4's tag.
-        bufs_store[2][50] ^= 0x80;
-        tags[4][0] ^= 0x01;
-        let poisoned_ct = bufs_store[2].clone();
-
-        let aeads: Vec<&ChaCha20Poly1305> = aead_objs.iter().collect();
-        let mut bufs: Vec<&mut [u8]> = bufs_store.iter_mut().map(|c| &mut c[..]).collect();
-        let mut results = [Ok(()); MAX_BATCH_RECORDS];
-        open_batch_in_place(&aeads, &nonces, &aads, &mut bufs, &tags[..n], &mut results);
-        for i in 0..n {
-            if i == 2 || i == 4 {
-                assert_eq!(results[i], Err(CryptoError::BadTag), "record {i}");
-            } else {
-                assert_eq!(results[i], Ok(()), "record {i}");
-                assert_eq!(bufs_store[i], msgs[i], "record {i} plaintext");
-            }
-        }
-        // The failed record's buffer is exactly the ciphertext it arrived with.
-        assert_eq!(bufs_store[2], poisoned_ct);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod handshake;
 pub mod record;
 
-pub use cio_crypto::aead::MAX_BATCH_RECORDS;
 pub use handshake::{ClientHandshake, ServerHandshake, ServerIdentity};
 pub use record::{Channel, RecordScratch, RECORD_OVERHEAD, REKEY_INTERVAL};
 
@@ -84,9 +83,11 @@ pub struct SimHooks {
 }
 
 impl SimHooks {
-    /// Charges one AEAD pass over a run of `records` records totalling
+    /// Charges the AEAD work of a run of `records` records totalling
     /// `bytes` bytes ([`CostModel::aead_batch`]: a run of one costs
-    /// exactly one serial AEAD).
+    /// exactly one serial AEAD). The charge sits above the kernel: it is
+    /// what the modelled platform pays for the run, however the record
+    /// layer executes it.
     pub(crate) fn charge_aead(&self, records: usize, bytes: usize) {
         let spent = self.cost.aead_batch(records, bytes);
         self.clock.advance(spent);

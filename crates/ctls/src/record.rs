@@ -8,7 +8,7 @@
 //! with only "increased observability" (§3.1).
 
 use crate::{CtlsError, SimHooks};
-use cio_crypto::aead::{self, ChaCha20Poly1305, MAX_BATCH_RECORDS};
+use cio_crypto::aead::ChaCha20Poly1305;
 use cio_crypto::poly1305::TAG_LEN;
 use cio_crypto::{hkdf, CryptoError};
 
@@ -105,15 +105,15 @@ impl Direction {
         n
     }
 
-    /// Brings the key up to the generation `seq` belongs to and returns
-    /// how many of the next `n` records share it. The generation is a
-    /// pure function of the sequence number (`seq / interval`; forward
-    /// secrecy within a connection: old traffic keys are unrecoverable
-    /// from the current secret), so re-running this at an unchanged `seq`
-    /// — a stream adapter retrying after a failed open — derives nothing.
-    fn key_run(&mut self, n: usize) -> usize {
+    /// Brings the key up to the generation `seq` belongs to. The
+    /// generation is a pure function of the sequence number
+    /// (`seq / interval`; forward secrecy within a connection: old traffic
+    /// keys are unrecoverable from the current secret), so re-running this
+    /// at an unchanged `seq` — a stream adapter retrying after a failed
+    /// open — derives nothing.
+    fn rekey_to_seq(&mut self) {
         let Some(interval) = self.rekey_interval.filter(|&iv| iv > 0) else {
-            return n;
+            return;
         };
         while self.generation < self.seq / interval {
             let prk = hkdf::extract(b"", &self.secret);
@@ -123,18 +123,16 @@ impl Direction {
             self.aead = ChaCha20Poly1305::new(next);
             self.generation += 1;
         }
-        (interval - self.seq % interval).min(n as u64) as usize
     }
 
     /// Seals a run of records into their slots — the one seal body of the
-    /// record layer. Record `k` is framed in place (`[len][ciphertext]
-    /// [tag]`: header at `[0..4]`, ciphertext after it, tag last) with
-    /// nonce and AAD derived from `seq + k`; the plaintext is combined
-    /// with the keystream on the way in, so it never touches the slot,
-    /// which may live in host-observable shared memory. A deterministic
-    /// rekey point inside the run splits it into per-generation crypto
-    /// runs, and the run length picks the kernel: one record takes the
-    /// fused single-record pass, two or more share one lane-packed pass.
+    /// record layer, one fused AEAD pass per record. Record `k` is framed
+    /// in place (`[len][ciphertext][tag]`: header at `[0..4]`, ciphertext
+    /// after it, tag last) with nonce and AAD derived from `seq + k`,
+    /// under the key generation that sequence number belongs to (a
+    /// deterministic rekey point may fall inside the run). The slot is
+    /// only ever written — plaintext never touches it and nothing is read
+    /// back from it — so it may live in host-writable shared memory.
     /// `lens[k]` receives the bytes written to slot `k`.
     ///
     /// All slot capacities are validated before any state advances; on
@@ -146,81 +144,38 @@ impl Direction {
         lens: &mut [usize],
     ) -> Result<(), CtlsError> {
         let n = plaintexts.len();
-        assert!(n <= MAX_BATCH_RECORDS, "batch exceeds MAX_BATCH_RECORDS");
-        debug_assert!(slots.len() == n && lens.len() >= n);
+        assert!(slots.len() == n && lens.len() >= n, "one slot per record");
         for (pt, slot) in plaintexts.iter().zip(slots.iter()) {
             if slot.len() < pt.len() + RECORD_OVERHEAD {
                 return Err(CtlsError::Crypto(CryptoError::BadLength));
             }
         }
-        let mut i = 0;
-        while i < n {
-            let run = self.key_run(n - i);
-            if run == 1 {
-                let pt = plaintexts[i];
-                let (head, rest) = slots[i].split_at_mut(4);
-                head.copy_from_slice(&((pt.len() + TAG_LEN) as u32).to_le_bytes());
-                let (ct, rest) = rest.split_at_mut(pt.len());
-                let aad = self.seq.to_be_bytes();
-                let tag = self
-                    .aead
-                    .seal_fused_scatter(&Self::nonce(self.seq), &aad, pt, ct);
-                rest[..TAG_LEN].copy_from_slice(&tag);
-                lens[i] = pt.len() + RECORD_OVERHEAD;
-            } else {
-                let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&self.aead; MAX_BATCH_RECORDS];
-                let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
-                let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
-                for k in 0..run {
-                    let s = self.seq + k as u64;
-                    nonces[k] = Self::nonce(s);
-                    aad_store[k] = s.to_be_bytes();
-                }
-                let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
-
-                // Headers first, then carve disjoint ciphertext and tag
-                // regions out of each slot.
-                let mut cts: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
-                let mut tag_slots: [&mut [u8]; MAX_BATCH_RECORDS] =
-                    std::array::from_fn(|_| &mut [][..]);
-                for (k, slot) in slots[i..i + run].iter_mut().enumerate() {
-                    let pt_len = plaintexts[i + k].len();
-                    slot[..4].copy_from_slice(&((pt_len + TAG_LEN) as u32).to_le_bytes());
-                    let (head, after) = slot.split_at_mut(4 + pt_len);
-                    cts[k] = &mut head[4..];
-                    tag_slots[k] = &mut after[..TAG_LEN];
-                    lens[i + k] = pt_len + RECORD_OVERHEAD;
-                }
-
-                let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-                aead::seal_batch_scatter(
-                    &aeads[..run],
-                    &nonces[..run],
-                    &aads[..run],
-                    &plaintexts[i..i + run],
-                    &mut cts[..run],
-                    &mut tags,
-                );
-                for (tag_slot, tag) in tag_slots[..run].iter_mut().zip(&tags) {
-                    tag_slot.copy_from_slice(tag);
-                }
-            }
-            self.seq += run as u64;
-            i += run;
+        for ((pt, slot), len) in plaintexts.iter().zip(slots.iter_mut()).zip(lens.iter_mut()) {
+            self.rekey_to_seq();
+            let (head, rest) = slot.split_at_mut(4);
+            head.copy_from_slice(&((pt.len() + TAG_LEN) as u32).to_le_bytes());
+            let (ct, rest) = rest.split_at_mut(pt.len());
+            let aad = self.seq.to_be_bytes();
+            let tag = self
+                .aead
+                .seal_fused_scatter(&Self::nonce(self.seq), &aad, pt, ct);
+            rest[..TAG_LEN].copy_from_slice(&tag);
+            *len = pt.len() + RECORD_OVERHEAD;
+            self.seq += 1;
         }
         Ok(())
     }
 
     /// Opens a run of records into private scratches — the one open body
-    /// of the record layer. Sequence numbers are assigned *positionally*:
-    /// record `k` authenticates against `seq + k`, and a failed record
-    /// *consumes* its sequence number so the rest of the run still opens.
-    /// That is the run's fail-closed contract: a bad frame or corrupted
-    /// slot yields exactly one per-record error (its scratch left empty)
-    /// without poisoning or reordering its neighbours. Rekey points split
-    /// the run and the run length picks the kernel, as in
-    /// [`Direction::seal_run`]. Plaintext is written only to the
-    /// scratches, never back to `records`.
+    /// of the record layer, one fused AEAD pass per record. Sequence
+    /// numbers are assigned *positionally*: record `k` authenticates
+    /// against `seq + k` (under that sequence number's key generation),
+    /// and a failed record *consumes* its sequence number so the rest of
+    /// the run still opens. That is the run's fail-closed contract: a bad
+    /// frame or corrupted slot yields exactly one per-record error (its
+    /// scratch left empty) without poisoning or reordering its
+    /// neighbours. Plaintext is written only to the scratches, never back
+    /// to `records`.
     fn open_run(
         &mut self,
         records: &[&[u8]],
@@ -248,62 +203,20 @@ impl Direction {
         }
 
         let n = records.len();
-        assert!(n <= MAX_BATCH_RECORDS, "batch exceeds MAX_BATCH_RECORDS");
-        debug_assert!(outs.len() >= n && results.len() >= n);
-        let mut i = 0;
-        while i < n {
-            let run = self.key_run(n - i);
-            if run == 1 {
-                let out = &mut outs[i].buf;
-                out.clear();
-                let aad = self.seq.to_be_bytes();
-                results[i] = body(records[i]).and_then(|sealed| {
-                    self.aead
-                        .open_fused_into(&Self::nonce(self.seq), &aad, sealed, out)
-                        .map_err(seq_failure)
-                });
-            } else {
-                let aeads: [&ChaCha20Poly1305; MAX_BATCH_RECORDS] = [&self.aead; MAX_BATCH_RECORDS];
-                let mut nonces = [[0u8; 12]; MAX_BATCH_RECORDS];
-                let mut aad_store = [[0u8; 8]; MAX_BATCH_RECORDS];
-                let mut tags = [[0u8; TAG_LEN]; MAX_BATCH_RECORDS];
-                let mut bufs: [&mut [u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|_| &mut [][..]);
-                for (k, out) in outs[i..i + run].iter_mut().enumerate() {
-                    let s = self.seq + k as u64;
-                    nonces[k] = Self::nonce(s);
-                    aad_store[k] = s.to_be_bytes();
-                    out.buf.clear();
-                    // A bad frame simply sits the crypto pass out (empty
-                    // buffer); its error is already in `results`.
-                    results[i + k] = body(records[i + k]).map(|sealed| {
-                        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-                        out.buf.extend_from_slice(ct);
-                        tags[k].copy_from_slice(tag);
-                    });
-                    bufs[k] = &mut out.buf[..];
-                }
-                let aads: [&[u8]; MAX_BATCH_RECORDS] = std::array::from_fn(|k| &aad_store[k][..]);
-
-                let mut crypto_results = [Ok(()); MAX_BATCH_RECORDS];
-                aead::open_batch_in_place(
-                    &aeads[..run],
-                    &nonces[..run],
-                    &aads[..run],
-                    &mut bufs[..run],
-                    &tags[..run],
-                    &mut crypto_results[..run],
-                );
-                for k in 0..run {
-                    if results[i + k].is_ok() {
-                        results[i + k] = crypto_results[k].map_err(seq_failure);
-                    }
-                    if results[i + k].is_err() {
-                        outs[i + k].buf.clear();
-                    }
-                }
-            }
-            self.seq += run as u64;
-            i += run;
+        assert!(
+            outs.len() >= n && results.len() >= n,
+            "one scratch and one result per record"
+        );
+        for ((rec, out), result) in records.iter().zip(outs.iter_mut()).zip(results.iter_mut()) {
+            self.rekey_to_seq();
+            out.buf.clear();
+            let aad = self.seq.to_be_bytes();
+            *result = body(rec).and_then(|sealed| {
+                self.aead
+                    .open_fused_into(&Self::nonce(self.seq), &aad, sealed, &mut out.buf)
+                    .map_err(seq_failure)
+            });
+            self.seq += 1;
         }
     }
 }
@@ -420,11 +333,11 @@ impl Channel {
     /// run of one. Each record is laid out in place as `[len][ciphertext]
     /// [tag]` with its own sequence number, nonce, and tag; plaintext
     /// never touches slot memory. `lens[i]` receives the slot bytes
-    /// written for record `i`. The record layer picks the AEAD kernel
-    /// from the run length (a single fused pass for one record, one
-    /// lane-packed pass amortizing per-record setup for more), and the
-    /// bytes do not depend on that choice or on how messages are grouped
-    /// into runs, so a record sealed here opens with any open path.
+    /// written for record `i`. Each record is one fused AEAD pass, so the
+    /// bytes do not depend on how messages are grouped into runs: a
+    /// record sealed here opens with any open path. What a run amortizes
+    /// is everything *around* the AEAD — one charge, one ring grant, one
+    /// lock, one doorbell.
     ///
     /// # Errors
     ///
@@ -434,7 +347,8 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// If the run exceeds [`MAX_BATCH_RECORDS`] records.
+    /// If `slots` does not hold exactly one slot per message, or `lens`
+    /// is shorter than the run.
     pub fn seal_batch_into_slots(
         &mut self,
         plaintexts: &[&[u8]],
@@ -460,7 +374,7 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// If the run exceeds [`MAX_BATCH_RECORDS`] records.
+    /// If `outs` or `results` is shorter than the run.
     pub fn open_batch_in_slots(
         &mut self,
         records: &[&[u8]],
@@ -751,7 +665,7 @@ mod tests {
         records[3][10] ^= 0x80; // corrupt ciphertext of record 3
         let recs: Vec<&[u8]> = records.iter().map(|r| &r[..]).collect();
         let mut outs: Vec<RecordScratch> = (0..6).map(|_| RecordScratch::new()).collect();
-        let mut results = [Ok(()); MAX_BATCH_RECORDS];
+        let mut results = [Ok(()); 6];
         s.open_batch_in_slots(&recs, &mut outs, &mut results);
         for i in 0..6 {
             if i == 3 {
@@ -777,7 +691,7 @@ mod tests {
         let truncated = &records[1][..3];
         let recs: Vec<&[u8]> = vec![&records[0], truncated, &records[2]];
         let mut outs: Vec<RecordScratch> = (0..3).map(|_| RecordScratch::new()).collect();
-        let mut results = [Ok(()); MAX_BATCH_RECORDS];
+        let mut results = [Ok(()); 3];
         s.open_batch_in_slots(&recs, &mut outs, &mut results);
         assert_eq!(results[0], Ok(()));
         assert_eq!(results[1], Err(CtlsError::Malformed));
@@ -790,8 +704,8 @@ mod tests {
     fn seal_batch_too_small_slot_does_not_advance() {
         let (mut c, mut s) = pair();
         let msgs: [&[u8]; 2] = [b"fits", b"does not fit in ten bytes"];
-        let mut a = vec![0u8; 64];
-        let mut b = vec![0u8; 10];
+        let mut a = [0u8; 64];
+        let mut b = [0u8; 10];
         let mut slots: Vec<&mut [u8]> = vec![&mut a[..], &mut b[..]];
         let mut lens = [0usize; 2];
         assert!(matches!(

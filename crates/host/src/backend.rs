@@ -21,7 +21,7 @@
 //! the `World` growing one accessor per device type.
 //!
 //! Whether a cio queue is serviced at all in a round is decided once, by
-//! [`Admission`]: it takes the queue's door word and consults the
+//! `Admission`: it takes the queue's door word and consults the
 //! queue's [`NotifyGate`]. Whoever drives the round owns it — the serial
 //! backend, or after the split the parallel host's coordinator, which is
 //! handed the same object (gate state included) and so never wakes a cold

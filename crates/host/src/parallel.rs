@@ -2,7 +2,7 @@
 //!
 //! [`ParallelHost`] turns the virtual multiqueue schedule into wall-clock
 //! parallelism. It is built by splitting a [`CioNetBackend`]: the fabric
-//! port, the RSS mask and the [`Admission`](crate::backend::Admission)
+//! port, the RSS mask and the `Admission` (`crate::backend`)
 //! decision (gate state included) stay with the coordinator, each queue
 //! lane becomes a self-contained `CioQueueWorker`, and the workers are
 //! sharded over `T` persistent OS threads (thread `t` owns queues `t`,

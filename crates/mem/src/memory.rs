@@ -349,7 +349,7 @@ impl GuestMemory {
     /// computation over the slice — AEAD, header parsing, checksums — is
     /// the intended use.
     ///
-    /// The backing store is striped (one lock per [`STRIPE_PAGES`] pages),
+    /// The backing store is striped (one lock per `STRIPE_PAGES` = 64 pages),
     /// so ranges within one stripe — every well-formed ring slot — take
     /// exactly one lock and distinct queues never contend. A range that
     /// straddles a stripe boundary is staged through a per-thread scratch

@@ -900,7 +900,7 @@ mod tests {
                     self.retransmitted += 1;
                 } else if !payload.is_empty() {
                     self.first_sent.insert(tcp.seq, payload.to_vec());
-                    if self.first_sent.len() % self.k == 0 {
+                    if self.first_sent.len().is_multiple_of(self.k) {
                         self.dropped += 1;
                         return Ok(());
                     }

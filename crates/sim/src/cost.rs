@@ -62,13 +62,17 @@ pub struct CostModel {
     pub aead_setup: Cycles,
     /// AEAD throughput: bytes processed per cycle.
     pub aead_bytes_per_cycle: u64,
-    /// Per-record cost inside a *batched* AEAD pass (nonce schedule + tag
-    /// finalization for one record; the key schedule is shared).
+    /// Per-record cost inside a *batched* AEAD pass on the modelled
+    /// platform (nonce schedule + tag finalization for one record; the key
+    /// schedule is shared). A term of the paper platform's multi-buffer
+    /// AEAD, not of this tree's kernel — see [`CostModel::aead_batch`].
     pub aead_record: Cycles,
-    /// AEAD throughput when records are batched and the wide keystream
-    /// lanes are packed across record boundaries. Small records stop
-    /// wasting lane width on partial runs, so bulk throughput approaches
-    /// the ISA peak (~2 bytes/cycle) instead of the serial per-record rate.
+    /// AEAD throughput of the modelled platform's multi-buffer AEAD, which
+    /// packs the wide keystream lanes across record boundaries (~2
+    /// bytes/cycle against the serial per-record rate). This tree built
+    /// that kernel, measured it slower than its serial one from 1 KiB up
+    /// (level at 256 B), and removed it; the constant is unfitted
+    /// (ROADMAP item 1).
     pub aead_batch_bytes_per_cycle: u64,
     /// Posting a doorbell/kick to the host (one exit, no reply payload).
     pub notify_host: Cycles,
@@ -146,17 +150,25 @@ impl CostModel {
         self.aead_setup + Cycles(per_byte)
     }
 
-    /// Cost of one *batched* AEAD pass over `records` records totalling
-    /// `bytes` bytes.
+    /// Cost of the AEAD work of a run of `records` records totalling
+    /// `bytes` bytes, on a platform with a multi-buffer AEAD.
     ///
-    /// The key schedule (`aead_setup`) is charged once per batch; each
+    /// The key schedule (`aead_setup`) is charged once per run; each
     /// record pays only its nonce schedule and tag finalization
     /// (`aead_record`); and the bulk bytes run at the packed-lane rate
-    /// (`aead_batch_bytes_per_cycle`) because the wide keystream lanes are
-    /// scheduled across record boundaries — the crypto analogue of the
-    /// once-per-batch TLB shootdown in [`CostModel::unshare`]. A batch of
+    /// (`aead_batch_bytes_per_cycle`) — the crypto analogue of the
+    /// once-per-batch TLB shootdown in [`CostModel::unshare`]. A run of
     /// one degenerates to [`CostModel::aead`] so the serial path's charges
     /// are unchanged.
+    ///
+    /// This models the paper platform, not this tree: the lane-packed
+    /// kernel was built here, measured against a loop over the
+    /// single-record pass (1.2–1.7× faster at 64 B from a run of four,
+    /// level at 256 B from a run of eight, 0.78–0.93× at 1–4 KiB;
+    /// EXPERIMENTS.md E19), and removed, so the code now runs `records`
+    /// serial passes under this charge. Where the run term and the wall
+    /// clock disagree the term is the thing under test (ROADMAP item 1,
+    /// "Fit the constants").
     #[inline]
     pub fn aead_batch(&self, records: usize, bytes: usize) -> Cycles {
         if records <= 1 {

@@ -879,7 +879,7 @@ mod tests {
         // is (ppm, budget).
         let mut i = 0u64;
         while clock.now() < Cycles(6_000_000) {
-            let rtt = if i % 20 == 0 { 80_000 } else { 8_000 };
+            let rtt = if i.is_multiple_of(20) { 80_000 } else { 8_000 };
             t.record_rtt(0, Cycles(rtt));
             clock.advance(Cycles(5_000));
             w.pump(&t, &m, clock.now());

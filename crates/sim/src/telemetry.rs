@@ -1,7 +1,7 @@
 //! Deterministic telemetry: spans, latency histograms, cycle attribution.
 //!
-//! The [`Meter`](crate::Meter) counts *what happened* and the
-//! [`Clock`](crate::Clock) tracks *how long everything took*, but neither
+//! The [`Meter`] counts *what happened* and the
+//! [`Clock`] tracks *how long everything took*, but neither
 //! can say *where in the path* the cycles went. This module adds that
 //! third axis without giving up determinism: every measurement rides the
 //! virtual clock, so two runs with the same seed produce byte-identical

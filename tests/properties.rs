@@ -495,13 +495,19 @@ fn batched_dataplane_byte_identical_to_serial() {
 /// 512/513 B kernel edges) × rekey interval {off, 3, default} × run
 /// 1/2/8/16: every seal adapter emits the bytes the primitive emits at
 /// the same sequence number — however the primitive's messages were
-/// grouped into runs, and whichever AEAD kernel the run length picked —
-/// every open path yields the payload back, the channels agree on record
-/// counts and key generation, and at a run of one the adapters charge
-/// exactly the primitive's meter counts and virtual cycles.
+/// grouped into runs — every open path yields the payload back, the
+/// channels agree on record counts and key generation, and at a run of
+/// one the adapters charge exactly the primitive's meter counts and
+/// virtual cycles. The primitive itself answers to an oracle that shares
+/// no code with it: while the key is still the traffic secret (no rekey
+/// yet), record `seq` is `len ‖ RFC 8439 seal(nonce = 0⁴ ‖ seq_be,
+/// aad = seq_be)` through the two-pass reference API, and opens back
+/// through it.
 #[test]
 fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
-    use cio_ctls::{Channel, RecordScratch, SimHooks, MAX_BATCH_RECORDS, RECORD_OVERHEAD};
+    use cio_crypto::ChaCha20Poly1305;
+    use cio_ctls::{Channel, RecordScratch, SimHooks, RECORD_OVERHEAD};
+    use cio_vring::cioring::MAX_BATCH;
 
     const SIZES: [usize; 12] = [0, 1, 64, 448, 449, 512, 513, 1024, 4096, 16384, 65536, 3];
     let mut rng = SimRng::seed_from(0xc715);
@@ -513,9 +519,11 @@ fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
             v
         })
         .collect();
-    while msgs.len() < MAX_BATCH_RECORDS {
+    while msgs.len() < MAX_BATCH {
         msgs.push(rand_vec(&mut rng, 0, 2048));
     }
+    // The client's transmit key is its traffic secret until the first rekey.
+    let reference = ChaCha20Poly1305::new([9; 32]);
 
     // `None` leaves the channel's default interval in place.
     for interval in [None, Some(None), Some(Some(3))] {
@@ -546,7 +554,7 @@ fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
             for (pts, slots) in msgs.chunks(run).zip(records.chunks_mut(run)) {
                 let pts: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
                 let mut slots: Vec<&mut [u8]> = slots.iter_mut().map(Vec::as_mut_slice).collect();
-                let mut lens = [0usize; MAX_BATCH_RECORDS];
+                let mut lens = [0usize; MAX_BATCH];
                 prim_tx
                     .seal_batch_into_slots(&pts, &mut slots, &mut lens)
                     .unwrap();
@@ -558,7 +566,7 @@ fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
             let mut outs: Vec<RecordScratch> = (0..run).map(|_| RecordScratch::new()).collect();
             for (recs, want) in records.chunks(run).zip(msgs.chunks(run)) {
                 let recs: Vec<&[u8]> = recs.iter().map(Vec::as_slice).collect();
-                let mut results = [Ok(()); MAX_BATCH_RECORDS];
+                let mut results = [Ok(()); MAX_BATCH];
                 prim_rx.open_batch_in_slots(&recs, &mut outs, &mut results);
                 for ((res, out), want) in results.iter().zip(&outs).zip(want) {
                     assert_eq!(*res, Ok(()), "{tag}: primitive open");
@@ -600,6 +608,28 @@ fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
             let rekeys = if interval == Some(Some(3)) { 5 } else { 0 };
             assert_eq!(prim_tx.tx_generation(), rekeys, "{tag}: generation");
 
+            // The primitive against RFC 8439, composed by hand.
+            if rekeys == 0 {
+                for (seq, (msg, rec)) in msgs.iter().zip(&records).enumerate() {
+                    let aad = (seq as u64).to_be_bytes();
+                    let mut nonce = [0u8; 12];
+                    nonce[4..].copy_from_slice(&aad);
+                    let sealed = reference.seal(&nonce, &aad, msg);
+                    let (len, body) = rec.split_at(4);
+                    assert_eq!(
+                        len,
+                        (sealed.len() as u32).to_le_bytes(),
+                        "{tag}: rfc len {seq}"
+                    );
+                    assert_eq!(body, sealed, "{tag}: rfc bytes {seq}");
+                    assert_eq!(
+                        &reference.open(&nonce, &aad, body).unwrap(),
+                        msg,
+                        "{tag}: rfc open {seq}"
+                    );
+                }
+            }
+
             // Open adapters, one record at a time.
             type Open = fn(&mut Channel, &[u8]) -> Vec<u8>;
             let opens: [(&str, Open); 3] = [
@@ -630,6 +660,54 @@ fn record_adapters_are_the_run_primitive_at_a_run_of_one() {
                 }
             }
         }
+    }
+}
+
+/// The block layer's run path against the same oracle: after runs of
+/// 1–40 blocks and an overwrite, every ciphertext block and packed tag on
+/// the disk is the two-pass RFC 8439 `seal_in_place` of its plaintext
+/// under nonce `lba_le32 ‖ generation_le64` and AAD `lba_le64` — the
+/// documented rule, composed by hand — and opens back through
+/// `open_in_place`.
+#[test]
+fn block_runs_are_rfc8439_under_the_documented_nonce_rule() {
+    use cio_block::{BlockStore, CryptStore, RamDisk, BLOCK_SIZE};
+    use cio_crypto::ChaCha20Poly1305;
+
+    const KEY: [u8; 32] = [0x5C; 32];
+    let mut rng = SimRng::seed_from(0xb10c);
+    let mut store = CryptStore::new(RamDisk::new(128), KEY).unwrap();
+    let reference = ChaCha20Poly1305::new(KEY);
+    // lba -> (generation, plaintext) of the latest write.
+    let mut live = std::collections::BTreeMap::new();
+    for (lba, blocks) in [(0u64, 1usize), (3, 2), (8, 16), (30, 40), (8, 5)] {
+        let mut data = vec![0u8; blocks * BLOCK_SIZE];
+        rng.fill_bytes(&mut data);
+        store.write_run(lba, &data).unwrap();
+        for (i, pt) in data.chunks(BLOCK_SIZE).enumerate() {
+            let slot = live.entry(lba + i as u64).or_insert((0u64, Vec::new()));
+            *slot = (slot.0 + 1, pt.to_vec());
+        }
+    }
+    let tag_base = store.blocks();
+    for (&lba, (generation, pt)) in &live {
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&(lba as u32).to_le_bytes());
+        nonce[4..].copy_from_slice(&generation.to_le_bytes());
+        let aad = lba.to_le_bytes();
+        let mut want = pt.clone();
+        let want_tag = reference.seal_in_place(&nonce, &aad, &mut want);
+
+        let disk = store.inner_mut();
+        let mut ct = disk.snapshot_block(lba).unwrap();
+        assert_eq!(ct, want, "lba {lba}: ciphertext");
+        let tags = disk.snapshot_block(tag_base + lba / 256).unwrap();
+        let tag = &tags[(lba % 256) as usize * 16..][..16];
+        assert_eq!(tag, want_tag, "lba {lba}: tag");
+        reference
+            .open_in_place(&nonce, &aad, &mut ct, &want_tag)
+            .unwrap();
+        assert_eq!(&ct, pt, "lba {lba}: reference open");
     }
 }
 
