@@ -114,8 +114,8 @@ fn main() {
     println!(
         "\nReading: host.service + ring consume/produce is the host-side cost \
          of the dual boundary; tx.seal/rx.open + crypto is the cTLS tax the \
-         guest pays for confidentiality; idle is quantum padding while flows \
-         wait on the link. All numbers fold deterministically out of the \
+         guest pays for confidentiality; idle is rounds that moved nothing \
+         waiting for the link's next delivery. All numbers fold deterministically out of the \
          virtual clock — rerunning this binary reproduces them exactly."
     );
 

@@ -7,8 +7,10 @@
 //! one core per queue. The loop is closed and a request waits whole
 //! `World::step` rounds, so elapsed time is rounds × cycles per round and
 //! both are printed: more queues make a round cheaper, but the same
-//! requests then need more of them (ROADMAP item 1).
-//! Usage: `exp_multiqueue [--quick]`.
+//! requests then need more of them. The 2-queue row is reported beside
+//! the gated 4-queue one: it settles into a different lock-step orbit of
+//! the closed loop (EXPERIMENTS E16), which no bar on the 4-queue row may
+//! hide. Usage: `exp_multiqueue [--quick]`.
 
 use cio::world::{BoundaryKind, WorldOptions, MAX_QUEUES};
 use cio_bench::{bench_opts, fmt_cycles, multi_stream_download, print_table};
@@ -27,7 +29,7 @@ fn main() {
     let queue_counts: &[usize] = &[1, 2, 4, MAX_QUEUES];
 
     let mut rows = Vec::new();
-    let mut speedup_4q_4k = 0.0f64;
+    let (mut speedup_2q_4k, mut speedup_4q_4k) = (0.0f64, 0.0f64);
     for &chunk in chunks {
         let mut base = 0.0f64;
         for &queues in queue_counts {
@@ -42,8 +44,12 @@ fn main() {
                 base = r.gbps;
             }
             let speedup = r.gbps / base;
-            if queues == 4 && chunk == 4 * 1024 {
-                speedup_4q_4k = speedup;
+            if chunk == 4 * 1024 {
+                match queues {
+                    2 => speedup_2q_4k = speedup,
+                    4 => speedup_4q_4k = speedup,
+                    _ => {}
+                }
             }
             rows.push(vec![
                 queues.to_string(),
@@ -77,7 +83,10 @@ fn main() {
          alone, with zero cross-queue negotiation. The symmetric RSS hash means \
          guest TX and host RX agree on placement without exchanging state."
     );
-    println!("\n4-queue speedup at 4 KiB: {speedup_4q_4k:.2}x (target: >= 2.5x)");
+    println!(
+        "\n4-queue speedup at 4 KiB: {speedup_4q_4k:.2}x (target: >= 2.5x); \
+         2-queue: {speedup_2q_4k:.2}x (reported, not gated: EXPERIMENTS E16)"
+    );
     assert!(
         speedup_4q_4k >= 2.5,
         "multi-queue scaling regressed: {speedup_4q_4k:.2}x < 2.5x"

@@ -446,6 +446,7 @@ impl WorldBuilder {
                 crossing,
             },
             backend,
+            fabric,
             peer,
             // One session-table shard per dataplane queue: a session's
             // shard IS its RSS lane, so steering and lookup agree by

@@ -110,23 +110,26 @@ impl World {
     }
 
     /// Pumps received bytes through one session's stream and flushes its
-    /// pending protocol bytes. A stream-layer failure (bad tag, broken
-    /// handshake) quarantines the session instead of failing the world's
-    /// step: per-session fail-closed, not fail-everything.
-    pub(super) fn flush_conn(&mut self, id: SessionId) -> Result<(), CioError> {
+    /// pending protocol bytes; returns how many bytes it flushed and
+    /// received (zero: the session was idle). A stream-layer failure (bad
+    /// tag, broken handshake) quarantines the session instead of failing
+    /// the world's step: per-session fail-closed, not fail-everything.
+    pub(super) fn flush_conn(&mut self, id: SessionId) -> Result<usize, CioError> {
         let Ok(conn) = self.conns.get(id) else {
-            return Ok(()); // closed earlier in this same round
+            return Ok(0); // closed earlier in this same round
         };
         let (lane, handle) = (conn.lane, conn.handle);
         let has_outbox = !conn.outbox.is_empty();
         let _flush = self.telemetry.span(lane, Stage::AppFlush);
+        let mut flushed = 0;
         // Only push protocol bytes once TCP is up.
         if has_outbox && self.cross(Call::Poll, 0, |iface| iface.tcp_established(handle))? {
             let mut out = match self.conns.get_mut(id) {
                 Ok(conn) => std::mem::take(&mut conn.outbox),
-                Err(_) => return Ok(()),
+                Err(_) => return Ok(0),
             };
             self.raw_send(handle, &out)?;
+            flushed = out.len();
             // Hand the drained buffer back so steady-state flushing
             // reuses its capacity instead of reallocating every round.
             out.clear();
@@ -146,7 +149,7 @@ impl World {
             self.feed_conn(id, lane, &data);
         }
         self.recv_scratch = data;
-        received.map(drop)
+        Ok(flushed + received?)
     }
 
     /// Feeds bytes received on `id` through its stream, quarantining the
@@ -246,14 +249,15 @@ impl World {
     /// the handshake completes; stale handles return the other
     /// [`SessionError`] variants; stream/transport errors otherwise.
     pub fn send(&mut self, c: SessionId, data: &[u8]) -> Result<usize, CioError> {
-        // One O(1) flow-table lookup opens every send: charged at the
-        // cost model's `flow_lookup` and counted by the table itself.
-        self.clock.advance(self.opts.cost.flow_lookup);
+        // One O(1) flow-table lookup opens every send: counted by the
+        // table itself and charged at the cost model's `flow_lookup` on the
+        // session's lane, where everything else done for it runs.
         let s = self.conns.get_mut(c)?;
+        let (handle, lane) = (s.handle, s.lane);
+        self.lanes.charge(lane, self.opts.cost.flow_lookup);
         if s.stream.is_handshaking() {
             return Err(CioError::Session(SessionError::Handshaking));
         }
-        let (handle, lane) = (s.handle, s.lane);
         // The backlog probe is the app reading its own socket bookkeeping
         // — no boundary is crossed, so nothing is charged; where the stack
         // is host software there is no such bookkeeping to read.
@@ -316,10 +320,10 @@ impl World {
     /// the receive family).
     fn drain_into(&mut self, c: SessionId, scratch: &mut SessionScratch) -> Result<(), CioError> {
         // Data may have arrived during steps; outboxes were pumped there.
-        // Like `send`, the receive side opens with one charged O(1)
-        // flow-table lookup.
-        self.clock.advance(self.opts.cost.flow_lookup);
+        // Like `send`, the receive side opens with one O(1) flow-table
+        // lookup, charged on the session's lane.
         let s = self.conns.get_mut(c)?;
+        self.lanes.charge(s.lane, self.opts.cost.flow_lookup);
         scratch.buf.extend_from_slice(&s.app_in);
         s.app_in.clear();
         Ok(())

@@ -44,7 +44,7 @@ use crate::session::SessionTable;
 use crate::CioError;
 use cio_ctls::RecordScratch;
 use cio_host::backend::Backend;
-use cio_host::fabric::FabricPort;
+use cio_host::fabric::{Fabric, FabricPort};
 use cio_host::observe::Recorder;
 use cio_mem::{GuestAddr, GuestMemory};
 use cio_netstack::stack::SocketHandle;
@@ -186,6 +186,9 @@ pub struct World {
     /// The host side of the round: the one host handle, whatever runs
     /// behind it (see [`Backend`]).
     backend: Box<dyn Backend>,
+    /// The link between the world's NIC and its peer; an idle round ends
+    /// at its next delivery.
+    fabric: Fabric,
     peer: PeerNode,
     /// The session control plane: one shard per dataplane queue, O(1)
     /// generational lookup, slots reclaimed on close. Handles issued by
@@ -427,6 +430,75 @@ mod tests {
     fn echo_over_every_boundary() {
         for kind in ALL_BOUNDARIES {
             echo_roundtrip(kind, quick_opts());
+        }
+    }
+
+    /// One 64 B echo after eight warm-ups over a link of one-way
+    /// `latency`: the virtual cycles and world steps it took.
+    fn warm_echo(kind: BoundaryKind, latency: u64) -> (u64, u64) {
+        let mut w = World::new(
+            kind,
+            WorldOptions {
+                link: LinkParams {
+                    latency: Cycles(latency),
+                    loss: 0.0,
+                },
+                ..WorldOptions::default()
+            },
+        )
+        .unwrap();
+        let c = w.connect(ECHO_PORT).unwrap();
+        w.establish(c, 50_000).unwrap();
+        let msg = [0x64u8; 64];
+        for _ in 0..8 {
+            w.send(c, &msg).unwrap();
+            assert_eq!(w.recv_exact(c, 64, 50_000).unwrap(), msg, "{kind}");
+        }
+        let t0 = w.clock().now();
+        w.send(c, &msg).unwrap();
+        let (mut got, mut steps) = (0, 0);
+        let mut scratch = SessionScratch::new();
+        loop {
+            got += w.recv_into(c, &mut scratch).unwrap();
+            if got >= msg.len() {
+                return (w.clock().since(t0).get(), steps);
+            }
+            w.step().unwrap();
+            steps += 1;
+        }
+    }
+
+    #[test]
+    fn idle_rounds_end_at_the_next_due_frame() {
+        // Two one-way trips of 20 000 more cycles each: an idle round ends
+        // exactly when the fabric delivers, so the echo costs exactly
+        // 40 000 cycles more and only the quantum-capped jumps add steps.
+        let max_extra_steps = 2 * 20_000u64.div_ceil(round::STEP_QUANTUM.get());
+        for kind in ALL_BOUNDARIES {
+            let (near_cycles, near_steps) = warm_echo(kind, 10_000);
+            let (far_cycles, far_steps) = warm_echo(kind, 30_000);
+            let extra = far_cycles - near_cycles;
+            if kind == BoundaryKind::L5Host {
+                // Every l5-host round pays a `Call::Recv` crossing, so a
+                // round may overrun the delivery it waits for by one.
+                let crossing = World::new(kind, quick_opts())
+                    .unwrap()
+                    .tee()
+                    .transition_cost();
+                assert!(
+                    extra.abs_diff(40_000) <= crossing.get(),
+                    "{kind}: {near_cycles} -> {far_cycles} cycles"
+                );
+            } else {
+                assert_eq!(
+                    extra, 40_000,
+                    "{kind}: {near_cycles} -> {far_cycles} cycles"
+                );
+            }
+            assert!(
+                far_steps - near_steps <= max_extra_steps,
+                "{kind}: {near_steps} -> {far_steps} steps"
+            );
         }
     }
 

@@ -2,7 +2,7 @@
 //! queue count and host.
 //!
 //! per-queue guest poll on its lane → one host round → peer → per-session
-//! flush on the session's lane → lane barrier → idle quantum.
+//! flush on the session's lane → lane barrier → idle.
 //!
 //! Each queue is one virtual core on both sides of the boundary: guest
 //! poll, host servicing and session flushing for queue `q` accumulate on
@@ -14,6 +14,18 @@
 //! host runs the middle step — none, virtio, cio, or cio on worker
 //! threads — is the [`Backend`](cio_host::Backend)'s business, error
 //! policy included.
+//!
+//! **Idle.** A round in which nothing moved — neither stack received or
+//! sent a frame, the host moved none, no session flushed or received a
+//! byte — has nothing left to do before the fabric delivers its next
+//! frame, so it ends there: the clock jumps to [`Fabric::next_due`], but
+//! never more than [`STEP_QUANTUM`] past the round's start. The cap is
+//! what the clock alone drives (TCP retransmission and TIME-WAIT, the
+//! adaptive batch's latency cap): those fire at most one quantum late.
+//! The verdict is built from counts the stages return; the jump is
+//! booked to [`Stage::Idle`].
+//!
+//! [`Fabric::next_due`]: cio_host::fabric::Fabric::next_due
 
 use super::guest::{Call, Crossing};
 use super::{PeerNode, World};
@@ -21,9 +33,9 @@ use crate::CioError;
 use cio_netstack::NetDevice;
 use cio_sim::{Cycles, Stage};
 
-/// Minimum virtual-time progress per [`World::step`]: a round in which
-/// nothing charged the clock idles for this long.
-const STEP_QUANTUM: Cycles = Cycles(5_000);
+/// The longest a round that moved nothing idles: its end is the fabric's
+/// next delivery or this long after the round began, whichever is first.
+pub(super) const STEP_QUANTUM: Cycles = Cycles(5_000);
 
 impl World {
     /// Advances the whole world one scheduling round (see the
@@ -58,6 +70,10 @@ impl World {
 
     fn round(&mut self) -> Result<(), CioError> {
         let t0 = self.clock.now();
+        let sent_before = self.guest.iface.frames_sent();
+        // Frames either stack received or sent and the host moved, bytes
+        // the sessions flushed or received: zero means nothing moved.
+        let mut moved = 0;
         for q in 0..self.opts.queues {
             let base = self.lanes.begin(q);
             // The span lives strictly inside the lane region, where the
@@ -73,15 +89,15 @@ impl World {
                 r
             };
             self.lanes.end(q, base);
-            polled?;
+            moved += polled?;
         }
         // Fabric ingress, steering and per-queue servicing, each queue on
         // its lane. Peer servicing charges no guest cycles (the fabric
         // models latency by timestamp), so it runs un-laned.
-        self.backend.round(&mut self.lanes)?;
+        moved += self.backend.round(&mut self.lanes)?;
         {
             let _peer = self.telemetry.span(0, Stage::Peer);
-            self.poll_peer();
+            moved += self.poll_peer();
         }
         // Sweep live sessions in deterministic (shard, slot) order through
         // a reusable id buffer — a quarantine mid-sweep removes the
@@ -96,19 +112,37 @@ impl World {
             let base = self.lanes.begin(lane);
             let flushed = self.flush_conn(id);
             self.lanes.end(lane, base);
-            if let Err(e) = flushed {
-                result = Err(e);
-                break;
+            match flushed {
+                Ok(bytes) => moved += bytes,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             }
         }
         self.flush_ids = ids;
         result?;
         self.lanes.sync();
-        if self.clock.now() == t0 {
-            self.clock.advance(STEP_QUANTUM);
-            self.telemetry.attribute(0, Stage::Idle, STEP_QUANTUM);
+        moved += (self.guest.iface.frames_sent() - sent_before) as usize;
+        if moved == 0 {
+            self.idle_until_due(t0);
         }
         Ok(())
+    }
+
+    /// Ends a round that moved nothing at the fabric's next delivery,
+    /// capped at one [`STEP_QUANTUM`] past the round's start `t0` (see the
+    /// module docs). A round that already charged past that point idles
+    /// not at all. The wait is every lane's, so it goes on the shared
+    /// clock, after the barrier.
+    fn idle_until_due(&mut self, t0: Cycles) {
+        let cap = t0.saturating_add(STEP_QUANTUM);
+        let end = self.fabric.next_due().map_or(cap, |due| due.min(cap));
+        let idle = end.saturating_sub(self.clock.now());
+        if idle > Cycles::ZERO {
+            self.clock.advance(idle);
+            self.telemetry.attribute(0, Stage::Idle, idle);
+        }
     }
 
     /// Releases the netstack slot (and ephemeral port) of every closed
@@ -117,7 +151,9 @@ impl World {
     /// stacks release is local socket bookkeeping (nothing crossed,
     /// nothing charged); where the stack is host software even this
     /// freeing call — every attempt of it — is an observable world
-    /// switch, one more `close` to the host.
+    /// switch, one more `close` to the host. That crossing charges the
+    /// shared clock outside any lane region, which is exact: a host
+    /// crossing means the one-queue L5 design, and one lane is the clock.
     fn release_drained(&mut self) {
         let mut i = 0;
         while i < self.draining.len() {
@@ -138,17 +174,22 @@ impl World {
         }
     }
 
-    fn poll_peer(&mut self) {
+    /// Drives the peer (through its gateway, when tunneled); returns the
+    /// frames moved on the peer's side of the fabric.
+    fn poll_peer(&mut self) -> usize {
         match &mut self.peer {
             PeerNode::Direct(p) => p.poll(),
             PeerNode::Tunnel { gw_port, gw, peer } => {
+                let mut moved = 0;
                 while let Some(blob) = gw_port.receive() {
                     gw.ingress(&blob);
+                    moved += 1;
                 }
                 gw.egress_each(|blob| {
                     let _ = gw_port.transmit(blob);
+                    moved += 1;
                 });
-                peer.poll();
+                moved + peer.poll()
             }
         }
     }

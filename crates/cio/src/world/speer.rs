@@ -191,10 +191,12 @@ impl<D: NetDevice> SecurePeer<D> {
         resp.extend(std::iter::repeat_n(0x5A, want));
     }
 
-    /// Drives the peer one round.
-    pub fn poll(&mut self) {
+    /// Drives the peer one round; returns the frames its stack received
+    /// or sent (zero: the peer had nothing to do).
+    pub fn poll(&mut self) -> usize {
         let _span = self.telemetry.span(0, Stage::Peer);
-        let _ = self.iface.poll();
+        let sent_before = self.iface.frames_sent();
+        let mut received = self.iface.poll().unwrap_or(0);
         for port in [ECHO_PORT, RPC_PORT] {
             while let Some(h) = self.iface.tcp_accept(port) {
                 let inbuf = self.pool.get();
@@ -359,7 +361,8 @@ impl<D: NetDevice> SecurePeer<D> {
             let conn = self.conns.remove(i);
             self.pool.put(conn.inbuf);
         }
-        let _ = self.iface.poll();
+        received += self.iface.poll().unwrap_or(0);
+        received + (self.iface.frames_sent() - sent_before) as usize
     }
 
     /// Live connections (diagnostic).

@@ -104,6 +104,20 @@ impl Fabric {
     pub fn clock(&self) -> &Clock {
         &self.clock
     }
+
+    /// The earliest virtual time at which some port's
+    /// [`receive`](NetDevice::receive) returns a frame, `None` when nothing
+    /// is in flight. Each inbox delivers in order, so this is the earliest
+    /// head-of-inbox delivery time: a frame stamped earlier but queued
+    /// behind a later one (lanes stamp in their own time) is not receivable
+    /// before the frame ahead of it.
+    pub fn next_due(&self) -> Option<Cycles> {
+        let g = self.inner.lock().expect("fabric lock");
+        g.ports
+            .iter()
+            .filter_map(|p| p.inbox.front().map(|&(ready, _)| ready))
+            .min()
+    }
 }
 
 /// One attachment point on the fabric; implements [`NetDevice`].
@@ -254,6 +268,36 @@ mod tests {
         assert!(b.receive().is_none());
         clock.advance(Cycles(1000));
         assert_eq!(b.receive().unwrap(), b"future");
+    }
+
+    #[test]
+    fn next_due_is_the_earliest_receivable_frame() {
+        let clock = Clock::new();
+        let fabric = Fabric::new(clock.clone(), 42);
+        let mut a = fabric.port(MacAddr([1; 6]), 1500);
+        let mut b = fabric.port(MacAddr([2; 6]), 1500);
+        fabric
+            .connect(
+                &a,
+                &b,
+                LinkParams {
+                    latency: Cycles(1000),
+                    loss: 0.0,
+                },
+            )
+            .unwrap();
+        assert_eq!(fabric.next_due(), None);
+        clock.advance(Cycles(500));
+        a.transmit(b"to b").unwrap();
+        assert_eq!(fabric.next_due(), Some(Cycles(1500)));
+        b.transmit_at(b"to a", Cycles(200)).unwrap();
+        assert_eq!(fabric.next_due(), Some(Cycles(1200)));
+        // Stamped earlier but queued behind b's head: not receivable first.
+        a.transmit_at(b"behind", Cycles(0)).unwrap();
+        assert_eq!(fabric.next_due(), Some(Cycles(1200)));
+        clock.advance(Cycles(700));
+        assert_eq!(a.receive().unwrap(), b"to a");
+        assert_eq!(fabric.next_due(), Some(Cycles(1500)));
     }
 
     #[test]

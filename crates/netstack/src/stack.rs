@@ -75,6 +75,8 @@ struct Link<D: NetDevice> {
     /// blank) with their next-hop IP, oldest first.
     pending: VecDeque<(Ipv4Addr, Vec<u8>)>,
     frame: Vec<u8>,
+    /// Frames the device has taken, ever.
+    tx_frames: u64,
 }
 
 impl<D: NetDevice> Link<D> {
@@ -119,16 +121,17 @@ impl<D: NetDevice> Link<D> {
         transport(frame);
         debug_assert_eq!(frame.len(), ETH_HDR_LEN + IPV4_HDR_LEN + transport_len);
         match mac {
-            Some(_) => self.dev.transmit(frame),
+            Some(_) => self.dev.transmit(frame)?,
             None => {
                 // Request first: a device that refuses the request has
                 // taken nothing, so the frame stays with the caller (TCP
                 // keeps it queued) instead of being parked once per retry.
                 self.dev.transmit(&self.arp.request_frame(hop))?;
                 self.pending.push_back((hop, frame.clone()));
-                Ok(())
             }
         }
+        self.tx_frames += 1;
+        Ok(())
     }
 
     fn send_tcp(
@@ -156,6 +159,7 @@ impl<D: NetDevice> Link<D> {
             };
             frame[..6].copy_from_slice(&mac.0);
             sent = self.dev.transmit(frame);
+            self.tx_frames += u64::from(sent.is_ok());
             sent == Err(NetError::DeviceFull)
         });
         sent
@@ -188,6 +192,7 @@ impl<D: NetDevice> Interface<D> {
                 arp,
                 pending: VecDeque::new(),
                 frame: Vec::new(),
+                tx_frames: 0,
             },
             clock,
             rng,
@@ -231,6 +236,12 @@ impl<D: NetDevice> Interface<D> {
     /// Our MAC.
     pub fn mac(&self) -> MacAddr {
         self.link.dev.mac()
+    }
+
+    /// Frames handed to the device so far, data, control and ARP alike
+    /// (a frame the device refused is not counted).
+    pub fn frames_sent(&self) -> u64 {
+        self.link.tx_frames
     }
 
     /// Direct access to the device (diagnostics).
@@ -530,6 +541,7 @@ impl<D: NetDevice> Interface<D> {
                 // them once the receive loop is done.
                 if let Some(reply) = self.link.arp.handle(l3) {
                     self.link.dev.transmit(&reply)?;
+                    self.link.tx_frames += 1;
                 }
             }
             EtherType::Ipv4 => {

@@ -20,12 +20,13 @@
 //! segments and retransmissions are `(seq, len)` ranges into it, and a
 //! range leaves the ring only when its whole segment is cumulatively
 //! acknowledged. The receive ring holds in-order data until the
-//! application reads it. In steady state neither path allocates.
+//! application reads it, and out-of-order data waits in a window-sized
+//! reassembly area (see `Reassembly`). In steady state no path allocates.
 
 use crate::wire::{tcp_flags, RingSlices, TcpHeader, TcpSegment};
 use crate::NetError;
 use cio_sim::{Clock, Cycles};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Wrapping "less than" on sequence numbers.
 #[inline]
@@ -110,6 +111,89 @@ fn ring_range(ring: &VecDeque<u8>, off: usize, len: usize) -> RingSlices<'_> {
     }
 }
 
+/// Most disjoint out-of-order byte ranges a connection holds. A segment
+/// that would open one more is dropped; the sender retransmits it.
+const OOO_RANGES: usize = 8;
+
+/// Out-of-order received bytes, bounded by the receive window whatever
+/// the sender forges: an area of the window's size rounded up to a power
+/// of two, addressed by sequence number modulo its size (the size divides
+/// 2^32, so the mapping survives sequence wrap), and the sorted, merged
+/// sequence ranges `[start, end)` it holds — at most [`OOO_RANGES`] of
+/// them. Allocated on the connection's first out-of-order segment and
+/// never regrown.
+#[derive(Default)]
+struct Reassembly {
+    area: Vec<u8>,
+    ranges: Vec<(u32, u32)>,
+}
+
+impl Reassembly {
+    /// Stores `payload`, which starts at `seq` and ends inside the window
+    /// of `window` bytes (the caller trims it), merging its range with any
+    /// it overlaps or touches; a segment that would open a range past
+    /// [`OOO_RANGES`] is dropped.
+    fn insert(&mut self, seq: u32, payload: &[u8], window: usize) {
+        if self.area.is_empty() {
+            self.area = vec![0; window.next_power_of_two()];
+            self.ranges = Vec::with_capacity(OOO_RANGES);
+        }
+        let end = seq.wrapping_add(payload.len() as u32);
+        // Ranges [i, j) overlap or touch the new one: every range before i
+        // ends before `seq`, every range from j on starts after `end`.
+        let i = self.ranges.partition_point(|&(_, e)| seq_lt(e, seq));
+        let j = i + self.ranges[i..].partition_point(|&(s, _)| seq_le(s, end));
+        if i == j && self.ranges.len() == OOO_RANGES {
+            return;
+        }
+        let (mut start, mut stop) = (seq, end);
+        if i < j {
+            if seq_lt(self.ranges[i].0, start) {
+                start = self.ranges[i].0;
+            }
+            if seq_lt(stop, self.ranges[j - 1].1) {
+                stop = self.ranges[j - 1].1;
+            }
+            self.ranges.drain(i..j);
+        }
+        self.ranges.insert(i, (start, stop));
+        let mask = self.area.len() - 1;
+        for (k, &b) in payload.iter().enumerate() {
+            self.area[(seq as usize + k) & mask] = b;
+        }
+    }
+
+    /// Moves every byte now contiguous with `rcv_nxt` onto `ring` and
+    /// forgets the ranges `rcv_nxt` has passed; returns the new `rcv_nxt`.
+    fn drain_to(&mut self, mut rcv_nxt: u32, ring: &mut VecDeque<u8>) -> u32 {
+        let passed = self
+            .ranges
+            .iter()
+            .take_while(|&&(start, _)| seq_le(start, rcv_nxt))
+            .count();
+        let mask = self.area.len().wrapping_sub(1);
+        for &(_, end) in &self.ranges[..passed] {
+            if seq_lt(rcv_nxt, end) {
+                let from = rcv_nxt as usize;
+                let len = end.wrapping_sub(rcv_nxt) as usize;
+                ring.extend((from..from + len).map(|k| self.area[k & mask]));
+                rcv_nxt = end;
+            }
+        }
+        self.ranges.drain(..passed);
+        rcv_nxt
+    }
+
+    /// Out-of-order bytes held.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.ranges
+            .iter()
+            .map(|&(s, e)| e.wrapping_sub(s) as usize)
+            .sum()
+    }
+}
+
 /// An in-flight segment awaiting acknowledgement: `len` send-ring bytes
 /// from `seq`, not a copy of them.
 #[derive(Debug, Clone)]
@@ -154,7 +238,7 @@ pub struct Connection {
     // Receive state.
     rcv_nxt: u32,
     recv_ring: VecDeque<u8>,
-    ooo: BTreeMap<u32, Vec<u8>>,
+    ooo: Reassembly,
     peer_fin: bool,
 
     outbox: VecDeque<Queued>,
@@ -182,7 +266,7 @@ impl Connection {
             fin_queued: false,
             rcv_nxt: 0,
             recv_ring: VecDeque::new(),
-            ooo: BTreeMap::new(),
+            ooo: Reassembly::default(),
             peer_fin: false,
             outbox: VecDeque::new(),
             time_wait_until: None,
@@ -245,7 +329,7 @@ impl Connection {
 
     /// Whether the peer closed its direction and all data was drained.
     pub fn peer_closed(&self) -> bool {
-        self.peer_fin && self.recv_ring.is_empty() && self.ooo.is_empty()
+        self.peer_fin && self.recv_ring.is_empty() && self.ooo.ranges.is_empty()
     }
 
     fn recv_window(&self) -> u16 {
@@ -453,28 +537,20 @@ impl Connection {
             payload = &payload[skip..];
             seq = self.rcv_nxt;
         }
-        let window = u32::from(self.cfg.window);
-        let offset = seq.wrapping_sub(self.rcv_nxt);
+        let window = usize::from(self.cfg.window);
+        let offset = seq.wrapping_sub(self.rcv_nxt) as usize;
         if offset >= window {
             return; // outside our window entirely
         }
-        if seq == self.rcv_nxt {
+        if offset == 0 {
             self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
             self.recv_ring.extend(payload);
-            // Drain contiguous out-of-order segments.
-            while let Some((&s, _)) = self.ooo.iter().next() {
-                if seq_lt(self.rcv_nxt, s) {
-                    break;
-                }
-                let (_, data) = self.ooo.pop_first().expect("checked non-empty");
-                let skip = self.rcv_nxt.wrapping_sub(s) as usize;
-                if skip < data.len() {
-                    self.rcv_nxt = self.rcv_nxt.wrapping_add((data.len() - skip) as u32);
-                    self.recv_ring.extend(&data[skip..]);
-                }
-            }
+            // Drain what the gap was holding back.
+            self.rcv_nxt = self.ooo.drain_to(self.rcv_nxt, &mut self.recv_ring);
         } else {
-            self.ooo.insert(seq, payload.to_vec());
+            // Whatever lies past the window's end is dropped, not held.
+            let fits = payload.len().min(window - offset);
+            self.ooo.insert(seq, &payload[..fits], window);
         }
     }
 
@@ -753,6 +829,51 @@ mod tests {
         assert_eq!(s.readable(), 0, "gap holds data back");
         s.on_segment(&seg1).unwrap();
         assert_eq!(s.recv(100), b"AAAABBBB");
+    }
+
+    #[test]
+    fn hostile_sequence_numbers_hold_at_most_a_window() {
+        let clock = Clock::new();
+        let (c, mut s) = established_pair(&clock);
+        let window = usize::from(cfg().window);
+        let base = s.rcv_nxt;
+        // Byte `k` of the stream the forged segments claim to carry.
+        let stream = |k: usize| (k % 251) as u8;
+        let ports = (c.local_port(), s.local_port());
+        let deliver = |s: &mut Connection, off: usize, len: usize| {
+            let hdr = TcpHeader {
+                src_port: ports.0,
+                dst_port: ports.1,
+                seq: base.wrapping_add(off as u32),
+                ack: s.snd_nxt,
+                flags: tcp_flags::ACK | tcp_flags::PSH,
+                window: 65_535,
+            };
+            let payload: Vec<u8> = (off..off + len).map(stream).collect();
+            s.on_segment_in_place(&hdr, &payload).unwrap();
+            s.outbox.clear(); // the duplicate ACKs are not under test
+            assert!(s.ooo.held() <= window, "held {} bytes", s.ooo.held());
+            assert!(s.ooo.ranges.len() <= OOO_RANGES);
+        };
+        // Sparse segments each open a range; past the cap they are dropped.
+        for k in 0..1_000 {
+            deliver(&mut s, 2 + 50 * k, 10);
+        }
+        assert_eq!(s.ooo.held(), OOO_RANGES * 10);
+        // 10 000 overlapping segments, each 7 bytes past the last and none
+        // at `rcv_nxt`: they merge into one range, trimmed at the window's
+        // end, and those starting past it are dropped.
+        for k in 0..10_000 {
+            deliver(&mut s, 1 + 7 * k, 1460);
+        }
+        assert_eq!(s.readable(), 0, "the gap holds everything back");
+        assert_eq!(s.ooo.held(), window - 1);
+        // The gap fills: the whole window reassembles, in order.
+        deliver(&mut s, 0, 1);
+        let got = s.recv(usize::MAX);
+        assert_eq!(got.len(), window);
+        assert!(got.iter().enumerate().all(|(k, &b)| b == stream(k)));
+        assert!(s.ooo.ranges.is_empty());
     }
 
     #[test]

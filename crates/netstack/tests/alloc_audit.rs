@@ -7,6 +7,8 @@
 //! must not touch the heap: zero times through a sans-io [`Connection`]
 //! pair, and through an [`Interface`] pair over a [`PairDevice`] only for
 //! the device's own queue entry per frame (its `Vec` and nothing else).
+//! Segments that arrive out of order wait in the connection's reassembly
+//! area, which is allocated once: reordering is allocation-free too.
 //!
 //! A counting `#[global_allocator]` enforces it, counting only the thread
 //! that armed the audit (see `tests/zero_alloc.rs` at the repository root
@@ -122,6 +124,54 @@ fn audit_connection_pair() {
     assert_eq!(n, 0, "sans-io segment path allocated {n} times");
 }
 
+/// A round whose two segments reach the receiver in reverse order: the
+/// second waits in reassembly until the first fills the gap.
+fn reordered_round(c: &mut Connection, s: &mut Connection, data: &[u8], sink: &mut Vec<u8>) {
+    c.send(data).expect("established");
+    let mut wire = [[0u8; 1460]; 2];
+    let mut segs = [None; 2];
+    for (seg, buf) in segs.iter_mut().zip(&mut wire) {
+        let (hdr, (a, b)) = c.peek_outbox().expect("two segments");
+        let n = a.len() + b.len();
+        buf[..a.len()].copy_from_slice(a);
+        buf[a.len()..n].copy_from_slice(b);
+        *seg = Some((hdr, n));
+        c.pop_outbox();
+    }
+    for (seg, buf) in segs.iter().zip(&wire).rev() {
+        let (hdr, n) = seg.expect("filled above");
+        s.on_segment_in_place(&hdr, &buf[..n]).expect("no resets");
+    }
+    sink.clear();
+    assert_eq!(
+        s.recv_into(sink, usize::MAX),
+        data.len(),
+        "reassembly lost bytes"
+    );
+    assert_eq!(sink, data);
+    while deliver(s, c) + deliver(c, s) > 0 {}
+}
+
+fn audit_reordered_pair() {
+    let clock = Clock::new();
+    let cfg = TcpConfig::default();
+    let mss = cfg.mss;
+    let mut c = Connection::connect(40_000, 80, 1_000, clock.clone(), cfg.clone());
+    let mut s = Connection::listen(80, 9_000, clock, cfg);
+    while deliver(&mut c, &mut s) + deliver(&mut s, &mut c) > 0 {}
+    let data: Vec<u8> = (0..2 * mss).map(|i| (i * 11) as u8).collect();
+    let mut sink = Vec::with_capacity(2 * mss);
+    for _ in 0..WARMUP {
+        reordered_round(&mut c, &mut s, &data, &mut sink);
+    }
+    let n = allocations_in(|| {
+        for _ in 0..SEGMENTS {
+            reordered_round(&mut c, &mut s, &data, &mut sink);
+        }
+    });
+    assert_eq!(n, 0, "out-of-order reassembly allocated {n} times");
+}
+
 type Iface = Interface<PairDevice>;
 
 fn settle(a: &mut Iface, b: &mut Iface) -> usize {
@@ -178,5 +228,6 @@ fn audit_interface_pair() {
 #[test]
 fn steady_state_segment_path_does_not_allocate() {
     audit_connection_pair();
+    audit_reordered_pair();
     audit_interface_pair();
 }

@@ -84,7 +84,8 @@ pub enum Stage {
     AppFlush,
     /// Remote peer servicing (not on the guest's critical path).
     Peer,
-    /// Idle step quantum (the world made no progress this round).
+    /// Idle: a world round that moved nothing waits for the fabric's next
+    /// delivery (at most one step quantum).
     Idle,
     /// Block request submission on the guest (frontend framing + commit).
     BlkSubmit,
