@@ -1,5 +1,5 @@
-//! E6 — data positioning on the cio-ring (§3.2): inline vs. shared-area
-//! vs. masked indirect descriptors, across payload sizes.
+//! E6 — data positioning on the cio-ring (§3.2): inline vs. shared-area,
+//! across payload sizes.
 
 use cio_bench::transport::cio_oneway;
 use cio_bench::{fmt_cycles, print_table};
@@ -13,7 +13,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for &size in &sizes {
-        for mode in [DataMode::Inline, DataMode::SharedArea, DataMode::Indirect] {
+        for mode in [DataMode::Inline, DataMode::SharedArea] {
             let r = cio_oneway(mode, size, frames, cost.clone());
             rows.push(vec![
                 size.to_string(),
@@ -33,9 +33,10 @@ fn main() {
 
     println!(
         "\nReading: inline wins for small payloads (one slot write, no offset handling); \
-         shared-area catches up as payloads grow (slot traffic stays constant); indirect \
-         adds one masked fetch per transfer and only pays off where descriptor reuse or \
-         scatter would matter — the interface supports all three so deployments can pick \
-         per traffic profile (§3.2 'explore data positioning')."
+         shared-area catches up as payloads grow (slot traffic stays constant) — the \
+         interface keeps both so deployments can pick per traffic profile (§3.2 'explore \
+         data positioning'). Masked indirect descriptors are not offered: an indirection \
+         level is the shared area plus one masked fetch + validation (~54 cycles per \
+         transfer), so it can never win."
     );
 }

@@ -83,7 +83,7 @@ fn main() {
     println!(
         "\nTransport TCB (ring/queue + guest driver, by file): cio-ring {cio} LoC vs \
          virtio-hardened {virtio} LoC = {:.2}x — the safe-by-construction ring is the larger \
-         one here: it carries batching, three positioning modes, event-idx and revocation \
+         one here: it carries batching, two positioning modes, event-idx and revocation \
          that this tree's virtqueue never implemented.",
         cio as f64 / virtio as f64
     );

@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn all_data_modes_deliver() {
-        for mode in [DataMode::Inline, DataMode::SharedArea, DataMode::Indirect] {
+        for mode in [DataMode::Inline, DataMode::SharedArea] {
             let r = cio_oneway(mode, 512, 32, CostModel::default());
             assert_eq!(r.bytes, 32 * 512, "{mode:?}");
         }

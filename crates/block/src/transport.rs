@@ -24,9 +24,8 @@
 //!   and at most one doorbell ([`cio_vring::cioring::MAX_BATCH`] cap).
 //! * **Notification** — the ring's [`NotifyMode`] (fixed at ring
 //!   construction, zero renegotiation) decides polling vs. doorbell vs.
-//!   event-idx suppression; [`ring_notify_mode`] maps the dataplane's
-//!   [`NotifyPolicy`] onto it for callers that drive the block rings from
-//!   a notify-gated service loop.
+//!   event-idx suppression. Whether a host pass runs at all is the
+//!   caller's service loop's decision, not the transport's.
 //!
 //! Framing (both directions share the 16-byte header):
 //!
@@ -47,7 +46,7 @@ use crate::blockdev::{BlockStore, RamDisk, RunStore, BLOCK_SIZE};
 use crate::BlockError;
 use cio_mem::{CopyPolicy, GuestView, HostView};
 use cio_sim::{Meter, Stage, Telemetry};
-use cio_vring::cioring::{BatchPolicy, Consumer, NotifyMode, NotifyPolicy, Producer, MAX_BATCH};
+use cio_vring::cioring::{BatchPolicy, Consumer, NotifyMode, Producer, MAX_BATCH};
 use cio_vring::RingError;
 
 /// Bytes of framing ahead of each payload (shared by both directions).
@@ -63,8 +62,7 @@ const ST_ERR: u8 = 2;
 ///
 /// `notify` is the *ring-level* discipline and must match the
 /// [`NotifyMode`] the rings were built with; service loops that want the
-/// dataplane's adaptive poll-vs-notify gate layer it on top (see
-/// [`ring_notify_mode`]).
+/// dataplane's adaptive poll-vs-notify gate layer it on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlkProfile {
     /// Data positioning, wired onto the ring endpoints.
@@ -100,18 +98,6 @@ impl BlkProfile {
 impl Default for BlkProfile {
     fn default() -> Self {
         BlkProfile::storage_v1()
-    }
-}
-
-/// Maps a dataplane [`NotifyPolicy`] onto the ring-level [`NotifyMode`]
-/// the block rings should be built with. `Always` rings a doorbell per
-/// publish; `EventIdx` and `Adaptive` both arm event-idx suppression —
-/// the adaptive poll-vs-notify controller lives in the service loop, not
-/// the ring.
-pub fn ring_notify_mode(policy: NotifyPolicy) -> NotifyMode {
-    match policy {
-        NotifyPolicy::Always => NotifyMode::Doorbell,
-        NotifyPolicy::EventIdx | NotifyPolicy::Adaptive => NotifyMode::EventIdx,
     }
 }
 
@@ -312,7 +298,7 @@ impl CioBlkFrontend {
     ) -> Result<usize, BlockError> {
         let mut done = 0;
         while done < count {
-            let want = self.profile.batch.effective(count - done).min(count - done);
+            let want = self.profile.batch.max_batch().min(count - done);
             let _r = self.telemetry.span(self.tq, Stage::BlkRing);
             let grant = match self.req.reserve_batch(len, want) {
                 Ok(g) => g,
@@ -351,7 +337,7 @@ impl CioBlkFrontend {
         let mut got = 0;
         let mut data = 0;
         while got < max {
-            let want = self.profile.batch.effective(max - got).min(max - got);
+            let want = self.profile.batch.max_batch().min(max - got);
             let mut idx = got;
             let _r = self.telemetry.span(self.tq, Stage::BlkRing);
             let n = self.resp.consume_batch_in_place(want, |slots| {
@@ -427,16 +413,6 @@ impl CioBlkBackend {
         &mut self.disk
     }
 
-    /// Whether a doorbell arrived since the last check (notify-gated
-    /// service loops).
-    ///
-    /// # Errors
-    ///
-    /// Memory errors.
-    pub fn take_doorbell(&mut self) -> Result<bool, BlockError> {
-        Ok(self.req.take_doorbell()?)
-    }
-
     /// Processes pending requests; returns how many were handled.
     ///
     /// Malformed guest frames get an error response; disk failures
@@ -460,7 +436,7 @@ impl CioBlkBackend {
 
     fn process_chunk(&mut self) -> Result<usize, BlockError> {
         let _svc = self.telemetry.span(self.tq, Stage::BlkService);
-        let want = self.profile.batch.effective(MAX_BATCH);
+        let want = self.profile.batch.max_batch();
         // Pull a run of requests under one lock. Writes land on the disk
         // inside the closure — the disk is host-private memory, not guest
         // memory, so the no-reentry rule is respected, and each slot's

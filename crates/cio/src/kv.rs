@@ -21,17 +21,17 @@
 
 use crate::CioError;
 use cio_block::blockdev::{BlockStore, BLOCK_SIZE};
-use cio_block::transport::{
-    ring_notify_mode, BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore, BLK_HDR,
-};
+use cio_block::transport::{BlkProfile, CioBlkBackend, CioBlkFrontend, RingBlockStore, BLK_HDR};
 use cio_block::{CryptStore, MultiQueueStore, RamDisk};
 use cio_ctls::record::Channel;
 use cio_ctls::{RecordScratch, SimHooks};
-use cio_host::backend::NotifyGate;
+use cio_host::backend::{ring_notify, Admission};
 use cio_mem::{CopyPolicy, GuestAddr, PAGE_SIZE};
 use cio_sim::{CostModel, Meter, Telemetry};
 use cio_tee::{Tee, TeeKind};
-use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyPolicy, Producer, RingConfig};
+use cio_vring::cioring::{
+    CioRing, Consumer, DataMode, NotifyMode, NotifyPolicy, Producer, RingConfig,
+};
 use std::collections::HashMap;
 
 /// Default blocks per log segment: the flush unit, sized to one ring
@@ -52,8 +52,9 @@ pub struct KvConfig {
     pub queues: usize,
     /// Block transport dialect (copy mode, batch policy, ring notify).
     pub profile: BlkProfile,
-    /// Host-side service policy (the Adaptive gate rides on top of
-    /// event-idx rings; see [`ring_notify_mode`]).
+    /// Host-side service policy, the net host's meaning exactly (the
+    /// Adaptive gate rides on top of event-idx rings; see
+    /// [`Admission`]).
     pub notify: NotifyPolicy,
     /// Physical blocks per lane disk.
     pub disk_blocks: u64,
@@ -100,11 +101,12 @@ impl KvConfig {
         self
     }
 
-    /// Sets the notify policy, keeping the ring mode consistent with it.
+    /// Sets the notify policy, keeping the ring mode consistent with it
+    /// by the net host's rule ([`ring_notify`] over a doorbell ring).
     #[must_use]
     pub fn with_notify(mut self, notify: NotifyPolicy) -> Self {
         self.notify = notify;
-        self.profile.notify = ring_notify_mode(notify);
+        self.profile.notify = ring_notify(NotifyMode::Doorbell, notify);
         self
     }
 
@@ -143,7 +145,9 @@ pub struct KvWorld {
     tee: Tee,
     cfg: KvConfig,
     store: CryptStore<MultiQueueStore<RingBlockStore>>,
-    gates: Vec<NotifyGate>,
+    /// Which lanes a service round runs: the net host's admission,
+    /// built over the request rings.
+    admission: Admission,
     /// Application end of the mandatory L5 channel.
     client: Channel,
     /// KV-engine end.
@@ -197,6 +201,7 @@ impl KvWorld {
             ..RingConfig::default()
         };
         let mut lanes = Vec::with_capacity(cfg.queues);
+        let mut req_rings = Vec::with_capacity(cfg.queues);
         for lane in 0..cfg.queues {
             let base = lane as u64 * LANE_PAGES * PAGE_SIZE as u64;
             let req_at = GuestAddr(base);
@@ -214,6 +219,7 @@ impl KvWorld {
                 Consumer::new(resp_ring.clone(), mem.guest())?,
                 cfg.profile,
             );
+            req_rings.push(req_ring.clone());
             let back = CioBlkBackend::with_profile(
                 Consumer::new(req_ring, mem.host())?,
                 Producer::new(resp_ring, mem.host())?,
@@ -222,6 +228,7 @@ impl KvWorld {
             );
             lanes.push(RingBlockStore::new(front, back));
         }
+        let admission = Admission::new(mem.host(), cfg.notify, req_rings.iter());
         let mq = MultiQueueStore::new(lanes, cfg.extent)?;
         let mut store = CryptStore::new(mq, [0x5C; 32])?;
         store.set_hooks(tee.clock().clone(), tee.cost().clone(), tee.meter().clone());
@@ -236,7 +243,7 @@ impl KvWorld {
             tee,
             cfg,
             store,
-            gates: vec![NotifyGate::new(); cfg.queues],
+            admission,
             client: Channel::from_secrets([7; 32], [9; 32], true, Some(hooks.clone())),
             server: Channel::from_secrets([7; 32], [9; 32], false, Some(hooks)),
             index: HashMap::new(),
@@ -557,43 +564,32 @@ impl KvWorld {
         }
     }
 
-    /// One host-side service round across all lanes, gated per
-    /// [`NotifyPolicy`]: `Always` services unconditionally (the polling
-    /// baseline), `EventIdx` services only when the doorbell rang (that
-    /// is what the event index buys: silence means no work), and
-    /// `Adaptive` runs the NAPI-style [`NotifyGate`] (hot lanes polled,
-    /// cold lanes woken by doorbells or the heartbeat).
+    /// One host-side service round across all lanes, admitted by the
+    /// net host's [`Admission`]: every lane is serviced every round
+    /// unless [`NotifyPolicy::Adaptive`] finds it provably idle (cold
+    /// lanes are woken by doorbells or the heartbeat).
     ///
     /// # Errors
     ///
     /// Backend processing failures.
     pub fn service(&mut self) -> Result<usize, CioError> {
         let mut moved_total = 0;
-        for (lane, gate) in self.gates.iter_mut().enumerate() {
-            let back = self.store.inner_mut().lane_mut(lane).backend_mut();
-            let door = back.take_doorbell()?;
-            let service = match self.cfg.notify {
-                NotifyPolicy::Always => true,
-                NotifyPolicy::EventIdx => door,
-                NotifyPolicy::Adaptive => gate.should_service(door, false),
-            };
-            if service {
-                let moved = back.process()?;
-                gate.observe(moved);
-                moved_total += moved;
-            } else {
-                gate.observe_skip();
+        for lane in 0..self.cfg.queues {
+            if self.admission.admit(lane, false).is_none() {
+                continue;
             }
+            let back = self.store.inner_mut().lane_mut(lane).backend_mut();
+            let moved = back.process()?;
+            self.admission.observe(lane, moved);
+            moved_total += moved;
         }
         Ok(moved_total)
     }
 
-    /// Per-lane adaptive gate state: `(is_hot, idle_passes)`.
-    pub fn gate_stats(&self) -> Vec<(bool, u64)> {
-        self.gates
-            .iter()
-            .map(|g| (g.is_hot(), g.idle_passes()))
-            .collect()
+    /// Total empty service passes the adaptive gates burned while hot
+    /// (the idle-spin audit trail).
+    pub fn idle_passes(&self) -> u64 {
+        self.admission.idle_passes()
     }
 
     /// Snapshot of the TEE meter.
@@ -738,8 +734,41 @@ mod tests {
         for _ in 0..200 {
             kv.service().unwrap();
         }
-        let stats = kv.gate_stats();
-        assert!(!stats[0].0, "idle lane still hot");
-        assert!(stats[0].1 <= 64, "idle passes unbounded: {}", stats[0].1);
+        let idle = kv.idle_passes();
+        assert!(idle <= 64, "idle passes unbounded: {idle}");
+        // Cold: another 200 rounds cost only the heartbeat's re-polls.
+        for _ in 0..200 {
+            kv.service().unwrap();
+        }
+        let more = kv.idle_passes() - idle;
+        assert!(
+            more <= 4,
+            "idle lane still hot: {more} passes in 200 rounds"
+        );
+    }
+
+    #[test]
+    fn event_idx_block_host_polls_every_round_like_the_net_host() {
+        // Under EventIdx the consumer re-arms only on an empty drain, so
+        // silence on the door word does not mean no work: like the net
+        // host, the block host services every lane every round. Once
+        // drained, a round costs one producer-index read per lane (the
+        // re-arm is idempotent) and nothing else.
+        for lanes in [1u64, 2] {
+            let cost = CostModel::default();
+            let cfg = KvConfig::batched(8).with_queues(lanes as usize);
+            let mut kv = KvWorld::new(cfg, cost.clone()).unwrap();
+            for i in 0..16 {
+                kv.put(format!("k{i}").as_bytes(), &val(i, 4096)).unwrap();
+            }
+            kv.flush().unwrap();
+            kv.service().unwrap();
+            let t0 = kv.tee().clock().now();
+            for _ in 0..10 {
+                kv.service().unwrap();
+            }
+            let spent = kv.tee().clock().since(t0).get();
+            assert_eq!(spent, 10 * lanes * cost.ring_op.get(), "{lanes} lane(s)");
+        }
     }
 }

@@ -20,7 +20,7 @@ use crate::dev::{
 use crate::session::SessionTable;
 use crate::CioError;
 use cio_ctls::{Channel, RecordScratch, SimHooks};
-use cio_host::backend::{Backend, CioNetBackend, NullBackend, VirtioNetBackend};
+use cio_host::backend::{ring_notify, Backend, CioNetBackend, NullBackend, VirtioNetBackend};
 use cio_host::fabric::Fabric;
 use cio_host::l5::ObservedPort;
 use cio_host::observe::Recorder;
@@ -322,7 +322,7 @@ impl WorldBuilder {
                     mtu: 2048,
                     mac: GUEST_MAC.0,
                     area_size: 1 << 19,
-                    notify: opts.effective_notify(),
+                    notify: ring_notify(opts.notify, opts.notify_policy),
                     ..RingConfig::default()
                 };
                 let (tx_ring, rx_ring) = alloc_ring_pair(&mem, &mut layout, &ring_cfg)?;

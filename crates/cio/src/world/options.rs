@@ -7,6 +7,7 @@
 use super::BoundaryKind;
 use crate::dev::{RecvMode, SendMode};
 use crate::CioError;
+use cio_host::backend::ring_notify;
 use cio_host::fabric::LinkParams;
 use cio_mem::{CopyPolicy, PAGE_SIZE};
 use cio_netstack::{Ipv4Addr, MacAddr};
@@ -33,14 +34,16 @@ pub struct WorldOptions {
     /// Notification economics on top of `notify`
     /// ([`NotifyPolicy::Always`] by default: the historical one kick per
     /// publish in doorbell mode, bit-identical to the pre-suppression
-    /// paths). With `notify` set to [`NotifyMode::Doorbell`],
-    /// [`NotifyPolicy::EventIdx`] upgrades the rings to event-idx
-    /// suppression (one doorbell covers many batches while the other
-    /// side is provably awake) and [`NotifyPolicy::Adaptive`] adds the
-    /// per-queue poll-vs-notify controller on the host (skip service
-    /// passes while idle, bounded idle spin, re-poll heartbeat).
-    /// Ignored under [`NotifyMode::Polling`], which stays byte-identical
-    /// regardless of policy.
+    /// paths). On a notifying `notify`, [`NotifyPolicy::EventIdx`] runs
+    /// the rings with event-idx suppression (one doorbell covers many
+    /// batches while the other side is provably awake) and
+    /// [`NotifyPolicy::Adaptive`] adds the per-queue poll-vs-notify
+    /// controller on the host (skip service passes while idle, bounded
+    /// idle spin, re-poll heartbeat). Ignored under
+    /// [`NotifyMode::Polling`], which stays byte-identical regardless of
+    /// policy. The pair maps onto the ring through
+    /// [`cio_host::backend::ring_notify`], the rule the block host uses
+    /// too.
     pub notify_policy: NotifyPolicy,
     /// Dual boundary: charge an app→stack payload copy instead of
     /// trusted-component-allocates zero-copy (E9's contrast arm).
@@ -175,21 +178,10 @@ impl WorldOptions {
         Ok(())
     }
 
-    /// The ring-level notification mode implied by the option pair: a
-    /// non-`Always` policy upgrades doorbell rings to event-idx
-    /// suppression; polling worlds are untouched (byte-identical no
-    /// matter the policy).
-    pub(super) fn effective_notify(&self) -> NotifyMode {
-        match (self.notify, self.notify_policy) {
-            (NotifyMode::Polling, _) => NotifyMode::Polling,
-            (NotifyMode::Doorbell, NotifyPolicy::Always) => NotifyMode::Doorbell,
-            (NotifyMode::Doorbell, _) | (NotifyMode::EventIdx, _) => NotifyMode::EventIdx,
-        }
-    }
-
     /// The fixed (never negotiated) ring configuration of the cio-ring
     /// designs' network queues.
     pub(super) fn net_ring_config(&self) -> RingConfig {
+        let notify = ring_notify(self.notify, self.notify_policy);
         if self.recv_mode == RecvMode::Revoke {
             RingConfig {
                 slots: 64,
@@ -199,7 +191,7 @@ impl WorldOptions {
                 mac: GUEST_MAC.0,
                 area_size: 64 * PAGE_SIZE as u32,
                 page_aligned_payloads: true,
-                notify: self.effective_notify(),
+                notify,
                 ..RingConfig::default()
             }
         } else {
@@ -210,7 +202,7 @@ impl WorldOptions {
                 mtu: 1514,
                 mac: GUEST_MAC.0,
                 area_size: 1 << 19,
-                notify: self.effective_notify(),
+                notify,
                 ..RingConfig::default()
             }
         }

@@ -21,11 +21,12 @@
 //! the `World` growing one accessor per device type.
 //!
 //! Whether a cio queue is serviced at all in a round is decided once, by
-//! `Admission`: it takes the queue's door word and consults the
-//! queue's [`NotifyGate`]. Whoever drives the round owns it — the serial
-//! backend, or after the split the parallel host's coordinator, which is
-//! handed the same object (gate state included) and so never wakes a cold
-//! queue's thread.
+//! [`Admission`]: it takes the queue's door word and consults the
+//! queue's poll-vs-notify gate. Whoever drives the round owns it — the
+//! serial backend, after the split the parallel host's coordinator (which
+//! is handed the same object, gate state included, and so never wakes a
+//! cold queue's thread), or the block host's service loop. What ring mode
+//! a notify policy runs on is decided once too, by [`ring_notify`].
 
 use crate::fabric::FabricPort;
 use crate::mq::{MultiQueue, QueueLane};
@@ -98,7 +99,7 @@ pub const REPOLL_EVERY: u32 = 64;
 /// cooldown) and is clamped to [`IDLE_BUDGET_MIN`]..[`IDLE_BUDGET_MAX`],
 /// so idle spin is bounded at zero load.
 #[derive(Debug, Clone)]
-pub struct NotifyGate {
+pub(crate) struct NotifyGate {
     /// Hot = poll every round; cold = skip until woken.
     hot: bool,
     /// Consecutive empty service passes while hot.
@@ -113,12 +114,6 @@ pub struct NotifyGate {
     /// Total empty passes burned while hot — the idle-spin audit trail
     /// E23 gates on (bounded per idle period by the budget).
     idle_passes: u64,
-}
-
-impl Default for NotifyGate {
-    fn default() -> Self {
-        NotifyGate::new()
-    }
 }
 
 impl NotifyGate {
@@ -167,25 +162,44 @@ impl NotifyGate {
         self.skipped = self.skipped.saturating_add(1);
     }
 
-    /// Whether the queue is currently polled every round.
-    pub fn is_hot(&self) -> bool {
-        self.hot
-    }
-
     /// Total empty passes burned while hot (the idle-spin audit trail).
     pub fn idle_passes(&self) -> u64 {
         self.idle_passes
     }
 }
 
-/// The per-round admission decision for a set of cio queues: door-take
-/// plus [`NotifyGate`], written once for both hosts.
+/// The ring-level [`NotifyMode`] a `(mode, policy)` pair runs on — the
+/// one rule for the net and block hosts alike. Polling stays polling
+/// whatever the policy; otherwise [`NotifyPolicy::Always`] rings a
+/// doorbell per publish and [`NotifyPolicy::EventIdx`] /
+/// [`NotifyPolicy::Adaptive`] arm event-idx suppression (the adaptive
+/// gate lives in [`Admission`], not the ring).
 ///
-/// Owned by whoever drives the round: the serial [`CioNetBackend`], and
-/// after the split the parallel host's coordinator, which is handed this
-/// object — gate state included — so the decision stays coordinator-side
-/// and a cold queue's worker thread is never woken.
-pub(crate) struct Admission {
+/// So the pair `(EventIdx, Always)` builds a doorbell ring: the policy,
+/// not the requested mode, decides suppression.
+pub fn ring_notify(mode: NotifyMode, policy: NotifyPolicy) -> NotifyMode {
+    match (mode, policy) {
+        (NotifyMode::Polling, _) => NotifyMode::Polling,
+        (_, NotifyPolicy::Always) => NotifyMode::Doorbell,
+        (_, NotifyPolicy::EventIdx | NotifyPolicy::Adaptive) => NotifyMode::EventIdx,
+    }
+}
+
+/// The per-round admission decision for a set of cio queues: door-take
+/// plus a NAPI-style poll-vs-notify gate per queue, written once for
+/// every host.
+///
+/// Owned by whoever drives the round: the serial [`CioNetBackend`], after
+/// the split the parallel host's coordinator (handed this object — gate
+/// state included — so the decision stays coordinator-side and a cold
+/// queue's worker thread is never woken), and the confidential KV
+/// plane's block service loop. A queue is serviced every round unless
+/// [`NotifyPolicy::Adaptive`] finds it provably idle: under
+/// [`NotifyPolicy::EventIdx`] silence is not proof of no work (the
+/// consumer re-arms only on an empty drain, so a kick can be suppressed
+/// while records are pending), hence no skip. The door word is read
+/// here and nowhere else.
+pub struct Admission {
     /// The host's window onto guest memory, for the uncharged door-word
     /// reads (the kick that set the word paid for the notification).
     host: HostView,
@@ -199,7 +213,9 @@ pub(crate) struct Admission {
 }
 
 impl Admission {
-    pub(crate) fn new<'a>(
+    /// One gate per guest->host ring in `tx_rings`, reading door words
+    /// through `host` under `policy`.
+    pub fn new<'a>(
         host: HostView,
         policy: NotifyPolicy,
         tx_rings: impl Iterator<Item = &'a CioRing>,
@@ -226,7 +242,7 @@ impl Admission {
     /// notification doubt: the pass is admitted as rung, meets the same
     /// fault on the ring itself, and surfaces it there. A skip never
     /// rests on a word that could not be read.
-    pub(crate) fn admit(&mut self, q: usize, work: bool) -> Option<bool> {
+    pub fn admit(&mut self, q: usize, work: bool) -> Option<bool> {
         let Some(addr) = self.doors[q] else {
             return Some(false);
         };
@@ -244,14 +260,14 @@ impl Admission {
 
     /// Accounts an admitted pass over queue `q` that moved `moved` frames
     /// (a pass that failed counts as empty).
-    pub(crate) fn observe(&mut self, q: usize, moved: usize) {
+    pub fn observe(&mut self, q: usize, moved: usize) {
         if self.policy == NotifyPolicy::Adaptive && self.doors[q].is_some() {
             self.gates[q].observe(moved);
         }
     }
 
     /// Total empty passes burned by the gates while hot.
-    pub(crate) fn idle_passes(&self) -> u64 {
+    pub fn idle_passes(&self) -> u64 {
         self.gates.iter().map(NotifyGate::idle_passes).sum()
     }
 
@@ -623,9 +639,9 @@ pub struct CioNetBackend {
     /// Which queues a round services. Under the default
     /// [`NotifyPolicy::Always`] every round services every queue;
     /// [`NotifyPolicy::EventIdx`] adds suppression bookkeeping on the
-    /// rings; [`NotifyPolicy::Adaptive`] additionally runs one
-    /// [`NotifyGate`] per queue, skipping service passes (charging
-    /// nothing) while a queue is provably idle.
+    /// rings; [`NotifyPolicy::Adaptive`] additionally runs one gate per
+    /// queue, skipping service passes (charging nothing) while a queue is
+    /// provably idle.
     pub(crate) admission: Admission,
     pub(crate) telemetry: Telemetry,
 }

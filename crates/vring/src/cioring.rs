@@ -27,11 +27,10 @@
 //! bit-identical charges.
 //!
 //! Payload placement is configurable for experiment E6:
-//! [`DataMode::Inline`] (payload in the slot), [`DataMode::SharedArea`]
-//! (slot holds offset+len into a dedicated area, one fetch), and
-//! [`DataMode::Indirect`] (slot holds a masked descriptor index, two
-//! fetches). For E7, a page-aligned area enables [`Consumer::consume_revoking`],
-//! which un-shares the payload pages instead of copying.
+//! [`DataMode::Inline`] (payload in the slot) and [`DataMode::SharedArea`]
+//! (slot holds offset+len into a dedicated area, one fetch). For E7, a
+//! page-aligned area enables [`Consumer::consume_revoking`], which
+//! un-shares the payload pages instead of copying.
 
 use crate::{RingError, Violation};
 use cio_mem::{CopyPolicy, GuestAddr, GuestView, MemView, PAGE_SIZE};
@@ -44,8 +43,6 @@ pub enum DataMode {
     Inline,
     /// Slot holds `{offset u32, len u32}` into the shared data area.
     SharedArea,
-    /// Slot holds a descriptor index; the descriptor holds offset+len.
-    Indirect,
 }
 
 /// Whether the consumer polls or is kicked.
@@ -168,7 +165,7 @@ impl RingConfig {
                     ));
                 }
             }
-            DataMode::SharedArea | DataMode::Indirect => {
+            DataMode::SharedArea => {
                 if self.area_size == 0 || !self.area_size.is_power_of_two() {
                     return Err(RingError::Fatal("area size must be a power of two"));
                 }
@@ -196,7 +193,6 @@ impl RingConfig {
 /// base + 64:   consumer index (u32)
 /// base + 96:   event index    (u32, consumer-published; EventIdx mode)
 /// base + 128:  slots           (slots * slot_size bytes)
-/// after slots: descriptor table (Indirect only; slots * 8 bytes)
 /// area:        payload area     (non-inline modes; caller-provided base)
 /// ```
 #[derive(Debug, Clone)]
@@ -242,8 +238,8 @@ impl CioRing {
 
     /// Address of the doorbell word: set by the producer when a kick is
     /// actually posted ([`NotifyMode::EventIdx`] bookkeeping), read and
-    /// cleared by the consuming side when it wakes. Lives on the
-    /// producer-index cache line.
+    /// cleared by the host when it decides whether to service the ring.
+    /// Lives on the producer-index cache line.
     pub fn door_addr(&self) -> GuestAddr {
         self.base.add(8)
     }
@@ -261,12 +257,6 @@ impl CioRing {
             .add(128 + u64::from(masked) * u64::from(self.cfg.slot_size))
     }
 
-    fn desc_addr(&self, masked: u32) -> GuestAddr {
-        self.base.add(
-            128 + u64::from(self.cfg.slots) * u64::from(self.cfg.slot_size) + u64::from(masked) * 8,
-        )
-    }
-
     /// Payload region owned by slot `masked` (non-inline modes).
     pub fn payload_addr(&self, masked: u32) -> GuestAddr {
         self.area
@@ -277,7 +267,7 @@ impl CioRing {
     fn data_addr(&self, masked: u32) -> GuestAddr {
         match self.cfg.mode {
             DataMode::Inline => self.slot_addr(masked).add(4),
-            DataMode::SharedArea | DataMode::Indirect => self.payload_addr(masked),
+            DataMode::SharedArea => self.payload_addr(masked),
         }
     }
 
@@ -285,18 +275,13 @@ impl CioRing {
     fn data_stride(&self) -> usize {
         match self.cfg.mode {
             DataMode::Inline => self.cfg.slot_size as usize,
-            DataMode::SharedArea | DataMode::Indirect => self.cfg.stride() as usize,
+            DataMode::SharedArea => self.cfg.stride() as usize,
         }
     }
 
     /// Total bytes of ring structures (excluding the payload area).
     pub fn ring_bytes(&self) -> usize {
-        let descs = if self.cfg.mode == DataMode::Indirect {
-            self.cfg.slots as usize * 8
-        } else {
-            0
-        };
-        128 + self.cfg.slots as usize * self.cfg.slot_size as usize + descs
+        128 + self.cfg.slots as usize * self.cfg.slot_size as usize
     }
 
     /// Bytes of payload area required (0 for inline mode).
@@ -363,19 +348,6 @@ impl BatchPolicy {
         }
     }
 
-    /// The batch size to attempt given `backlog` records ready right now.
-    ///
-    /// `Fixed` ignores the backlog; `Adaptive` takes what the load offers
-    /// (never waiting for stragglers beyond its latency cap).
-    #[inline]
-    pub fn effective(&self, backlog: usize) -> usize {
-        match *self {
-            BatchPolicy::Serial => 1,
-            BatchPolicy::Fixed(n) => n.clamp(1, MAX_BATCH),
-            BatchPolicy::Adaptive { max, .. } => backlog.clamp(1, max.clamp(1, MAX_BATCH)),
-        }
-    }
-
     /// The virtual-cycle bound on holding a partial batch, when one exists.
     #[inline]
     pub fn latency_cap(&self) -> Option<Cycles> {
@@ -429,7 +401,7 @@ impl BatchGrant {
 fn effective_policy(ring: &CioRing, policy: CopyPolicy) -> CopyPolicy {
     match ring.cfg.mode {
         DataMode::Inline => CopyPolicy::CopyEarly,
-        DataMode::SharedArea | DataMode::Indirect => policy,
+        DataMode::SharedArea => policy,
     }
 }
 
@@ -694,7 +666,7 @@ impl<V: MemView> Producer<V> {
     }
 
     /// Writes one slot's metadata — the only per-mode code on the produce
-    /// side: 1 ring op inline, 2 for the shared area, 3 indirect.
+    /// side: 1 ring op inline, 2 for the shared area.
     fn write_slot_meta(&self, masked: u32, len: u32) -> Result<(), RingError> {
         let slot = self.ring.slot_addr(masked);
         let offset = masked * self.ring.cfg.stride();
@@ -707,13 +679,6 @@ impl<V: MemView> Producer<V> {
                 self.view.write_u32(slot, offset)?;
                 self.view.write_u32(slot.add(4), len)?;
                 charge_ring_ops(&self.view, 2);
-            }
-            DataMode::Indirect => {
-                let desc = self.ring.desc_addr(masked);
-                self.view.write_u32(desc, offset)?;
-                self.view.write_u32(desc.add(4), len)?;
-                self.view.write_u32(slot, masked)?;
-                charge_ring_ops(&self.view, 3);
             }
         }
         Ok(())
@@ -872,8 +837,9 @@ impl<V: MemView> Producer<V> {
     ///
     /// Guest producers pay a host-notify exit; host producers pay an
     /// interrupt injection. A real EventIdx kick also sets the ring's
-    /// doorbell word so the consuming side can tell a wakeup from a
-    /// scheduled poll ([`Consumer::take_doorbell`]).
+    /// doorbell word, so the host's admission decision
+    /// (`cio_host::backend::Admission`) can tell a wakeup from a
+    /// scheduled poll.
     pub fn kick(&mut self) -> bool {
         match self.ring.cfg.notify {
             NotifyMode::Polling => false,
@@ -1104,19 +1070,6 @@ impl<V: MemView> Consumer<V> {
                 let max = (cfg.area_size - offset).min(cfg.stride()).min(cfg.mtu);
                 Ok((self.ring.area.add(u64::from(offset)), len.min(max)))
             }
-            DataMode::Indirect => {
-                let didx = self.view.read_u32(slot)?; // single fetch
-                let desc = self.ring.desc_addr(didx & self.ring.slot_mask());
-                let offset = self.view.read_u32(desc)?;
-                let len = self.view.read_u32(desc.add(4))?;
-                charge_ring_ops(&self.view, 3);
-                mem.clock()
-                    .advance(Cycles(mem.cost().validate_field.get() * 3));
-                mem.meter().validations(3);
-                let offset = offset & (cfg.area_size - 1);
-                let max = (cfg.area_size - offset).min(cfg.stride()).min(cfg.mtu);
-                Ok((self.ring.area.add(u64::from(offset)), len.min(max)))
-            }
         }
     }
 
@@ -1161,22 +1114,6 @@ impl<V: MemView> Consumer<V> {
     #[inline]
     pub fn armed_at(&self) -> u32 {
         self.armed_at
-    }
-
-    /// Reads and clears the ring's doorbell word: whether the producer
-    /// actually rang since the consuming side last looked
-    /// ([`NotifyMode::EventIdx`] bookkeeping). Uncharged — the cost of the
-    /// notification itself was charged by the producer's kick.
-    ///
-    /// # Errors
-    ///
-    /// Memory errors if the ring header is not accessible to this view.
-    pub fn take_doorbell(&mut self) -> Result<bool, RingError> {
-        let rang = self.view.read_u32(self.ring.door_addr())? != 0;
-        if rang {
-            self.view.write_u32(self.ring.door_addr(), 0)?;
-        }
-        Ok(rang)
     }
 
     /// Meters a doorbell that woke the consumer to an already-drained ring
@@ -1537,7 +1474,7 @@ mod tests {
 
     #[test]
     fn roundtrip_every_mode() {
-        for mode in [DataMode::Inline, DataMode::SharedArea, DataMode::Indirect] {
+        for mode in [DataMode::Inline, DataMode::SharedArea] {
             let (_m, mut p, mut c) = tx_pair(small_cfg(mode));
             for i in 0..5u8 {
                 p.produce(&vec![i; 100 + i as usize]).unwrap();
@@ -1586,7 +1523,7 @@ mod tests {
     fn consume_into_oversize_payload_rejected_at_produce() {
         // 1025 bytes against the 1024-byte MTU: refused before it ever
         // reaches a slot, so the consumer path never sees it.
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::Indirect));
+        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
         assert!(matches!(
             p.produce(&vec![0u8; 1025]),
             Err(RingError::TooLarge)
@@ -1651,31 +1588,29 @@ mod tests {
     fn positioning_belongs_to_the_endpoint() {
         // The same calls meter as zero-copy or as one explicit copy per
         // side depending only on how the endpoints were wired.
-        for mode in [DataMode::SharedArea, DataMode::Indirect] {
-            for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
-                let (m, mut p, mut c) = tx_pair(small_cfg(mode));
-                p.set_copy_policy(policy);
-                c.set_copy_policy(policy);
-                let before = m.meter().snapshot();
-                let grant = p.reserve(64).unwrap();
-                assert_eq!(grant.capacity(), 64);
-                p.with_slot_mut(&grant, |slot| slot[..5].copy_from_slice(b"hello"))
-                    .unwrap();
-                assert_eq!(c.consume().unwrap(), None, "invisible until commit");
-                p.commit(grant, 5).unwrap();
-                p.produce(b"second!").unwrap();
-                assert_eq!(c.consume().unwrap().unwrap(), b"hello");
-                let got = c.consume_in_place(|bytes| bytes.to_vec()).unwrap();
-                assert_eq!(got.unwrap(), b"second!");
-                let d = m.meter().snapshot().delta(&before);
-                let (copies, copied, zero) = match policy {
-                    CopyPolicy::InPlace => (0, 0, 24),
-                    CopyPolicy::CopyEarly => (4, 24, 0),
-                };
-                assert_eq!(d.copies, copies, "{mode:?} {policy:?}");
-                assert_eq!(d.bytes_copied, copied, "{mode:?} {policy:?}");
-                assert_eq!(d.bytes_zero_copy, zero, "{mode:?} {policy:?}");
-            }
+        for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
+            let (m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+            p.set_copy_policy(policy);
+            c.set_copy_policy(policy);
+            let before = m.meter().snapshot();
+            let grant = p.reserve(64).unwrap();
+            assert_eq!(grant.capacity(), 64);
+            p.with_slot_mut(&grant, |slot| slot[..5].copy_from_slice(b"hello"))
+                .unwrap();
+            assert_eq!(c.consume().unwrap(), None, "invisible until commit");
+            p.commit(grant, 5).unwrap();
+            p.produce(b"second!").unwrap();
+            assert_eq!(c.consume().unwrap().unwrap(), b"hello");
+            let got = c.consume_in_place(|bytes| bytes.to_vec()).unwrap();
+            assert_eq!(got.unwrap(), b"second!");
+            let d = m.meter().snapshot().delta(&before);
+            let (copies, copied, zero) = match policy {
+                CopyPolicy::InPlace => (0, 0, 24),
+                CopyPolicy::CopyEarly => (4, 24, 0),
+            };
+            assert_eq!(d.copies, copies, "{policy:?}");
+            assert_eq!(d.bytes_copied, copied, "{policy:?}");
+            assert_eq!(d.bytes_zero_copy, zero, "{policy:?}");
         }
         // Inline slots demand the producer's copy by layout, whatever the
         // deployment asked for; the consumer may still read in place.
@@ -1690,7 +1625,7 @@ mod tests {
 
     #[test]
     fn reserve_errors_and_grant_bounds() {
-        for mode in [DataMode::Inline, DataMode::SharedArea, DataMode::Indirect] {
+        for mode in [DataMode::Inline, DataMode::SharedArea] {
             let (_m, mut p, _c) = tx_pair(small_cfg(mode));
             assert!(matches!(p.reserve(1025), Err(RingError::TooLarge)));
             // Committing more, or longer, than granted is refused.
@@ -1855,16 +1790,13 @@ mod tests {
     #[test]
     fn batch_policy_sizing() {
         assert_eq!(BatchPolicy::default().max_batch(), 1);
-        assert_eq!(BatchPolicy::Serial.effective(100), 1);
-        assert_eq!(BatchPolicy::Fixed(8).effective(1), 8);
+        assert_eq!(BatchPolicy::Fixed(8).max_batch(), 8);
         assert_eq!(BatchPolicy::Fixed(64).max_batch(), MAX_BATCH);
         let adaptive = BatchPolicy::Adaptive {
             max: 8,
             latency_cap: Cycles(10_000),
         };
-        assert_eq!(adaptive.effective(0), 1);
-        assert_eq!(adaptive.effective(3), 3);
-        assert_eq!(adaptive.effective(100), 8);
+        assert_eq!(adaptive.max_batch(), 8);
         assert_eq!(adaptive.latency_cap(), Some(Cycles(10_000)));
         assert_eq!(BatchPolicy::Serial.latency_cap(), None);
     }
@@ -1884,18 +1816,6 @@ mod tests {
         // The guest consumer must not fault, must not read out of area.
         let got = c.consume().unwrap().unwrap();
         assert!(got.len() <= ring.config().stride() as usize);
-    }
-
-    #[test]
-    fn host_forged_desc_index_masked() {
-        let (m, mut p, mut c) = rx_pair(small_cfg(DataMode::Indirect));
-        p.produce(b"payload").unwrap();
-        let ring = c.ring().clone();
-        // Corrupt the slot's descriptor index to a huge value.
-        m.host().write_u32(ring.slot_addr(0), 0xDEAD_BEEF).unwrap();
-        let got = c.consume().unwrap();
-        // No panic, no out-of-bounds; some (wrong) in-area payload returned.
-        assert!(got.is_some());
     }
 
     #[test]
@@ -1965,17 +1885,20 @@ mod tests {
     #[test]
     fn event_idx_suppresses_while_consumer_awake() {
         let (m, mut p, mut c) = tx_pair(event_idx_cfg());
-        // First publish crosses the zero-initialized event index: rings.
+        let door = p.ring().door_addr();
+        // First publish crosses the zero-initialized event index: rings
+        // and sets the door word the host reads.
         p.produce(b"a").unwrap();
         assert!(p.kick());
-        assert!(c.take_doorbell().unwrap());
+        assert_eq!(m.host().read_u32(door).unwrap(), 1);
+        m.host().write_u32(door, 0).unwrap();
         // Consumer has not gone idle (never re-armed): subsequent
         // publishes are provably covered by the outstanding wakeup.
         for _ in 0..3 {
             p.produce(b"x").unwrap();
             assert!(!p.kick(), "suppressed while the consumer is awake");
         }
-        assert!(!c.take_doorbell().unwrap());
+        assert_eq!(m.host().read_u32(door).unwrap(), 0, "no second ring");
         let s = m.meter().snapshot();
         assert_eq!(s.notifications_sent, 1);
         assert_eq!(s.suppressed_kicks, 3);
@@ -2060,16 +1983,6 @@ mod tests {
         assert_eq!(s.violations_detected, 0);
         assert_eq!(s.suppressed_kicks, 5);
         assert_eq!(drain(&mut c), 6, "no record lost");
-    }
-
-    #[test]
-    fn take_doorbell_reads_and_clears() {
-        let (_m, mut p, mut c) = tx_pair(event_idx_cfg());
-        assert!(!c.take_doorbell().unwrap());
-        p.produce(b"a").unwrap();
-        p.kick();
-        assert!(c.take_doorbell().unwrap());
-        assert!(!c.take_doorbell().unwrap(), "cleared by the read");
     }
 
     // --- Revocation receive (E7 mechanics). ---

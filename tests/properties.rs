@@ -61,7 +61,7 @@ fn ring_world(
 fn ring_consumer_is_total_under_host_corruption() {
     let mut rng = SimRng::seed_from(0x41139);
     for case in 0..96 {
-        let mode = [DataMode::Inline, DataMode::SharedArea, DataMode::Indirect][case % 3];
+        let mode = [DataMode::Inline, DataMode::SharedArea][case % 2];
         let (mem, mut p, mut c) = ring_world(mode);
         let legit = rand_vec(&mut rng, 0, 1514);
         p.produce(&legit).unwrap();
@@ -124,7 +124,7 @@ fn tx_ring(
     (mem, p, c)
 }
 
-const MODES: [DataMode; 3] = [DataMode::SharedArea, DataMode::Inline, DataMode::Indirect];
+const MODES: [DataMode; 2] = [DataMode::SharedArea, DataMode::Inline];
 const POLICIES: [CopyPolicy; 2] = [CopyPolicy::InPlace, CopyPolicy::CopyEarly];
 
 /// One ring path: for every data mode, positioning policy, run size and

@@ -22,13 +22,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cio::session::{SessionId, SessionTable};
 use cio_ctls::{Channel, RecordScratch, SimHooks, RECORD_OVERHEAD};
-use cio_host::backend::NotifyGate;
+use cio_host::backend::Admission;
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::flight::FLIGHT_RING_CAPACITY;
 use cio_sim::{
     Clock, CostModel, Cycles, EventKind, Meter, SloConfig, SloWatchdog, Stage, Telemetry,
 };
-use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyMode, Producer, RingConfig};
+use cio_vring::cioring::{
+    CioRing, Consumer, DataMode, NotifyMode, NotifyPolicy, Producer, RingConfig,
+};
 
 struct CountingAlloc;
 
@@ -644,14 +646,14 @@ fn steady_state_record_path_does_not_allocate() {
     assert_eq!(tally.summary().events, 100_005);
 
     // Phase 8: the adaptive notify controller armed. An event-idx ring
-    // plus a [`NotifyGate`] is the full notification economy: the
+    // plus the hosts' [`Admission`] is the full notification economy: the
     // consumer re-arms by publishing its progress on every empty drain,
     // the producer window-validates the (host-writable) event word and
-    // suppresses provably-redundant kicks, the gate turns door words and
-    // drain sizes into service decisions. Arming, suppressing, ringing,
-    // taking the doorbell, and the gate's hot/cold bookkeeping are all
-    // writes into preexisting ring words and fixed-size controller state
-    // — zero heap traffic once warm.
+    // suppresses provably-redundant kicks, the admission turns door words
+    // and drain sizes into service decisions. Arming, suppressing,
+    // ringing, taking the doorbell, and the gate's hot/cold bookkeeping
+    // are all writes into preexisting ring words and fixed-size
+    // controller state — zero heap traffic once warm.
     let notify_meter = Meter::new();
     let notify_clock = Clock::new();
     let cfg = RingConfig {
@@ -671,11 +673,11 @@ fn steady_state_record_path_does_not_allocate() {
     mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
     mem.share_range(GuestAddr(16 * PAGE_SIZE as u64), ring.area_bytes())
         .unwrap();
+    let mut admission = Admission::new(mem.host(), NotifyPolicy::Adaptive, [&ring].into_iter());
     let mut producer = Producer::new(ring.clone(), mem.guest()).unwrap();
     let mut consumer = Consumer::new(ring, mem.host()).unwrap();
     producer.set_telemetry(telemetry.clone(), 0);
     consumer.set_telemetry(telemetry.clone(), 0);
-    let mut gate = NotifyGate::new();
     let mut notify_cycle = |plain: &mut RecordScratch| {
         // Two publishes, one doorbell: the first kick crosses the armed
         // event index and rings; the second finds the consumer provably
@@ -691,10 +693,12 @@ fn steady_state_record_path_does_not_allocate() {
             producer.commit(grant, n).expect("commit");
             producer.kick();
         }
-        // Host side: the gate reads the door word, services the queue,
-        // and the empty drain at the end re-arms the event index.
-        let door = consumer.take_doorbell().expect("door word");
-        assert!(gate.should_service(door, true), "gate refused live work");
+        // Host side: the admission reads the door word and admits the
+        // queue, and the empty drain at the end re-arms the event index.
+        assert!(
+            admission.admit(0, true).is_some(),
+            "admission refused live work"
+        );
         let mut moved = 0usize;
         while consumer
             .consume_in_place(|record| host.open_in_slot(record, plain).expect("open in slot"))
@@ -703,14 +707,12 @@ fn steady_state_record_path_does_not_allocate() {
         {
             moved += 1;
         }
-        gate.observe(moved);
+        admission.observe(0, moved);
         assert_eq!(moved, 2, "both published records drained");
         // One empty follow-up pass exercises the controller's idle
         // bookkeeping (hot re-poll or budgeted skip) — also heap-free.
-        if gate.should_service(consumer.take_doorbell().expect("door word"), false) {
-            gate.observe(0);
-        } else {
-            gate.observe_skip();
+        if admission.admit(0, false).is_some() {
+            admission.observe(0, 0);
         }
         assert_eq!(plain.as_slice(), &payload[..]);
     };
