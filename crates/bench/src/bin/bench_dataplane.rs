@@ -31,6 +31,8 @@
 //!    one batched AEAD pass per run) vs the per-record path, reporting
 //!    locks/record, records/commit, and virtual cycles/record.
 //!
+//! The first line names the AEAD kernel tier this CPU selects
+//! (`cio_crypto::aead::kernel_tier`), also written as `aead_kernel`.
 //! `--quick` shrinks the timing windows for CI smoke runs.
 
 use cio::world::speer::TunnelGateway;
@@ -282,8 +284,9 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let target_ms = if quick { 5 } else { 200 };
 
+    let kernel = cio_crypto::aead::kernel_tier();
     println!(
-        "one-pass AEAD dataplane micro-bench ({} mode)",
+        "one-pass AEAD dataplane micro-bench ({} mode, AEAD kernel tier: {kernel})",
         if quick { "quick" } else { "full" }
     );
     println!();
@@ -377,6 +380,7 @@ fn main() {
     let doc = JsonObj::new()
         .str("bench", "dataplane")
         .str("mode", if quick { "quick" } else { "full" })
+        .str("aead_kernel", kernel)
         .raw("seal_open", seal_open_json(&rows))
         .raw(
             "record_scratch",

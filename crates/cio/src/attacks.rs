@@ -898,8 +898,9 @@ pub fn run_blk_suite() -> Result<Vec<BlkAttackReport>, CioError> {
 ///
 /// Only infrastructure failures; attack effects are the *result*.
 pub fn parallel_hostile_mutation(threads: usize) -> Result<(AttackReport, u64), CioError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     const QUEUES: usize = 4;
     let opts = WorldOptions {
@@ -931,9 +932,10 @@ pub fn parallel_hostile_mutation(threads: usize) -> Result<(AttackReport, u64), 
     let mem = world.guest_memory().clone();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let sweeps = Arc::new(AtomicU64::new(0));
+    let landed = Arc::clone(&sweeps);
     let attacker = std::thread::spawn(move || {
         let host = mem.host();
-        let mut sweeps = 0u64;
         while !stop_flag.load(Ordering::Relaxed) {
             // Forge the producer index, then scribble hostile offset/len
             // pairs over every slot — racing whichever worker owns this
@@ -944,15 +946,22 @@ pub fn parallel_hostile_mutation(threads: usize) -> Result<(AttackReport, u64), 
                 let _ = host.write(slot, &0xFFFF_FFF0u32.to_le_bytes());
                 let _ = host.write(slot.add(4), &0xFFFF_FFFFu32.to_le_bytes());
             }
-            sweeps += 1;
+            landed.fetch_add(1, Ordering::Relaxed);
             std::thread::yield_now();
         }
-        sweeps
     });
-    // Keep the whole dataplane running while the attacker races it.
+    // Start the dataplane only once the attacker's first sweep has landed
+    // (bounded), so the run races it even when the spawned thread is
+    // scheduled late on a small machine; then keep it running while the
+    // attacker races it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sweeps.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     let _ = world.run(200);
     stop.store(true, Ordering::Relaxed);
-    let sweeps = attacker.join().expect("attacker thread");
+    attacker.join().expect("attacker thread");
+    let sweeps = sweeps.load(Ordering::Relaxed);
 
     // Recovery window, then prove liveness on a flow the RSS hash steers
     // away from the attacked queue.

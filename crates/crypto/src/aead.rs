@@ -18,15 +18,19 @@
 //! There is no multi-record entry point: a run of records is a loop over
 //! one of the fused shapes (see `chacha20`'s module docs for why).
 
-use crate::chacha20::{self, ChaCha20, BLOCK_LEN, KEY_LEN, NONCE_LEN, WIDE_BLOCKS};
+use crate::chacha20::{self, ChaCha20, BLOCK_LEN, KEY_LEN, LONG_BLOCKS, NONCE_LEN, WIDE_BLOCKS};
 use crate::ct::ct_eq;
-use crate::poly1305::{Poly1305, TAG_LEN};
+use crate::poly1305::{LongMac, Poly1305, TAG_LEN};
 use crate::CryptoError;
 
-/// Bytes encrypted/absorbed per iteration of the fused loops: one wide
-/// ChaCha20 run. A multiple of 16, so the Poly1305 fast path never has
-/// to stage bytes until the final partial chunk.
-const FUSE_CHUNK: usize = WIDE_BLOCKS * BLOCK_LEN;
+/// Bytes encrypted/absorbed per iteration of the fused loops: one
+/// sixteen-block ChaCha20 run, which is also eight Poly1305 lane steps.
+/// A multiple of 128, so neither kernel has to stage bytes until the
+/// final partial chunk.
+const FUSE_CHUNK: usize = LONG_BLOCKS * BLOCK_LEN;
+
+/// The small-record path's keystream: one wide run.
+const SMALL_RUN: usize = WIDE_BLOCKS * BLOCK_LEN;
 
 /// Size-threshold for the small-record path. At or below this length
 /// the Poly1305 key block (counter 0) and the whole payload keystream
@@ -34,7 +38,25 @@ const FUSE_CHUNK: usize = WIDE_BLOCKS * BLOCK_LEN;
 /// them together instead of paying a separate key block plus per-block
 /// scalar keystream — the shape that made small records slower than the
 /// two-pass reference.
-const SMALL_CUTOFF: usize = FUSE_CHUNK - BLOCK_LEN;
+const SMALL_CUTOFF: usize = SMALL_RUN - BLOCK_LEN;
+
+/// The widest kernel tier the fused AEAD runs on this CPU: `avx512`
+/// (sixteen-block ChaCha20 and eight-lane Poly1305 from 512 B), `avx2`,
+/// `ssse3`, `sse2` or `portable`. Narrower tiers still serve the lengths
+/// below each kernel's run.
+pub fn kernel_tier() -> &'static str {
+    if crate::avx512() {
+        "avx512"
+    } else if chacha20::wide_is_accelerated() {
+        "avx2"
+    } else if chacha20::quad_is_accelerated() {
+        "ssse3"
+    } else if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "portable"
+    }
+}
 
 /// An RFC 8439 ChaCha20-Poly1305 AEAD key.
 ///
@@ -172,14 +194,14 @@ impl ChaCha20Poly1305 {
     /// block plus every payload block — in one shot. When the wide
     /// kernel is hardware-backed, a full run is cheaper than counting
     /// blocks; otherwise only the blocks actually needed are computed.
-    fn small_keystream(session: &ChaCha20, ct_len: usize, ks: &mut [u8; FUSE_CHUNK]) {
+    fn small_keystream(session: &ChaCha20, ct_len: usize, ks: &mut [u8; SMALL_RUN]) {
         debug_assert!(ct_len <= SMALL_CUTOFF);
         let blocks = 1 + ct_len.div_ceil(BLOCK_LEN);
         // One hardware wide run beats counted generation from roughly
         // four blocks up; two- and three-block requests round up to one
-        // four-block SSE2 run; hosts without SIMD kernels always count.
+        // four-block SSSE3 run; hosts without SIMD kernels always count.
         let take = if chacha20::wide_is_accelerated() && blocks >= 4 {
-            FUSE_CHUNK
+            SMALL_RUN
         } else if blocks >= 2 && chacha20::quad_is_accelerated() {
             BLOCK_LEN * blocks.max(4)
         } else {
@@ -191,7 +213,7 @@ impl ChaCha20Poly1305 {
     /// Builds the MAC for the small path from an already-generated
     /// keystream (key block = the first 32 bytes), AAD absorbed and
     /// padded exactly as [`fused_start`] does.
-    fn small_mac(ks: &[u8; FUSE_CHUNK], aad: &[u8]) -> Poly1305 {
+    fn small_mac(ks: &[u8; SMALL_RUN], aad: &[u8]) -> Poly1305 {
         let mut pk = [0u8; 32];
         pk.copy_from_slice(&ks[..32]);
         let mut mac = Poly1305::new(&pk);
@@ -200,9 +222,9 @@ impl ChaCha20Poly1305 {
         mac
     }
 
-    /// One-pass in-place seal: each 256-byte run is encrypted by the
-    /// wide keystream path and immediately absorbed by the MAC while
-    /// still hot in cache. Records of at most 448 B (`SMALL_CUTOFF`) take
+    /// One-pass in-place seal: each 1 KiB run is encrypted by the
+    /// keystream path and immediately absorbed by the MAC while still
+    /// hot in cache. Records of at most 448 B (`SMALL_CUTOFF`) take
     /// a single-run small path instead. Output is bit-identical to
     /// [`ChaCha20Poly1305::seal_in_place`].
     pub fn seal_fused_in_place(
@@ -213,7 +235,7 @@ impl ChaCha20Poly1305 {
     ) -> [u8; TAG_LEN] {
         if buf.len() <= SMALL_CUTOFF {
             let session = ChaCha20::new(&self.key, nonce);
-            let mut ks = [0u8; FUSE_CHUNK];
+            let mut ks = [0u8; SMALL_RUN];
             Self::small_keystream(&session, buf.len(), &mut ks);
             let mut mac = Self::small_mac(&ks, aad);
             for (b, k) in buf.iter_mut().zip(&ks[BLOCK_LEN..]) {
@@ -222,7 +244,8 @@ impl ChaCha20Poly1305 {
             mac.update(buf);
             return Self::fused_finish(mac, aad.len(), buf.len());
         }
-        let (session, mut mac) = self.fused_start(nonce, aad);
+        let (session, mut poly) = self.fused_start(nonce, aad);
+        let mut mac = LongMac::new(&mut poly, buf.len());
         let mut counter = 1u32;
         let aad_len = aad.len();
         let ct_len = buf.len();
@@ -231,7 +254,7 @@ impl ChaCha20Poly1305 {
             counter = counter.wrapping_add(chunk.len().div_ceil(BLOCK_LEN) as u32);
             mac.update(chunk);
         }
-        Self::fused_finish(mac, aad_len, ct_len)
+        Self::fused_finish(poly, aad_len, ct_len)
     }
 
     /// One-pass scatter seal: reads `plaintext`, writes ciphertext of the
@@ -265,7 +288,7 @@ impl ChaCha20Poly1305 {
         assert_eq!(plaintext.len(), ct.len(), "scatter seal length mismatch");
         if plaintext.len() <= SMALL_CUTOFF {
             let session = ChaCha20::new(&self.key, nonce);
-            let mut ks = [0u8; FUSE_CHUNK];
+            let mut ks = [0u8; SMALL_RUN];
             Self::small_keystream(&session, plaintext.len(), &mut ks);
             let mut mac = Self::small_mac(&ks, aad);
             // The payload keystream becomes the ciphertext where it lies.
@@ -277,7 +300,8 @@ impl ChaCha20Poly1305 {
             ct.copy_from_slice(built);
             return Self::fused_finish(mac, aad.len(), ct.len());
         }
-        let (session, mut mac) = self.fused_start(nonce, aad);
+        let (session, mut poly) = self.fused_start(nonce, aad);
+        let mut mac = LongMac::new(&mut poly, ct.len());
         let mut counter = 1u32;
         let mut tmp = [0u8; FUSE_CHUNK];
         for (pt_chunk, ct_chunk) in plaintext.chunks(FUSE_CHUNK).zip(ct.chunks_mut(FUSE_CHUNK)) {
@@ -288,7 +312,7 @@ impl ChaCha20Poly1305 {
             mac.update(built);
             ct_chunk.copy_from_slice(built);
         }
-        Self::fused_finish(mac, aad.len(), ct.len())
+        Self::fused_finish(poly, aad.len(), ct.len())
     }
 
     /// One-pass in-place open of `buf` (ciphertext) against the detached
@@ -308,7 +332,7 @@ impl ChaCha20Poly1305 {
     ) -> Result<(), CryptoError> {
         if buf.len() <= SMALL_CUTOFF {
             let session = ChaCha20::new(&self.key, nonce);
-            let mut ks = [0u8; FUSE_CHUNK];
+            let mut ks = [0u8; SMALL_RUN];
             Self::small_keystream(&session, buf.len(), &mut ks);
             let mut mac = Self::small_mac(&ks, aad);
             mac.update(buf);
@@ -325,7 +349,8 @@ impl ChaCha20Poly1305 {
             }
             return Ok(());
         }
-        let (session, mut mac) = self.fused_start(nonce, aad);
+        let (session, mut poly) = self.fused_start(nonce, aad);
+        let mut mac = LongMac::new(&mut poly, buf.len());
         let mut counter = 1u32;
         let aad_len = aad.len();
         let ct_len = buf.len();
@@ -334,7 +359,7 @@ impl ChaCha20Poly1305 {
             session.xor_at(counter, chunk);
             counter = counter.wrapping_add(chunk.len().div_ceil(BLOCK_LEN) as u32);
         }
-        let expected = Self::fused_finish(mac, aad_len, ct_len);
+        let expected = Self::fused_finish(poly, aad_len, ct_len);
         if !ct_eq(&expected, tag) {
             session.xor_at(1, buf);
             return Err(CryptoError::BadTag);
@@ -372,7 +397,7 @@ impl ChaCha20Poly1305 {
         assert_eq!(ct.len(), out.len(), "gather open length mismatch");
         if ct.len() <= SMALL_CUTOFF {
             let session = ChaCha20::new(&self.key, nonce);
-            let mut ks = [0u8; FUSE_CHUNK];
+            let mut ks = [0u8; SMALL_RUN];
             Self::small_keystream(&session, ct.len(), &mut ks);
             let mut mac = Self::small_mac(&ks, aad);
             let mut tmp = [0u8; SMALL_CUTOFF];
@@ -389,7 +414,8 @@ impl ChaCha20Poly1305 {
             }
             return Ok(());
         }
-        let (session, mut mac) = self.fused_start(nonce, aad);
+        let (session, mut poly) = self.fused_start(nonce, aad);
+        let mut mac = LongMac::new(&mut poly, ct.len());
         let mut counter = 1u32;
         let mut tmp = [0u8; FUSE_CHUNK];
         for (ct_chunk, out_chunk) in ct.chunks(FUSE_CHUNK).zip(out.chunks_mut(FUSE_CHUNK)) {
@@ -400,7 +426,7 @@ impl ChaCha20Poly1305 {
             counter = counter.wrapping_add(n.div_ceil(BLOCK_LEN) as u32);
             out_chunk.copy_from_slice(&tmp[..n]);
         }
-        let expected = Self::fused_finish(mac, aad.len(), ct.len());
+        let expected = Self::fused_finish(poly, aad.len(), ct.len());
         if !ct_eq(&expected, tag) {
             out.fill(0);
             return Err(CryptoError::BadTag);

@@ -10,15 +10,16 @@
 //!   key/nonce schedule once per message, generates [`WIDE_BLOCKS`]
 //!   blocks of *one* stream at a time on `[u32; WIDE_BLOCKS]` lanes, and
 //!   XORs in `u64` lanes instead of bytes. On `x86_64` the session
-//!   dispatches by size: full [`WIDE_BLOCKS`]-block runs go to an
-//!   explicit AVX2 kernel when the CPU has it (runtime-detected, the
-//!   lane code stays as the fallback), and everything below that
-//!   threshold — small records, partial tails, the Poly1305 key
-//!   block — uses a single-block SSE2 kernel, which is part of the
+//!   dispatches by size to the kernels in `simd`, each runtime-detected
+//!   with the next tier down as its fallback: every full 1 KiB run to a
+//!   sixteen-block AVX-512F kernel, full [`WIDE_BLOCKS`]-block runs to an
+//!   AVX2 kernel (else the lane code), a 256..512-byte tail to a
+//!   four-block SSSE3 kernel, and the rest — partial tails, the Poly1305
+//!   key block — to a single-block SSE2 kernel, which is part of the
 //!   x86_64 baseline and needs no detection.
 //!
-//! Every kernel serves one stream: the eight lanes are eight consecutive
-//! blocks of one record, never blocks of eight records. Packing lanes
+//! Every kernel serves one stream: the lanes are consecutive blocks of
+//! one record, never blocks of several records. Packing lanes
 //! across records wins only on runs of four or more records of at most
 //! 64 B, is level at 256 B and loses from 1 KiB up (measured:
 //! EXPERIMENTS.md E19), and no workload has the first shape.
@@ -36,7 +37,13 @@ pub const WIDE_BLOCKS: usize = 8;
 /// Blocks generated by the mid-tier x86_64 kernel: four 32-bit lanes
 /// fill one SSE2 register per state word.
 #[cfg(target_arch = "x86_64")]
-const QUAD_BLOCKS: usize = 4;
+pub(crate) const QUAD_BLOCKS: usize = 4;
+/// Blocks generated by the top x86_64 kernel: sixteen 32-bit lanes fill
+/// one AVX-512 register per state word, so a run is 1 KiB.
+pub(crate) const LONG_BLOCKS: usize = 16;
+
+#[cfg(target_arch = "x86_64")]
+use crate::simd;
 
 const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
@@ -180,7 +187,7 @@ impl ChaCha20 {
     pub fn block_words(&self, counter: u32) -> [u32; 16] {
         #[cfg(target_arch = "x86_64")]
         {
-            x86::block_words_sse2(&self.base, counter)
+            simd::block_words_sse2(&self.base, counter)
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -218,11 +225,21 @@ impl ChaCha20 {
     }
 
     /// XORs `data` in place with the keystream starting at block
-    /// `initial_counter`, using the wide path for full
-    /// [`WIDE_BLOCKS`]-block runs and the scalar path for the
-    /// remainder.
+    /// `initial_counter`: the widest kernel the CPU has for each full
+    /// run, then the narrower tiers for the remainder.
     pub fn xor_at(&self, initial_counter: u32, data: &mut [u8]) {
         let mut counter = initial_counter;
+        #[allow(unused_mut)]
+        let mut data = data;
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx512() {
+            let mut long = std::mem::take(&mut data).chunks_exact_mut(LONG_BLOCKS * BLOCK_LEN);
+            for run in &mut long {
+                simd::xor_long(&self.base, counter, run);
+                counter = counter.wrapping_add(LONG_BLOCKS as u32);
+            }
+            data = long.into_remainder();
+        }
         let mut wide = data.chunks_exact_mut(WIDE_BLOCKS * BLOCK_LEN);
         for run in &mut wide {
             self.xor_wide(counter, run);
@@ -235,7 +252,7 @@ impl ChaCha20 {
         if rest.len() >= QUAD_BLOCKS * BLOCK_LEN && quad_is_accelerated() {
             let taken = std::mem::take(&mut rest);
             let (quad, tail) = taken.split_at_mut(QUAD_BLOCKS * BLOCK_LEN);
-            x86::xor_quad(&self.base, counter, quad);
+            simd::xor_quad(&self.base, counter, quad);
             counter = counter.wrapping_add(QUAD_BLOCKS as u32);
             rest = tail;
         }
@@ -250,7 +267,7 @@ impl ChaCha20 {
     /// when the CPU has it, the portable lane code otherwise.
     fn xor_wide(&self, counter: u32, data: &mut [u8]) {
         #[cfg(target_arch = "x86_64")]
-        if x86::try_xor_wide_avx2(&self.base, counter, data) {
+        if simd::try_xor_wide_avx2(&self.base, counter, data) {
             return;
         }
         self.xor_wide_lanes(counter, data);
@@ -291,350 +308,6 @@ impl ChaCha20 {
                 let k = u64::from(working[word][j]) | (u64::from(working[word + 1][j]) << 32);
                 let bytes: [u8; 8] = (&*pair).try_into().expect("8 bytes");
                 pair.copy_from_slice(&(u64::from_le_bytes(bytes) ^ k).to_le_bytes());
-            }
-        }
-    }
-}
-
-/// Explicit SIMD kernels for `x86_64`, bit-identical to the portable
-/// code (enforced by the equivalence tests below, which run whichever
-/// kernels the host CPU selects against the scalar oracle).
-///
-/// Two tiers, matching how the dataplane actually spends cycles:
-///
-/// * [`block_words_sse2`] — one block in four `__m128i` rows. SSE2 is
-///   part of the x86_64 baseline, so this path is unconditional: it
-///   serves the Poly1305 key block, partial tails, and every record
-///   shorter than a wide run (the small-record sizes where the fused
-///   AEAD used to trail the two-pass reference).
-/// * [`xor_wide_avx2`] — eight blocks vertically, one `__m256i` per
-///   state word, with an 8x8 word transpose feeding 32-byte XORs.
-///   Runtime-gated on AVX2; callers fall back to the lane kernel.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)] // sole unsafe region in the crate: intrinsics + feature gating
-mod x86 {
-    use super::{BLOCK_LEN, WIDE_BLOCKS};
-    use core::arch::x86_64::*;
-
-    /// Safe front door for the wide kernel: runs it if the CPU has AVX2
-    /// and reports whether it did, so the caller can fall back.
-    /// `is_x86_feature_detected!` caches the CPUID probe, making the
-    /// steady-state check a relaxed atomic load.
-    #[inline]
-    pub(super) fn try_xor_wide_avx2(base: &[u32; 16], counter: u32, data: &mut [u8]) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return false;
-        }
-        // SAFETY: AVX2 presence was just verified at runtime.
-        unsafe { xor_wide_avx2(base, counter, data) };
-        true
-    }
-
-    /// Rotates each 32-bit lane left by 16: swap the 16-bit halves with
-    /// the SSE2 half-word shuffles (no SSSE3 byte shuffle needed).
-    macro_rules! rol16 {
-        ($v:expr) => {
-            _mm_shufflehi_epi16::<0b10_11_00_01>(_mm_shufflelo_epi16::<0b10_11_00_01>($v))
-        };
-    }
-
-    /// Rotates each 32-bit lane left by `$n` via shift-and-or.
-    macro_rules! rol {
-        ($v:expr, $n:literal) => {{
-            let v = $v;
-            _mm_or_si128(_mm_slli_epi32::<$n>(v), _mm_srli_epi32::<{ 32 - $n }>(v))
-        }};
-    }
-
-    /// One ChaCha20 double round on the four-row representation
-    /// (row0 = words 0..4, row1 = 4..8, row2 = 8..12, row3 = 12..16).
-    /// Each vector op performs the same step of all four column quarter
-    /// rounds; lane rotations re-align the rows for the diagonals.
-    macro_rules! double_round {
-        ($x0:ident, $x1:ident, $x2:ident, $x3:ident) => {
-            $x0 = _mm_add_epi32($x0, $x1);
-            $x3 = rol16!(_mm_xor_si128($x3, $x0));
-            $x2 = _mm_add_epi32($x2, $x3);
-            $x1 = rol!(_mm_xor_si128($x1, $x2), 12);
-            $x0 = _mm_add_epi32($x0, $x1);
-            $x3 = rol!(_mm_xor_si128($x3, $x0), 8);
-            $x2 = _mm_add_epi32($x2, $x3);
-            $x1 = rol!(_mm_xor_si128($x1, $x2), 7);
-            $x1 = _mm_shuffle_epi32::<0b00_11_10_01>($x1);
-            $x2 = _mm_shuffle_epi32::<0b01_00_11_10>($x2);
-            $x3 = _mm_shuffle_epi32::<0b10_01_00_11>($x3);
-            $x0 = _mm_add_epi32($x0, $x1);
-            $x3 = rol16!(_mm_xor_si128($x3, $x0));
-            $x2 = _mm_add_epi32($x2, $x3);
-            $x1 = rol!(_mm_xor_si128($x1, $x2), 12);
-            $x0 = _mm_add_epi32($x0, $x1);
-            $x3 = rol!(_mm_xor_si128($x3, $x0), 8);
-            $x2 = _mm_add_epi32($x2, $x3);
-            $x1 = rol!(_mm_xor_si128($x1, $x2), 7);
-            $x1 = _mm_shuffle_epi32::<0b10_01_00_11>($x1);
-            $x2 = _mm_shuffle_epi32::<0b01_00_11_10>($x2);
-            $x3 = _mm_shuffle_epi32::<0b00_11_10_01>($x3);
-        };
-    }
-
-    /// Single-block kernel: the sixteen post-addition keystream words
-    /// for `counter`, identical to the scalar `block_words`.
-    pub(super) fn block_words_sse2(base: &[u32; 16], counter: u32) -> [u32; 16] {
-        // SAFETY: SSE2 is unconditionally available on x86_64; the
-        // unaligned load/store intrinsics read and write exactly 16
-        // bytes inside the 64-byte `base`/`out` arrays.
-        unsafe {
-            let p = base.as_ptr() as *const __m128i;
-            let s0 = _mm_loadu_si128(p);
-            let s1 = _mm_loadu_si128(p.add(1));
-            let s2 = _mm_loadu_si128(p.add(2));
-            // Splice `counter` into word 12 (lane 0 of the fourth row).
-            let keep = _mm_set_epi32(-1, -1, -1, 0);
-            let s3 = _mm_or_si128(
-                _mm_and_si128(_mm_loadu_si128(p.add(3)), keep),
-                _mm_cvtsi32_si128(counter as i32),
-            );
-
-            let (mut x0, mut x1, mut x2, mut x3) = (s0, s1, s2, s3);
-            for _ in 0..10 {
-                double_round!(x0, x1, x2, x3);
-            }
-
-            let mut out = [0u32; 16];
-            let q = out.as_mut_ptr() as *mut __m128i;
-            _mm_storeu_si128(q, _mm_add_epi32(x0, s0));
-            _mm_storeu_si128(q.add(1), _mm_add_epi32(x1, s1));
-            _mm_storeu_si128(q.add(2), _mm_add_epi32(x2, s2));
-            _mm_storeu_si128(q.add(3), _mm_add_epi32(x3, s3));
-            out
-        }
-    }
-
-    /// Safe front door for the quad kernel. Callers gate on
-    /// `quad_is_accelerated()`; the check here re-reads the cached
-    /// detection result so the unsafe call can never be reached on a
-    /// CPU without SSSE3.
-    #[inline]
-    pub(super) fn xor_quad(base: &[u32; 16], counter: u32, data: &mut [u8]) {
-        assert!(std::arch::is_x86_feature_detected!("ssse3"));
-        // SAFETY: SSSE3 presence was just verified at runtime.
-        unsafe { xor_quad_ssse3(base, counter, data) }
-    }
-
-    /// 4x4 transpose of a quarter of the quad state: four `__m128i`
-    /// rows holding word `w` across blocks 0..4 become four rows
-    /// holding block `j`'s four consecutive words.
-    macro_rules! transpose4 {
-        ($x:ident, $o:expr) => {{
-            let t0 = _mm_unpacklo_epi32($x[$o], $x[$o + 1]);
-            let t1 = _mm_unpacklo_epi32($x[$o + 2], $x[$o + 3]);
-            let t2 = _mm_unpackhi_epi32($x[$o], $x[$o + 1]);
-            let t3 = _mm_unpackhi_epi32($x[$o + 2], $x[$o + 3]);
-            [
-                _mm_unpacklo_epi64(t0, t1),
-                _mm_unpackhi_epi64(t0, t1),
-                _mm_unpacklo_epi64(t2, t3),
-                _mm_unpackhi_epi64(t2, t3),
-            ]
-        }};
-    }
-
-    /// One quarter round across four blocks, one state word per
-    /// `__m128i` — the SSSE3 counterpart of `wide_qr` (byte shuffles
-    /// for the 16- and 8-bit rotations, shift-and-or for the rest).
-    macro_rules! quad_qr {
-        ($x:ident, $a:expr, $b:expr, $c:expr, $d:expr, $r16:ident, $r8:ident) => {
-            $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
-            $x[$d] = _mm_shuffle_epi8(_mm_xor_si128($x[$d], $x[$a]), $r16);
-            $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
-            $x[$b] = rol!(_mm_xor_si128($x[$b], $x[$c]), 12);
-            $x[$a] = _mm_add_epi32($x[$a], $x[$b]);
-            $x[$d] = _mm_shuffle_epi8(_mm_xor_si128($x[$d], $x[$a]), $r8);
-            $x[$c] = _mm_add_epi32($x[$c], $x[$d]);
-            $x[$b] = rol!(_mm_xor_si128($x[$b], $x[$c]), 7);
-        };
-    }
-
-    /// Mid-tier kernel: XORs exactly [`super::QUAD_BLOCKS`] consecutive
-    /// blocks into `data`, vertically on 128-bit lanes. Serves keystream
-    /// tails and small records that do not fill an AVX2 run.
-    #[target_feature(enable = "ssse3")]
-    fn xor_quad_ssse3(base: &[u32; 16], counter: u32, data: &mut [u8]) {
-        debug_assert_eq!(data.len(), super::QUAD_BLOCKS * BLOCK_LEN);
-        #[rustfmt::skip]
-        let r16 = _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
-        #[rustfmt::skip]
-        let r8 = _mm_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
-        let mut init = [_mm_setzero_si128(); 16];
-        for (v, &w) in init.iter_mut().zip(base.iter()) {
-            *v = _mm_set1_epi32(w as i32);
-        }
-        init[12] = _mm_add_epi32(_mm_set1_epi32(counter as i32), _mm_setr_epi32(0, 1, 2, 3));
-
-        let mut x = init;
-        for _ in 0..10 {
-            quad_qr!(x, 0, 4, 8, 12, r16, r8);
-            quad_qr!(x, 1, 5, 9, 13, r16, r8);
-            quad_qr!(x, 2, 6, 10, 14, r16, r8);
-            quad_qr!(x, 3, 7, 11, 15, r16, r8);
-            quad_qr!(x, 0, 5, 10, 15, r16, r8);
-            quad_qr!(x, 1, 6, 11, 12, r16, r8);
-            quad_qr!(x, 2, 7, 8, 13, r16, r8);
-            quad_qr!(x, 3, 4, 9, 14, r16, r8);
-        }
-        for (w, i) in x.iter_mut().zip(init) {
-            *w = _mm_add_epi32(*w, i);
-        }
-
-        // Each word quartet transposes into four 16-byte runs; block j
-        // is row j of the four quartets back to back.
-        let g = [
-            transpose4!(x, 0),
-            transpose4!(x, 4),
-            transpose4!(x, 8),
-            transpose4!(x, 12),
-        ];
-        for (j, blk) in data.chunks_exact_mut(BLOCK_LEN).enumerate() {
-            for (quarter, grp) in blk.chunks_exact_mut(16).zip(&g) {
-                // SAFETY: `quarter` is exactly 16 bytes; unaligned
-                // load/store stay inside it.
-                unsafe {
-                    let p = quarter.as_mut_ptr() as *mut __m128i;
-                    _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p as *const _), grp[j]));
-                }
-            }
-        }
-    }
-
-    /// 8x8 transpose of one half of the wide state: eight `__m256i`
-    /// rows holding word `w` across blocks 0..8 become eight rows
-    /// holding block `j`'s eight consecutive words.
-    macro_rules! transpose8 {
-        ($x:ident, $o:expr) => {{
-            let t0 = _mm256_unpacklo_epi32($x[$o], $x[$o + 1]);
-            let t1 = _mm256_unpackhi_epi32($x[$o], $x[$o + 1]);
-            let t2 = _mm256_unpacklo_epi32($x[$o + 2], $x[$o + 3]);
-            let t3 = _mm256_unpackhi_epi32($x[$o + 2], $x[$o + 3]);
-            let t4 = _mm256_unpacklo_epi32($x[$o + 4], $x[$o + 5]);
-            let t5 = _mm256_unpackhi_epi32($x[$o + 4], $x[$o + 5]);
-            let t6 = _mm256_unpacklo_epi32($x[$o + 6], $x[$o + 7]);
-            let t7 = _mm256_unpackhi_epi32($x[$o + 6], $x[$o + 7]);
-            let u0 = _mm256_unpacklo_epi64(t0, t2);
-            let u1 = _mm256_unpackhi_epi64(t0, t2);
-            let u2 = _mm256_unpacklo_epi64(t1, t3);
-            let u3 = _mm256_unpackhi_epi64(t1, t3);
-            let u4 = _mm256_unpacklo_epi64(t4, t6);
-            let u5 = _mm256_unpackhi_epi64(t4, t6);
-            let u6 = _mm256_unpacklo_epi64(t5, t7);
-            let u7 = _mm256_unpackhi_epi64(t5, t7);
-            [
-                _mm256_permute2x128_si256::<0x20>(u0, u4),
-                _mm256_permute2x128_si256::<0x20>(u1, u5),
-                _mm256_permute2x128_si256::<0x20>(u2, u6),
-                _mm256_permute2x128_si256::<0x20>(u3, u7),
-                _mm256_permute2x128_si256::<0x31>(u0, u4),
-                _mm256_permute2x128_si256::<0x31>(u1, u5),
-                _mm256_permute2x128_si256::<0x31>(u2, u6),
-                _mm256_permute2x128_si256::<0x31>(u3, u7),
-            ]
-        }};
-    }
-
-    /// Rotates each 32-bit lane left by `$n` via shift-and-or (AVX2).
-    macro_rules! vrol {
-        ($v:expr, $n:literal) => {{
-            let v = $v;
-            _mm256_or_si256(
-                _mm256_slli_epi32::<$n>(v),
-                _mm256_srli_epi32::<{ 32 - $n }>(v),
-            )
-        }};
-    }
-
-    /// One quarter round across all eight blocks, one state word per
-    /// `__m256i`. The 16- and 8-bit rotations use the byte shuffle.
-    macro_rules! wide_qr {
-        ($x:ident, $a:expr, $b:expr, $c:expr, $d:expr, $r16:ident, $r8:ident) => {
-            $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
-            $x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256($x[$d], $x[$a]), $r16);
-            $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
-            $x[$b] = vrol!(_mm256_xor_si256($x[$b], $x[$c]), 12);
-            $x[$a] = _mm256_add_epi32($x[$a], $x[$b]);
-            $x[$d] = _mm256_shuffle_epi8(_mm256_xor_si256($x[$d], $x[$a]), $r8);
-            $x[$c] = _mm256_add_epi32($x[$c], $x[$d]);
-            $x[$b] = vrol!(_mm256_xor_si256($x[$b], $x[$c]), 7);
-        };
-    }
-
-    /// Wide kernel: XORs exactly [`WIDE_BLOCKS`] consecutive blocks
-    /// into `data`, vertically — each of the sixteen `__m256i` holds
-    /// one state word across the eight blocks, so the rounds are pure
-    /// element-wise vector ops with no shuffles until the final
-    /// transpose.
-    ///
-    /// Callers must verify AVX2 support before calling (the
-    /// `#[target_feature]` attribute makes this function unsafe to call
-    /// from code compiled without AVX2).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn xor_wide_avx2(base: &[u32; 16], counter: u32, data: &mut [u8]) {
-        debug_assert_eq!(data.len(), WIDE_BLOCKS * BLOCK_LEN);
-        // Byte shuffles for the 16- and 8-bit lane rotations.
-        #[rustfmt::skip]
-        let r16 = _mm256_setr_epi8(
-            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
-            2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
-        );
-        #[rustfmt::skip]
-        let r8 = _mm256_setr_epi8(
-            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
-            3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
-        );
-
-        let mut init = [_mm256_setzero_si256(); 16];
-        for (v, &w) in init.iter_mut().zip(base.iter()) {
-            *v = _mm256_set1_epi32(w as i32);
-        }
-        // Block j of the run is lane j: counters counter..counter+8,
-        // with the same wrap-around the scalar path gets from
-        // `wrapping_add`.
-        init[12] = _mm256_add_epi32(
-            _mm256_set1_epi32(counter as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-
-        let mut x = init;
-        for _ in 0..10 {
-            wide_qr!(x, 0, 4, 8, 12, r16, r8);
-            wide_qr!(x, 1, 5, 9, 13, r16, r8);
-            wide_qr!(x, 2, 6, 10, 14, r16, r8);
-            wide_qr!(x, 3, 7, 11, 15, r16, r8);
-            wide_qr!(x, 0, 5, 10, 15, r16, r8);
-            wide_qr!(x, 1, 6, 11, 12, r16, r8);
-            wide_qr!(x, 2, 7, 8, 13, r16, r8);
-            wide_qr!(x, 3, 4, 9, 14, r16, r8);
-        }
-        for (w, i) in x.iter_mut().zip(init) {
-            *w = _mm256_add_epi32(*w, i);
-        }
-
-        // Transpose words 0..8 and 8..16 separately: after each, row j
-        // is 32 contiguous keystream bytes of block j.
-        let lo = transpose8!(x, 0);
-        let hi = transpose8!(x, 8);
-        for j in 0..WIDE_BLOCKS {
-            // SAFETY: `data` is exactly WIDE_BLOCKS * 64 bytes, so the
-            // two unaligned 32-byte accesses per block stay in bounds.
-            unsafe {
-                let p = data.as_mut_ptr().add(j * BLOCK_LEN) as *mut __m256i;
-                _mm256_storeu_si256(
-                    p,
-                    _mm256_xor_si256(_mm256_loadu_si256(p as *const _), lo[j]),
-                );
-                let q = p.add(1);
-                _mm256_storeu_si256(
-                    q,
-                    _mm256_xor_si256(_mm256_loadu_si256(q as *const _), hi[j]),
-                );
             }
         }
     }
@@ -782,33 +455,81 @@ mod tests {
         }
     }
 
+    /// Sixteen-block runs this thread has served (0 off `x86_64`).
+    fn long_runs() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            crate::simd::LONG_RUNS.with(|n| n.get())
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            0
+        }
+    }
+
     #[test]
     fn session_xor_matches_xor_stream() {
-        // Cover lengths below, at, and across the wide-path boundary
-        // (WIDE_BLOCKS * 64 = 512 bytes), including partial trailing
-        // blocks.
+        // Cover lengths below, at, and across the quad (256 B), wide
+        // (512 B) and long (1 KiB) run boundaries, including partial
+        // trailing blocks. Where the CPU has AVX-512F, every full 1 KiB
+        // run must have gone to the sixteen-block kernel.
         let key = [0x42u8; 32];
         let nonce = [0x24u8; 12];
         let session = ChaCha20::new(&key, &nonce);
-        for len in [
-            0usize, 1, 8, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000, 4096,
-        ] {
+        #[rustfmt::skip]
+        let lens = [
+            0usize, 1, 8, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024,
+            1025, 2047, 2048, 2112, 4096, 16384,
+        ];
+        for len in lens {
             for counter in [0u32, 1, 7] {
                 let original: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
                 let mut reference = original.clone();
                 xor_stream(&key, counter, &nonce, &mut reference);
                 let mut fast = original;
+                let before = long_runs();
                 session.xor_at(counter, &mut fast);
                 assert_eq!(fast, reference, "len {len} counter {counter}");
+                let runs = if crate::avx512() { len / 1024 } else { 0 };
+                assert_eq!(long_runs() - before, runs as u64, "len {len}");
             }
+        }
+    }
+
+    /// The sixteen-block kernel, called directly, against the scalar
+    /// oracle at the counters where its lanes wrap. It cannot run on a
+    /// CPU without AVX-512F; there the dispatch test above checks that
+    /// nothing routes to it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn long_kernel_matches_scalar_oracle() {
+        if !crate::avx512() {
+            return;
+        }
+        let key: [u8; 32] = (0u8..32).collect::<Vec<_>>().try_into().unwrap();
+        let session = ChaCha20::new(&key, &[0xA5u8; 12]);
+        for counter in [0u32, 1, u32::MAX - 15, u32::MAX] {
+            let original: Vec<u8> = (0..LONG_BLOCKS * BLOCK_LEN)
+                .map(|i| (i * 29) as u8)
+                .collect();
+            let mut expected = original.clone();
+            for (j, blk) in expected.chunks_exact_mut(BLOCK_LEN).enumerate() {
+                xor_words(
+                    blk,
+                    &session.block_words_scalar(counter.wrapping_add(j as u32)),
+                );
+            }
+            let mut run = original;
+            crate::simd::xor_long(&session.base, counter, &mut run);
+            assert_eq!(run, expected, "counter {counter}");
         }
     }
 
     // The SIMD kernels must be bit-identical to the portable code on
     // every path: the single-block kernel against the scalar oracle,
-    // and the dispatched wide path against the lane kernel (on CPUs
-    // without AVX2 both sides run the lane code and the test is a
-    // tautology; CI hosts have AVX2).
+    // and the wide path — called directly, so an AVX-512 host still runs
+    // the AVX2 kernel — against the lane kernel (on CPUs without AVX2
+    // both sides run the lane code and the test is a tautology).
     #[test]
     fn simd_kernels_match_scalar_oracle() {
         let key: [u8; 32] = (0u8..32).collect::<Vec<_>>().try_into().unwrap();

@@ -31,19 +31,22 @@ pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) -> Result<(),
     if out.len() > MAX_OUTPUT {
         return Err(CryptoError::BadLength);
     }
-    let mut t: Vec<u8> = Vec::new();
+    // T(0) is empty; T(i) is the previous block. No heap: in-band rekeys
+    // run this on the dataplane.
+    let mut t = [0u8; DIGEST_LEN];
+    let mut t_len = 0;
     let mut written = 0usize;
     let mut counter = 1u8;
     while written < out.len() {
         let mut mac = HmacSha256::new(prk);
-        mac.update(&t);
+        mac.update(&t[..t_len]);
         mac.update(info);
         mac.update(&[counter]);
-        let block = mac.finalize();
+        t = mac.finalize();
+        t_len = DIGEST_LEN;
         let take = (out.len() - written).min(DIGEST_LEN);
-        out[written..written + take].copy_from_slice(&block[..take]);
+        out[written..written + take].copy_from_slice(&t[..take]);
         written += take;
-        t = block.to_vec();
         counter = counter.wrapping_add(1);
     }
     Ok(())

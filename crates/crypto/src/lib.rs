@@ -17,25 +17,29 @@
 //!
 //! Every module carries the relevant RFC/NIST test vectors in its unit
 //! tests. The implementations favour clarity and branch-free handling of
-//! secret data over raw speed, with three exceptions, because the
+//! secret data over raw speed, with four exceptions, because the
 //! benchmarks are wall-clock and these kernels sit on every connection
 //! and every sealed byte:
 //!
-//! * the ChaCha20 session keystream has explicit SSE2/AVX2 kernels on
-//!   `x86_64`. The SIMD code is confined to one module, tested bit-for-bit
-//!   against the scalar oracle, and is the only unsafe code in the crate
-//!   (`#![deny(unsafe_code)]` with a scoped allow there);
-//! * [`poly1305`] absorbs four blocks per carry over cached powers of `r`
-//!   once a record is long enough to pay for them;
+//! * the ChaCha20 session keystream has explicit SSE2/SSSE3/AVX2/AVX-512
+//!   kernels on `x86_64`, each selected at run time by CPU feature and
+//!   input length;
+//! * on AVX-512 hosts [`poly1305`] absorbs long records in eight
+//!   radix-2^26 vector lanes. These SIMD kernels are confined to one
+//!   module, tested bit-for-bit against the scalar oracles, and are the
+//!   only unsafe code in the crate (`#![deny(unsafe_code)]` with a scoped
+//!   allow there);
+//! * [`poly1305`]'s scalar path absorbs four blocks per carry over cached
+//!   powers of `r` once a record is long enough to pay for them;
 //! * [`x25519`] reduces lazily: additions and subtractions do not carry,
 //!   squaring is a real squaring, and one carry chain follows each
 //!   multiply.
 //!
 //! The last two are plain safe `u64`/`u128` arithmetic whose output is
 //! byte-identical to the textbook one-block / carry-after-every-operation
-//! forms; each module header gives the limb-bound argument, and the unit
-//! tests check it mechanically (dev builds panic on overflow) against an
-//! independent oracle.
+//! forms; each module header gives the limb-bound argument (the lanes'
+//! too), and the unit tests check it mechanically (dev builds panic on
+//! overflow) against an independent oracle.
 //!
 //! # Security note
 //!
@@ -54,10 +58,26 @@ pub mod hkdf;
 pub mod hmac;
 pub mod poly1305;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 pub mod x25519;
 
 pub use aead::ChaCha20Poly1305;
 pub use sha256::Sha256;
+
+/// Whether this CPU runs the AVX-512F kernels: the sixteen-block ChaCha20
+/// run and the Poly1305 lanes. `is_x86_feature_detected!` caches the
+/// CPUID probe, so this is a relaxed atomic load.
+pub(crate) fn avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Errors returned by cryptographic operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

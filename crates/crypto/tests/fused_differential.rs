@@ -13,18 +13,25 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Every length from 0 to 1024: fused seal == two-pass seal, fused open
-/// == two-pass open, for pseudo-random key/nonce/aad/payload.
+/// Every length from 0 to past four 1 KiB fused chunks: fused seal ==
+/// two-pass seal, fused open == two-pass open, for pseudo-random
+/// key/nonce/aad/payload — every small record, every tail after the
+/// sixteen-block runs and the Poly1305 lane groups, and every length at
+/// which the lanes engage.
 #[test]
 fn fused_equals_two_pass_all_lengths() {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        assert_eq!(cio_crypto::aead::kernel_tier(), "avx512");
+    }
     let mut rng = SimRng::seed_from(0xf05ed);
     let mut key = [0u8; 32];
     rng.fill_bytes(&mut key);
     let aead = ChaCha20Poly1305::new(key);
-    let mut payload = vec![0u8; 1024];
+    let mut payload = vec![0u8; 4160];
     rng.fill_bytes(&mut payload);
 
-    for len in 0..=1024usize {
+    for len in 0..=4160usize {
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&(len as u64).to_le_bytes());
         let aad_len = len % 33;
@@ -39,6 +46,20 @@ fn fused_equals_two_pass_all_lengths() {
         let fused_open = aead.open_fused(&nonce, aad, &sealed).unwrap();
         assert_eq!(opened, fused_open, "open mismatch at len {len}");
         assert_eq!(fused_open, msg, "roundtrip mismatch at len {len}");
+
+        // The shared-memory shapes: scatter seal and gather open.
+        let (ct, tag) = sealed.split_at(len);
+        let mut scattered = vec![0u8; len];
+        let scatter_tag = aead.seal_fused_scatter(&nonce, aad, msg, &mut scattered);
+        assert_eq!(
+            (&scattered[..], &scatter_tag[..]),
+            (ct, tag),
+            "scatter at len {len}"
+        );
+        let mut gathered = vec![0u8; len];
+        aead.open_fused_gather(&nonce, aad, ct, &mut gathered, &scatter_tag)
+            .unwrap();
+        assert_eq!(gathered, msg, "gather at len {len}");
     }
 }
 

@@ -791,4 +791,36 @@ fn steady_state_record_path_does_not_allocate() {
         "steady-state KV churn over the batched block path must not touch \
          the heap ({during} allocations over 250 put/flush/get rounds)"
     );
+
+    // Phase 10: in-band rekeying. Every fourth record each direction
+    // derives its next traffic key (HKDF extract + expand) on the
+    // dataplane, so sealing and opening across key generations must stay
+    // off the heap too.
+    let mut tx = Channel::from_secrets([7; 32], [8; 32], true, None);
+    let mut rx = Channel::from_secrets([7; 32], [8; 32], false, None);
+    tx.set_rekey_interval(Some(4));
+    rx.set_rekey_interval(Some(4));
+    let mut rekey_cycle = |wire: &mut RecordScratch, opened: &mut RecordScratch| {
+        tx.seal_into(&payload, wire).expect("seal");
+        rx.open_into(wire.as_slice(), opened).expect("open");
+        assert_eq!(opened.as_slice(), &payload[..]);
+    };
+    for _ in 0..8 {
+        rekey_cycle(&mut rec, &mut plain);
+    }
+    let before = allocations();
+    for _ in 0..16 {
+        rekey_cycle(&mut rec, &mut plain);
+    }
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "sealing and opening across in-band rekeys must not touch the heap \
+         ({during} allocations over 16 records, 4 key generations)"
+    );
+    assert_eq!(
+        tx.tx_generation(),
+        5,
+        "the audited records crossed 4 rekeys"
+    );
 }
