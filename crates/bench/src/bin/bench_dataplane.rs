@@ -49,6 +49,10 @@ use std::hint::black_box;
 
 const SIZES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 const KEY_SIZE: usize = 4096; // the acceptance-bar size
+/// Run depth of the batched section: below 4 a run amortizes too little
+/// for its lock and commit counts to say anything.
+const BATCH: usize = 8;
+const _: () = assert!(BATCH >= 4);
 
 struct SealOpenRow {
     size: usize,
@@ -332,6 +336,8 @@ fn main() {
          {} ring records",
         snap.aead_ops, snap.copies, snap.bytes_copied, snap.bytes_zero_copy, snap.ring_records
     );
+    assert_eq!(snap.copies, 0, "the seal-in-slot record ring staged copies");
+    assert!(snap.ring_records > 0, "the record ring moved no records");
 
     let (mq1, mq1_cycles) = bench_multiqueue_world(target_ms, 1, 0);
     let (mq4, mq4_cycles) = bench_multiqueue_world(target_ms, 4, 0);
@@ -352,9 +358,9 @@ fn main() {
     );
 
     let (b1, b1_cycles, _) = bench_batch_ring(target_ms, 1024, 1);
-    let (b8, b8_cycles, b8_meter) = bench_batch_ring(target_ms, 1024, 8);
+    let (b8, b8_cycles, b8_meter) = bench_batch_ring(target_ms, 1024, BATCH);
     let b1_cpr = b1_cycles as f64 / b1.total_iters as f64;
-    let b8_cpr = b8_cycles as f64 / (b8.total_iters * 8) as f64;
+    let b8_cpr = b8_cycles as f64 / (b8.total_iters * BATCH as u64) as f64;
     let b8_snap = b8_meter.snapshot();
     let locks_per_record = b8_snap.lock_acquisitions as f64 / b8_snap.ring_records.max(1) as f64;
     let records_per_commit = b8_snap.ring_records as f64 / b8_snap.ring_commits.max(1) as f64;
@@ -367,6 +373,10 @@ fn main() {
         b1_cpr / b8_cpr,
         locks_per_record,
         records_per_commit
+    );
+    assert!(
+        locks_per_record < 1.0,
+        "batched runs took a lock per record"
     );
 
     let verdict_met = key_ratio >= 1.5;
@@ -432,7 +442,7 @@ fn main() {
             "batch",
             JsonObj::new()
                 .int("payload", 1024)
-                .int("batch", 8)
+                .int("batch", BATCH as u64)
                 .f64("sim_cycles_per_record_batch1", b1_cpr)
                 .f64("sim_cycles_per_record_batch8", b8_cpr)
                 .f64("speedup", b1_cpr / b8_cpr)

@@ -123,6 +123,10 @@ fn main() {
         .iter()
         .map(|&p| run_population(p, ticks))
         .collect();
+    // `run_population` asserted reclamation at every population; the claim
+    // is about 10k sessions, so one of them must be that large.
+    let top = rows.iter().map(|r| r.population).max();
+    assert!(top >= Some(10_000), "the 10k-session population never ran");
 
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cio::dev::{RecvMode, SendMode};
 use cio::world::{
     BoundaryKind, SessionId, SessionScratch, World, WorldOptions, ECHO_PORT, RPC_PORT,
 };
@@ -21,6 +20,7 @@ use cio_sim::{Cycles, MeterSnapshot};
 pub use cio::world::ALL_BOUNDARIES;
 
 pub mod micro;
+pub mod regions;
 pub mod transport;
 
 /// Options tuned for throughput experiments (short link, no loss).
@@ -435,15 +435,6 @@ pub fn steady_echo_run(
         elapsed,
         meter,
     })
-}
-
-/// World options for the cio-ring variants used in E7/E9 sweeps.
-pub fn ring_mode_opts(send: SendMode, recv: RecvMode) -> WorldOptions {
-    WorldOptions {
-        send_mode: send,
-        recv_mode: recv,
-        ..bench_opts()
-    }
 }
 
 /// Prints an aligned text table.

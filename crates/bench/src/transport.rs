@@ -73,8 +73,8 @@ pub fn frame_echo(
     match kind {
         TransportKind::VirtioUnhardened => virtio_echo(false, size, frames, cost),
         TransportKind::VirtioHardened => virtio_echo(true, size, frames, cost),
-        TransportKind::CioRingCopy => cio_echo(false, size, frames, cost, NotifyMode::Polling),
-        TransportKind::CioRingZeroCopy => cio_echo(true, size, frames, cost, NotifyMode::Polling),
+        TransportKind::CioRingCopy => cio_echo(false, size, frames, cost),
+        TransportKind::CioRingZeroCopy => cio_echo(true, size, frames, cost),
     }
 }
 
@@ -299,15 +299,8 @@ pub fn cio_pair(
     (mem, gp, hc, hp, gc)
 }
 
-fn cio_echo(
-    zero_copy: bool,
-    size: usize,
-    frames: u32,
-    cost: CostModel,
-    notify: NotifyMode,
-) -> TransportResult {
-    let mut cfg = bench_ring_config(DataMode::SharedArea, size as u32 + 64);
-    cfg.notify = notify;
+fn cio_echo(zero_copy: bool, size: usize, frames: u32, cost: CostModel) -> TransportResult {
+    let cfg = bench_ring_config(DataMode::SharedArea, size as u32 + 64);
     let (mem, mut gp, mut hc, mut hp, mut gc) = cio_pair(cfg, cost);
     if zero_copy {
         gp.set_copy_policy(CopyPolicy::InPlace);
@@ -457,80 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn hardened_slower_than_unhardened() {
-        let u = frame_echo(
-            TransportKind::VirtioUnhardened,
-            1500,
-            64,
-            CostModel::default(),
-        );
-        let h = frame_echo(
-            TransportKind::VirtioHardened,
-            1500,
-            64,
-            CostModel::default(),
-        );
-        assert!(
-            h.elapsed.get() > u.elapsed.get(),
-            "hardened {} <= unhardened {}",
-            h.elapsed,
-            u.elapsed
-        );
-        // The tax is copies + notifications.
-        assert!(h.meter.copies > u.meter.copies);
-    }
-
-    #[test]
-    fn cio_ring_beats_hardened_virtio() {
-        let c = frame_echo(TransportKind::CioRingCopy, 1500, 64, CostModel::default());
-        let h = frame_echo(
-            TransportKind::VirtioHardened,
-            1500,
-            64,
-            CostModel::default(),
-        );
-        assert!(c.elapsed.get() < h.elapsed.get());
-    }
-
-    #[test]
     fn all_data_modes_deliver() {
         for mode in [DataMode::Inline, DataMode::SharedArea] {
             let r = cio_oneway(mode, 512, 32, CostModel::default());
             assert_eq!(r.bytes, 32 * 512, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn revocation_wins_for_large_payloads() {
-        let cost = CostModel::default();
-        let small_copy = rx_delivery(false, 1024, 32, cost.clone());
-        let small_rev = rx_delivery(true, 1024, 32, cost.clone());
-        let big_copy = rx_delivery(false, 64 * 1024, 32, cost.clone());
-        let big_rev = rx_delivery(true, 64 * 1024, 32, cost);
-        assert!(
-            small_copy.elapsed.get() < small_rev.elapsed.get(),
-            "copy should win small: {} vs {}",
-            small_copy.elapsed,
-            small_rev.elapsed
-        );
-        assert!(
-            big_rev.elapsed.get() < big_copy.elapsed.get(),
-            "revoke should win large: {} vs {}",
-            big_rev.elapsed,
-            big_copy.elapsed
-        );
-    }
-
-    #[test]
-    fn doorbell_vs_polling_tradeoff() {
-        let cost = CostModel::default();
-        // Large bursts with busy polling: polling cheap.
-        let poll_busy = notify_bench(false, 32, 8, 0, cost.clone());
-        let bell_busy = notify_bench(true, 32, 8, 0, cost.clone());
-        assert!(poll_busy.elapsed.get() < bell_busy.elapsed.get());
-        // Sparse arrivals: idle polling burns cycles, doorbells win.
-        let poll_idle = notify_bench(false, 1, 8, 2_000, cost.clone());
-        let bell_idle = notify_bench(true, 1, 8, 0, cost);
-        assert!(bell_idle.elapsed.get() < poll_idle.elapsed.get());
     }
 }
