@@ -83,8 +83,9 @@ fn main() {
     println!(
         "\nTransport TCB (ring/queue + guest driver, by file): cio-ring {cio} LoC vs \
          virtio-hardened {virtio} LoC = {:.2}x — the safe-by-construction ring is the larger \
-         one here: it carries batching, two positioning modes, event-idx and revocation \
-         that this tree's virtqueue never implemented.",
+         one here: it carries batching, two positioning modes and event-idx that this \
+         tree's virtqueue never implemented (revocation is outside it: no design's device \
+         runs it).",
         cio as f64 / virtio as f64
     );
 

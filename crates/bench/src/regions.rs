@@ -13,7 +13,6 @@
 use crate::transport::{bench_ring_config, cio_oneway, cio_pair, frame_echo};
 use crate::transport::{notify_bench, rx_delivery, TransportKind};
 use crate::{bench_opts, echo_latency, fmt_cycles, stream_download};
-use cio::dev::SendMode;
 use cio::policy::revoke_threshold;
 use cio::storage::{StorageBoundary, StorageWorld};
 use cio::world::BoundaryKind::{self, Dda, DualBoundary, L2CioRing, L2VirtioHardened, L5Host};
@@ -236,10 +235,10 @@ fn zerocopy_l5(o: &WorldOptions) -> Values {
     for size in E9_SIZES {
         let mut rtt = [0.0; 2];
         for (i, arm) in ["zero-copy", "copied"].into_iter().enumerate() {
-            // Only the app→stack copy differs: both arms send from the ring
-            // slot, so the guest TX ring's staging copy is in neither.
+            // Only the app→stack copy differs: the guest TX ring's early
+            // copy is the same in both arms.
             let mut opts = o.clone();
-            (opts.l5_app_copy, opts.send_mode) = (i == 1, SendMode::ZeroCopy);
+            opts.l5_app_copy = i == 1;
             let (t, run) = echo_latency(DualBoundary, opts, size, 16).expect("E9 echo");
             rtt[i] = t.get() as f64;
             let cell = |what: &str| format!("{arm} {what} @{size}");
@@ -548,8 +547,9 @@ mod tests {
 
     /// Every reading holds at the default model, and the headline cells
     /// read exactly as the per-experiment binaries this table replaced
-    /// printed them (E9's copied arm excepted: it now sends zero-copy like
-    /// the other arm). The verdicts are also the transport regressions once
+    /// printed them (E9 excepted: its arms now differ only in the
+    /// app→stack copy, and both pay the guest TX ring's early copy). The
+    /// verdicts are also the transport regressions once
     /// tested on their own: hardened virtio slower and copying more than
     /// unhardened, the cio ring faster than hardened virtio (E5), copy
     /// winning 1 KiB and revocation 64 KiB (E7), polling winning busy
@@ -577,11 +577,11 @@ mod tests {
             ("E7", "policy threshold B", "32_512"),
             ("E8", "polling, busy bursts cycles", "111_560"),
             ("E8", "doorbell, sparse arrivals cycles", "31_680"),
-            ("E9", "zero-copy RTT @256", "8_738"),
-            ("E9", "copied RTT @256", "8_870"),
-            ("E9", "zero-copy copies @256", "48"),
-            ("E9", "copied copies @256", "64"),
-            ("E9", "saving % @16384", "9.00"),
+            ("E9", "zero-copy RTT @256", "9_004"),
+            ("E9", "copied RTT @256", "9_136"),
+            ("E9", "zero-copy copies @256", "96"),
+            ("E9", "copied copies @256", "112"),
+            ("E9", "saving % @16384", "8.09"),
             ("E9", "zero-copy gate switches @16384", "512"),
             ("E12", "block-in-tee cycles @4096", "7_081_856"),
             ("E12", "file-on-host cycles @65536", "203_088"),

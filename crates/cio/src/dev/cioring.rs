@@ -1,29 +1,10 @@
 //! The cio-ring as a (multi-queue) network device.
 
 use crate::CioError;
-use cio_mem::{CopyPolicy, GuestMemory, GuestView};
+use cio_mem::{CopyPolicy, GuestView};
 use cio_netstack::{MacAddr, NetDevice, NetError};
-use cio_vring::cioring::{BatchPolicy, Consumer, Producer, RevokedPayload, MAX_BATCH};
+use cio_vring::cioring::{BatchPolicy, Consumer, Producer, MAX_BATCH};
 use std::collections::VecDeque;
-
-/// How the guest takes delivery of received payloads on the cio-ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvMode {
-    /// Early copy into private memory (copy-as-first-class).
-    Copy,
-    /// Un-share the payload pages and process in place (§3.2 revocation).
-    Revoke,
-}
-
-/// How the guest submits transmit payloads on the cio-ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendMode {
-    /// Explicit early copy into the interface.
-    Copy,
-    /// Zero-copy placement (valid where double fetch is impossible by
-    /// layout).
-    ZeroCopy,
-}
 
 /// One queue's guest-side ring pair, plus the frames a receive pass
 /// drained ahead of the caller and the (empty between passes) buffers
@@ -43,6 +24,9 @@ struct GuestQueue {
 /// negotiation. Receive round-robins across queues, or drains a single
 /// queue when a scheduler pins one via
 /// [`select_rx_queue`](NetDevice::select_rx_queue).
+///
+/// Both directions copy early: every frame pays one metered copy between
+/// private and shared memory.
 pub struct CioRingDevice {
     queues: Vec<GuestQueue>,
     mask: u32,
@@ -50,60 +34,38 @@ pub struct CioRingDevice {
     rx_cursor: usize,
     mac: MacAddr,
     mtu: usize,
-    recv_mode: RecvMode,
     /// Record-batching discipline for receive draining: runs of up to this
     /// many slots per shared-index read, memory-lock acquisition, and
     /// consumer-index write (Serial, the default, is the run of one) —
     /// the guest-side mirror of the host backend's servicing.
     batch: BatchPolicy,
-    mem: GuestMemory,
 }
 
 impl CioRingDevice {
-    /// Wraps one ring pair per queue, wiring the send and receive modes
-    /// onto the ring endpoints as their data positioning. The MTU and MAC
-    /// come from the fixed ring config (zero-negotiation: there is no
-    /// other source); the queue count must be a non-zero power of two so
-    /// steering is a masked index.
+    /// Wraps one ring pair per queue, wiring early copy onto both ring
+    /// endpoints. The MTU and MAC come from the fixed ring config
+    /// (zero-negotiation: there is no other source); the queue count must
+    /// be a non-zero power of two so steering is a masked index.
     ///
     /// # Errors
     ///
-    /// [`CioError::Fatal`] for a bad queue count or a revocation-mode pair
-    /// without page-aligned rings — misconfiguration never becomes a
-    /// runtime error path.
-    pub fn new(
-        queues: Vec<(Producer<GuestView>, Consumer<GuestView>)>,
-        mem: GuestMemory,
-        send_mode: SendMode,
-        recv_mode: RecvMode,
-    ) -> Result<Self, CioError> {
+    /// [`CioError::Fatal`] for a bad queue count — misconfiguration never
+    /// becomes a runtime error path.
+    pub fn new(queues: Vec<(Producer<GuestView>, Consumer<GuestView>)>) -> Result<Self, CioError> {
         if queues.is_empty() || !queues.len().is_power_of_two() {
             return Err(CioError::Fatal(
                 "cio-ring device needs a power-of-two queue count",
             ));
         }
-        if recv_mode == RecvMode::Revoke
-            && queues
-                .iter()
-                .any(|(_, rx)| !rx.ring().config().page_aligned_payloads)
-        {
-            return Err(CioError::Fatal(
-                "revocation receive needs page-aligned rings",
-            ));
-        }
         let cfg = queues[0].0.ring().config();
         let mask = queues.len() as u32 - 1;
-        let tx_policy = match send_mode {
-            SendMode::Copy => CopyPolicy::CopyEarly,
-            SendMode::ZeroCopy => CopyPolicy::InPlace,
-        };
         Ok(CioRingDevice {
             mac: MacAddr(cfg.mac),
             mtu: cfg.mtu as usize - cio_netstack::wire::ETH_HDR_LEN,
             queues: queues
                 .into_iter()
                 .map(|(mut tx, mut rx)| {
-                    tx.set_copy_policy(tx_policy);
+                    tx.set_copy_policy(CopyPolicy::CopyEarly);
                     rx.set_copy_policy(CopyPolicy::CopyEarly);
                     GuestQueue {
                         tx,
@@ -116,47 +78,29 @@ impl CioRingDevice {
             mask,
             active_rx: None,
             rx_cursor: 0,
-            recv_mode,
             batch: BatchPolicy::default(),
-            mem,
         })
     }
 
-    /// Sets the record-batching discipline for receive draining. Only the
-    /// copy receive mode batches (revocation is inherently per-slot: each
-    /// payload's pages are un-shared and handed out individually).
+    /// Sets the record-batching discipline for receive draining.
     pub fn set_batch_policy(&mut self, batch: BatchPolicy) {
         self.batch = batch;
     }
 
     fn recv_from(&mut self, q: usize) -> Option<Vec<u8>> {
+        // One pass pulls a run of frames under a single lock and a single
+        // consumer-index write, then the caller pops them one at a time.
+        // Each frame pays the ring's metered early copy; the pass itself
+        // allocates nothing but the frames.
         let queue = &mut self.queues[q];
-        match self.recv_mode {
-            RecvMode::Copy => {
-                // One pass pulls a run of frames under a single lock and a
-                // single consumer-index write, then the caller pops them
-                // one at a time. Each frame pays the ring's metered early
-                // copy; the pass itself allocates nothing but the frames.
-                if let Some(frame) = queue.rx_pending.pop_front() {
-                    return Some(frame);
-                }
-                let bufs = &mut queue.rx_bufs[..self.batch.max_batch()];
-                let n = queue.rx.consume_batch_into(bufs).ok()?;
-                let frames = bufs[..n].iter_mut().map(std::mem::take);
-                queue.rx_pending.extend(frames);
-                queue.rx_pending.pop_front()
-            }
-            RecvMode::Revoke => {
-                let payload: RevokedPayload = queue.rx.consume_revoking().ok().flatten()?;
-                // In-place processing: materialize without a metered copy,
-                // then hand the pages back to the shared pool.
-                let mut buf = vec![0u8; payload.len as usize];
-                let view = self.mem.guest();
-                view.read(payload.addr, &mut buf).ok()?;
-                queue.rx.release_revoked(payload).ok()?;
-                Some(buf)
-            }
+        if let Some(frame) = queue.rx_pending.pop_front() {
+            return Some(frame);
         }
+        let bufs = &mut queue.rx_bufs[..self.batch.max_batch()];
+        let n = queue.rx.consume_batch_into(bufs).ok()?;
+        let frames = bufs[..n].iter_mut().map(std::mem::take);
+        queue.rx_pending.extend(frames);
+        queue.rx_pending.pop_front()
     }
 }
 
@@ -208,5 +152,54 @@ impl NetDevice for CioRingDevice {
         // Masked-index discipline: an out-of-range request cannot select
         // an out-of-range queue.
         self.active_rx = queue.map(|q| q & self.mask as usize);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cio_mem::{GuestAddr, GuestMemory, PAGE_SIZE};
+    use cio_sim::{Clock, CostModel, Meter};
+    use cio_vring::cioring::{CioRing, RingConfig};
+
+    /// One frame each way costs exactly one metered copy and revokes no
+    /// page: early copy is the device's only positioning, in both
+    /// directions.
+    #[test]
+    fn one_frame_each_way_is_one_metered_copy() {
+        let mem = GuestMemory::new(64, Clock::new(), CostModel::default(), Meter::new());
+        let cfg = RingConfig {
+            slots: 8,
+            area_size: 8 * 2048,
+            ..RingConfig::default()
+        };
+        // Ring words on page `page`, its payload area on the four after.
+        let ring = |page: usize| {
+            let base = GuestAddr((page * PAGE_SIZE) as u64);
+            let area = base.add(PAGE_SIZE as u64);
+            let ring = CioRing::new(cfg.clone(), base, area).unwrap();
+            mem.share_range(base, ring.ring_bytes()).unwrap();
+            mem.share_range(area, ring.area_bytes()).unwrap();
+            ring
+        };
+        let (tx_ring, rx_ring) = (ring(0), ring(8));
+        let guest_tx = Producer::new(tx_ring.clone(), mem.guest()).unwrap();
+        let guest_rx = Consumer::new(rx_ring.clone(), mem.guest()).unwrap();
+        let mut host_rx = Consumer::new(tx_ring, mem.host()).unwrap();
+        let mut host_tx = Producer::new(rx_ring, mem.host()).unwrap();
+        let mut dev = CioRingDevice::new(vec![(guest_tx, guest_rx)]).unwrap();
+        let frame = [0x5Au8; 128];
+
+        let before = mem.meter().snapshot();
+        dev.transmit(&frame).unwrap();
+        let d = mem.meter().snapshot().delta(&before);
+        assert_eq!((d.copies, d.bytes_copied, d.pages_revoked), (1, 128, 0));
+        assert_eq!(host_rx.consume().unwrap().as_deref(), Some(&frame[..]));
+
+        host_tx.produce(&frame).unwrap();
+        let before = mem.meter().snapshot();
+        assert_eq!(dev.receive().as_deref(), Some(&frame[..]));
+        let d = mem.meter().snapshot().delta(&before);
+        assert_eq!((d.copies, d.bytes_copied, d.pages_revoked), (1, 128, 0));
     }
 }

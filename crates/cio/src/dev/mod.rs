@@ -8,8 +8,8 @@
 //! the unavoidable materialization of a frame as guest bytes is *not*
 //! metered (every design does it); what IS metered is each design's
 //! distinctive data movement — bounce copies in the hardened retrofit, the
-//! early first-class copy or the page revocation in the cio-ring, AEAD
-//! passes on the tunneled/DDA paths.
+//! early first-class copy in the cio-ring, AEAD passes on the tunneled/DDA
+//! paths.
 
 mod cioring;
 mod hardened;
@@ -17,7 +17,7 @@ mod ide;
 mod tunnel;
 mod virtio;
 
-pub use cioring::{CioRingDevice, RecvMode, SendMode};
+pub use cioring::CioRingDevice;
 pub use hardened::HardenedVirtioNetDevice;
 pub use ide::IdeNetDevice;
 pub use tunnel::TunnelDevice;

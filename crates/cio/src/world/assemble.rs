@@ -102,7 +102,7 @@ fn cio_endpoints(
             Producer::new(rx_ring.clone(), mem.host())?,
         ));
     }
-    let mut dev = CioRingDevice::new(guest_pairs, mem.clone(), opts.send_mode, opts.recv_mode)?;
+    let mut dev = CioRingDevice::new(guest_pairs)?;
     dev.set_batch_policy(opts.batch);
     Ok((Box::new(dev), host_pairs))
 }

@@ -5,11 +5,10 @@
 //! error path).
 
 use super::BoundaryKind;
-use crate::dev::{RecvMode, SendMode};
 use crate::CioError;
 use cio_host::backend::ring_notify;
 use cio_host::fabric::LinkParams;
-use cio_mem::{CopyPolicy, PAGE_SIZE};
+use cio_mem::CopyPolicy;
 use cio_netstack::{Ipv4Addr, MacAddr};
 use cio_sim::CostModel;
 use cio_tee::TeeKind;
@@ -25,10 +24,6 @@ pub struct WorldOptions {
     /// End-to-end cTLS for application data (mandatory for the dual
     /// boundary; uniform across designs for fair comparison).
     pub app_tls: bool,
-    /// cio-ring transmit mode.
-    pub send_mode: SendMode,
-    /// cio-ring receive mode.
-    pub recv_mode: RecvMode,
     /// cio-ring notification mode.
     pub notify: NotifyMode,
     /// Notification economics on top of `notify`
@@ -111,8 +106,6 @@ impl Default for WorldOptions {
             cost: CostModel::default(),
             link: LinkParams::default(),
             app_tls: true,
-            send_mode: SendMode::Copy,
-            recv_mode: RecvMode::Copy,
             notify: NotifyMode::Polling,
             notify_policy: NotifyPolicy::Always,
             l5_app_copy: false,
@@ -181,30 +174,15 @@ impl WorldOptions {
     /// The fixed (never negotiated) ring configuration of the cio-ring
     /// designs' network queues.
     pub(super) fn net_ring_config(&self) -> RingConfig {
-        let notify = ring_notify(self.notify, self.notify_policy);
-        if self.recv_mode == RecvMode::Revoke {
-            RingConfig {
-                slots: 64,
-                slot_size: 16,
-                mode: DataMode::SharedArea,
-                mtu: 1514,
-                mac: GUEST_MAC.0,
-                area_size: 64 * PAGE_SIZE as u32,
-                page_aligned_payloads: true,
-                notify,
-                ..RingConfig::default()
-            }
-        } else {
-            RingConfig {
-                slots: 256,
-                slot_size: 16,
-                mode: DataMode::SharedArea,
-                mtu: 1514,
-                mac: GUEST_MAC.0,
-                area_size: 1 << 19,
-                notify,
-                ..RingConfig::default()
-            }
+        RingConfig {
+            slots: 256,
+            slot_size: 16,
+            mode: DataMode::SharedArea,
+            mtu: 1514,
+            mac: GUEST_MAC.0,
+            area_size: 1 << 19,
+            notify: ring_notify(self.notify, self.notify_policy),
+            ..RingConfig::default()
         }
     }
 }

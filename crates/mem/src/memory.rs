@@ -91,6 +91,7 @@ impl PageState {
 /// concurrent writer (that tearing window is exactly what the TOCTOU
 /// adversaries probe).
 struct MemShared {
+    /// Empty until first touched (see `GuestMemory::lock_stripe`).
     stripes: Vec<Mutex<Vec<u8>>>,
     states: Vec<AtomicU8>,
     /// Serializes share/unshare so check-then-flip transitions stay
@@ -136,16 +137,10 @@ impl GuestMemory {
     /// Creates `pages` pages of private guest memory.
     pub fn new(pages: usize, clock: Clock, cost: CostModel, meter: Meter) -> Self {
         let len = pages * PAGE_SIZE;
-        let mut stripes = Vec::with_capacity(len.div_ceil(STRIPE_BYTES));
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(STRIPE_BYTES);
-            stripes.push(Mutex::new(vec![0u8; n]));
-            remaining -= n;
-        }
+        let stripes = (0..len.div_ceil(STRIPE_BYTES)).map(|_| Mutex::default());
         GuestMemory {
             shared: Arc::new(MemShared {
-                stripes,
+                stripes: stripes.collect(),
                 states: (0..pages)
                     .map(|_| AtomicU8::new(PageState::Private.to_u8()))
                     .collect(),
@@ -248,9 +243,16 @@ impl GuestMemory {
         Ok(())
     }
 
+    /// Locks stripe `i`, zero-filling it on its first touch: an address
+    /// space costs what its users touch, and building one never zeroes
+    /// the untouched rest (whose cost would swing with the heap's state).
     #[inline]
     fn lock_stripe(&self, i: usize) -> MutexGuard<'_, Vec<u8>> {
-        self.shared.stripes[i].lock().expect("memory lock poisoned")
+        let mut stripe = self.shared.stripes[i].lock().expect("memory lock poisoned");
+        if stripe.is_empty() {
+            *stripe = vec![0u8; STRIPE_BYTES.min(self.shared.len - i * STRIPE_BYTES)];
+        }
+        stripe
     }
 
     /// Walks the stripes spanned by `[start, start + len)` in address
@@ -270,7 +272,9 @@ impl GuestMemory {
     }
 
     /// Makes `len` bytes of pages starting at page-aligned `addr` visible
-    /// to the host. Charges the per-page share cost.
+    /// to the host. Charges the per-page share cost. The range's stripes
+    /// are zero-filled here if still untouched, so the ring traffic that
+    /// runs over shared memory never allocates.
     ///
     /// # Errors
     ///
@@ -279,6 +283,7 @@ impl GuestMemory {
     /// shared.
     pub fn share_range(&self, addr: GuestAddr, len: usize) -> Result<(), MemError> {
         let pages = self.transition(addr, len, PageState::Shared)?;
+        self.for_stripes(addr.0 as usize, len, |_, _| ());
         self.clock.advance(self.cost.share(pages));
         self.meter.pages_shared(pages as u64);
         Ok(())
@@ -816,6 +821,24 @@ mod tests {
         let mut back = vec![0u8; len];
         m.guest().read(GuestAddr(17), &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn stripes_are_zero_filled_when_shared_or_first_touched() {
+        // A partial last stripe: 2.5 stripes of pages.
+        let m = mem(5 * STRIPE_PAGES / 2);
+        let live = |m: &GuestMemory| {
+            let stripes = m.shared.stripes.iter();
+            stripes.filter(|s| !s.lock().unwrap().is_empty()).count()
+        };
+        assert_eq!(live(&m), 0, "building an address space zeroes nothing");
+        m.share_range(GuestAddr(STRIPE_BYTES as u64), PAGE_SIZE)
+            .unwrap();
+        assert_eq!(live(&m), 1);
+        let (last, mut b) = (GuestAddr(m.len() as u64 - 4), [1u8; 4]);
+        m.guest().read(last, &mut b).unwrap();
+        assert_eq!((b, live(&m)), ([0; 4], 2));
+        assert_eq!(m.shared.stripes[2].lock().unwrap().len(), STRIPE_BYTES / 2);
     }
 
     #[test]

@@ -188,10 +188,14 @@ pub const TCB_SPECS: [TcbSpec; 7] = [
 /// with the reason — the coverage test fails on any file that is neither
 /// here nor charged to some design, so nothing is "charged to nobody" by
 /// accident.
-pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 4] = [
+pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 5] = [
     (
         "vring/src/netvsc.rs",
         "Figure 3's NetVSC scenario only; no BoundaryKind runs over it",
+    ),
+    (
+        "vring/src/cioring/revoke.rs",
+        "the cio ring's revocation receive arm (E7): no world's device runs it",
     ),
     (
         "vring/src/virtqueue/device.rs",
@@ -328,16 +332,17 @@ mod tests {
 
     /// ROADMAP item 3's gate, as found: the cio ring's guest transport is
     /// *larger* than virtio plus its hardening retrofit (it carries
-    /// batching, two positioning modes, event-idx and revocation that
-    /// this tree's virtqueue never implemented). The bound pins the ratio
-    /// where it was last measured (1 016 / 783 = 1.298 once the indirect
-    /// positioning arm left the ring), so it can only go down.
+    /// batching, two positioning modes and event-idx that this tree's
+    /// virtqueue never implemented). The bound pins the ratio where it was
+    /// last measured (930 / 783 = 1.188 once the device's mode switches
+    /// went and revocation moved to a file no design runs), so it can only
+    /// go down.
     #[test]
     fn cio_transport_is_no_larger_against_hardened_virtio_than_recorded() {
         let (cio, virtio) = (report("cio-ring"), report("virtio-hardened"));
         let ratio = cio.transport_loc as f64 / virtio.transport_loc as f64;
         assert!(
-            ratio <= 1.30,
+            ratio <= 1.19,
             "cio-ring transport {} vs virtio-hardened {}: {ratio:.3}x",
             cio.transport_loc,
             virtio.transport_loc

@@ -21,7 +21,7 @@
 //! [`Producer::commit_batch`]; the consumer primitive is
 //! [`Consumer::consume_batch_in_place`]. Everything else
 //! ([`Producer::produce`], [`Producer::stage`], [`Producer::reserve`] /
-//! [`Producer::commit`], [`Consumer::consume`], [`Consumer::consume_into`],
+//! [`Producer::commit`], [`Consumer::consume`],
 //! [`Consumer::consume_batch_into`], [`Consumer::consume_in_place`]) is a
 //! few-line adapter over a run of one or a different buffer shape, with
 //! bit-identical charges.
@@ -30,10 +30,15 @@
 //! [`DataMode::Inline`] (payload in the slot) and [`DataMode::SharedArea`]
 //! (slot holds offset+len into a dedicated area, one fetch). For E7, a
 //! page-aligned area enables [`Consumer::consume_revoking`], which
-//! un-shares the payload pages instead of copying.
+//! un-shares the payload pages instead of copying; it lives in the child
+//! module `revoke`, because no world's device runs it.
+
+mod revoke;
+
+pub use revoke::RevokedPayload;
 
 use crate::{RingError, Violation};
-use cio_mem::{CopyPolicy, GuestAddr, GuestView, MemView, PAGE_SIZE};
+use cio_mem::{CopyPolicy, GuestAddr, MemView, PAGE_SIZE};
 use cio_sim::{Cycles, Stage, Telemetry};
 
 /// Where payload bytes live relative to the ring.
@@ -901,23 +906,6 @@ impl<V: MemView> Producer<V> {
             mem.meter().notifications_sent(1);
         }
     }
-
-    /// Free slots from this producer's perspective.
-    pub fn free_slots(&self) -> Result<u32, RingError> {
-        Ok(self.ring.cfg.slots - self.in_flight()?)
-    }
-}
-
-/// A payload received by revocation instead of copy: the pages holding it
-/// were un-shared from the host and are now private.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RevokedPayload {
-    /// Private (revoked) guest address of the payload.
-    pub addr: GuestAddr,
-    /// Validated payload length.
-    pub len: u32,
-    /// Masked slot index (needed to re-share on release).
-    masked: u32,
 }
 
 /// The consuming endpoint.
@@ -1241,82 +1229,17 @@ impl<V: MemView> Consumer<V> {
         })
     }
 
-    /// Consumes one payload into a caller-provided reusable buffer.
-    /// Returns the payload length, or `None` when the ring is empty.
-    ///
-    /// # Errors
-    ///
-    /// As [`Consumer::consume_batch_in_place`].
-    pub fn consume_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<usize>, RingError> {
-        let n = self.consume_batch_into(std::slice::from_mut(buf))?;
-        Ok((n == 1).then_some(buf.len()))
-    }
-
-    /// Consumes one payload into a fresh buffer. Allocating convenience
-    /// over [`Consumer::consume_into`].
+    /// Consumes one payload into a fresh buffer: allocating convenience
+    /// over [`Consumer::consume_batch_into`] at a run of one. Returns
+    /// `None` when the ring is empty.
     ///
     /// # Errors
     ///
     /// As [`Consumer::consume_batch_in_place`].
     pub fn consume(&mut self) -> Result<Option<Vec<u8>>, RingError> {
         let mut buf = Vec::new();
-        Ok(self.consume_into(&mut buf)?.map(|_| buf))
-    }
-}
-
-impl Consumer<GuestView> {
-    /// Consumes one payload by *revoking* its pages instead of copying
-    /// (guest-side receive only; requires `page_aligned_payloads`).
-    ///
-    /// The slot's whole stride is un-shared, making the payload private and
-    /// immune to further host writes — the copy-elimination avenue of §3.2.
-    /// The caller must hand the pages back with
-    /// [`Consumer::release_revoked`] before the slot can be reused.
-    ///
-    /// # Errors
-    ///
-    /// [`RingError::Fatal`] if the ring was not configured for revocation;
-    /// otherwise as [`Consumer::consume`].
-    pub fn consume_revoking(&mut self) -> Result<Option<RevokedPayload>, RingError> {
-        let _span = self.telemetry.span(self.tq, Stage::RingConsume);
-        if !self.ring.cfg.page_aligned_payloads {
-            return Err(RingError::Fatal("ring not configured for revocation"));
-        }
-        if self.available()? == 0 {
-            self.note_empty()?;
-            return Ok(None);
-        }
-        let masked = self.next & self.ring.slot_mask();
-        let (addr, len) = self.read_slot_meta(masked)?;
-        // Confine the payload to this slot's own stride before revoking:
-        // a hostile offset pointing into another slot's stride would
-        // otherwise leave the returned pointer in still-shared memory and
-        // reopen the TOCTOU window revocation exists to close.
-        let stride = u64::from(self.ring.cfg.stride());
-        let stride_base = self.ring.payload_addr(masked);
-        let in_stride = addr.0.wrapping_sub(stride_base.0) % stride;
-        let addr = stride_base.add(in_stride);
-        let len = len.min((stride - in_stride) as u32);
-        // Revoke the whole stride of this slot (page-aligned by config).
-        self.view
-            .memory()
-            .unshare_range(stride_base, self.ring.cfg.stride() as usize)?;
-        self.view.memory().meter().bytes_zero_copy(u64::from(len));
-        self.commit(1)?;
-        Ok(Some(RevokedPayload { addr, len, masked }))
-    }
-
-    /// Returns revoked pages to the shared pool (re-shares the stride).
-    ///
-    /// # Errors
-    ///
-    /// Memory errors from the share transition.
-    pub fn release_revoked(&mut self, p: RevokedPayload) -> Result<(), RingError> {
-        let stride_base = self.ring.payload_addr(p.masked);
-        self.view
-            .memory()
-            .share_range(stride_base, self.ring.cfg.stride() as usize)?;
-        Ok(())
+        let n = self.consume_batch_into(std::slice::from_mut(&mut buf))?;
+        Ok((n == 1).then_some(buf))
     }
 }
 
@@ -1383,7 +1306,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cio_mem::{GuestMemory, HostView};
+    use cio_mem::{GuestMemory, GuestView, HostView};
     use cio_sim::{Clock, CostModel, Meter};
 
     const RING_BASE: u64 = 0;
@@ -1494,7 +1417,6 @@ mod tests {
             p.produce(b"x").unwrap();
         }
         assert!(matches!(p.produce(b"x"), Err(RingError::Full)));
-        assert_eq!(p.free_slots().unwrap(), 0);
         c.consume().unwrap().unwrap();
         // Producer sees the freed slot through the consumer index.
         p.produce(b"y").unwrap();
@@ -1502,11 +1424,14 @@ mod tests {
 
     #[test]
     fn mtu_enforced() {
-        let (_m, mut p, _c) = tx_pair(small_cfg(DataMode::SharedArea));
+        // 1025 bytes against the 1024-byte MTU: refused before it ever
+        // reaches a slot, so the consumer path never sees it.
+        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
         assert!(matches!(
             p.produce(&vec![0u8; 1025]),
             Err(RingError::TooLarge)
         ));
+        assert_eq!(c.consume().unwrap(), None);
     }
 
     #[test]
@@ -1517,19 +1442,6 @@ mod tests {
             let got = c.consume().unwrap().unwrap();
             assert_eq!(got, round.to_le_bytes());
         }
-    }
-
-    #[test]
-    fn consume_into_oversize_payload_rejected_at_produce() {
-        // 1025 bytes against the 1024-byte MTU: refused before it ever
-        // reaches a slot, so the consumer path never sees it.
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
-        assert!(matches!(
-            p.produce(&vec![0u8; 1025]),
-            Err(RingError::TooLarge)
-        ));
-        let mut buf = Vec::new();
-        assert_eq!(c.consume_into(&mut buf).unwrap(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The one-pass rework threads reusable scratches through the whole
 //! record path: cTLS seal into a [`RecordScratch`], produce onto a cio
-//! ring, `consume_into` a reused buffer on the host side, and open back
+//! ring, `consume_batch_into` a reused buffer on the host side, and open back
 //! into a scratch. After warm-up (buffers grown to their high-water
 //! marks), pushing records through that loop must hit the heap zero
 //! times. A counting `#[global_allocator]` enforces it, counting only
@@ -130,10 +130,10 @@ fn steady_state_record_path_does_not_allocate() {
         let _span = telemetry.span(0, Stage::GuestSend);
         guest.seal_into(&payload, rec).expect("seal");
         producer.produce(rec.as_slice()).expect("produce");
-        consumer
-            .consume_into(blob)
-            .expect("consume")
-            .expect("record available");
+        let n = consumer
+            .consume_batch_into(std::slice::from_mut(blob))
+            .expect("consume");
+        assert_eq!(n, 1, "record available");
         host.open_into(blob, plain).expect("open");
         telemetry.record_rtt(0, cio_sim::Cycles(blob.len() as u64));
         telemetry.record_batch(0, 1);
@@ -245,10 +245,10 @@ fn steady_state_record_path_does_not_allocate() {
             let _span = mq_telemetry.span(q, Stage::GuestSend);
             guest.seal_into(&payload, rec).expect("seal");
             producer.produce(rec.as_slice()).expect("produce");
-            consumer
-                .consume_into(blob)
-                .expect("consume")
-                .expect("record available");
+            let n = consumer
+                .consume_batch_into(std::slice::from_mut(blob))
+                .expect("consume");
+            assert_eq!(n, 1, "record available");
             host.open_into(blob, plain).expect("open");
             mq_telemetry.record_batch(q, 1);
             assert_eq!(plain.as_slice(), &payload[..]);
@@ -523,10 +523,10 @@ fn steady_state_record_path_does_not_allocate() {
             let _span = telemetry.span(0, Stage::GuestSend);
             sess.guest.seal_into(&payload, &mut sess.rec).expect("seal");
             producer.produce(sess.rec.as_slice()).expect("produce");
-            consumer
-                .consume_into(blob)
-                .expect("consume")
-                .expect("record available");
+            let n = consumer
+                .consume_batch_into(std::slice::from_mut(blob))
+                .expect("consume");
+            assert_eq!(n, 1, "record available");
             sess.host.open_into(blob, &mut sess.plain).expect("open");
             assert_eq!(sess.plain.as_slice(), &payload[..]);
         }
