@@ -32,7 +32,9 @@
 //!    locks/record, records/commit, and virtual cycles/record.
 //!
 //! The first line names the AEAD kernel tier this CPU selects
-//! (`cio_crypto::aead::kernel_tier`), also written as `aead_kernel`.
+//! (`cio_crypto::aead::kernel_tier`), also written as `aead_kernel`, and
+//! the X25519 tier (`cio_crypto::x25519::kernel_tier`: IFMA lanes or
+//! scalar).
 //! `--quick` shrinks the timing windows for CI smoke runs.
 
 use cio::world::speer::TunnelGateway;
@@ -290,8 +292,10 @@ fn main() {
 
     let kernel = cio_crypto::aead::kernel_tier();
     println!(
-        "one-pass AEAD dataplane micro-bench ({} mode, AEAD kernel tier: {kernel})",
-        if quick { "quick" } else { "full" }
+        "one-pass AEAD dataplane micro-bench ({} mode, AEAD kernel tier: {kernel}, \
+         X25519 tier: {})",
+        if quick { "quick" } else { "full" },
+        cio_crypto::x25519::kernel_tier()
     );
     println!();
     println!("seal+open round trip, two-pass reference vs fused one-pass:");

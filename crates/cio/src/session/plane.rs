@@ -5,7 +5,8 @@
 //! harness is to the record dataplane: a standalone, deterministic rig
 //! that drives the *real* components — [`ClientHandshake`] /
 //! [`ServerHandshake`] key exchanges (server responses batched under one
-//! ephemeral via [`ServerHandshake::respond_batch`]), [`Channel`] records
+//! ephemeral via [`ServerHandshake::respond_batch`], each step's X25519
+//! ladders one `scalarmult_many` run), [`Channel`] records
 //! sealed in slot and opened in place on per-shard cio rings, automatic
 //! rekeying, and a generational [`SessionTable`] — at session counts the
 //! full TCP world cannot reach in test time. A [`LoadGen`] supplies
@@ -294,15 +295,22 @@ impl SessionPlane {
         Ok(())
     }
 
-    /// Opens `n` sessions through one batched server response.
+    /// Opens `n` sessions through one batched server response; each side's
+    /// X25519 work is one run ([`ClientHandshake::start_batch`],
+    /// [`ServerHandshake::respond_batch`], [`ClientHandshake::finish_batch`]).
     fn open_batch(&mut self, n: usize) -> Result<(), CioError> {
-        let mut clients = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut entropy = [0u8; 64];
-            self.rng.fill_bytes(&mut entropy);
-            clients.push(ClientHandshake::start(entropy, Some(self.hooks.clone())));
-        }
-        let hellos: Vec<&[u8]> = clients.iter().map(|(h, _)| h.as_slice()).collect();
+        let entropies: Vec<[u8; 64]> = (0..n)
+            .map(|_| {
+                let mut entropy = [0u8; 64];
+                self.rng.fill_bytes(&mut entropy);
+                entropy
+            })
+            .collect();
+        let (hellos, clients): (Vec<_>, Vec<_>) =
+            ClientHandshake::start_batch(&entropies, Some(self.hooks.clone()))
+                .into_iter()
+                .unzip();
+        let hellos: Vec<&[u8]> = hellos.iter().map(Vec::as_slice).collect();
         let mut server_entropy = [0u8; 64];
         self.rng.fill_bytes(&mut server_entropy);
         let responses = ServerHandshake::respond_batch(
@@ -312,11 +320,18 @@ impl SessionPlane {
             Some(self.hooks.clone()),
         );
         self.handshake_batches += 1;
-        for ((_, ch), resp) in clients.into_iter().zip(responses) {
-            let (sh, cont) = resp.map_err(CioError::Ctls)?;
-            let (fin, mut client) = ch
-                .finish(&sh, &PLANE_KEY, &Measurement::of(PLANE_IMAGE))
-                .map_err(CioError::Ctls)?;
+        let (server_hellos, conts): (Vec<_>, Vec<_>) = responses
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(CioError::Ctls)?;
+        let finished = ClientHandshake::finish_batch(
+            clients,
+            &server_hellos,
+            &PLANE_KEY,
+            &Measurement::of(PLANE_IMAGE),
+        );
+        for (cont, fin) in conts.into_iter().zip(finished) {
+            let (fin, mut client) = fin.map_err(CioError::Ctls)?;
             let mut server = cont.verify_finished(&fin).map_err(CioError::Ctls)?;
             client.set_rekey_interval(self.cfg.rekey_interval);
             server.set_rekey_interval(self.cfg.rekey_interval);

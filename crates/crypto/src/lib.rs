@@ -17,7 +17,7 @@
 //!
 //! Every module carries the relevant RFC/NIST test vectors in its unit
 //! tests. The implementations favour clarity and branch-free handling of
-//! secret data over raw speed, with four exceptions, because the
+//! secret data over raw speed, with five exceptions, because the
 //! benchmarks are wall-clock and these kernels sit on every connection
 //! and every sealed byte:
 //!
@@ -25,10 +25,12 @@
 //!   kernels on `x86_64`, each selected at run time by CPU feature and
 //!   input length;
 //! * on AVX-512 hosts [`poly1305`] absorbs long records in eight
-//!   radix-2^26 vector lanes. These SIMD kernels are confined to one
-//!   module, tested bit-for-bit against the scalar oracles, and are the
-//!   only unsafe code in the crate (`#![deny(unsafe_code)]` with a scoped
-//!   allow there);
+//!   radix-2^26 vector lanes;
+//! * on AVX-512 IFMA hosts [`x25519::scalarmult_many`] runs a batch of
+//!   handshakes' ladders eight at a time, one per radix-2^51 vector lane.
+//!   These SIMD kernels are confined to one module, tested bit-for-bit
+//!   against the scalar oracles, and are the only unsafe code in the
+//!   crate (`#![deny(unsafe_code)]` with a scoped allow there);
 //! * [`poly1305`]'s scalar path absorbs four blocks per carry over cached
 //!   powers of `r` once a record is long enough to pay for them;
 //! * [`x25519`] reduces lazily: additions and subtractions do not carry,
@@ -39,7 +41,9 @@
 //! byte-identical to the textbook one-block / carry-after-every-operation
 //! forms; each module header gives the limb-bound argument (the lanes'
 //! too), and the unit tests check it mechanically (dev builds panic on
-//! overflow) against an independent oracle.
+//! overflow) against an independent oracle. Intrinsics do not panic on
+//! overflow, so for the lanes the written argument is the check, and the
+//! tests compare their bytes with the scalar code's.
 //!
 //! # Security note
 //!
@@ -72,6 +76,19 @@ pub(crate) fn avx512() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this CPU runs the X25519 lanes (AVX-512F with the 52-bit
+/// integer multiply-add of AVX-512 IFMA).
+pub(crate) fn avx512ifma() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx512() && std::arch::is_x86_feature_detected!("avx512ifma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

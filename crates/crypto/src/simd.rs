@@ -20,13 +20,20 @@
 //! arithmetic in safe Rust autovectorizes to 0.44 ns/B, slower than the
 //! scalar four-block loop's 0.32; these intrinsics reach 0.15 at 16 KiB.
 //!
+//! X25519: [`ladder_lanes`], eight independent Montgomery ladders, one per
+//! 64-bit lane, with radix-2^51 products on AVX-512 IFMA `vpmadd52{lo,hi}uq`
+//! (the bounds are in `x25519`'s module docs). It serves
+//! `x25519::scalarmult_many`, a run of *handshakes*; it is not a
+//! multi-record AEAD kernel, and every record still takes one AEAD pass.
+//!
 //! Every entry point re-checks its CPU feature (`is_x86_feature_detected!`
 //! caches the CPUID probe, so each check is a relaxed atomic load) before
 //! it enters a `#[target_feature]` function.
 #![allow(unsafe_code)] // the crate's one unsafe module: intrinsics behind runtime feature checks
 
-use crate::avx512;
 use crate::chacha20::{BLOCK_LEN, LONG_BLOCKS, QUAD_BLOCKS, WIDE_BLOCKS};
+use crate::x25519::{LANES, MASK51, TWO_P};
+use crate::{avx512, avx512ifma};
 use core::arch::x86_64::*;
 
 #[cfg(test)]
@@ -34,6 +41,9 @@ thread_local! {
     /// Sixteen-block runs this thread has served: the dispatch tests read
     /// it to prove the AVX-512 kernel engaged.
     pub(crate) static LONG_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Eight-lane X25519 runs this thread has served: the batch tests read
+    /// it to prove the IFMA kernel engaged.
+    pub(crate) static LADDER_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Safe front door for the wide kernel: runs it if the CPU has AVX2
@@ -540,6 +550,252 @@ fn poly_lanes_avx512(h: [u64; 5], pows: &[[u64; 8]; 5], data: &[u8]) -> [u64; 5]
     let mut out = [0u64; 5];
     for (o, d) in out.iter_mut().zip(mul26(&a, &fold)) {
         *o = _mm512_reduce_add_epi64(d) as u64;
+    }
+    out
+}
+
+/// One field element per lane: `[i]` holds limb `i` of every lane's
+/// element, radix 2^51 as in `x25519`.
+type Fe8 = [__m512i; 5];
+
+/// Safe front door for the X25519 lanes: lane `j` runs the Montgomery
+/// ladder of the clamped scalar `scalars[j]` on the u-coordinate whose
+/// radix-2^51 limbs are `u[j]` (each `< 2^51`, as `x25519`'s `from_bytes`
+/// leaves them). Returns each lane's `x2 / z2` as limbs `< 2^51 + 2^15`,
+/// not yet encoded.
+pub(crate) fn ladder_lanes(
+    scalars: &[[u8; 32]; LANES],
+    u: &[[u64; 5]; LANES],
+) -> [[u64; 5]; LANES] {
+    assert!(avx512ifma());
+    #[cfg(test)]
+    {
+        LADDER_RUNS.with(|n| n.set(n.get() + 1));
+    }
+    // SAFETY: AVX-512F and AVX-512 IFMA presence was just verified at
+    // runtime.
+    unsafe { ladder_lanes_ifma(scalars, u) }
+}
+
+/// Word `w` of every lane: `v[w]` lane `j` is `rows[j][w]`.
+#[target_feature(enable = "avx512f")]
+fn transpose_in<const W: usize>(rows: &[[u64; W]; LANES]) -> [__m512i; W] {
+    let mut v = [_mm512_setzero_si512(); W];
+    for (w, v) in v.iter_mut().enumerate() {
+        let col: [u64; LANES] = core::array::from_fn(|j| rows[j][w]);
+        // SAFETY: AVX-512F is this function's target feature; `col` is
+        // exactly eight `u64`, one unaligned 64-byte load.
+        *v = unsafe { _mm512_loadu_si512(col.as_ptr().cast()) };
+    }
+    v
+}
+
+/// Parallel carry: every limb keeps its low 51 bits and passes the rest
+/// up; limb 4's carry re-enters limb 0 times 19. The carries are below
+/// 2^13, so that product is exact in the low half of one IFMA.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn carry8(z: Fe8) -> Fe8 {
+    let m51 = _mm512_set1_epi64(MASK51 as i64);
+    let mut out = [_mm512_setzero_si512(); 5];
+    out[0] = _mm512_madd52lo_epu64(
+        _mm512_and_si512(z[0], m51),
+        _mm512_srli_epi64::<51>(z[4]),
+        _mm512_set1_epi64(19),
+    );
+    for i in 1..5 {
+        out[i] = _mm512_add_epi64(
+            _mm512_and_si512(z[i], m51),
+            _mm512_srli_epi64::<51>(z[i - 1]),
+        );
+    }
+    out
+}
+
+/// Assembles a product from its IFMA halves and reduces it: `lo[k]` sums
+/// the low 52 bits of the products at weight `2^(51k)`, `hi[k]` their
+/// high halves, which sit at `2^(51k + 52)`, i.e. twice column `k + 1`.
+/// Columns 5..10 wrap past 2^255 times 19.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn reduce8(lo: [__m512i; 9], hi: [__m512i; 9]) -> Fe8 {
+    let mut col = [_mm512_setzero_si512(); 10];
+    col[0] = lo[0];
+    for k in 1..9 {
+        col[k] = _mm512_add_epi64(lo[k], _mm512_slli_epi64::<1>(hi[k - 1]));
+    }
+    col[9] = _mm512_slli_epi64::<1>(hi[8]);
+    let mut z = [_mm512_setzero_si512(); 5];
+    for k in 0..5 {
+        let w = col[k + 5];
+        let w19 = _mm512_add_epi64(
+            _mm512_add_epi64(w, _mm512_slli_epi64::<1>(w)),
+            _mm512_slli_epi64::<4>(w),
+        );
+        z[k] = _mm512_add_epi64(col[k], w19);
+    }
+    carry8(z)
+}
+
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul8(a: &Fe8, b: &Fe8) -> Fe8 {
+    let [mut lo, mut hi] = [[_mm512_setzero_si512(); 9]; 2];
+    for (i, &ai) in a.iter().enumerate() {
+        for (j, &bj) in b.iter().enumerate() {
+            lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], ai, bj);
+            hi[i + j] = _mm512_madd52hi_epu64(hi[i + j], ai, bj);
+        }
+    }
+    reduce8(lo, hi)
+}
+
+/// `mul8(a, a)`'s columns with each cross product formed once and the
+/// sums doubled before the squares join them.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn square8(a: &Fe8) -> Fe8 {
+    let [mut lo, mut hi] = [[_mm512_setzero_si512(); 9]; 2];
+    for i in 0..5 {
+        for j in i + 1..5 {
+            lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a[i], a[j]);
+            hi[i + j] = _mm512_madd52hi_epu64(hi[i + j], a[i], a[j]);
+        }
+    }
+    for k in 1..8 {
+        lo[k] = _mm512_slli_epi64::<1>(lo[k]);
+        hi[k] = _mm512_slli_epi64::<1>(hi[k]);
+    }
+    for i in 0..5 {
+        lo[2 * i] = _mm512_madd52lo_epu64(lo[2 * i], a[i], a[i]);
+        hi[2 * i] = _mm512_madd52hi_epu64(hi[2 * i], a[i], a[i]);
+    }
+    reduce8(lo, hi)
+}
+
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn square8_n(a: &Fe8, n: usize) -> Fe8 {
+    let mut t = *a;
+    for _ in 0..n {
+        t = square8(&t);
+    }
+    t
+}
+
+/// `k * a` for `k < 2^52`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul_small8(a: &Fe8, k: u64) -> Fe8 {
+    let k = _mm512_set1_epi64(k as i64);
+    let [mut lo, mut hi] = [[_mm512_setzero_si512(); 9]; 2];
+    for (i, &ai) in a.iter().enumerate() {
+        lo[i] = _mm512_madd52lo_epu64(lo[i], ai, k);
+        hi[i] = _mm512_madd52hi_epu64(hi[i], ai, k);
+    }
+    reduce8(lo, hi)
+}
+
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn add8(a: &Fe8, b: &Fe8) -> Fe8 {
+    let mut s = *a;
+    for (s, &b) in s.iter_mut().zip(b) {
+        *s = _mm512_add_epi64(*s, b);
+    }
+    carry8(s)
+}
+
+/// `a + 2p - b`, carried.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn sub8(a: &Fe8, b: &Fe8) -> Fe8 {
+    let mut s = *a;
+    for ((s, &b), two_p) in s.iter_mut().zip(b).zip(TWO_P) {
+        *s = _mm512_sub_epi64(_mm512_add_epi64(*s, _mm512_set1_epi64(two_p as i64)), b);
+    }
+    carry8(s)
+}
+
+/// Swaps `a` and `b` in the lanes whose bit of `k` is set.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn cswap8(k: __mmask8, a: &mut Fe8, b: &mut Fe8) {
+    for (a, b) in a.iter_mut().zip(b.iter_mut()) {
+        let (x, y) = (*a, *b);
+        *a = _mm512_mask_blend_epi64(k, x, y);
+        *b = _mm512_mask_blend_epi64(k, y, x);
+    }
+}
+
+/// `a^(p - 2)`: the scalar code's addition chain, in every lane.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn invert8(a: &Fe8) -> Fe8 {
+    let z2 = square8(a);
+    let z9 = mul8(a, &square8_n(&z2, 2));
+    let z11 = mul8(&z2, &z9);
+    let z_5_0 = mul8(&z9, &square8(&z11));
+    let z_10_0 = mul8(&square8_n(&z_5_0, 5), &z_5_0);
+    let z_20_0 = mul8(&square8_n(&z_10_0, 10), &z_10_0);
+    let z_40_0 = mul8(&square8_n(&z_20_0, 20), &z_20_0);
+    let z_50_0 = mul8(&square8_n(&z_40_0, 10), &z_10_0);
+    let z_100_0 = mul8(&square8_n(&z_50_0, 50), &z_50_0);
+    let z_200_0 = mul8(&square8_n(&z_100_0, 100), &z_100_0);
+    let z_250_0 = mul8(&square8_n(&z_200_0, 50), &z_50_0);
+    mul8(&square8_n(&z_250_0, 5), &z11)
+}
+
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn ladder_lanes_ifma(scalars: &[[u8; 32]; LANES], u: &[[u64; 5]; LANES]) -> [[u64; 5]; LANES] {
+    let words: [[u64; 4]; LANES] = core::array::from_fn(|j| {
+        core::array::from_fn(|w| {
+            u64::from_le_bytes(scalars[j][8 * w..8 * w + 8].try_into().expect("8 bytes"))
+        })
+    });
+    let words = transpose_in(&words);
+    let x1 = transpose_in(u);
+    let zero = _mm512_setzero_si512();
+    let one = [_mm512_set1_epi64(1), zero, zero, zero, zero];
+    let (mut x2, mut z2, mut x3, mut z3) = (one, [zero; 5], x1, one);
+    let mut swap: __mmask8 = 0;
+
+    for t in (0..255).rev() {
+        // Lane j's bit t, as bit j of a mask: the index is public, the
+        // mask is secret and only ever selects.
+        let bit = _mm512_test_epi64_mask(words[t / 64], _mm512_set1_epi64(1 << (t % 64)));
+        swap ^= bit;
+        cswap8(swap, &mut x2, &mut x3);
+        cswap8(swap, &mut z2, &mut z3);
+        swap = bit;
+
+        // The scalar ladder's step (RFC 7748 §5), every input and output
+        // below 2^51 + 2^15.
+        let a = add8(&x2, &z2);
+        let aa = square8(&a);
+        let b = sub8(&x2, &z2);
+        let bb = square8(&b);
+        let e = sub8(&aa, &bb);
+        let c = add8(&x3, &z3);
+        let d = sub8(&x3, &z3);
+        let da = mul8(&d, &a);
+        let cb = mul8(&c, &b);
+        x3 = square8(&add8(&da, &cb));
+        z3 = mul8(&x1, &square8(&sub8(&da, &cb)));
+        x2 = mul8(&aa, &bb);
+        z2 = mul8(&e, &add8(&aa, &mul_small8(&e, 121_665)));
+    }
+    cswap8(swap, &mut x2, &mut x3);
+    cswap8(swap, &mut z2, &mut z3);
+
+    let r = mul8(&x2, &invert8(&z2));
+    let mut out = [[0u64; 5]; LANES];
+    for (i, limb) in r.iter().enumerate() {
+        let mut col = [0u64; LANES];
+        // SAFETY: AVX-512F is this function's target feature; `col` is
+        // exactly eight `u64`, one unaligned 64-byte store.
+        unsafe { _mm512_storeu_si512(col.as_mut_ptr().cast(), *limb) };
+        for (o, v) in out.iter_mut().zip(col) {
+            o[i] = v;
+        }
     }
     out
 }

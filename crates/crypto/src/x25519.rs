@@ -42,8 +42,49 @@
 //! tests below run exactly that input (and chains of `sub` of tiny values,
 //! whose limbs sit just under `2p`'s) in dev, where `u64`/`u128` overflow
 //! panics, against a big-integer implementation that shares none of this.
+//!
+//! # Eight ladders per lane run (AVX-512 IFMA)
+//!
+//! A handshake's ladders are serial, but a batch of handshakes is not:
+//! [`scalarmult_many`] runs eight independent ladders at once, one per
+//! 64-bit lane (`simd::ladder_lanes`), each lane in the same radix 2^51,
+//! with the swap a per-lane mask blend and the inversion the same chain
+//! in every lane. On the 2-core AVX-512 box one run of eight costs
+//! 65–68 µs where one scalar ladder costs 39–42 µs: 4.8× the throughput,
+//! and already a win at two ladders (`LANES_MIN`).
+//!
+//! `vpmadd52{lo,hi}uq` multiply the low 52 bits of each operand and add
+//! the low or high 52 bits of the 104-bit product to a 64-bit
+//! accumulator, so **every multiplier input must be `< 2^52`**; a wider
+//! limb is silently truncated, and intrinsics never panic on overflow,
+//! so this argument is the check. One limb class serves all lane values:
+//! **reduced**, every limb `< 2^51 + 2^15`.
+//!
+//! * Inputs: `from_bytes` gives `< 2^51`; 1 and 0 are reduced.
+//! * Every operation ends in one *parallel* carry: each limb keeps its
+//!   low 51 bits and adds the carry of the limb below, and limb 4's carry
+//!   re-enters limb 0 times 19. Fed limbs `< 2^60`, the carries are
+//!   `< 2^9` and `19 *` that `< 2^13.3`, so the result is reduced.
+//! * `add` and `sub` (`a + 2p - b`; a reduced `b` is below `2p`'s
+//!   smallest limb, `2^52 - 38`) carry their `< 2^53.01` sums. No lane
+//!   value is ever an uncarried sum: with one bit of headroom, two
+//!   reduced limbs can already reach 2^52.
+//! * A product of reduced limbs is `< 2^102.01`: its low half `< 2^52`
+//!   lands in column `i + j`, its high half `< 2^50.01` at weight
+//!   `2^(51(i+j) + 52)`, i.e. twice column `i + j + 1`. The largest
+//!   column, 4, is five low halves plus twice four high halves, `< 7.01 *
+//!   2^52 < 2^54.9`; columns 5..9 fold in times 19, so a limb before the
+//!   carry is `< 20 * 2^54.9 < 2^59.3`. Squaring has the same columns (cross
+//!   products formed once, then doubled), and `mul_small` by `121 665`
+//!   has five low and five high halves, far smaller.
+//!
+//! The lane result is reduced, so its value is below `2^255 + 2^220 <
+//! 2p` and `to_bytes` encodes it canonically. The unit tests compare the
+//! lanes against the scalar ladder and against a ladder over the
+//! big-integer oracle, with the all-ones input (every limb `2^51 - 1`)
+//! among them.
 
-use crate::ct::{ct_eq, ct_swap};
+use crate::ct::{ct_eq, ct_swap, zeroize};
 use crate::CryptoError;
 
 /// X25519 public/private key and shared-secret length.
@@ -56,14 +97,14 @@ pub const BASEPOINT: [u8; KEY_LEN] = {
     b
 };
 
-const MASK51: u64 = (1u64 << 51) - 1;
+pub(crate) const MASK51: u64 = (1u64 << 51) - 1;
 
 /// Exclusive limb bound `mul`/`square`/`mul_small` accept (see the module
 /// doc).
 const LOOSE: u64 = 1 << 54;
 
 /// `2p` in radix-2^51, the bias that keeps `sub` non-negative.
-const TWO_P: [u64; 5] = [
+pub(crate) const TWO_P: [u64; 5] = [
     2 * 0x7ffffffffffed,
     2 * 0x7ffffffffffff,
     2 * 0x7ffffffffffff,
@@ -99,10 +140,12 @@ impl Fe {
         ])
     }
 
-    /// Canonical little-endian encoding of a carried element.
+    /// Canonical little-endian encoding of a carried element, or of a
+    /// reduced lane result (see the module doc).
     fn to_bytes(self) -> [u8; 32] {
         let mut t = self.0;
-        // A carried element is < 2^255 + 2^218 < 2p, so the quotient by p
+        // A carried element is < 2^255 + 2^218 < 2p (a lane result
+        // < 2^255 + 2^220), so the quotient by p
         // is q = floor((t + 19) / 2^255), 0 or 1: run the carry chain of
         // t + 19 and keep only what falls out of the top.
         let mut q = (t[0] + 19) >> 51;
@@ -318,6 +361,80 @@ pub fn scalarmult(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
     x2.mul(z2.invert()).to_bytes()
 }
 
+/// Ladders per lane run: one per 64-bit lane of a `__m512i`.
+pub(crate) const LANES: usize = 8;
+
+/// Shortest group of a run that goes to the lanes. One eight-lane run
+/// costs what about two scalar ladders do (see the module doc), so a
+/// group of two already breaks even; a lone ladder stays scalar.
+const LANES_MIN: usize = 2;
+
+/// `out[k] = scalarmult(&scalars[k], &points[k])` for every `k`, byte for
+/// byte. On AVX-512 IFMA hosts the run goes to the lanes eight at a time,
+/// and a group shorter than `LANES_MIN` (a run of one, or a lone
+/// trailing ladder) takes the scalar ladder, as does every group on any
+/// other CPU.
+///
+/// # Panics
+///
+/// If the three slices differ in length.
+pub fn scalarmult_many(scalars: &[[u8; 32]], points: &[[u8; 32]], out: &mut [[u8; 32]]) {
+    assert!(
+        scalars.len() == points.len() && points.len() == out.len(),
+        "one point and one output per scalar"
+    );
+    let lanes = crate::avx512ifma();
+    let groups = scalars.chunks(LANES).zip(points.chunks(LANES));
+    for ((s, p), o) in groups.zip(out.chunks_mut(LANES)) {
+        if lanes && s.len() >= LANES_MIN {
+            scalarmult_lanes(s, p, o);
+        } else {
+            for ((s, p), o) in s.iter().zip(p).zip(o.iter_mut()) {
+                *o = scalarmult(s, p);
+            }
+        }
+    }
+}
+
+/// One lane run of up to eight ladders; idle lanes compute on zeros and
+/// are discarded.
+fn scalarmult_lanes(scalars: &[[u8; 32]], points: &[[u8; 32]], out: &mut [[u8; 32]]) {
+    let mut s = [[0u8; 32]; LANES];
+    let mut u = [[0u64; 5]; LANES];
+    for (j, (scalar, point)) in scalars.iter().zip(points).enumerate() {
+        s[j] = clamp(scalar);
+        u[j] = Fe::from_bytes(point).0;
+    }
+    let r = ladder_lanes(&s, &u);
+    debug_assert!(r.iter().flatten().all(|&limb| limb < (1 << 51) + (1 << 15)));
+    for lane in &mut s {
+        zeroize(lane);
+    }
+    for (o, limbs) in out.iter_mut().zip(r) {
+        *o = Fe(limbs).to_bytes();
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use crate::simd::ladder_lanes;
+
+/// Off `x86_64` there is no lane kernel, and `avx512ifma()` keeps
+/// [`scalarmult_many`] from calling one.
+#[cfg(not(target_arch = "x86_64"))]
+fn ladder_lanes(_: &[[u8; 32]; LANES], _: &[[u64; 5]; LANES]) -> [[u64; 5]; LANES] {
+    unreachable!("no lane kernel on this target")
+}
+
+/// The X25519 kernel [`scalarmult_many`] runs on this CPU: `avx512ifma`
+/// (eight ladders per lane run) or `scalar`.
+pub fn kernel_tier() -> &'static str {
+    if crate::avx512ifma() {
+        "avx512ifma"
+    } else {
+        "scalar"
+    }
+}
+
 /// Derives the public key for a private scalar.
 pub fn public_key(private: &[u8; 32]) -> [u8; 32] {
     scalarmult(private, &BASEPOINT)
@@ -333,7 +450,17 @@ pub fn shared_secret(
     our_private: &[u8; 32],
     their_public: &[u8; 32],
 ) -> Result<[u8; 32], CryptoError> {
-    let out = scalarmult(our_private, their_public);
+    check_shared(scalarmult(our_private, their_public))
+}
+
+/// RFC 7748 §6.1's check on a Diffie-Hellman output, for outputs of
+/// [`scalarmult_many`]: the output itself, or
+/// [`CryptoError::ZeroSharedSecret`] if it is all-zero.
+///
+/// # Errors
+///
+/// [`CryptoError::ZeroSharedSecret`] on the all-zero output.
+pub fn check_shared(out: [u8; 32]) -> Result<[u8; 32], CryptoError> {
     // `out` is secret: compare without an early exit on its first
     // non-zero byte.
     if ct_eq(&out, &[0u8; KEY_LEN]) {
@@ -425,18 +552,15 @@ mod tests {
     }
 
     /// The seven small-order u-coordinates (orders 1, 2, 4, 8, 8 and the
-    /// non-canonical encodings p - 1, p, p + 1 of the first three): every
-    /// one must yield the all-zero output and be rejected.
-    #[test]
-    fn zero_point_rejected() {
-        let priv_key = [0x11u8; 32];
+    /// non-canonical encodings p - 1, p, p + 1 of the first three).
+    fn small_order_points() -> [[u8; 32]; 7] {
         let near_p = |low: u8| {
             let mut u = [0xffu8; 32];
             u[0] = low;
             u[31] = 0x7f;
             u
         };
-        let small_order = [
+        [
             [0u8; 32],
             unhex("0100000000000000000000000000000000000000000000000000000000000000"),
             unhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
@@ -444,8 +568,23 @@ mod tests {
             near_p(0xec),
             near_p(0xed),
             near_p(0xee),
-        ];
-        for point in small_order {
+        ]
+    }
+
+    /// u = p + 9, a non-canonical encoding of the base point.
+    fn p_plus_9() -> [u8; 32] {
+        let mut u = [0xffu8; 32];
+        u[0] = 0xf6;
+        u[31] = 0x7f;
+        u
+    }
+
+    /// Every small-order point must yield the all-zero output and be
+    /// rejected.
+    #[test]
+    fn zero_point_rejected() {
+        let priv_key = [0x11u8; 32];
+        for point in small_order_points() {
             assert_eq!(scalarmult(&priv_key, &point), [0u8; 32], "{point:02x?}");
             assert_eq!(
                 shared_secret(&priv_key, &point),
@@ -460,10 +599,7 @@ mod tests {
     #[test]
     fn non_canonical_point_is_reduced() {
         let priv_key = [0x11u8; 32];
-        let mut p_plus_9 = [0xffu8; 32];
-        p_plus_9[0] = 0xf6;
-        p_plus_9[31] = 0x7f;
-        assert_eq!(scalarmult(&priv_key, &p_plus_9), public_key(&priv_key));
+        assert_eq!(scalarmult(&priv_key, &p_plus_9()), public_key(&priv_key));
     }
 
     #[test]
@@ -729,5 +865,225 @@ mod tests {
         let mut expected = [0u8; 32];
         expected[0] = 1;
         assert_eq!(one, expected);
+    }
+
+    /// Eight-lane runs this thread has served (0 off `x86_64`).
+    fn ladder_runs() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            crate::simd::LADDER_RUNS.with(|n| n.get())
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            0
+        }
+    }
+
+    fn random_keys(rng: &mut cio_sim::SimRng, n: usize) -> Vec<[u8; 32]> {
+        (0..n)
+            .map(|_| {
+                let mut k = [0u8; 32];
+                rng.fill_bytes(&mut k);
+                k
+            })
+            .collect()
+    }
+
+    /// Runs `scalarmult_many` and checks every slot against `scalarmult`.
+    /// Where the CPU has AVX-512 IFMA, every group of eight, and a
+    /// trailing group of two or more, must have gone to the lanes.
+    fn check_many(scalars: &[[u8; 32]], points: &[[u8; 32]], what: &str) -> Vec<[u8; 32]> {
+        let mut out = vec![[0xa5u8; 32]; scalars.len()];
+        let before = ladder_runs();
+        scalarmult_many(scalars, points, &mut out);
+        let n = scalars.len();
+        let groups = n / 8 + usize::from(n % 8 >= 2);
+        let lane_runs = if crate::avx512ifma() { groups } else { 0 };
+        assert_eq!(
+            ladder_runs() - before,
+            lane_runs as u64,
+            "{what}: lane runs"
+        );
+        for (k, ((s, p), o)) in scalars.iter().zip(points).zip(&out).enumerate() {
+            assert_eq!(*o, scalarmult(s, p), "{what}: slot {k}");
+        }
+        out
+    }
+
+    /// RFC 7748 §5.2 and §6.1 as `(scalar, point, output)`, placed in
+    /// every position of a full lane run among random batchmates.
+    #[test]
+    fn lanes_match_rfc7748_vectors_in_every_position() {
+        let alice = unhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a");
+        let bob = unhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb");
+        let alice_pub = unhex("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a");
+        let bob_pub = unhex("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f");
+        let shared = unhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
+        let vectors = [
+            (
+                unhex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4"),
+                unhex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c"),
+                unhex("c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"),
+            ),
+            (
+                unhex("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"),
+                unhex("e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"),
+                unhex("95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
+            ),
+            (
+                BASEPOINT,
+                BASEPOINT,
+                unhex("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"),
+            ),
+            (alice, BASEPOINT, alice_pub),
+            (bob, BASEPOINT, bob_pub),
+            (alice, bob_pub, shared),
+            (bob, alice_pub, shared),
+        ];
+        let mut rng = cio_sim::SimRng::seed_from(0x7748);
+        for (scalar, point, expected) in vectors {
+            for lane in 0..LANES {
+                let mut scalars = random_keys(&mut rng, LANES);
+                let mut points = random_keys(&mut rng, LANES);
+                scalars[lane] = scalar;
+                points[lane] = point;
+                let out = check_many(&scalars, &points, &format!("lane {lane}"));
+                assert_eq!(out[lane], expected, "lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_scalar_on_random_pairs() {
+        let mut rng = cio_sim::SimRng::seed_from(0x8_1ADE);
+        for run in 0..200 {
+            let scalars = random_keys(&mut rng, LANES);
+            let points = random_keys(&mut rng, LANES);
+            check_many(&scalars, &points, &format!("run {run}"));
+        }
+    }
+
+    /// The seven small-order points among nine valid ones in a run of
+    /// sixteen: exactly their slots come out zero and fail the check.
+    #[test]
+    fn lanes_zero_exactly_the_small_order_slots() {
+        let mut rng = cio_sim::SimRng::seed_from(0x5_0DE);
+        let scalars = random_keys(&mut rng, 16);
+        let mut points = random_keys(&mut rng, 16);
+        let bad = [1, 2, 5, 8, 11, 14, 15];
+        for (&slot, point) in bad.iter().zip(small_order_points()) {
+            points[slot] = point;
+        }
+        let out = check_many(&scalars, &points, "small order");
+        for (k, o) in out.into_iter().enumerate() {
+            if bad.contains(&k) {
+                assert_eq!(
+                    check_shared(o),
+                    Err(CryptoError::ZeroSharedSecret),
+                    "slot {k}"
+                );
+            } else {
+                assert!(check_shared(o).is_ok(), "slot {k}");
+            }
+        }
+    }
+
+    /// Non-canonical and extreme inputs: u = p + 9 (the base point),
+    /// u = 2^255 - 1 (every limb `2^51 - 1` after `from_bytes`), and
+    /// all-ones and all-zero scalars.
+    #[test]
+    fn lanes_handle_non_canonical_and_all_ones_inputs() {
+        let ones = [0xffu8; 32];
+        let scalars = [
+            ones, [0x11; 32], ones, [0; 32], [0x11; 32], [0; 32], ones, [7; 32],
+        ];
+        let points = [
+            ones,
+            p_plus_9(),
+            p_plus_9(),
+            ones,
+            BASEPOINT,
+            p_plus_9(),
+            BASEPOINT,
+            ones,
+        ];
+        let out = check_many(&scalars, &points, "extremes");
+        assert_eq!(out[1], public_key(&[0x11; 32]));
+        assert_eq!(out[2], public_key(&ones));
+    }
+
+    /// Runs are cut into groups of eight; a lone ladder stays scalar
+    /// (`check_many` counts the lane runs).
+    #[test]
+    fn run_lengths_split_into_lane_groups() {
+        let mut rng = cio_sim::SimRng::seed_from(0x1_2_7_8);
+        for n in [0, 1, 2, 7, 8, 9, 16, 17] {
+            let scalars = random_keys(&mut rng, n);
+            let points = random_keys(&mut rng, n);
+            check_many(&scalars, &points, &format!("run of {n}"));
+        }
+    }
+
+    /// RFC 7748's ladder over the oracle's arithmetic, sharing no field
+    /// code with `Fe` or the lanes.
+    fn oracle_scalarmult(scalar: &[u8; 32], point: &[u8; 32]) -> [u8; 32] {
+        use oracle::{add, invert, mul, rem_p, small, sub};
+        let s = clamp(scalar);
+        let mut u = [0u32; 16];
+        for (digit, chunk) in u.iter_mut().zip(point.chunks_exact(4)) {
+            *digit = u32::from_le_bytes(chunk.try_into().unwrap());
+        }
+        u[7] &= 0x7fff_ffff;
+        let x1 = rem_p(&u);
+        let (mut x2, mut z2, mut x3, mut z3) = (small(1), small(0), x1, small(1));
+        let mut swap = 0;
+        for t in (0..255).rev() {
+            let bit = (s[t / 8] >> (t % 8)) & 1;
+            if swap ^ bit == 1 {
+                core::mem::swap(&mut x2, &mut x3);
+                core::mem::swap(&mut z2, &mut z3);
+            }
+            swap = bit;
+            let a = rem_p(&add(&x2, &z2));
+            let aa = mul(&a, &a);
+            let b = sub(&x2, &z2);
+            let bb = mul(&b, &b);
+            let e = sub(&aa, &bb);
+            let c = rem_p(&add(&x3, &z3));
+            let d = sub(&x3, &z3);
+            let da = mul(&d, &a);
+            let cb = mul(&c, &b);
+            let sum = rem_p(&add(&da, &cb));
+            let diff = sub(&da, &cb);
+            x3 = mul(&sum, &sum);
+            z3 = mul(&x1, &mul(&diff, &diff));
+            x2 = mul(&aa, &bb);
+            z2 = mul(&e, &rem_p(&add(&aa, &mul(&small(121_665), &e))));
+        }
+        if swap == 1 {
+            core::mem::swap(&mut x2, &mut x3);
+            core::mem::swap(&mut z2, &mut z3);
+        }
+        let r = mul(&x2, &invert(&z2));
+        let mut out = [0u8; 32];
+        for (chunk, digit) in out.chunks_exact_mut(4).zip(r) {
+            chunk.copy_from_slice(&digit.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn lanes_match_the_big_integer_ladder() {
+        let mut rng = cio_sim::SimRng::seed_from(0x0_12AC);
+        let mut scalars = random_keys(&mut rng, LANES);
+        let mut points = random_keys(&mut rng, LANES);
+        scalars[0] = [0xff; 32];
+        points[0] = [0xff; 32];
+        points[1] = p_plus_9();
+        points[2] = BASEPOINT;
+        let out = check_many(&scalars, &points, "oracle");
+        for (k, ((s, p), o)) in scalars.iter().zip(&points).zip(out).enumerate() {
+            assert_eq!(o, oracle_scalarmult(s, p), "slot {k}");
+        }
     }
 }

@@ -134,25 +134,49 @@ impl ClientHandshake {
     ///
     /// `entropy` must be fresh per connection (the caller's RNG).
     pub fn start(entropy: [u8; 64], hooks: Option<SimHooks>) -> (Vec<u8>, ClientHandshake) {
-        let mut random = [0u8; 32];
-        random.copy_from_slice(&entropy[..32]);
-        let mut private = [0u8; 32];
-        private.copy_from_slice(&entropy[32..]);
+        Self::start_batch(&[entropy], hooks)
+            .pop()
+            .expect("one hello per entropy")
+    }
+
+    /// Starts one handshake per entropy (each must be fresh per
+    /// connection): the key generations of the whole run are one
+    /// [`x25519::scalarmult_many`] call. Returns the ClientHello bytes
+    /// to send and the continuation, in entropy order.
+    pub fn start_batch(
+        entropies: &[[u8; 64]],
+        hooks: Option<SimHooks>,
+    ) -> Vec<(Vec<u8>, ClientHandshake)> {
+        let mut privates: Vec<[u8; 32]> = entropies
+            .iter()
+            .map(|e| e[32..].try_into().expect("32 bytes"))
+            .collect();
         if let Some(h) = &hooks {
-            h.charge_x25519(1);
+            for _ in entropies {
+                h.charge_x25519(1);
+            }
         }
-        let public = x25519::public_key(&private);
-        let mut hello = Vec::with_capacity(CLIENT_HELLO_LEN);
-        hello.extend_from_slice(&random);
-        hello.extend_from_slice(&public);
-        (
-            hello.clone(),
-            ClientHandshake {
-                private,
-                hello,
-                hooks,
-            },
-        )
+        let mut publics = vec![[0u8; 32]; entropies.len()];
+        let bases = vec![x25519::BASEPOINT; entropies.len()];
+        x25519::scalarmult_many(&privates, &bases, &mut publics);
+        let handshakes = entropies
+            .iter()
+            .zip(&privates)
+            .zip(publics)
+            .map(|((entropy, private), public)| {
+                let mut hello = Vec::with_capacity(CLIENT_HELLO_LEN);
+                hello.extend_from_slice(&entropy[..32]);
+                hello.extend_from_slice(&public);
+                let hs = ClientHandshake {
+                    private: *private,
+                    hello: hello.clone(),
+                    hooks: hooks.clone(),
+                };
+                (hello, hs)
+            })
+            .collect();
+        privates.iter_mut().for_each(|p| zeroize(p));
+        handshakes
     }
 
     /// Processes the ServerHello: verifies the quote (against the expected
@@ -165,30 +189,100 @@ impl ClientHandshake {
     /// [`CtlsError::Crypto`] on any verification failure — no channel is
     /// produced in that case.
     pub fn finish(
-        mut self,
+        self,
         sh: &ServerHello,
         platform_key: &[u8; 32],
         expected: &Measurement,
     ) -> Result<(Vec<u8>, Channel), CtlsError> {
+        Self::finish_batch(vec![self], std::slice::from_ref(sh), platform_key, expected)
+            .pop()
+            .expect("one result per handshake")
+    }
+
+    /// [`ClientHandshake::finish`] for a run: `handshakes[k]` processes
+    /// `server_hellos[k]`. The shared secrets of every slot whose quote
+    /// verifies are one [`x25519::scalarmult_many`] call.
+    ///
+    /// Failures are per slot, with `finish`'s typed errors: a bad quote,
+    /// a key that the quote does not bind, a low-order server key or a
+    /// bad server Finished fails its slot alone.
+    ///
+    /// # Panics
+    ///
+    /// If `handshakes` and `server_hellos` differ in length.
+    pub fn finish_batch(
+        mut handshakes: Vec<ClientHandshake>,
+        server_hellos: &[ServerHello],
+        platform_key: &[u8; 32],
+        expected: &Measurement,
+    ) -> Vec<Result<(Vec<u8>, Channel), CtlsError>> {
+        assert_eq!(
+            handshakes.len(),
+            server_hellos.len(),
+            "one ServerHello per handshake"
+        );
         // 1. Attestation: the quote must verify, match the expected
         //    measurement, use our transcript-derived nonce, and commit to
-        //    the server public key.
-        let nonce = transcript_hash(&[&self.hello]);
-        sh.quote
-            .verify(platform_key, expected, &nonce)
-            .map_err(CtlsError::BadQuote)?;
-        let binding = Sha256::digest(&sh.public);
-        if !ct_eq(&binding, &sh.quote.report_data) {
-            return Err(CtlsError::BadQuote(cio_tee::TeeError::AttestationFailed));
-        }
+        //    the server public key. Only attested slots reach a
+        //    multiplication.
+        let attested: Vec<Result<(), CtlsError>> = handshakes
+            .iter()
+            .zip(server_hellos)
+            .map(|(hs, sh)| {
+                let nonce = transcript_hash(&[&hs.hello]);
+                sh.quote
+                    .verify(platform_key, expected, &nonce)
+                    .map_err(CtlsError::BadQuote)?;
+                let binding = Sha256::digest(&sh.public);
+                if !ct_eq(&binding, &sh.quote.report_data) {
+                    return Err(CtlsError::BadQuote(cio_tee::TeeError::AttestationFailed));
+                }
+                if let Some(h) = &hs.hooks {
+                    h.charge_x25519(1);
+                }
+                Ok(())
+            })
+            .collect();
 
-        // 2. Key agreement and schedule.
-        if let Some(h) = &self.hooks {
-            h.charge_x25519(1);
+        // 2. Key agreement for the attested slots, in one run.
+        let mut scalars = Vec::with_capacity(handshakes.len());
+        let mut points = Vec::with_capacity(handshakes.len());
+        for ((hs, sh), ok) in handshakes.iter().zip(server_hellos).zip(&attested) {
+            if ok.is_ok() {
+                scalars.push(hs.private);
+                points.push(sh.public);
+            }
         }
-        let shared = x25519::shared_secret(&self.private, &sh.public);
-        zeroize(&mut self.private);
-        let mut shared = shared?;
+        let mut shared = vec![[0u8; 32]; scalars.len()];
+        x25519::scalarmult_many(&scalars, &points, &mut shared);
+        scalars.iter_mut().for_each(|s| zeroize(s));
+        handshakes
+            .iter_mut()
+            .for_each(|hs| zeroize(&mut hs.private));
+
+        // Each secret leaves the buffer as it is taken, zeros behind it.
+        let mut shared = shared.iter_mut();
+        handshakes
+            .into_iter()
+            .zip(server_hellos)
+            .zip(attested)
+            .map(|((hs, sh), ok)| {
+                ok?;
+                let secret = shared.next().expect("one secret per attested slot");
+                hs.finish_with_secret(sh, std::mem::take(secret))
+            })
+            .collect()
+    }
+
+    /// The rest of [`ClientHandshake::finish`] once the Diffie-Hellman
+    /// output exists: the low-order check, key schedule, server Finished
+    /// and our Finished.
+    fn finish_with_secret(
+        self,
+        sh: &ServerHello,
+        shared: [u8; 32],
+    ) -> Result<(Vec<u8>, Channel), CtlsError> {
+        let mut shared = x25519::check_shared(shared)?;
         let transcript = transcript_hash(&[&self.hello, &sh.random, &sh.public]);
         let sched = schedule(&mut shared, &transcript)?;
 
@@ -230,78 +324,94 @@ impl ServerHandshake {
         entropy: [u8; 64],
         hooks: Option<SimHooks>,
     ) -> Result<(ServerHello, ServerHandshake), CtlsError> {
-        if client_hello.len() != CLIENT_HELLO_LEN {
-            return Err(CtlsError::Malformed);
-        }
-        let mut random = [0u8; 32];
-        random.copy_from_slice(&entropy[..32]);
-        let mut private = [0u8; 32];
-        private.copy_from_slice(&entropy[32..]);
-        if let Some(h) = &hooks {
-            h.charge_x25519(1);
-        }
-        let public = x25519::public_key(&private);
-        let response =
-            Self::respond_with_key(client_hello, identity, random, &private, &public, hooks);
-        zeroize(&mut private);
-        response
+        Self::respond_batch(&[client_hello], identity, entropy, hooks)
+            .pop()
+            .expect("one response per hello")
     }
 
     /// Responds to a run of ClientHellos with one shared server ephemeral
     /// key: the X25519 key generation (one scalar multiplication) runs
-    /// once per batch instead of once per connection. Everything
-    /// connection-specific stays per hello — the shared secret, the
-    /// transcript-bound key schedule, the quote (its nonce hashes that
-    /// client's hello, so freshness binding is unweakened), and both
-    /// Finished MACs. The ephemeral remains ephemeral (it lives for one
-    /// accept batch), trading intra-batch key-share reuse for a
+    /// once per batch instead of once per connection, and it and every
+    /// slot's shared secret are one [`x25519::scalarmult_many`] call.
+    /// Everything connection-specific stays per hello — the shared
+    /// secret, the transcript-bound key schedule, the quote (its nonce
+    /// hashes that client's hello, so freshness binding is unweakened),
+    /// and both Finished MACs. The ephemeral remains ephemeral (it lives
+    /// for one accept batch), trading intra-batch key-share reuse for a
     /// `2 → 1 + 1/n` scalar-multiplication churn cost per connection.
     ///
     /// Failures are per slot: a malformed or degenerate hello yields
-    /// `Err` in its position without poisoning its batchmates.
+    /// `Err` in its position without poisoning its batchmates. A batch
+    /// with no well-formed hello generates no ephemeral.
     pub fn respond_batch(
         client_hellos: &[&[u8]],
         identity: &ServerIdentity,
         entropy: [u8; 64],
         hooks: Option<SimHooks>,
     ) -> Vec<Result<(ServerHello, ServerHandshake), CtlsError>> {
-        let mut random = [0u8; 32];
-        random.copy_from_slice(&entropy[..32]);
-        let mut private = [0u8; 32];
-        private.copy_from_slice(&entropy[32..]);
-        if let Some(h) = &hooks {
-            h.charge_x25519(1);
+        let well_formed = |hello: &[u8]| hello.len() == CLIENT_HELLO_LEN;
+        // Run entry 0 is the ephemeral, then one shared secret per
+        // well-formed hello, in order.
+        let mut points = vec![x25519::BASEPOINT];
+        points.extend(
+            client_hellos
+                .iter()
+                .filter(|h| well_formed(h))
+                .map(|hello| <[u8; 32]>::try_from(&hello[32..]).expect("32 bytes")),
+        );
+        if points.len() == 1 {
+            return client_hellos
+                .iter()
+                .map(|_| Err(CtlsError::Malformed))
+                .collect();
         }
-        let public = x25519::public_key(&private);
-        let responses = client_hellos
+        if let Some(h) = &hooks {
+            for _ in &points {
+                h.charge_x25519(1);
+            }
+        }
+        let random: [u8; 32] = entropy[..32].try_into().expect("32 bytes");
+        let mut private: [u8; 32] = entropy[32..].try_into().expect("32 bytes");
+        let mut scalars = vec![private; points.len()];
+        let mut out = vec![[0u8; 32]; points.len()];
+        x25519::scalarmult_many(&scalars, &points, &mut out);
+        scalars.iter_mut().for_each(|s| zeroize(s));
+        zeroize(&mut private);
+
+        let public = out[0];
+        // Each secret leaves the buffer as it is taken, zeros behind it.
+        let mut shared = out[1..].iter_mut();
+        client_hellos
             .iter()
             .map(|hello| {
-                if hello.len() != CLIENT_HELLO_LEN {
+                if !well_formed(hello) {
                     return Err(CtlsError::Malformed);
                 }
-                Self::respond_with_key(hello, identity, random, &private, &public, hooks.clone())
+                let secret = shared.next().expect("one secret per well-formed hello");
+                Self::respond_with_secret(
+                    hello,
+                    identity,
+                    random,
+                    &public,
+                    std::mem::take(secret),
+                    hooks.clone(),
+                )
             })
-            .collect();
-        zeroize(&mut private);
-        responses
+            .collect()
     }
 
-    /// The per-connection half of a server response: shared secret, key
-    /// schedule, quote, and Finished under an already-generated ephemeral.
-    fn respond_with_key(
+    /// The per-connection half of a server response once its
+    /// Diffie-Hellman output exists: the low-order check, key schedule,
+    /// quote, and Finished under the batch's ephemeral.
+    fn respond_with_secret(
         client_hello: &[u8],
         identity: &ServerIdentity,
         random: [u8; 32],
-        private: &[u8; 32],
         public: &[u8; 32],
+        shared: [u8; 32],
         hooks: Option<SimHooks>,
     ) -> Result<(ServerHello, ServerHandshake), CtlsError> {
-        let mut client_pub = [0u8; 32];
-        client_pub.copy_from_slice(&client_hello[32..]);
-        if let Some(h) = &hooks {
-            h.charge_x25519(1);
-        }
-        let mut shared = x25519::shared_secret(private, &client_pub)?;
+        let mut shared = x25519::check_shared(shared)?;
         let transcript = transcript_hash(&[client_hello, &random, public]);
         let sched = schedule(&mut shared, &transcript)?;
 
@@ -505,5 +615,75 @@ mod tests {
         assert!(client
             .finish(sh, &PLATFORM, &Measurement::of(b"server-workload-v1"))
             .is_ok());
+    }
+
+    /// One client batch meets a bad quote, a host-substituted key, a
+    /// tampered server Finished and an attested low-order key beside good
+    /// slots: each bad slot fails alone with `finish`'s typed error, only
+    /// attested slots are charged a multiplication, and the good slots
+    /// interoperate.
+    #[test]
+    fn batched_finish_fails_per_slot() {
+        let hooks = SimHooks {
+            clock: cio_sim::Clock::new(),
+            cost: cio_sim::CostModel::default(),
+            meter: cio_sim::Meter::new(),
+            telemetry: cio_sim::Telemetry::disabled(),
+        };
+        let entropies: Vec<[u8; 64]> = (0..7u8).map(|i| entropy(30 + i)).collect();
+        let (hellos, clients): (Vec<_>, Vec<_>) =
+            ClientHandshake::start_batch(&entropies, Some(hooks.clone()))
+                .into_iter()
+                .unzip();
+        let hello_refs: Vec<&[u8]> = hellos.iter().map(Vec::as_slice).collect();
+        let (mut shs, servers): (Vec<_>, Vec<_>) =
+            ServerHandshake::respond_batch(&hello_refs, &identity(), entropy(40), None)
+                .into_iter()
+                .map(Result::unwrap)
+                .unzip();
+        let measurement = Measurement::of(b"server-workload-v1");
+        // Slot 1: a quote that no longer verifies.
+        shs[1].quote.nonce[0] ^= 1;
+        // Slot 2: the host swaps in its own key share.
+        shs[2].public = x25519::public_key(&[9u8; 32]);
+        // Slot 4: a tampered server Finished.
+        shs[4].finished[5] ^= 1;
+        // Slot 5: a low-order key, attested by a quote that binds it.
+        let low_order = [0u8; 32];
+        shs[5].public = low_order;
+        shs[5].quote = Quote::generate(
+            &PLATFORM,
+            measurement,
+            transcript_hash(&[&hellos[5]]),
+            Sha256::digest(&low_order),
+        );
+
+        let results = ClientHandshake::finish_batch(clients, &shs, &PLATFORM, &measurement);
+        // Seven key generations, then one shared secret per attested slot
+        // (all but slots 1 and 2).
+        assert_eq!(hooks.meter.snapshot().x25519_ops, 7 + 5);
+        let mut channels = Vec::new();
+        for (slot, (result, server)) in results.into_iter().zip(servers).enumerate() {
+            match slot {
+                1 | 2 => assert!(matches!(result, Err(CtlsError::BadQuote(_))), "slot {slot}"),
+                4 => assert!(matches!(result, Err(CtlsError::BadFinished)), "slot {slot}"),
+                5 => assert!(
+                    matches!(
+                        result,
+                        Err(CtlsError::Crypto(cio_crypto::CryptoError::ZeroSharedSecret))
+                    ),
+                    "slot {slot}"
+                ),
+                _ => {
+                    let (fin, c_chan) = result.unwrap();
+                    channels.push((c_chan, server.verify_finished(&fin).unwrap()));
+                }
+            }
+        }
+        assert_eq!(channels.len(), 3);
+        for (c, s) in &mut channels {
+            let rec = c.seal(b"good slot").unwrap();
+            assert_eq!(s.open(&rec).unwrap(), b"good slot");
+        }
     }
 }

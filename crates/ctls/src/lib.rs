@@ -100,7 +100,9 @@ impl SimHooks {
     /// generation and shared-secret derivation). The dominant cost of
     /// connection churn; [`ServerHandshake::respond_batch`] amortizes the
     /// server's ephemeral key generation across a batch to shave one mult
-    /// per connection.
+    /// per connection. The handshake charges one per multiplication, for
+    /// exactly the slots that reach one, whether or not the batch then
+    /// runs them in vector lanes.
     pub(crate) fn charge_x25519(&self, mults: usize) {
         let spent = self.cost.x25519_mult * mults as u64;
         self.clock.advance(spent);

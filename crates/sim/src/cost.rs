@@ -97,7 +97,11 @@ pub struct CostModel {
     /// One X25519 scalar multiplication (key generation or shared-secret
     /// derivation). ~40 µs at 3 GHz for a portable constant-time ladder;
     /// the dominant cost of connection churn, which is why the session
-    /// plane batches server-side handshake responses.
+    /// plane batches server-side handshake responses. Charged once per
+    /// multiplication however the multiplications run: that a batch of
+    /// eight costs about two scalar ladders on an AVX-512 IFMA host
+    /// (`x25519::scalarmult_many`) is a wall-clock fact about that host,
+    /// not a change to the modelled platform.
     pub x25519_mult: Cycles,
     /// One flow-table lookup on the session hot path (hash + shard index
     /// + generation check — a dependent load chain, no probing).

@@ -10,8 +10,10 @@
 //! say so. First recorded at the commit *before* the flight recorder
 //! merged into the telemetry domain; re-recorded when an idle round began
 //! to end at the fabric's next delivery and a session's flow lookup moved
-//! onto its lane (fewer, differently timed rounds).
+//! onto its lane (fewer, differently timed rounds). The session plane's
+//! virtual timeline is pinned the same way.
 
+use cio::session::{Arrival, LoadGenConfig, SessionPlane, SessionPlaneConfig};
 use cio::world::{BoundaryKind, World, WorldOptions, ECHO_PORT};
 use cio_bench::{bench_opts, telemetry_echo_world_with};
 use cio_crypto::Sha256;
@@ -243,6 +245,57 @@ fn one_queue_echo(kind: BoundaryKind) -> World {
         }
     }
     w
+}
+
+/// SHA-256 of a fixed-seed [`SessionPlane`] run's `prometheus_text`,
+/// `json_snapshot`, `report()` and meter snapshot (`Debug` renderings for
+/// the last two). Recorded while every handshake still ran its own
+/// X25519 ladders one after another; batching the ladders into lanes
+/// must move no cycle, no charge and no export.
+const SESSION_PLANE_PINS: [&str; 4] = [
+    "a322c2bdfe54e0d7a174343da8dfdc03c27d786653c7b92e9974995767a777cc",
+    "10af8acbbde6bb4e6810b169d59bbe193b62ccd75389aeb8322e173583e4b515",
+    "ba9ff2418cff6514277c3bf9a402f1c77377fd0d29da0f610f7e967c485fbe2f",
+    "bd4653cf0abf6f3568385d72ef4916057f81be86b51df4a32f8657e17d02aa8f",
+];
+
+#[test]
+fn session_plane_exports_are_pinned() {
+    // Batches of nine over a churning population of 100: runs of one
+    // (the 100th arrival of the first tick), full lane groups and ragged
+    // tails all occur, on both sides of the handshake.
+    let cfg = SessionPlaneConfig {
+        shards: 4,
+        load: LoadGenConfig {
+            seed: 0x5E55,
+            arrival: Arrival::Closed { population: 100 },
+            churn: 0.1,
+            size_min: 32,
+            size_max: 700,
+            size_alpha: 1.2,
+        },
+        rekey_interval: Some(8),
+        handshake_batch: 9,
+    };
+    let mut plane = SessionPlane::new(cfg).expect("plane");
+    plane.run(12).expect("run");
+    let t = plane.telemetry();
+    let got = [
+        t.prometheus_text(),
+        t.json_snapshot(),
+        format!("{:?}", plane.report()),
+        format!("{:?}", plane.meter().snapshot()),
+    ];
+    let names = ["prometheus_text", "json_snapshot", "report", "meter"];
+    for ((name, text), pin) in names.iter().zip(&got).zip(SESSION_PLANE_PINS) {
+        assert_eq!(
+            sha256_hex(text),
+            pin,
+            "session plane: {name} moved ({} / {})",
+            got[2],
+            got[3]
+        );
+    }
 }
 
 #[test]
