@@ -32,9 +32,10 @@
 //!    locks/record, records/commit, and virtual cycles/record.
 //!
 //! The first line names the AEAD kernel tier this CPU selects
-//! (`cio_crypto::aead::kernel_tier`), also written as `aead_kernel`, and
-//! the X25519 tier (`cio_crypto::x25519::kernel_tier`: IFMA lanes or
-//! scalar).
+//! (`cio_crypto::aead::kernel_tier`), also written as `aead_kernel`, the
+//! X25519 tier (`cio_crypto::x25519::kernel_tier`: IFMA lanes or scalar)
+//! and the SHA-256 tier (`cio_crypto::sha256::kernel_tier`: the SHA
+//! extensions or scalar).
 //! `--quick` shrinks the timing windows for CI smoke runs.
 
 use cio::world::speer::TunnelGateway;
@@ -293,9 +294,10 @@ fn main() {
     let kernel = cio_crypto::aead::kernel_tier();
     println!(
         "one-pass AEAD dataplane micro-bench ({} mode, AEAD kernel tier: {kernel}, \
-         X25519 tier: {})",
+         X25519 tier: {}, SHA-256 tier: {})",
         if quick { "quick" } else { "full" },
-        cio_crypto::x25519::kernel_tier()
+        cio_crypto::x25519::kernel_tier(),
+        cio_crypto::sha256::kernel_tier()
     );
     println!();
     println!("seal+open round trip, two-pass reference vs fused one-pass:");

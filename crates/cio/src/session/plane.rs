@@ -328,7 +328,7 @@ impl SessionPlane {
             clients,
             &server_hellos,
             &PLANE_KEY,
-            &Measurement::of(PLANE_IMAGE),
+            &self.identity.measurement,
         );
         for (cont, fin) in conts.into_iter().zip(finished) {
             let (fin, mut client) = fin.map_err(CioError::Ctls)?;

@@ -6,7 +6,8 @@
 //! reproduction is dependency-free by design, this crate implements the
 //! needed primitives directly:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256.
+//! * [`sha256`] — FIPS 180-4 SHA-256 (on the SHA extensions where the CPU
+//!   has them).
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256.
 //! * [`hkdf`] — RFC 5869 HKDF-SHA-256 (extract/expand).
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
@@ -17,7 +18,7 @@
 //!
 //! Every module carries the relevant RFC/NIST test vectors in its unit
 //! tests. The implementations favour clarity and branch-free handling of
-//! secret data over raw speed, with five exceptions, because the
+//! secret data over raw speed, with six exceptions, because the
 //! benchmarks are wall-clock and these kernels sit on every connection
 //! and every sealed byte:
 //!
@@ -27,7 +28,14 @@
 //! * on AVX-512 hosts [`poly1305`] absorbs long records in eight
 //!   radix-2^26 vector lanes;
 //! * on AVX-512 IFMA hosts [`x25519::scalarmult_many`] runs a batch of
-//!   handshakes' ladders eight at a time, one per radix-2^51 vector lane.
+//!   handshakes' ladders eight at a time, one per radix-2^51 vector lane;
+//! * on hosts with the x86 SHA extensions [`sha256`] compresses every
+//!   whole block of an update in one SHA-NI kernel call, which puts the
+//!   HKDF key schedule, the Finished MACs, quotes and rekeys on it.
+//!   SHA-256 has no secret-dependent branch or index to lose, and the
+//!   kernel is an instruction-level rendering of the same function, so
+//!   the scalar compressor is a complete oracle: the tests compare the
+//!   two on random states and blocks and at every padding boundary.
 //!   These SIMD kernels are confined to one module, tested bit-for-bit
 //!   against the scalar oracles, and are the only unsafe code in the
 //!   crate (`#![deny(unsafe_code)]` with a scoped allow there);
@@ -89,6 +97,21 @@ pub(crate) fn avx512ifma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         avx512() && std::arch::is_x86_feature_detected!("avx512ifma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this CPU runs the SHA-256 kernel: the SHA extensions, with the
+/// SSSE3 and SSE4.1 shuffles that feed them.
+pub(crate) fn sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

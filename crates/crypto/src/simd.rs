@@ -26,14 +26,21 @@
 //! `x25519::scalarmult_many`, a run of *handshakes*; it is not a
 //! multi-record AEAD kernel, and every record still takes one AEAD pass.
 //!
+//! SHA-256: [`sha256_blocks`], the compression function on the SHA
+//! extensions (`sha256rnds2`, `sha256msg1`/`msg2`, with SSSE3/SSE4.1
+//! shuffles), every whole block of one `Sha256::update` in one call with
+//! the state in two registers throughout. The scalar `sha256::compress`
+//! stays as the fallback and the oracle.
+//!
 //! Every entry point re-checks its CPU feature (`is_x86_feature_detected!`
 //! caches the CPUID probe, so each check is a relaxed atomic load) before
 //! it enters a `#[target_feature]` function.
 #![allow(unsafe_code)] // the crate's one unsafe module: intrinsics behind runtime feature checks
 
 use crate::chacha20::{BLOCK_LEN, LONG_BLOCKS, QUAD_BLOCKS, WIDE_BLOCKS};
+use crate::sha256::K;
 use crate::x25519::{LANES, MASK51, TWO_P};
-use crate::{avx512, avx512ifma};
+use crate::{avx512, avx512ifma, sha_ni};
 use core::arch::x86_64::*;
 
 #[cfg(test)]
@@ -44,6 +51,14 @@ thread_local! {
     /// Eight-lane X25519 runs this thread has served: the batch tests read
     /// it to prove the IFMA kernel engaged.
     pub(crate) static LADDER_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(any(test, debug_assertions))]
+thread_local! {
+    /// Blocks this thread has compressed on the SHA-NI kernel: the hash
+    /// tests read it to prove the kernel engaged, and debug builds export
+    /// it (`sha256::kernel_blocks`) so other crates' tests can too.
+    pub(crate) static SHA_BLOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Safe front door for the wide kernel: runs it if the CPU has AVX2
@@ -798,4 +813,92 @@ fn ladder_lanes_ifma(scalars: &[[u8; 32]; LANES], u: &[[u64; 5]; LANES]) -> [[u6
         }
     }
     out
+}
+
+/// Safe front door for the SHA-256 kernel: compresses every 64-byte block
+/// of `blocks` (at least one) into `state`, in order, exactly as the
+/// scalar `sha256::compress` would one block at a time.
+pub(crate) fn sha256_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    assert!(sha_ni() && blocks.len().is_multiple_of(64) && !blocks.is_empty());
+    #[cfg(any(test, debug_assertions))]
+    {
+        SHA_BLOCKS.with(|n| n.set(n.get() + (blocks.len() / 64) as u64));
+    }
+    // SAFETY: SHA, SSSE3 and SSE4.1 presence was just verified at runtime.
+    unsafe { sha256_blocks_ni(state, blocks) }
+}
+
+/// The next four schedule words `w[t..t + 4]` from the sixteen before
+/// them, held four to a vector, oldest first.
+#[inline]
+#[target_feature(enable = "sha,ssse3")]
+fn sha256_schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+    let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+    _mm_sha256msg2_epu32(t, w3)
+}
+
+/// Rounds `4g..4g + 4` on schedule words `w`: one `sha256rnds2` runs two
+/// rounds on the low two words of its `w + K` operand.
+#[inline]
+#[target_feature(enable = "sha")]
+fn sha256_rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, g: usize) {
+    // SAFETY: `K` has 64 words and g < 16, so words 4g..4g + 4 are in
+    // bounds: one unaligned 16-byte load.
+    let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * g).cast()) };
+    let wk = _mm_add_epi32(w, k);
+    *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+    *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+}
+
+/// SHA-NI kernel. The extensions keep the eight working variables as
+/// `abef` (lanes 3..0 = a, b, e, f) and `cdgh`.
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+fn sha256_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    // Byte swap within each 32-bit word: the message is big-endian.
+    let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    // SAFETY: SSE2 unaligned loads of the 32-byte `state`, 16 bytes each.
+    let (dcba, hgfe) = unsafe {
+        let p = state.as_ptr() as *const __m128i;
+        (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+    };
+    let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+    let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+    let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+    let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+
+    for block in blocks.chunks_exact(64) {
+        let (abef0, cdgh0) = (abef, cdgh);
+        let p = block.as_ptr() as *const __m128i;
+        // SAFETY: `block` is exactly 64 bytes, four unaligned 16-byte loads.
+        let [mut w0, mut w1, mut w2, mut w3] =
+            unsafe { [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(p.add(i)), bswap)) };
+        sha256_rounds4(&mut abef, &mut cdgh, w0, 0);
+        sha256_rounds4(&mut abef, &mut cdgh, w1, 1);
+        sha256_rounds4(&mut abef, &mut cdgh, w2, 2);
+        sha256_rounds4(&mut abef, &mut cdgh, w3, 3);
+        // Each new group of four words replaces the oldest, in turn.
+        for g in (4..16).step_by(4) {
+            w0 = sha256_schedule(w0, w1, w2, w3);
+            sha256_rounds4(&mut abef, &mut cdgh, w0, g);
+            w1 = sha256_schedule(w1, w2, w3, w0);
+            sha256_rounds4(&mut abef, &mut cdgh, w1, g + 1);
+            w2 = sha256_schedule(w2, w3, w0, w1);
+            sha256_rounds4(&mut abef, &mut cdgh, w2, g + 2);
+            w3 = sha256_schedule(w3, w0, w1, w2);
+            sha256_rounds4(&mut abef, &mut cdgh, w3, g + 3);
+        }
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+    }
+
+    let feba = _mm_shuffle_epi32::<0x1b>(abef);
+    let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+    let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
+    let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+    // SAFETY: SSE2 unaligned stores into the 32-byte `state`, 16 bytes each.
+    unsafe {
+        let p = state.as_mut_ptr() as *mut __m128i;
+        _mm_storeu_si128(p, dcba);
+        _mm_storeu_si128(p.add(1), hgfe);
+    }
 }

@@ -56,19 +56,16 @@ struct Schedule {
 fn schedule(shared: &mut [u8; 32], transcript: &[u8; 32]) -> Result<Schedule, CtlsError> {
     let prk = hkdf::extract(transcript, shared);
     zeroize(shared);
-    let make = |label: &[u8]| -> Result<[u8; 32], CtlsError> {
-        let mut info = Vec::with_capacity(16 + label.len());
-        info.extend_from_slice(b"ctls1 ");
-        info.extend_from_slice(label);
+    let make = |info: &[u8]| -> Result<[u8; 32], CtlsError> {
         let mut out = [0u8; 32];
-        hkdf::expand(&prk, &info, &mut out)?;
+        hkdf::expand(&prk, info, &mut out)?;
         Ok(out)
     };
     Ok(Schedule {
-        client_secret: make(b"c ap traffic")?,
-        server_secret: make(b"s ap traffic")?,
-        client_finished_key: make(b"c finished")?,
-        server_finished_key: make(b"s finished")?,
+        client_secret: make(b"ctls1 c ap traffic")?,
+        server_secret: make(b"ctls1 s ap traffic")?,
+        client_finished_key: make(b"ctls1 c finished")?,
+        server_finished_key: make(b"ctls1 s finished")?,
     })
 }
 
@@ -379,6 +376,8 @@ impl ServerHandshake {
         zeroize(&mut private);
 
         let public = out[0];
+        // The quote's report data commits to the batch's one ephemeral.
+        let binding = Sha256::digest(&public);
         // Each secret leaves the buffer as it is taken, zeros behind it.
         let mut shared = out[1..].iter_mut();
         client_hellos
@@ -393,6 +392,7 @@ impl ServerHandshake {
                     identity,
                     random,
                     &public,
+                    binding,
                     std::mem::take(secret),
                     hooks.clone(),
                 )
@@ -402,12 +402,14 @@ impl ServerHandshake {
 
     /// The per-connection half of a server response once its
     /// Diffie-Hellman output exists: the low-order check, key schedule,
-    /// quote, and Finished under the batch's ephemeral.
+    /// quote, and Finished under the batch's ephemeral `public`, whose
+    /// hash is `binding`.
     fn respond_with_secret(
         client_hello: &[u8],
         identity: &ServerIdentity,
         random: [u8; 32],
         public: &[u8; 32],
+        binding: [u8; 32],
         shared: [u8; 32],
         hooks: Option<SimHooks>,
     ) -> Result<(ServerHello, ServerHandshake), CtlsError> {
@@ -418,12 +420,7 @@ impl ServerHandshake {
         // Quote: nonce is the hash of the client hello (freshness), report
         // data commits to our ephemeral key (binding).
         let nonce = transcript_hash(&[client_hello]);
-        let quote = Quote::generate(
-            &identity.platform_key,
-            identity.measurement,
-            nonce,
-            Sha256::digest(public),
-        );
+        let quote = Quote::generate(&identity.platform_key, identity.measurement, nonce, binding);
 
         let finished = finished_mac(&sched.server_finished_key, &transcript);
         let full_transcript = transcript_hash(&[client_hello, &random, public, &finished]);
@@ -489,6 +486,23 @@ mod tests {
             .unwrap();
         let s_chan = server.verify_finished(&fin).unwrap();
         (c_chan, s_chan)
+    }
+
+    /// Debug builds count the SHA-256 kernel's blocks: on a SHA-NI host
+    /// the whole key schedule, every quote and Finished MAC, runs there.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn handshake_hashes_on_the_sha_kernel() {
+        use cio_crypto::sha256::{kernel_blocks, kernel_tier};
+        let before = kernel_blocks();
+        handshake();
+        let blocks = kernel_blocks() - before;
+        if kernel_tier() == "sha-ni" {
+            // 84 compressions for the handshake, 2 for the measurements.
+            assert_eq!(blocks, 86);
+        } else {
+            assert_eq!(blocks, 0);
+        }
     }
 
     #[test]
