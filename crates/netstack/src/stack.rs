@@ -648,8 +648,10 @@ impl<D: NetDevice> Interface<D> {
             return Ok(());
         };
         let sock = self.tcp[i].as_mut().expect("slot checked above");
-        let _ = sock.conn.on_segment_in_place(&seg, payload); // resets surface via error()
-        self.flush_tcp()
+        // Resets surface via error(). What the segment queued leaves in
+        // `poll`'s one flush, after every frame of the poll was handled.
+        let _ = sock.conn.on_segment_in_place(&seg, payload);
+        Ok(())
     }
 
     /// Puts every queued segment of every socket on the wire, each built

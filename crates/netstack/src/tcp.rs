@@ -2,12 +2,14 @@
 //!
 //! The implementation covers what the reproduction's experiments exercise:
 //! three-way handshake (active and passive), bidirectional data transfer
-//! with out-of-order reassembly, cumulative ACKs, peer flow control,
-//! retransmission on timeout with bounded retries, RST handling, and the
-//! full close choreography (FIN-WAIT-1/2, CLOSE-WAIT, LAST-ACK, CLOSING,
-//! TIME-WAIT). Congestion control is a fixed window — the experiments
-//! measure interface costs on a lossless or lightly lossy fabric, not WAN
-//! dynamics — and options (SACK, timestamps, window scaling) are omitted.
+//! with out-of-order reassembly, delayed cumulative ACKs (see "When an ACK
+//! leaves" below), peer flow control, receiver-side silly-window
+//! avoidance, retransmission on timeout with bounded retries, RST
+//! handling, and the full close choreography (FIN-WAIT-1/2, CLOSE-WAIT,
+//! LAST-ACK, CLOSING, TIME-WAIT). Congestion control is a fixed window —
+//! the experiments measure interface costs on a lossless or lightly lossy
+//! fabric, not WAN dynamics — and options (SACK, timestamps, window
+//! scaling) are omitted.
 //!
 //! A [`Connection`] is sans-io: it consumes parsed segments via
 //! [`Connection::on_segment_in_place`], queues segments in an outbox read
@@ -22,6 +24,28 @@
 //! acknowledged. The receive ring holds in-order data until the
 //! application reads it, and out-of-order data waits in a window-sized
 //! reassembly area (see `Reassembly`). In steady state no path allocates.
+//!
+//! # When an ACK leaves
+//!
+//! Every segment but the first SYN carries an ACK, and its `ack` and
+//! `window` are written when it goes on the wire, not when it was queued,
+//! so whatever segment leaves next tells the peer everything a pure ACK
+//! would. Pure ACKs are therefore the exception:
+//!
+//! * **Delayed** (RFC 1122 §4.2.3.2, RFC 5681 §4.2). In-order data arms a
+//!   pending ACK instead of queuing one. It leaves with the next segment
+//!   the connection sends for any reason (piggybacked), or as a pure ACK
+//!   once two full-sized segments are unacknowledged, when a read opens
+//!   the window (below), or when [`DELAYED_ACK`] expires in
+//!   [`Connection::on_tick`].
+//! * **At once** for a segment that is out of order, a duplicate or
+//!   overlaps what we have, fills a reassembly gap, or carries SYN or FIN.
+//! * **Cumulative.** A pure ACK is queued only when nothing else in the
+//!   outbox would carry it, and any segment queued after it replaces it:
+//!   one flush sends at most one pure ACK per connection.
+//! * **Window updates avoid the silly window** (RFC 9293 §3.8.6.2.2). A
+//!   read queues an update only when the advertised right edge
+//!   (`ack + window`) would move by at least min(MSS, window / 2).
 
 use crate::wire::{tcp_flags, RingSlices, TcpHeader, TcpSegment};
 use crate::NetError;
@@ -93,6 +117,11 @@ impl Default for TcpConfig {
         }
     }
 }
+
+/// The longest an ACK for in-order data waits for a segment to ride on: a
+/// tenth of the default retransmission timeout, so a delayed ACK reaches
+/// the peer long before its timer would resend the data.
+pub const DELAYED_ACK: Cycles = Cycles(300_000);
 
 /// Sequence space a segment occupies: its payload plus SYN and FIN.
 fn seq_len(len: u32, flags: u8) -> u32 {
@@ -205,12 +234,20 @@ struct InFlight {
     retries: u32,
 }
 
-/// A segment queued for the wire: its header, and how many send-ring
-/// bytes from `hdr.seq` it carries.
+/// A segment queued for the wire: its sequence number and flags, and how
+/// many send-ring bytes from `seq` it carries. The rest of its header is
+/// written when it leaves.
 #[derive(Debug, Clone)]
 struct Queued {
-    hdr: TcpHeader,
+    seq: u32,
+    flags: u8,
     len: u32,
+}
+
+impl Queued {
+    fn is_pure_ack(&self) -> bool {
+        self.len == 0 && self.flags == tcp_flags::ACK
+    }
 }
 
 /// A sans-io TCP connection.
@@ -240,6 +277,13 @@ pub struct Connection {
     recv_ring: VecDeque<u8>,
     ooo: Reassembly,
     peer_fin: bool,
+    /// `ack` of the last segment that left carrying one.
+    rcv_acked: u32,
+    /// Right edge (`ack + window`) that segment advertised.
+    rcv_adv: u32,
+    /// When the peer is owed an ACK by: `None` once a segment carrying
+    /// `rcv_nxt` and the window left.
+    ack_due: Option<Cycles>,
 
     outbox: VecDeque<Queued>,
     time_wait_until: Option<Cycles>,
@@ -268,6 +312,9 @@ impl Connection {
             recv_ring: VecDeque::new(),
             ooo: Reassembly::default(),
             peer_fin: false,
+            rcv_acked: 0,
+            rcv_adv: 0,
+            ack_due: None,
             outbox: VecDeque::new(),
             time_wait_until: None,
             error: None,
@@ -284,7 +331,7 @@ impl Connection {
     ) -> Self {
         let mut c = Self::base(local_port, remote_port, iss, clock, cfg);
         c.state = State::SynSent;
-        c.emit(iss, 0, tcp_flags::SYN, 0, true);
+        c.emit(iss, tcp_flags::SYN, 0, true);
         c.snd_nxt = iss.wrapping_add(1);
         c
     }
@@ -339,16 +386,8 @@ impl Connection {
 
     /// Queues a segment carrying `len` send-ring bytes from `seq`; `track`
     /// also records it as in flight (anything that occupies sequence space).
-    fn emit(&mut self, seq: u32, ack: u32, flags: u8, len: u32, track: bool) {
-        let hdr = TcpHeader {
-            src_port: self.local_port,
-            dst_port: self.remote_port,
-            seq,
-            ack,
-            flags,
-            window: self.recv_window(),
-        };
-        self.outbox.push_back(Queued { hdr, len });
+    fn emit(&mut self, seq: u32, flags: u8, len: u32, track: bool) {
+        Self::queue(&mut self.outbox, Queued { seq, flags, len });
         if track {
             self.in_flight.push_back(InFlight {
                 seq,
@@ -360,9 +399,31 @@ impl Connection {
         }
     }
 
-    fn emit_ack(&mut self) {
-        let (snd_nxt, rcv_nxt) = (self.snd_nxt, self.rcv_nxt);
-        self.emit(snd_nxt, rcv_nxt, tcp_flags::ACK, 0, false);
+    /// Puts `q` on `outbox`. It will carry the newest ACK when it leaves,
+    /// so a pure ACK queued before it (which is then the outbox's last
+    /// entry: see [`ack_now`](Self::ack_now)) has nothing left to say.
+    fn queue(outbox: &mut VecDeque<Queued>, q: Queued) {
+        if q.flags & tcp_flags::ACK != 0 && outbox.back().is_some_and(Queued::is_pure_ack) {
+            outbox.pop_back();
+        }
+        outbox.push_back(q);
+    }
+
+    /// Makes sure the next segment on the wire acknowledges `rcv_nxt`:
+    /// any queued segment that carries an ACK will, or else a pure ACK.
+    /// The ACK stays due until one leaves, so if an ACK releases the
+    /// queued segment first, the next tick queues a pure one.
+    fn ack_now(&mut self) {
+        self.ack_due = Some(self.clock.now());
+        if !self.outbox.iter().any(|q| q.flags & tcp_flags::ACK != 0) {
+            let snd_nxt = self.snd_nxt;
+            self.emit(snd_nxt, tcp_flags::ACK, 0, false);
+        }
+    }
+
+    /// Right edge of the window we would advertise now.
+    fn rcv_edge(&self) -> u32 {
+        self.rcv_nxt.wrapping_add(u32::from(self.recv_window()))
     }
 
     fn bytes_in_flight(&self) -> u32 {
@@ -389,22 +450,26 @@ impl Connection {
     /// Appends up to `max` bytes of in-order received data to `out`;
     /// returns how many.
     ///
-    /// Draining the ring reopens the receive window, so a window-update
-    /// ACK is emitted when data was consumed on a synchronized connection
-    /// (otherwise a peer stalled on zero window would never resume).
+    /// Draining the ring reopens the receive window. On a synchronized
+    /// connection a read that moves the advertised right edge by at least
+    /// min(MSS, window / 2) queues a window update (a peer stalled on a
+    /// closed window resumes on it, and it carries any pending ACK);
+    /// smaller reads wait until their sum does (RFC 9293 §3.8.6.2.2).
     pub fn recv_into(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
         let n = max.min(self.recv_ring.len());
         let (a, b) = ring_range(&self.recv_ring, 0, n);
         out.extend_from_slice(a);
         out.extend_from_slice(b);
         self.recv_ring.drain(..n);
+        let sws = self.cfg.mss.min(usize::from(self.cfg.window) / 2) as u32;
         if n > 0
             && matches!(
                 self.state,
                 State::Established | State::FinWait1 | State::FinWait2 | State::CloseWait
             )
+            && seq_le(self.rcv_adv.wrapping_add(sws), self.rcv_edge())
         {
-            self.emit_ack();
+            self.ack_now();
         }
         n
     }
@@ -454,38 +519,60 @@ impl Connection {
                 break;
             }
             let take = room.min(self.cfg.mss).min(self.unsent);
-            let flags = tcp_flags::ACK | tcp_flags::PSH;
-            let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-            self.emit(seq, ack, flags, take as u32, true);
+            let seq = self.snd_nxt;
+            self.emit(seq, tcp_flags::ACK | tcp_flags::PSH, take as u32, true);
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
             self.unsent -= take;
         }
         if self.fin_queued && self.unsent == 0 {
             self.fin_queued = false;
-            let (seq, ack) = (self.snd_nxt, self.rcv_nxt);
-            self.emit(seq, ack, tcp_flags::FIN | tcp_flags::ACK, 0, true);
+            let seq = self.snd_nxt;
+            self.emit(seq, tcp_flags::FIN | tcp_flags::ACK, 0, true);
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
         }
     }
 
-    /// The next segment to put on the wire, left queued: its header and
-    /// its payload where it lies in the send ring. Call
+    /// The next segment to put on the wire, left queued: its header, which
+    /// acknowledges `rcv_nxt` and advertises the window as they are now,
+    /// and its payload where it lies in the send ring. Call
     /// [`pop_outbox`](Self::pop_outbox) once the segment is on the wire.
     pub fn peek_outbox(&self) -> Option<(TcpHeader, RingSlices<'_>)> {
         let q = self.outbox.front()?;
         let payload = match q.len {
             0 => (&[][..], &[][..]),
             len => {
-                let off = q.hdr.seq.wrapping_sub(self.ring_seq) as usize;
+                let off = q.seq.wrapping_sub(self.ring_seq) as usize;
                 ring_range(&self.send_ring, off, len as usize)
             }
         };
-        Some((q.hdr, payload))
+        let hdr = TcpHeader {
+            src_port: self.local_port,
+            dst_port: self.remote_port,
+            seq: q.seq,
+            ack: if q.flags & tcp_flags::ACK != 0 {
+                self.rcv_nxt
+            } else {
+                0
+            },
+            flags: q.flags,
+            window: self.recv_window(),
+        };
+        Some((hdr, payload))
     }
 
     /// Dequeues the segment [`peek_outbox`](Self::peek_outbox) returned.
+    /// If it carried an ACK, the peer now has `rcv_nxt` and the window, and
+    /// no ACK is pending.
     pub fn pop_outbox(&mut self) {
-        self.outbox.pop_front();
+        if self
+            .outbox
+            .pop_front()
+            .is_some_and(|q| q.flags & tcp_flags::ACK != 0)
+        {
+            self.rcv_acked = self.rcv_nxt;
+            self.rcv_adv = self.rcv_edge();
+            self.ack_due = None;
+        }
     }
 
     /// Takes the next segment to put on the wire as an owned copy.
@@ -517,7 +604,7 @@ impl Connection {
                 // has nothing left to carry, and the peer has its bytes.
                 let ring_seq = self.ring_seq;
                 self.outbox
-                    .retain(|q| q.len == 0 || !seq_lt(q.hdr.seq, ring_seq));
+                    .retain(|q| q.len == 0 || !seq_lt(q.seq, ring_seq));
             }
         }
         self.snd_wnd = window;
@@ -566,6 +653,7 @@ impl Connection {
         self.unsent = 0;
         self.in_flight.clear();
         self.outbox.clear();
+        self.ack_due = None;
     }
 
     /// Feeds one owned segment into the state machine
@@ -602,8 +690,8 @@ impl Connection {
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.snd_wnd = seg.window;
                     self.state = State::SynRcvd;
-                    let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-                    self.emit(iss, rcv_nxt, tcp_flags::SYN | tcp_flags::ACK, 0, true);
+                    let iss = self.iss;
+                    self.emit(iss, tcp_flags::SYN | tcp_flags::ACK, 0, true);
                     self.snd_nxt = self.iss.wrapping_add(1);
                 }
                 Ok(())
@@ -617,14 +705,14 @@ impl Connection {
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.process_ack(seg.ack, seg.window);
                     self.state = State::Established;
-                    self.emit_ack();
+                    self.ack_now();
                 } else if seg.flags & tcp_flags::SYN != 0 {
                     // Simultaneous open.
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     self.snd_wnd = seg.window;
                     self.state = State::SynRcvd;
-                    let (iss, rcv_nxt) = (self.iss, self.rcv_nxt);
-                    self.emit(iss, rcv_nxt, tcp_flags::SYN | tcp_flags::ACK, 0, true);
+                    let iss = self.iss;
+                    self.emit(iss, tcp_flags::SYN | tcp_flags::ACK, 0, true);
                 }
                 Ok(())
             }
@@ -654,18 +742,19 @@ impl Connection {
         }
     }
 
-    /// Handles payload bytes and FIN for synchronized states.
+    /// Handles payload bytes and FIN for synchronized states, and when
+    /// they are acknowledged (see the module docs).
     fn segment_data_and_fin(&mut self, seg: &TcpHeader, payload: &[u8]) {
-        let had = self.rcv_nxt;
+        // Data at `rcv_nxt` with no gap waiting to be filled is the one
+        // kind whose ACK may wait; anything else is acknowledged at once.
+        let in_order = seg.seq == self.rcv_nxt && self.ooo.ranges.is_empty();
         self.accept_data(seg.seq, payload);
-        let mut should_ack = !payload.is_empty();
 
         if seg.flags & tcp_flags::FIN != 0 && !self.peer_fin {
             let fin_seq = seg.seq.wrapping_add(payload.len() as u32);
             if fin_seq == self.rcv_nxt {
                 self.peer_fin = true;
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
-                should_ack = true;
                 match self.state {
                     State::Established => self.state = State::CloseWait,
                     State::FinWait1 => {
@@ -675,12 +764,18 @@ impl Connection {
                     State::FinWait2 => self.enter_time_wait(),
                     _ => {}
                 }
-            } else {
-                should_ack = true; // out-of-order FIN: ack what we have
             }
         }
-        if self.rcv_nxt != had || should_ack {
-            self.emit_ack();
+        // A SYN here is a retransmission: our handshake ACK was lost.
+        let control = seg.flags & (tcp_flags::SYN | tcp_flags::FIN) != 0;
+        if control || (!payload.is_empty() && !in_order) {
+            self.ack_now();
+        } else if !payload.is_empty() {
+            self.ack_due.get_or_insert(self.clock.now() + DELAYED_ACK);
+            let two_segments = 2 * self.cfg.mss as u32;
+            if self.rcv_nxt.wrapping_sub(self.rcv_acked) >= two_segments {
+                self.ack_now();
+            }
         }
     }
 
@@ -707,7 +802,8 @@ impl Connection {
         }
     }
 
-    /// Clock-driven processing: retransmissions and TIME-WAIT expiry.
+    /// Clock-driven processing: retransmissions, the delayed ACK and
+    /// TIME-WAIT expiry.
     pub fn on_tick(&mut self) {
         if let Some(t) = self.time_wait_until {
             if self.clock.now() >= t {
@@ -716,14 +812,6 @@ impl Connection {
             }
         }
         let now = self.clock.now();
-        let mut hdr = TcpHeader {
-            src_port: self.local_port,
-            dst_port: self.remote_port,
-            seq: 0,
-            ack: self.rcv_nxt,
-            flags: 0,
-            window: self.recv_window(),
-        };
         let mut abort = false;
         for u in &mut self.in_flight {
             if now.get().saturating_sub(u.sent_at.get()) >= self.cfg.rto.get() {
@@ -733,12 +821,15 @@ impl Connection {
                 }
                 u.retries += 1;
                 u.sent_at = now;
-                (hdr.seq, hdr.flags) = (u.seq, u.flags);
-                self.outbox.push_back(Queued { hdr, len: u.len });
+                let (seq, flags, len) = (u.seq, u.flags, u.len);
+                Self::queue(&mut self.outbox, Queued { seq, flags, len });
             }
         }
         if abort {
             self.reset(NetError::Reset);
+        } else if self.ack_due.is_some_and(|due| now >= due) {
+            // A retransmission queued above already carries it.
+            self.ack_now();
         }
     }
 }
@@ -966,6 +1057,9 @@ mod tests {
         clock.advance(Cycles(cfg().rto.get() + 1));
         c.on_tick();
         assert!(c.peek_outbox().is_some());
+        // The receiver's ACK was delayed; the same advance is past its
+        // timer too, and the tick releases it.
+        s.on_tick();
         let ack = s.poll_outbox().unwrap();
         c.on_segment(&ack).unwrap();
         assert!(c.send_ring.is_empty());
@@ -973,6 +1067,47 @@ mod tests {
             c.peek_outbox().is_none(),
             "a queued segment must not outlive its bytes"
         );
+    }
+
+    #[test]
+    fn a_later_segment_replaces_a_queued_pure_ack() {
+        let clock = Clock::new();
+        let (mut c, mut s) = established_pair(&clock);
+        c.send(b"first").unwrap();
+        let _held = c.poll_outbox().unwrap();
+        c.send(b"second").unwrap();
+        let ahead = c.poll_outbox().unwrap();
+        // Out of order: a duplicate ACK for the gap is queued at once.
+        s.on_segment(&ahead).unwrap();
+        assert_eq!(s.outbox.len(), 1);
+        assert!(s.outbox[0].is_pure_ack());
+        // The reply carries the same ACK, so it goes alone.
+        s.send(b"reply").unwrap();
+        let (hdr, (a, b)) = s.peek_outbox().unwrap();
+        assert_eq!([a, b].concat(), b"reply");
+        assert_eq!(hdr.ack, s.rcv_nxt);
+        assert_eq!(s.outbox.len(), 1, "one flush, one segment");
+        // With a segment queued, another immediate ACK adds nothing.
+        s.on_segment(&ahead).unwrap();
+        assert_eq!(s.outbox.len(), 1);
+    }
+
+    #[test]
+    fn a_retransmitted_syn_ack_is_acked_at_once() {
+        let clock = Clock::new();
+        let mut c = Connection::connect(40000, 80, 1000, clock.clone(), cfg());
+        let mut s = Connection::listen(80, 9000, clock.clone(), cfg());
+        s.on_segment(&c.poll_outbox().unwrap()).unwrap();
+        c.on_segment(&s.poll_outbox().unwrap()).unwrap();
+        let _lost = c.poll_outbox().expect("the handshake's ACK");
+        assert_eq!(s.state(), State::SynRcvd);
+        clock.advance(Cycles(cfg().rto.get() + 1));
+        s.on_tick();
+        c.on_segment(&s.poll_outbox().expect("SYN+ACK again"))
+            .unwrap();
+        let ack = c.poll_outbox().expect("an ACK in reply, not a wait");
+        s.on_segment(&ack).unwrap();
+        assert_eq!(s.state(), State::Established);
     }
 
     #[test]
