@@ -169,7 +169,8 @@ fn bench_record_ring(target_ms: u64, payload_len: usize) -> (Measurement, u64, M
             .expect("consume")
             .expect("record available");
         assert!(accepted, "gateway must accept the record");
-        let frame = peer_side.receive().expect("frame on segment");
+        let mut frame = Vec::new();
+        assert!(peer_side.receive(&mut frame), "frame on segment");
         black_box(&frame);
     });
     let sim_cycles = clock.since(t0).get();

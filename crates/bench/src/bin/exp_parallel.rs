@@ -78,7 +78,8 @@ impl QueuePipeline {
             .expect("consume")
             .expect("record available");
         assert!(accepted, "gateway must accept the record");
-        let frame = self.segment.receive().expect("frame on segment");
+        let mut frame = Vec::new();
+        assert!(self.segment.receive(&mut frame), "frame on segment");
         black_box(&frame);
     }
 }

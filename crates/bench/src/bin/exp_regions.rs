@@ -5,11 +5,12 @@
 //! Per conclusion: the default-model cells (once per scenario), the
 //! verdict there, the share of grid points where the reading holds, and
 //! where the verdict flips along each axis with the other axes at default.
-//! Every reading is recorded as holding at the default model, so the
-//! binary exits non-zero if one does not. Takes no arguments; the output
-//! is deterministic.
+//! Every reading is recorded as holding at the default model or as
+//! flipped, with its finding ([`cio_bench::regions::FLIPPED`]), so the
+//! binary exits non-zero if a verdict differs from that record. Takes no
+//! arguments; the output is deterministic.
 
-use cio_bench::regions::{fmt_value, grid_point, Axis, Values, ROWS};
+use cio_bench::regions::{fmt_value, grid_point, Axis, Values, FLIPPED, ROWS};
 use cio_bench::{bench_opts, fmt_cycles};
 use cio_sim::Cycles;
 
@@ -85,8 +86,14 @@ fn main() {
         }
     }
 
-    if !failed.is_empty() {
-        eprintln!("readings that no longer hold at the default model: {failed:?}");
+    for (id, finding) in FLIPPED {
+        println!("\nflipped at the default model, a finding: {id} — {finding}");
+    }
+    let recorded: Vec<_> = FLIPPED.iter().map(|&(id, _)| id).collect();
+    if failed != recorded {
+        eprintln!(
+            "readings that do not hold at the default model: {failed:?}, recorded {recorded:?}"
+        );
         std::process::exit(1);
     }
 }

@@ -84,7 +84,8 @@ fn run_ring(size: usize, policy: CopyPolicy, frames: u32) -> Row {
             .expect("consume")
             .expect("record available");
         assert!(accepted, "gateway must accept the record");
-        let frame = peer_side.receive().expect("frame on segment");
+        let mut frame = Vec::new();
+        assert!(peer_side.receive(&mut frame), "frame on segment");
         std::hint::black_box(&frame);
     }
     let elapsed = clock.since(t0);

@@ -6,8 +6,8 @@
 //! being pinpointed by link index.
 
 use cio::attacks::{
-    attack_opts, audit_chain_tamper, netvsc_offset_forgery, payload_toctou, run_blk_suite,
-    run_matrix, Outcome, ALL_ATTACKS,
+    attack_opts, audit_chain_tamper, coalesce_forgery, netvsc_offset_forgery, payload_toctou,
+    run_blk_suite, run_matrix, Outcome, ALL_ATTACKS, COALESCE_FORGERIES,
 };
 use cio::world::ALL_BOUNDARIES;
 use cio_bench::print_table;
@@ -74,6 +74,21 @@ fn main() {
                 nv_hardened.to_string(),
             ],
         ],
+    );
+
+    // The host that coalesces a flow's wire frames for the guest, forging
+    // the merge: refused whole, with the guest TCP's typed reason.
+    let forgeries = coalesce_forgery().expect("coalesce scenario");
+    let mut frows = Vec::new();
+    for (what, (outcome, why)) in COALESCE_FORGERIES.iter().zip(forgeries) {
+        assert_eq!(outcome, Outcome::Detected, "{what}: {outcome} ({why:?})");
+        let why = why.map_or("-".to_string(), |e| format!("{e:?}: {e}"));
+        frows.push(vec![what.to_string(), outcome.to_string(), why]);
+    }
+    print_table(
+        "E10f — a coalescing host forges the merged record",
+        &["forged record", "outcome", "guest's reason"],
+        &frows,
     );
 
     // Summary counts.

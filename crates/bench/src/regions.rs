@@ -541,18 +541,34 @@ pub const ROWS: &[Row] = &[
     },
 ];
 
+/// Readings that no longer hold at the default model, each with the
+/// finding that flipped it. A flip is recorded here rather than by
+/// editing its reading, and `exp_regions` and the pin test below fail on
+/// any reading whose verdict differs from this list, either way.
+pub const FLIPPED: &[(&str, &str)] = &[(
+    "E13",
+    "the host cuts and coalesces at the guest↔host frame limit, so a 16 KiB response \
+     costs the dual boundary's ring 5 records, not 15, and the dual boundary streams \
+     13.13 Gbit/s against DDA's 12.53 (was 12.24); DDA's guest drives the NIC itself, in \
+     wire-size frames",
+)];
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every reading holds at the default model, and the headline cells
+    /// Every reading but the [`FLIPPED`] ones holds at the default model, and the headline cells
     /// read exactly as the per-experiment binaries this table replaced
     /// printed them (E9 excepted: its arms now differ only in the
     /// app→stack copy, and both pay the guest TX ring's early copy), until
     /// the TCP stack began to delay and piggyback its ACKs: the RTT, copy,
     /// stream and visibility cells of E9, E13 and E15 were re-recorded
-    /// then (an echo crosses the ring as two frames, not six). The
-    /// verdicts are also the transport regressions once
+    /// then (an echo crosses the ring as two frames, not six), and E9's
+    /// 16 KiB cells again when the host began to cut and coalesce at the
+    /// guest↔host frame limit (8.64 → 9.52 % saved, 512 → 256 gate
+    /// switches: a 16 KiB message crosses as one segment). Each verdict
+    /// is as [`FLIPPED`] records it. The verdicts are also the transport
+    /// regressions once
     /// tested on their own: hardened virtio slower and copying more than
     /// unhardened, the cio ring faster than hardened virtio (E5), copy
     /// winning 1 KiB and revocation 64 KiB (E7), polling winning busy
@@ -584,8 +600,8 @@ mod tests {
             ("E9", "copied RTT @256", "8_148"),
             ("E9", "zero-copy copies @256", "32"),
             ("E9", "copied copies @256", "48"),
-            ("E9", "saving % @16384", "8.64"),
-            ("E9", "zero-copy gate switches @16384", "512"),
+            ("E9", "saving % @16384", "9.52"),
+            ("E9", "zero-copy gate switches @16384", "256"),
             ("E12", "block-in-tee cycles @4096", "7_081_856"),
             ("E12", "file-on-host cycles @65536", "203_088"),
             ("E12", "file-on-host exits @4096", "128"),
@@ -614,7 +630,8 @@ mod tests {
         let mut pinned = 0;
         for row in ROWS {
             let v = (row.scenario)(&bench_opts());
-            assert!((row.holds)(&v), "{}: {}", row.id, row.reading);
+            let flipped = FLIPPED.iter().any(|&(id, _)| id == row.id);
+            assert_eq!((row.holds)(&v), !flipped, "{}: {}", row.id, row.reading);
             for (id, cell, want) in pins.iter().filter(|(id, _, _)| *id == row.id) {
                 assert_eq!(fmt_value(v[cell]), *want, "{id} {cell}");
                 pinned += 1;

@@ -1563,6 +1563,133 @@ fn classify_session_poison(delta: &cio_sim::MeterSnapshot, contained: bool) -> O
     }
 }
 
+/// What a dishonest coalescing host tried, in
+/// [`coalesce_forgery`]'s report.
+pub const COALESCE_FORGERIES: [&str; 2] = [
+    "overlap rewritten with other bytes",
+    "in-order bytes past the advertised window",
+];
+
+/// The coalescing-host micro-scenario: the host that merges a flow's wire
+/// frames into one record for the guest (`cio_host::segment`) forges the
+/// merge instead. A guest TCP connection, its receive window at 4 KiB,
+/// takes an honest coalesced record, then one of two forgeries — each a
+/// well-formed segment with valid checksums, since the host writes them:
+///
+/// * a record whose head re-sends bytes the guest still holds, with
+///   different content, followed by new bytes;
+/// * an in-order record longer than the window the guest advertised.
+///
+/// Returns, per forgery in [`COALESCE_FORGERIES`] order, the outcome and
+/// the typed reason the guest gave: `Detected` when the segment was
+/// refused whole with a reason and the guest's stream still holds exactly
+/// the honest bytes; `Undetected` when forged bytes reached the stream or
+/// the receive ring grew past the window.
+///
+/// # Errors
+///
+/// Infrastructure failures only.
+pub fn coalesce_forgery() -> Result<[(Outcome, Option<cio_netstack::NetError>); 2], CioError> {
+    use cio_host::segment;
+    use cio_netstack::tcp::{Connection, TcpConfig};
+    use cio_netstack::wire::{tcp_flags, EthHeader, EtherType, IpProto, Ipv4Header, TcpHeader};
+    use cio_netstack::MacAddr;
+    use cio_sim::Clock;
+
+    const WINDOW: u16 = 4096;
+    let (peer_ip, guest_ip) = (crate::world::PEER_IP, crate::world::GUEST_IP);
+    // The frames the peer puts on the wire (and a forger writes).
+    let frame = |hdr: &TcpHeader, payload: &[u8]| {
+        let mut out = Vec::new();
+        let eth = EthHeader {
+            dst: MacAddr([2; 6]),
+            src: MacAddr([1; 6]),
+            ethertype: EtherType::Ipv4,
+        };
+        eth.emit(&mut out);
+        let ip = Ipv4Header {
+            src: peer_ip,
+            dst: guest_ip,
+            proto: IpProto::Tcp,
+            ttl: 64,
+        };
+        ip.emit(20 + payload.len(), &mut out);
+        hdr.emit(peer_ip, guest_ip, (payload, &[]), &mut out);
+        out
+    };
+    // What the guest does with one record the host delivers.
+    let deliver = |guest: &mut Connection, record: &[u8]| {
+        let (_, l3) = EthHeader::parse(record)?;
+        let (_, l4) = Ipv4Header::parse(l3)?;
+        let (hdr, payload) = TcpHeader::parse(peer_ip, guest_ip, l4)?;
+        guest.on_segment_in_place(&hdr, payload)
+    };
+    let run = |forgery: usize| -> Result<(Outcome, Option<cio_netstack::NetError>), CioError> {
+        let clock = Clock::new();
+        let cfg = TcpConfig {
+            window: WINDOW,
+            ..TcpConfig::default()
+        };
+        let mut peer = Connection::connect(40_000, 443, 1_000, clock.clone(), cfg.clone());
+        let mut guest = Connection::listen(443, 9_000, clock, cfg);
+        for _ in 0..4 {
+            while let Some(seg) = peer.poll_outbox() {
+                guest.on_segment(&seg)?;
+            }
+            while let Some(seg) = guest.poll_outbox() {
+                peer.on_segment(&seg)?;
+            }
+        }
+        // The honest part: the peer's 1 000 bytes as wire frames, which
+        // the host coalesces into one record.
+        let honest: Vec<u8> = (0..1_000).map(|i| (i % 251) as u8).collect();
+        peer.send(&honest)?;
+        let mut wire = Vec::new();
+        while let Some(seg) = peer.poll_outbox() {
+            for piece in seg.payload.chunks(300) {
+                let off = wire.iter().map(|f: &Vec<u8>| f.len() - 54).sum::<usize>();
+                let hdr = TcpHeader {
+                    seq: seg.hdr.seq.wrapping_add(off as u32),
+                    ..seg.hdr
+                };
+                wire.push(frame(&hdr, piece));
+            }
+        }
+        let merge = segment::plan(wire.iter().map(Vec::as_slice), 32 * 1024)
+            .ok_or(CioError::Fatal("nothing to coalesce"))?;
+        let mut record = vec![0; merge.len()];
+        merge.write(wire.iter().map(Vec::as_slice), &mut record);
+        deliver(&mut guest, &record)?;
+        let template = TcpHeader::parse(peer_ip, guest_ip, &wire[0][34..])?.0;
+        let next = template.seq.wrapping_add(honest.len() as u32);
+        // The forgery, written by the host with valid checksums.
+        let forged = if forgery == 0 {
+            let hdr = TcpHeader {
+                seq: next.wrapping_sub(100),
+                ..template
+            };
+            frame(&hdr, &[0xEE; 400])
+        } else {
+            let hdr = TcpHeader {
+                seq: next,
+                flags: tcp_flags::ACK,
+                ..template
+            };
+            frame(&hdr, &vec![0xEE; usize::from(WINDOW) + 1])
+        };
+        let verdict = deliver(&mut guest, &forged).err();
+        let read = guest.recv(usize::MAX);
+        let intact = read == honest && read.len() <= usize::from(WINDOW);
+        let outcome = match (intact, verdict) {
+            (false, _) => Outcome::Undetected,
+            (true, Some(_)) => Outcome::Detected,
+            (true, None) => Outcome::Prevented,
+        };
+        Ok((outcome, verdict))
+    };
+    Ok([run(0)?, run(1)?])
+}
+
 /// The NetVSC offset-forgery micro-scenario (the Figure 3 driver family's
 /// signature attack): the host aims a receive descriptor at private guest
 /// memory. Returns `(unhardened, hardened)` outcomes.
@@ -1603,6 +1730,14 @@ pub fn netvsc_offset_forgery() -> Result<(Outcome, Outcome), CioError> {
 mod tests {
     use super::*;
     use crate::world::ALL_BOUNDARIES;
+
+    #[test]
+    fn a_forged_coalesced_record_is_refused_with_its_reason() {
+        use cio_netstack::NetError;
+        let [overlap, window] = coalesce_forgery().unwrap();
+        assert_eq!(overlap, (Outcome::Detected, Some(NetError::Conflict)));
+        assert_eq!(window, (Outcome::Detected, Some(NetError::BeyondWindow)));
+    }
 
     #[test]
     fn unhardened_virtio_bleeds_undetected_violations() {

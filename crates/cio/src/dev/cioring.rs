@@ -4,16 +4,11 @@ use crate::CioError;
 use cio_mem::{CopyPolicy, GuestView};
 use cio_netstack::{MacAddr, NetDevice, NetError};
 use cio_vring::cioring::{BatchPolicy, Consumer, Producer, MAX_BATCH};
-use std::collections::VecDeque;
 
-/// One queue's guest-side ring pair, plus the frames a receive pass
-/// drained ahead of the caller and the (empty between passes) buffers
-/// the next pass drains into.
+/// One queue's guest-side ring pair.
 struct GuestQueue {
     tx: Producer<GuestView>,
     rx: Consumer<GuestView>,
-    rx_pending: VecDeque<Vec<u8>>,
-    rx_bufs: [Vec<u8>; MAX_BATCH],
 }
 
 /// The cio-ring as a (multi-queue) network device.
@@ -34,6 +29,11 @@ pub struct CioRingDevice {
     rx_cursor: usize,
     mac: MacAddr,
     mtu: usize,
+    /// The buffers a receive pass drains into, shared by every queue:
+    /// `rx_bufs[rx_next..rx_len]` are frames not yet handed out.
+    rx_bufs: [Vec<u8>; MAX_BATCH],
+    rx_next: usize,
+    rx_len: usize,
     /// Record-batching discipline for receive draining: runs of up to this
     /// many slots per shared-index read, memory-lock acquisition, and
     /// consumer-index write (Serial, the default, is the run of one) —
@@ -67,15 +67,13 @@ impl CioRingDevice {
                 .map(|(mut tx, mut rx)| {
                     tx.set_copy_policy(CopyPolicy::CopyEarly);
                     rx.set_copy_policy(CopyPolicy::CopyEarly);
-                    GuestQueue {
-                        tx,
-                        rx,
-                        rx_pending: VecDeque::new(),
-                        rx_bufs: std::array::from_fn(|_| Vec::new()),
-                    }
+                    GuestQueue { tx, rx }
                 })
                 .collect(),
             mask,
+            rx_bufs: std::array::from_fn(|_| Vec::new()),
+            rx_next: 0,
+            rx_len: 0,
             active_rx: None,
             rx_cursor: 0,
             batch: BatchPolicy::default(),
@@ -87,20 +85,26 @@ impl CioRingDevice {
         self.batch = batch;
     }
 
-    fn recv_from(&mut self, q: usize) -> Option<Vec<u8>> {
-        // One pass pulls a run of frames under a single lock and a single
-        // consumer-index write, then the caller pops them one at a time.
-        // Each frame pays the ring's metered early copy; the pass itself
-        // allocates nothing but the frames.
-        let queue = &mut self.queues[q];
-        if let Some(frame) = queue.rx_pending.pop_front() {
-            return Some(frame);
+    fn recv_from(&mut self, q: usize, frame: &mut Vec<u8>) -> bool {
+        // One pass pulls a run of frames from queue `q` under a single
+        // lock and a single consumer-index write, each copied early (the
+        // ring's one metered copy) into the device's receive buffers; the
+        // caller takes them one at a time by swapping its buffer for the
+        // frame's, so once the buffers in circulation have grown to the
+        // frame limit a receive allocates nothing. A run is handed out in
+        // full before any queue is drained again, so the queues share one
+        // run's worth of buffers.
+        if self.rx_next == self.rx_len {
+            let bufs = &mut self.rx_bufs[..self.batch.max_batch()];
+            let drained = self.queues[q].rx.consume_batch_into(bufs).unwrap_or(0);
+            (self.rx_next, self.rx_len) = (0, drained);
+            if self.rx_len == 0 {
+                return false;
+            }
         }
-        let bufs = &mut queue.rx_bufs[..self.batch.max_batch()];
-        let n = queue.rx.consume_batch_into(bufs).ok()?;
-        let frames = bufs[..n].iter_mut().map(std::mem::take);
-        queue.rx_pending.extend(frames);
-        queue.rx_pending.pop_front()
+        std::mem::swap(frame, &mut self.rx_bufs[self.rx_next]);
+        self.rx_next += 1;
+        true
     }
 }
 
@@ -119,21 +123,21 @@ impl NetDevice for CioRingDevice {
         }
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
         if let Some(q) = self.active_rx {
-            return self.recv_from(q);
+            return self.recv_from(q, frame);
         }
         // Round-robin: resume at the cursor so no queue starves when the
         // caller drains one frame at a time.
         for i in 0..self.queues.len() {
             let q = (self.rx_cursor + i) & self.mask as usize;
-            if let Some(frame) = self.recv_from(q) {
+            if self.recv_from(q, frame) {
                 self.rx_cursor = q;
-                return Some(frame);
+                return true;
             }
         }
         self.rx_cursor = (self.rx_cursor + 1) & self.mask as usize;
-        None
+        false
     }
 
     fn mac(&self) -> MacAddr {
@@ -198,7 +202,9 @@ mod tests {
 
         host_tx.produce(&frame).unwrap();
         let before = mem.meter().snapshot();
-        assert_eq!(dev.receive().as_deref(), Some(&frame[..]));
+        let mut got = Vec::new();
+        assert!(dev.receive(&mut got));
+        assert_eq!(got, frame);
         let d = mem.meter().snapshot().delta(&before);
         assert_eq!((d.copies, d.bytes_copied, d.pages_revoked), (1, 128, 0));
     }

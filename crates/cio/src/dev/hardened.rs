@@ -64,17 +64,18 @@ impl NetDevice for HardenedVirtioNetDevice {
         }
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
         loop {
             match self.rx.poll() {
                 Ok(Some((_done, Some(data)))) => {
                     // Repost a fresh buffer to keep the queue primed.
                     self.tokens += 1;
                     let _ = self.rx.post_recv(self.tokens);
-                    return Some(data);
+                    *frame = data;
+                    return true;
                 }
                 Ok(Some((_done, None))) => continue,
-                Ok(None) => return None,
+                Ok(None) => return false,
                 Err(_) => {
                     // Detected violation: drop it and repost.
                     self.tokens += 1;

@@ -70,11 +70,17 @@ impl NetDevice for IdeNetDevice {
         self.port.transmit(&inner)
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        let frame = self.port.receive()?;
-        let tlp = self.dev_end.protect(&frame);
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        if !self.port.receive(frame) {
+            return false;
+        }
+        let tlp = self.dev_end.protect(frame);
         self.record_tlp();
-        self.tee_end.unprotect(&tlp).ok()
+        match self.tee_end.unprotect(&tlp) {
+            Ok(inner) => *frame = inner,
+            Err(_) => return false,
+        }
+        true
     }
 
     fn mac(&self) -> MacAddr {

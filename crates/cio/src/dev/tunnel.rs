@@ -146,6 +146,7 @@ impl TunnelDevice {
         let chan = &mut self.chan;
         let outs = &mut self.batch_outs;
         let rx_pending = &mut self.rx_pending;
+        let pool = &mut self.pool;
         self.inner_rx
             .consume_batch_in_place(self.batch.max_batch(), |slots| {
                 let k = slots.len();
@@ -157,7 +158,9 @@ impl TunnelDevice {
                 chan.open_batch_in_slots(&recs[..k], &mut outs[..k], &mut results[..k]);
                 for (out, res) in outs[..k].iter().zip(&results[..k]) {
                     if res.is_ok() {
-                        rx_pending.push_back(out.as_slice().to_vec());
+                        let mut frame = pool.get();
+                        frame.extend_from_slice(out.as_slice());
+                        rx_pending.push_back(frame);
                     }
                 }
             })
@@ -192,7 +195,7 @@ impl NetDevice for TunnelDevice {
         Ok(())
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
         // A receive pass is the tunnel's progress point: flush any
         // gathered transmit batch first so partially filled batches never
         // outlive the pump iteration that could have sent them.
@@ -200,11 +203,13 @@ impl NetDevice for TunnelDevice {
             self.flush_tx();
         }
         loop {
-            if let Some(frame) = self.rx_pending.pop_front() {
-                return Some(frame);
+            if let Some(mut next) = self.rx_pending.pop_front() {
+                std::mem::swap(frame, &mut next);
+                self.pool.put(next);
+                return true;
             }
             if self.drain_rx() == 0 {
-                return None;
+                return false;
             }
         }
     }

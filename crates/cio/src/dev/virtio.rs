@@ -139,15 +139,19 @@ impl NetDevice for VirtqueueNetDevice {
         Ok(())
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        let done = self.rx.poll_used().ok().flatten()?;
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        let Some(done) = self.rx.poll_used().ok().flatten() else {
+            return false;
+        };
         let slot = (done.token as u16) % self.rx_arena.count;
         // Unhardened: the length is trusted as-is (the oracle flags abuse);
         // clamp only to keep the simulation itself well-defined.
         let len = (done.len).min(self.rx_arena.stride) as usize;
-        let mut buf = vec![0u8; len];
+        frame.resize(len, 0);
         let addr = self.rx_arena.slot(slot);
-        self.mem.guest().read(addr, &mut buf).ok()?;
+        if self.mem.guest().read(addr, frame).is_err() {
+            return false;
+        }
         // Repost the buffer.
         let _ = self.rx.add_buf(
             &[],
@@ -157,7 +161,7 @@ impl NetDevice for VirtqueueNetDevice {
             }],
             done.token,
         );
-        Some(buf)
+        true
     }
 
     fn mac(&self) -> MacAddr {

@@ -9,7 +9,7 @@
 
 use super::guest::{Crossing, GuestStack};
 use super::layout::GuestLayoutAlloc;
-use super::options::{FABRIC_MTU, GUEST_MAC, GUEST_PAGES, PEER_MAC};
+use super::options::{CARRIER_MTU, FRAME_LIMIT, GUEST_MAC, GUEST_PAGES, PEER_MAC, WIRE_MTU};
 use super::speer::{SecurePeer, TunnelGateway};
 use super::{
     Anatomy, BoundaryKind, PeerNode, World, WorldBuilder, WorldOptions, GUEST_IP, PEER_IP,
@@ -25,8 +25,9 @@ use cio_host::fabric::Fabric;
 use cio_host::l5::ObservedPort;
 use cio_host::observe::Recorder;
 use cio_host::ParallelHost;
-use cio_mem::{GuestAddr, GuestMemory, HostView, PAGE_SIZE};
+use cio_mem::{GuestAddr, GuestMemory, HostView, PAGE_SIZE, STRIPE_BYTES};
 use cio_netstack::stack::{Interface, InterfaceConfig};
+use cio_netstack::wire::ETH_HDR_LEN;
 use cio_netstack::{NetDevice, PairDevice};
 use cio_sim::{Clock, CostModel, Cycles, Lanes, Meter, SimRng, SloConfig, SloWatchdog, Telemetry};
 use cio_tee::dda::{spdm_attest, Device, IdeChannel};
@@ -56,26 +57,35 @@ fn secure_peer<D: NetDevice>(
     peer
 }
 
-/// Lays out one `(tx, rx)` ring pair in guest memory and shares it with
-/// the host.
-fn alloc_ring_pair(
+/// Lays out `pairs` `(tx, rx)` ring pairs in guest memory and shares
+/// them with the host: every payload area on a lock-stripe boundary, so
+/// a run of slots never straddles two stripes (an access that does is
+/// served through a bounce copy of the whole range), then every ring's
+/// words, packed into the stripe after the areas instead of each
+/// touching a stripe of its own.
+fn alloc_rings(
     mem: &GuestMemory,
     layout: &mut GuestLayoutAlloc,
     cfg: &RingConfig,
-) -> Result<(CioRing, CioRing), CioError> {
-    let mk = |mem: &GuestMemory, layout: &mut GuestLayoutAlloc| -> Result<CioRing, CioError> {
-        let ring_pages = cfg.slots as usize * cfg.slot_size as usize / PAGE_SIZE + 1;
-        let ring_base = layout.alloc_pages(ring_pages)?;
-        let area_pages = cfg.area_size as usize / PAGE_SIZE;
-        let area_base = layout.alloc_pages(area_pages.max(1))?;
-        let ring = CioRing::new(cfg.clone(), ring_base, area_base)?;
-        mem.share_range(ring_base, ring.ring_bytes())?;
+    pairs: usize,
+) -> Result<Vec<(CioRing, CioRing)>, CioError> {
+    let area_bytes = (cfg.area_size as usize).max(PAGE_SIZE);
+    let areas: Vec<GuestAddr> = (0..2 * pairs)
+        .map(|_| layout.alloc(area_bytes, STRIPE_BYTES as u64))
+        .collect::<Result<_, _>>()?;
+    let ring_pages = cfg.slots as usize * cfg.slot_size as usize / PAGE_SIZE + 1;
+    let mut rings = Vec::with_capacity(2 * pairs);
+    for area in areas {
+        let base = layout.alloc_pages(ring_pages)?;
+        let ring = CioRing::new(cfg.clone(), base, area)?;
+        mem.share_range(base, ring.ring_bytes())?;
         if ring.area_bytes() > 0 {
-            mem.share_range(area_base, ring.area_bytes())?;
+            mem.share_range(area, ring.area_bytes())?;
         }
-        Ok(ring)
-    };
-    Ok((mk(mem, layout)?, mk(mem, layout)?))
+        rings.push(ring);
+    }
+    let mut rings = rings.into_iter();
+    Ok(std::iter::from_fn(|| Some((rings.next()?, rings.next()?))).collect())
 }
 
 /// Builds both sides' endpoints over laid-out ring pairs: the guest's
@@ -130,8 +140,13 @@ impl WorldBuilder {
         let fabric = Fabric::new(clock.clone(), opts.seed);
         let mut rng = SimRng::seed_from(opts.seed ^ 0x5EED);
 
-        let nic_port = fabric.port(GUEST_MAC, FABRIC_MTU);
-        let peer_port = fabric.port(PEER_MAC, FABRIC_MTU);
+        let wire_mtu = if kind == BoundaryKind::Tunneled {
+            CARRIER_MTU
+        } else {
+            WIRE_MTU
+        };
+        let nic_port = fabric.port(GUEST_MAC, wire_mtu);
+        let peer_port = fabric.port(PEER_MAC, wire_mtu);
         fabric.connect(&nic_port, &peer_port, opts.link)?;
 
         let mut anatomy = Anatomy::default();
@@ -155,8 +170,13 @@ impl WorldBuilder {
 
             BoundaryKind::L2VirtioUnhardened | BoundaryKind::L2VirtioHardened => {
                 let hardened = kind == BoundaryKind::L2VirtioHardened;
-                let qsize: u16 = 128;
-                let stride: u32 = 2048;
+                // Each direction's buffers (a 256 KiB shared arena, or a
+                // 512 KiB bounce pool) hold one frame at the frame limit
+                // each: fewer, larger buffers than 2 KiB ones in the same
+                // memory, one descriptor per buffer.
+                let stride = FRAME_LIMIT as u32;
+                let buffer_bytes: usize = if hardened { 1 << 19 } else { 1 << 18 };
+                let qsize = (buffer_bytes / FRAME_LIMIT) as u16;
 
                 let tx_q = layout.alloc_pages(2)?;
                 let rx_q = layout.alloc_pages(2)?;
@@ -172,12 +192,12 @@ impl WorldBuilder {
                 cfg.device_init(
                     &mem.host(),
                     GUEST_MAC.0,
-                    1500,
+                    (FRAME_LIMIT - ETH_HDR_LEN) as u16,
                     F_VERSION_1 | F_NET_MAC | F_NET_MTU,
                 )?;
 
                 let device: Box<dyn NetDevice> = if hardened {
-                    let bounce_pages = usize::from(qsize);
+                    let bounce_pages = buffer_bytes / PAGE_SIZE;
                     let tx_bounce = layout.alloc_pages(bounce_pages)?;
                     let rx_bounce = layout.alloc_pages(bounce_pages)?;
                     let tx_drv = HardenedDriver::new(
@@ -186,7 +206,7 @@ impl WorldBuilder {
                         cfg,
                         F_VERSION_1 | F_NET_MAC | F_NET_MTU,
                         tx_bounce,
-                        bounce_pages,
+                        usize::from(qsize),
                         meter.clone(),
                     )?;
                     let rx_drv = HardenedDriver::new(
@@ -195,7 +215,7 @@ impl WorldBuilder {
                         cfg,
                         F_VERSION_1 | F_NET_MAC | F_NET_MTU,
                         rx_bounce,
-                        bounce_pages,
+                        usize::from(qsize),
                         meter.clone(),
                     )?;
                     Box::new(HardenedVirtioNetDevice::new(
@@ -253,10 +273,7 @@ impl WorldBuilder {
 
             BoundaryKind::L2CioRing | BoundaryKind::DualBoundary => {
                 let ring_cfg = opts.net_ring_config();
-                for _ in 0..opts.queues {
-                    let pair = alloc_ring_pair(&mem, &mut layout, &ring_cfg)?;
-                    anatomy.cio_queues.push(pair);
-                }
+                anatomy.cio_queues = alloc_rings(&mem, &mut layout, &ring_cfg, opts.queues)?;
                 let (device, host_pairs) =
                     cio_endpoints(&mem, &anatomy.cio_queues, &opts, &telemetry)?;
                 let mut backend = CioNetBackend::new(
@@ -325,7 +342,9 @@ impl WorldBuilder {
                     notify: ring_notify(opts.notify, opts.notify_policy),
                     ..RingConfig::default()
                 };
-                let (tx_ring, rx_ring) = alloc_ring_pair(&mem, &mut layout, &ring_cfg)?;
+                let (tx_ring, rx_ring) = alloc_rings(&mem, &mut layout, &ring_cfg, 1)?
+                    .pop()
+                    .expect("one pair");
                 anatomy.cio_queues = vec![(tx_ring.clone(), rx_ring.clone())];
                 let mut guest_tx = Producer::new(tx_ring.clone(), mem.guest())?;
                 let mut guest_rx = Consumer::new(rx_ring.clone(), mem.guest())?;
@@ -349,7 +368,7 @@ impl WorldBuilder {
                 let gw_chan = Channel::from_secrets(c_secret, s_secret, false, None);
 
                 let mut tunnel_dev =
-                    TunnelDevice::new(guest_tx, guest_rx, guest_chan, GUEST_MAC, 1500);
+                    TunnelDevice::new(guest_tx, guest_rx, guest_chan, GUEST_MAC, WIRE_MTU);
                 tunnel_dev.set_copy_policy(opts.copy_policy);
                 tunnel_dev.set_batch_policy(opts.batch);
                 let mut backend = CioNetBackend::new(
@@ -365,7 +384,7 @@ impl WorldBuilder {
                 backend.set_notify_policy(opts.notify_policy);
                 backend.set_telemetry(telemetry.clone());
 
-                let (gw_side, peer_side) = PairDevice::pair([PEER_MAC, PEER_MAC], 1500);
+                let (gw_side, peer_side) = PairDevice::pair([PEER_MAC, PEER_MAC], WIRE_MTU);
                 (
                     Box::new(tunnel_dev),
                     Crossing::None,
@@ -423,7 +442,7 @@ impl WorldBuilder {
                     nic_port,
                     recorder.clone(),
                     GUEST_MAC,
-                    1500,
+                    WIRE_MTU,
                 );
                 ide_dev.tamper_after_attestation = opts.dda_tamper;
                 (

@@ -426,7 +426,13 @@ impl World {
         self.meter.sessions_closed(1);
         self.telemetry
             .record(conn.lane, EventKind::SessionClose, sid_bits(c), 0);
-        self.cross(Call::Close, 0, |iface| iface.tcp_close(conn.handle))?;
+        let closed = self.cross(Call::Close, 0, |iface| iface.tcp_close(conn.handle));
+        // A full device ring is backpressure, as for a send: the FIN is
+        // queued in TCP and leaves on a later step.
+        match closed {
+            Ok(()) | Err(CioError::Net(cio_netstack::NetError::DeviceFull)) => {}
+            Err(e) => return Err(e),
+        }
         self.draining.push(conn.handle);
         Ok(())
     }

@@ -57,7 +57,9 @@ use guest::GuestStack;
 use speer::{FeedResult, SecurePeer, SecureStream, TunnelGateway};
 
 pub use cio_vring::cioring::{BatchPolicy, NotifyMode, NotifyPolicy};
-pub use options::{WorldBuilder, WorldOptions, GUEST_IP, MAX_QUEUES, PEER_IP, SEND_HIGH_WATER};
+pub use options::{
+    WorldBuilder, WorldOptions, FRAME_LIMIT, GUEST_IP, MAX_QUEUES, PEER_IP, SEND_HIGH_WATER,
+};
 pub use speer::{ECHO_PORT, RPC_PORT};
 
 // The session-layer types are part of the world's public API surface:
@@ -412,6 +414,57 @@ mod tests {
             },
             ..WorldOptions::default()
         }
+    }
+
+    /// A burst whose records cross a ring's wrap costs what any other
+    /// burst costs. 16 KiB echoes on eight flows over four queues, as the
+    /// bulk benchmark runs them: a run split at the wrap costs its lane a
+    /// few ring operations, and the frames that lane puts on the wire are
+    /// sent that much later. While the wire delivered in flush order, the
+    /// late lane's frames held every other queue's back, their echoes
+    /// came a round late, and the ops a wrap fell in paid a whole extra
+    /// round of record opens (about 50 000 cycles). Now the frames go out
+    /// in the order they were sent, and the wrap costs its few cycles and
+    /// no round.
+    #[test]
+    fn a_burst_across_the_ring_wrap_pays_no_extra_round() {
+        let opts = WorldOptions {
+            link: LinkParams {
+                latency: Cycles(3_000),
+                loss: 0.0,
+            },
+            notify: NotifyMode::Doorbell,
+            notify_policy: NotifyPolicy::Adaptive,
+            batch: BatchPolicy::Adaptive {
+                max: 8,
+                latency_cap: Cycles(50_000),
+            },
+            queues: 4,
+            ..WorldOptions::default()
+        };
+        let mut w = World::new(BoundaryKind::DualBoundary, opts).unwrap();
+        let conns: Vec<_> = (0..8).map(|_| w.connect(ECHO_PORT).unwrap()).collect();
+        for &c in &conns {
+            w.establish(c, 50_000).unwrap();
+        }
+        let msg = vec![0x3Cu8; 16 * 1024];
+        let slots = w.opts.net_ring_config().slots as usize;
+        let mut per_op = Vec::new();
+        // Each queue's rings take a handful of records per op, so this
+        // many ops wrap every ring several times.
+        for _ in 0..2 * slots {
+            let t0 = w.clock().now();
+            for &c in &conns {
+                w.send(c, &msg).unwrap();
+            }
+            for &c in &conns {
+                assert_eq!(w.recv_exact(c, msg.len(), 200_000).unwrap(), msg);
+            }
+            per_op.push(w.clock().since(t0).get());
+        }
+        let steady = &per_op[4..];
+        let (lo, hi) = (steady.iter().min().unwrap(), steady.iter().max().unwrap());
+        assert!(hi - lo < 1_000, "ops took {lo}..{hi} cycles: {per_op:?}");
     }
 
     fn echo_roundtrip(kind: BoundaryKind, opts: WorldOptions) {

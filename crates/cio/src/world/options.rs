@@ -139,8 +139,26 @@ pub const PEER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
 pub(super) const GUEST_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x01]);
 pub(super) const PEER_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x02]);
-pub(super) const FABRIC_MTU: usize = 2200;
 pub(super) const GUEST_PAGES: usize = 4096;
+
+/// IP bytes per frame on the wire: the fabric ports' MTU, and every
+/// stack's that runs over the wire or a wire-size device.
+pub(super) const WIRE_MTU: usize = 1500;
+
+/// The fabric ports' MTU in the tunneled design, whose wire carries
+/// sealed carriers of whole wire frames.
+pub(super) const CARRIER_MTU: usize = 2200;
+
+/// The guest↔host frame limit: the largest Ethernet frame the guest
+/// hands its device or takes from it, on every design whose host runs a
+/// frame backend (cio ring and dual boundary, both virtio designs). A
+/// construction-time fact like the slot size, never negotiated (§2.5):
+/// the in-TEE TCP sends segments up to it, and the host cuts them onto
+/// the wire and coalesces wire frames up to it
+/// ([`cio_host::segment`]). Three designs keep wire-size frames: the
+/// tunneled host sees only sealed carriers and cannot cut them, the DDA
+/// guest drives the NIC itself, and l5-host has no guest↔host frame.
+pub const FRAME_LIMIT: usize = 16 * 1024;
 
 impl WorldOptions {
     /// Rejects option sets `kind` cannot run.
@@ -172,15 +190,17 @@ impl WorldOptions {
     }
 
     /// The fixed (never negotiated) ring configuration of the cio-ring
-    /// designs' network queues.
+    /// designs' network queues: a 512 KiB payload area cut into
+    /// [`FRAME_LIMIT`]-byte strides.
     pub(super) fn net_ring_config(&self) -> RingConfig {
+        const AREA: usize = 1 << 19;
         RingConfig {
-            slots: 256,
+            slots: (AREA / FRAME_LIMIT) as u32,
             slot_size: 16,
             mode: DataMode::SharedArea,
-            mtu: 1514,
+            mtu: FRAME_LIMIT as u32,
             mac: GUEST_MAC.0,
-            area_size: 1 << 19,
+            area_size: AREA as u32,
             notify: ring_notify(self.notify, self.notify_policy),
             ..RingConfig::default()
         }

@@ -180,8 +180,8 @@ impl World {
         match &mut self.peer {
             PeerNode::Direct(p) => p.poll(),
             PeerNode::Tunnel { gw_port, gw, peer } => {
-                let mut moved = 0;
-                while let Some(blob) = gw_port.receive() {
+                let (mut moved, mut blob) = (0, Vec::new());
+                while gw_port.receive(&mut blob) {
                     gw.ingress(&blob);
                     moved += 1;
                 }

@@ -603,7 +603,8 @@ impl TunnelGateway {
     /// Encapsulates frames arriving from the safe segment, handing each
     /// sealed blob to `emit` straight out of a reusable scratch.
     pub fn egress_each<F: FnMut(&[u8])>(&mut self, mut emit: F) {
-        while let Some(frame) = self.segment.receive() {
+        let mut frame = Vec::new();
+        while self.segment.receive(&mut frame) {
             if self.chan.seal_into(&frame, &mut self.seal_scratch).is_ok() {
                 emit(self.seal_scratch.as_slice());
             }
@@ -781,7 +782,9 @@ mod tests {
         // Guest -> gateway -> segment.
         let blob = guest.seal(b"inner ethernet frame").unwrap();
         assert!(gw.ingress(&blob));
-        assert_eq!(peer_side.receive().unwrap(), b"inner ethernet frame");
+        let mut frame = Vec::new();
+        assert!(peer_side.receive(&mut frame));
+        assert_eq!(frame, b"inner ethernet frame");
 
         // Segment -> gateway -> guest.
         peer_side.transmit(b"reply frame").unwrap();

@@ -1,10 +1,13 @@
 //! Paravirtual device backends: the host side of the guest's NIC.
 //!
 //! A backend shovels frames between a guest-facing transport (virtqueues
-//! or cio-ring pairs) and a [`FabricPort`]. Every frame that passes
-//! through is, by definition, host-visible, so backends record it on the
-//! [`Recorder`] with wire-tap-equivalent metadata (L2 boundary
-//! observability = what the network already sees, §2.4).
+//! or cio-ring pairs) and a [`FabricPort`]. Guest frames may be as large
+//! as the transport's fixed frame limit; the backend cuts them onto the
+//! wire and coalesces wire frames for the guest ([`crate::segment`]).
+//! Every wire frame that passes through is, by definition, host-visible,
+//! so backends record each one on the [`Recorder`] with
+//! wire-tap-equivalent metadata (L2 boundary observability = what the
+//! network already sees, §2.4).
 //!
 //! The [`Backend`] trait is the uniform host-side handle, and it has one
 //! world-facing entry point: [`Backend::round`], "the host side of one
@@ -31,6 +34,7 @@
 use crate::fabric::FabricPort;
 use crate::mq::{MultiQueue, QueueLane};
 use crate::observe::{bits, Recorder};
+use crate::segment;
 use crate::HostError;
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, HostView, MemView};
 use cio_netstack::{rss, NetDevice};
@@ -45,7 +49,7 @@ use std::collections::VecDeque;
 
 /// Frames a backend retains per queue while the guest is slow; beyond
 /// this the queue tail-drops like a full NIC ring.
-const PENDING_CAP: usize = 256;
+pub(crate) const PENDING_CAP: usize = 256;
 
 /// Pulls every delivered frame off the fabric and hands it to `stage`
 /// with the queue the symmetric RSS hash steers it to (`mask` = queue
@@ -56,8 +60,10 @@ pub(crate) fn steer_ingress(
     mask: u32,
     mut stage: impl FnMut(usize, Vec<u8>),
 ) {
-    while let Some(frame) = port.receive() {
-        stage(rss::steer(&frame, mask), frame);
+    let mut frame = Vec::new();
+    while port.receive(&mut frame) {
+        let q = rss::steer(&frame, mask);
+        stage(q, std::mem::take(&mut frame));
     }
 }
 
@@ -352,6 +358,9 @@ pub struct VirtioNetBackend {
     pub cost: cio_sim::CostModel,
     meter: cio_sim::Meter,
     telemetry: Telemetry,
+    /// Where a coalesced frame is assembled before it is written into a
+    /// receive chain.
+    merged: Vec<u8>,
 }
 
 impl VirtioNetBackend {
@@ -375,6 +384,7 @@ impl VirtioNetBackend {
             cost: cio_sim::CostModel::default(),
             meter: cio_sim::Meter::new(),
             telemetry: Telemetry::disabled(),
+            merged: Vec::new(),
         }
     }
 
@@ -401,22 +411,24 @@ impl VirtioNetBackend {
         &mut self.rx
     }
 
-    /// Services the queue pair: drains guest->net chains and delivers
-    /// pending net->guest frames into posted receive buffers.
+    /// Services the queue pair: drains guest->net chains, cut onto the
+    /// wire, and delivers pending net->guest frames, coalesced, into
+    /// posted receive buffers (see [`crate::segment`]).
     fn service(&mut self) -> Result<usize, HostError> {
         let _svc = self.telemetry.span(0, Stage::HostService);
+        let fbits = bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING;
         let mut moved = 0;
 
         // Guest -> network.
         while let Some(chain) = self.tx.pop()? {
             let frame = self.tx.read_payload(&chain)?;
-            self.recorder.record(
-                "frame.tx",
-                bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
-            );
-            // Device-side MTU errors are the guest's problem; drop silently
-            // like hardware would.
-            let _ = self.port.transmit(&frame);
+            let (port, now) = (&mut self.port, self.clock.now());
+            // Device-side MTU errors are the guest's problem; drop
+            // silently like hardware would.
+            let wire = segment::cut(&frame, port.mtu(), |build| {
+                let _ = port.transmit_with(now, build);
+            });
+            self.recorder.record_n("frame.tx", fbits, wire as u64);
             self.tx.complete(chain.head, 0)?;
             moved += 1;
         }
@@ -426,17 +438,22 @@ impl VirtioNetBackend {
             self.rx_chains.push_back(chain);
         }
 
-        // Network -> guest.
-        while !self.rx_chains.is_empty() {
-            let Some(frame) = self.pending.pop_front() else {
+        // Network -> guest: one receive buffer per coalesced frame.
+        while let Some(chain) = self.rx_chains.front() {
+            let room = chain.writable.iter().map(|seg| seg.len as usize).sum();
+            let frames = self.pending.iter().map(Vec::as_slice);
+            let Some(merge) = segment::plan(frames, room) else {
                 break;
             };
-            let chain = self.rx_chains.pop_front().expect("checked non-empty");
-            self.recorder.record(
-                "frame.rx",
-                bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
-            );
-            let written = self.rx.write_payload(&chain, &frame)?;
+            let chain = self.rx_chains.pop_front().expect("front checked");
+            self.merged.resize(merge.len(), 0);
+            merge.write(self.pending.iter().map(Vec::as_slice), &mut self.merged);
+            self.recorder
+                .record_n("frame.rx", fbits, merge.frames() as u64);
+            for frame in self.pending.drain(..merge.frames()) {
+                self.port.recycle(frame);
+            }
+            let written = self.rx.write_payload(&chain, &self.merged)?;
             self.rx.complete(chain.head, written)?;
             if self.irq_on_rx {
                 self.clock.advance(self.cost.interrupt_inject);
@@ -454,9 +471,9 @@ impl VirtioNetBackend {
 impl Backend for VirtioNetBackend {
     fn round(&mut self, lanes: &mut Lanes) -> Result<usize, HostError> {
         // One queue pair: nothing to steer.
-        while let Some(frame) = self.port.receive() {
+        steer_ingress(&mut self.port, 0, |_, frame| {
             enqueue_capped(&mut self.pending, frame);
-        }
+        });
         let base = lanes.begin(0);
         let serviced = self.service();
         lanes.end(0, base);
@@ -484,21 +501,30 @@ pub(crate) struct HostQueue {
 /// draw order deterministic). Factoring the sink out lets the serial and
 /// parallel paths share one servicing routine, so they cannot drift.
 pub(crate) trait FrameSink {
-    /// Ships one frame stamped with the servicing clock's current time.
-    fn send(&mut self, now: Cycles, frame: &[u8]);
+    /// Ships the one wire frame `build` writes into an empty buffer,
+    /// stamped with the servicing clock's current time.
+    fn send(&mut self, now: Cycles, build: &mut dyn FnMut(&mut Vec<u8>));
+
+    /// Takes back the buffer of a wire frame delivered to the guest, for
+    /// a later frame to be built in.
+    fn recycle(&mut self, frame: Vec<u8>);
 }
 
-/// Serial sink: transmit directly on the fabric (the port reads the
-/// shared clock itself, which equals `now` on the serial path).
+/// Serial sink: transmit directly on the fabric, building the frame in
+/// the buffer the fabric delivers.
 pub(crate) struct PortSink<'a> {
     pub(crate) port: &'a mut FabricPort,
 }
 
 impl FrameSink for PortSink<'_> {
-    fn send(&mut self, _now: Cycles, frame: &[u8]) {
+    fn send(&mut self, now: Cycles, build: &mut dyn FnMut(&mut Vec<u8>)) {
         // Device-side MTU errors are the guest's problem; drop silently
         // like hardware would.
-        let _ = self.port.transmit(frame);
+        let _ = self.port.transmit_with(now, build);
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.port.recycle(frame);
     }
 }
 
@@ -509,6 +535,8 @@ impl FrameSink for PortSink<'_> {
 pub(crate) struct CioLaneCtx<'a> {
     pub(crate) batch: BatchPolicy,
     pub(crate) fbits: u32,
+    /// The wire's MTU: guest frames larger than a wire frame are cut.
+    pub(crate) wire_mtu: usize,
     pub(crate) recorder: &'a Recorder,
     pub(crate) clock: &'a Clock,
     pub(crate) telemetry: &'a Telemetry,
@@ -519,10 +547,12 @@ pub(crate) struct CioLaneCtx<'a> {
     pub(crate) door: bool,
 }
 
-/// Services one cio queue: drains guest->net records into `sink` and
-/// delivers this queue's staged net->guest frames, with batched index
-/// publication. Shared verbatim by [`CioNetBackend::service_queue`] and
-/// the parallel [`CioQueueWorker`](crate::worker::CioQueueWorker).
+/// Services one cio queue: drains guest->net records into `sink`, cut
+/// onto the wire, and delivers this queue's staged net->guest frames,
+/// coalesced up to the ring's frame limit, with batched index
+/// publication (see [`crate::segment`]). Shared verbatim by
+/// [`CioNetBackend::service_queue`] and the parallel
+/// [`CioQueueWorker`](crate::worker::CioQueueWorker).
 pub(crate) fn service_cio_lane(
     lane: &mut QueueLane<HostQueue>,
     q: usize,
@@ -549,8 +579,9 @@ pub(crate) fn service_cio_lane(
             .tx
             .consume_batch_in_place(ctx.batch.max_batch(), |frames| {
                 for frame in frames.iter() {
-                    ctx.recorder.record("frame.tx", fbits);
-                    sink.send(ctx.clock.now(), frame);
+                    let now = ctx.clock.now();
+                    let wire = segment::cut(frame, ctx.wire_mtu, |build| sink.send(now, build));
+                    ctx.recorder.record_n("frame.tx", fbits, wire as u64);
                     lens[k] = frame.len();
                     k += 1;
                 }
@@ -568,22 +599,30 @@ pub(crate) fn service_cio_lane(
         ctx.telemetry.record_batch(q, sent as u64);
     }
 
-    // Network -> guest: stage every deliverable frame, then one index
-    // publish (and at most one kick) for the whole batch.
+    // Network -> guest: stage every deliverable frame, a flow's run of
+    // data frames coalesced into one record, then one index publish (and
+    // at most one kick) for the whole batch.
     let mut staged = 0;
-    while let Some(frame) = lane.end.pending.pop_front() {
-        ctx.recorder.record("frame.rx", fbits);
-        match lane.end.rx.stage(&frame) {
+    let limit = lane.end.rx.ring().config().mtu as usize;
+    while let Some(merge) = segment::plan(lane.end.pending.iter().map(Vec::as_slice), limit) {
+        let frames = lane.end.pending.iter().map(Vec::as_slice);
+        match lane
+            .end
+            .rx
+            .stage_with(merge.len(), |slot| merge.write(frames, slot))
+        {
             Ok(()) => {
-                lane.note_frame(frame.len());
+                ctx.recorder
+                    .record_n("frame.rx", fbits, merge.frames() as u64);
+                for frame in lane.end.pending.drain(..merge.frames()) {
+                    sink.recycle(frame);
+                }
+                lane.note_frame(merge.len());
                 staged += 1;
                 moved += 1;
             }
-            Err(RingError::Full) => {
-                // Guest slow: keep the frame for a later pass.
-                lane.end.pending.push_front(frame);
-                break;
-            }
+            // Guest slow: keep the frames for a later pass.
+            Err(RingError::Full) => break,
             Err(e) => return Err(e.into()),
         }
     }
@@ -777,6 +816,7 @@ impl CioNetBackend {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.frame_bits(),
+            wire_mtu: self.port.mtu(),
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,
@@ -839,6 +879,12 @@ mod tests {
     use cio_vring::cioring::{CioRing, DataMode, RingConfig};
     use cio_vring::virtqueue::{DescSeg, Driver, Layout};
 
+    /// One received frame, if any.
+    fn recv(dev: &mut impl NetDevice) -> Option<Vec<u8>> {
+        let mut frame = Vec::new();
+        dev.receive(&mut frame).then_some(frame)
+    }
+
     /// One un-laned host round (a one-lane set is the shared clock).
     fn pass(backend: &mut impl Backend, clock: &Clock) -> usize {
         backend.round(&mut Lanes::new(clock.clone(), 1)).unwrap()
@@ -899,7 +945,7 @@ mod tests {
             )
             .unwrap();
         pass(&mut backend, &clock);
-        assert_eq!(peer_port.receive().unwrap(), b"frame out");
+        assert_eq!(recv(&mut peer_port).unwrap(), b"frame out");
         assert!(tx_drv.poll_used().unwrap().is_some());
 
         // RX path: post a buffer, then a frame arrives.
@@ -989,7 +1035,7 @@ mod tests {
 
         guest_tx.produce(b"cio frame out").unwrap();
         pass(&mut backend, &clock);
-        assert_eq!(peer_port.receive().unwrap(), b"cio frame out");
+        assert_eq!(recv(&mut peer_port).unwrap(), b"cio frame out");
 
         peer_port.transmit(b"cio frame in").unwrap();
         pass(&mut backend, &clock);
@@ -1026,7 +1072,7 @@ mod tests {
         guest_tx.produce(b"out with no copies").unwrap();
         let before = meter.snapshot().copies;
         pass(&mut backend, &clock);
-        assert_eq!(peer_port.receive().unwrap(), b"out with no copies");
+        assert_eq!(recv(&mut peer_port).unwrap(), b"out with no copies");
 
         // Inbound: the backend positions once, the guest reads in place.
         peer_port.transmit(b"in with no copies!").unwrap();
@@ -1086,7 +1132,7 @@ mod tests {
         }
         assert_eq!(pass(&mut backend, &clock), 4);
         let mut seen = Vec::new();
-        while let Some(f) = peer_port.receive() {
+        while let Some(f) = recv(&mut peer_port) {
             seen.push(String::from_utf8(f).unwrap());
         }
         seen.sort();

@@ -31,8 +31,6 @@ impl Default for LinkParams {
 }
 
 struct PortState {
-    mac: MacAddr,
-    mtu: usize,
     peer: Option<usize>,
     params: LinkParams,
     inbox: VecDeque<(Cycles, Vec<u8>)>,
@@ -41,6 +39,22 @@ struct PortState {
 struct FabricInner {
     ports: Vec<PortState>,
     rng: SimRng,
+    /// Buffers receivers handed back, reused by the next transmits (at
+    /// most [`SPARE_CAP`]).
+    spare: Vec<Vec<u8>>,
+}
+
+/// Most spare buffers the fabric keeps.
+const SPARE_CAP: usize = 1024;
+
+impl FabricInner {
+    /// Keeps `buf` for a later transmit, if it has room to offer and the
+    /// fabric has room to keep it.
+    fn spare(&mut self, buf: Vec<u8>) {
+        if buf.capacity() > 0 && self.spare.len() < SPARE_CAP {
+            self.spare.push(buf);
+        }
+    }
 }
 
 /// The shared fabric.
@@ -57,17 +71,16 @@ impl Fabric {
             inner: Arc::new(Mutex::new(FabricInner {
                 ports: Vec::new(),
                 rng: SimRng::seed_from(seed),
+                spare: Vec::new(),
             })),
             clock,
         }
     }
 
-    /// Attaches a new port.
+    /// Attaches a new port with a fixed MAC and MTU.
     pub fn port(&self, mac: MacAddr, mtu: usize) -> FabricPort {
         let mut g = self.inner.lock().expect("fabric lock");
         g.ports.push(PortState {
-            mac,
-            mtu,
             peer: None,
             params: LinkParams::default(),
             inbox: VecDeque::new(),
@@ -75,6 +88,8 @@ impl Fabric {
         FabricPort {
             fabric: self.clone(),
             id: g.ports.len() - 1,
+            mac,
+            mtu,
         }
     }
 
@@ -107,10 +122,8 @@ impl Fabric {
 
     /// The earliest virtual time at which some port's
     /// [`receive`](NetDevice::receive) returns a frame, `None` when nothing
-    /// is in flight. Each inbox delivers in order, so this is the earliest
-    /// head-of-inbox delivery time: a frame stamped earlier but queued
-    /// behind a later one (lanes stamp in their own time) is not receivable
-    /// before the frame ahead of it.
+    /// is in flight. Each inbox is kept in delivery-time order, so this is
+    /// the earliest head-of-inbox delivery time.
     pub fn next_due(&self) -> Option<Cycles> {
         let g = self.inner.lock().expect("fabric lock");
         g.ports
@@ -125,10 +138,14 @@ impl Fabric {
 /// Cloning yields another handle to the *same* attachment point (same
 /// port id, same inbox) — useful when a coordinator keeps a handle for
 /// flushing deferred transmissions while a backend owns the original.
+/// The MAC and MTU are fixed when [`Fabric::port`] creates the port, so
+/// every handle carries them and reading them takes no lock.
 #[derive(Clone)]
 pub struct FabricPort {
     fabric: Fabric,
     id: usize,
+    mac: MacAddr,
+    mtu: usize,
 }
 
 impl FabricPort {
@@ -150,57 +167,94 @@ impl FabricPort {
     /// ascending queue order — the exact order and timestamps the serial
     /// schedule produces.
     pub fn transmit_at(&mut self, frame: &[u8], sent_at: Cycles) -> Result<(), NetError> {
-        self.transmit_inner(frame, sent_at)
+        self.transmit_with(sent_at, |buf| buf.extend_from_slice(frame))
     }
 
-    fn transmit_inner(&mut self, frame: &[u8], sent_at: Cycles) -> Result<(), NetError> {
+    /// Hands the fabric a spent frame buffer, for a later transmit to
+    /// build in.
+    pub fn recycle(&mut self, frame: Vec<u8>) {
+        self.fabric.inner.lock().expect("fabric lock").spare(frame);
+    }
+
+    /// Transmits the frame `build` writes into an empty buffer, as of
+    /// `sent_at` (see [`transmit_at`](Self::transmit_at)): a frame
+    /// assembled on its way to the wire is written once, into the buffer
+    /// the fabric delivers, under the fabric's lock.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::TooLarge`] over the port's MTU (plus header);
+    /// [`NetError::Unreachable`] on an unlinked port.
+    pub fn transmit_with(
+        &mut self,
+        sent_at: Cycles,
+        build: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
         let mut g = self.fabric.inner.lock().expect("fabric lock");
-        let port = &g.ports[self.id];
-        if frame.len() > port.mtu + 14 {
-            return Err(NetError::TooLarge);
-        }
-        let Some(peer) = port.peer else {
+        let Some(peer) = g.ports[self.id].peer else {
             return Err(NetError::Unreachable);
         };
-        let params = port.params;
+        let mut buf = g.spare.pop().unwrap_or_default();
+        buf.clear();
+        build(&mut buf);
+        if buf.len() > self.mtu + 14 {
+            g.spare(buf);
+            return Err(NetError::TooLarge);
+        }
+        let params = g.ports[self.id].params;
         if params.loss > 0.0 && g.rng.chance(params.loss) {
+            g.spare(buf);
             return Ok(()); // silently dropped, like a real wire
         }
         let ready = Cycles(sent_at.get() + params.latency.get());
-        g.ports[peer].inbox.push_back((ready, frame.to_vec()));
+        // A wire delivers in the order frames were sent. Lanes stamp in
+        // their own time and are flushed in queue order, so a frame sent
+        // earlier on one lane goes in ahead of any sent later on another
+        // (ties keep flush order): a lane that ran late holds back only
+        // its own frames, never every queue's behind it.
+        let inbox = &mut g.ports[peer].inbox;
+        let at = inbox.partition_point(|&(due, _)| due <= ready);
+        inbox.insert(at, (ready, buf));
         Ok(())
     }
 }
 
 impl NetDevice for FabricPort {
     fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.transmit_inner(frame, self.fabric.clock.now())
+        self.transmit_at(frame, self.fabric.clock.now())
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
         let mut g = self.fabric.inner.lock().expect("fabric lock");
         let now = self.fabric.clock.now();
-        let port = &mut g.ports[self.id];
-        match port.inbox.front() {
-            Some((ready, _)) if *ready <= now => port.inbox.pop_front().map(|(_, f)| f),
-            _ => None,
+        let inbox = &mut g.ports[self.id].inbox;
+        if inbox.front().is_none_or(|&(ready, _)| ready > now) {
+            return false;
         }
+        let (_, mut next) = inbox.pop_front().expect("front checked");
+        std::mem::swap(frame, &mut next);
+        g.spare(next);
+        true
     }
 
     fn mac(&self) -> MacAddr {
-        let g = self.fabric.inner.lock().expect("fabric lock");
-        g.ports[self.id].mac
+        self.mac
     }
 
     fn mtu(&self) -> usize {
-        let g = self.fabric.inner.lock().expect("fabric lock");
-        g.ports[self.id].mtu
+        self.mtu
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One received frame, if any.
+    fn recv(dev: &mut impl NetDevice) -> Option<Vec<u8>> {
+        let mut frame = Vec::new();
+        dev.receive(&mut frame).then_some(frame)
+    }
 
     fn setup(params: LinkParams) -> (Clock, FabricPort, FabricPort) {
         let clock = Clock::new();
@@ -218,11 +272,11 @@ mod tests {
             loss: 0.0,
         });
         a.transmit(b"frame").unwrap();
-        assert!(b.receive().is_none(), "not yet delivered");
+        assert!(recv(&mut b).is_none(), "not yet delivered");
         clock.advance(Cycles(999));
-        assert!(b.receive().is_none());
+        assert!(recv(&mut b).is_none());
         clock.advance(Cycles(1));
-        assert_eq!(b.receive().unwrap(), b"frame");
+        assert_eq!(recv(&mut b).unwrap(), b"frame");
     }
 
     #[test]
@@ -232,7 +286,7 @@ mod tests {
             loss: 0.0,
         });
         a.transmit(b"now").unwrap();
-        assert_eq!(b.receive().unwrap(), b"now");
+        assert_eq!(recv(&mut b).unwrap(), b"now");
     }
 
     #[test]
@@ -245,7 +299,7 @@ mod tests {
         for _ in 0..1000 {
             a.transmit(b"x").unwrap();
             clock.advance(Cycles(1));
-            if b.receive().is_some() {
+            if recv(&mut b).is_some() {
                 delivered += 1;
             }
         }
@@ -261,13 +315,13 @@ mod tests {
         clock.advance(Cycles(5000));
         // Stamped in the past: 100 + 1000 <= now, deliverable immediately.
         a.transmit_at(b"late", Cycles(100)).unwrap();
-        assert_eq!(b.receive().unwrap(), b"late");
+        assert_eq!(recv(&mut b).unwrap(), b"late");
         // A clone addresses the same attachment point.
         let mut a2 = a.clone();
         a2.transmit_at(b"future", clock.now()).unwrap();
-        assert!(b.receive().is_none());
+        assert!(recv(&mut b).is_none());
         clock.advance(Cycles(1000));
-        assert_eq!(b.receive().unwrap(), b"future");
+        assert_eq!(recv(&mut b).unwrap(), b"future");
     }
 
     #[test]
@@ -292,11 +346,13 @@ mod tests {
         assert_eq!(fabric.next_due(), Some(Cycles(1500)));
         b.transmit_at(b"to a", Cycles(200)).unwrap();
         assert_eq!(fabric.next_due(), Some(Cycles(1200)));
-        // Stamped earlier but queued behind b's head: not receivable first.
-        a.transmit_at(b"behind", Cycles(0)).unwrap();
-        assert_eq!(fabric.next_due(), Some(Cycles(1200)));
+        // Flushed after b's head but sent before it (lanes stamp in their
+        // own time): it goes in, and comes out, ahead of it.
+        a.transmit_at(b"sent first", Cycles(0)).unwrap();
+        assert_eq!(fabric.next_due(), Some(Cycles(1000)));
         clock.advance(Cycles(700));
-        assert_eq!(a.receive().unwrap(), b"to a");
+        assert_eq!(recv(&mut b).unwrap(), b"sent first");
+        assert_eq!(recv(&mut a).unwrap(), b"to a");
         assert_eq!(fabric.next_due(), Some(Cycles(1500)));
     }
 

@@ -39,13 +39,15 @@ impl NetDevice for ObservedPort {
         );
         self.inner.transmit(frame)
     }
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        let f = self.inner.receive()?;
-        self.recorder.record(
-            "frame.rx",
-            bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
-        );
-        Some(f)
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        let got = self.inner.receive(frame);
+        if got {
+            self.recorder.record(
+                "frame.rx",
+                bits::FRAME_HEADERS + bits::LENGTH + bits::TIMING,
+            );
+        }
+        got
     }
     fn mac(&self) -> MacAddr {
         self.inner.mac()

@@ -23,6 +23,9 @@
 //! * [`mq`] — [`MultiQueue`] / [`QueueLane`]: N independent cio-ring
 //!   endpoints steered as one multi-queue device model, each lane with its
 //!   own traffic meter.
+//! * [`segment`] — cutting guest frames onto the wire and coalescing
+//!   wire frames for the guest at the fixed guest↔host frame limit, run
+//!   by every frame backend.
 //! * [`parallel`] — thread-per-queue execution: a [`CioNetBackend`]
 //!   splits into a [`ParallelHost`], itself a [`Backend`], whose
 //!   per-queue workers run the same servicing routine as the serial
@@ -39,6 +42,7 @@ pub mod l5;
 pub mod mq;
 pub mod observe;
 pub mod parallel;
+pub mod segment;
 mod worker;
 
 pub use backend::{Backend, CioNetBackend, NullBackend, VirtioNetBackend};

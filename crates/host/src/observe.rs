@@ -50,10 +50,16 @@ impl Recorder {
     /// Tallies one event of `kind` (e.g. `"sock.send"`, `"frame.tx"`)
     /// exposing `bits` metadata bits to the host.
     pub fn record(&self, kind: &'static str, bits: u32) {
+        self.record_n(kind, bits, 1);
+    }
+
+    /// Tallies `n` events of `kind`, `bits` each, under one lock (a
+    /// backend recording the wire frames of one cut or one merge).
+    pub fn record_n(&self, kind: &'static str, bits: u32, n: u64) {
         let mut s = self.inner.lock().expect("recorder lock");
-        s.events += 1;
-        s.bits += u64::from(bits);
-        *s.by_kind.entry(kind).or_insert(0) += 1;
+        s.events += n;
+        s.bits += u64::from(bits) * n;
+        *s.by_kind.entry(kind).or_insert(0) += n;
         s.kinds = s.by_kind.len();
     }
 

@@ -48,6 +48,7 @@ use crate::fabric::FabricPort;
 use crate::mq::QueueLane;
 use crate::worker::CioQueueWorker;
 use crate::HostError;
+use cio_netstack::NetDevice;
 use cio_sim::{Clock, Cycles, Lanes, Meter, MeterSnapshot, Telemetry};
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -169,7 +170,7 @@ impl ParallelHost {
     /// [`HostError::Worker`] unless `threads` is non-zero and divides the
     /// queue count, or if a thread cannot be spawned.
     pub fn new(backend: CioNetBackend, threads: usize) -> Result<Self, HostError> {
-        let fbits = backend.frame_bits();
+        let fbits = (backend.frame_bits(), backend.port.mtu());
         let CioNetBackend {
             queues,
             port,

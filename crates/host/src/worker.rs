@@ -21,7 +21,9 @@
 //!
 //! [`FabricPort::transmit_at`]: crate::fabric::FabricPort::transmit_at
 
-use crate::backend::{enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue};
+use crate::backend::{
+    enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue, PENDING_CAP,
+};
 use crate::mq::QueueLane;
 use crate::observe::Recorder;
 use crate::HostError;
@@ -36,11 +38,17 @@ struct OutboxSink<'a> {
 }
 
 impl FrameSink for OutboxSink<'_> {
-    fn send(&mut self, now: Cycles, frame: &[u8]) {
+    fn send(&mut self, now: Cycles, build: &mut dyn FnMut(&mut Vec<u8>)) {
         let mut buf = self.outpool.pop().unwrap_or_default();
         buf.clear();
-        buf.extend_from_slice(frame);
+        build(&mut buf);
         self.outbox.push((now, buf));
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        if self.outpool.len() < PENDING_CAP {
+            self.outpool.push(frame);
+        }
     }
 }
 
@@ -60,6 +68,7 @@ pub(crate) struct CioQueueWorker {
     lane: QueueLane<HostQueue>,
     batch: BatchPolicy,
     fbits: u32,
+    wire_mtu: usize,
     recorder: Recorder,
     clock: Clock,
     telemetry: Telemetry,
@@ -72,7 +81,7 @@ impl CioQueueWorker {
         q: usize,
         lane: QueueLane<HostQueue>,
         batch: BatchPolicy,
-        fbits: u32,
+        (fbits, wire_mtu): (u32, usize),
         recorder: Recorder,
         clock: Clock,
         telemetry: Telemetry,
@@ -82,6 +91,7 @@ impl CioQueueWorker {
             lane,
             batch,
             fbits,
+            wire_mtu,
             recorder,
             clock,
             telemetry,
@@ -120,6 +130,7 @@ impl CioQueueWorker {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.fbits,
+            wire_mtu: self.wire_mtu,
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,

@@ -22,7 +22,7 @@ use crate::{GuestAddr, GuestMemory, MemError, PAGE_SIZE};
 /// use cio_sim::{Clock, CostModel, Meter};
 ///
 /// let mem = GuestMemory::new(16, Clock::new(), CostModel::default(), Meter::new());
-/// let mut pool = BouncePool::new(&mem, GuestAddr(0), 8).unwrap();
+/// let mut pool = BouncePool::new(&mem, GuestAddr(0), 8, cio_mem::PAGE_SIZE).unwrap();
 /// let slot = pool.bounce_tx(b"packet bytes").unwrap();
 /// // ... host consumes the slot ...
 /// pool.release(slot).unwrap();
@@ -31,6 +31,8 @@ pub struct BouncePool {
     mem: GuestMemory,
     base: GuestAddr,
     slot_count: usize,
+    /// Bytes per slot: a whole number of pages, room for one frame.
+    slot_bytes: usize,
     /// Free list lives here, in guest-private allocator state — the host
     /// cannot corrupt it.
     free: Vec<usize>,
@@ -49,18 +51,26 @@ pub struct BounceSlot {
 }
 
 impl BouncePool {
-    /// Creates a pool of `slots` page-sized slots starting at page-aligned
-    /// `base`, sharing the underlying pages with the host.
+    /// Creates a pool of `slots` slots of `slot_bytes` each (rounded up to
+    /// whole pages) starting at page-aligned `base`, sharing the
+    /// underlying pages with the host.
     ///
     /// # Errors
     ///
     /// Propagates alignment/bounds errors from the share operation.
-    pub fn new(mem: &GuestMemory, base: GuestAddr, slots: usize) -> Result<Self, MemError> {
-        mem.share_range(base, slots * PAGE_SIZE)?;
+    pub fn new(
+        mem: &GuestMemory,
+        base: GuestAddr,
+        slots: usize,
+        slot_bytes: usize,
+    ) -> Result<Self, MemError> {
+        let slot_bytes = slot_bytes.max(1).next_multiple_of(PAGE_SIZE);
+        mem.share_range(base, slots * slot_bytes)?;
         Ok(BouncePool {
             mem: mem.clone(),
             base,
             slot_count: slots,
+            slot_bytes,
             free: (0..slots).rev().collect(),
             in_use: vec![false; slots],
         })
@@ -77,7 +87,7 @@ impl BouncePool {
     }
 
     fn slot_addr(&self, index: usize) -> GuestAddr {
-        self.base.add((index * PAGE_SIZE) as u64)
+        self.base.add((index * self.slot_bytes) as u64)
     }
 
     /// Allocates a slot without copying (receive path: host will fill it).
@@ -91,7 +101,7 @@ impl BouncePool {
         Ok(BounceSlot {
             index,
             addr: self.slot_addr(index),
-            len: PAGE_SIZE,
+            len: self.slot_bytes,
         })
     }
 
@@ -104,7 +114,7 @@ impl BouncePool {
     /// [`MemError::PoolExhausted`] if no slot is free or
     /// [`MemError::OutOfBounds`] if `data` exceeds a slot.
     pub fn bounce_tx(&mut self, data: &[u8]) -> Result<BounceSlot, MemError> {
-        if data.len() > PAGE_SIZE {
+        if data.len() > self.slot_bytes {
             return Err(MemError::OutOfBounds);
         }
         let mut slot = self.alloc_rx()?;
@@ -124,7 +134,7 @@ impl BouncePool {
         if slot.index >= self.slot_count || !self.in_use[slot.index] {
             return Err(MemError::BadFree);
         }
-        if len > PAGE_SIZE {
+        if len > self.slot_bytes {
             return Err(MemError::OutOfBounds);
         }
         let mut buf = vec![0u8; len];
@@ -154,7 +164,7 @@ mod tests {
 
     fn pool(slots: usize) -> (GuestMemory, BouncePool) {
         let mem = GuestMemory::new(slots + 2, Clock::new(), CostModel::default(), Meter::new());
-        let p = BouncePool::new(&mem, GuestAddr(0), slots).unwrap();
+        let p = BouncePool::new(&mem, GuestAddr(0), slots, PAGE_SIZE).unwrap();
         (mem, p)
     }
 

@@ -34,7 +34,7 @@ pub mod memory;
 pub mod shalloc;
 
 pub use bounce::{BouncePool, BounceSlot};
-pub use memory::{CopyPolicy, GuestMemory, GuestView, HostView, MemView, PageState};
+pub use memory::{CopyPolicy, GuestMemory, GuestView, HostView, MemView, PageState, STRIPE_BYTES};
 pub use shalloc::SharedAlloc;
 
 /// Size of a guest page in bytes.

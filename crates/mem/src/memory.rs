@@ -54,13 +54,18 @@ impl CopyPolicy {
     }
 }
 
-/// Pages per lock stripe. One stripe covers 256 KiB, so a 2 KiB ring
-/// slot virtually always lives inside a single stripe and the in-place
-/// hot path takes exactly one uncontended lock — while distinct queues'
-/// ring arenas land on distinct stripes and never serialize against each
-/// other in the thread-per-queue parallel host.
-const STRIPE_PAGES: usize = 64;
-const STRIPE_BYTES: usize = STRIPE_PAGES * PAGE_SIZE;
+/// Pages per lock stripe. One stripe covers 512 KiB, a whole ring payload
+/// area, so on an area laid out on a stripe boundary every run of slots
+/// lives inside a single stripe and the in-place hot path takes exactly
+/// one uncontended lock — while distinct queues' ring arenas land on
+/// distinct stripes and never serialize against each other in the
+/// thread-per-queue parallel host.
+const STRIPE_PAGES: usize = 128;
+
+/// Bytes per lock stripe. An access that straddles two stripes is
+/// served through a bounce copy of the whole range, so layouts align
+/// their hot regions to it.
+pub const STRIPE_BYTES: usize = STRIPE_PAGES * PAGE_SIZE;
 
 impl PageState {
     #[inline]
@@ -354,7 +359,7 @@ impl GuestMemory {
     /// computation over the slice — AEAD, header parsing, checksums — is
     /// the intended use.
     ///
-    /// The backing store is striped (one lock per `STRIPE_PAGES` = 64 pages),
+    /// The backing store is striped (one lock per `STRIPE_PAGES` = 128 pages),
     /// so ranges within one stripe — every well-formed ring slot — take
     /// exactly one lock and distinct queues never contend. A range that
     /// straddles a stripe boundary is staged through a per-thread scratch

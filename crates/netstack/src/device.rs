@@ -20,8 +20,12 @@ pub trait NetDevice {
     /// [`NetError::DeviceFull`] when the TX queue is full.
     fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError>;
 
-    /// Receives one frame, if available.
-    fn receive(&mut self) -> Option<Vec<u8>>;
+    /// Receives one frame into `frame`, replacing its contents; returns
+    /// whether one was available. The buffer is the caller's: a device
+    /// may swap it with one of its own instead of copying, so a receive
+    /// loop that hands the same buffer back allocates nothing once the
+    /// buffers in circulation have grown to the largest frame.
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool;
 
     /// The device's fixed MAC address.
     fn mac(&self) -> MacAddr;
@@ -48,8 +52,8 @@ impl NetDevice for Box<dyn NetDevice> {
     fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
         (**self).transmit(frame)
     }
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        (**self).receive()
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        (**self).receive(frame)
     }
     fn mac(&self) -> MacAddr {
         (**self).mac()
@@ -65,10 +69,15 @@ impl NetDevice for Box<dyn NetDevice> {
     }
 }
 
+/// Frames in flight one way along a pair.
+type Queue = VecDeque<Vec<u8>>;
+
 #[derive(Debug, Default)]
 struct PairInner {
-    a_to_b: VecDeque<Vec<u8>>,
-    b_to_a: VecDeque<Vec<u8>>,
+    a_to_b: Queue,
+    b_to_a: Queue,
+    /// Buffers receivers handed back, reused by the next transmits.
+    spare: Vec<Vec<u8>>,
 }
 
 /// One endpoint of an in-memory device pair (a virtual cable).
@@ -79,8 +88,10 @@ struct PairInner {
 /// use cio_netstack::{PairDevice, NetDevice};
 /// let (mut a, mut b) = PairDevice::pair([[1;6], [2;6]].map(cio_netstack::MacAddr), 1500);
 /// a.transmit(&vec![0u8; 60]).unwrap();
-/// assert_eq!(b.receive().unwrap().len(), 60);
-/// assert!(b.receive().is_none());
+/// let mut frame = Vec::new();
+/// assert!(b.receive(&mut frame));
+/// assert_eq!(frame.len(), 60);
+/// assert!(!b.receive(&mut frame));
 /// ```
 #[derive(Clone)]
 pub struct PairDevice {
@@ -115,14 +126,18 @@ impl PairDevice {
         )
     }
 
+    /// Runs `f` under the pair's lock on the queue toward B (`to_b`) or
+    /// toward A, and on the spare buffers.
+    fn with_queue<R>(&self, to_b: bool, f: impl FnOnce(&mut Queue, &mut Vec<Vec<u8>>) -> R) -> R {
+        let mut guard = self.inner.lock().expect("pair lock");
+        let g = &mut *guard;
+        let q = if to_b { &mut g.a_to_b } else { &mut g.b_to_a };
+        f(q, &mut g.spare)
+    }
+
     /// Frames queued toward this endpoint (diagnostic).
     pub fn pending(&self) -> usize {
-        let g = self.inner.lock().expect("pair lock");
-        if self.is_a {
-            g.b_to_a.len()
-        } else {
-            g.a_to_b.len()
-        }
+        self.with_queue(!self.is_a, |q, _| q.len())
     }
 }
 
@@ -131,27 +146,27 @@ impl NetDevice for PairDevice {
         if frame.len() > self.mtu + crate::wire::ETH_HDR_LEN {
             return Err(NetError::TooLarge);
         }
-        let mut g = self.inner.lock().expect("pair lock");
-        let q = if self.is_a {
-            &mut g.a_to_b
-        } else {
-            &mut g.b_to_a
-        };
-        if q.len() >= self.capacity {
-            return Err(NetError::DeviceFull);
-        }
-        q.push_back(frame.to_vec());
-        Ok(())
+        self.with_queue(self.is_a, |q, spare| {
+            if q.len() >= self.capacity {
+                return Err(NetError::DeviceFull);
+            }
+            let mut buf = spare.pop().unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(frame);
+            q.push_back(buf);
+            Ok(())
+        })
     }
 
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        let mut g = self.inner.lock().expect("pair lock");
-        let q = if self.is_a {
-            &mut g.b_to_a
-        } else {
-            &mut g.a_to_b
-        };
-        q.pop_front()
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        self.with_queue(!self.is_a, |q, spare| {
+            let Some(mut next) = q.pop_front() else {
+                return false;
+            };
+            std::mem::swap(frame, &mut next);
+            spare.push(next);
+            true
+        })
     }
 
     fn mac(&self) -> MacAddr {
@@ -176,9 +191,12 @@ mod tests {
         let (mut a, mut b) = PairDevice::pair(macs(), 1500);
         a.transmit(b"to b").unwrap();
         b.transmit(b"to a").unwrap();
-        assert_eq!(b.receive().unwrap(), b"to b");
-        assert_eq!(a.receive().unwrap(), b"to a");
-        assert!(a.receive().is_none());
+        let mut frame = Vec::new();
+        assert!(b.receive(&mut frame));
+        assert_eq!(frame, b"to b");
+        assert!(a.receive(&mut frame));
+        assert_eq!(frame, b"to a");
+        assert!(!a.receive(&mut frame));
     }
 
     #[test]
@@ -194,8 +212,10 @@ mod tests {
         for i in 0..10u8 {
             a.transmit(&[i]).unwrap();
         }
+        let mut frame = Vec::new();
         for i in 0..10u8 {
-            assert_eq!(b.receive().unwrap(), [i]);
+            assert!(b.receive(&mut frame));
+            assert_eq!(frame, [i]);
         }
     }
 

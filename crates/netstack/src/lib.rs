@@ -54,6 +54,10 @@ pub enum NetError {
     Reset,
     /// All ephemeral ports or socket slots are in use.
     Exhausted,
+    /// A segment rewrites bytes already received with different ones.
+    Conflict,
+    /// In-order bytes run past the window the receiver advertised.
+    BeyondWindow,
 }
 
 impl std::fmt::Display for NetError {
@@ -68,6 +72,8 @@ impl std::fmt::Display for NetError {
             NetError::Unreachable => "destination unreachable",
             NetError::Reset => "connection reset",
             NetError::Exhausted => "resources exhausted",
+            NetError::Conflict => "segment conflicts with bytes already received",
+            NetError::BeyondWindow => "segment runs past the advertised window",
         };
         f.write_str(s)
     }

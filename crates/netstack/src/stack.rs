@@ -75,6 +75,8 @@ struct Link<D: NetDevice> {
     /// blank) with their next-hop IP, oldest first.
     pending: VecDeque<(Ipv4Addr, Vec<u8>)>,
     frame: Vec<u8>,
+    /// The buffer every inbound frame is received into.
+    rx: Vec<u8>,
     /// Frames the device has taken, ever.
     tx_frames: u64,
 }
@@ -192,6 +194,7 @@ impl<D: NetDevice> Interface<D> {
                 arp,
                 pending: VecDeque::new(),
                 frame: Vec::new(),
+                rx: Vec::new(),
                 tx_frames: 0,
             },
             clock,
@@ -290,7 +293,9 @@ impl<D: NetDevice> Interface<D> {
 
     // ---------- TCP ----------
 
-    fn alloc_handle(&mut self, sock: TcpSock) -> SocketHandle {
+    fn alloc_handle(&mut self, mut sock: TcpSock) -> SocketHandle {
+        // A segment may be as large as the device's MTU allows.
+        sock.conn.set_device_mtu(self.link.dev.mtu());
         for (i, slot) in self.tcp.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(sock);
@@ -509,11 +514,13 @@ impl<D: NetDevice> Interface<D> {
     /// Device-level errors only; malformed inbound traffic is dropped, as a
     /// stack must.
     pub fn poll(&mut self) -> Result<usize, NetError> {
-        let mut processed = 0;
-        while let Some(frame) = self.link.dev.receive() {
+        // A failed frame loses the buffer, and the next poll grows another.
+        let (mut processed, mut frame) = (0, std::mem::take(&mut self.link.rx));
+        while self.link.dev.receive(&mut frame) {
             processed += 1;
             self.handle_frame(&frame)?;
         }
+        self.link.rx = frame;
         for s in self.tcp.iter_mut().flatten() {
             s.conn.on_tick();
         }
@@ -922,8 +929,8 @@ mod tests {
             }
             self.inner.transmit(frame)
         }
-        fn receive(&mut self) -> Option<Vec<u8>> {
-            self.inner.receive()
+        fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+            self.inner.receive(frame)
         }
         fn mac(&self) -> MacAddr {
             self.inner.mac()
@@ -1008,7 +1015,8 @@ mod tests {
         a.udp_send(1, far, 2, b"to the internet").unwrap();
 
         // First wire frame: an ARP request for the *gateway*, not `far`.
-        let req = db.receive().expect("arp request");
+        let mut req = Vec::new();
+        assert!(db.receive(&mut req), "arp request");
         let (eth, arp) = EthHeader::parse(&req).unwrap();
         assert_eq!(eth.ethertype, EtherType::Arp);
         let mut gw_arp = crate::arp::ArpCache::new(MacAddr([0xB; 6]), IP_B);
@@ -1018,7 +1026,8 @@ mod tests {
 
         // The queued data frame now goes out addressed to the gateway MAC
         // while carrying the far destination IP.
-        let data = db.receive().expect("routed data frame");
+        let mut data = Vec::new();
+        assert!(db.receive(&mut data), "routed data frame");
         let (eth, l3) = EthHeader::parse(&data).unwrap();
         assert_eq!(eth.dst, MacAddr([0xB; 6]));
         let (ip, _) = Ipv4Header::parse(l3).unwrap();

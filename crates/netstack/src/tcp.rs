@@ -47,7 +47,7 @@
 //!   read queues an update only when the advertised right edge
 //!   (`ack + window`) would move by at least min(MSS, window / 2).
 
-use crate::wire::{tcp_flags, RingSlices, TcpHeader, TcpSegment};
+use crate::wire::{tcp_flags, RingSlices, TcpHeader, TcpSegment, IPV4_HDR_LEN, TCP_HDR_LEN};
 use crate::NetError;
 use cio_sim::{Clock, Cycles};
 use std::collections::VecDeque;
@@ -257,6 +257,8 @@ pub struct Connection {
     remote_port: u16,
     cfg: TcpConfig,
     clock: Clock,
+    /// Most payload bytes per segment handed to the device.
+    seg_limit: usize,
 
     // Send state.
     iss: u32,
@@ -296,6 +298,7 @@ impl Connection {
             state: State::Closed,
             local_port,
             remote_port,
+            seg_limit: cfg.mss,
             cfg,
             clock,
             iss,
@@ -341,6 +344,15 @@ impl Connection {
         let mut c = Self::base(local_port, 0, iss, clock, cfg);
         c.state = State::Listen;
         c
+    }
+
+    /// Sizes segments for a device of `mtu` IP bytes per frame: one
+    /// segment hands it at most `mtu` less the IPv4 and TCP headers (the
+    /// MSS until set). A device whose host cuts segments onto the wire
+    /// takes more than the MSS, which still sizes the ACK and
+    /// window-update rules.
+    pub fn set_device_mtu(&mut self, mtu: usize) {
+        self.seg_limit = mtu.saturating_sub(IPV4_HDR_LEN + TCP_HDR_LEN).max(1);
     }
 
     /// Current state.
@@ -509,7 +521,7 @@ impl Connection {
     }
 
     /// Cuts unsent data (and a queued FIN) into segments, respecting the
-    /// peer window, our fixed window cap, and the MSS.
+    /// peer window, our fixed window cap, and the segment limit.
     fn pump_output(&mut self) {
         loop {
             let window = u32::from(self.snd_wnd.min(self.cfg.window));
@@ -518,7 +530,7 @@ impl Connection {
             if self.unsent == 0 || room == 0 {
                 break;
             }
-            let take = room.min(self.cfg.mss).min(self.unsent);
+            let take = room.min(self.seg_limit).min(self.unsent);
             let seq = self.snd_nxt;
             self.emit(seq, tcp_flags::ACK | tcp_flags::PSH, take as u32, true);
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
@@ -611,25 +623,31 @@ impl Connection {
         self.pump_output();
     }
 
-    fn accept_data(&mut self, mut seq: u32, mut payload: &[u8]) {
-        if payload.is_empty() {
-            return;
-        }
-        // Trim any prefix we already have.
+    /// Takes a segment's payload, or refuses all of it: bytes that
+    /// overlap what the receive ring still holds must be those bytes
+    /// ([`NetError::Conflict`]), and in-order bytes must fit the window we
+    /// advertise ([`NetError::BeyondWindow`]) — whoever coalesced them.
+    fn accept_data(&mut self, mut seq: u32, mut payload: &[u8]) -> Result<(), NetError> {
+        // Trim any prefix we already have, once it agrees with what we hold.
         if seq_lt(seq, self.rcv_nxt) {
             let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
-            if skip >= payload.len() {
-                return; // pure duplicate
+            let (held, end) = (self.recv_ring.len(), skip.min(payload.len()));
+            let start = skip.saturating_sub(held).min(end);
+            let ours = self.recv_ring.range(held.saturating_sub(skip)..);
+            if !ours.take(end - start).eq(&payload[start..end]) {
+                return Err(NetError::Conflict);
             }
-            payload = &payload[skip..];
-            seq = self.rcv_nxt;
+            (payload, seq) = (&payload[end..], self.rcv_nxt);
         }
         let window = usize::from(self.cfg.window);
         let offset = seq.wrapping_sub(self.rcv_nxt) as usize;
-        if offset >= window {
-            return; // outside our window entirely
+        if payload.is_empty() || offset >= window {
+            return Ok(()); // a pure duplicate, or outside our window entirely
         }
         if offset == 0 {
+            if payload.len() > usize::from(self.recv_window()) {
+                return Err(NetError::BeyondWindow);
+            }
             self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
             self.recv_ring.extend(payload);
             // Drain what the gap was holding back.
@@ -639,6 +657,7 @@ impl Connection {
             let fits = payload.len().min(window - offset);
             self.ooo.insert(seq, &payload[..fits], window);
         }
+        Ok(())
     }
 
     fn enter_time_wait(&mut self) {
@@ -672,7 +691,9 @@ impl Connection {
     ///
     /// # Errors
     ///
-    /// [`NetError::Reset`] when the segment resets the connection.
+    /// [`NetError::Reset`] when the segment resets the connection;
+    /// [`NetError::Conflict`] or [`NetError::BeyondWindow`] when its
+    /// payload is refused (see `accept_data`).
     pub fn on_segment_in_place(&mut self, seg: &TcpHeader, payload: &[u8]) -> Result<(), NetError> {
         if seg.flags & tcp_flags::RST != 0 {
             if self.state != State::Listen && self.state != State::Closed {
@@ -721,7 +742,7 @@ impl Connection {
                     self.process_ack(seg.ack, seg.window);
                     self.state = State::Established;
                     // The ACK may carry data already.
-                    self.segment_data_and_fin(seg, payload);
+                    return self.segment_data_and_fin(seg, payload);
                 }
                 Ok(())
             }
@@ -735,20 +756,21 @@ impl Connection {
                 if seg.flags & tcp_flags::ACK != 0 {
                     self.process_ack(seg.ack, seg.window);
                 }
-                self.segment_data_and_fin(seg, payload);
+                let taken = self.segment_data_and_fin(seg, payload);
                 self.advance_close_states();
-                Ok(())
+                taken
             }
         }
     }
 
     /// Handles payload bytes and FIN for synchronized states, and when
-    /// they are acknowledged (see the module docs).
-    fn segment_data_and_fin(&mut self, seg: &TcpHeader, payload: &[u8]) {
+    /// they are acknowledged (see the module docs). A refused payload
+    /// leaves the segment's FIN and ACK unread.
+    fn segment_data_and_fin(&mut self, seg: &TcpHeader, payload: &[u8]) -> Result<(), NetError> {
         // Data at `rcv_nxt` with no gap waiting to be filled is the one
         // kind whose ACK may wait; anything else is acknowledged at once.
         let in_order = seg.seq == self.rcv_nxt && self.ooo.ranges.is_empty();
-        self.accept_data(seg.seq, payload);
+        self.accept_data(seg.seq, payload)?;
 
         if seg.flags & tcp_flags::FIN != 0 && !self.peer_fin {
             let fin_seq = seg.seq.wrapping_add(payload.len() as u32);
@@ -777,6 +799,7 @@ impl Connection {
                 self.ack_now();
             }
         }
+        Ok(())
     }
 
     /// State transitions that depend on our FIN being acknowledged.

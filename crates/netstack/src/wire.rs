@@ -147,7 +147,7 @@ impl EthHeader {
 /// Eight bytes are added per step as two 32-bit halves: 2^16 ≡ 1 modulo
 /// 0xFFFF, so a wide word folds to the same value as its 16-bit words
 /// summed one by one, and a `u64` has room for gigabytes of them.
-fn ones_sum(data: &[u8]) -> u64 {
+pub fn ones_sum(data: &[u8]) -> u64 {
     let mut sum = 0u64;
     let mut wide = data.chunks_exact(8);
     for c in &mut wide {
@@ -165,7 +165,7 @@ fn ones_sum(data: &[u8]) -> u64 {
 }
 
 /// Folds a ones-complement sum to 16 bits and complements it.
-fn fold_checksum(mut sum: u64) -> u16 {
+pub fn fold_checksum(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }

@@ -81,8 +81,8 @@ impl NetDevice for Tap {
         }
         self.inner.transmit(frame)
     }
-    fn receive(&mut self) -> Option<Vec<u8>> {
-        self.inner.receive()
+    fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+        self.inner.receive(frame)
     }
     fn mac(&self) -> MacAddr {
         self.inner.mac()
@@ -106,8 +106,13 @@ struct Pair {
 
 impl Pair {
     fn new(window: u16) -> Pair {
+        Pair::over(window, 1500)
+    }
+
+    /// A pair over a cable of `mtu` IP bytes per frame.
+    fn over(window: u16, mtu: usize) -> Pair {
         let clock = Clock::new();
-        let (da, db) = PairDevice::pair([MacAddr([0xA; 6]), MacAddr([0xB; 6])], 1500);
+        let (da, db) = PairDevice::pair([MacAddr([0xA; 6]), MacAddr([0xB; 6])], mtu);
         let mut cfg_b = InterfaceConfig::new(IP_B);
         cfg_b.tcp.window = window;
         let mut a = Interface::new(Tap::new(da), InterfaceConfig::new(IP_A), clock.clone());
@@ -316,4 +321,35 @@ fn a_segment_lost_on_the_link_is_recovered_by_the_rto() {
     p.settle();
     assert_eq!(p.b.tcp_recv(p.srv, usize::MAX).unwrap(), b"lost once");
     assert_eq!(p.a_tap().data_segments(), 2, "one send, one retransmission");
+}
+
+/// A device whose host coalesces (or whose MTU is the guest↔host frame
+/// limit) hands TCP one segment for a whole burst; the two-full-segments
+/// rule counts bytes, not segments, so a burst of at least two MSS is
+/// acknowledged in the poll that received it, not after `DELAYED_ACK`.
+#[test]
+fn a_coalesced_burst_of_two_segments_is_acked_in_the_same_poll() {
+    let mss = TcpConfig::default().mss;
+    let mut p = Pair::over(65_535, 32 * 1024 - 14);
+    let burst: Vec<u8> = (0..2 * mss + 100).map(|i| i as u8).collect();
+    let acks_before = p.b_tap().pure_acks();
+    p.a.tcp_send(p.cli, &burst).unwrap();
+    assert_eq!(
+        p.a_tap().data_segments(),
+        1,
+        "the burst left as one segment"
+    );
+    p.b.poll().unwrap();
+    assert_eq!(
+        p.b_tap().pure_acks(),
+        acks_before + 1,
+        "acknowledged at once"
+    );
+    let (ack, _) = *p.b_tap().sent.last().unwrap();
+    assert_eq!(
+        ack.ack,
+        p.a_tap().sent.last().unwrap().0.seq + burst.len() as u32
+    );
+    assert_eq!(p.clock.now(), Cycles(0), "no timer was needed");
+    assert_eq!(p.b.tcp_recv(p.srv, usize::MAX).unwrap(), burst);
 }

@@ -7,7 +7,7 @@
 //! | Stateless interface | [`RingConfig`] is validated once and immutable; every data-plane call is self-contained; misconfiguration is [`RingError::Fatal`] at construction, not an error path at runtime |
 //! | Copy as first-class | each endpoint carries one [`CopyPolicy`], wired at deployment: copy-early endpoints perform exactly one early, metered copy per record; in-place endpoints skip it where double fetch is impossible by layout. Callers never choose per call |
 //! | No notifications | [`NotifyMode::Polling`] is the default; [`NotifyMode::Doorbell`] exists for E8 and draining on a doorbell is stateless and idempotent (the consumer holds nothing but its private counter) |
-//! | Zero (re-)negotiation | MAC/MTU/checksum policy are fields of the fixed config; there is no runtime control plane at all |
+//! | Zero (re-)negotiation | MAC and MTU (the guest↔host frame limit) are fields of the fixed config; there is no runtime control plane at all |
 //! | Safe ring & shared area | slot count, slot size, and area size are powers of two; every index/offset read from shared memory is masked (`x & (n-1)`) and every length clamped, so no host value can steer an access out of bounds |
 //!
 //! The ring is single-producer single-consumer with free-running `u32`
@@ -107,8 +107,6 @@ pub struct RingConfig {
     pub mtu: u32,
     /// Fixed device MAC.
     pub mac: [u8; 6],
-    /// Fixed checksum-offload policy (who computes checksums).
-    pub csum_offload: bool,
     /// Notification discipline.
     pub notify: NotifyMode,
     /// Shared-area bytes (non-inline modes); must be a power of two.
@@ -125,7 +123,6 @@ impl Default for RingConfig {
             mode: DataMode::SharedArea,
             mtu: 1500,
             mac: [0x02, 0, 0, 0, 0, 0x01],
-            csum_offload: true,
             notify: NotifyMode::Polling,
             area_size: 1 << 19, // 512 KiB -> 2 KiB stride at 256 slots
             page_aligned_payloads: false,
@@ -410,14 +407,14 @@ fn effective_policy(ring: &CioRing, policy: CopyPolicy) -> CopyPolicy {
     }
 }
 
-/// Private staging for a copy-early endpoint: room for one full run of
-/// MTU-sized records, allocated when the positioning is wired so the data
-/// path never allocates. In-place endpoints carry none.
-fn staging_for(ring: &CioRing, policy: CopyPolicy) -> Vec<u8> {
-    match policy {
-        CopyPolicy::InPlace => Vec::new(),
-        CopyPolicy::CopyEarly => vec![0; MAX_BATCH * ring.cfg.mtu as usize],
-    }
+/// Private staging for a copy-early endpoint, grown to the largest run it
+/// has staged (never sized for a full run of MTU-sized records up front:
+/// at a frame limit of tens of KiB that would be most of a MiB per
+/// endpoint, resident for nothing), so the steady-state data path
+/// allocates nothing. In-place endpoints never grow theirs.
+fn staging(staging: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    staging.resize(staging.len().max(len), 0);
+    &mut staging[..len]
 }
 
 /// Carves `region` into the ascending, non-overlapping `(offset, len)`
@@ -509,7 +506,7 @@ impl<V: MemView> Producer<V> {
         view.write_u32(ring.door_addr(), 0)?;
         let policy = effective_policy(&ring, CopyPolicy::default());
         Ok(Producer {
-            staging: staging_for(&ring, policy),
+            staging: Vec::new(),
             ring,
             view,
             next: 0,
@@ -528,7 +525,6 @@ impl<V: MemView> Producer<V> {
     /// metered copy each. Inline rings run copy-early regardless.
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
         self.policy = effective_policy(&self.ring, policy);
-        self.staging = staging_for(&self.ring, self.policy);
     }
 
     /// The positioning this endpoint runs (after the layout's say).
@@ -664,7 +660,7 @@ impl<V: MemView> Producer<V> {
                 Ok(out)
             }
             CopyPolicy::CopyEarly => {
-                let staged = &mut self.staging[..n * cap];
+                let staged = staging(&mut self.staging, n * cap);
                 Ok(carve_run(staged, (0..n).map(|i| (i * cap, cap)), f))
             }
         }
@@ -698,22 +694,26 @@ impl<V: MemView> Producer<V> {
         if lens.len() > grant.n as usize || lens.iter().any(|&l| l > grant.capacity as usize) {
             return Err(RingError::TooLarge);
         }
-        if lens.is_empty() {
-            return Ok(());
-        }
-        let meter = self.view.memory().meter();
-        if self.policy == CopyPolicy::CopyEarly {
+        if self.policy == CopyPolicy::CopyEarly && !lens.is_empty() {
             let (stride, cap) = (self.ring.data_stride(), grant.capacity as usize);
             let base = self.ring.data_addr(grant.first_masked);
-            let staged = &self.staging;
+            let staged = staging(&mut self.staging, lens.len() * cap);
             self.view
                 .with_range_mut(base, (lens.len() - 1) * stride + cap, |region| {
                     for (i, &len) in lens.iter().enumerate() {
                         region[i * stride..][..len].copy_from_slice(&staged[i * cap..][..len]);
                     }
                 })?;
-            meter.lock_acquisitions(1);
+            self.view.memory().meter().lock_acquisitions(1);
         }
+        self.place_meta(grant, lens)
+    }
+
+    /// Writes the metadata of the first `lens.len()` records of a granted
+    /// run whose bytes are in their slots, meters them under this
+    /// endpoint's positioning, and advances the private produce counter.
+    fn place_meta(&mut self, grant: &BatchGrant, lens: &[usize]) -> Result<(), RingError> {
+        let meter = self.view.memory().meter();
         for (i, &len) in lens.iter().enumerate() {
             self.write_slot_meta(grant.first_masked + i as u32, len as u32)?;
             match self.policy {
@@ -808,10 +808,25 @@ impl<V: MemView> Producer<V> {
     ///
     /// As [`Producer::reserve_batch`].
     pub fn stage(&mut self, payload: &[u8]) -> Result<(), RingError> {
-        let grant = self.reserve_batch(payload.len(), 1)?;
-        self.with_batch_mut(&grant, |slots| slots[0].copy_from_slice(payload))?;
+        self.stage_with(payload.len(), |slot| slot.copy_from_slice(payload))
+    }
+
+    /// Places one record of `len` bytes that `f` builds, without
+    /// publishing — [`Producer::stage`] for a record assembled from parts.
+    /// `f` only writes, so under either positioning it writes into
+    /// the slot itself, under one lock; the two differ only in what is
+    /// metered (copy-early: this write is the endpoint's one early copy).
+    ///
+    /// # Errors
+    ///
+    /// As [`Producer::reserve_batch`].
+    pub fn stage_with(&mut self, len: usize, f: impl FnOnce(&mut [u8])) -> Result<(), RingError> {
+        let grant = self.reserve_batch(len, 1)?;
+        let slot = self.ring.data_addr(grant.first_masked);
+        self.view.with_range_mut(slot, len, f)?;
+        self.view.memory().meter().lock_acquisitions(1);
         let _span = self.telemetry.span(self.tq, Stage::RingProduce);
-        self.place_run(&grant, &[payload.len()])
+        self.place_meta(&grant, &[len])
     }
 
     /// Produces one payload: [`Producer::stage`] plus
@@ -945,7 +960,7 @@ impl<V: MemView> Consumer<V> {
         view.write_u32(ring.event_idx_addr(), 0)?;
         let policy = CopyPolicy::default();
         Ok(Consumer {
-            staging: staging_for(&ring, policy),
+            staging: Vec::new(),
             ring,
             view,
             next: 0,
@@ -965,7 +980,6 @@ impl<V: MemView> Consumer<V> {
     /// the handler.
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
         self.policy = policy;
-        self.staging = staging_for(&self.ring, policy);
     }
 
     /// The positioning this endpoint runs.
@@ -1061,13 +1075,17 @@ impl<V: MemView> Consumer<V> {
         }
     }
 
-    /// Retires `n` consumed slots with a single consumer-index write.
-    fn commit(&mut self, n: u32) -> Result<(), RingError> {
+    /// Retires `n` consumed slots with a single consumer-index write
+    /// (none: nothing to write).
+    fn commit(&mut self, n: u32) -> Result<usize, RingError> {
+        if n == 0 {
+            return Ok(0);
+        }
         self.next = self.next.wrapping_add(n);
         self.armed = false;
         self.view.write_u32(self.ring.cons_idx_addr(), self.next)?;
         charge_ring_ops(&self.view, 1);
-        Ok(())
+        Ok(n as usize)
     }
 
     /// Publishes the event index when the ring runs dry in
@@ -1145,50 +1163,65 @@ impl<V: MemView> Consumer<V> {
         mut f: impl FnMut(&mut [&mut [u8]]),
     ) -> Result<usize, RingError> {
         let _span = self.telemetry.span(self.tq, Stage::RingConsume);
-        let avail = self.available()? as usize;
-        if avail == 0 {
-            self.note_empty()?;
-            return Ok(0);
+        if self.policy == CopyPolicy::InPlace {
+            let (_, n) = self.take_run(max, &mut f)?;
+            return self.commit(n as u32);
         }
-        let until_wrap = (self.ring.cfg.slots - (self.next & self.ring.slot_mask())) as usize;
-        let n = avail.min(max).min(until_wrap).min(MAX_BATCH);
+        // Copy the run out while it is locked; the handler only ever sees
+        // the private copies.
+        let (mut stage, mut staged) = (std::mem::take(&mut self.staging), 0);
+        let run = self.take_run(max, |slots| {
+            for s in slots.iter() {
+                staging(&mut stage, staged + s.len())[staged..].copy_from_slice(s);
+                staged += s.len();
+            }
+        });
+        self.staging = stage;
+        let (metas, n) = run?;
         if n == 0 {
             return Ok(0);
         }
-        let mut metas: [(GuestAddr, u32); MAX_BATCH] = [(GuestAddr(0), 0); MAX_BATCH];
+        let windows = metas[..n].iter().scan(0, |at, &(_, len)| {
+            *at += len as usize;
+            Some((*at - len as usize, len as usize))
+        });
+        carve_run(&mut self.staging[..staged], windows, f);
+        self.commit(n as u32)
+    }
+
+    /// The one drain: reads the run's metadata (each field fetched once,
+    /// masked and clamped), hands `visit` the validated windows while they
+    /// are locked, and meters the run under this endpoint's positioning
+    /// (in place, zero-copy bytes; copy-early, one copy per record, which
+    /// `visit` makes). Returns the windows and how many there are (0 on an
+    /// empty ring, which arms the event index); retiring is the caller's.
+    fn take_run(
+        &mut self,
+        max: usize,
+        visit: impl FnMut(&mut [&mut [u8]]),
+    ) -> Result<([(GuestAddr, u32); MAX_BATCH], usize), RingError> {
+        let mut metas = [(GuestAddr(0), 0); MAX_BATCH];
+        let avail = self.available()? as usize;
+        if avail == 0 {
+            self.note_empty()?;
+            return Ok((metas, 0));
+        }
+        let until_wrap = (self.ring.cfg.slots - (self.next & self.ring.slot_mask())) as usize;
+        let n = avail.min(max).min(until_wrap).min(MAX_BATCH);
         for (i, meta) in metas.iter_mut().enumerate().take(n) {
             *meta =
                 self.read_slot_meta(self.next.wrapping_add(i as u32) & self.ring.slot_mask())?;
         }
-        let metas = &metas[..n];
-        match self.policy {
-            CopyPolicy::InPlace => {
-                visit_run_locked(&self.view, metas, &mut f)?;
-                let total: u64 = metas.iter().map(|&(_, len)| u64::from(len)).sum();
-                self.view.memory().meter().bytes_zero_copy(total);
-            }
-            CopyPolicy::CopyEarly => {
-                // Copy the run out while it is locked; the handler only
-                // ever sees the private copies.
-                let (staging, mut staged) = (&mut self.staging, 0);
-                visit_run_locked(&self.view, metas, |slots| {
-                    for s in slots.iter() {
-                        staging[staged..staged + s.len()].copy_from_slice(s);
-                        staged += s.len();
-                    }
-                })?;
-                for &(_, len) in metas {
-                    charge_copy(&self.view, len as usize);
-                }
-                let windows = metas.iter().scan(0, |at, &(_, len)| {
-                    *at += len as usize;
-                    Some((*at - len as usize, len as usize))
-                });
-                carve_run(&mut staging[..staged], windows, f);
+        if n > 0 {
+            visit_run_locked(&self.view, &metas[..n], visit)?;
+        }
+        for &(_, len) in &metas[..n] {
+            match self.policy {
+                CopyPolicy::InPlace => self.view.memory().meter().bytes_zero_copy(len.into()),
+                CopyPolicy::CopyEarly => charge_copy(&self.view, len as usize),
             }
         }
-        self.commit(n as u32)?;
-        Ok(n)
+        Ok((metas, n))
     }
 
     /// Consumes one payload: [`Consumer::consume_batch_in_place`] over a
@@ -1219,14 +1252,18 @@ impl<V: MemView> Consumer<V> {
     ///
     /// As [`Consumer::consume_batch_in_place`].
     pub fn consume_batch_into(&mut self, bufs: &mut [Vec<u8>]) -> Result<usize, RingError> {
-        let max = bufs.len();
+        // The buffers are private memory: copy-early, filling them under
+        // the lock is the endpoint's one early copy, with no staging
+        // between; in place, it is the caller's own copy.
+        let _span = self.telemetry.span(self.tq, Stage::RingConsume);
         let mut filled = bufs.iter_mut();
-        self.consume_batch_in_place(max, |slots| {
+        let (_, n) = self.take_run(filled.len(), |slots| {
             for (s, buf) in slots.iter().zip(&mut filled) {
                 buf.clear();
                 buf.extend_from_slice(s);
             }
-        })
+        })?;
+        self.commit(n as u32)
     }
 
     /// Consumes one payload into a fresh buffer: allocating convenience

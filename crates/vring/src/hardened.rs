@@ -76,7 +76,9 @@ impl HardenedDriver {
         let cached_mac = cfg.read_mac(&mem.guest())?;
         let qsize = layout.qsize;
         let inner = Driver::new_private_chaining(mem.guest(), layout, meter.clone())?;
-        let bounce = BouncePool::new(mem, bounce_base, bounce_slots)?;
+        // One bounce slot holds one frame at the fixed MTU.
+        let frame = usize::from(cached_mtu) + 14;
+        let bounce = BouncePool::new(mem, bounce_base, bounce_slots, frame)?;
         Ok(HardenedDriver {
             inner,
             mem: mem.clone(),

@@ -101,8 +101,8 @@ fn steady_state_record_path_does_not_allocate() {
         .unwrap();
     let mut producer = Producer::new(ring.clone(), mem.guest()).unwrap();
     let mut consumer = Consumer::new(ring, mem.host()).unwrap();
-    // Phase 1 runs copy-early endpoints: their private staging is
-    // allocated here, at wiring, never on the data path.
+    // Phase 1 runs copy-early endpoints: their private staging grows to
+    // the largest run during warm-up, never on the steady-state path.
     producer.set_copy_policy(CopyPolicy::CopyEarly);
     consumer.set_copy_policy(CopyPolicy::CopyEarly);
 
@@ -822,5 +822,77 @@ fn steady_state_record_path_does_not_allocate() {
         tx.tx_generation(),
         5,
         "the audited records crossed 4 rekeys"
+    );
+
+    // Phase 11: the cio-ring guest device at the guest↔host frame limit.
+    // Frames of FRAME_LIMIT bytes cross both ways in runs of four; a
+    // receive swaps the caller's buffer for the device's, so once the
+    // buffers in circulation have grown to the limit neither direction
+    // touches the heap.
+    use cio::dev::CioRingDevice;
+    use cio::world::{BatchPolicy, FRAME_LIMIT};
+    use cio_netstack::NetDevice;
+    let cfg = RingConfig {
+        slots: 16,
+        mtu: FRAME_LIMIT as u32,
+        mode: DataMode::SharedArea,
+        area_size: (16 * FRAME_LIMIT) as u32,
+        ..RingConfig::default()
+    };
+    let area = cfg.area_size as usize;
+    let dev_mem = GuestMemory::new(
+        4 + 2 * area / PAGE_SIZE,
+        Clock::new(),
+        CostModel::default(),
+        Meter::new(),
+    );
+    let ring_at = |i: u64| {
+        let base = GuestAddr(i * PAGE_SIZE as u64);
+        let payload = GuestAddr((4 * PAGE_SIZE + i as usize * area) as u64);
+        let ring = CioRing::new(cfg.clone(), base, payload).unwrap();
+        dev_mem.share_range(base, ring.ring_bytes()).unwrap();
+        dev_mem.share_range(payload, ring.area_bytes()).unwrap();
+        ring
+    };
+    let (tx_ring, rx_ring) = (ring_at(0), ring_at(1));
+    let mut dev = CioRingDevice::new(vec![(
+        Producer::new(tx_ring.clone(), dev_mem.guest()).unwrap(),
+        Consumer::new(rx_ring.clone(), dev_mem.guest()).unwrap(),
+    )])
+    .unwrap();
+    dev.set_batch_policy(BatchPolicy::Fixed(4));
+    assert_eq!(dev.mtu() + 14, FRAME_LIMIT);
+    let mut host_tx = Consumer::new(tx_ring, dev_mem.host()).unwrap();
+    let mut host_rx = Producer::new(rx_ring, dev_mem.host()).unwrap();
+    let frame = vec![0xC5u8; FRAME_LIMIT];
+    let mut got = Vec::new();
+    let mut device_cycle = |got: &mut Vec<u8>| {
+        for _ in 0..4 {
+            dev.transmit(&frame).expect("room on the ring");
+            host_rx.stage(&frame).expect("room on the ring");
+        }
+        host_rx.publish().expect("publish");
+        let drained = host_tx
+            .consume_batch_in_place(4, |slots| assert!(slots.iter().all(|s| **s == frame[..])))
+            .expect("consume");
+        assert_eq!(drained, 4);
+        for _ in 0..4 {
+            assert!(dev.receive(got), "frame delivered");
+            assert_eq!(got.len(), FRAME_LIMIT);
+        }
+        assert!(!dev.receive(got));
+    };
+    for _ in 0..8 {
+        device_cycle(&mut got);
+    }
+    let before = allocations();
+    for _ in 0..250 {
+        device_cycle(&mut got);
+    }
+    let during = allocations() - before;
+    assert_eq!(
+        during, 0,
+        "the cio-ring device must move frame-limit frames off the heap \
+         ({during} allocations over 2000 frames)"
     );
 }
