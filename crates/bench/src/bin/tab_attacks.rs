@@ -6,8 +6,9 @@
 //! being pinpointed by link index.
 
 use cio::attacks::{
-    attack_opts, audit_chain_tamper, coalesce_forgery, netvsc_offset_forgery, payload_toctou,
-    run_blk_suite, run_matrix, Outcome, ALL_ATTACKS, COALESCE_FORGERIES,
+    attack_opts, audit_chain_tamper, coalesce_forgery, netvsc_offset_forgery, non_tcp_forgery,
+    payload_toctou, run_blk_suite, run_matrix, Outcome, ALL_ATTACKS, COALESCE_FORGERIES,
+    NON_TCP_FORGERIES,
 };
 use cio::world::ALL_BOUNDARIES;
 use cio_bench::print_table;
@@ -89,6 +90,33 @@ fn main() {
         "E10f — a coalescing host forges the merged record",
         &["forged record", "outcome", "guest's reason"],
         &frows,
+    );
+
+    // The host, which owns the fabric, sends the guest the protocols a
+    // stack commonly answers: the TCP-only guest answers none of them and
+    // keeps its configured neighbour.
+    let forgeries = non_tcp_forgery().expect("non-TCP forgery scenario");
+    let mut grows = Vec::new();
+    for (what, r) in NON_TCP_FORGERIES.iter().zip(forgeries) {
+        assert_eq!(r.outcome, Outcome::Prevented, "{what}: {r:?}");
+        grows.push(vec![
+            what.to_string(),
+            r.outcome.to_string(),
+            r.replies.to_string(),
+            r.next_hop.to_string(),
+            if r.intact { "yes" } else { "NO" }.into(),
+        ]);
+    }
+    print_table(
+        "E10g — the host forges non-TCP frames to the guest",
+        &[
+            "forged frame",
+            "outcome",
+            "guest replies",
+            "next frame to",
+            "echo intact",
+        ],
+        &grows,
     );
 
     // Summary counts.

@@ -566,7 +566,10 @@ mod tests {
     /// then (an echo crosses the ring as two frames, not six), and E9's
     /// 16 KiB cells again when the host began to cut and coalesce at the
     /// guest↔host frame limit (8.64 → 9.52 % saved, 512 → 256 gate
-    /// switches: a 16 KiB message crosses as one segment). Each verdict
+    /// switches: a 16 KiB message crosses as one segment), and E13's
+    /// set-up-inclusive cells when neighbours became static (11 710 →
+    /// 11 649 and 7 611 → 7 605 cycles per op at 100 and 1 000 ops: the
+    /// first connect no longer waits for an ARP round trip). Each verdict
     /// is as [`FLIPPED`] records it. The verdicts are also the transport
     /// regressions once
     /// tested on their own: hardened virtio slower and copying more than
@@ -615,8 +618,8 @@ mod tests {
             ("E13", "virtio-hardened RTT", "9_814"),
             ("E13", "dda obs bits/op", "72"),
             ("E13", "attestation cyc @1", "200_000"),
-            ("E13", "cyc/op incl. setup @100", "11_710"),
-            ("E13", "cyc/op incl. setup @1000", "7_611"),
+            ("E13", "cyc/op incl. setup @100", "11_649"),
+            ("E13", "cyc/op incl. setup @1000", "7_605"),
             ("E13", "traffic flowed from the compromised device", "0"),
             ("E15 checks", "checks charged cyc/transfer", "1_263"),
             ("E15 checks", "checks % of the transfer", "0.63"),

@@ -1690,6 +1690,236 @@ pub fn coalesce_forgery() -> Result<[(Outcome, Option<cio_netstack::NetError>); 
     Ok([run(0)?, run(1)?])
 }
 
+/// What a host forging non-TCP frames toward the guest tried, in
+/// [`non_tcp_forgery`]'s report.
+pub const NON_TCP_FORGERIES: [&str; 4] = [
+    "ARP request for the guest's address",
+    "ARP reply binding the peer's address to a host MAC",
+    "UDP datagram",
+    "ICMP echo request",
+];
+
+/// One row of [`non_tcp_forgery`]'s report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonTcpForgeryReport {
+    /// `Prevented` when the guest answered nothing, still addressed its
+    /// next frame to its configured neighbour, and echoed byte-exact.
+    pub outcome: Outcome,
+    /// Frames the guest transmitted while it handled the forged frame.
+    pub replies: u64,
+    /// Where the guest's next TCP frame was addressed.
+    pub next_hop: cio_netstack::MacAddr,
+    /// Whether the echo after the forgery came back byte-exact.
+    pub intact: bool,
+}
+
+/// The non-TCP forgery micro-scenario: the host, which owns the L2 fabric
+/// between a guest and its peer and forwards their frames, sends the
+/// guest well-formed frames of the protocols a network stack commonly
+/// answers (ARP, UDP, ICMP echo). A guest `Interface` with one established
+/// echo connection takes each in turn, in a fresh world per frame.
+///
+/// Returns one report per frame in [`NON_TCP_FORGERIES`] order:
+/// `Prevented` when the guest transmitted nothing in reply, addressed its
+/// next TCP frame to its configured neighbour, and the echo afterwards
+/// was byte-exact; `Undetected` otherwise — a reply is host-triggered
+/// guest output, and a redirected next hop is a host-written route.
+///
+/// # Errors
+///
+/// Infrastructure failures only.
+pub fn non_tcp_forgery() -> Result<[NonTcpForgeryReport; 4], CioError> {
+    use crate::world::{ECHO_PORT, GUEST_IP, PEER_IP};
+    use cio_netstack::stack::SocketHandle;
+    use cio_netstack::wire::{inet_checksum, transport_checksum, EthHeader, IpProto, Ipv4Header};
+    use cio_netstack::{Interface, InterfaceConfig, MacAddr, NetDevice, PairDevice};
+    use cio_sim::{Clock, Cycles};
+
+    const GUEST_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x01]);
+    const PEER_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x02]);
+    const HOST_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0xEE]);
+
+    /// Guest and peer, each cabled to the host, which forwards between
+    /// them and notes where the guest's frames were addressed.
+    struct Net {
+        clock: Clock,
+        guest: Interface<PairDevice>,
+        peer: Interface<PairDevice>,
+        host_guest: PairDevice,
+        host_peer: PairDevice,
+        guest_dsts: Vec<MacAddr>,
+        echo: Option<SocketHandle>,
+    }
+
+    impl Net {
+        /// One round: both stacks poll, the host forwards, the peer
+        /// echoes. Returns how much moved.
+        fn round(&mut self) -> Result<usize, CioError> {
+            let mut moved = self.guest.poll()? + self.peer.poll()?;
+            let mut frame = Vec::new();
+            while self.host_guest.receive(&mut frame) {
+                self.guest_dsts.push(EthHeader::parse(&frame)?.0.dst);
+                self.host_peer.transmit(&frame)?;
+                moved += 1;
+            }
+            while self.host_peer.receive(&mut frame) {
+                self.host_guest.transmit(&frame)?;
+                moved += 1;
+            }
+            self.echo = self.echo.or_else(|| self.peer.tcp_accept(ECHO_PORT));
+            if let Some(h) = self.echo {
+                let data = self.peer.tcp_recv(h, usize::MAX)?;
+                if !data.is_empty() {
+                    self.peer.tcp_send(h, &data)?;
+                    moved += 1;
+                }
+            }
+            Ok(moved)
+        }
+
+        /// Rounds until nothing moves, including a delayed ACK's timer.
+        fn settle(&mut self) -> Result<(), CioError> {
+            for _ in 0..2 {
+                for _ in 0..64 {
+                    if self.round()? == 0 {
+                        break;
+                    }
+                }
+                self.clock
+                    .advance(Cycles(cio_netstack::tcp::DELAYED_ACK.get() + 1));
+            }
+            match self.round()? {
+                0 => Ok(()),
+                _ => Err(CioError::Fatal("echo world did not settle")),
+            }
+        }
+
+        /// Sends `msg` and reads its echo; whether it came back exact.
+        fn echo(&mut self, h: SocketHandle, msg: &[u8]) -> Result<bool, CioError> {
+            self.guest.tcp_send(h, msg)?;
+            let mut got = Vec::new();
+            for _ in 0..64 {
+                self.round()?;
+                self.guest.tcp_recv_into(h, &mut got)?;
+                if got.len() >= msg.len() {
+                    break;
+                }
+            }
+            Ok(got == msg)
+        }
+    }
+
+    // The four forged frames, each well formed, checksums included.
+    let eth = |dst: MacAddr, ethertype: u16| {
+        let mut f = Vec::new();
+        EthHeader {
+            dst,
+            src: HOST_MAC,
+            ethertype: ethertype.into(),
+        }
+        .emit(&mut f);
+        f
+    };
+    let arp = |op: u16, dst: MacAddr, target_mac: MacAddr| {
+        let mut f = eth(dst, 0x0806);
+        f.extend_from_slice(&[0, 1, 8, 0, 6, 4]);
+        f.extend_from_slice(&op.to_be_bytes());
+        f.extend_from_slice(&HOST_MAC.0);
+        f.extend_from_slice(&PEER_IP.0);
+        f.extend_from_slice(&target_mac.0);
+        f.extend_from_slice(&GUEST_IP.0);
+        f
+    };
+    let ipv4 = |proto: u8, l4: &[u8]| {
+        let mut f = eth(GUEST_MAC, 0x0800);
+        Ipv4Header {
+            src: PEER_IP,
+            dst: GUEST_IP,
+            proto: proto.into(),
+            ttl: 64,
+        }
+        .emit(l4.len(), &mut f);
+        f.extend_from_slice(l4);
+        f
+    };
+    let mut udp = [
+        &53u16.to_be_bytes()[..],
+        &ECHO_PORT.to_be_bytes(),
+        &[0, 16, 0, 0],
+        b"cio-udp!",
+    ]
+    .concat();
+    let csum = transport_checksum(PEER_IP, GUEST_IP, IpProto::Other(17), &udp);
+    udp[6..8].copy_from_slice(&csum.to_be_bytes());
+    let mut icmp = [&[8u8, 0, 0, 0, 0x12, 0x34, 0, 1][..], b"cio-ping"].concat();
+    let csum = inet_checksum(&icmp);
+    icmp[2..4].copy_from_slice(&csum.to_be_bytes());
+    let forged = [
+        arp(1, MacAddr::BROADCAST, MacAddr::default()),
+        arp(2, GUEST_MAC, GUEST_MAC),
+        ipv4(17, &udp),
+        ipv4(1, &icmp),
+    ];
+
+    let run = |forged: &[u8]| -> Result<NonTcpForgeryReport, CioError> {
+        let clock = Clock::new();
+        let (guest_dev, host_guest) = PairDevice::pair([GUEST_MAC, HOST_MAC], 1500);
+        let (host_peer, peer_dev) = PairDevice::pair([HOST_MAC, PEER_MAC], 1500);
+        let config = |ip, neighbour| InterfaceConfig {
+            neighbour,
+            ..InterfaceConfig::new(ip)
+        };
+        let mut net = Net {
+            guest: Interface::new(guest_dev, config(GUEST_IP, PEER_MAC), clock.clone()),
+            peer: Interface::new(peer_dev, config(PEER_IP, GUEST_MAC), clock.clone()),
+            clock,
+            host_guest,
+            host_peer,
+            guest_dsts: Vec::new(),
+            echo: None,
+        };
+        net.peer.tcp_listen(ECHO_PORT);
+        let h = net.guest.tcp_connect(PEER_IP, ECHO_PORT)?;
+        while !net.guest.tcp_established(h)? {
+            if net.round()? == 0 {
+                return Err(CioError::Fatal("echo world did not connect"));
+            }
+        }
+        if !net.echo(h, b"before the forgery")? {
+            return Err(CioError::Fatal("echo world did not echo"));
+        }
+        net.settle()?;
+
+        let sent = net.guest.frames_sent();
+        net.host_guest.transmit(forged)?;
+        net.guest.poll()?;
+        let replies = net.guest.frames_sent() - sent;
+        net.guest_dsts.clear();
+        let intact = net.echo(h, b"after the forgery")?;
+        let next_hop = *net
+            .guest_dsts
+            .first()
+            .ok_or(CioError::Fatal("the guest sent nothing"))?;
+        let outcome = if replies == 0 && next_hop == PEER_MAC && intact {
+            Outcome::Prevented
+        } else {
+            Outcome::Undetected
+        };
+        Ok(NonTcpForgeryReport {
+            outcome,
+            replies,
+            next_hop,
+            intact,
+        })
+    };
+    Ok([
+        run(&forged[0])?,
+        run(&forged[1])?,
+        run(&forged[2])?,
+        run(&forged[3])?,
+    ])
+}
+
 /// The NetVSC offset-forgery micro-scenario (the Figure 3 driver family's
 /// signature attack): the host aims a receive descriptor at private guest
 /// memory. Returns `(unhardened, hardened)` outcomes.
@@ -1730,6 +1960,13 @@ pub fn netvsc_offset_forgery() -> Result<(Outcome, Outcome), CioError> {
 mod tests {
     use super::*;
     use crate::world::ALL_BOUNDARIES;
+
+    #[test]
+    fn a_host_forging_non_tcp_frames_gets_no_answer_and_no_route() {
+        for (what, r) in NON_TCP_FORGERIES.iter().zip(non_tcp_forgery().unwrap()) {
+            assert_eq!(r.outcome, Outcome::Prevented, "{what}: {r:?}");
+        }
+    }
 
     #[test]
     fn a_forged_coalesced_record_is_refused_with_its_reason() {

@@ -50,7 +50,11 @@ fn secure_peer<D: NetDevice>(
     opts: &WorldOptions,
     telemetry: &Telemetry,
 ) -> SecurePeer<D> {
-    let mut peer = SecurePeer::new(dev, PEER_IP, clock.clone(), opts.app_tls, opts.seed ^ 1);
+    let cfg = InterfaceConfig {
+        neighbour: GUEST_MAC,
+        ..InterfaceConfig::new(PEER_IP)
+    };
+    let mut peer = SecurePeer::new(dev, cfg, clock.clone(), opts.app_tls, opts.seed ^ 1);
     peer.set_telemetry(telemetry.clone());
     peer.set_batch_policy(opts.batch);
     peer.set_rekey_interval(opts.rekey_interval);
@@ -454,6 +458,12 @@ impl WorldBuilder {
             }
         };
 
+        // The guest's next hop is launch configuration, like its address:
+        // nothing the host sends can change where its frames go.
+        let guest_cfg = InterfaceConfig {
+            neighbour: PEER_MAC,
+            ..InterfaceConfig::new(GUEST_IP)
+        };
         Ok(World {
             kind,
             clock: clock.clone(),
@@ -461,7 +471,7 @@ impl WorldBuilder {
             recorder,
             tee,
             guest: GuestStack {
-                iface: Interface::new(device, InterfaceConfig::new(GUEST_IP), clock.clone()),
+                iface: Interface::new(device, guest_cfg, clock.clone()),
                 crossing,
             },
             backend,

@@ -13,7 +13,7 @@ use cio_ctls::{
     Channel, ClientHandshake, CtlsError, RecordScratch, ServerHandshake, ServerIdentity,
 };
 use cio_netstack::stack::{Interface, InterfaceConfig, SocketHandle};
-use cio_netstack::{Ipv4Addr, NetDevice};
+use cio_netstack::NetDevice;
 use cio_sim::{Clock, SimRng, Stage, Telemetry};
 use cio_tee::attest::Measurement;
 use cio_vring::cioring::{BatchPolicy, BufPool, MAX_BATCH};
@@ -127,9 +127,10 @@ pub struct SecurePeer<D: NetDevice> {
 }
 
 impl<D: NetDevice> SecurePeer<D> {
-    /// Creates the peer, listening on both service ports.
-    pub fn new(dev: D, ip: Ipv4Addr, clock: Clock, tls: bool, seed: u64) -> Self {
-        let mut iface = Interface::new(dev, InterfaceConfig::new(ip), clock);
+    /// Creates the peer at `cfg`'s address, listening on both service
+    /// ports.
+    pub fn new(dev: D, cfg: InterfaceConfig, clock: Clock, tls: bool, seed: u64) -> Self {
+        let mut iface = Interface::new(dev, cfg, clock);
         iface.tcp_listen(ECHO_PORT);
         iface.tcp_listen(RPC_PORT);
         SecurePeer {
@@ -625,6 +626,7 @@ impl TunnelGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cio_netstack::Ipv4Addr;
 
     /// A header whose length prefix is one past [`MAX_RECORD_BODY`].
     fn oversize_header() -> [u8; 5] {
@@ -659,7 +661,7 @@ mod tests {
         );
         let (cip, pip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         let mut client = Interface::new(cdev, InterfaceConfig::new(cip), clock.clone());
-        let mut peer = SecurePeer::new(pdev, pip, clock, true, 1);
+        let mut peer = SecurePeer::new(pdev, InterfaceConfig::new(pip), clock, true, 1);
         let h = client.tcp_connect(pip, ECHO_PORT).unwrap();
         let (hello, mut stream) = SecureStream::client([5u8; 64], None);
         let mut to_send = hello;

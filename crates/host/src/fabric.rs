@@ -395,13 +395,22 @@ mod tests {
         let ip_b = Ipv4Addr::new(10, 0, 0, 2);
         let mut a = Interface::new(pa, InterfaceConfig::new(ip_a), clock.clone());
         let mut b = Interface::new(pb, InterfaceConfig::new(ip_b), clock.clone());
-        b.udp_bind(7).unwrap();
-        a.udp_send(1, ip_b, 7, b"over the fabric").unwrap();
-        for _ in 0..16 {
-            clock.advance(Cycles(200));
-            a.poll().unwrap();
-            b.poll().unwrap();
-        }
-        assert_eq!(b.udp_recv(7).unwrap().payload, b"over the fabric");
+        b.tcp_listen(7);
+        let cli = a.tcp_connect(ip_b, 7).unwrap();
+        let run = |a: &mut Interface<_>, b: &mut Interface<_>| {
+            for _ in 0..16 {
+                clock.advance(Cycles(200));
+                a.poll().unwrap();
+                b.poll().unwrap();
+            }
+        };
+        run(&mut a, &mut b);
+        let srv = b.tcp_accept(7).expect("connected over the fabric");
+        a.tcp_send(cli, b"over the fabric").unwrap();
+        run(&mut a, &mut b);
+        let echo = b.tcp_recv(srv, usize::MAX).unwrap();
+        b.tcp_send(srv, &echo).unwrap();
+        run(&mut a, &mut b);
+        assert_eq!(a.tcp_recv(cli, usize::MAX).unwrap(), b"over the fabric");
     }
 }

@@ -15,10 +15,6 @@
 //!   applies to paravirtual drivers in CVMs: *every* DMA buffer is copied
 //!   through a shared pool, "even in cases where double fetch is
 //!   impossible" (§2.5).
-//! * [`shalloc`] implements a host-distrust shared allocator in the spirit
-//!   of snmalloc's security mode (referenced by the paper for safe buffer
-//!   freeing): allocation metadata lives in guest-private memory where the
-//!   host cannot forge it.
 //!
 //! Because a real host would observe shared memory *concurrently*, the
 //! [`HostView`] is deliberately able to mutate shared pages at any point
@@ -31,11 +27,9 @@
 
 pub mod bounce;
 pub mod memory;
-pub mod shalloc;
 
 pub use bounce::{BouncePool, BounceSlot};
 pub use memory::{CopyPolicy, GuestMemory, GuestView, HostView, MemView, PageState, STRIPE_BYTES};
-pub use shalloc::SharedAlloc;
 
 /// Size of a guest page in bytes.
 pub const PAGE_SIZE: usize = 4096;

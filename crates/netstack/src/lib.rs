@@ -11,22 +11,27 @@
 //! * on the **host** for the Graphene/CCF-style L5 baseline (the stack is
 //!   host software and the guest talks sockets across the boundary).
 //!
-//! The implementation favours protocol fidelity over feature count:
-//! Ethernet II framing, ARP, IPv4 (no fragmentation — MTU is enforced, as
-//! the paper's fixed-MTU principle requires), UDP, and a TCP with the full
+//! The stack speaks exactly what the reproduction's workloads send:
+//! Ethernet II framing, IPv4 (no fragmentation — MTU is enforced, as the
+//! paper's fixed-MTU principle requires), and a TCP with the full
 //! connection state machine, retransmission, out-of-order reassembly, and
 //! flow control. Congestion control is a simple fixed window: the
 //! experiments measure interface cost, not WAN fairness.
+//!
+//! Every other protocol is dropped at the demux, because every parser
+//! here is reachable by whoever owns the fabric — in a confidential VM,
+//! the host (§2.3, Figure 2). There is no ARP: an interface's neighbour
+//! MAC is a static fact of its [`InterfaceConfig`], set when the world is
+//! assembled, the way a confidential guest takes its gateway from launch
+//! configuration rather than from frames the host sends.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arp;
 pub mod device;
 pub mod rss;
 pub mod stack;
 pub mod tcp;
-pub mod udp;
 pub mod wire;
 
 pub use device::{NetDevice, PairDevice};
@@ -48,7 +53,7 @@ pub enum NetError {
     BadSocket,
     /// The connection is not in a state that allows the operation.
     BadState,
-    /// No route / unresolved destination.
+    /// No route to the destination (off our subnet).
     Unreachable,
     /// Connection reset by peer.
     Reset,

@@ -20,23 +20,20 @@
 
 use crate::wire::{EtherType, IpProto, Ipv4Addr, ETH_HDR_LEN};
 
-/// The 4-tuple (plus protocol) identifying one transport flow.
+/// The 4-tuple identifying one TCP flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     /// Source address and port as they appear in the packet.
     pub src: (Ipv4Addr, u16),
     /// Destination address and port as they appear in the packet.
     pub dst: (Ipv4Addr, u16),
-    /// IP protocol number (TCP or UDP).
-    pub proto: u8,
 }
 
 impl FlowKey {
     /// Extracts the flow key from a raw Ethernet frame without allocating.
     ///
-    /// Returns `None` for anything that is not IPv4 TCP/UDP (ARP, ICMP,
-    /// runt frames); such traffic is not flow-steerable and belongs on
-    /// queue 0.
+    /// Returns `None` for anything that is not IPv4 TCP (runt or otherwise
+    /// malformed frames, other protocols); [`steer`] puts those on queue 0.
     pub fn from_frame(frame: &[u8]) -> Option<FlowKey> {
         if frame.len() < ETH_HDR_LEN + 20 {
             return None;
@@ -50,8 +47,7 @@ impl FlowKey {
             return None;
         }
         let ihl = usize::from(ip[0] & 0x0f) * 4;
-        let proto = ip[9];
-        if proto != u8::from(IpProto::Tcp) && proto != u8::from(IpProto::Udp) {
+        if ip[9] != u8::from(IpProto::Tcp) {
             return None;
         }
         if ip.len() < ihl + 4 {
@@ -65,12 +61,12 @@ impl FlowKey {
         Some(FlowKey {
             src: (src_ip, src_port),
             dst: (dst_ip, dst_port),
-            proto,
         })
     }
 
     /// Symmetric RSS-style hash of the flow: both directions of one flow
-    /// produce the same value.
+    /// produce the same value. TCP's protocol number is hashed last:
+    /// without it every flow would land on another queue.
     pub fn hash(&self) -> u32 {
         let a = endpoint_bytes(self.src);
         let b = endpoint_bytes(self.dst);
@@ -78,24 +74,20 @@ impl FlowKey {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let mut h = fnv1a(FNV_OFFSET, &lo);
         h = fnv1a(h, &hi);
-        fnv1a(h, &[self.proto])
+        fnv1a(h, &[u8::from(IpProto::Tcp)])
     }
 }
 
-/// Hashes an explicit 4-tuple (TCP); convenience for layers that know the
-/// flow without holding a frame.
+/// Hashes an explicit 4-tuple; convenience for layers that know the flow
+/// without holding a frame.
 pub fn flow_hash(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> u32 {
-    FlowKey {
-        src,
-        dst,
-        proto: u8::from(IpProto::Tcp),
-    }
-    .hash()
+    FlowKey { src, dst }.hash()
 }
 
 /// Steers a raw frame to a queue index under `mask` (`queues - 1`).
 ///
-/// Non-flow traffic (ARP, ICMP, malformed frames) steers to queue 0.
+/// A frame that is not IPv4 TCP — malformed, or a protocol the stack drops
+/// anyway — steers to queue 0, so steering is total.
 pub fn steer(frame: &[u8], mask: u32) -> usize {
     match FlowKey::from_frame(frame) {
         Some(key) => (key.hash() & mask) as usize,
@@ -159,7 +151,6 @@ mod tests {
         let key = FlowKey::from_frame(&tcp_frame(A, B)).expect("flow key");
         assert_eq!(key.src, A);
         assert_eq!(key.dst, B);
-        assert_eq!(key.proto, u8::from(IpProto::Tcp));
     }
 
     #[test]
@@ -182,18 +173,23 @@ mod tests {
     }
 
     #[test]
-    fn non_flow_traffic_steers_to_queue_zero() {
+    fn non_tcp_frames_steer_to_queue_zero() {
         assert_eq!(steer(b"runt", 7), 0);
-        // An ARP frame: valid Ethernet, not steerable.
-        let mut arp = Vec::new();
-        EthHeader {
-            dst: MacAddr::BROADCAST,
-            src: MacAddr([1; 6]),
-            ethertype: EtherType::Arp,
+        // Well-formed IPv4, but not TCP, or not IPv4.
+        let (mut udp, mut arp) = (tcp_frame(A, B), tcp_frame(A, B));
+        udp[ETH_HDR_LEN + 9] = 17;
+        arp[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
+        for frame in [udp, arp] {
+            assert_eq!(FlowKey::from_frame(&frame), None);
+            assert_eq!(steer(&frame, 7), 0);
         }
-        .emit(&mut arp);
-        arp.extend_from_slice(&[0u8; 28]);
-        assert_eq!(steer(&arp, 7), 0);
+    }
+
+    #[test]
+    fn the_hash_is_the_one_every_queue_was_placed_by() {
+        // FNV-1a over the canonically ordered endpoints, then the
+        // protocol byte 6: every flow's queue placement rests on it.
+        assert_eq!(flow_hash(A, B), 0xCC9F_27B9);
     }
 
     #[test]

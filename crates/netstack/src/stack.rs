@@ -1,53 +1,60 @@
-//! The interface layer: glues devices, ARP, IPv4, UDP, and TCP together.
+//! The interface layer: glues the device, IPv4 and TCP together.
 //!
-//! An [`Interface`] owns one [`NetDevice`] and multiplexes sockets over it.
-//! Everything is poll-driven: [`Interface::poll`] drains received frames,
-//! advances TCP timers, and flushes outbound segments — matching the
-//! paper's no-notifications default at every layer.
+//! An [`Interface`] owns one [`NetDevice`] and multiplexes TCP sockets
+//! over it. Everything is poll-driven: [`Interface::poll`] drains received
+//! frames, advances TCP timers, and flushes outbound segments — matching
+//! the paper's no-notifications default at every layer.
 //!
 //! A byte crosses the interface with one copy each way. Outbound, every
-//! packet is built in the interface's one frame buffer — headers written
-//! in place, TCP payload copied straight out of the connection's send
-//! ring, checksummed where it lies — and handed to the device as a slice.
-//! Inbound, the frame the device returned is parsed in place and a TCP
-//! payload is copied straight into the connection's receive ring.
+//! segment — data, control and RST alike — is built in the interface's one
+//! frame buffer: headers written in place, payload copied straight out of
+//! the connection's send ring, checksummed where it lies, and handed to
+//! the device as a slice. Inbound, the frame the device returned is parsed
+//! in place and a TCP payload is copied straight into the connection's
+//! receive ring. Anything that is not IPv4 carrying TCP is dropped at the
+//! demux.
+//!
+//! Neighbours are static: every frame goes to [`InterfaceConfig::neighbour`],
+//! resolved by nobody at run time. In a confidential VM the host owns the
+//! L2 fabric, so a resolution protocol would let it write the guest's
+//! next hop with every frame it forges.
 
-use crate::arp::ArpCache;
 use crate::device::NetDevice;
 use crate::tcp::{Connection, State, TcpConfig};
-use crate::udp::{Datagram, UdpSocket};
 use crate::wire::{
-    tcp_flags, EthHeader, EtherType, IcmpEcho, IpProto, Ipv4Addr, Ipv4Header, MacAddr, RingSlices,
-    TcpHeader, UdpHeader, ETH_HDR_LEN, ICMP_ECHO_HDR_LEN, IPV4_HDR_LEN, TCP_HDR_LEN, UDP_HDR_LEN,
+    tcp_flags, EthHeader, EtherType, IpProto, Ipv4Addr, Ipv4Header, MacAddr, RingSlices, TcpHeader,
+    ETH_HDR_LEN, IPV4_HDR_LEN, TCP_HDR_LEN,
 };
 use crate::NetError;
 use cio_sim::{Clock, SimRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
+
+/// IP TTL of every packet the interface sends.
+const TTL: u8 = 64;
+
+/// Seed of the interface's deterministic ISS and ephemeral-port stream.
+const SEED: u64 = 7;
 
 /// Static configuration of one interface.
 #[derive(Debug, Clone)]
 pub struct InterfaceConfig {
     /// Our IPv4 address.
     pub ip: Ipv4Addr,
-    /// Gateway for off-subnet traffic (None = subnet-local only).
-    pub gateway: Option<Ipv4Addr>,
+    /// The MAC every frame is addressed to: the other end of the link.
+    pub neighbour: MacAddr,
     /// TCP tuning.
     pub tcp: TcpConfig,
-    /// Deterministic seed (ISS, ephemeral ports).
-    pub seed: u64,
-    /// IP TTL for generated packets.
-    pub ttl: u8,
 }
 
 impl InterfaceConfig {
-    /// A config with defaults for the given address.
+    /// A config with defaults for the given address. The neighbour is the
+    /// broadcast address, which the other end of a point-to-point link
+    /// accepts whatever its own MAC.
     pub fn new(ip: Ipv4Addr) -> Self {
         InterfaceConfig {
             ip,
-            gateway: None,
+            neighbour: MacAddr::BROADCAST,
             tcp: TcpConfig::default(),
-            seed: 7,
-            ttl: 64,
         }
     }
 }
@@ -64,16 +71,12 @@ struct TcpSock {
     accepted: bool,
 }
 
-/// The half of an interface below the sockets: device, ARP, routing, and
+/// The half of an interface below the sockets: device, configuration, and
 /// the one buffer every outbound frame is built in. Its own struct so the
 /// TCP flush can transmit while it walks the socket table.
 struct Link<D: NetDevice> {
     dev: D,
     cfg: InterfaceConfig,
-    arp: ArpCache,
-    /// Built frames waiting for ARP resolution (destination MAC still
-    /// blank) with their next-hop IP, oldest first.
-    pending: VecDeque<(Ipv4Addr, Vec<u8>)>,
     frame: Vec<u8>,
     /// The buffer every inbound frame is received into.
     rx: Vec<u8>,
@@ -82,33 +85,29 @@ struct Link<D: NetDevice> {
 }
 
 impl<D: NetDevice> Link<D> {
-    fn next_hop(&self, dst: Ipv4Addr) -> Result<Ipv4Addr, NetError> {
+    /// Whether `dst` is on our subnet, the only destinations a
+    /// point-to-point link reaches.
+    fn route(&self, dst: Ipv4Addr) -> Result<(), NetError> {
         if self.cfg.ip.same_subnet(&dst) {
-            Ok(dst)
+            Ok(())
         } else {
-            self.cfg.gateway.ok_or(NetError::Unreachable)
+            Err(NetError::Unreachable)
         }
     }
 
-    /// Builds one IPv4 frame in the frame buffer — Ethernet and IPv4
-    /// headers, then the `transport_len` bytes `transport` appends — and
-    /// transmits it, or parks it behind an ARP request for its next hop.
-    fn send_ipv4(
+    /// Builds one TCP/IPv4 frame to the neighbour in the frame buffer and
+    /// transmits it.
+    fn send_tcp(
         &mut self,
         dst: Ipv4Addr,
-        proto: IpProto,
-        transport_len: usize,
-        transport: impl FnOnce(&mut Vec<u8>),
+        hdr: &TcpHeader,
+        payload: RingSlices,
     ) -> Result<(), NetError> {
-        if transport_len > self.dev.mtu().saturating_sub(IPV4_HDR_LEN) {
-            return Err(NetError::TooLarge);
-        }
-        let hop = self.next_hop(dst)?;
-        let mac = self.arp.lookup(hop);
+        let len = TCP_HDR_LEN + payload.0.len() + payload.1.len();
         let frame = &mut self.frame;
         frame.clear();
         EthHeader {
-            dst: mac.unwrap_or_default(),
+            dst: self.cfg.neighbour,
             src: self.dev.mac(),
             ethertype: EtherType::Ipv4,
         }
@@ -116,119 +115,46 @@ impl<D: NetDevice> Link<D> {
         Ipv4Header {
             src: self.cfg.ip,
             dst,
-            proto,
-            ttl: self.cfg.ttl,
+            proto: IpProto::Tcp,
+            ttl: TTL,
         }
-        .emit(transport_len, frame);
-        transport(frame);
-        debug_assert_eq!(frame.len(), ETH_HDR_LEN + IPV4_HDR_LEN + transport_len);
-        match mac {
-            Some(_) => self.dev.transmit(frame)?,
-            None => {
-                // Request first: a device that refuses the request has
-                // taken nothing, so the frame stays with the caller (TCP
-                // keeps it queued) instead of being parked once per retry.
-                self.dev.transmit(&self.arp.request_frame(hop))?;
-                self.pending.push_back((hop, frame.clone()));
-            }
-        }
+        .emit(len, frame);
+        hdr.emit(self.cfg.ip, dst, payload, frame);
+        debug_assert_eq!(frame.len(), ETH_HDR_LEN + IPV4_HDR_LEN + len);
+        self.dev.transmit(frame)?;
         self.tx_frames += 1;
         Ok(())
     }
-
-    fn send_tcp(
-        &mut self,
-        dst: Ipv4Addr,
-        hdr: &TcpHeader,
-        payload: RingSlices,
-    ) -> Result<(), NetError> {
-        let (src, len) = (self.cfg.ip, TCP_HDR_LEN + payload.0.len() + payload.1.len());
-        self.send_ipv4(dst, IpProto::Tcp, len, |out| {
-            hdr.emit(src, dst, payload, out);
-        })
-    }
-
-    /// Transmits every parked frame whose next hop has resolved, oldest
-    /// first. A frame leaves the queue only once the device took it: on
-    /// [`NetError::DeviceFull`] it and everything behind it stay parked
-    /// for the next poll. Any other failure loses that one frame, as a
-    /// lossy wire would, and ends the pass.
-    fn drain_pending(&mut self) -> Result<(), NetError> {
-        let mut sent = Ok(());
-        self.pending.retain_mut(|(hop, frame)| {
-            let Some(mac) = self.arp.lookup(*hop).filter(|_| sent.is_ok()) else {
-                return true;
-            };
-            frame[..6].copy_from_slice(&mac.0);
-            sent = self.dev.transmit(frame);
-            self.tx_frames += u64::from(sent.is_ok());
-            sent == Err(NetError::DeviceFull)
-        });
-        sent
-    }
 }
 
-/// A network interface with a socket API.
+/// A network interface with a TCP socket API.
 pub struct Interface<D: NetDevice> {
     link: Link<D>,
     clock: Clock,
     rng: SimRng,
-    udp: HashMap<u16, UdpSocket>,
     tcp: Vec<Option<TcpSock>>,
     /// TCP ports with a live listener.
     listening: HashSet<u16>,
-    /// Echo replies received, for [`Interface::ping_reply`].
-    ping_replies: Vec<(Ipv4Addr, u16, u16)>,
     next_ephemeral: u16,
 }
 
 impl<D: NetDevice> Interface<D> {
     /// Creates an interface over a device.
     pub fn new(dev: D, cfg: InterfaceConfig, clock: Clock) -> Self {
-        let arp = ArpCache::new(dev.mac(), cfg.ip);
-        let rng = SimRng::seed_from(cfg.seed);
         Interface {
             link: Link {
                 dev,
                 cfg,
-                arp,
-                pending: VecDeque::new(),
                 frame: Vec::new(),
                 rx: Vec::new(),
                 tx_frames: 0,
             },
             clock,
-            rng,
-            udp: HashMap::new(),
+            rng: SimRng::seed_from(SEED),
             tcp: Vec::new(),
             listening: HashSet::new(),
-            ping_replies: Vec::new(),
             next_ephemeral: 49152,
         }
-    }
-
-    /// Sends an ICMP echo request.
-    ///
-    /// # Errors
-    ///
-    /// Routing/MTU errors.
-    pub fn ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16) -> Result<(), NetError> {
-        let echo = IcmpEcho {
-            is_request: true,
-            ident,
-            seq,
-        };
-        let payload = b"cio-ping";
-        let len = ICMP_ECHO_HDR_LEN + payload.len();
-        self.link
-            .send_ipv4(dst, IpProto::Icmp, len, |out| echo.emit(payload, out))
-    }
-
-    /// Takes a received echo reply matching `ident`, if any.
-    pub fn ping_reply(&mut self, ident: u16) -> Option<(Ipv4Addr, u16)> {
-        let pos = self.ping_replies.iter().position(|(_, i, _)| *i == ident)?;
-        let (src, _, seq) = self.ping_replies.remove(pos);
-        Some((src, seq))
     }
 
     /// Our address.
@@ -241,8 +167,8 @@ impl<D: NetDevice> Interface<D> {
         self.link.dev.mac()
     }
 
-    /// Frames handed to the device so far, data, control and ARP alike
-    /// (a frame the device refused is not counted).
+    /// Frames handed to the device so far, data and control alike (a
+    /// frame the device refused is not counted).
     pub fn frames_sent(&self) -> u64 {
         self.link.tx_frames
     }
@@ -250,45 +176,6 @@ impl<D: NetDevice> Interface<D> {
     /// Direct access to the device (diagnostics).
     pub fn device_mut(&mut self) -> &mut D {
         &mut self.link.dev
-    }
-
-    // ---------- UDP ----------
-
-    /// Binds a UDP port.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Exhausted`] if the port is already bound.
-    pub fn udp_bind(&mut self, port: u16) -> Result<(), NetError> {
-        if self.udp.contains_key(&port) {
-            return Err(NetError::Exhausted);
-        }
-        self.udp.insert(port, UdpSocket::new());
-        Ok(())
-    }
-
-    /// Sends a UDP datagram from `src_port` (which need not be bound).
-    ///
-    /// # Errors
-    ///
-    /// Routing and MTU errors.
-    pub fn udp_send(
-        &mut self,
-        src_port: u16,
-        dst_ip: Ipv4Addr,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Result<(), NetError> {
-        let hdr = UdpHeader { src_port, dst_port };
-        let (src, len) = (self.link.cfg.ip, UDP_HDR_LEN + payload.len());
-        self.link.send_ipv4(dst_ip, IpProto::Udp, len, |out| {
-            hdr.emit(src, dst_ip, payload, out);
-        })
-    }
-
-    /// Receives a datagram on a bound port.
-    pub fn udp_recv(&mut self, port: u16) -> Option<Datagram> {
-        self.udp.get_mut(&port).and_then(|s| s.pop())
     }
 
     // ---------- TCP ----------
@@ -327,7 +214,7 @@ impl<D: NetDevice> Interface<D> {
     ) -> Result<SocketHandle, NetError> {
         // Every way to fail comes before the socket exists: once a slot
         // and a port are taken, the caller gets the handle that owns them.
-        self.link.next_hop(dst_ip)?;
+        self.link.route(dst_ip)?;
         let local_port = self.alloc_ephemeral()?;
         let iss = self.rng.next_u64() as u32;
         let conn = Connection::connect(
@@ -524,82 +411,28 @@ impl<D: NetDevice> Interface<D> {
         for s in self.tcp.iter_mut().flatten() {
             s.conn.on_tick();
         }
-        // Parked frames whose hop has resolved go first: they are older
-        // than anything still in an outbox. (Checked here: polls are hot
-        // and the queue is almost always empty.)
-        if !self.link.pending.is_empty() {
-            self.link.drain_pending()?;
-        }
         self.flush_tcp()?;
         Ok(processed)
     }
 
-    /// Parses one received frame where it lies and dispatches it.
+    /// Parses one received frame where it lies and hands a TCP segment
+    /// for our address to [`handle_tcp`](Self::handle_tcp); drops the rest.
     fn handle_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
         let Ok((eth, l3)) = EthHeader::parse(frame) else {
-            return Ok(()); // drop
+            return Ok(());
         };
         if eth.dst != self.link.dev.mac() && !eth.dst.is_broadcast() {
             return Ok(());
         }
-        match eth.ethertype {
-            EtherType::Arp => {
-                // Resolution may unblock parked frames; `poll` drains
-                // them once the receive loop is done.
-                if let Some(reply) = self.link.arp.handle(l3) {
-                    self.link.dev.transmit(&reply)?;
-                    self.link.tx_frames += 1;
-                }
-            }
-            EtherType::Ipv4 => {
-                let Ok((ip, l4)) = Ipv4Header::parse(l3) else {
-                    return Ok(());
-                };
-                if ip.dst != self.link.cfg.ip {
-                    return Ok(());
-                }
-                match ip.proto {
-                    IpProto::Udp => self.handle_udp(&ip, l4),
-                    IpProto::Tcp => self.handle_tcp(&ip, l4)?,
-                    IpProto::Icmp => self.handle_icmp(&ip, l4)?,
-                    IpProto::Other(_) => {}
-                }
-            }
-            EtherType::Other(_) => {}
-        }
-        Ok(())
-    }
-
-    fn handle_udp(&mut self, ip: &Ipv4Header, l4: &[u8]) {
-        let Ok((udp, payload)) = UdpHeader::parse(ip.src, ip.dst, l4) else {
-            return;
-        };
-        if let Some(sock) = self.udp.get_mut(&udp.dst_port) {
-            sock.push(Datagram {
-                src_ip: ip.src,
-                src_port: udp.src_port,
-                payload: payload.to_vec(),
-            });
-        }
-        // Unbound port: drop (no ICMP in this stack).
-    }
-
-    fn handle_icmp(&mut self, ip: &Ipv4Header, l4: &[u8]) -> Result<(), NetError> {
-        let Ok((echo, payload)) = IcmpEcho::parse(l4) else {
+        if eth.ethertype != EtherType::Ipv4 {
             return Ok(());
-        };
-        if echo.is_request {
-            let reply = IcmpEcho {
-                is_request: false,
-                ..echo
-            };
-            let len = ICMP_ECHO_HDR_LEN + payload.len();
-            self.link
-                .send_ipv4(ip.src, IpProto::Icmp, len, |out| reply.emit(payload, out))?;
-        } else {
-            self.ping_replies.push((ip.src, echo.ident, echo.seq));
         }
-        Ok(())
+        match Ipv4Header::parse(l3) {
+            Ok((ip, l4)) if ip.dst == self.link.cfg.ip && ip.proto == IpProto::Tcp => {
+                self.handle_tcp(&ip, l4)
+            }
+            _ => Ok(()),
+        }
     }
 
     fn handle_tcp(&mut self, ip: &Ipv4Header, l4: &[u8]) -> Result<(), NetError> {
@@ -689,6 +522,7 @@ mod tests {
     use super::*;
     use crate::device::PairDevice;
     use cio_sim::Cycles;
+    use std::collections::HashMap;
 
     const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -712,26 +546,6 @@ mod tests {
             }
         }
         panic!("interfaces did not settle");
-    }
-
-    #[test]
-    fn udp_end_to_end_with_arp() {
-        let (mut a, mut b) = pair();
-        b.udp_bind(5353).unwrap();
-        a.udp_send(1111, IP_B, 5353, b"ping").unwrap();
-        settle(&mut a, &mut b);
-        let d = b.udp_recv(5353).expect("datagram");
-        assert_eq!(d.payload, b"ping");
-        assert_eq!(d.src_ip, IP_A);
-        assert_eq!(d.src_port, 1111);
-    }
-
-    #[test]
-    fn udp_to_unbound_port_dropped() {
-        let (mut a, mut b) = pair();
-        a.udp_send(1, IP_B, 9, b"nobody home").unwrap();
-        settle(&mut a, &mut b);
-        assert!(b.udp_recv(9).is_none());
     }
 
     #[test]
@@ -831,7 +645,7 @@ mod tests {
     fn a_refused_first_flush_neither_fails_nor_leaks_the_connect() {
         let (mut a, mut b) = pair();
         b.tcp_listen(9000);
-        // A device with no room at all: the SYN's ARP request is refused.
+        // A device with no room at all: the SYN is refused.
         a.link.dev.capacity = 0;
         let cli = a
             .tcp_connect(IP_B, 9000)
@@ -861,43 +675,11 @@ mod tests {
         }
         assert!(a.tcp.len() <= 1, "socket table grew to {}", a.tcp.len());
         assert_eq!(a.tcp.iter().flatten().count(), 0, "ports still held");
-        assert!(a.link.pending.is_empty(), "refused frames were parked");
 
         // A connect that cannot succeed fails before it holds anything.
         let unroutable = Ipv4Addr::new(192, 168, 7, 7);
         assert_eq!(a.tcp_connect(unroutable, 9000), Err(NetError::Unreachable));
         assert_eq!(a.tcp.iter().flatten().count(), 0);
-    }
-
-    #[test]
-    fn parked_frames_survive_a_device_that_fills_at_resolution() {
-        const N: usize = 12;
-        let (mut a, mut b) = pair();
-        b.udp_bind(5353).unwrap();
-        // Park N datagrams behind the unresolved ARP entry for B.
-        for i in 0..N as u8 {
-            a.udp_send(1111, IP_B, 5353, &[i; 32]).unwrap();
-        }
-        assert_eq!(a.link.pending.len(), N);
-        // B answers the requests; A resolves with room for only 5 frames.
-        b.poll().unwrap();
-        a.link.dev.capacity = 5;
-        assert_eq!(a.poll(), Err(NetError::DeviceFull));
-        assert_eq!(a.link.pending.len(), N - 5, "unsent tail stays");
-        // Polling again as the device drains delivers the rest.
-        for _ in 0..8 {
-            b.poll().unwrap();
-            assert!(matches!(a.poll(), Ok(_) | Err(NetError::DeviceFull)));
-        }
-        assert!(a.link.pending.is_empty());
-        let got: Vec<u8> = std::iter::from_fn(|| b.udp_recv(5353))
-            .map(|d| d.payload[0])
-            .collect();
-        assert_eq!(
-            got,
-            (0..N as u8).collect::<Vec<_>>(),
-            "all N, in order, once"
-        );
     }
 
     /// A cable end that loses the first transmission of every `k`-th data
@@ -983,69 +765,114 @@ mod tests {
         assert!(link.retransmitted >= link.dropped);
     }
 
+    /// A cable end that records the destination MAC and TCP flags of
+    /// every frame it takes.
+    struct Tap {
+        inner: PairDevice,
+        sent: Vec<(MacAddr, u8)>,
+    }
+
+    impl NetDevice for Tap {
+        fn transmit(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            self.inner.transmit(frame)?;
+            let (eth, l3) = EthHeader::parse(frame).unwrap();
+            let (ip, l4) = Ipv4Header::parse(l3).unwrap();
+            let (tcp, _) = TcpHeader::parse(ip.src, ip.dst, l4).unwrap();
+            self.sent.push((eth.dst, tcp.flags));
+            Ok(())
+        }
+        fn receive(&mut self, frame: &mut Vec<u8>) -> bool {
+            self.inner.receive(frame)
+        }
+        fn mac(&self) -> MacAddr {
+            self.inner.mac()
+        }
+        fn mtu(&self) -> usize {
+            self.inner.mtu()
+        }
+    }
+
+    #[test]
+    fn every_frame_goes_to_the_configured_neighbour() {
+        let clock = Clock::new();
+        let mac_b = MacAddr([0xB; 6]);
+        let (da, db) = PairDevice::pair([MacAddr([0xA; 6]), mac_b], 1500);
+        let cfg = InterfaceConfig {
+            neighbour: mac_b,
+            ..InterfaceConfig::new(IP_A)
+        };
+        let tap = Tap {
+            inner: da,
+            sent: Vec::new(),
+        };
+        let mut a = Interface::new(tap, cfg, clock.clone());
+        let mut host = db.clone();
+        let mut b = Interface::new(db, InterfaceConfig::new(IP_B), clock);
+        let exchange = |a: &mut Interface<Tap>, b: &mut Interface<PairDevice>| {
+            for _ in 0..16 {
+                a.poll().unwrap();
+                b.poll().unwrap();
+            }
+        };
+        b.tcp_listen(80);
+        let cli = a.tcp_connect(IP_B, 80).unwrap();
+        exchange(&mut a, &mut b);
+        let srv = b.tcp_accept(80).expect("inbound connection");
+        a.tcp_send(cli, b"to the neighbour").unwrap();
+        exchange(&mut a, &mut b);
+        assert_eq!(b.tcp_recv(srv, 100).unwrap(), b"to the neighbour");
+        // Nobody listens on A's port 4444: A answers B's SYN with a RST.
+        let refused = b.tcp_connect(IP_A, 4444).unwrap();
+        exchange(&mut a, &mut b);
+        assert_eq!(b.tcp_recv(refused, 1), Err(NetError::Reset));
+        a.tcp_close(cli).unwrap();
+        exchange(&mut a, &mut b);
+        // A SYN from off our subnet, which only the fabric's owner can
+        // send, is refused through the neighbour too, and the poll that
+        // read it does not fail.
+        let far = Ipv4Addr::new(192, 168, 7, 7);
+        let mut syn = Vec::new();
+        EthHeader {
+            dst: MacAddr([0xA; 6]),
+            src: mac_b,
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut syn);
+        Ipv4Header {
+            src: far,
+            dst: IP_A,
+            proto: IpProto::Tcp,
+            ttl: TTL,
+        }
+        .emit(TCP_HDR_LEN, &mut syn);
+        let hdr = TcpHeader {
+            src_port: 1,
+            dst_port: 4444,
+            seq: 1,
+            ack: 0,
+            flags: tcp_flags::SYN,
+            window: 0,
+        };
+        hdr.emit(far, IP_A, (&[], &[]), &mut syn);
+        host.transmit(&syn).unwrap();
+        assert_eq!(a.poll(), Ok(1));
+
+        let sent = &a.link.dev.sent;
+        assert_eq!(
+            sent.last().map(|&(_, f)| f),
+            Some(tcp_flags::RST | tcp_flags::ACK)
+        );
+        let has = |flag: u8| sent.iter().any(|&(_, f)| f & flag != 0);
+        assert!(has(tcp_flags::SYN) && has(tcp_flags::RST) && has(tcp_flags::FIN));
+        assert!(sent.iter().all(|&(dst, _)| dst == mac_b), "{sent:?}");
+    }
+
     #[test]
     fn connection_to_closed_port_resets() {
         let (mut a, mut b) = pair();
         let cli = a.tcp_connect(IP_B, 4444).unwrap(); // nobody listening
         settle(&mut a, &mut b);
         assert_eq!(a.tcp_recv(cli, 1), Err(NetError::Reset));
-    }
-
-    #[test]
-    fn ping_round_trip() {
-        let (mut a, mut b) = pair();
-        a.ping(IP_B, 77, 3).unwrap();
-        settle(&mut a, &mut b);
-        assert_eq!(a.ping_reply(77), Some((IP_B, 3)));
-        assert_eq!(a.ping_reply(77), None);
-        assert_eq!(a.ping_reply(99), None);
-    }
-
-    #[test]
-    fn off_subnet_routes_via_gateway_mac() {
-        // With a gateway configured, off-subnet traffic resolves the
-        // gateway's MAC and goes out addressed to it. The gateway end is
-        // scripted by hand so the test can inspect the raw wire.
-        let clock = Clock::new();
-        let (da, mut db) = PairDevice::pair([MacAddr([0xA; 6]), MacAddr([0xB; 6])], 1500);
-        let mut cfg = InterfaceConfig::new(IP_A);
-        cfg.gateway = Some(IP_B);
-        let mut a = Interface::new(da, cfg, clock);
-        let far = Ipv4Addr::new(192, 168, 9, 9);
-        a.udp_send(1, far, 2, b"to the internet").unwrap();
-
-        // First wire frame: an ARP request for the *gateway*, not `far`.
-        let mut req = Vec::new();
-        assert!(db.receive(&mut req), "arp request");
-        let (eth, arp) = EthHeader::parse(&req).unwrap();
-        assert_eq!(eth.ethertype, EtherType::Arp);
-        let mut gw_arp = crate::arp::ArpCache::new(MacAddr([0xB; 6]), IP_B);
-        let reply = gw_arp.handle(arp).expect("request for gateway ip");
-        db.transmit(&reply).unwrap();
-        a.poll().unwrap();
-
-        // The queued data frame now goes out addressed to the gateway MAC
-        // while carrying the far destination IP.
-        let mut data = Vec::new();
-        assert!(db.receive(&mut data), "routed data frame");
-        let (eth, l3) = EthHeader::parse(&data).unwrap();
-        assert_eq!(eth.dst, MacAddr([0xB; 6]));
-        let (ip, _) = Ipv4Header::parse(l3).unwrap();
-        assert_eq!(ip.dst, far);
-    }
-
-    #[test]
-    fn off_subnet_requires_gateway() {
-        let (mut a, _b) = pair();
-        let far = Ipv4Addr::new(192, 168, 1, 1);
-        assert_eq!(a.udp_send(1, far, 2, b"x"), Err(NetError::Unreachable));
-    }
-
-    #[test]
-    fn over_mtu_payload_rejected() {
-        let (mut a, _b) = pair();
-        let big = vec![0u8; 1500];
-        assert_eq!(a.udp_send(1, IP_B, 2, &big), Err(NetError::TooLarge));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Wire formats: Ethernet II, ARP, IPv4, ICMP echo, UDP, TCP.
+//! Wire formats: Ethernet II, IPv4, TCP — the only ones the stack speaks.
 //!
 //! Each layer is a header type with one parser and one emitter. `parse`
 //! validates in place and returns the header by value plus the payload as
@@ -63,8 +63,6 @@ impl std::fmt::Display for Ipv4Addr {
 pub enum EtherType {
     /// IPv4 (0x0800).
     Ipv4,
-    /// ARP (0x0806).
-    Arp,
     /// Anything else (carried, not interpreted).
     Other(u16),
 }
@@ -73,7 +71,6 @@ impl From<u16> for EtherType {
     fn from(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
-            0x0806 => EtherType::Arp,
             other => EtherType::Other(other),
         }
     }
@@ -83,7 +80,6 @@ impl From<EtherType> for u16 {
     fn from(e: EtherType) -> u16 {
         match e {
             EtherType::Ipv4 => 0x0800,
-            EtherType::Arp => 0x0806,
             EtherType::Other(v) => v,
         }
     }
@@ -93,10 +89,6 @@ impl From<EtherType> for u16 {
 pub const ETH_HDR_LEN: usize = 14;
 /// IPv4 header length (no options supported).
 pub const IPV4_HDR_LEN: usize = 20;
-/// ICMP echo header length.
-pub const ICMP_ECHO_HDR_LEN: usize = 8;
-/// UDP header length.
-pub const UDP_HDR_LEN: usize = 8;
 /// TCP header length (no options beyond MSS on SYN).
 pub const TCP_HDR_LEN: usize = 20;
 
@@ -180,22 +172,16 @@ pub fn inet_checksum(data: &[u8]) -> u16 {
 /// IP protocol numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpProto {
-    /// ICMP (1).
-    Icmp,
     /// TCP (6).
     Tcp,
-    /// UDP (17).
-    Udp,
-    /// Unknown (carried).
+    /// Anything else (carried, not interpreted).
     Other(u8),
 }
 
 impl From<u8> for IpProto {
     fn from(v: u8) -> Self {
         match v {
-            1 => IpProto::Icmp,
             6 => IpProto::Tcp,
-            17 => IpProto::Udp,
             other => IpProto::Other(other),
         }
     }
@@ -204,67 +190,9 @@ impl From<u8> for IpProto {
 impl From<IpProto> for u8 {
     fn from(p: IpProto) -> u8 {
         match p {
-            IpProto::Icmp => 1,
             IpProto::Tcp => 6,
-            IpProto::Udp => 17,
             IpProto::Other(v) => v,
         }
-    }
-}
-
-/// The header of an ICMP echo message (request or reply) — the only ICMP
-/// types the stack speaks; everything else is dropped like any unknown
-/// protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IcmpEcho {
-    /// True for echo request (type 8), false for reply (type 0).
-    pub is_request: bool,
-    /// Identifier (socket-like demux key).
-    pub ident: u16,
-    /// Sequence number.
-    pub seq: u16,
-}
-
-impl IcmpEcho {
-    /// Parses an ICMP echo message, verifying the checksum; returns the
-    /// header and the echoed payload.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Malformed`] for non-echo types or truncation;
-    /// [`NetError::BadChecksum`] on checksum failure.
-    pub fn parse(data: &[u8]) -> Result<(IcmpEcho, &[u8]), NetError> {
-        if data.len() < ICMP_ECHO_HDR_LEN {
-            return Err(NetError::Malformed);
-        }
-        let is_request = match data[0] {
-            8 => true,
-            0 => false,
-            _ => return Err(NetError::Malformed),
-        };
-        if data[1] != 0 {
-            return Err(NetError::Malformed);
-        }
-        if inet_checksum(data) != 0 {
-            return Err(NetError::BadChecksum);
-        }
-        let hdr = IcmpEcho {
-            is_request,
-            ident: u16::from_be_bytes([data[4], data[5]]),
-            seq: u16::from_be_bytes([data[6], data[7]]),
-        };
-        Ok((hdr, &data[ICMP_ECHO_HDR_LEN..]))
-    }
-
-    /// Appends the message (header, `payload`, checksum) to `out`.
-    pub fn emit(&self, payload: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&[if self.is_request { 8 } else { 0 }, 0, 0, 0]);
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(payload);
-        let csum = inet_checksum(&out[start..]);
-        out[start + 2..start + 4].copy_from_slice(&csum.to_be_bytes());
     }
 }
 
@@ -352,59 +280,6 @@ pub fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, segment:
         + u64::from(u8::from(proto))
         + u64::from(segment.len() as u16);
     fold_checksum(pseudo + ones_sum(segment))
-}
-
-/// The UDP header (length and checksum are derived on emit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpHeader {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-}
-
-impl UdpHeader {
-    /// Parses a UDP datagram, verifying the checksum against the
-    /// pseudo-header; returns the header and the payload.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Malformed`] / [`NetError::BadChecksum`].
-    pub fn parse(
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        data: &[u8],
-    ) -> Result<(UdpHeader, &[u8]), NetError> {
-        if data.len() < UDP_HDR_LEN {
-            return Err(NetError::Malformed);
-        }
-        let len = usize::from(u16::from_be_bytes([data[4], data[5]]));
-        if len < UDP_HDR_LEN || len > data.len() {
-            return Err(NetError::Malformed);
-        }
-        let csum = u16::from_be_bytes([data[6], data[7]]);
-        if csum != 0 && transport_checksum(src, dst, IpProto::Udp, &data[..len]) != 0 {
-            return Err(NetError::BadChecksum);
-        }
-        let hdr = UdpHeader {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-        };
-        Ok((hdr, &data[UDP_HDR_LEN..len]))
-    }
-
-    /// Appends the datagram (header, `payload`, checksum) to `out`.
-    pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&((UDP_HDR_LEN + payload.len()) as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(payload);
-        let csum = transport_checksum(src, dst, IpProto::Udp, &out[start..]);
-        let csum = if csum == 0 { 0xFFFF } else { csum };
-        out[start + 6..start + 8].copy_from_slice(&csum.to_be_bytes());
-    }
 }
 
 /// TCP flag bits.
@@ -529,69 +404,6 @@ impl TcpSegment {
     }
 }
 
-/// An ARP packet (Ethernet/IPv4 only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArpPacket {
-    /// True for request, false for reply.
-    pub is_request: bool,
-    /// Sender MAC.
-    pub sender_mac: MacAddr,
-    /// Sender IPv4.
-    pub sender_ip: Ipv4Addr,
-    /// Target MAC (zero in requests).
-    pub target_mac: MacAddr,
-    /// Target IPv4.
-    pub target_ip: Ipv4Addr,
-}
-
-impl ArpPacket {
-    /// Parses an ARP packet.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Malformed`] if not Ethernet/IPv4 ARP.
-    pub fn parse(data: &[u8]) -> Result<ArpPacket, NetError> {
-        if data.len() < 28 {
-            return Err(NetError::Malformed);
-        }
-        if data[0..2] != [0, 1] || data[2..4] != [8, 0] || data[4] != 6 || data[5] != 4 {
-            return Err(NetError::Malformed);
-        }
-        let op = u16::from_be_bytes([data[6], data[7]]);
-        if op != 1 && op != 2 {
-            return Err(NetError::Malformed);
-        }
-        let mac = |o: usize| {
-            let mut m = [0u8; 6];
-            m.copy_from_slice(&data[o..o + 6]);
-            MacAddr(m)
-        };
-        let ip = |o: usize| Ipv4Addr([data[o], data[o + 1], data[o + 2], data[o + 3]]);
-        Ok(ArpPacket {
-            is_request: op == 1,
-            sender_mac: mac(8),
-            sender_ip: ip(14),
-            target_mac: mac(18),
-            target_ip: ip(24),
-        })
-    }
-
-    /// Serializes the packet.
-    pub fn build(&self) -> Vec<u8> {
-        let mut out = vec![0u8; 28];
-        out[0..2].copy_from_slice(&[0, 1]);
-        out[2..4].copy_from_slice(&[8, 0]);
-        out[4] = 6;
-        out[5] = 4;
-        out[6..8].copy_from_slice(&(if self.is_request { 1u16 } else { 2 }).to_be_bytes());
-        out[8..14].copy_from_slice(&self.sender_mac.0);
-        out[14..18].copy_from_slice(&self.sender_ip.0);
-        out[18..24].copy_from_slice(&self.target_mac.0);
-        out[24..28].copy_from_slice(&self.target_ip.0);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,7 +467,7 @@ mod tests {
         let h = Ipv4Header {
             src: A,
             dst: B,
-            proto: IpProto::Udp,
+            proto: IpProto::Other(17),
             ttl: 64,
         };
         let mut bytes = Vec::new();
@@ -697,29 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn udp_roundtrip_and_checksum() {
-        let h = UdpHeader {
-            src_port: 1234,
-            dst_port: 53,
-        };
-        let mut bytes = Vec::new();
-        h.emit(A, B, b"query", &mut bytes);
-        assert_eq!(UdpHeader::parse(A, B, &bytes).unwrap(), (h, &b"query"[..]));
-        // Wrong pseudo-header fails. (Note: merely *swapping* src and dst
-        // does not change the one's-complement sum — use a different
-        // address.)
-        let other = Ipv4Addr::new(10, 0, 0, 7);
-        assert_eq!(
-            UdpHeader::parse(A, other, &bytes),
-            Err(NetError::BadChecksum)
-        );
-        // Payload corruption fails.
-        let mut bad = bytes.clone();
-        *bad.last_mut().unwrap() ^= 1;
-        assert_eq!(UdpHeader::parse(A, B, &bad), Err(NetError::BadChecksum));
-    }
-
-    #[test]
     fn tcp_roundtrip_and_checksum() {
         let s = TcpSegment {
             hdr: TcpHeader {
@@ -737,43 +526,5 @@ mod tests {
         let mut bad = bytes.clone();
         bad[4] ^= 0xFF; // corrupt seq
         assert_eq!(TcpSegment::parse(A, B, &bad), Err(NetError::BadChecksum));
-    }
-
-    #[test]
-    fn icmp_echo_roundtrip_and_validation() {
-        let e = IcmpEcho {
-            is_request: true,
-            ident: 0x1234,
-            seq: 7,
-        };
-        let mut bytes = Vec::new();
-        e.emit(b"ping payload", &mut bytes);
-        assert_eq!(
-            IcmpEcho::parse(&bytes).unwrap(),
-            (e, b"ping payload".as_slice())
-        );
-        let mut bad = bytes.clone();
-        bad[9] ^= 1;
-        assert_eq!(IcmpEcho::parse(&bad), Err(NetError::BadChecksum));
-        let mut wrong_type = bytes;
-        wrong_type[0] = 3;
-        assert_eq!(IcmpEcho::parse(&wrong_type), Err(NetError::Malformed));
-        assert_eq!(IcmpEcho::parse(&[8, 0, 0]), Err(NetError::Malformed));
-    }
-
-    #[test]
-    fn arp_roundtrip() {
-        let a = ArpPacket {
-            is_request: true,
-            sender_mac: MacAddr([1; 6]),
-            sender_ip: A,
-            target_mac: MacAddr::default(),
-            target_ip: B,
-        };
-        let bytes = a.build();
-        assert_eq!(ArpPacket::parse(&bytes).unwrap(), a);
-        let mut bad = bytes.clone();
-        bad[6..8].copy_from_slice(&9u16.to_be_bytes());
-        assert_eq!(ArpPacket::parse(&bad), Err(NetError::Malformed));
     }
 }

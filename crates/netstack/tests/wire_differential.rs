@@ -268,19 +268,17 @@ fn in_place_emit_is_byte_identical_to_the_owned_chain() {
     }
 }
 
-/// An interface at `MAC_B`/`IP_B` with no sockets and its peer's ARP entry
-/// learned, plus the peer's end of the cable. A TCP segment that passes
-/// every check on the way in is answered with exactly one RST; anything
-/// dropped on the way is answered with nothing.
+/// An interface at `MAC_B`/`IP_B` with no sockets and `MAC_A` for its
+/// neighbour, plus the neighbour's end of the cable. A TCP segment that
+/// passes every check on the way in is answered with exactly one RST;
+/// anything dropped on the way is answered with nothing.
 fn probe() -> (Interface<PairDevice>, PairDevice) {
     let (peer, dev) = PairDevice::pair([MAC_A, MAC_B], 1500);
-    let mut iface = Interface::new(dev, InterfaceConfig::new(IP_B), Clock::new());
-    let mut peer = peer;
-    let who_has = cio_netstack::arp::ArpCache::new(MAC_A, IP_A).request_frame(IP_B);
-    peer.transmit(&who_has).unwrap();
-    iface.poll().unwrap();
-    assert!(peer.receive(&mut Vec::new()), "arp reply");
-    (iface, peer)
+    let cfg = InterfaceConfig {
+        neighbour: MAC_A,
+        ..InterfaceConfig::new(IP_B)
+    };
+    (Interface::new(dev, cfg, Clock::new()), peer)
 }
 
 /// Feeds `frame` to the probe and checks its reaction against the oracle's
@@ -461,7 +459,7 @@ fn checksums_equal_the_rfc1071_reference() {
                     Some(0xFF) => (Ipv4Addr([0xFF; 4]), Ipv4Addr([0xFF; 4])),
                     _ => (IP_A, IP_B),
                 };
-                for proto in [IpProto::Tcp, IpProto::Udp] {
+                for proto in [IpProto::Tcp, IpProto::Other(17)] {
                     assert_eq!(
                         transport_checksum(src, dst, proto, &data),
                         oracle::transport_checksum(src, dst, proto.into(), &data),

@@ -188,7 +188,7 @@ pub const TCB_SPECS: [TcbSpec; 7] = [
 /// with the reason — the coverage test fails on any file that is neither
 /// here nor charged to some design, so nothing is "charged to nobody" by
 /// accident.
-pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 5] = [
+pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 4] = [
     (
         "vring/src/netvsc.rs",
         "Figure 3's NetVSC scenario only; no BoundaryKind runs over it",
@@ -200,10 +200,6 @@ pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 5] = [
     (
         "vring/src/virtqueue/device.rs",
         "the host's model of the device side: untrusted by definition",
-    ),
-    (
-        "mem/src/shalloc.rs",
-        "the §3.2 host-distrust allocator: property-tested, wired to no design",
     ),
     (
         "tee/src/trust.rs",

@@ -838,25 +838,3 @@ fn filesystem_matches_reference_model() {
         assert_eq!(back, model);
     }
 }
-
-/// The shared allocator never hands out overlapping live buffers.
-#[test]
-fn shared_alloc_no_overlap() {
-    use cio_mem::SharedAlloc;
-    let mut rng = SimRng::seed_from(0x0541a9);
-    for _case in 0..24 {
-        let mem = GuestMemory::new(80, Clock::new(), CostModel::default(), Meter::new());
-        let mut alloc = SharedAlloc::new(&mem, GuestAddr(0), 32).unwrap();
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let n = rng.range(1, 40);
-        for _ in 0..n {
-            let s = rng.range(1, 4096);
-            let Ok(buf) = alloc.alloc(s) else { continue };
-            let (a, b) = (buf.addr.0, buf.addr.0 + buf.len as u64);
-            for &(x, y) in &live {
-                assert!(b <= x || a >= y, "overlap [{a},{b}) vs [{x},{y})");
-            }
-            live.push((a, b));
-        }
-    }
-}
