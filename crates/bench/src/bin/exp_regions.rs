@@ -1,4 +1,4 @@
-//! §3.2's conclusions as regions of cost space (EXPERIMENTS E5–E9, E12,
+//! §3.2's conclusions as regions of cost space (EXPERIMENTS E5, E7–E9, E12,
 //! E13, E15): every row of [`cio_bench::regions::ROWS`] over the full grid
 //! of its cost axes.
 //!

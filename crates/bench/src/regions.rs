@@ -1,4 +1,4 @@
-//! §3.2's conclusions as regions of cost space (EXPERIMENTS E5–E9, E12,
+//! §3.2's conclusions as regions of cost space (EXPERIMENTS E5, E7–E9, E12,
 //! E13, E15): one table, one row per conclusion.
 //!
 //! A row names a *scenario* — a function from one grid point (the
@@ -19,7 +19,6 @@ use cio::world::BoundaryKind::{self, Dda, DualBoundary, L2CioRing, L2VirtioHarde
 use cio::world::{World, WorldOptions, ECHO_PORT};
 use cio_sim::Cycles;
 use cio_tee::TeeKind;
-use cio_vring::cioring::DataMode;
 
 /// One axis of the cost grid: what it moves and the levels every row reads
 /// it at, the default model's value among them.
@@ -166,22 +165,6 @@ fn hardening_tax(o: &WorldOptions) -> Values {
             v.put(cell("copies"), m.copies as f64);
             v.put(cell("validations"), m.validations as f64);
             v.put(cell("notifications"), notifications);
-        }
-    }
-    v
-}
-
-const E6_SIZES: [usize; 5] = [16, 64, 256, 1024, 1500];
-
-fn data_positioning(o: &WorldOptions) -> Values {
-    let mut v = Values::default();
-    for size in E6_SIZES {
-        for mode in [DataMode::Inline, DataMode::SharedArea] {
-            let r = cio_oneway(mode, size, 512, o.cost.clone());
-            let cell = |what: &str| format!("{mode:?} {what} @{size}");
-            v.put(cell("cyc/transfer"), r.cycles_per_frame(512) as f64);
-            v.put(cell("Gbit/s"), r.gbps(o.cost.ghz));
-            v.put(cell("validations"), r.meter.validations as f64);
         }
     }
     v
@@ -337,7 +320,7 @@ fn ablation(o: &WorldOptions) -> Values {
     let mut v = Values::default();
     let mut free = o.cost.clone();
     free.validate_field = Cycles(0);
-    let transfer = |c| cio_oneway(DataMode::SharedArea, 1500, 512, c).cycles_per_frame(512) as f64;
+    let transfer = |c| cio_oneway(1500, 512, c).cycles_per_frame(512) as f64;
     let (with, without) = (transfer(o.cost.clone()), transfer(free));
     v.put("checks charged cyc/transfer", with);
     v.put("checks free cyc/transfer", without);
@@ -357,7 +340,7 @@ fn ablation(o: &WorldOptions) -> Values {
 /// ring: the index is published every `publish_every` messages and the
 /// consumer drains the ring after every `burst`.
 fn ring_run(o: &WorldOptions, slots: u32, burst: u32, publish_every: u32, total: u32) -> f64 {
-    let mut cfg = bench_ring_config(DataMode::SharedArea, 1600);
+    let mut cfg = bench_ring_config(1600);
     (cfg.slots, cfg.area_size) = (slots, slots * 2048);
     let (mem, mut gp, mut hc, _hp, _gc) = cio_pair(cfg, o.cost.clone());
     let t0 = mem.clock().now();
@@ -409,19 +392,6 @@ pub const ROWS: &[Row] = &[
                     && cyc("cio-ring (copy)", s) < cyc("virtio-hardened", s)
                     && cyc("cio-ring (zero-copy)", s) < cyc("cio-ring (copy)", s)
             })
-        },
-    },
-    Row {
-        id: "E6",
-        reading: "inline data beats the shared area at every payload size, by a share of the \
-                  transfer that shrinks as payloads grow",
-        axes: &[COPY],
-        scenario: data_positioning,
-        holds: |v| {
-            // Shared-area over inline cycles: above 1 at the largest size
-            // and falling with size, so above 1 at every size.
-            let ratio = |s| v.at("SharedArea cyc/transfer", s) / v.at("Inline cyc/transfer", s);
-            ratio(1500) > 1.0 && E6_SIZES.windows(2).all(|w| ratio(w[1]) < ratio(w[0]))
         },
     },
     Row {
@@ -588,10 +558,6 @@ mod tests {
             ("E5", "cio-ring (copy) cyc/frame @1500", "2_526"),
             ("E5", "cio-ring (zero-copy) cyc/frame @1500", "1_986"),
             ("E5", "cio-ring (zero-copy) vs unhardened @64", "0.82"),
-            ("E6", "Inline cyc/transfer @16", "221"),
-            ("E6", "SharedArea cyc/transfer @16", "275"),
-            ("E6", "Inline cyc/transfer @1500", "1_209"),
-            ("E6", "SharedArea cyc/transfer @1500", "1_263"),
             ("E7", "copy cyc @32768", "22_109"),
             ("E7", "revoke cyc @32768", "21_946"),
             ("E7", "revoke cyc @16384", "11_685"),

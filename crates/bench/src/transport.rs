@@ -3,7 +3,7 @@
 
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Cycles, Meter, MeterSnapshot};
-use cio_vring::cioring::{CioRing, Consumer, DataMode, NotifyMode, Producer, RingConfig};
+use cio_vring::cioring::{CioRing, Consumer, NotifyMode, Producer, RingConfig};
 use cio_vring::hardened::HardenedDriver;
 use cio_vring::virtqueue::{
     driver_negotiate, ConfigSpace, DescSeg, DeviceSide, Driver, Layout, F_NET_MAC, F_NET_MTU,
@@ -228,17 +228,11 @@ fn virtio_echo(hardened: bool, size: usize, frames: u32, cost: CostModel) -> Tra
 }
 
 /// Ring config for transport benches with `mtu` payload capacity.
-pub fn bench_ring_config(mode: DataMode, mtu: u32) -> RingConfig {
+pub fn bench_ring_config(mtu: u32) -> RingConfig {
     let slots = 64u32;
     let stride = mtu.next_power_of_two().max(64);
     RingConfig {
         slots,
-        slot_size: if mode == DataMode::Inline {
-            (mtu + 4).next_power_of_two().max(16)
-        } else {
-            16
-        },
-        mode,
         mtu,
         area_size: slots * stride,
         notify: NotifyMode::Polling,
@@ -282,9 +276,7 @@ pub fn cio_pair(
         mem.share_range(base, ring.ring_bytes()).unwrap();
     }
     for (base, ring) in [(tx_area, &tx_ring), (rx_area, &rx_ring)] {
-        if ring.area_bytes() > 0 {
-            mem.share_range(base, ring.area_bytes()).unwrap();
-        }
+        mem.share_range(base, ring.area_bytes()).unwrap();
     }
     let mut gp = Producer::new(tx_ring.clone(), mem.guest()).unwrap();
     let mut hc = Consumer::new(tx_ring, mem.host()).unwrap();
@@ -300,7 +292,7 @@ pub fn cio_pair(
 }
 
 fn cio_echo(zero_copy: bool, size: usize, frames: u32, cost: CostModel) -> TransportResult {
-    let cfg = bench_ring_config(DataMode::SharedArea, size as u32 + 64);
+    let cfg = bench_ring_config(size as u32 + 64);
     let (mem, mut gp, mut hc, mut hp, mut gc) = cio_pair(cfg, cost);
     if zero_copy {
         gp.set_copy_policy(CopyPolicy::InPlace);
@@ -324,10 +316,9 @@ fn cio_echo(zero_copy: bool, size: usize, frames: u32, cost: CostModel) -> Trans
     }
 }
 
-/// One-way delivery with a chosen data-positioning mode (E6): guest
-/// produces, host consumes.
-pub fn cio_oneway(mode: DataMode, size: usize, frames: u32, cost: CostModel) -> TransportResult {
-    let cfg = bench_ring_config(mode, size as u32 + 64);
+/// One-way delivery: guest produces, host consumes.
+pub fn cio_oneway(size: usize, frames: u32, cost: CostModel) -> TransportResult {
+    let cfg = bench_ring_config(size as u32 + 64);
     let (mem, mut gp, mut hc, _hp, _gc) = cio_pair(cfg, cost);
     let payload = vec![0x5Au8; size];
     let t0 = mem.clock().now();
@@ -354,7 +345,6 @@ pub fn rx_delivery(revoke: bool, size: usize, frames: u32, cost: CostModel) -> T
     let cfg = RingConfig {
         slots,
         slot_size: 16,
-        mode: DataMode::SharedArea,
         mtu: size as u32,
         area_size: slots * stride,
         page_aligned_payloads: true,
@@ -393,7 +383,7 @@ pub fn notify_bench(
     idle_polls: u32,
     cost: CostModel,
 ) -> TransportResult {
-    let mut cfg = bench_ring_config(DataMode::SharedArea, 1514);
+    let mut cfg = bench_ring_config(1514);
     cfg.notify = if doorbell {
         NotifyMode::Doorbell
     } else {
@@ -450,10 +440,8 @@ mod tests {
     }
 
     #[test]
-    fn all_data_modes_deliver() {
-        for mode in [DataMode::Inline, DataMode::SharedArea] {
-            let r = cio_oneway(mode, 512, 32, CostModel::default());
-            assert_eq!(r.bytes, 32 * 512, "{mode:?}");
-        }
+    fn oneway_delivers_every_frame() {
+        let r = cio_oneway(512, 32, CostModel::default());
+        assert_eq!(r.bytes, 32 * 512);
     }
 }

@@ -3,7 +3,7 @@
 use cio_mem::{CopyPolicy, GuestView};
 use cio_netstack::{MacAddr, NetDevice, NetError};
 use cio_sim::{Clock, Cycles};
-use cio_vring::cioring::{BatchPolicy, BufPool, Consumer, Producer, MAX_BATCH};
+use cio_vring::cioring::{BatchPolicy, Consumer, Producer, MAX_BATCH};
 use std::collections::VecDeque;
 
 /// The LightBox-style tunnel device: whole L2 frames sealed into a cTLS
@@ -33,9 +33,10 @@ pub struct TunnelDevice {
     tx_pending: VecDeque<Vec<u8>>,
     /// Virtual time the oldest pending frame was accepted.
     tx_pending_since: Option<Cycles>,
-    /// Pool backing `tx_pending`, so steady-state transmit allocates
-    /// nothing once the pool has warmed up.
-    pool: BufPool,
+    /// Free list backing `tx_pending` and `rx_pending` (at most
+    /// [`MAX_BATCH`] idle buffers, each keeping its capacity), so the
+    /// steady state allocates nothing once it has warmed up.
+    free: Vec<Vec<u8>>,
     /// Plaintexts opened by one receive pass, handed out one per
     /// `receive` call.
     rx_pending: VecDeque<Vec<u8>>,
@@ -63,7 +64,7 @@ impl TunnelDevice {
             clock,
             tx_pending: VecDeque::new(),
             tx_pending_since: None,
-            pool: BufPool::new(MAX_BATCH),
+            free: Vec::with_capacity(MAX_BATCH),
             rx_pending: VecDeque::new(),
             batch_outs: std::iter::repeat_with(cio_ctls::RecordScratch::new)
                 .take(MAX_BATCH)
@@ -128,7 +129,7 @@ impl TunnelDevice {
             self.inner_tx.kick();
             for _ in 0..g {
                 if let Some(buf) = self.tx_pending.pop_front() {
-                    self.pool.put(buf);
+                    recycle(&mut self.free, buf);
                 }
             }
         }
@@ -146,7 +147,7 @@ impl TunnelDevice {
         let chan = &mut self.chan;
         let outs = &mut self.batch_outs;
         let rx_pending = &mut self.rx_pending;
-        let pool = &mut self.pool;
+        let free = &mut self.free;
         self.inner_rx
             .consume_batch_in_place(self.batch.max_batch(), |slots| {
                 let k = slots.len();
@@ -158,13 +159,22 @@ impl TunnelDevice {
                 chan.open_batch_in_slots(&recs[..k], &mut outs[..k], &mut results[..k]);
                 for (out, res) in outs[..k].iter().zip(&results[..k]) {
                     if res.is_ok() {
-                        let mut frame = pool.get();
+                        let mut frame = free.pop().unwrap_or_default();
                         frame.extend_from_slice(out.as_slice());
                         rx_pending.push_back(frame);
                     }
                 }
             })
             .unwrap_or(0)
+    }
+}
+
+/// Hands `buf` back to the free list, cleared, unless [`MAX_BATCH`]
+/// buffers already wait there.
+fn recycle(free: &mut Vec<Vec<u8>>, mut buf: Vec<u8>) {
+    if free.len() < MAX_BATCH {
+        buf.clear();
+        free.push(buf);
     }
 }
 
@@ -181,7 +191,7 @@ impl NetDevice for TunnelDevice {
             return Err(NetError::DeviceFull);
         }
         let now = self.clock.now();
-        let mut buf = self.pool.get();
+        let mut buf = self.free.pop().unwrap_or_default();
         buf.extend_from_slice(frame);
         self.tx_pending.push_back(buf);
         let since = *self.tx_pending_since.get_or_insert(now);
@@ -205,7 +215,7 @@ impl NetDevice for TunnelDevice {
         loop {
             if let Some(mut next) = self.rx_pending.pop_front() {
                 std::mem::swap(frame, &mut next);
-                self.pool.put(next);
+                recycle(&mut self.free, next);
                 return true;
             }
             if self.drain_rx() == 0 {

@@ -83,9 +83,7 @@ fn alloc_rings(
         let base = layout.alloc_pages(ring_pages)?;
         let ring = CioRing::new(cfg.clone(), base, area)?;
         mem.share_range(base, ring.ring_bytes())?;
-        if ring.area_bytes() > 0 {
-            mem.share_range(area, ring.area_bytes())?;
-        }
+        mem.share_range(area, ring.area_bytes())?;
         rings.push(ring);
     }
     let mut rings = rings.into_iter();

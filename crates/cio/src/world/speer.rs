@@ -16,7 +16,7 @@ use cio_netstack::stack::{Interface, InterfaceConfig, SocketHandle};
 use cio_netstack::NetDevice;
 use cio_sim::{Clock, SimRng, Stage, Telemetry};
 use cio_tee::attest::Measurement;
-use cio_vring::cioring::{BatchPolicy, BufPool, MAX_BATCH};
+use cio_vring::cioring::{BatchPolicy, MAX_BATCH};
 
 /// Echo service port.
 pub const ECHO_PORT: u16 = 7;
@@ -36,6 +36,9 @@ pub fn peer_measurement() -> Measurement {
 /// host-writable (the carrier is untrusted), so a larger one fails the
 /// stream closed instead of buffering toward it.
 const MAX_RECORD_BODY: usize = 1 << 22;
+
+/// Receive buffers of closed connections kept for reuse.
+const FREE_INBUFS: usize = 8;
 
 /// Gathers the run of complete `[len u32-le][body]` records buffered at
 /// the head of `inbuf` — at most `outs.len()`, the batch policy's run
@@ -105,13 +108,15 @@ struct PeerConn {
 /// opened in place out of the connection's receive buffer into reusable
 /// scratches, responses are sealed straight into the reusable send
 /// buffer, and receive buffers of closed connections are recycled
-/// through a small [`BufPool`].
+/// through a small free list.
 pub struct SecurePeer<D: NetDevice> {
     iface: Interface<D>,
     tls: bool,
     rng: SimRng,
     conns: Vec<PeerConn>,
-    pool: BufPool,
+    /// Cleared receive buffers of closed connections, capacity kept (at
+    /// most [`FREE_INBUFS`]).
+    free: Vec<Vec<u8>>,
     txbuf: Vec<u8>,
     telemetry: Telemetry,
     /// Per-record scratches for the open pass, one per record of the
@@ -138,7 +143,7 @@ impl<D: NetDevice> SecurePeer<D> {
             tls,
             rng: SimRng::seed_from(seed),
             conns: Vec::new(),
-            pool: BufPool::default(),
+            free: Vec::with_capacity(FREE_INBUFS),
             txbuf: Vec::new(),
             telemetry: Telemetry::disabled(),
             batch_outs: vec![RecordScratch::new()],
@@ -200,7 +205,7 @@ impl<D: NetDevice> SecurePeer<D> {
         let mut received = self.iface.poll().unwrap_or(0);
         for port in [ECHO_PORT, RPC_PORT] {
             while let Some(h) = self.iface.tcp_accept(port) {
-                let inbuf = self.pool.get();
+                let inbuf = self.free.pop().unwrap_or_default();
                 self.conns.push(PeerConn {
                     h,
                     port,
@@ -359,8 +364,11 @@ impl<D: NetDevice> SecurePeer<D> {
         dead.sort_unstable();
         dead.dedup();
         for i in dead.into_iter().rev() {
-            let conn = self.conns.remove(i);
-            self.pool.put(conn.inbuf);
+            let mut conn = self.conns.remove(i);
+            if self.free.len() < FREE_INBUFS {
+                conn.inbuf.clear();
+                self.free.push(conn.inbuf);
+            }
         }
         received += self.iface.poll().unwrap_or(0);
         received + (self.iface.frames_sent() - sent_before) as usize

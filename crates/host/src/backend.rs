@@ -95,8 +95,13 @@ pub const REPOLL_EVERY: u32 = 64;
 /// NAPI-style poll-vs-notify controller for one host queue
 /// ([`NotifyPolicy::Adaptive`]).
 ///
-/// While a queue is *hot* the host services it every round (polling —
-/// the event-idx window keeps guest doorbells suppressed for free).
+/// While a queue is *hot* the host services it every round. That does
+/// not keep guest doorbells suppressed: the host's consumer republishes
+/// its event index on every empty drain after it consumed anything
+/// (`Consumer::note_empty`), so the guest's next publish crosses it and
+/// exits, although the host will poll next round anyway. This is why
+/// E23's `event-idx` and `adaptive` rows read the same (ROADMAP item 25:
+/// arm only on the pass that turns the gate cold).
 /// After a budget of consecutive empty passes the gate goes cold and
 /// service passes are skipped outright, charging nothing, until a
 /// doorbell, staged inbound work, or the [`REPOLL_EVERY`] heartbeat

@@ -26,12 +26,13 @@
 //! few-line adapter over a run of one or a different buffer shape, with
 //! bit-identical charges.
 //!
-//! Payload placement is configurable for experiment E6:
-//! [`DataMode::Inline`] (payload in the slot) and [`DataMode::SharedArea`]
-//! (slot holds offset+len into a dedicated area, one fetch). For E7, a
-//! page-aligned area enables [`Consumer::consume_revoking`], which
-//! un-shares the payload pages instead of copying; it lives in the child
-//! module `revoke`, because no world's device runs it.
+//! Payloads have one layout: each slot holds `{offset, len}` into a
+//! dedicated shared area, each field fetched once (E6 measured payloads
+//! inline in the slot against it; that arm is a recorded result in
+//! EXPERIMENTS). For E7, a page-aligned area enables
+//! [`Consumer::consume_revoking`], which un-shares the payload pages
+//! instead of copying; it lives in the child module `revoke`, because no
+//! world's device runs it.
 
 mod revoke;
 
@@ -41,11 +42,13 @@ use crate::{RingError, Violation};
 use cio_mem::{CopyPolicy, GuestAddr, MemView, PAGE_SIZE};
 use cio_sim::{Cycles, Stage, Telemetry};
 
-/// Where payload bytes live relative to the ring.
+/// Where payload bytes live relative to the ring: always the shared area.
+///
+/// The ring has one layout and nothing branches on this type. It stays,
+/// with [`RingConfig::mode`], only because the standalone benchmark names
+/// both; they go when its configs stop naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataMode {
-    /// Payload inline in the ring slot after a 4-byte length.
-    Inline,
     /// Slot holds `{offset u32, len u32}` into the shared data area.
     SharedArea,
 }
@@ -101,7 +104,8 @@ pub struct RingConfig {
     pub slots: u32,
     /// Bytes per slot; must be a power of two ≥ 16.
     pub slot_size: u32,
-    /// Payload placement.
+    /// Payload placement: the one layout, read by nothing (see
+    /// [`DataMode`]).
     pub mode: DataMode,
     /// Maximum payload bytes per transfer (the fixed MTU).
     pub mtu: u32,
@@ -109,7 +113,7 @@ pub struct RingConfig {
     pub mac: [u8; 6],
     /// Notification discipline.
     pub notify: NotifyMode,
-    /// Shared-area bytes (non-inline modes); must be a power of two.
+    /// Shared-area bytes; must be a power of two.
     pub area_size: u32,
     /// Align each payload region to a page, enabling revocation receive.
     pub page_aligned_payloads: bool,
@@ -136,11 +140,6 @@ impl RingConfig {
         self.area_size / self.slots
     }
 
-    /// Inline payload capacity.
-    pub fn inline_capacity(&self) -> u32 {
-        self.slot_size.saturating_sub(4)
-    }
-
     /// Validates the configuration; all errors are fatal by design.
     ///
     /// # Errors
@@ -156,32 +155,17 @@ impl RingConfig {
         if self.mtu == 0 {
             return Err(RingError::Fatal("mtu must be non-zero"));
         }
-        match self.mode {
-            DataMode::Inline => {
-                if self.mtu > self.inline_capacity() {
-                    return Err(RingError::Fatal("mtu exceeds inline slot capacity"));
-                }
-                if self.page_aligned_payloads {
-                    return Err(RingError::Fatal(
-                        "revocation requires a shared area, not inline slots",
-                    ));
-                }
-            }
-            DataMode::SharedArea => {
-                if self.area_size == 0 || !self.area_size.is_power_of_two() {
-                    return Err(RingError::Fatal("area size must be a power of two"));
-                }
-                if self.area_size < self.slots {
-                    return Err(RingError::Fatal("area smaller than slot count"));
-                }
-                if self.mtu > self.stride() {
-                    return Err(RingError::Fatal("mtu exceeds per-slot area stride"));
-                }
-                if self.page_aligned_payloads && !(self.stride() as usize).is_multiple_of(PAGE_SIZE)
-                {
-                    return Err(RingError::Fatal("revocation requires page-multiple stride"));
-                }
-            }
+        if self.area_size == 0 || !self.area_size.is_power_of_two() {
+            return Err(RingError::Fatal("area size must be a power of two"));
+        }
+        if self.area_size < self.slots {
+            return Err(RingError::Fatal("area smaller than slot count"));
+        }
+        if self.mtu > self.stride() {
+            return Err(RingError::Fatal("mtu exceeds per-slot area stride"));
+        }
+        if self.page_aligned_payloads && !(self.stride() as usize).is_multiple_of(PAGE_SIZE) {
+            return Err(RingError::Fatal("revocation requires page-multiple stride"));
         }
         Ok(())
     }
@@ -195,7 +179,7 @@ impl RingConfig {
 /// base + 64:   consumer index (u32)
 /// base + 96:   event index    (u32, consumer-published; EventIdx mode)
 /// base + 128:  slots           (slots * slot_size bytes)
-/// area:        payload area     (non-inline modes; caller-provided base)
+/// area:        payload area     (caller-provided base)
 /// ```
 #[derive(Debug, Clone)]
 pub struct CioRing {
@@ -259,26 +243,10 @@ impl CioRing {
             .add(128 + u64::from(masked) * u64::from(self.cfg.slot_size))
     }
 
-    /// Payload region owned by slot `masked` (non-inline modes).
+    /// Payload region owned by slot `masked`.
     pub fn payload_addr(&self, masked: u32) -> GuestAddr {
         self.area
             .add(u64::from(masked) * u64::from(self.cfg.stride()))
-    }
-
-    /// Where slot `masked`'s payload bytes go in this layout.
-    fn data_addr(&self, masked: u32) -> GuestAddr {
-        match self.cfg.mode {
-            DataMode::Inline => self.slot_addr(masked).add(4),
-            DataMode::SharedArea => self.payload_addr(masked),
-        }
-    }
-
-    /// Distance between consecutive slots' payload bytes.
-    fn data_stride(&self) -> usize {
-        match self.cfg.mode {
-            DataMode::Inline => self.cfg.slot_size as usize,
-            DataMode::SharedArea => self.cfg.stride() as usize,
-        }
     }
 
     /// Total bytes of ring structures (excluding the payload area).
@@ -286,13 +254,9 @@ impl CioRing {
         128 + self.cfg.slots as usize * self.cfg.slot_size as usize
     }
 
-    /// Bytes of payload area required (0 for inline mode).
+    /// Bytes of payload area required.
     pub fn area_bytes(&self) -> usize {
-        if self.cfg.mode == DataMode::Inline {
-            0
-        } else {
-            self.cfg.area_size as usize
-        }
+        self.cfg.area_size as usize
     }
 }
 
@@ -397,16 +361,6 @@ impl BatchGrant {
     }
 }
 
-/// The positioning a producer actually runs: inline slots share a cache
-/// line with ring metadata and demand the copy by layout, whatever the
-/// deployment asked for. The one place the layout overrides the policy.
-fn effective_policy(ring: &CioRing, policy: CopyPolicy) -> CopyPolicy {
-    match ring.cfg.mode {
-        DataMode::Inline => CopyPolicy::CopyEarly,
-        DataMode::SharedArea => policy,
-    }
-}
-
 /// Private staging for a copy-early endpoint, grown to the largest run it
 /// has staged (never sized for a full run of MTU-sized records up front:
 /// at a frame limit of tens of KiB that would be most of a MiB per
@@ -504,7 +458,6 @@ impl<V: MemView> Producer<V> {
     pub fn new(ring: CioRing, view: V) -> Result<Self, RingError> {
         view.write_u32(ring.prod_idx_addr(), 0)?;
         view.write_u32(ring.door_addr(), 0)?;
-        let policy = effective_policy(&ring, CopyPolicy::default());
         Ok(Producer {
             staging: Vec::new(),
             ring,
@@ -512,7 +465,7 @@ impl<V: MemView> Producer<V> {
             next: 0,
             published: 0,
             ev_seen: 0,
-            policy,
+            policy: CopyPolicy::default(),
             telemetry: Telemetry::disabled(),
             tq: 0,
         })
@@ -522,12 +475,12 @@ impl<V: MemView> Producer<V> {
     /// [`CopyPolicy::InPlace`]: records are built directly in slot memory
     /// and metered as zero-copy. [`CopyPolicy::CopyEarly`]: records are
     /// built in endpoint-private staging and placed with one explicit,
-    /// metered copy each. Inline rings run copy-early regardless.
+    /// metered copy each.
     pub fn set_copy_policy(&mut self, policy: CopyPolicy) {
-        self.policy = effective_policy(&self.ring, policy);
+        self.policy = policy;
     }
 
-    /// The positioning this endpoint runs (after the layout's say).
+    /// The positioning this endpoint runs.
     pub fn copy_policy(&self) -> CopyPolicy {
         self.policy
     }
@@ -649,8 +602,8 @@ impl<V: MemView> Producer<V> {
         let (n, cap) = (grant.n as usize, grant.capacity as usize);
         match self.policy {
             CopyPolicy::InPlace => {
-                let stride = self.ring.data_stride();
-                let base = self.ring.data_addr(grant.first_masked);
+                let stride = self.ring.cfg.stride() as usize;
+                let base = self.ring.payload_addr(grant.first_masked);
                 let out = self
                     .view
                     .with_range_mut(base, (n - 1) * stride + cap, |region| {
@@ -666,22 +619,12 @@ impl<V: MemView> Producer<V> {
         }
     }
 
-    /// Writes one slot's metadata — the only per-mode code on the produce
-    /// side: 1 ring op inline, 2 for the shared area.
+    /// Writes one slot's `{offset, len}` metadata: 2 ring ops.
     fn write_slot_meta(&self, masked: u32, len: u32) -> Result<(), RingError> {
         let slot = self.ring.slot_addr(masked);
-        let offset = masked * self.ring.cfg.stride();
-        match self.ring.cfg.mode {
-            DataMode::Inline => {
-                self.view.write_u32(slot, len)?;
-                charge_ring_ops(&self.view, 1);
-            }
-            DataMode::SharedArea => {
-                self.view.write_u32(slot, offset)?;
-                self.view.write_u32(slot.add(4), len)?;
-                charge_ring_ops(&self.view, 2);
-            }
-        }
+        self.view.write_u32(slot, masked * self.ring.cfg.stride())?;
+        self.view.write_u32(slot.add(4), len)?;
+        charge_ring_ops(&self.view, 2);
         Ok(())
     }
 
@@ -695,8 +638,8 @@ impl<V: MemView> Producer<V> {
             return Err(RingError::TooLarge);
         }
         if self.policy == CopyPolicy::CopyEarly && !lens.is_empty() {
-            let (stride, cap) = (self.ring.data_stride(), grant.capacity as usize);
-            let base = self.ring.data_addr(grant.first_masked);
+            let (stride, cap) = (self.ring.cfg.stride() as usize, grant.capacity as usize);
+            let base = self.ring.payload_addr(grant.first_masked);
             let staged = staging(&mut self.staging, lens.len() * cap);
             self.view
                 .with_range_mut(base, (lens.len() - 1) * stride + cap, |region| {
@@ -822,7 +765,7 @@ impl<V: MemView> Producer<V> {
     /// As [`Producer::reserve_batch`].
     pub fn stage_with(&mut self, len: usize, f: impl FnOnce(&mut [u8])) -> Result<(), RingError> {
         let grant = self.reserve_batch(len, 1)?;
-        let slot = self.ring.data_addr(grant.first_masked);
+        let slot = self.ring.payload_addr(grant.first_masked);
         self.view.with_range_mut(slot, len, f)?;
         self.view.memory().meter().lock_acquisitions(1);
         let _span = self.telemetry.span(self.tq, Stage::RingProduce);
@@ -1049,30 +992,18 @@ impl<V: MemView> Consumer<V> {
         let mem = self.view.memory();
         let cfg = &self.ring.cfg;
         let slot = self.ring.slot_addr(masked);
-        match cfg.mode {
-            DataMode::Inline => {
-                let len = self.view.read_u32(slot)?; // single fetch
-                charge_ring_ops(&self.view, 1);
-                mem.clock().advance(mem.cost().validate_field);
-                mem.meter().validations(1);
-                let len = len.min(cfg.inline_capacity()).min(cfg.mtu);
-                Ok((slot.add(4), len))
-            }
-            DataMode::SharedArea => {
-                let offset = self.view.read_u32(slot)?; // single fetch
-                let len = self.view.read_u32(slot.add(4))?; // single fetch
-                charge_ring_ops(&self.view, 2);
-                mem.clock()
-                    .advance(Cycles(mem.cost().validate_field.get() * 2));
-                mem.meter().validations(2);
-                // Mask the offset into the area; clamp the length to what
-                // fits between the masked offset and the area end, the
-                // stride, and the MTU. No host value can escape the area.
-                let offset = offset & (cfg.area_size - 1);
-                let max = (cfg.area_size - offset).min(cfg.stride()).min(cfg.mtu);
-                Ok((self.ring.area.add(u64::from(offset)), len.min(max)))
-            }
-        }
+        let offset = self.view.read_u32(slot)?; // single fetch
+        let len = self.view.read_u32(slot.add(4))?; // single fetch
+        charge_ring_ops(&self.view, 2);
+        mem.clock()
+            .advance(Cycles(mem.cost().validate_field.get() * 2));
+        mem.meter().validations(2);
+        // Mask the offset into the area; clamp the length to what fits
+        // between the masked offset and the area end, the stride, and the
+        // MTU. No host value can escape the area.
+        let offset = offset & (cfg.area_size - 1);
+        let max = (cfg.area_size - offset).min(cfg.stride()).min(cfg.mtu);
+        Ok((self.ring.area.add(u64::from(offset)), len.min(max)))
     }
 
     /// Retires `n` consumed slots with a single consumer-index write
@@ -1280,55 +1211,6 @@ impl<V: MemView> Consumer<V> {
     }
 }
 
-/// A small free-list of reusable byte buffers for steady-state dataplane
-/// loops.
-///
-/// [`BufPool::get`] hands out an empty buffer that keeps whatever capacity
-/// it accumulated in earlier rounds; [`BufPool::put`] returns it. Once
-/// every buffer in circulation has warmed up to the working payload size,
-/// the loop performs zero heap allocations.
-#[derive(Debug)]
-pub struct BufPool {
-    free: Vec<Vec<u8>>,
-    max_retained: usize,
-}
-
-impl BufPool {
-    /// A pool retaining at most `max_retained` idle buffers (surplus
-    /// buffers handed back are dropped rather than hoarded).
-    pub fn new(max_retained: usize) -> Self {
-        BufPool {
-            free: Vec::with_capacity(max_retained),
-            max_retained,
-        }
-    }
-
-    /// Takes a cleared buffer from the pool (or a fresh one if empty).
-    pub fn get(&mut self) -> Vec<u8> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool; its contents are cleared, its
-    /// capacity kept.
-    pub fn put(&mut self, mut buf: Vec<u8>) {
-        if self.free.len() < self.max_retained {
-            buf.clear();
-            self.free.push(buf);
-        }
-    }
-
-    /// Buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
-impl Default for BufPool {
-    fn default() -> Self {
-        BufPool::new(8)
-    }
-}
-
 // Compile-time `Send` audit: the parallel host moves rebound endpoints
 // onto worker threads.
 const _: () = {
@@ -1337,7 +1219,6 @@ const _: () = {
     assert_send::<Producer<cio_mem::HostView>>();
     assert_send::<Consumer<cio_mem::GuestView>>();
     assert_send::<Consumer<cio_mem::HostView>>();
-    assert_send::<BufPool>();
 };
 
 #[cfg(test)]
@@ -1359,10 +1240,8 @@ mod tests {
         let ring = CioRing::new(cfg, GuestAddr(RING_BASE), GuestAddr(AREA_BASE)).unwrap();
         mem.share_range(GuestAddr(RING_BASE), ring.ring_bytes())
             .unwrap();
-        if ring.area_bytes() > 0 {
-            mem.share_range(GuestAddr(AREA_BASE), ring.area_bytes())
-                .unwrap();
-        }
+        mem.share_range(GuestAddr(AREA_BASE), ring.area_bytes())
+            .unwrap();
         let p = Producer::new(ring.clone(), mem.guest()).unwrap();
         let c = Consumer::new(ring, mem.host()).unwrap();
         (mem, p, c)
@@ -1374,30 +1253,19 @@ mod tests {
         let ring = CioRing::new(cfg, GuestAddr(RING_BASE), GuestAddr(AREA_BASE)).unwrap();
         mem.share_range(GuestAddr(RING_BASE), ring.ring_bytes())
             .unwrap();
-        if ring.area_bytes() > 0 {
-            mem.share_range(GuestAddr(AREA_BASE), ring.area_bytes())
-                .unwrap();
-        }
+        mem.share_range(GuestAddr(AREA_BASE), ring.area_bytes())
+            .unwrap();
         let p = Producer::new(ring.clone(), mem.host()).unwrap();
         let c = Consumer::new(ring, mem.guest()).unwrap();
         (mem, p, c)
     }
 
-    fn small_cfg(mode: DataMode) -> RingConfig {
+    fn small_cfg() -> RingConfig {
         RingConfig {
             slots: 8,
-            slot_size: mode_slot_size(mode),
-            mode,
             mtu: 1024,
             area_size: 8 * 1024,
             ..RingConfig::default()
-        }
-    }
-
-    fn mode_slot_size(mode: DataMode) -> u32 {
-        match mode {
-            DataMode::Inline => 2048,
-            _ => 16,
         }
     }
 
@@ -1413,15 +1281,6 @@ mod tests {
             ..RingConfig::default()
         };
         assert!(matches!(cfg.validate(), Err(RingError::Fatal(_))));
-        let mut cfg = RingConfig {
-            mode: DataMode::Inline,
-            slot_size: 512,
-            mtu: 1500,
-            ..RingConfig::default()
-        };
-        assert!(matches!(cfg.validate(), Err(RingError::Fatal(_))));
-        cfg.mtu = 500;
-        cfg.validate().unwrap();
         // Revocation needs page-multiple strides.
         let cfg = RingConfig {
             page_aligned_payloads: true,
@@ -1433,23 +1292,21 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_every_mode() {
-        for mode in [DataMode::Inline, DataMode::SharedArea] {
-            let (_m, mut p, mut c) = tx_pair(small_cfg(mode));
-            for i in 0..5u8 {
-                p.produce(&vec![i; 100 + i as usize]).unwrap();
-            }
-            for i in 0..5u8 {
-                let got = c.consume().unwrap().expect("payload");
-                assert_eq!(got, vec![i; 100 + i as usize], "mode {mode:?}");
-            }
-            assert_eq!(c.consume().unwrap(), None);
+    fn roundtrip_in_order() {
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
+        for i in 0..5u8 {
+            p.produce(&vec![i; 100 + i as usize]).unwrap();
         }
+        for i in 0..5u8 {
+            let got = c.consume().unwrap().expect("payload");
+            assert_eq!(got, vec![i; 100 + i as usize]);
+        }
+        assert_eq!(c.consume().unwrap(), None);
     }
 
     #[test]
     fn fills_at_slot_count_and_recycles() {
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         for _ in 0..8 {
             p.produce(b"x").unwrap();
         }
@@ -1463,7 +1320,7 @@ mod tests {
     fn mtu_enforced() {
         // 1025 bytes against the 1024-byte MTU: refused before it ever
         // reaches a slot, so the consumer path never sees it.
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         assert!(matches!(
             p.produce(&vec![0u8; 1025]),
             Err(RingError::TooLarge)
@@ -1473,7 +1330,7 @@ mod tests {
 
     #[test]
     fn wraparound_many_times() {
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::Inline));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         for round in 0..100u32 {
             p.produce(&round.to_le_bytes()).unwrap();
             let got = c.consume().unwrap().unwrap();
@@ -1482,26 +1339,8 @@ mod tests {
     }
 
     #[test]
-    fn buf_pool_recycles_capacity() {
-        let mut pool = BufPool::new(2);
-        let mut a = pool.get();
-        a.extend_from_slice(&[1u8; 4096]);
-        let cap = a.capacity();
-        pool.put(a);
-        assert_eq!(pool.idle(), 1);
-        let b = pool.get();
-        assert!(b.is_empty());
-        assert_eq!(b.capacity(), cap, "capacity survives the round trip");
-        // Retention is bounded.
-        pool.put(b);
-        pool.put(Vec::with_capacity(8));
-        pool.put(Vec::with_capacity(8));
-        assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
     fn staged_payloads_invisible_until_publish() {
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         p.stage(b"one").unwrap();
         p.stage(b"two").unwrap();
         assert_eq!(c.consume().unwrap(), None, "staged but unpublished");
@@ -1516,7 +1355,7 @@ mod tests {
         // 16 staged messages + 1 publish must cost fewer ring ops than 16
         // published messages.
         let cycles_for = |batch: bool| {
-            let (m, mut p, _c) = tx_pair(small_cfg(DataMode::SharedArea));
+            let (m, mut p, _c) = tx_pair(small_cfg());
             let t0 = m.clock().now();
             if batch {
                 for _ in 0..8 {
@@ -1538,7 +1377,7 @@ mod tests {
         // The same calls meter as zero-copy or as one explicit copy per
         // side depending only on how the endpoints were wired.
         for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
-            let (m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+            let (m, mut p, mut c) = tx_pair(small_cfg());
             p.set_copy_policy(policy);
             c.set_copy_policy(policy);
             let before = m.meter().snapshot();
@@ -1561,36 +1400,25 @@ mod tests {
             assert_eq!(d.bytes_copied, copied, "{policy:?}");
             assert_eq!(d.bytes_zero_copy, zero, "{policy:?}");
         }
-        // Inline slots demand the producer's copy by layout, whatever the
-        // deployment asked for; the consumer may still read in place.
-        let (m, mut p, mut c) = tx_pair(small_cfg(DataMode::Inline));
-        p.set_copy_policy(CopyPolicy::InPlace);
-        assert_eq!(p.copy_policy(), CopyPolicy::CopyEarly);
-        p.produce(b"inline").unwrap();
-        assert_eq!(c.consume().unwrap().unwrap(), b"inline");
-        let s = m.meter().snapshot();
-        assert_eq!((s.copies, s.bytes_zero_copy), (1, 6));
     }
 
     #[test]
     fn reserve_errors_and_grant_bounds() {
-        for mode in [DataMode::Inline, DataMode::SharedArea] {
-            let (_m, mut p, _c) = tx_pair(small_cfg(mode));
-            assert!(matches!(p.reserve(1025), Err(RingError::TooLarge)));
-            // Committing more, or longer, than granted is refused.
-            let g = p.reserve_batch(8, 2).unwrap();
-            assert!(matches!(
-                p.commit_batch(g, &[1, 2, 3]),
-                Err(RingError::TooLarge)
-            ));
-            assert!(matches!(p.commit_batch(g, &[9]), Err(RingError::TooLarge)));
-            assert!(matches!(p.commit(g, 9), Err(RingError::TooLarge)));
-            for _ in 0..8 {
-                let g = p.reserve(4).unwrap();
-                p.commit(g, 4).unwrap();
-            }
-            assert!(matches!(p.reserve(4), Err(RingError::Full)), "{mode:?}");
+        let (_m, mut p, _c) = tx_pair(small_cfg());
+        assert!(matches!(p.reserve(1025), Err(RingError::TooLarge)));
+        // Committing more, or longer, than granted is refused.
+        let g = p.reserve_batch(8, 2).unwrap();
+        assert!(matches!(
+            p.commit_batch(g, &[1, 2, 3]),
+            Err(RingError::TooLarge)
+        ));
+        assert!(matches!(p.commit_batch(g, &[9]), Err(RingError::TooLarge)));
+        assert!(matches!(p.commit(g, 9), Err(RingError::TooLarge)));
+        for _ in 0..8 {
+            let g = p.reserve(4).unwrap();
+            p.commit(g, 4).unwrap();
         }
+        assert!(matches!(p.reserve(4), Err(RingError::Full)));
     }
 
     #[test]
@@ -1599,7 +1427,7 @@ mod tests {
         // consumer must degrade to per-record locks, not alias slices —
         // whether it hands out slot memory or copies the run out first.
         for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
-            let (m, mut p, mut c) = rx_pair(small_cfg(DataMode::SharedArea));
+            let (m, mut p, mut c) = rx_pair(small_cfg());
             c.set_copy_policy(policy);
             p.produce(b"aaaa").unwrap();
             p.produce(b"bbbb").unwrap();
@@ -1631,7 +1459,7 @@ mod tests {
 
     #[test]
     fn consume_in_place_clamps_hostile_meta() {
-        let (m, mut p, mut c) = rx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, mut c) = rx_pair(small_cfg());
         p.produce(b"legit").unwrap();
         let ring = c.ring().clone();
         let slot0 = ring.slot_addr(0);
@@ -1646,7 +1474,7 @@ mod tests {
 
     #[test]
     fn batch_reserve_commit_consume_roundtrips() {
-        let (m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, mut c) = tx_pair(small_cfg());
         let before = m.meter().snapshot();
         let grant = p.reserve_batch(64, 4).unwrap();
         assert_eq!(grant.len(), 4);
@@ -1682,7 +1510,7 @@ mod tests {
 
     #[test]
     fn batch_reserve_clamps_to_wrap_free_and_max() {
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         // 8 slots, MAX_BATCH 16: a greedy grant clamps to the ring size.
         let g = p.reserve_batch(8, 32).unwrap();
         assert_eq!(g.len(), 8);
@@ -1704,7 +1532,7 @@ mod tests {
 
     #[test]
     fn batch_partial_commit_republishes_tail_later() {
-        let (_m, mut p, mut c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, mut p, mut c) = tx_pair(small_cfg());
         let grant = p.reserve_batch(16, 6).unwrap();
         assert_eq!(grant.len(), 6);
         p.with_batch_mut(&grant, |slots| {
@@ -1754,7 +1582,7 @@ mod tests {
 
     #[test]
     fn host_forged_offset_cannot_escape_area() {
-        let (m, mut p, mut c) = rx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, mut c) = rx_pair(small_cfg());
         // Host (producer side here) writes a hostile slot directly: offset
         // far outside the area, enormous length.
         p.produce(b"legit").unwrap();
@@ -1769,7 +1597,7 @@ mod tests {
 
     #[test]
     fn lying_producer_index_detected() {
-        let (m, mut p, mut c) = rx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, mut c) = rx_pair(small_cfg());
         p.produce(b"one").unwrap();
         // Host claims 1000 entries are available.
         m.host().write_u32(c.ring().prod_idx_addr(), 1000).unwrap();
@@ -1782,7 +1610,7 @@ mod tests {
 
     #[test]
     fn lying_consumer_index_only_starves_producer() {
-        let (m, mut p, _c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, _c) = tx_pair(small_cfg());
         // Host-side consumer claims it consumed *ahead* of production.
         m.host()
             .write_u32(p.ring().cons_idx_addr(), 4_000_000)
@@ -1803,7 +1631,7 @@ mod tests {
     fn doorbell_drain_is_idempotent() {
         let cfg = RingConfig {
             notify: NotifyMode::Doorbell,
-            ..small_cfg(DataMode::SharedArea)
+            ..small_cfg()
         };
         let (m, mut p, mut c) = tx_pair(cfg);
         p.stage(b"a").unwrap();
@@ -1819,7 +1647,7 @@ mod tests {
 
     #[test]
     fn polling_mode_kick_is_noop() {
-        let (m, mut p, _c) = tx_pair(small_cfg(DataMode::SharedArea));
+        let (m, mut p, _c) = tx_pair(small_cfg());
         assert!(!p.kick());
         assert_eq!(m.meter().snapshot().notifications_sent, 0);
     }
@@ -1827,7 +1655,7 @@ mod tests {
     fn event_idx_cfg() -> RingConfig {
         RingConfig {
             notify: NotifyMode::EventIdx,
-            ..small_cfg(DataMode::SharedArea)
+            ..small_cfg()
         }
     }
 
@@ -1940,7 +1768,6 @@ mod tests {
         RingConfig {
             slots: 8,
             slot_size: 16,
-            mode: DataMode::SharedArea,
             mtu: 4096,
             area_size: 8 * PAGE_SIZE as u32,
             page_aligned_payloads: true,
@@ -1993,7 +1820,7 @@ mod tests {
 
     #[test]
     fn revocation_requires_configuration() {
-        let (_m, _p, mut c) = rx_pair(small_cfg(DataMode::SharedArea));
+        let (_m, _p, mut c) = rx_pair(small_cfg());
         assert!(matches!(c.consume_revoking(), Err(RingError::Fatal(_))));
     }
 

@@ -22,7 +22,7 @@
 //! * [`cioring`] — the paper's from-scratch interface (§3.2): a stateless,
 //!   zero-negotiation ring with power-of-two sizing, masked indices and
 //!   offsets, copy-as-first-class data movement, polling by default, and
-//!   two explorable data-positioning modes (inline, shared-area).
+//!   payloads in a shared area beside the ring.
 //!
 //! All three move bytes through a [`cio_mem::GuestMemory`] so that the
 //! host side manipulates them through a [`cio_mem::HostView`] — i.e. the

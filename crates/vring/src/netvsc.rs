@@ -12,12 +12,14 @@
 //! is precisely what the "hv_netvsc: Add validation for untrusted Hyper-V
 //! values" commits (classified in Figure 3) fixed.
 //!
-//! The VMBus channel itself is modelled by a pair of inline
-//! [`crate::cioring`] rings (an SPSC ring of self-contained messages, which
-//! is what a VMBus ring buffer is); the NetVSC protocol layer on top is
-//! what this module implements, in unhardened and hardened flavours.
+//! The VMBus channel itself is modelled by a pair of [`crate::cioring`]
+//! rings (an SPSC ring of self-contained messages, which is what a VMBus
+//! ring buffer is), each message in its ring's shared area; the NetVSC
+//! protocol layer on top is what this module implements, in unhardened
+//! and hardened flavours. Where a channel message's bytes sit does not
+//! enter the attack: the forged receive-buffer offset does.
 
-use crate::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
+use crate::cioring::{CioRing, Consumer, Producer, RingConfig};
 use crate::{RingError, Violation};
 use cio_mem::{GuestAddr, GuestMemory, GuestView, HostView};
 
@@ -28,13 +30,14 @@ const MSG_RECV_DESC: u8 = 2;
 /// Message type: guest-to-host receive-buffer section completion.
 const MSG_RECV_DONE: u8 = 3;
 
-/// Builds the VMBus channel ring config (inline messages up to `mtu`).
+/// Builds the VMBus channel ring config (messages carrying frames up to
+/// `mtu`).
 pub fn channel_config(mtu: u32) -> RingConfig {
+    let slots = 16;
     RingConfig {
-        slots: 16,
-        slot_size: (mtu + 16).next_power_of_two(),
-        mode: DataMode::Inline,
+        slots,
         mtu: mtu + 12,
+        area_size: slots * (mtu + 16).next_power_of_two(),
         ..RingConfig::default()
     }
 }
@@ -242,8 +245,8 @@ impl NetvscHost {
 /// `mem`, with the receive buffer at `recv_buf`.
 ///
 /// `recv_buf` must already be shared, `recv_buf_len` bytes long. The two
-/// channel rings are placed at `chan_base` (caller-reserved shared space of
-/// at least 2 * ring_bytes).
+/// channel rings and their message areas are placed at `chan_base`
+/// (caller-reserved shared space of at least 2 * (area_bytes + ring_bytes)).
 ///
 /// # Errors
 ///
@@ -257,9 +260,12 @@ pub fn netvsc_pair(
     hardened: bool,
 ) -> Result<(NetvscGuest, NetvscHost), RingError> {
     let cfg = channel_config(mtu);
-    let tx_ring = CioRing::new(cfg.clone(), chan_base, GuestAddr(0))?;
-    let rx_base = chan_base.add(tx_ring.ring_bytes() as u64 + 128);
-    let rx_ring = CioRing::new(cfg, rx_base, GuestAddr(0))?;
+    // Both message areas first, then both rings.
+    let area = u64::from(cfg.area_size);
+    let rings = chan_base.add(2 * area);
+    let tx_ring = CioRing::new(cfg.clone(), rings, chan_base)?;
+    let rx_base = rings.add(tx_ring.ring_bytes() as u64);
+    let rx_ring = CioRing::new(cfg, rx_base, chan_base.add(area))?;
 
     let guest = NetvscGuest::new(
         Producer::new(tx_ring.clone(), mem.guest())?,

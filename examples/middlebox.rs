@@ -18,7 +18,6 @@ use cio_netstack::wire::{
 };
 use cio_netstack::MacAddr;
 use cio_sim::CostModel;
-use cio_vring::cioring::DataMode;
 
 /// The filter: drop TCP port 23, pass everything else. Frames are
 /// inspected where they lie — nothing is copied to classify one.
@@ -77,7 +76,7 @@ fn frame(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
 fn main() {
     println!("== confidential middlebox over the safe ring ==\n");
     // Host->TEE ingress ring and TEE->host egress ring.
-    let cfg = bench_ring_config(DataMode::SharedArea, 2048);
+    let cfg = bench_ring_config(2048);
     let (mem, _gp, _hc, mut host_in, mut mb_in) = cio_pair(cfg.clone(), CostModel::default());
     let (_mem2, mut mb_out, mut host_out, _hp2, _gc2) = cio_pair(cfg, CostModel::default());
 

@@ -12,7 +12,7 @@
 
 use cio_mem::{CopyPolicy, GuestAddr, GuestMemory, MemView, PAGE_SIZE};
 use cio_sim::{Clock, CostModel, Meter, SimRng};
-use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
+use cio_vring::cioring::{CioRing, Consumer, Producer, RingConfig};
 
 fn rand_vec(rng: &mut SimRng, lo: usize, hi: usize) -> Vec<u8> {
     let len = rng.range(lo, hi);
@@ -27,9 +27,7 @@ fn rand_array<const N: usize>(rng: &mut SimRng) -> [u8; N] {
     a
 }
 
-fn ring_world(
-    mode: DataMode,
-) -> (
+fn ring_world() -> (
     GuestMemory,
     Producer<cio_mem::HostView>,
     Consumer<cio_mem::GuestView>,
@@ -37,18 +35,14 @@ fn ring_world(
     let mem = GuestMemory::new(200, Clock::new(), CostModel::default(), Meter::new());
     let cfg = RingConfig {
         slots: 16,
-        slot_size: if mode == DataMode::Inline { 2048 } else { 16 },
-        mode,
         mtu: 1514,
         area_size: 1 << 15,
         ..RingConfig::default()
     };
     let ring = CioRing::new(cfg, GuestAddr(0), GuestAddr(32 * PAGE_SIZE as u64)).unwrap();
     mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
-    if ring.area_bytes() > 0 {
-        mem.share_range(GuestAddr(32 * PAGE_SIZE as u64), ring.area_bytes())
-            .unwrap();
-    }
+    mem.share_range(GuestAddr(32 * PAGE_SIZE as u64), ring.area_bytes())
+        .unwrap();
     let p = Producer::new(ring.clone(), mem.host()).unwrap();
     let c = Consumer::new(ring, mem.guest()).unwrap();
     (mem, p, c)
@@ -60,9 +54,8 @@ fn ring_world(
 #[test]
 fn ring_consumer_is_total_under_host_corruption() {
     let mut rng = SimRng::seed_from(0x41139);
-    for case in 0..96 {
-        let mode = [DataMode::Inline, DataMode::SharedArea][case % 2];
-        let (mem, mut p, mut c) = ring_world(mode);
+    for _ in 0..96 {
+        let (mem, mut p, mut c) = ring_world();
         let legit = rand_vec(&mut rng, 0, 1514);
         p.produce(&legit).unwrap();
         // Arbitrary host scribbling over the whole shared window.
@@ -85,9 +78,8 @@ fn ring_consumer_is_total_under_host_corruption() {
 }
 
 /// A guest-producer / host-consumer ring of `slots` slots carrying up to
-/// `mtu` bytes in `mode`, both endpoints positioned by `policy`.
+/// `mtu` bytes, both endpoints positioned by `policy`.
 fn tx_ring(
-    mode: DataMode,
     policy: CopyPolicy,
     slots: u32,
     mtu: u32,
@@ -96,16 +88,9 @@ fn tx_ring(
     Producer<cio_mem::GuestView>,
     Consumer<cio_mem::HostView>,
 ) {
-    let inline = mode == DataMode::Inline;
     let area = GuestAddr(64 * PAGE_SIZE as u64);
     let cfg = RingConfig {
         slots,
-        slot_size: if inline {
-            (mtu + 4).next_power_of_two()
-        } else {
-            16
-        },
-        mode,
         mtu,
         area_size: slots * mtu.next_power_of_two(),
         ..RingConfig::default()
@@ -114,9 +99,7 @@ fn tx_ring(
     let mem = GuestMemory::new(pages, Clock::new(), CostModel::default(), Meter::new());
     let ring = CioRing::new(cfg, GuestAddr(0), area).unwrap();
     mem.share_range(GuestAddr(0), ring.ring_bytes()).unwrap();
-    if ring.area_bytes() > 0 {
-        mem.share_range(area, ring.area_bytes()).unwrap();
-    }
+    mem.share_range(area, ring.area_bytes()).unwrap();
     let mut p = Producer::new(ring.clone(), mem.guest()).unwrap();
     let mut c = Consumer::new(ring, mem.host()).unwrap();
     p.set_copy_policy(policy);
@@ -124,10 +107,9 @@ fn tx_ring(
     (mem, p, c)
 }
 
-const MODES: [DataMode; 2] = [DataMode::SharedArea, DataMode::Inline];
 const POLICIES: [CopyPolicy; 2] = [CopyPolicy::InPlace, CopyPolicy::CopyEarly];
 
-/// One ring path: for every data mode, positioning policy, run size and
+/// One ring path: for every positioning policy, run size and
 /// payload length 0..=MTU, every produce adapter (`produce`,
 /// `stage`+`publish`, `reserve`/`with_slot_mut`/`commit`) and every
 /// consume adapter (`consume_in_place`, `consume_batch_into` over one
@@ -171,8 +153,8 @@ fn ring_adapters_are_the_primitive_at_a_run_of_one() {
         .collect();
 
     // Drives one world; returns what the consumer saw plus the charges.
-    let run = |mode, policy, bs: usize, put: Put, get: Get| {
-        let (mem, mut p, mut c) = tx_ring(mode, policy, 16, MTU as u32);
+    let run = |policy, bs: usize, put: Put, get: Get| {
+        let (mem, mut p, mut c) = tx_ring(policy, 16, MTU as u32);
         for chunk in payloads.chunks(bs) {
             match put {
                 Put::Primitive => {
@@ -250,43 +232,40 @@ fn ring_adapters_are_the_primitive_at_a_run_of_one() {
     };
 
     let records = payloads.len() as u64;
-    for mode in MODES {
-        for policy in POLICIES {
-            for bs in [1usize, 2, 8, 16] {
-                let tag = format!("{mode:?} {policy:?} run {bs}");
-                let (seen, meter, cycles) = run(mode, policy, bs, Put::Primitive, Get::Primitive);
-                assert_eq!(seen, payloads, "{tag}: primitive roundtrip");
+    for policy in POLICIES {
+        for bs in [1usize, 2, 8, 16] {
+            let tag = format!("{policy:?} run {bs}");
+            let (seen, meter, cycles) = run(policy, bs, Put::Primitive, Get::Primitive);
+            assert_eq!(seen, payloads, "{tag}: primitive roundtrip");
 
-                // What the endpoints' positioning costs, whoever calls:
-                // one lock per run and side; one metered copy per record
-                // and copy-early side (inline producers always copy).
-                let runs = records.div_ceil(bs as u64);
-                assert_eq!(meter.lock_acquisitions, 2 * runs, "{tag}");
-                assert_eq!(meter.ring_commits, runs, "{tag}");
-                assert_eq!(meter.ring_records, records, "{tag}");
-                let copying_sides = match (policy, mode) {
-                    (CopyPolicy::CopyEarly, _) => 2,
-                    (CopyPolicy::InPlace, DataMode::Inline) => 1,
-                    (CopyPolicy::InPlace, _) => 0,
-                };
-                let bytes: u64 = lens.iter().map(|&l| l as u64).sum();
-                assert_eq!(meter.copies, copying_sides * records, "{tag}");
-                assert_eq!(meter.bytes_copied, copying_sides * bytes, "{tag}");
-                assert_eq!(meter.bytes_zero_copy, (2 - copying_sides) * bytes, "{tag}");
+            // What the endpoints' positioning costs, whoever calls:
+            // one lock per run and side; one metered copy per record
+            // and copy-early side.
+            let runs = records.div_ceil(bs as u64);
+            assert_eq!(meter.lock_acquisitions, 2 * runs, "{tag}");
+            assert_eq!(meter.ring_commits, runs, "{tag}");
+            assert_eq!(meter.ring_records, records, "{tag}");
+            let copying_sides = match policy {
+                CopyPolicy::CopyEarly => 2,
+                CopyPolicy::InPlace => 0,
+            };
+            let bytes: u64 = lens.iter().map(|&l| l as u64).sum();
+            assert_eq!(meter.copies, copying_sides * records, "{tag}");
+            assert_eq!(meter.bytes_copied, copying_sides * bytes, "{tag}");
+            assert_eq!(meter.bytes_zero_copy, (2 - copying_sides) * bytes, "{tag}");
 
-                let puts = [Put::Produce, Put::StagePublish, Put::ReserveCommit];
-                let gets = [Get::InPlace, Get::IntoReused, Get::BatchInto, Get::Consume];
-                let variants = puts
-                    .iter()
-                    .map(|&put| (put, Get::Primitive))
-                    .chain(gets.iter().map(|&get| (Put::Primitive, get)));
-                for (put, get) in variants {
-                    let (seen_v, meter_v, cycles_v) = run(mode, policy, bs, put, get);
-                    assert_eq!(seen_v, payloads, "{tag} {put:?}/{get:?}: bytes and order");
-                    if bs == 1 {
-                        assert_eq!(meter_v, meter, "{tag} {put:?}/{get:?}: meters");
-                        assert_eq!(cycles_v, cycles, "{tag} {put:?}/{get:?}: virtual cycles");
-                    }
+            let puts = [Put::Produce, Put::StagePublish, Put::ReserveCommit];
+            let gets = [Get::InPlace, Get::IntoReused, Get::BatchInto, Get::Consume];
+            let variants = puts
+                .iter()
+                .map(|&put| (put, Get::Primitive))
+                .chain(gets.iter().map(|&get| (Put::Primitive, get)));
+            for (put, get) in variants {
+                let (seen_v, meter_v, cycles_v) = run(policy, bs, put, get);
+                assert_eq!(seen_v, payloads, "{tag} {put:?}/{get:?}: bytes and order");
+                if bs == 1 {
+                    assert_eq!(meter_v, meter, "{tag} {put:?}/{get:?}: meters");
+                    assert_eq!(cycles_v, cycles, "{tag} {put:?}/{get:?}: virtual cycles");
                 }
             }
         }
@@ -294,63 +273,56 @@ fn ring_adapters_are_the_primitive_at_a_run_of_one() {
 }
 
 /// Seal-in-slot is byte-identical to the staged seal: for every payload
-/// size, data mode and positioning policy, the record a consumer sees
+/// size and positioning policy, the record a consumer sees
 /// after `reserve` → `seal_into_slot` → `commit` is exactly the record the
 /// staged `seal_into` would have produced, and it opens back to the
 /// payload — whether the "slot" the seal ran over was ring memory or the
-/// copy-early endpoint's private staging (which inline layouts force).
+/// copy-early endpoint's private staging.
 #[test]
 fn seal_in_slot_byte_identical_to_staged_across_modes() {
     use cio_ctls::{Channel, RecordScratch, RECORD_OVERHEAD};
 
     let mut rng = SimRng::seed_from(0x5ea1);
-    for mode in MODES {
-        for policy in POLICIES {
-            // The shared area carries jumbo records; the frame-sized
-            // layouts carry frames.
-            let (mtu, sizes): (u32, &[usize]) = if mode == DataMode::SharedArea {
-                (
-                    1 << 17,
-                    &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
-                )
-            } else {
-                (1514, &[0, 1, 64, 447, 448, 449, 1024, 1400])
-            };
-            let (_mem, mut p, mut c) = tx_ring(mode, policy, 2, mtu);
+    for policy in POLICIES {
+        // The shared area carries jumbo records.
+        let (mtu, sizes): (u32, &[usize]) = (
+            1 << 17,
+            &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
+        );
+        let (_mem, mut p, mut c) = tx_ring(policy, 2, mtu);
 
-            // Two channels with identical secrets: one seals staged (the
-            // reference), the twin seals through the ring.
-            let mut reference = Channel::from_secrets([9; 32], [8; 32], true, None);
-            let mut twin = Channel::from_secrets([9; 32], [8; 32], true, None);
-            let mut opener = Channel::from_secrets([9; 32], [8; 32], false, None);
-            let mut ref_rec = RecordScratch::new();
-            for &size in sizes {
-                let mut payload = vec![0u8; size];
-                rng.fill_bytes(&mut payload);
-                reference.seal_into(&payload, &mut ref_rec).unwrap();
+        // Two channels with identical secrets: one seals staged (the
+        // reference), the twin seals through the ring.
+        let mut reference = Channel::from_secrets([9; 32], [8; 32], true, None);
+        let mut twin = Channel::from_secrets([9; 32], [8; 32], true, None);
+        let mut opener = Channel::from_secrets([9; 32], [8; 32], false, None);
+        let mut ref_rec = RecordScratch::new();
+        for &size in sizes {
+            let mut payload = vec![0u8; size];
+            rng.fill_bytes(&mut payload);
+            reference.seal_into(&payload, &mut ref_rec).unwrap();
 
-                let grant = p.reserve(size + RECORD_OVERHEAD).unwrap();
-                let sealed = p
-                    .with_slot_mut(&grant, |slot| twin.seal_into_slot(&payload, slot))
-                    .unwrap()
-                    .unwrap();
-                p.commit(grant, sealed).unwrap();
+            let grant = p.reserve(size + RECORD_OVERHEAD).unwrap();
+            let sealed = p
+                .with_slot_mut(&grant, |slot| twin.seal_into_slot(&payload, slot))
+                .unwrap()
+                .unwrap();
+            p.commit(grant, sealed).unwrap();
 
-                let seen = c
-                    .consume_in_place(|rec| rec.to_vec())
-                    .unwrap()
-                    .expect("one record available");
-                assert_eq!(seen, ref_rec.as_slice(), "{mode:?} {policy:?} size {size}");
-                let mut plain = RecordScratch::new();
-                opener.open_in_slot(&seen, &mut plain).unwrap();
-                assert_eq!(plain.as_slice(), payload, "{mode:?} {policy:?} size {size}");
-            }
+            let seen = c
+                .consume_in_place(|rec| rec.to_vec())
+                .unwrap()
+                .expect("one record available");
+            assert_eq!(seen, ref_rec.as_slice(), "{policy:?} size {size}");
+            let mut plain = RecordScratch::new();
+            opener.open_in_slot(&seen, &mut plain).unwrap();
+            assert_eq!(plain.as_slice(), payload, "{policy:?} size {size}");
         }
     }
 }
 
 /// The batched dataplane is observationally identical to the per-record
-/// path: for every payload size, batch size, data mode, and positioning
+/// path: for every payload size, batch size, and positioning
 /// policy, the batched seal/commit/consume/open pipeline yields the same
 /// record bytes in the same ring order, the same opened plaintexts, and
 /// the same metered copy counts as the serial twin.
@@ -360,131 +332,120 @@ fn batched_dataplane_byte_identical_to_serial() {
     use cio_vring::cioring::MAX_BATCH;
 
     let mut rng = SimRng::seed_from(0xba7c4);
-    for mode in MODES {
-        for policy in POLICIES {
-            for bs in [1usize, 2, 3, 8, 16] {
-                // Sixteen payloads (the ring's capacity): the edge sizes
-                // plus random fill, truncated to what the mode can carry.
-                let (mtu, base): (u32, &[usize]) = if mode == DataMode::SharedArea {
-                    (
-                        1 << 17,
-                        &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
-                    )
-                } else {
-                    (1514, &[0, 1, 64, 447, 448, 449, 1024, 1400])
-                };
-                let hi = *base.last().unwrap();
-                let mut payloads: Vec<Vec<u8>> = base
-                    .iter()
-                    .map(|&s| {
-                        let mut v = vec![0u8; s];
-                        rng.fill_bytes(&mut v);
-                        v
-                    })
-                    .collect();
-                while payloads.len() < 16 {
-                    payloads.push(rand_vec(&mut rng, 0, hi));
-                }
+    for policy in POLICIES {
+        for bs in [1usize, 2, 3, 8, 16] {
+            // Sixteen payloads (the ring's capacity): the edge sizes
+            // plus random fill.
+            let (mtu, base): (u32, &[usize]) = (
+                1 << 17,
+                &[0, 1, 64, 447, 448, 449, 1024, 4096, 16384, 65536],
+            );
+            let hi = *base.last().unwrap();
+            let mut payloads: Vec<Vec<u8>> = base
+                .iter()
+                .map(|&s| {
+                    let mut v = vec![0u8; s];
+                    rng.fill_bytes(&mut v);
+                    v
+                })
+                .collect();
+            while payloads.len() < 16 {
+                payloads.push(rand_vec(&mut rng, 0, hi));
+            }
 
-                // Serial twin: one record per boundary crossing.
-                let (mem_s, mut ps, mut cs) = tx_ring(mode, policy, 16, mtu);
-                let mut seal_s = Channel::from_secrets([9; 32], [8; 32], true, None);
-                let mut open_s = Channel::from_secrets([9; 32], [8; 32], false, None);
-                let mut plain = RecordScratch::new();
-                for payload in &payloads {
-                    let grant = ps.reserve(payload.len() + RECORD_OVERHEAD).unwrap();
-                    let n = ps
-                        .with_slot_mut(&grant, |slot| seal_s.seal_into_slot(payload, slot))
-                        .unwrap()
-                        .unwrap();
-                    ps.commit(grant, n).unwrap();
-                }
-                let mut serial_records: Vec<Vec<u8>> = Vec::new();
-                let mut serial_plains: Vec<Vec<u8>> = Vec::new();
-                while let Some(record) = cs.consume_in_place(|r| r.to_vec()).unwrap() {
-                    open_s.open_in_slot(&record, &mut plain).unwrap();
-                    serial_records.push(record);
-                    serial_plains.push(plain.as_slice().to_vec());
-                }
-
-                // Batched twin: runs of up to `bs` records per crossing.
-                let (mem_b, mut pb, mut cb) = tx_ring(mode, policy, 16, mtu);
-                let mut seal_b = Channel::from_secrets([9; 32], [8; 32], true, None);
-                let mut open_b = Channel::from_secrets([9; 32], [8; 32], false, None);
-                let mut done = 0usize;
-                while done < payloads.len() {
-                    let want = (payloads.len() - done).min(bs);
-                    let cap = payloads[done..done + want]
-                        .iter()
-                        .map(Vec::len)
-                        .max()
-                        .unwrap()
-                        + RECORD_OVERHEAD;
-                    let grant = pb.reserve_batch(cap, want).unwrap();
-                    let g = grant.len().min(want);
-                    let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                    for (i, p) in payloads[done..done + g].iter().enumerate() {
-                        pts[i] = p;
-                    }
-                    let mut lens = [0usize; MAX_BATCH];
-                    pb.with_batch_mut(&grant, |slots| {
-                        seal_b.seal_batch_into_slots(&pts[..g], &mut slots[..g], &mut lens[..g])
-                    })
+            // Serial twin: one record per boundary crossing.
+            let (mem_s, mut ps, mut cs) = tx_ring(policy, 16, mtu);
+            let mut seal_s = Channel::from_secrets([9; 32], [8; 32], true, None);
+            let mut open_s = Channel::from_secrets([9; 32], [8; 32], false, None);
+            let mut plain = RecordScratch::new();
+            for payload in &payloads {
+                let grant = ps.reserve(payload.len() + RECORD_OVERHEAD).unwrap();
+                let n = ps
+                    .with_slot_mut(&grant, |slot| seal_s.seal_into_slot(payload, slot))
                     .unwrap()
                     .unwrap();
-                    pb.commit_batch(grant, &lens[..g]).unwrap();
-                    done += g;
-                }
-                let mut batch_records: Vec<Vec<u8>> = Vec::new();
-                let mut batch_plains: Vec<Vec<u8>> = Vec::new();
-                let mut outs: Vec<RecordScratch> =
-                    (0..MAX_BATCH).map(|_| RecordScratch::new()).collect();
-                loop {
-                    let mut raw: Vec<Vec<u8>> = Vec::new();
-                    let n = cb
-                        .consume_batch_in_place(bs, |slots| {
-                            let k = slots.len();
-                            let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
-                            for (i, s) in slots.iter().enumerate() {
-                                recs[i] = s;
-                                raw.push(s.to_vec());
-                            }
-                            let mut results: [Result<(), CtlsError>; MAX_BATCH] =
-                                [Ok(()); MAX_BATCH];
-                            open_b.open_batch_in_slots(
-                                &recs[..k],
-                                &mut outs[..k],
-                                &mut results[..k],
-                            );
-                            for r in &results[..k] {
-                                assert!(r.is_ok(), "{mode:?} {policy:?} bs {bs}: {r:?}");
-                            }
-                        })
-                        .unwrap();
-                    if n == 0 {
-                        break;
-                    }
-                    for (i, r) in raw.into_iter().enumerate() {
-                        batch_records.push(r);
-                        batch_plains.push(outs[i].as_slice().to_vec());
-                    }
-                }
-
-                let tag = format!("{mode:?} {policy:?} bs {bs}");
-                assert_eq!(batch_records, serial_records, "{tag}: record bytes/order");
-                assert_eq!(batch_plains, serial_plains, "{tag}: opened plaintexts");
-                let expect: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
-                let got: Vec<&[u8]> = batch_plains.iter().map(Vec::as_slice).collect();
-                assert_eq!(got, expect, "{tag}: roundtrip");
-                let (ds, db) = (mem_s.meter().snapshot(), mem_b.meter().snapshot());
-                assert_eq!(db.copies, ds.copies, "{tag}: metered copies");
-                assert_eq!(db.bytes_copied, ds.bytes_copied, "{tag}: copied bytes");
-                assert_eq!(db.ring_records, ds.ring_records, "{tag}: ring records");
-                assert!(
-                    db.lock_acquisitions <= ds.lock_acquisitions,
-                    "{tag}: batching may only reduce lock acquisitions"
-                );
+                ps.commit(grant, n).unwrap();
             }
+            let mut serial_records: Vec<Vec<u8>> = Vec::new();
+            let mut serial_plains: Vec<Vec<u8>> = Vec::new();
+            while let Some(record) = cs.consume_in_place(|r| r.to_vec()).unwrap() {
+                open_s.open_in_slot(&record, &mut plain).unwrap();
+                serial_records.push(record);
+                serial_plains.push(plain.as_slice().to_vec());
+            }
+
+            // Batched twin: runs of up to `bs` records per crossing.
+            let (mem_b, mut pb, mut cb) = tx_ring(policy, 16, mtu);
+            let mut seal_b = Channel::from_secrets([9; 32], [8; 32], true, None);
+            let mut open_b = Channel::from_secrets([9; 32], [8; 32], false, None);
+            let mut done = 0usize;
+            while done < payloads.len() {
+                let want = (payloads.len() - done).min(bs);
+                let cap = payloads[done..done + want]
+                    .iter()
+                    .map(Vec::len)
+                    .max()
+                    .unwrap()
+                    + RECORD_OVERHEAD;
+                let grant = pb.reserve_batch(cap, want).unwrap();
+                let g = grant.len().min(want);
+                let mut pts: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                for (i, p) in payloads[done..done + g].iter().enumerate() {
+                    pts[i] = p;
+                }
+                let mut lens = [0usize; MAX_BATCH];
+                pb.with_batch_mut(&grant, |slots| {
+                    seal_b.seal_batch_into_slots(&pts[..g], &mut slots[..g], &mut lens[..g])
+                })
+                .unwrap()
+                .unwrap();
+                pb.commit_batch(grant, &lens[..g]).unwrap();
+                done += g;
+            }
+            let mut batch_records: Vec<Vec<u8>> = Vec::new();
+            let mut batch_plains: Vec<Vec<u8>> = Vec::new();
+            let mut outs: Vec<RecordScratch> =
+                (0..MAX_BATCH).map(|_| RecordScratch::new()).collect();
+            loop {
+                let mut raw: Vec<Vec<u8>> = Vec::new();
+                let n = cb
+                    .consume_batch_in_place(bs, |slots| {
+                        let k = slots.len();
+                        let mut recs: [&[u8]; MAX_BATCH] = [&[]; MAX_BATCH];
+                        for (i, s) in slots.iter().enumerate() {
+                            recs[i] = s;
+                            raw.push(s.to_vec());
+                        }
+                        let mut results: [Result<(), CtlsError>; MAX_BATCH] = [Ok(()); MAX_BATCH];
+                        open_b.open_batch_in_slots(&recs[..k], &mut outs[..k], &mut results[..k]);
+                        for r in &results[..k] {
+                            assert!(r.is_ok(), "{policy:?} bs {bs}: {r:?}");
+                        }
+                    })
+                    .unwrap();
+                if n == 0 {
+                    break;
+                }
+                for (i, r) in raw.into_iter().enumerate() {
+                    batch_records.push(r);
+                    batch_plains.push(outs[i].as_slice().to_vec());
+                }
+            }
+
+            let tag = format!("{policy:?} bs {bs}");
+            assert_eq!(batch_records, serial_records, "{tag}: record bytes/order");
+            assert_eq!(batch_plains, serial_plains, "{tag}: opened plaintexts");
+            let expect: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let got: Vec<&[u8]> = batch_plains.iter().map(Vec::as_slice).collect();
+            assert_eq!(got, expect, "{tag}: roundtrip");
+            let (ds, db) = (mem_s.meter().snapshot(), mem_b.meter().snapshot());
+            assert_eq!(db.copies, ds.copies, "{tag}: metered copies");
+            assert_eq!(db.bytes_copied, ds.bytes_copied, "{tag}: copied bytes");
+            assert_eq!(db.ring_records, ds.ring_records, "{tag}: ring records");
+            assert!(
+                db.lock_acquisitions <= ds.lock_acquisitions,
+                "{tag}: batching may only reduce lock acquisitions"
+            );
         }
     }
 }
