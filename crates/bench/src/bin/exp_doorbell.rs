@@ -9,7 +9,14 @@
 //!   the kick whenever the consumer's published event index proves it is
 //!   still awake — one doorbell covers many batches, so doorbells/record
 //!   collapses at load (gate: < 0.1 with `Adaptive` + `Fixed(8)`, and
-//!   strictly below the `Always` baseline at every batch policy).
+//!   strictly below the `Always` baseline at every batch policy). A hot
+//!   adaptive queue does not re-arm its event index at all until it goes
+//!   cold, so `Adaptive` + `Fixed(8)` must also read below `EventIdx` +
+//!   `Fixed(8)`, which re-arms on every empty drain. The batch-8 gate
+//!   holds at every phase of the setup: the world steps idle for 0, one
+//!   delayed-ACK timeout (300 001 cycles) or 1 M cycles before the
+//!   warm-up, and the reading may not depend on what the setup left
+//!   pending (ROADMAP item 29's idle-gap axis).
 //! - **Throughput**: the suppressed exits are real virtual time saved —
 //!   `Adaptive` beats `Always` by >= 1.15x cycles/record at batch 1,
 //!   where `Always` pays one exit per record.
@@ -25,8 +32,15 @@ use cio::world::{BatchPolicy, BoundaryKind, NotifyMode, NotifyPolicy, World, Wor
 use cio_bench::micro::{json_array, JsonObj};
 use cio_bench::{bench_opts, print_table, steady_echo_run, SteadyEcho};
 use cio_host::backend::{IDLE_BUDGET_MAX, REPOLL_EVERY};
+use cio_netstack::tcp::DELAYED_ACK;
+use cio_sim::Cycles;
 
 const QUEUES: usize = 2;
+
+/// The setup phases the batch-8 gate is read at: virtual cycles the
+/// world steps idle before the warm-up — none, just past one delayed-ACK
+/// timeout, and 1 M.
+const GAPS: [Cycles; 3] = [Cycles::ZERO, Cycles(DELAYED_ACK.0 + 1), Cycles(1_000_000)];
 
 /// Echo workload shape (flows, rounds, payload bytes). Small payloads
 /// keep the per-record work low, so the notification cost is a large,
@@ -79,7 +93,7 @@ fn main() {
     let mut runs: Vec<(NotifyPolicy, BatchPolicy, SteadyEcho)> = Vec::new();
     for &batch in &batches {
         for &policy in &policies {
-            let r = steady_echo_run(doorbell_opts(policy, batch), flows, rounds, size)
+            let r = steady_echo_run(doorbell_opts(policy, batch), flows, rounds, size, GAPS[0])
                 .expect("E23 echo workload failed");
             runs.push((policy, batch, r));
         }
@@ -90,6 +104,14 @@ fn main() {
             .map(|(_, _, r)| r)
             .expect("sweep covers the cell")
     };
+    let adapt_fixed = find(NotifyPolicy::Adaptive, BatchPolicy::Fixed(8));
+    // The gated cell at every setup phase; the sweep ran the first.
+    let mut phases = vec![(GAPS[0], adapt_fixed.doorbells_per_record())];
+    for &gap in &GAPS[1..] {
+        let opts = doorbell_opts(NotifyPolicy::Adaptive, BatchPolicy::Fixed(8));
+        let r = steady_echo_run(opts, flows, rounds, size, gap).expect("E23 phase run failed");
+        phases.push((gap, r.doorbells_per_record()));
+    }
 
     // Zero-load probe: an idle world under the adaptive controller. The
     // gate counters are cumulative, so the *growth* between two horizons
@@ -143,11 +165,24 @@ fn main() {
         ],
         &rows,
     );
+    print_table(
+        "E23 — adaptive + fixed(8) at each setup phase (idle gap before the warm-up)",
+        &["idle gap (cycles)", "doorbells/rec", "gate < 0.1"],
+        &phases
+            .iter()
+            .map(|&(gap, d)| {
+                vec![
+                    gap.get().to_string(),
+                    format!("{d:.4}"),
+                    if d < 0.1 { "holds" } else { "FAILS" }.into(),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
 
     let base_serial = find(NotifyPolicy::Always, BatchPolicy::Serial);
     let base_fixed = find(NotifyPolicy::Always, BatchPolicy::Fixed(8));
     let adapt_serial = find(NotifyPolicy::Adaptive, BatchPolicy::Serial);
-    let adapt_fixed = find(NotifyPolicy::Adaptive, BatchPolicy::Fixed(8));
     let speedup_b1 = base_serial.cycles_per_record() / adapt_serial.cycles_per_record();
     let suppression_active = runs
         .iter()
@@ -169,10 +204,20 @@ fn main() {
         idle_long - idle_short,
     );
 
+    for &(gap, d) in &phases {
+        assert!(
+            d < 0.1,
+            "adaptive+fixed(8) doorbells/record {d:.4} >= 0.1 after an idle gap of {} cycles",
+            gap.get()
+        );
+    }
+    let event_fixed = find(NotifyPolicy::EventIdx, BatchPolicy::Fixed(8));
     assert!(
-        adapt_fixed.doorbells_per_record() < 0.1,
-        "adaptive+fixed(8) doorbells/record {:.4} >= 0.1",
-        adapt_fixed.doorbells_per_record()
+        adapt_fixed.doorbells_per_record() < event_fixed.doorbells_per_record(),
+        "adaptive+fixed(8) doorbells/record {:.4} not below event-idx+fixed(8) {:.4}: \
+         a hot queue re-armed its event index",
+        adapt_fixed.doorbells_per_record(),
+        event_fixed.doorbells_per_record()
     );
     assert!(
         speedup_b1 >= 1.15,
@@ -241,6 +286,15 @@ fn main() {
                 .f64(
                     "adaptive_doorbells_per_record_b8",
                     adapt_fixed.doorbells_per_record(),
+                )
+                .raw(
+                    "adaptive_doorbells_per_record_b8_by_idle_gap",
+                    json_array(phases.iter().map(|&(gap, d)| {
+                        JsonObj::new()
+                            .int("idle_gap_cycles", gap.get())
+                            .f64("doorbells_per_record", d)
+                            .finish()
+                    })),
                 )
                 .f64("speedup_b1", speedup_b1)
                 .int("idle_steps", idle_steps as u64)

@@ -22,6 +22,7 @@
 use cio::world::{BatchPolicy, BoundaryKind, NotifyMode, NotifyPolicy, World};
 use cio_bench::micro::{json_array, JsonObj};
 use cio_bench::{bench_opts, print_table, steady_echo_run, SteadyEcho};
+use cio_sim::Cycles;
 
 const QUEUES: usize = 4;
 
@@ -63,7 +64,7 @@ fn run_arm(
         .notify_policy(policy)
         .batch(batch)
         .into_options();
-    steady_echo_run(opts, flows, rounds, size).expect("E8 echo workload failed")
+    steady_echo_run(opts, flows, rounds, size, Cycles::ZERO).expect("E8 echo workload failed")
 }
 
 fn batch_name(b: BatchPolicy) -> &'static str {

@@ -406,6 +406,11 @@ impl SteadyEcho {
 /// warm-up round trip per flow, so handshake exits don't dilute the
 /// exits/record and doorbells/record ratios under test.
 ///
+/// `gap` is the setup's phase (ROADMAP item 29): the world steps idle
+/// for at least that many virtual cycles between establishment and the
+/// warm-up, so timers the setup left pending (delayed ACKs) fire first.
+/// [`Cycles::ZERO`] steps nothing.
+///
 /// # Errors
 ///
 /// World construction or timeout failures.
@@ -414,6 +419,7 @@ pub fn steady_echo_run(
     flows: usize,
     rounds: u32,
     size: usize,
+    gap: Cycles,
 ) -> Result<SteadyEcho, CioError> {
     let mut w = World::new(BoundaryKind::L2CioRing, opts)?;
     let conns: Vec<_> = (0..flows)
@@ -421,6 +427,10 @@ pub fn steady_echo_run(
         .collect::<Result<_, _>>()?;
     for &c in &conns {
         w.establish(c, 50_000)?;
+    }
+    let idle_until = w.clock().now().saturating_add(gap);
+    while w.clock().now() < idle_until {
+        w.step()?;
     }
     let payload = vec![0x5Au8; size];
     // Warm-up: one echo per flow primes every ring and RSS lane.

@@ -434,6 +434,21 @@ impl CioBlkBackend {
         Ok(handled)
     }
 
+    /// One service pass admitted by the host's poll-vs-notify decision:
+    /// [`CioBlkBackend::process`], whose empty drain publishes the request
+    /// ring's event index only if `arm` (see
+    /// [`Consumer::set_arm_on_empty`]). Every other pass keeps arming.
+    ///
+    /// # Errors
+    ///
+    /// As [`CioBlkBackend::process`].
+    pub fn process_pass(&mut self, arm: bool) -> Result<usize, BlockError> {
+        self.req.set_arm_on_empty(arm);
+        let handled = self.process();
+        self.req.set_arm_on_empty(true);
+        handled
+    }
+
     fn process_chunk(&mut self) -> Result<usize, BlockError> {
         let _svc = self.telemetry.span(self.tq, Stage::BlkService);
         let want = self.profile.batch.max_batch();

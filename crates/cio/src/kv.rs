@@ -193,7 +193,7 @@ impl KvWorld {
         let mem = tee.memory().clone();
         let ring_cfg = RingConfig {
             slots: 16,
-            slot_size: 16,
+            slot_size: 8,
             mode: DataMode::SharedArea,
             mtu: (BLOCK_SIZE + BLK_HDR) as u32,
             area_size: 1 << 17,
@@ -567,7 +567,8 @@ impl KvWorld {
     /// One host-side service round across all lanes, admitted by the
     /// net host's [`Admission`]: every lane is serviced every round
     /// unless [`NotifyPolicy::Adaptive`] finds it provably idle (cold
-    /// lanes are woken by doorbells or the heartbeat).
+    /// lanes are woken by doorbells or the heartbeat). A lane that stays
+    /// hot does not re-arm the guest's doorbell on its empty drain.
     ///
     /// # Errors
     ///
@@ -575,11 +576,11 @@ impl KvWorld {
     pub fn service(&mut self) -> Result<usize, CioError> {
         let mut moved_total = 0;
         for lane in 0..self.cfg.queues {
-            if self.admission.admit(lane, false).is_none() {
+            let Some(pass) = self.admission.admit(lane, false) else {
                 continue;
-            }
+            };
             let back = self.store.inner_mut().lane_mut(lane).backend_mut();
-            let moved = back.process()?;
+            let moved = back.process_pass(pass.arm)?;
             self.admission.observe(lane, moved);
             moved_total += moved;
         }

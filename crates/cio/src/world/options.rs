@@ -196,7 +196,7 @@ impl WorldOptions {
         const AREA: usize = 1 << 19;
         RingConfig {
             slots: (AREA / FRAME_LIMIT) as u32,
-            slot_size: 16,
+            slot_size: 8,
             mode: DataMode::SharedArea,
             mtu: FRAME_LIMIT as u32,
             mac: GUEST_MAC.0,

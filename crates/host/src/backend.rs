@@ -23,9 +23,10 @@
 //! harness, hot-swap) downcast through [`Backend::as_any_mut`] instead of
 //! the `World` growing one accessor per device type.
 //!
-//! Whether a cio queue is serviced at all in a round is decided once, by
-//! [`Admission`]: it takes the queue's door word and consults the
-//! queue's poll-vs-notify gate. Whoever drives the round owns it — the
+//! Whether a cio queue is serviced at all in a round, and whether that
+//! pass re-arms guest notifications, is decided once, by [`Admission`]:
+//! it takes the queue's door word and consults the queue's
+//! poll-vs-notify gate. Whoever drives the round owns it — the
 //! serial backend, after the split the parallel host's coordinator (which
 //! is handed the same object, gate state included, and so never wakes a
 //! cold queue's thread), or the block host's service loop. What ring mode
@@ -95,20 +96,20 @@ pub const REPOLL_EVERY: u32 = 64;
 /// NAPI-style poll-vs-notify controller for one host queue
 /// ([`NotifyPolicy::Adaptive`]).
 ///
-/// While a queue is *hot* the host services it every round. That does
-/// not keep guest doorbells suppressed: the host's consumer republishes
-/// its event index on every empty drain after it consumed anything
-/// (`Consumer::note_empty`), so the guest's next publish crosses it and
-/// exits, although the host will poll next round anyway. This is why
-/// E23's `event-idx` and `adaptive` rows read the same (ROADMAP item 25:
-/// arm only on the pass that turns the gate cold).
-/// After a budget of consecutive empty passes the gate goes cold and
-/// service passes are skipped outright, charging nothing, until a
-/// doorbell, staged inbound work, or the [`REPOLL_EVERY`] heartbeat
-/// wakes the queue. The idle budget scales with recently observed batch
-/// sizes (a queue that was just moving big batches earns a longer
-/// cooldown) and is clamped to [`IDLE_BUDGET_MIN`]..[`IDLE_BUDGET_MAX`],
-/// so idle spin is bounded at zero load.
+/// While a queue is *hot* the host services it every round and keeps
+/// guest doorbells suppressed: its consumer does not publish its event
+/// index on an empty drain ([`Pass::arm`]), so the index the guest's
+/// producer reads stays behind and every kick finds the host provably
+/// awake. After a budget of consecutive empty passes the gate goes cold;
+/// the empty drain of the pass that turns it cold publishes the index
+/// (the gate knows beforehand, [`NotifyGate::arms`]), so the guest's next
+/// publish rings. Cold service passes are skipped outright, charging
+/// nothing, until that doorbell, staged inbound work, or the
+/// [`REPOLL_EVERY`] heartbeat wakes the queue. The idle budget scales
+/// with recently observed batch sizes (a queue that was just moving big
+/// batches earns a longer cooldown) and is clamped to
+/// [`IDLE_BUDGET_MIN`]..[`IDLE_BUDGET_MAX`], so idle spin is bounded at
+/// zero load.
 #[derive(Debug, Clone)]
 pub(crate) struct NotifyGate {
     /// Hot = poll every round; cold = skip until woken.
@@ -147,6 +148,13 @@ impl NotifyGate {
     /// is due.
     pub fn should_service(&self, door: bool, work: bool) -> bool {
         door || work || self.hot || self.skipped >= REPOLL_EVERY
+    }
+
+    /// Whether an empty pass now would turn the gate cold — so that pass
+    /// is the one whose empty drain re-arms guest notifications. Always
+    /// true while cold.
+    pub fn arms(&self) -> bool {
+        self.idle_streak + 1 >= self.budget
     }
 
     /// Accounts one serviced pass that moved `moved` frames.
@@ -194,6 +202,21 @@ pub fn ring_notify(mode: NotifyMode, policy: NotifyPolicy) -> NotifyMode {
         (_, NotifyPolicy::Always) => NotifyMode::Doorbell,
         (_, NotifyPolicy::EventIdx | NotifyPolicy::Adaptive) => NotifyMode::EventIdx,
     }
+}
+
+/// An admitted service pass over one cio queue: the verdict of
+/// [`Admission::admit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pass {
+    /// Whether the guest rang the queue's doorbell since the last pass
+    /// (a rang-but-empty pass is metered as a spurious wakeup).
+    pub door: bool,
+    /// Whether the pass's empty drain publishes the event index
+    /// (`Consumer::set_arm_on_empty`). Always, except on a
+    /// [`NotifyPolicy::Adaptive`] queue whose gate stays hot after an
+    /// empty pass: the host polls it next round anyway, so the guest's
+    /// doorbell would buy nothing (vhost's busy-poll rule).
+    pub arm: bool,
 }
 
 /// The per-round admission decision for a set of cio queues: door-take
@@ -244,29 +267,39 @@ impl Admission {
 
     /// Takes queue `q`'s door word (read and clear) and decides whether
     /// this round services the queue, given whether inbound `work` is
-    /// staged for it. `Some(door)` admits the pass, `door` telling it
-    /// whether the guest rang; `None` keeps the queue cold — no span, no
-    /// ring traffic, no virtual-time charge — and accounts the skip.
+    /// staged for it. `Some(pass)` admits the pass (see [`Pass`]); `None`
+    /// keeps the queue cold — no span, no ring traffic, no virtual-time
+    /// charge — and accounts the skip.
     ///
     /// An unreadable door word (the guest pulled the ring header from
     /// under the host) fails toward service, like every other
     /// notification doubt: the pass is admitted as rung, meets the same
     /// fault on the ring itself, and surfaces it there. A skip never
     /// rests on a word that could not be read.
-    pub fn admit(&mut self, q: usize, work: bool) -> Option<bool> {
+    pub fn admit(&mut self, q: usize, work: bool) -> Option<Pass> {
         let Some(addr) = self.doors[q] else {
-            return Some(false);
+            return Some(Pass {
+                door: false,
+                arm: true,
+            });
         };
         // Anything but a readable zero counts as rung.
         let door = self.host.read_u32(addr) != Ok(0);
         if door {
             let _ = self.host.write_u32(addr, 0);
         }
-        if self.policy == NotifyPolicy::Adaptive && !self.gates[q].should_service(door, work) {
-            self.gates[q].observe_skip();
+        if self.policy != NotifyPolicy::Adaptive {
+            return Some(Pass { door, arm: true });
+        }
+        let gate = &mut self.gates[q];
+        if !gate.should_service(door, work) {
+            gate.observe_skip();
             return None;
         }
-        Some(door)
+        Some(Pass {
+            door,
+            arm: gate.arms(),
+        })
     }
 
     /// Accounts an admitted pass over queue `q` that moved `moved` frames
@@ -545,11 +578,10 @@ pub(crate) struct CioLaneCtx<'a> {
     pub(crate) recorder: &'a Recorder,
     pub(crate) clock: &'a Clock,
     pub(crate) telemetry: &'a Telemetry,
-    /// Whether the guest rang the guest->host doorbell since the last
-    /// pass (event-idx bookkeeping; always false outside
-    /// [`NotifyMode::EventIdx`]). A rang-but-empty pass is metered as a
-    /// spurious wakeup.
-    pub(crate) door: bool,
+    /// The admission verdict for this pass: whether the guest rang (always
+    /// false outside [`NotifyMode::EventIdx`]) and whether the empty drain
+    /// re-arms guest notifications.
+    pub(crate) pass: Pass,
 }
 
 /// Services one cio queue: drains guest->net records into `sink`, cut
@@ -566,6 +598,7 @@ pub(crate) fn service_cio_lane(
 ) -> Result<usize, HostError> {
     let _svc = ctx.telemetry.span(q, Stage::HostService);
     let fbits = ctx.fbits;
+    lane.end.tx.set_arm_on_empty(ctx.pass.arm);
     let tx_armed_before = lane.end.tx.is_armed();
     let mut moved = 0;
 
@@ -655,7 +688,7 @@ pub(crate) fn service_cio_lane(
         ctx.telemetry
             .record(q, EventKind::NotifyArm, lane.end.tx.armed_at() as u64, 0);
     }
-    if ctx.door && moved == 0 {
+    if ctx.pass.door && moved == 0 {
         lane.end.tx.note_spurious_wakeup();
         ctx.telemetry.record(q, EventKind::SpuriousWake, 0, 0);
     }
@@ -817,7 +850,7 @@ impl CioNetBackend {
     }
 
     /// One admitted service pass over queue `q`.
-    fn service_queue(&mut self, q: usize, door: bool) -> Result<usize, HostError> {
+    fn service_queue(&mut self, q: usize, pass: Pass) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.frame_bits(),
@@ -825,7 +858,7 @@ impl CioNetBackend {
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,
-            door,
+            pass,
         };
         let mut sink = PortSink {
             port: &mut self.port,
@@ -843,14 +876,14 @@ impl Backend for CioNetBackend {
         let mut moved = 0;
         for q in 0..self.queues.queues() {
             let work = !self.queues.lane(q).end.pending.is_empty();
-            let Some(door) = self.admission.admit(q, work) else {
+            let Some(pass) = self.admission.admit(q, work) else {
                 continue;
             };
             let base = lanes.begin(q);
             // The adversary may have wedged this queue: the violation
             // surfaces on the meter, the pass counts as empty, and the
             // other queues (and later rounds) keep running.
-            let n = self.service_queue(q, door).unwrap_or(0);
+            let n = self.service_queue(q, pass).unwrap_or(0);
             lanes.end(q, base);
             self.admission.observe(q, n);
             moved += n;
@@ -979,7 +1012,17 @@ mod tests {
     }
 
     fn cio_ring_pair(mem: &GuestMemory, base_page: u64, area_page: u64) -> (CioRing, CioRing) {
+        cio_ring_pair_notified(mem, base_page, area_page, NotifyMode::Polling)
+    }
+
+    fn cio_ring_pair_notified(
+        mem: &GuestMemory,
+        base_page: u64,
+        area_page: u64,
+        notify: NotifyMode,
+    ) -> (CioRing, CioRing) {
         let cfg = RingConfig {
+            notify,
             slots: 64,
             slot_size: 16,
             mode: DataMode::SharedArea,
@@ -1095,6 +1138,77 @@ mod tests {
         peer_port.transmit(b"copied early").unwrap();
         pass(&mut backend, &clock);
         assert!(meter.snapshot().copies > before);
+    }
+
+    #[test]
+    fn a_hot_adaptive_queue_arms_its_event_index_only_on_the_pass_that_turns_it_cold() {
+        // vhost's busy-poll rule: while the host polls a queue every round
+        // the guest's doorbell buys nothing, so the hot queue never
+        // publishes its event index and every guest kick is suppressed.
+        // The empty pass that turns the gate cold publishes it once; the
+        // guest's next publish rings, and the door admits the cold queue.
+        const BUSY: u32 = 10;
+        let clock = Clock::new();
+        let meter = Meter::new();
+        let mem = GuestMemory::new(600, clock.clone(), CostModel::default(), meter.clone());
+        let (tx_ring, rx_ring) = cio_ring_pair_notified(&mem, 0, 16, NotifyMode::EventIdx);
+        let event_idx = tx_ring.event_idx_addr();
+        let mut guest_tx = Producer::new(tx_ring.clone(), mem.guest()).unwrap();
+        let host_tx = Consumer::new(tx_ring, mem.host()).unwrap();
+        let host_rx = Producer::new(rx_ring, mem.host()).unwrap();
+        let (dev_port, mut peer_port) = fabric_pair(&clock);
+        let mut backend = CioNetBackend::new(
+            vec![(host_tx, host_rx)],
+            mem.host(),
+            dev_port,
+            Recorder::new(),
+            clock.clone(),
+        )
+        .unwrap();
+        backend.set_notify_policy(NotifyPolicy::Adaptive);
+        let ev = || mem.host().read_u32(event_idx).unwrap();
+
+        // The first publish crosses the initial event index and rings;
+        // then the queue is busy every round and stays hot.
+        for i in 0..=BUSY {
+            guest_tx.produce(b"busy").unwrap();
+            assert_eq!(guest_tx.kick(), i == 0, "publish {i}");
+            assert_eq!(pass(&mut backend, &clock), 1);
+            assert_eq!(recv(&mut peer_port).unwrap(), b"busy");
+            assert!(!backend.tx_ring_of(0).is_armed(), "busy pass {i} armed");
+        }
+        let s = meter.snapshot();
+        assert_eq!(
+            (s.notifications_sent, s.suppressed_kicks),
+            (1, u64::from(BUSY))
+        );
+        assert_eq!(ev(), 0, "a hot queue wrote its event index");
+
+        // Idle: one-frame passes earned an idle budget of
+        // `IDLE_BUDGET_MIN + 1` empty passes. Those before the last stay
+        // quiet; the one that turns the gate cold publishes the index.
+        for i in 1..=IDLE_BUDGET_MIN {
+            assert_eq!(pass(&mut backend, &clock), 0);
+            assert_eq!(ev(), 0, "empty hot pass {i} armed");
+        }
+        let idle = backend.idle_passes();
+        assert_eq!(pass(&mut backend, &clock), 0);
+        assert_eq!(ev(), BUSY + 1, "the cold-turning pass did not arm");
+        assert!(backend.tx_ring_of(0).is_armed());
+        // Cold: skipped outright, nothing published again.
+        for _ in 0..8 {
+            assert_eq!(pass(&mut backend, &clock), 0);
+        }
+        assert_eq!(backend.idle_passes(), idle + 1, "a cold queue was polled");
+
+        // The guest's next publish crosses the armed index and rings; the
+        // door wakes the cold queue.
+        guest_tx.produce(b"wake").unwrap();
+        assert!(guest_tx.kick(), "the publish after the arm was suppressed");
+        assert_eq!(meter.snapshot().notifications_sent, 2);
+        assert_eq!(pass(&mut backend, &clock), 1);
+        assert_eq!(recv(&mut peer_port).unwrap(), b"wake");
+        assert_eq!(meter.snapshot().spurious_wakeups, 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! container (steering batches, outbox frames) round-trips between
 //! coordinator and worker so capacities are reused.
 
-use crate::backend::{steer_ingress, Admission, Backend, CioNetBackend, HostQueue};
+use crate::backend::{steer_ingress, Admission, Backend, CioNetBackend, HostQueue, Pass};
 use crate::fabric::FabricPort;
 use crate::mq::QueueLane;
 use crate::worker::CioQueueWorker;
@@ -62,8 +62,9 @@ use std::time::Duration;
 ///
 /// The scalar fields carry the notification handshake: the coordinator
 /// sets `admitted` to its admission verdict (`None`: a cold queue,
-/// skipped without waking anything; `Some(door)`: run the lane, `door`
-/// telling whether the guest rang since the last pass); the worker
+/// skipped without waking anything; `Some(pass)`: run the lane, `pass`
+/// telling whether the guest rang since the last pass and whether the
+/// empty drain re-arms guest notifications); the worker
 /// reports back `moved` and its residual `backlog`, which feed the
 /// coordinator-side admission exactly like the serial backend's own
 /// bookkeeping.
@@ -71,7 +72,7 @@ use std::time::Duration;
 struct LaneExchange {
     inbound: Vec<Vec<u8>>,
     outbox: Vec<(Cycles, Vec<u8>)>,
-    admitted: Option<bool>,
+    admitted: Option<Pass>,
     moved: usize,
     backlog: usize,
 }
@@ -397,7 +398,7 @@ fn worker_loop(mut workers: Vec<CioQueueWorker>, mb: &Mailbox) {
             Cmd::Service(mut set) => {
                 let mut moved = 0;
                 for (w, ex) in workers.iter_mut().zip(set.iter_mut()) {
-                    let Some(door) = ex.admitted else {
+                    let Some(pass) = ex.admitted else {
                         // Cold adaptive lane: untouched (its flushed
                         // outbox is recycled on the next serviced pass).
                         continue;
@@ -406,7 +407,7 @@ fn worker_loop(mut workers: Vec<CioQueueWorker>, mb: &Mailbox) {
                     w.enqueue(&mut ex.inbound);
                     // A wedged ring surfaces on the meter and counts as
                     // an empty pass, exactly like the serial round.
-                    ex.moved = w.service(door).unwrap_or(0);
+                    ex.moved = w.service(pass).unwrap_or(0);
                     ex.outbox = w.take_outbox();
                     ex.backlog = w.backlog();
                     moved += ex.moved;

@@ -22,7 +22,7 @@
 //! [`FabricPort::transmit_at`]: crate::fabric::FabricPort::transmit_at
 
 use crate::backend::{
-    enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue, PENDING_CAP,
+    enqueue_capped, service_cio_lane, CioLaneCtx, FrameSink, HostQueue, Pass, PENDING_CAP,
 };
 use crate::mq::QueueLane;
 use crate::observe::Recorder;
@@ -118,15 +118,16 @@ impl CioQueueWorker {
 
     /// Services this queue once (guest->net drain into the outbox,
     /// net->guest delivery of the pending backlog), charging all virtual
-    /// time to the worker's lane clock. `door` reports whether the
-    /// coordinator observed (and cleared) the guest's doorbell for this
-    /// queue since the last pass — event-idx spurious-wakeup accounting.
+    /// time to the worker's lane clock. `pass` is the coordinator's
+    /// admission verdict: whether it observed (and cleared) the guest's
+    /// doorbell for this queue since the last pass, and whether the empty
+    /// drain re-arms guest notifications.
     ///
     /// # Errors
     ///
     /// Transport errors a malicious guest can provoke on its own queue
     /// (the worker loop swallows them exactly like the serial round).
-    pub(crate) fn service(&mut self, door: bool) -> Result<usize, HostError> {
+    pub(crate) fn service(&mut self, pass: Pass) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
             batch: self.batch,
             fbits: self.fbits,
@@ -134,7 +135,7 @@ impl CioQueueWorker {
             recorder: &self.recorder,
             clock: &self.clock,
             telemetry: &self.telemetry,
-            door,
+            pass,
         };
         let mut sink = OutboxSink {
             outbox: &mut self.outbox,

@@ -88,8 +88,10 @@ pub enum NotifyPolicy {
     /// round (no skip controller).
     EventIdx,
     /// Event-idx suppression plus the NAPI-style per-queue controller:
-    /// the consumer skips service passes while provably idle and re-arms
-    /// notifications within a bounded idle-spin budget.
+    /// the consumer skips service passes while provably idle, leaves the
+    /// producer's kicks suppressed while it polls every round, and re-arms
+    /// notifications only on the pass after which it stops polling, within
+    /// a bounded idle-spin budget.
     Adaptive,
 }
 
@@ -102,7 +104,8 @@ pub enum NotifyPolicy {
 pub struct RingConfig {
     /// Number of ring slots; must be a power of two.
     pub slots: u32,
-    /// Bytes per slot; must be a power of two ≥ 16.
+    /// Bytes per slot; must be a power of two ≥ 8 (a slot holds its
+    /// `{offset u32, len u32}` pair).
     pub slot_size: u32,
     /// Payload placement: the one layout, read by nothing (see
     /// [`DataMode`]).
@@ -149,8 +152,8 @@ impl RingConfig {
         if self.slots == 0 || !self.slots.is_power_of_two() {
             return Err(RingError::Fatal("slot count must be a power of two"));
         }
-        if self.slot_size < 16 || !self.slot_size.is_power_of_two() {
-            return Err(RingError::Fatal("slot size must be a power of two >= 16"));
+        if self.slot_size < 8 || !self.slot_size.is_power_of_two() {
+            return Err(RingError::Fatal("slot size must be a power of two >= 8"));
         }
         if self.mtu == 0 {
             return Err(RingError::Fatal("mtu must be non-zero"));
@@ -391,8 +394,9 @@ fn carve_run<R>(
     f(&mut slots[..n])
 }
 
-/// Runs `visit` over the validated payload windows of one run while they
-/// are locked. When the windows form an ascending, non-overlapping run
+/// Runs `visit` over the validated payload windows of one stretch of a
+/// run (its slots on one side of the ring's wrap) while they are locked.
+/// When the windows form an ascending, non-overlapping run
 /// (which the honest producer's stride layout always yields) one locked
 /// region covers them all and `visit` sees the whole run at once; a
 /// hostile layout that aliases or reorders windows degrades to one lock
@@ -873,12 +877,13 @@ pub struct Consumer<V: MemView> {
     /// Private consume counter — the only index the consumer trusts.
     next: u32,
     /// Whether event-idx notifications are currently armed (the consumer
-    /// published its event index after finding the ring empty and has not
-    /// consumed since).
+    /// published its event index, `next`, after finding the ring empty
+    /// and has not consumed since), making the idle-arm idempotent per
+    /// ring position.
     armed: bool,
-    /// The `next` value at which the event index was last published,
-    /// making the idle-arm idempotent per ring position.
-    armed_at: u32,
+    /// Whether an empty drain publishes the event index (see
+    /// [`Consumer::set_arm_on_empty`]).
+    arm_on_empty: bool,
     /// Data positioning (§3.2): in place, record handlers see slot memory;
     /// copy-early, the validated run is copied into `staging` first and
     /// handlers only ever see those private copies.
@@ -908,7 +913,7 @@ impl<V: MemView> Consumer<V> {
             view,
             next: 0,
             armed: false,
-            armed_at: 0,
+            arm_on_empty: true,
             policy,
             telemetry: Telemetry::disabled(),
             tq: 0,
@@ -949,7 +954,7 @@ impl<V: MemView> Consumer<V> {
             view,
             next: self.next,
             armed: self.armed,
-            armed_at: self.armed_at,
+            arm_on_empty: self.arm_on_empty,
             policy: self.policy,
             staging: self.staging,
             telemetry: self.telemetry,
@@ -1023,20 +1028,28 @@ impl<V: MemView> Consumer<V> {
     /// [`NotifyMode::EventIdx`]: one store re-arms notifications, so the
     /// producer's next publish past this point rings a doorbell. Idempotent
     /// per ring position — a poll loop that keeps finding the ring empty
-    /// charges the arm exactly once.
+    /// charges the arm exactly once. Nothing is published while
+    /// [`Consumer::set_arm_on_empty`] holds the arm off.
     fn note_empty(&mut self) -> Result<(), RingError> {
-        if self.ring.cfg.notify != NotifyMode::EventIdx {
-            return Ok(());
-        }
-        if self.armed && self.armed_at == self.next {
+        if self.ring.cfg.notify != NotifyMode::EventIdx || !self.arm_on_empty || self.armed {
             return Ok(());
         }
         self.view.write_u32(self.ring.event_idx_addr(), self.next)?;
         let mem = self.view.memory();
         mem.clock().advance(mem.cost().event_idx_arm);
         self.armed = true;
-        self.armed_at = self.next;
         Ok(())
+    }
+
+    /// Sets whether an empty drain publishes the event index (on by
+    /// default). A consumer that will poll again next round anyway holds
+    /// the arm off, so the producer's stale event index keeps suppressing
+    /// its kicks; it arms on the empty drain of the pass after which it
+    /// stops polling (vhost's busy-poll rule, decided by the host's
+    /// `cio_host::backend::Admission`). A stale index only suppresses: it
+    /// never hides a record, and it is still validated by the producer.
+    pub fn set_arm_on_empty(&mut self, arm: bool) {
+        self.arm_on_empty = arm;
     }
 
     /// Whether event-idx notifications are currently armed (the consumer
@@ -1047,10 +1060,11 @@ impl<V: MemView> Consumer<V> {
     }
 
     /// The event index published at the last arm (diagnostic; only
-    /// meaningful while [`Consumer::is_armed`] is true).
+    /// meaningful while [`Consumer::is_armed`] is true, when it is the
+    /// private consume counter).
     #[inline]
     pub fn armed_at(&self) -> u32 {
-        self.armed_at
+        self.next
     }
 
     /// Meters a doorbell that woke the consumer to an already-drained ring
@@ -1059,26 +1073,28 @@ impl<V: MemView> Consumer<V> {
         self.view.memory().meter().spurious_wakeups(1);
     }
 
-    /// Consumes up to `max` payloads under (in the honest layout) a single
-    /// memory-lock acquisition, then retires the whole run with a single
+    /// Consumes up to `max` payloads under (in the honest layout) one
+    /// memory-lock acquisition per side of the ring's wrap, then retires
+    /// the whole run with a single producer-index read and a single
     /// consumer-index write. Returns how many records were consumed (0
     /// when the ring is empty).
     ///
     /// Every slot's metadata is fetched exactly once, masked, and clamped
     /// by `read_slot_meta` — batching amortizes the lock and the index
     /// write, never the validation — so `f` can never be handed an
-    /// out-of-area range. When the validated payload windows form an
-    /// ascending, non-overlapping run (which the honest producer's stride
-    /// layout always yields) one locked region covers them all; a hostile
-    /// layout that aliases or reorders windows silently degrades to one
-    /// lock per record. All `max ≤` [`MAX_BATCH`] bookkeeping lives on the
-    /// stack.
+    /// out-of-area range. When the validated payload windows on each side
+    /// of the wrap form an ascending, non-overlapping run (which the
+    /// honest producer's stride layout always yields) one locked region
+    /// covers that stretch; a hostile layout that aliases or reorders
+    /// windows silently degrades to one lock per record. All `max ≤`
+    /// [`MAX_BATCH`] bookkeeping lives on the stack.
     ///
     /// In place, `f` runs over the slot bytes themselves (mutable, because
     /// in-place consumers transform the record where it lies), under the
     /// memory lock — it must not touch guest memory again (see
-    /// `GuestMemory::with_range`) — and the degraded hostile layout
-    /// invokes it once per record on a one-element batch. Copy-early, the
+    /// `GuestMemory::with_range`) — once per locked stretch: a run across
+    /// the wrap invokes it twice, and the degraded hostile layout once per
+    /// record on a one-element batch. Copy-early, the
     /// run is first copied into the endpoint's private staging (one
     /// metered copy per record) and `f` runs once, outside the lock, over
     /// the private copies. Either way `f` observes the same records in the
@@ -1129,7 +1145,7 @@ impl<V: MemView> Consumer<V> {
     fn take_run(
         &mut self,
         max: usize,
-        visit: impl FnMut(&mut [&mut [u8]]),
+        mut visit: impl FnMut(&mut [&mut [u8]]),
     ) -> Result<([(GuestAddr, u32); MAX_BATCH], usize), RingError> {
         let mut metas = [(GuestAddr(0), 0); MAX_BATCH];
         let avail = self.available()? as usize;
@@ -1137,14 +1153,17 @@ impl<V: MemView> Consumer<V> {
             self.note_empty()?;
             return Ok((metas, 0));
         }
-        let until_wrap = (self.ring.cfg.slots - (self.next & self.ring.slot_mask())) as usize;
-        let n = avail.min(max).min(until_wrap).min(MAX_BATCH);
+        let n = avail.min(max).min(MAX_BATCH);
         for (i, meta) in metas.iter_mut().enumerate().take(n) {
             *meta =
                 self.read_slot_meta(self.next.wrapping_add(i as u32) & self.ring.slot_mask())?;
         }
-        if n > 0 {
-            visit_run_locked(&self.view, &metas[..n], visit)?;
+        // A run that crosses the wrap is visited as its two ascending
+        // stretches, one lock each.
+        let until_wrap = (self.ring.cfg.slots - (self.next & self.ring.slot_mask())) as usize;
+        let (head, tail) = metas[..n].split_at(n.min(until_wrap));
+        for stretch in [head, tail].into_iter().filter(|s| !s.is_empty()) {
+            visit_run_locked(&self.view, stretch, &mut visit)?;
         }
         for &(_, len) in &metas[..n] {
             match self.policy {
@@ -1277,7 +1296,7 @@ mod tests {
         };
         assert!(matches!(cfg.validate(), Err(RingError::Fatal(_))));
         let cfg = RingConfig {
-            slot_size: 8,
+            slot_size: 4,
             ..RingConfig::default()
         };
         assert!(matches!(cfg.validate(), Err(RingError::Fatal(_))));
@@ -1528,6 +1547,55 @@ mod tests {
         p.commit_batch(g, &[3; 5]).unwrap();
         // A full ring errs rather than granting an empty run.
         assert!(matches!(p.reserve_batch(8, 1), Err(RingError::Full)));
+    }
+
+    #[test]
+    fn a_run_across_the_wrap_reads_and_writes_one_index_under_two_locks() {
+        // Six records published across the wrap of an 8-slot ring (slots
+        // 5, 6, 7, 0, 1, 2) are one run: one producer-index read, one
+        // consumer-index write, and one lock per side of the wrap — in
+        // place and copy-early alike, with the records in ring order.
+        let cost = CostModel::default();
+        let mut seen_by_policy = Vec::new();
+        for policy in [CopyPolicy::InPlace, CopyPolicy::CopyEarly] {
+            let (m, mut p, mut c) = tx_pair(small_cfg());
+            c.set_copy_policy(policy);
+            for _ in 0..5 {
+                p.produce(b"park").unwrap();
+            }
+            assert_eq!(c.consume_batch_in_place(8, |_| {}).unwrap(), 5);
+            let records: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 10 + i as usize]).collect();
+            for r in &records {
+                p.produce(r).unwrap();
+            }
+            let (before, t0) = (m.meter().snapshot(), m.clock().now());
+            let (mut seen, mut visits) = (Vec::new(), 0);
+            let n = c
+                .consume_batch_in_place(MAX_BATCH, |slots| {
+                    visits += 1;
+                    seen.extend(slots.iter().map(|s| s.to_vec()));
+                })
+                .unwrap();
+            let (d, spent) = (m.meter().snapshot().delta(&before), m.clock().since(t0));
+            assert_eq!(n, 6, "{policy:?}: the wrap split the run");
+            assert_eq!(seen, records, "{policy:?}");
+            assert_eq!(d.lock_acquisitions, 2, "{policy:?}: one lock per stretch");
+            // Ring ops: one index read, two metadata fields per record,
+            // one index write; each field validated; copy-early adds its
+            // one metered copy per record.
+            let copies: u64 = match policy {
+                CopyPolicy::InPlace => 0,
+                CopyPolicy::CopyEarly => records.iter().map(|r| cost.copy(r.len()).get()).sum(),
+            };
+            let expect = cost.ring_op.get() * (1 + 2 * 6 + 1) + cost.validate_field.get() * 12;
+            assert_eq!(spent.get(), expect + copies, "{policy:?}");
+            let visits_expected = if policy == CopyPolicy::InPlace { 2 } else { 1 };
+            assert_eq!(visits, visits_expected, "{policy:?}");
+            assert_eq!(m.host().read_u32(c.ring().cons_idx_addr()).unwrap(), 11);
+            assert_eq!(c.available().unwrap(), 0);
+            seen_by_policy.push(seen);
+        }
+        assert_eq!(seen_by_policy[0], seen_by_policy[1]);
     }
 
     #[test]
