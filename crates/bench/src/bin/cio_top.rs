@@ -7,10 +7,9 @@
 //! Everything derives from the shared virtual clock, so two runs with the
 //! same arguments print byte-identical output.
 //!
-//! Usage: `cio_top [--quick] [--prom] [--json] [--trace <path>]`
-//! `--prom` / `--json` additionally dump the raw exporter payloads;
-//! `--trace <path>` writes the telemetry domain's merged Chrome-trace
-//! JSON (load it at `chrome://tracing` or <https://ui.perfetto.dev>).
+//! Usage: `cio_top [--quick] [--json]`
+//! `--json` additionally dumps the telemetry domain's JSON snapshot, the
+//! machine-readable form of everything above.
 
 use cio::world::WorldOptions;
 use cio_bench::{bench_opts, fmt_cycles, print_table, telemetry_echo_world_with};
@@ -32,12 +31,7 @@ fn hist_row(label: String, h: &Histogram) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let want_prom = args.iter().any(|a| a == "--prom");
     let want_json = args.iter().any(|a| a == "--json");
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| args.get(i + 1).expect("--trace needs a path").clone());
     let (flows, rounds, size) = if quick { (8, 12, 512) } else { (16, 64, 1024) };
 
     let opts = WorldOptions {
@@ -121,15 +115,6 @@ fn main() {
 
     println!("\nflight events dropped: {}", w.telemetry().total_dropped());
 
-    if let Some(path) = trace_path {
-        let doc = w.chrome_trace();
-        std::fs::write(&path, doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote Chrome trace to {path}");
-    }
-    if want_prom {
-        println!("\n--- prometheus ---");
-        print!("{}", tel.prometheus_text());
-    }
     if want_json {
         println!("\n--- json ---");
         println!("{}", tel.json_snapshot());

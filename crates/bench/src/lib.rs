@@ -253,7 +253,7 @@ pub fn echo_latency(
 
 /// Runs a multi-flow echo workload with the telemetry layer optionally
 /// enabled and returns the finished [`World`] so callers can inspect the
-/// attribution profile, histograms, and exporters.
+/// attribution profile, histograms, and exports.
 ///
 /// Each flow keeps one `size`-byte ping outstanding and records the
 /// application-observed round-trip into the per-queue RTT histogram of the
@@ -388,7 +388,7 @@ impl SteadyEcho {
 
     /// Doorbells per ring record over the measured phase: guest exits
     /// plus host->guest interrupts, divided by records moved — the E23
-    /// headline ratio, matching the `cio_doorbells_per_record` gauge.
+    /// headline ratio, matching the JSON snapshot's `doorbells_per_record`.
     pub fn doorbells_per_record(&self) -> f64 {
         let recs = self.meter.ring_records.max(1) as f64;
         (self.meter.notifications_sent + self.meter.interrupts_received) as f64 / recs

@@ -27,7 +27,7 @@ use crate::CioError;
 use cio_host::adversary::AttackKind;
 use cio_host::fabric::LinkParams;
 use cio_host::VirtioNetBackend;
-use cio_sim::{verify_audit_chain, AuditViolation, Cycles, EventKind, Telemetry};
+use cio_sim::{Cycles, EventKind, Telemetry};
 use cio_vring::cioring::{BatchPolicy, CioRing};
 
 pub use cio_host::adversary::ALL_ATTACKS;
@@ -47,8 +47,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Stable wire code, carried as the `b` payload word of the
-    /// [`EventKind::AttackVerdict`] flight event (and therefore
-    /// authenticated by the audit chain).
+    /// [`EventKind::AttackVerdict`] flight event.
     pub fn code(self) -> u64 {
         match self {
             Outcome::NoSurface => 0,
@@ -82,15 +81,16 @@ pub struct AttackReport {
     pub outcome: Outcome,
     /// Whether the echo workload still completed correctly afterwards.
     pub workload_survived: bool,
-    /// Whether the verdict landed in the world's tamper-evident audit
-    /// chain and the whole chain verified afterwards (trivially `true`
-    /// for `NoSurface` scenarios, which never build a world).
-    pub audit_ok: bool,
+    /// The scenario world's observation domain: the verdict is the
+    /// newest event on its queue 0. A disabled handle for a `NoSurface`
+    /// scenario that never built a world.
+    pub timeline: Telemetry,
 }
 
 /// The world profile the adversary suite runs on: a short lossless link
-/// and the event timeline armed, so every verdict lands in the audit
-/// chain. The base for [`run_scenario_on`] / [`run_matrix`] variations.
+/// and the event timeline armed, so every verdict is a typed event on
+/// the world's timeline. The base for [`run_scenario_on`] /
+/// [`run_matrix`] variations.
 pub fn attack_opts() -> WorldOptions {
     WorldOptions {
         link: LinkParams {
@@ -111,18 +111,17 @@ fn attack_index(attack: AttackKind) -> u64 {
         .unwrap_or(ALL_ATTACKS.len()) as u64
 }
 
-/// Records the classification verdict in the world's event timeline
-/// (which appends it to the tamper-evident audit chain, `AttackVerdict`
-/// being a security event) and checks that the chain verifies end to end
-/// with the fresh verdict as its newest link.
-fn seal_verdict(timeline: &Telemetry, attack: AttackKind, outcome: Outcome) -> bool {
-    let (scenario, code) = (attack_index(attack), outcome.code());
-    timeline.record(0, EventKind::AttackVerdict, scenario, code);
-    timeline.verify_audit().is_ok()
-        && timeline
-            .audit_records()
-            .last()
-            .is_some_and(|r| r.kind == EventKind::AttackVerdict && r.a == scenario && r.b == code)
+/// Records the classification verdict on queue 0 of the world's event
+/// timeline and hands back the world's observation domain.
+fn record_verdict(world: &World, attack: AttackKind, outcome: Outcome) -> Telemetry {
+    let timeline = world.telemetry();
+    timeline.record(
+        0,
+        EventKind::AttackVerdict,
+        attack_index(attack),
+        outcome.code(),
+    );
+    timeline.clone()
 }
 
 /// Whether this design exposes the mechanism this attack targets.
@@ -289,7 +288,7 @@ pub fn run_scenario_on(
             attack,
             outcome: Outcome::NoSurface,
             workload_survived: true,
-            audit_ok: true,
+            timeline: Telemetry::disabled(),
         });
     }
 
@@ -311,13 +310,12 @@ pub fn run_scenario_on(
     let before = world.meter().snapshot();
     let attempted = launch(&mut world, attack)?;
     if !attempted {
-        let audit_ok = seal_verdict(world.telemetry(), attack, Outcome::NoSurface);
         return Ok(AttackReport {
             boundary,
             attack,
             outcome: Outcome::NoSurface,
             workload_survived: true,
-            audit_ok,
+            timeline: record_verdict(&world, attack, Outcome::NoSurface),
         });
     }
 
@@ -338,13 +336,12 @@ pub fn run_scenario_on(
     } else {
         Outcome::Prevented
     };
-    let audit_ok = seal_verdict(world.telemetry(), attack, outcome);
     Ok(AttackReport {
         boundary,
         attack,
         outcome,
         workload_survived: survived,
-        audit_ok,
+        timeline: record_verdict(&world, attack, outcome),
     })
 }
 
@@ -596,8 +593,8 @@ pub fn batch_partial_poison() -> Result<Outcome, CioError> {
 /// host the network dataplane faces).
 #[derive(Debug, Clone, Copy)]
 pub struct BlkAttackReport {
-    /// The attack class whose wire code seals the verdict (the block
-    /// scenarios reuse the established codes — `SlotForgery` for
+    /// The attack class the verdict is filed under (the block scenarios
+    /// reuse the established codes — `SlotForgery` for
     /// response aliasing, `PayloadDoubleFetch` for mid-batch poison,
     /// `SpuriousCompletion` for rollback — so `ALL_ATTACKS` and every
     /// pinned matrix artifact stay unchanged).
@@ -610,8 +607,6 @@ pub struct BlkAttackReport {
     /// Untouched data still reads back correctly afterwards (the blast
     /// radius is the attacked blocks, not the store).
     pub intact_elsewhere: bool,
-    /// Verdict sealed into a verified audit chain.
-    pub audit_ok: bool,
 }
 
 /// A single-lane encrypted block stack for the storage adversary suite:
@@ -676,15 +671,7 @@ fn blk_pattern(seed: usize, blocks: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Seals a block-scenario verdict into a fresh tamper-evident audit chain
-/// (the block fixture runs below the [`World`] layer, so it carries its
-/// own timeline — same chain discipline, same verification).
-fn seal_blk_verdict(attack: AttackKind, outcome: Outcome) -> bool {
-    let timeline = Telemetry::with_arming(&cio_sim::Clock::new(), 1, false, true);
-    seal_verdict(&timeline, attack, outcome)
-}
-
-/// Response-aliasing TOCTOU on the batched block ring (sealed under the
+/// Response-aliasing TOCTOU on the batched block ring (filed under the
 /// [`AttackKind::SlotForgery`] code): the host answers the request for
 /// one block with the ciphertext it stored for *another* — a splice
 /// attack on the response path, the storage twin of forging a slot's
@@ -729,17 +716,15 @@ pub fn blk_response_alias() -> Result<BlkAttackReport, CioError> {
     } else {
         Outcome::Undetected
     };
-    let audit_ok = seal_blk_verdict(AttackKind::SlotForgery, outcome);
     Ok(BlkAttackReport {
         attack: AttackKind::SlotForgery,
         outcome,
         fail_closed,
         intact_elsewhere,
-        audit_ok,
     })
 }
 
-/// Mid-batch poison on the block ring (sealed under the
+/// Mid-batch poison on the block ring (filed under the
 /// [`AttackKind::PayloadDoubleFetch`] code): the host corrupts one
 /// ciphertext block in the middle of a committed 16-block run before the
 /// guest's batched gather-open. Amortizing one lock and one doorbell over
@@ -784,17 +769,15 @@ pub fn blk_mid_batch_poison() -> Result<BlkAttackReport, CioError> {
     } else {
         Outcome::Undetected
     };
-    let audit_ok = seal_blk_verdict(AttackKind::PayloadDoubleFetch, outcome);
     Ok(BlkAttackReport {
         attack: AttackKind::PayloadDoubleFetch,
         outcome,
         fail_closed,
         intact_elsewhere,
-        audit_ok,
     })
 }
 
-/// Rollback under batching (sealed under the
+/// Rollback under batching (filed under the
 /// [`AttackKind::SpuriousCompletion`] code): the host snapshots a run's
 /// complete generation-1 state — data blocks *and* the tag metadata
 /// block — lets the guest overwrite it through the batched path, then
@@ -854,13 +837,11 @@ pub fn blk_rollback_under_batching() -> Result<BlkAttackReport, CioError> {
     } else {
         Outcome::Undetected
     };
-    let audit_ok = seal_blk_verdict(AttackKind::SpuriousCompletion, outcome);
     Ok(BlkAttackReport {
         attack: AttackKind::SpuriousCompletion,
         outcome,
         fail_closed,
         intact_elsewhere,
-        audit_ok,
     })
 }
 
@@ -985,14 +966,13 @@ pub fn parallel_hostile_mutation(threads: usize) -> Result<(AttackReport, u64), 
     } else {
         Outcome::Prevented
     };
-    let audit_ok = seal_verdict(world.telemetry(), AttackKind::IndexJump, outcome);
     Ok((
         AttackReport {
             boundary: BoundaryKind::L2CioRing,
             attack: AttackKind::IndexJump,
             outcome,
             workload_survived: survived,
-            audit_ok,
+            timeline: record_verdict(&world, AttackKind::IndexJump, outcome),
         },
         sweeps,
     ))
@@ -1044,8 +1024,6 @@ pub struct EventIdxHostileReport {
     /// hostile index may delay delivery by at most the re-poll
     /// heartbeat — never lose it).
     pub workload_survived: bool,
-    /// Verdict sealed into the verified audit chain.
-    pub audit_ok: bool,
     /// Fail-closed rejections of the hostile word during the scenario.
     pub violations_detected: u64,
     /// Kicks legitimately suppressed while the attack ran.
@@ -1178,72 +1156,13 @@ pub fn event_idx_hostile(attack: EventIdxAttack) -> Result<EventIdxHostileReport
     } else {
         Outcome::Prevented
     };
-    // Sealed under the notification-surface attack class: the event-idx
-    // word is notification state, and extending `ALL_ATTACKS` would
-    // re-pin every existing matrix artifact.
-    let audit_ok = seal_verdict(world.telemetry(), AttackKind::NotificationStorm, outcome);
     Ok(EventIdxHostileReport {
         attack,
         outcome,
         workload_survived: survived,
-        audit_ok,
         violations_detected: delta.violations_detected,
         suppressed_kicks: delta.suppressed_kicks,
         spurious_wakeups: delta.spurious_wakeups,
-    })
-}
-
-/// Report from the [`audit_chain_tamper`] micro-scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditTamperReport {
-    /// Records in the audit chain when it was tampered with.
-    pub chain_len: usize,
-    /// Whether the untouched chain verified against its head.
-    pub clean_ok: bool,
-    /// The link whose payload was mutated.
-    pub tampered_link: usize,
-    /// Whether the verifier flagged exactly that link (`BadDigest`).
-    pub flagged_exact: bool,
-}
-
-/// Chain-tamper micro-scenario: runs the mid-handshake record poisoning
-/// with the event timeline armed — so the chain carries the organic
-/// security events (handshake failure, session quarantine) plus the
-/// sealed verdict — then mutates a single audit record in a copy of the
-/// chain and checks the verifier pinpoints exactly that link — i.e. a
-/// forensic log an attacker edited after the fact cannot pass for the
-/// one the dataplane wrote.
-///
-/// # Errors
-///
-/// Infrastructure failures only.
-pub fn audit_chain_tamper() -> Result<AuditTamperReport, CioError> {
-    let mut world = World::new(BoundaryKind::L2CioRing, attack_opts())?;
-    let victim = world.connect(ECHO_PORT)?;
-    let poisoned = step_until_poisoned(&mut world, 0, ECHO_PORT, 3_000)?;
-    debug_assert!(poisoned, "no handshake frame appeared to poison");
-    let est = world.establish(victim, 3_000);
-    debug_assert!(est.is_err(), "poisoned handshake completed");
-    seal_verdict(
-        world.telemetry(),
-        AttackKind::PayloadDoubleFetch,
-        Outcome::Detected,
-    );
-
-    let head = world.telemetry().audit_head();
-    let mut records = world.telemetry().audit_records();
-    let clean_ok = verify_audit_chain(&records, &head).is_ok();
-    let tampered_link = records.len() / 2;
-    records[tampered_link].a ^= 1;
-    let flagged_exact = matches!(
-        verify_audit_chain(&records, &head),
-        Err(AuditViolation::BadDigest { link }) if link == tampered_link as u64
-    );
-    Ok(AuditTamperReport {
-        chain_len: records.len(),
-        clean_ok,
-        tampered_link,
-        flagged_exact,
     })
 }
 
@@ -2138,13 +2057,21 @@ mod tests {
     }
 
     #[test]
-    fn every_verdict_lands_in_the_audit_chain() {
+    fn every_verdict_is_its_worlds_newest_timeline_event() {
         let reports = run_matrix(&[BoundaryKind::L2CioRing], &attack_opts()).unwrap();
         for r in &reports {
-            assert!(
-                r.audit_ok,
-                "{} vs {}: verdict missing from verified audit chain",
-                r.boundary, r.attack
+            let newest = r.timeline.events(0).last().copied();
+            let want = r.timeline.observing().then_some((
+                EventKind::AttackVerdict,
+                attack_index(r.attack),
+                r.outcome.code(),
+            ));
+            assert_eq!(
+                newest.map(|e| (e.kind, e.a, e.b)),
+                want,
+                "{} vs {}: verdict is not the newest timeline event",
+                r.boundary,
+                r.attack
             );
         }
     }
@@ -2157,7 +2084,6 @@ mod tests {
         // missed-then-recovered wakeup, never a hang.
         assert_eq!(r.outcome, Outcome::Prevented, "{r:?}");
         assert!(r.workload_survived, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
     }
 
     #[test]
@@ -2165,7 +2091,6 @@ mod tests {
         let r = event_idx_hostile(EventIdxAttack::Backwards).unwrap();
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.workload_survived, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
         assert!(r.violations_detected > 0, "{r:?}");
     }
 
@@ -2174,7 +2099,6 @@ mod tests {
         let r = event_idx_hostile(EventIdxAttack::MaxValue).unwrap();
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.workload_survived, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
         assert!(r.violations_detected > 0, "{r:?}");
     }
 
@@ -2183,15 +2107,6 @@ mod tests {
         let r = event_idx_hostile(EventIdxAttack::Racing).unwrap();
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.workload_survived, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
-    }
-
-    #[test]
-    fn tampered_audit_chain_is_pinpointed() {
-        let t = audit_chain_tamper().unwrap();
-        assert!(t.chain_len >= 1, "{t:?}");
-        assert!(t.clean_ok, "{t:?}");
-        assert!(t.flagged_exact, "{t:?}");
     }
 
     #[test]
@@ -2201,7 +2116,6 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.fail_closed, "{r:?}");
         assert!(r.intact_elsewhere, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
     }
 
     #[test]
@@ -2211,7 +2125,6 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.fail_closed, "{r:?}");
         assert!(r.intact_elsewhere, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
     }
 
     #[test]
@@ -2221,7 +2134,6 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Detected, "{r:?}");
         assert!(r.fail_closed, "{r:?}");
         assert!(r.intact_elsewhere, "{r:?}");
-        assert!(r.audit_ok, "{r:?}");
     }
 
     #[test]

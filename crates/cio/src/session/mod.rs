@@ -313,7 +313,7 @@ impl<T> SessionTable<T> {
     }
 
     /// Live sessions per shard (index = shard = RSS lane), as a slice so
-    /// gauge exporters read it allocation-free.
+    /// the telemetry gauges read it allocation-free.
     pub fn shard_live(&self) -> &[u64] {
         &self.shard_live
     }

@@ -574,15 +574,15 @@ mod tests {
             let mut p = SessionPlane::new(quick_cfg(48, 0.08)).unwrap();
             p.run(12).unwrap();
             (
-                p.telemetry().prometheus_text(),
+                p.telemetry().event_log(),
                 p.telemetry().json_snapshot(),
                 p.report(),
             )
         };
-        let (a_prom, a_json, a_rep) = run();
-        let (b_prom, b_json, b_rep) = run();
+        let (a_log, a_json, a_rep) = run();
+        let (b_log, b_json, b_rep) = run();
         assert_eq!(a_rep, b_rep);
-        assert_eq!(a_prom, b_prom, "prometheus export must be byte-identical");
+        assert_eq!(a_log, b_log, "event log must be byte-identical");
         assert_eq!(a_json, b_json, "json export must be byte-identical");
         assert!(a_json.contains("\"sessions\""), "gauges published");
     }

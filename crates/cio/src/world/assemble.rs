@@ -29,7 +29,7 @@ use cio_mem::{GuestAddr, GuestMemory, HostView, PAGE_SIZE, STRIPE_BYTES};
 use cio_netstack::stack::{Interface, InterfaceConfig};
 use cio_netstack::wire::ETH_HDR_LEN;
 use cio_netstack::{NetDevice, PairDevice};
-use cio_sim::{Clock, CostModel, Cycles, Lanes, Meter, SimRng, SloConfig, SloWatchdog, Telemetry};
+use cio_sim::{Clock, CostModel, Cycles, Lanes, Meter, SimRng, Telemetry};
 use cio_tee::dda::{spdm_attest, Device, IdeChannel};
 use cio_tee::Tee;
 use cio_vring::cioring::{CioRing, Consumer, DataMode, Producer, RingConfig};
@@ -136,9 +136,6 @@ impl WorldBuilder {
         let recorder = Recorder::new();
         let telemetry = Telemetry::with_arming(&clock, opts.queues, opts.telemetry, opts.observe);
         telemetry.attach_meter(&meter);
-        let watchdog = opts
-            .observe
-            .then(|| SloWatchdog::new(SloConfig::default(), opts.queues));
         let fabric = Fabric::new(clock.clone(), opts.seed);
         let mut rng = SimRng::seed_from(opts.seed ^ 0x5EED);
 
@@ -487,7 +484,6 @@ impl WorldBuilder {
             seal_scratch: RecordScratch::new(),
             recv_scratch: Vec::new(),
             telemetry,
-            watchdog,
             opts,
         })
     }

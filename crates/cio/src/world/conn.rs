@@ -188,8 +188,8 @@ impl World {
                 }
                 Err(_) => {
                     // A broken handshake and a bad record on an open
-                    // stream are different forensic facts; both are
-                    // security events and land in the audit chain.
+                    // stream are different forensic facts, so they are
+                    // different event kinds.
                     let kind = if was_handshaking {
                         EventKind::HandshakeFail
                     } else {

@@ -49,7 +49,7 @@ use cio_host::observe::Recorder;
 use cio_mem::{GuestAddr, GuestMemory};
 use cio_netstack::stack::SocketHandle;
 use cio_netstack::PairDevice;
-use cio_sim::{Clock, CostModel, Lanes, Meter, MeterSnapshot, SimRng, SloWatchdog, Telemetry};
+use cio_sim::{Clock, CostModel, Lanes, Meter, MeterSnapshot, SimRng, Telemetry};
 use cio_tee::Tee;
 use cio_vring::cioring::CioRing;
 use cio_vring::virtqueue::Layout;
@@ -217,11 +217,6 @@ pub struct World {
     /// [`WorldOptions::telemetry`], timeline by
     /// [`WorldOptions::observe`]; a disabled no-op handle with neither.
     telemetry: Telemetry,
-    /// Online SLO watchdog, pumped once per step against the telemetry
-    /// RTT histograms (present only when [`WorldOptions::observe`] is
-    /// set; silently idle unless telemetry is armed too, since the RTT
-    /// histograms are its only input).
-    watchdog: Option<SloWatchdog>,
 }
 
 impl World {
@@ -323,26 +318,11 @@ impl World {
     }
 
     /// The observation domain. [`WorldBuilder::telemetry`] arms its
-    /// instruments ([`cio_sim::Profile`] tables, histograms, exporter
-    /// snapshots), [`WorldBuilder::observe`] its timeline (typed events,
-    /// audit-chain records, their exporters); with neither it is a
-    /// disabled, inert handle.
+    /// instruments ([`cio_sim::Profile`] tables, histograms, the JSON
+    /// snapshot), [`WorldBuilder::observe`] its timeline (typed events
+    /// and their log); with neither it is a disabled, inert handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// The online SLO watchdog, when [`WorldBuilder::observe`] armed it
-    /// (breach counts and configuration; the pump runs inside
-    /// [`World::step`]).
-    pub fn watchdog(&self) -> Option<&SloWatchdog> {
-        self.watchdog.as_ref()
-    }
-
-    /// Renders the merged Chrome-trace timeline (typed events as
-    /// instants, cycle attribution as counters) — loadable in
-    /// `chrome://tracing` / Perfetto.
-    pub fn chrome_trace(&self) -> String {
-        self.telemetry.chrome_trace()
     }
 
     /// The RSS lane / queue this session's flow steers to (`None` for a

@@ -91,12 +91,12 @@ pub struct WorldOptions {
     /// site and records nothing. Telemetry never advances the clock, so
     /// enabling it cannot perturb the simulation.
     pub telemetry: bool,
-    /// Arm the timeline of the same domain plus the SLO watchdog (typed
-    /// events, the tamper-evident audit chain, breach detection — see
-    /// [`cio_sim::flight`]). Off by default, and independent of
-    /// [`WorldOptions::telemetry`]: the adversary matrix seals verdicts
-    /// with the timeline alone, the determinism suites arm the
-    /// instruments alone. Recording never advances the clock either.
+    /// Arm the event timeline of the same domain (typed events in
+    /// bounded per-queue rings — see [`cio_sim::flight`]). Off by
+    /// default, and independent of [`WorldOptions::telemetry`]: the
+    /// adversary matrix records its verdicts on the timeline alone, the
+    /// determinism suites arm the instruments alone. Recording never
+    /// advances the clock either.
     pub observe: bool,
 }
 
@@ -321,8 +321,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Arms the event timeline and SLO watchdog (typed events, the
-    /// tamper-evident audit chain, breach detection). Off by default.
+    /// Arms the event timeline (typed events in bounded per-queue
+    /// rings). Off by default.
     pub fn observe(mut self, on: bool) -> Self {
         self.opts.observe = on;
         self

@@ -59,12 +59,6 @@ impl World {
             self.conns.reclaimed(),
             self.conns.capacity() as u64,
         );
-        // The SLO watchdog consumes the telemetry RTT histograms
-        // incrementally; it runs after the host round absorbed its lanes,
-        // so every host sees identical cumulative bucket states.
-        if let Some(w) = &mut self.watchdog {
-            w.pump(&self.telemetry, &self.meter, self.clock.now());
-        }
         result
     }
 

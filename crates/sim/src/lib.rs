@@ -15,10 +15,10 @@
 //!   reproducible from a seed.
 //! * [`telemetry`] — the one observation domain riding the virtual
 //!   clock: spans, latency histograms and cycle attribution, plus the
-//!   typed event timeline, audit chain and every exporter.
-//! * [`flight`] — what the timeline is made of (typed events, the
-//!   tamper-evident audit chain as pure functions) and the online SLO
-//!   watchdog.
+//!   typed event timeline, with `json_snapshot` as its one
+//!   machine-readable export.
+//! * [`flight`] — what the timeline is made of: typed events in bounded
+//!   per-queue rings.
 //!
 //! Nothing in this crate is specific to networking or storage; it is the
 //! lowest layer of the dependency DAG.
@@ -34,10 +34,7 @@ pub mod rng;
 pub mod telemetry;
 
 pub use cost::CostModel;
-pub use flight::{
-    verify_audit_chain, AuditHead, AuditRecord, AuditViolation, EventKind, FlightEvent, SloConfig,
-    SloWatchdog,
-};
+pub use flight::{EventKind, FlightEvent};
 pub use lanes::Lanes;
 pub use meter::{Meter, MeterSnapshot};
 pub use rng::SimRng;

@@ -134,9 +134,6 @@ meter_fields! {
     /// Interface violations that *corrupted* trusted state (should stay 0
     /// for the safe designs; counted by the attack harness oracle).
     violations_undetected,
-    /// SLO watchdog breach events (windowed p99 over the latency SLO, or
-    /// burn rate over budget in both the short and long window).
-    slo_breaches,
     /// Block requests completed through the block transport (one per
     /// logical block moved in either direction — the denominator for the
     /// storage copy-discipline gauges).

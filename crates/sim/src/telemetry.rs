@@ -26,24 +26,21 @@
 //!
 //! Its second half is the typed event **timeline** ([`crate::flight`]):
 //! [`Telemetry::record`] is the single emission point for "what happened"
-//! events, which land in bounded per-queue rings, and security-relevant
-//! kinds also extend a tamper-evident audit chain.
+//! events, which land in bounded per-queue rings.
 //!
 //! Both halves live in one state behind one lock and are armed by two
 //! independent bits ([`Telemetry::with_arming`]); a half whose bit is off
-//! answers every query exactly as a disabled handle does. Exporters
-//! ([`Telemetry::prometheus_text`], [`Telemetry::json_snapshot`],
-//! [`Telemetry::event_log`], [`Telemetry::audit_log`],
-//! [`Telemetry::chrome_trace`]) walk fixed-order arrays, so identical
-//! runs export identical bytes.
+//! answers every query exactly as a disabled handle does. The domain has
+//! one machine-readable export, [`Telemetry::json_snapshot`], with
+//! [`Profile::render_table`] as its text view and
+//! [`Telemetry::event_log`] as the timeline's rendering. Each walks
+//! fixed-order arrays, so identical runs export identical bytes.
 //!
 //! A disabled handle ([`Telemetry::disabled`]) is an inert no-op that
 //! costs one branch per call site; components hold one unconditionally
 //! and worlds only arm it when asked.
 
-use crate::flight::{
-    verify_audit_chain, AuditHead, AuditRecord, AuditViolation, EventKind, FlightEvent, Timeline,
-};
+use crate::flight::{EventKind, FlightEvent, Timeline};
 use crate::{Clock, Cycles, Meter};
 use std::sync::{Arc, Mutex};
 
@@ -53,7 +50,7 @@ pub const MAX_SPAN_DEPTH: usize = 16;
 
 /// Number of power-of-two histogram buckets (covers the full `u64`
 /// range).
-pub const HIST_BUCKETS: usize = 64;
+const HIST_BUCKETS: usize = 64;
 
 /// One stage of the dual-boundary dataplane path.
 ///
@@ -200,15 +197,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Adds `n` values known only by their bucket (a diff of two
-    /// snapshots): each counts as the bucket's upper bound, which is what
-    /// percentiles report anyway. The sum is left alone.
-    pub(crate) fn add_bucket(&mut self, i: usize, n: u64) {
-        self.buckets[i] += n;
-        self.count += n;
-        self.max = self.max.max(Self::bucket_upper_bound(i));
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -224,13 +212,8 @@ impl Histogram {
         self.max
     }
 
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
-        &self.buckets
-    }
-
     /// Inclusive upper bound of bucket `i`.
-    pub fn bucket_upper_bound(i: usize) -> u64 {
+    fn bucket_upper_bound(i: usize) -> u64 {
         match i {
             0 => 0,
             _ if i >= HIST_BUCKETS - 1 => u64::MAX,
@@ -322,16 +305,16 @@ struct State {
     rtt: Vec<Histogram>,
     batch: Vec<Histogram>,
     /// Attached operation meter ([`Telemetry::attach_meter`]): lets the
-    /// exporters derive dataplane copy-discipline gauges
+    /// export derive dataplane copy-discipline gauges
     /// (`copies_per_record`, `bytes_copied`) from the ring
     /// producer/consumer counters.
     meter: Option<Meter>,
     /// Session control-plane gauges ([`Telemetry::publish_sessions`]):
     /// per-shard live/peak occupancy plus flow-table totals. `None` until
-    /// a session layer publishes; exporters omit the section then.
+    /// a session layer publishes; the export omits the section then.
     sessions: Option<SessionGauges>,
-    /// The timeline half: per-queue event rings and the audit chain
-    /// (empty storage unless the domain observes).
+    /// The timeline half: per-queue event rings (empty storage unless
+    /// the domain observes).
     log: Timeline,
 }
 
@@ -506,8 +489,8 @@ impl Telemetry {
 
     /// Creates a domain with each half armed independently:
     /// `instruments` arms spans, histograms and attribution; `observe`
-    /// arms the event timeline and audit chain. With neither, the handle
-    /// is [`Telemetry::disabled`].
+    /// arms the event timeline. With neither, the handle is
+    /// [`Telemetry::disabled`].
     pub fn with_arming(clock: &Clock, queues: usize, instruments: bool, observe: bool) -> Self {
         Telemetry {
             inner: (instruments || observe).then(|| {
@@ -531,7 +514,7 @@ impl Telemetry {
         self.ins().is_some()
     }
 
-    /// Whether the event timeline and audit chain record anything.
+    /// Whether the event timeline records anything.
     pub fn observing(&self) -> bool {
         self.obs().is_some()
     }
@@ -544,11 +527,6 @@ impl Telemetry {
     /// The domain, if its timeline is armed.
     fn obs(&self) -> Option<&Arc<Inner>> {
         self.inner.as_ref().filter(|i| i.observe)
-    }
-
-    /// Number of queues in the domain (0 when disabled).
-    pub fn queues(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().queues)
     }
 
     /// Opens a span for `stage` on `queue`; the returned guard closes it
@@ -601,9 +579,8 @@ impl Telemetry {
 
     /// Records one typed event on `queue`, stamped with the domain's
     /// clock — the single emission point for the timeline.
-    /// Security-relevant kinds ([`EventKind::is_security`]) also extend
-    /// the audit chain. Allocation-free in the steady state; a no-op
-    /// unless the timeline is armed.
+    /// Allocation-free in the steady state; a no-op unless the timeline
+    /// is armed.
     pub fn record(&self, queue: usize, kind: EventKind, a: u64, b: u64) {
         if let Some(inner) = self.obs() {
             let at = inner.clock.now();
@@ -619,11 +596,11 @@ impl Telemetry {
         }
     }
 
-    /// Attaches the simulation's operation [`Meter`], so the exporters can
+    /// Attaches the simulation's operation [`Meter`], so the export can
     /// derive copy-discipline gauges (`copies_per_record`, `bytes_copied`,
     /// `bytes_zero_copy`) from the counters the ring producer/consumer
     /// charge. A no-op on a disabled handle; without an attached meter the
-    /// exporters simply omit the dataplane section.
+    /// export simply omits the dataplane section.
     pub fn attach_meter(&self, meter: &Meter) {
         if let Some(inner) = self.ins() {
             inner.lock().meter = Some(meter.clone());
@@ -675,14 +652,13 @@ impl Telemetry {
     /// Drains `worker` into this domain and resets it, so the next round
     /// is not double-counted: attribution cells, residency/RTT/batch
     /// histograms, covered cycles and span overflows add; per-queue
-    /// events append in recording order, drop counters add, and the
-    /// worker's audit payloads are re-chained onto this domain's chain.
+    /// events append in recording order and drop counters add.
     ///
     /// The instrument merge is order-insensitive cell-wise, but event
-    /// order and the audit chain are not: the parallel host absorbs forks
-    /// in ascending queue order after every barrier, which reproduces the
-    /// serial schedule's recording order and keeps every export
-    /// byte-identical regardless of worker scheduling. A no-op when
+    /// order is not: the parallel host absorbs forks in ascending queue
+    /// order after every barrier, which reproduces the serial schedule's
+    /// recording order and keeps every export byte-identical regardless
+    /// of worker scheduling. A no-op when
     /// either handle is disabled or both are the same domain.
     /// Allocation-free in the steady state.
     ///
@@ -775,247 +751,11 @@ impl Telemetry {
         self.log(|l| l.rings().map(|(_, dropped)| dropped).sum())
     }
 
-    /// Snapshot of the audit chain (empty when not observing).
-    /// Allocates; export-path only.
-    pub fn audit_records(&self) -> Vec<AuditRecord> {
-        self.log(|l| l.audit().to_vec())
-    }
-
-    /// The current trusted chain head (length + final digest).
-    pub fn audit_head(&self) -> AuditHead {
-        self.log(Timeline::head)
-    }
-
-    /// Self-check: verifies the domain's own chain against its head.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AuditViolation`] encountered.
-    pub fn verify_audit(&self) -> Result<(), AuditViolation> {
-        self.log(|l| verify_audit_chain(l.audit(), &l.head()))
-    }
-
     /// Renders the full event timeline as deterministic text, one line
     /// per event in queue order: the byte-identity artifact the E22
     /// determinism suite compares across reruns and thread counts.
     pub fn event_log(&self) -> String {
         self.log(Timeline::event_log)
-    }
-
-    /// Renders the audit chain as deterministic text, one line per
-    /// record plus a trailing head line (hex digests).
-    pub fn audit_log(&self) -> String {
-        self.log(Timeline::audit_log)
-    }
-
-    /// Renders the event timeline merged with the per-queue stage
-    /// attribution as a Chrome-trace JSON document (load it at
-    /// `chrome://tracing` or <https://ui.perfetto.dev>).
-    ///
-    /// Timestamps are raw virtual cycles (the `displayTimeUnit` is
-    /// nominal). Each queue is a `tid`: events render as instant events
-    /// on the queue's track, and the attribution (the aggregate the span
-    /// layer retains) renders as one counter sample per non-zero
-    /// `(queue, stage)` cell at the export timestamp — the timeline's
-    /// "now", so 0 when only the instruments are armed. The output walk
-    /// order is fixed, so identical runs export identical bytes. Returns
-    /// an empty event list when disabled.
-    pub fn chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        let mut first = true;
-        let mut push = |out: &mut String, line: String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&line);
-        };
-        if let Some(inner) = &self.inner {
-            let s = inner.lock();
-            for (q, (events, _)) in s.log.rings().enumerate() {
-                push(
-                    &mut out,
-                    format!(
-                        "{{\"ph\":\"M\",\"pid\":0,\"tid\":{q},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"queue{q}\"}}}}"
-                    ),
-                );
-                for e in events {
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"i\",\"pid\":0,\"tid\":{q},\"ts\":{},\"s\":\"t\",\
-                             \"name\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                            e.at.get(),
-                            e.kind.name(),
-                            e.a,
-                            e.b
-                        ),
-                    );
-                }
-            }
-            let now = if inner.observe {
-                inner.clock.now().get()
-            } else {
-                0
-            };
-            // Unarmed instruments hold only zero cells, so they add nothing.
-            for q in 0..s.queues {
-                for stage in Stage::ALL {
-                    let cycles = s.attr_cycles[q * Stage::COUNT + stage.idx()];
-                    if cycles == 0 {
-                        continue;
-                    }
-                    push(
-                        &mut out,
-                        format!(
-                            "{{\"ph\":\"C\",\"pid\":0,\"tid\":{q},\"ts\":{now},\
-                             \"name\":\"stage.{}\",\"args\":{{\"cycles\":{cycles}}}}}",
-                            stage.name()
-                        ),
-                    );
-                }
-            }
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Renders every instrument in Prometheus exposition text. The walk
-    /// order is fixed, so identical runs export identical bytes. Returns
-    /// an empty string unless the instruments are armed.
-    pub fn prometheus_text(&self) -> String {
-        let Some(inner) = self.ins() else {
-            return String::new();
-        };
-        let s = inner.lock();
-        let mut out = String::with_capacity(4096);
-        let header = |out: &mut String, name: &str, help: &str, kind: &str| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        };
-
-        for (name, help, cells) in [
-            (
-                "cio_stage_cycles_total",
-                "Self virtual cycles attributed to a dataplane stage.",
-                &s.attr_cycles,
-            ),
-            (
-                "cio_stage_spans_total",
-                "Closed spans and flat charges per stage.",
-                &s.attr_counts,
-            ),
-        ] {
-            header(&mut out, name, help, "counter");
-            for q in 0..s.queues {
-                for stage in Stage::ALL {
-                    out.push_str(&format!(
-                        "{name}{{queue=\"{q}\",stage=\"{}\"}} {}\n",
-                        stage.name(),
-                        cells[q * Stage::COUNT + stage.idx()]
-                    ));
-                }
-            }
-        }
-        header(
-            &mut out,
-            "cio_covered_cycles_total",
-            "Virtual cycles covered by top-level spans.",
-            "counter",
-        );
-        out.push_str(&format!("cio_covered_cycles_total {}\n", s.covered));
-        header(
-            &mut out,
-            "cio_span_overflows_total",
-            "Spans dropped because the fixed stack was full.",
-            "counter",
-        );
-        out.push_str(&format!("cio_span_overflows_total {}\n", s.overflows));
-
-        let emit_hist = |out: &mut String, name: &str, label: &str, value: &str, h: &Histogram| {
-            let last = h.buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-            let mut cum = 0u64;
-            for (i, &c) in h.buckets.iter().take(last).enumerate() {
-                cum += c;
-                let le = Histogram::bucket_upper_bound(i);
-                out.push_str(&format!(
-                    "{name}_bucket{{{label}=\"{value}\",le=\"{le}\"}} {cum}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{{label}=\"{value}\",le=\"+Inf\"}} {}\n",
-                h.count
-            ));
-            out.push_str(&format!("{name}_sum{{{label}=\"{value}\"}} {}\n", h.sum));
-            out.push_str(&format!(
-                "{name}_count{{{label}=\"{value}\"}} {}\n",
-                h.count
-            ));
-        };
-
-        header(
-            &mut out,
-            "cio_rtt_cycles",
-            "Per-queue request round-trip time in virtual cycles.",
-            "histogram",
-        );
-        for (q, h) in s.rtt.iter().enumerate() {
-            emit_hist(&mut out, "cio_rtt_cycles", "queue", &q.to_string(), h);
-        }
-        header(
-            &mut out,
-            "cio_stage_residency_cycles",
-            "Span elapsed time per stage in virtual cycles.",
-            "histogram",
-        );
-        for stage in Stage::ALL {
-            emit_hist(
-                &mut out,
-                "cio_stage_residency_cycles",
-                "stage",
-                stage.name(),
-                &s.residency[stage.idx()],
-            );
-        }
-        header(
-            &mut out,
-            "cio_batch_frames",
-            "Frames moved per servicing batch, per queue.",
-            "histogram",
-        );
-        for (q, h) in s.batch.iter().enumerate() {
-            emit_hist(&mut out, "cio_batch_frames", "queue", &q.to_string(), h);
-        }
-
-        for row in flat_rows(&s, inner.observe) {
-            if row.metric.is_empty() {
-                continue;
-            }
-            let counter = row.metric.ends_with("_total");
-            let kind = if counter { "counter" } else { "gauge" };
-            header(&mut out, row.metric, row.help, kind);
-            // Counters print as integers, gauges as fixed-point.
-            let int = |v: u64| {
-                if counter {
-                    v.to_string()
-                } else {
-                    format!("{v}.000000")
-                }
-            };
-            match &row.value {
-                Value::Int(v) => out.push_str(&format!("{} {}\n", row.metric, int(*v))),
-                Value::Ratio(..) => {
-                    out.push_str(&format!("{} {}\n", row.metric, row.value.json()));
-                }
-                Value::PerIndex(label, vs) => {
-                    for (i, v) in vs.iter().enumerate() {
-                        out.push_str(&format!("{}{{{label}=\"{i}\"}} {}\n", row.metric, int(*v)));
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Renders every instrument as a JSON document (fixed key order,
@@ -1095,9 +835,6 @@ impl Telemetry {
         // Each flat section is one object, opened at its first row.
         let mut section = "";
         for row in flat_rows(&s, inner.observe) {
-            if row.name.is_empty() {
-                continue;
-            }
             if row.section == section {
                 out.push_str(", ");
             } else {
@@ -1126,16 +863,12 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
-/// One scalar (or one per-index series) both exporters render.
+/// One scalar (or one per-index series) of the JSON export.
 struct Row {
     /// JSON object the row belongs to.
     section: &'static str,
-    /// JSON key inside the section; empty for a Prometheus-only row.
+    /// JSON key inside the section.
     name: &'static str,
-    /// Prometheus metric name; empty for a JSON-only row. A `_total`
-    /// suffix makes it a counter, anything else a gauge.
-    metric: &'static str,
-    help: &'static str,
     value: Value,
 }
 
@@ -1143,8 +876,8 @@ enum Value {
     Int(u64),
     /// Numerator over denominator, rendered to six places.
     Ratio(u64, u64),
-    /// One integer per index under a Prometheus label (`shard`, `queue`).
-    PerIndex(&'static str, Vec<u64>),
+    /// One integer per index (shard or queue).
+    PerIndex(Vec<u64>),
 }
 
 impl Value {
@@ -1152,54 +885,51 @@ impl Value {
         match self {
             Value::Int(v) => v.to_string(),
             Value::Ratio(n, d) => format!("{:.6}", ratio(*n, *d)),
-            Value::PerIndex(_, vs) => format!("{vs:?}"),
+            Value::PerIndex(vs) => format!("{vs:?}"),
         }
     }
 }
 
 /// The flat export sections — dataplane, storage, sessions, observe — as
-/// one fixed-order table both formatters walk, so a gauge is declared
-/// once. Dataplane and storage rows need an attached meter, session rows
-/// a published table, observe rows an armed timeline; a missing source
-/// drops its rows (and with them the JSON section).
+/// one fixed-order table. Dataplane and storage rows need an attached
+/// meter, session rows a published table, observe rows an armed
+/// timeline; a missing source drops its rows (and with them the JSON
+/// section).
 #[rustfmt::skip]
 fn flat_rows(s: &State, observe: bool) -> Vec<Row> {
     use Value::{Int, PerIndex, Ratio};
     let mut rows = Vec::new();
-    let mut row = |section, name, metric, help, value| rows.push(Row { section, name, metric, help, value });
-    let meter = s.meter.as_ref().map(Meter::snapshot);
-    if let Some(m) = &meter {
+    let mut row = |section, name, value| rows.push(Row { section, name, value });
+    if let Some(m) = s.meter.as_ref().map(Meter::snapshot) {
         let doorbells = m.notifications_sent + m.interrupts_received;
-        row("dataplane", "ring_records", "cio_ring_records_total", "Records published onto cio rings.", Int(m.ring_records));
-        row("dataplane", "copies", "", "", Int(m.copies));
-        row("dataplane", "bytes_copied", "cio_bytes_copied_total", "Payload bytes moved by staging copies.", Int(m.bytes_copied));
-        row("dataplane", "bytes_zero_copy", "cio_bytes_zero_copy_total", "Payload bytes positioned without a copy.", Int(m.bytes_zero_copy));
-        row("dataplane", "copies_per_record", "cio_copies_per_record", "Staging copies per published ring record.", Ratio(m.copies, m.ring_records));
-        row("dataplane", "records_per_commit", "cio_records_per_commit", "Ring records published per producer index write.", Ratio(m.ring_records, m.ring_commits));
-        row("dataplane", "lock_acquisitions_per_record", "cio_lock_acquisitions_per_record", "Memory-lock acquisitions per ring record.", Ratio(m.lock_acquisitions, m.ring_records));
-        row("dataplane", "doorbells_per_record", "cio_doorbells_per_record", "Doorbells (host notifies + injected interrupts) per ring record.", Ratio(doorbells, m.ring_records));
-        row("dataplane", "suppressed_kicks", "cio_suppressed_kicks_total", "Doorbells suppressed by the event-idx window.", Int(m.suppressed_kicks));
-        row("dataplane", "spurious_wakeups", "cio_spurious_wakeups_total", "Doorbells that woke a consumer to a drained ring.", Int(m.spurious_wakeups));
-        row("dataplane", "", "cio_slo_breaches_total", "SLO watchdog breach events.", Int(m.slo_breaches));
-        row("storage", "blk_records", "cio_blk_records_total", "Logical blocks moved through the block transport.", Int(m.blk_records));
-        row("storage", "blk_copies", "", "", Int(m.blk_copies));
-        row("storage", "blk_commits", "", "", Int(m.blk_commits));
-        row("storage", "blk_doorbells", "", "", Int(m.blk_doorbells));
-        row("storage", "blk_copies_per_record", "cio_blk_copies_per_record", "Staging copies per block moved.", Ratio(m.blk_copies, m.blk_records));
-        row("storage", "blk_records_per_commit", "cio_blk_records_per_commit", "Blocks published per block-ring producer index write.", Ratio(m.blk_records, m.blk_commits));
-        row("storage", "blk_doorbells_per_record", "cio_blk_doorbells_per_record", "Doorbells actually rung on the block rings per block.", Ratio(m.blk_doorbells, m.blk_records));
+        row("dataplane", "ring_records", Int(m.ring_records));
+        row("dataplane", "copies", Int(m.copies));
+        row("dataplane", "bytes_copied", Int(m.bytes_copied));
+        row("dataplane", "bytes_zero_copy", Int(m.bytes_zero_copy));
+        row("dataplane", "copies_per_record", Ratio(m.copies, m.ring_records));
+        row("dataplane", "records_per_commit", Ratio(m.ring_records, m.ring_commits));
+        row("dataplane", "lock_acquisitions_per_record", Ratio(m.lock_acquisitions, m.ring_records));
+        row("dataplane", "doorbells_per_record", Ratio(doorbells, m.ring_records));
+        row("dataplane", "suppressed_kicks", Int(m.suppressed_kicks));
+        row("dataplane", "spurious_wakeups", Int(m.spurious_wakeups));
+        row("storage", "blk_records", Int(m.blk_records));
+        row("storage", "blk_copies", Int(m.blk_copies));
+        row("storage", "blk_commits", Int(m.blk_commits));
+        row("storage", "blk_doorbells", Int(m.blk_doorbells));
+        row("storage", "blk_copies_per_record", Ratio(m.blk_copies, m.blk_records));
+        row("storage", "blk_records_per_commit", Ratio(m.blk_records, m.blk_commits));
+        row("storage", "blk_doorbells_per_record", Ratio(m.blk_doorbells, m.blk_records));
     }
     if let Some(g) = &s.sessions {
-        row("sessions", "live", "cio_sessions_live", "Live sessions per RSS shard.", PerIndex("shard", g.live.clone()));
-        row("sessions", "peak", "cio_sessions_peak", "Peak concurrent sessions per RSS shard.", PerIndex("shard", g.peak.clone()));
-        row("sessions", "created", "cio_sessions_created_total", "Sessions ever opened through the flow table.", Int(g.created));
-        row("sessions", "reclaimed", "cio_sessions_reclaimed_total", "Sessions closed and their slots reclaimed.", Int(g.reclaimed));
-        row("sessions", "slots", "cio_session_table_slots", "Flow-table slots ever allocated (memory footprint).", Int(g.slots));
+        row("sessions", "live", PerIndex(g.live.clone()));
+        row("sessions", "peak", PerIndex(g.peak.clone()));
+        row("sessions", "created", Int(g.created));
+        row("sessions", "reclaimed", Int(g.reclaimed));
+        row("sessions", "slots", Int(g.slots));
     }
     if observe {
         let dropped = s.log.rings().map(|(_, dropped)| dropped).collect();
-        row("observe", "flight_events_dropped", "cio_flight_events_dropped_total", "Flight-recorder ring evictions per queue.", PerIndex("queue", dropped));
-        row("observe", "slo_breaches", "", "", Int(meter.map_or(0, |m| m.slo_breaches)));
+        row("observe", "flight_events_dropped", PerIndex(dropped));
     }
     rows
 }
@@ -1339,12 +1069,12 @@ mod tests {
         assert_eq!(h.count(), 8);
         assert_eq!(h.sum(), 1049);
         assert_eq!(h.max(), 1024);
-        assert_eq!(h.buckets()[0], 1); // 0
-        assert_eq!(h.buckets()[1], 1); // 1
-        assert_eq!(h.buckets()[2], 2); // 2, 3
-        assert_eq!(h.buckets()[3], 2); // 4, 7
-        assert_eq!(h.buckets()[4], 1); // 8
-        assert_eq!(h.buckets()[11], 1); // 1024
+        assert_eq!(h.buckets[0], 1); // 0
+        assert_eq!(h.buckets[1], 1); // 1
+        assert_eq!(h.buckets[2], 2); // 2, 3
+        assert_eq!(h.buckets[3], 2); // 4, 7
+        assert_eq!(h.buckets[4], 1); // 8
+        assert_eq!(h.buckets[11], 1); // 1024
     }
 
     #[test]
@@ -1438,16 +1168,13 @@ mod tests {
         t.record_rtt(0, Cycles(5));
         t.record_batch(0, 5);
         assert_eq!(t.profile().covered(), Cycles::ZERO);
-        assert_eq!(t.prometheus_text(), "");
         assert_eq!(t.json_snapshot(), "{\"enabled\":false}");
         assert_eq!(t.rtt_histogram(0).count(), 0);
         t.record(0, EventKind::SealOk, 1, 2);
         assert!(!t.observing());
-        assert_eq!(t.queues(), 0);
         assert!(t.events(0).is_empty());
         assert_eq!(t.total_dropped(), 0);
         assert_eq!(t.event_log(), "");
-        assert!(t.verify_audit().is_ok());
     }
 
     #[test]
@@ -1467,19 +1194,13 @@ mod tests {
         drive(&t, &clock);
         assert!(t.enabled() && !t.observing());
         assert_eq!(t.event_log(), off.event_log());
-        assert_eq!(t.audit_log(), off.audit_log());
-        assert_eq!(t.audit_head(), off.audit_head());
-        assert!(t.events(0).is_empty() && t.audit_records().is_empty());
+        assert!(t.events(0).is_empty());
         assert!(!t.json_snapshot().contains("\"observe\""));
-        assert!(!t
-            .prometheus_text()
-            .contains("cio_flight_events_dropped_total"));
         // Timeline only: the instrument half is inert.
         let clock = Clock::new();
         let t = Telemetry::with_arming(&clock, 2, false, true);
         drive(&t, &clock);
         assert!(!t.enabled() && t.observing());
-        assert_eq!(t.prometheus_text(), off.prometheus_text());
         assert_eq!(t.json_snapshot(), off.json_snapshot());
         assert_eq!(t.profile().render_table(), off.profile().render_table());
         assert_eq!(t.rtt_histogram(0).count(), 0);
@@ -1516,14 +1237,15 @@ mod tests {
                 t.record_batch(q, 4);
             }
             t.record_rtt(0, Cycles(12_345));
-            (t.prometheus_text(), t.json_snapshot())
+            t.json_snapshot()
         };
-        let (pa, ja) = run();
-        let (pb, jb) = run();
-        assert_eq!(pa, pb);
-        assert_eq!(ja, jb);
-        assert!(pa.contains("cio_stage_cycles_total{queue=\"0\",stage=\"host.service\"} 100"));
-        assert!(pa.contains("cio_rtt_cycles_count{queue=\"0\"} 1"));
+        let ja = run();
+        assert_eq!(ja, run());
+        assert!(ja.contains(
+            "{\"stage\": \"host.service\", \"cycles\": [100, 101], \"spans\": [1, 1], \
+             \"total_cycles\": 201, \"fraction\": 1.000000}"
+        ));
+        assert!(ja.contains("{\"queue\": 0, \"hist\": {\"count\": 1, \"sum\": 12345,"));
         assert!(ja.contains("\"covered_cycles\": 201"));
     }
 
@@ -1532,7 +1254,6 @@ mod tests {
         let clock = Clock::new();
         let t = Telemetry::new(clock.clone(), 1);
         // Without a meter the dataplane section is absent.
-        assert!(!t.prometheus_text().contains("cio_copies_per_record"));
         assert!(!t.json_snapshot().contains("\"dataplane\""));
 
         let m = Meter::new();
@@ -1551,20 +1272,12 @@ mod tests {
         m.blk_doorbells(4);
         t.attach_meter(&m);
 
-        let run = || (t.prometheus_text(), t.json_snapshot());
-        let (pa, ja) = run();
-        let (pb, jb) = run();
-        assert_eq!(pa, pb, "prometheus export must be byte-deterministic");
-        assert_eq!(ja, jb, "json export must be byte-deterministic");
-        assert!(pa.contains("cio_ring_records_total 8"));
-        assert!(pa.contains("cio_bytes_copied_total 1024"));
-        assert!(pa.contains("cio_bytes_zero_copy_total 4096"));
-        assert!(pa.contains("cio_copies_per_record 0.250000"));
-        assert!(pa.contains("cio_records_per_commit 4.000000"));
-        assert!(pa.contains("cio_lock_acquisitions_per_record 0.500000"));
-        assert!(pa.contains("cio_doorbells_per_record 0.250000"));
-        assert!(pa.contains("cio_suppressed_kicks_total 6"));
-        assert!(pa.contains("cio_spurious_wakeups_total 1"));
+        let ja = t.json_snapshot();
+        assert_eq!(
+            ja,
+            t.json_snapshot(),
+            "json export must be byte-deterministic"
+        );
         assert!(ja.contains(
             "\"dataplane\": {\"ring_records\": 8, \"copies\": 2, \
              \"bytes_copied\": 1024, \"bytes_zero_copy\": 4096, \
@@ -1573,10 +1286,6 @@ mod tests {
              \"doorbells_per_record\": 0.250000, \"suppressed_kicks\": 6, \
              \"spurious_wakeups\": 1}"
         ));
-        assert!(pa.contains("cio_blk_records_total 16"));
-        assert!(pa.contains("cio_blk_copies_per_record 0.000000"));
-        assert!(pa.contains("cio_blk_records_per_commit 8.000000"));
-        assert!(pa.contains("cio_blk_doorbells_per_record 0.250000"));
         assert!(ja.contains(
             "\"storage\": {\"blk_records\": 16, \"blk_copies\": 0, \
              \"blk_commits\": 2, \"blk_doorbells\": 4, \
@@ -1590,11 +1299,11 @@ mod tests {
         let zc = Meter::new();
         zc.ring_records(100);
         t.attach_meter(&zc);
-        let p = t.prometheus_text();
-        assert!(p.contains("cio_copies_per_record 0.000000"));
-        assert!(p.contains("cio_records_per_commit 0.000000"));
-        assert!(p.contains("cio_lock_acquisitions_per_record 0.000000"));
-        assert!(p.contains("cio_doorbells_per_record 0.000000"));
+        assert!(t.json_snapshot().contains(
+            "\"copies_per_record\": 0.000000, \"records_per_commit\": 0.000000, \
+             \"lock_acquisitions_per_record\": 0.000000, \
+             \"doorbells_per_record\": 0.000000"
+        ));
     }
 
     #[test]
@@ -1609,8 +1318,8 @@ mod tests {
         assert_eq!(a.count(), 4);
         assert_eq!(a.sum(), 4 + 100 + (1 << 20));
         assert_eq!(a.max(), 1 << 20);
-        assert_eq!(a.buckets()[0], 1);
-        assert_eq!(a.buckets()[3], 1);
+        assert_eq!(a.buckets[0], 1);
+        assert_eq!(a.buckets[3], 1);
     }
 
     #[test]
@@ -1625,7 +1334,7 @@ mod tests {
                 t.record_batch(q, 4);
             }
             t.record_rtt(0, Cycles(777));
-            (t.prometheus_text(), t.json_snapshot())
+            t.json_snapshot()
         };
         // Forked: each queue's spans recorded on a worker fork over a
         // private clock positioned where the shared clock would have
@@ -1649,12 +1358,13 @@ mod tests {
                 t.absorb(f);
             }
             t.record_rtt(0, Cycles(777));
-            (t.prometheus_text(), t.json_snapshot())
+            t.json_snapshot()
         };
-        let (pd, jd) = run_direct();
-        let (pf, jf) = run_forked();
-        assert_eq!(pd, pf, "forked exports must match direct exports");
-        assert_eq!(jd, jf);
+        assert_eq!(
+            run_direct(),
+            run_forked(),
+            "forked exports must match direct exports"
+        );
     }
 
     #[test]
@@ -1677,14 +1387,15 @@ mod tests {
         }
         parent.absorb(&f);
         assert_eq!(parent.event_log(), direct.event_log());
-        assert_eq!(parent.audit_log(), direct.audit_log());
-        assert_eq!(parent.chrome_trace(), direct.chrome_trace());
-        parent.verify_audit().expect("absorbed chain verifies");
+        assert_eq!(parent.json_snapshot(), direct.json_snapshot());
+        // The export carries the timeline's drop counters.
+        assert!(parent
+            .json_snapshot()
+            .contains("\"observe\": {\"flight_events_dropped\": [0, 0]}"));
         // The fork drained: a second absorb adds nothing.
         parent.absorb(&f);
         assert_eq!(parent.event_log(), direct.event_log());
         assert_eq!(f.event_log(), "");
-        assert_eq!(f.audit_head().len, 0);
     }
 
     #[test]
@@ -1700,42 +1411,7 @@ mod tests {
         assert_eq!(parent.total_dropped(), 3);
         assert_eq!(parent.events(0)[0].a, 3);
         assert_eq!(f.total_dropped(), 0, "worker counters reset on absorb");
-        assert!(parent.prometheus_text().is_empty());
-    }
-
-    #[test]
-    fn chrome_trace_contains_events_and_counters() {
-        let clock = Clock::new();
-        let t = Telemetry::with_arming(&clock, 2, true, true);
-        {
-            let _s = t.span(1, Stage::TxSeal);
-            clock.advance(Cycles(40));
-        }
-        t.record(1, EventKind::SealOk, 64, 1);
-        let json = t.chrome_trace();
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.contains("\"name\":\"seal.ok\""));
-        assert!(json.contains("\"ts\":40,\"name\":\"stage.tx.seal\""));
-        assert!(json.contains("\"tid\":1"));
-        assert!(json.ends_with("]}\n"));
-        // Deterministic: same state, same bytes.
-        assert_eq!(json, t.chrome_trace());
-        // Both exporters surface the timeline's drop counters.
-        assert!(t
-            .json_snapshot()
-            .contains("\"observe\": {\"flight_events_dropped\": [0, 0], \"slo_breaches\": 0}"));
-        assert!(t
-            .prometheus_text()
-            .ends_with("cio_flight_events_dropped_total{queue=\"1\"} 0\n"));
-        // Timeline only: events, no counters, still well-formed.
-        let f = Telemetry::with_arming(&clock, 1, false, true);
-        f.record(0, EventKind::SealOk, 64, 1);
-        let events_only = f.chrome_trace();
-        assert!(events_only.contains("seal.ok") && !events_only.contains("stage."));
-        assert_eq!(
-            Telemetry::disabled().chrome_trace(),
-            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n"
-        );
+        assert_eq!(parent.json_snapshot(), "{\"enabled\":false}");
     }
 
     #[test]

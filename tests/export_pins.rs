@@ -2,7 +2,7 @@
 //!
 //! `tests/telemetry.rs` and `tests/flight.rs` prove run-vs-run identity,
 //! which a refactor that changes both runs the same way passes. This
-//! suite compares the SHA-256 of each of the six exports of the
+//! suite compares the SHA-256 of each of the three exports of the
 //! fixed-seed 4-queue echo world against recorded digests, for every
 //! arming (instruments, timeline, both) under the serial host and two
 //! worker threads. A digest here changes only when an export format or
@@ -18,6 +18,17 @@
 //! static (no ARP exchange before the first SYN, so every connect is
 //! earlier and no ARP frame crosses the wire). The session plane's
 //! virtual timeline is pinned the same way.
+//!
+//! The domain once had six exports. The Prometheus text, the audit log
+//! and the Chrome trace left with the SLO watchdog and the audit chain,
+//! so their columns left this suite: `json_snapshot` is the one
+//! machine-readable export, `render_table` its text view and `event_log`
+//! the timeline's rendering. Every surviving digest kept its value except
+//! where the watchdog's breach counter was printed: an observed
+//! `json_snapshot` lost exactly that counter's key and its value 0 from
+//! the `observe` section, and the meter's `Debug` string lost exactly
+//! that field. Each such pin is the digest of the previous string with
+//! only that substring removed.
 
 use cio::session::{Arrival, LoadGenConfig, SessionPlane, SessionPlaneConfig};
 use cio::world::{BoundaryKind, World, WorldOptions, ECHO_PORT};
@@ -25,26 +36,16 @@ use cio_bench::{bench_opts, telemetry_echo_world_with};
 use cio_crypto::Sha256;
 use cio_sim::{EventKind, Telemetry};
 
-const EXPORTS: [&str; 6] = [
-    "prometheus_text",
-    "json_snapshot",
-    "event_log",
-    "audit_log",
-    "chrome_trace",
-    "render_table",
-];
+const EXPORTS: [&str; 3] = ["json_snapshot", "event_log", "render_table"];
 
 /// `(telemetry, observe, digests in EXPORTS order)`.
-const PINS: [(bool, bool, [&str; 6]); 3] = [
+const PINS: [(bool, bool, [&str; 3]); 3] = [
     (
         true,
         false,
         [
-            "1b9f1469a9e1f26f337c118bff0bdc1c819c244da41feb9e6d27591af03c1e92",
             "7550dcf6c320e7a351e38bad156fa4fde346e314d318737273fba7a76e87764e",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "a77b2132f7ffef8666a7c2412f37b5319ddb7a5581bd1a1ce929ad03e044fb4c",
-            "c61b54f149832dde2834654a924a19fa0af97b5fb1d789f72f2bab867bd8d1ab",
             "31465c197bf50ac2d13905206250c28d3c754f77da6a6dc5c782cf9fc1fcdaf3",
         ],
     ),
@@ -52,11 +53,8 @@ const PINS: [(bool, bool, [&str; 6]); 3] = [
         false,
         true,
         [
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "5acf3ff77b4420677b5923071f303facaba7a9273a346284a667a275df325146",
             "beedd1cca1c15c5566c490809d80d5ad085c24f223ef3f3867671e3047d13eea",
-            "f750292cc6b09254db662896a5af64ed7a8eeed5777196c5fd55fbbb7c6d92bb",
-            "1c1c468d0aeaac6ee20a307c75c9dd92538b29680313d5ab7249c17202dc9288",
             "654dfdf1f4c3f236b148736d4655ae2a295a99197e70983466f656456dfb7629",
         ],
     ),
@@ -64,11 +62,8 @@ const PINS: [(bool, bool, [&str; 6]); 3] = [
         true,
         true,
         [
-            "d1cf3cddfecd179bf2937e49550c43e7460109109da0c45687c210e2f812a0f3",
-            "894b93ad91b0f70e83feeb824f6f9bb58fce0b4ab55375628e81854f813105ba",
+            "0feef1ecfd656c29b170475bda99033e216fa0c83d8188c50c4bf74f59585380",
             "beedd1cca1c15c5566c490809d80d5ad085c24f223ef3f3867671e3047d13eea",
-            "f750292cc6b09254db662896a5af64ed7a8eeed5777196c5fd55fbbb7c6d92bb",
-            "10f52adc6183effcb193db9686821e549883d40c8a4b662763680cee1fbeca7e",
             "31465c197bf50ac2d13905206250c28d3c754f77da6a6dc5c782cf9fc1fcdaf3",
         ],
     ),
@@ -81,15 +76,8 @@ fn sha256_hex(s: &str) -> String {
         .collect()
 }
 
-fn exports(t: &Telemetry) -> [String; 6] {
-    [
-        t.prometheus_text(),
-        t.json_snapshot(),
-        t.event_log(),
-        t.audit_log(),
-        t.chrome_trace(),
-        t.profile().render_table(),
-    ]
+fn exports(t: &Telemetry) -> [String; 3] {
+    [t.json_snapshot(), t.event_log(), t.profile().render_table()]
 }
 
 #[test]
@@ -105,9 +93,9 @@ fn exports_match_the_digests_recorded_before_the_merge() {
                 ..bench_opts()
             };
             let w = telemetry_echo_world_with(opts, 8, 8, 512).expect("echo workload");
-            // The echo world is honest, so its audit chain is empty: two
-            // security events give the chain (and the timeline exports)
-            // real links to pin. No-ops when the timeline is off.
+            // The echo world is honest, so it records no failure and no
+            // verdict: two such events give the event log rare kinds to
+            // pin. No-ops when the timeline is off.
             w.telemetry().record(1, EventKind::OpenFail, 7, 0);
             w.telemetry().record(0, EventKind::AttackVerdict, 3, 2);
             let got = exports(w.telemetry());
@@ -119,25 +107,20 @@ fn exports_match_the_digests_recorded_before_the_merge() {
                 );
             }
             // The half that is off answers exactly as a disabled handle.
-            // (The Chrome trace merges both halves, so it has no off
-            // answer unless both are off.)
-            for i in [0, 1, 5] {
+            for i in [0, 2] {
                 assert_eq!(got[i] == off[i], !telemetry, "{}", EXPORTS[i]);
             }
-            for i in [2, 3] {
-                assert_eq!(got[i] == off[i], !observe, "{}", EXPORTS[i]);
-            }
+            assert_eq!(got[1] == off[1], !observe, "{}", EXPORTS[1]);
             assert_eq!(w.telemetry().enabled(), telemetry);
             assert_eq!(w.telemetry().observing(), observe);
-            assert_eq!(w.telemetry().audit_head().len, if observe { 2 } else { 0 });
         }
     }
 }
 
 /// One pinned one-queue run: `(design, final clock, recorder events /
 /// bits / kinds, SHA-256 of the meter snapshot's `Debug` rendering, then
-/// of `prometheus_text`, `json_snapshot` and `event_log`)`.
-type OneQueuePin = (BoundaryKind, u64, (u64, u64, usize), [&'static str; 4]);
+/// of `json_snapshot` and `event_log`)`.
+type OneQueuePin = (BoundaryKind, u64, (u64, u64, usize), [&'static str; 3]);
 
 /// One row per boundary design: the one-queue round of the single
 /// schedule must reproduce every one of them. First recorded at the last
@@ -172,9 +155,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         747820,
         (104, 8128, 6),
         [
-            "556d6a3bb5596bd1e23dbfdbb1c79024770b43a98619daa2e66f0ac1d3fe9fb1",
-            "1cd4ed0c2730ad1f11e0bf13f3ab74a263eb3a2db24ac6e64460667daf103557",
-            "9e6d1aa5be024d41048b6a9ba842c18176a7cb7cc47fe988c8cf1c3456a7e55e",
+            "37a0fce1d8eea3dc43a8a46d80480ef61bb2d2acd64fd14720edc75d94845414",
+            "1502d40a0d9fe8e1a27846f541c5b923933cce06b1f702418ab8b2a939b63905",
             "f605e98a60c3817cbda794d3e47bf7b29118224f67dc077b74526516f1387d81",
         ],
     ),
@@ -183,9 +165,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         633217,
         (31, 4092, 2),
         [
-            "6a0350516422b0076630cbd4eede9bfbdf769a5f3edbb54f379c882ad7ea83c9",
-            "8fd29a218f77b2ce5eed0b0352c5653ecf62d7fd270f72344d6cb0565ddf7feb",
-            "03b56fe422ac36c0d166c0d2d2e7d3f424ccd2aee77258bde2a22b5c5b373818",
+            "dd5ccf8b5ac8b0170c8d4fb873c3325880013fab73a538edc886eb5bdd498c9a",
+            "870f10d062056dec4d89198d4b663ec100f7faefab86f1e9190d32bfe27ba20e",
             "973231282b81f3ece841a45dec29e7a3b2f636a912a776ad6f61f527d9c6ef7e",
         ],
     ),
@@ -194,9 +175,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         737387,
         (31, 4092, 2),
         [
-            "b7501280fa28530ed72244f74a39f5f739787f848f51c2d494ffbb3e5ad0400f",
-            "82080e54fdb9dd1f919763a615bb0b29c463201f2bfe585d3317137d32469c45",
-            "93c51dcb315b9f14bc6c5cca900239c3ef49677acf50454c8064f53a3224e36c",
+            "a8f760d77f68c9a96fe428dc938aa43cb8dc982ca8a890ec1a6e4731f312783d",
+            "cc54ef67ed3627da6d256b56123143a57fb4b8a95d1c0081199063f855b977bd",
             "8bddd8f51c735f45d1cc72a01c9c681328833f3bb7491614d89b5b95f7d634ab",
         ],
     ),
@@ -205,9 +185,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         705341,
         (31, 4092, 2),
         [
-            "e668b8317b3a0b2680c4731e5360711de1e4a637809c74c0213ce2aa6c3bd4e3",
-            "4457477c8d64016eabf5e1b193212f7c478d78d512b337daba6176c5215d87a3",
-            "0581e5cc8d56a5747c39d12cecec262a89b3eb27553f9c918d38e9097cce79e8",
+            "7e4c48469a2061f7206edd31d4debdadd873df12e80cf316e0d26352cbdfd76a",
+            "eb8b0e4071fa4a4c4f60a1f3d9ee977ae6d983dcb922d10a8d92cc5a5105d59e",
             "d4a4ca23e758a9c396e161865ab8d2a2f16e223ab777365d48489103651ab1ca",
         ],
     ),
@@ -216,9 +195,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         713470,
         (31, 4092, 2),
         [
-            "7d62ba4f0531a23e35ac39c2f5cd747c047710590e743674f7a578bfc0f7c70b",
-            "aa68a703cfd6a2e3dfc07ba2b45974b7e80747d25a4c5264afd23965f96cf403",
-            "e827bb652e4f884dc14687057efae98b6a539bcd3c33a643d9e6d55d4d668732",
+            "b1d543d098b456c419a2141afc571675c46a36bf8e6a1924a065bad306231e8b",
+            "1c8e9c76ae7de8bff82ed3df900b9b9f6bca834669a8340b1cf8b90c6e734f76",
             "a544d1c2f333de6509ae8950d60983cb0a4d7791b48de299a2c063373d2220ef",
         ],
     ),
@@ -227,9 +205,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         718645,
         (31, 1116, 2),
         [
-            "ba36af854950f2c0154f907b39c188b062e375dacd70774f288474b277f54c78",
-            "7f3543fc47066db2fd8e3323f706155de72590bd8d48adfd8e6830ec242516d4",
-            "7b6ccfe253d1bf180c8abfd2e9b3914a7bfa8b033e97a630383de6f2c4dd151f",
+            "5f97f6f527a126a6ed15a655238737c2bf92820f6c7328bca06a6d4a03d89cea",
+            "35ba6a6ac4cf13da07370f9006903d676298e3812403573afc3e2f8aa3855265",
             "f566d370db96f39bc46b8caa1d9e9bfe029cee608a46c5ec879f3f3bbdc8e13b",
         ],
     ),
@@ -238,9 +215,8 @@ const ONE_QUEUE_PINS: [OneQueuePin; 7] = [
         745614,
         (32, 1152, 1),
         [
-            "668abebf0fa4dbde3a064779d0b1fc253aa999db772dbb4790d7a64ec4fbb07f",
-            "24fa041578ebef4da55b727b908dd29bbe56b6691be20af8379c24c84820cd6b",
-            "c783039f772cebebb7f15929ea8da9010e32e56a2d60215fd5dccaa26aa0a9af",
+            "bc2a3ab9a5929dccbf2de83cdbe6faf9f0094a5f55d5e37cda86402fed260c3a",
+            "e29cda2e30bea28b8a40dc3f7a599c243ab8851018286e6c353c0e127cc245e2",
             "2a47abbdd16fc1eb8f46a17682099a422c36fe99d91a4d62d3f2ad40c046b332",
         ],
     ),
@@ -272,16 +248,15 @@ fn one_queue_echo(kind: BoundaryKind) -> World {
     w
 }
 
-/// SHA-256 of a fixed-seed [`SessionPlane`] run's `prometheus_text`,
-/// `json_snapshot`, `report()` and meter snapshot (`Debug` renderings for
-/// the last two). Recorded while every handshake still ran its own
-/// X25519 ladders one after another; batching the ladders into lanes
-/// must move no cycle, no charge and no export.
-const SESSION_PLANE_PINS: [&str; 4] = [
-    "a322c2bdfe54e0d7a174343da8dfdc03c27d786653c7b92e9974995767a777cc",
+/// SHA-256 of a fixed-seed [`SessionPlane`] run's `json_snapshot`,
+/// `report()` and meter snapshot (`Debug` renderings for the last two).
+/// Recorded while every handshake still ran its own X25519 ladders one
+/// after another; batching the ladders into lanes must move no cycle, no
+/// charge and no export.
+const SESSION_PLANE_PINS: [&str; 3] = [
     "10af8acbbde6bb4e6810b169d59bbe193b62ccd75389aeb8322e173583e4b515",
     "ba9ff2418cff6514277c3bf9a402f1c77377fd0d29da0f610f7e967c485fbe2f",
-    "bd4653cf0abf6f3568385d72ef4916057f81be86b51df4a32f8657e17d02aa8f",
+    "799b60d380b83e8f4c21ff33a4407f68d2383425076568078066dea325672ccd",
 ];
 
 #[test]
@@ -306,19 +281,18 @@ fn session_plane_exports_are_pinned() {
     plane.run(12).expect("run");
     let t = plane.telemetry();
     let got = [
-        t.prometheus_text(),
         t.json_snapshot(),
         format!("{:?}", plane.report()),
         format!("{:?}", plane.meter().snapshot()),
     ];
-    let names = ["prometheus_text", "json_snapshot", "report", "meter"];
+    let names = ["json_snapshot", "report", "meter"];
     for ((name, text), pin) in names.iter().zip(&got).zip(SESSION_PLANE_PINS) {
         assert_eq!(
             sha256_hex(text),
             pin,
             "session plane: {name} moved ({} / {})",
-            got[2],
-            got[3]
+            got[1],
+            got[2]
         );
     }
 }
@@ -337,11 +311,10 @@ fn one_queue_schedule_is_pinned_for_every_design() {
         let t = w.telemetry();
         let got = [
             format!("{:?}", w.meter().snapshot()),
-            t.prometheus_text(),
             t.json_snapshot(),
             t.event_log(),
         ];
-        let names = ["meter", "prometheus_text", "json_snapshot", "event_log"];
+        let names = ["meter", "json_snapshot", "event_log"];
         for ((name, text), pin) in names.iter().zip(&got).zip(digests) {
             assert_eq!(sha256_hex(text), pin, "{kind}: {name} moved ({})", got[0]);
         }

@@ -1,16 +1,15 @@
-//! Event-timeline determinism and audit-chain integrity (E22).
+//! Event-timeline determinism (E22).
 //!
 //! The timeline half of the telemetry domain rides the virtual clock
 //! like the instruments, so its exports join the determinism contract:
-//! same-seed worlds must produce byte-identical event logs, Chrome-trace
-//! JSON, and audit logs — and the thread-per-queue host, which records
-//! into per-queue forks on the workers' lane clocks and absorbs them in
-//! ascending queue order, must reproduce the serial logs exactly. The hash-chained audit stream must
-//! verify end to end and pinpoint any mutated link.
+//! same-seed worlds must produce byte-identical event logs and JSON
+//! snapshots — and the thread-per-queue host, which records into
+//! per-queue forks on the workers' lane clocks and absorbs them in
+//! ascending queue order, must reproduce the serial exports exactly.
 
 use cio::world::WorldOptions;
 use cio_bench::{bench_opts, telemetry_echo_world_with};
-use cio_sim::{verify_audit_chain, AuditViolation, EventKind};
+use cio_sim::EventKind;
 
 const QUEUES: usize = 4;
 const FLOWS: usize = 8;
@@ -54,14 +53,9 @@ fn event_streams_are_byte_identical_across_same_seed_runs() {
         "event logs diverged between identical runs"
     );
     assert_eq!(
-        a.chrome_trace(),
-        b.chrome_trace(),
-        "Chrome-trace exports diverged between identical runs"
-    );
-    assert_eq!(
-        a.telemetry().audit_log(),
-        b.telemetry().audit_log(),
-        "audit logs diverged between identical runs"
+        a.telemetry().json_snapshot(),
+        b.telemetry().json_snapshot(),
+        "JSON snapshots diverged between identical runs"
     );
     assert!(
         !a.telemetry().event_log().is_empty(),
@@ -89,44 +83,10 @@ fn event_streams_are_byte_identical_under_worker_threads() {
             ),
         );
         assert_eq!(
-            serial.chrome_trace(),
-            par.chrome_trace(),
-            "{threads} threads: Chrome trace diverged from serial"
+            serial.telemetry().json_snapshot(),
+            par.telemetry().json_snapshot(),
+            "{threads} threads: JSON snapshot diverged from serial"
         );
-        assert_eq!(
-            serial.telemetry().audit_log(),
-            par.telemetry().audit_log(),
-            "{threads} threads: audit log diverged from serial"
-        );
-        par.telemetry()
-            .verify_audit()
-            .expect("parallel audit chain");
-    }
-}
-
-#[test]
-fn audit_chain_round_trips_and_detects_tampering() {
-    let w = run_world(0);
-    let head = w.telemetry().audit_head();
-    let records = w.telemetry().audit_records();
-    verify_audit_chain(&records, &head).expect("clean chain must verify");
-
-    if !records.is_empty() {
-        // Mutate one payload word: the verifier names exactly that link.
-        let link = records.len() / 2;
-        let mut forged = records.clone();
-        forged[link].b ^= 0x80;
-        assert_eq!(
-            verify_audit_chain(&forged, &head),
-            Err(AuditViolation::BadDigest { link: link as u64 }),
-        );
-        // Truncate: the verifier reports the missing tail.
-        let mut short = records.clone();
-        short.pop();
-        assert!(matches!(
-            verify_audit_chain(&short, &head),
-            Err(AuditViolation::Truncated { .. })
-        ));
     }
 }
 

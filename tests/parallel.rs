@@ -25,6 +25,7 @@ fn opts(queues: usize, parallel: usize, loss: f64) -> WorldOptions {
         queues,
         parallel,
         telemetry: true,
+        observe: true,
         ..WorldOptions::default()
     }
 }
@@ -39,7 +40,7 @@ struct Trace {
     flows: Vec<Vec<u8>>,
     per_queue: Vec<MeterSnapshot>,
     obs_bits: u64,
-    prometheus: String,
+    event_log: String,
     telemetry_json: String,
 }
 
@@ -88,7 +89,7 @@ fn run_with(
             flows[i].extend_from_slice(&got);
         }
     }
-    let prometheus = w.telemetry().prometheus_text();
+    let event_log = w.telemetry().event_log();
     let telemetry_json = w.telemetry().json_snapshot();
     Trace {
         clock: w.clock().now().get(),
@@ -96,7 +97,7 @@ fn run_with(
         flows,
         per_queue: w.queue_meters(),
         obs_bits: w.recorder().summary().bits,
-        prometheus,
+        event_log,
         telemetry_json,
     }
 }

@@ -24,6 +24,7 @@ fn opts(queues: usize, parallel: usize) -> WorldOptions {
         queues,
         parallel,
         telemetry: true,
+        observe: true,
         ..WorldOptions::default()
     }
 }
@@ -42,7 +43,7 @@ struct Trace {
     reclaimed: u64,
     peak_live: u64,
     capacity: usize,
-    prometheus: String,
+    event_log: String,
     telemetry_json: String,
 }
 
@@ -177,7 +178,7 @@ fn churn_trace(
         stats.peak_live
     );
 
-    let prometheus = w.telemetry().prometheus_text();
+    let event_log = w.telemetry().event_log();
     let telemetry_json = w.telemetry().json_snapshot();
     let per_queue = w.queue_meters();
     Trace {
@@ -189,7 +190,7 @@ fn churn_trace(
         reclaimed: stats.reclaimed,
         peak_live: stats.peak_live,
         capacity: stats.capacity,
-        prometheus,
+        event_log,
         telemetry_json,
     }
 }

@@ -1,12 +1,12 @@
-//! Telemetry determinism and exporter round-trip audit (E17).
+//! Telemetry determinism and export round-trip audit (E17).
 //!
 //! The telemetry layer rides the virtual clock, so its output is part of
 //! the simulation's determinism contract: two worlds built with the same
-//! options must export byte-identical Prometheus text and JSON snapshots,
-//! and enabling telemetry must not move the clock or the meters by a
-//! single cycle. The Prometheus exposition is additionally re-parsed by a
-//! small grammar checker: well-formed lines only, cumulative buckets
-//! monotone, `+Inf` bucket equal to the series count.
+//! options must export byte-identical JSON snapshots, and enabling
+//! telemetry must not move the clock or the meters by a single cycle.
+//! The snapshot is additionally re-parsed by a small JSON reader and
+//! checked for structure: one cell per queue and stage, totals that sum
+//! their cells, ordered percentiles.
 
 use std::collections::HashMap;
 
@@ -27,11 +27,6 @@ fn exports_are_byte_identical_across_same_seed_runs() {
     let a = run_world();
     let b = run_world();
     assert_eq!(a.clock().now(), b.clock().now(), "virtual clocks diverged");
-    assert_eq!(
-        a.telemetry().prometheus_text(),
-        b.telemetry().prometheus_text(),
-        "Prometheus exports diverged between identical runs"
-    );
     assert_eq!(
         a.telemetry().json_snapshot(),
         b.telemetry().json_snapshot(),
@@ -72,11 +67,6 @@ fn exports_are_byte_identical_under_worker_threads() {
             "{threads} threads: virtual clock diverged"
         );
         assert_eq!(
-            serial.telemetry().prometheus_text(),
-            par.telemetry().prometheus_text(),
-            "{threads} threads: Prometheus export diverged from serial"
-        );
-        assert_eq!(
             serial.telemetry().json_snapshot(),
             par.telemetry().json_snapshot(),
             "{threads} threads: JSON snapshot diverged from serial"
@@ -85,8 +75,8 @@ fn exports_are_byte_identical_under_worker_threads() {
     // Scheduling noise across repeated parallel runs must not show.
     let (a, b) = (run(4), run(4));
     assert_eq!(
-        a.telemetry().prometheus_text(),
-        b.telemetry().prometheus_text(),
+        a.telemetry().json_snapshot(),
+        b.telemetry().json_snapshot(),
         "repeated 4-thread runs diverged"
     );
 }
@@ -104,7 +94,6 @@ fn telemetry_off_does_not_perturb_the_simulation() {
     assert_eq!(m_on.aead_ops, m_off.aead_ops);
     assert_eq!(m_on.aead_bytes, m_off.aead_bytes);
     assert!(!off.telemetry().enabled());
-    assert_eq!(off.telemetry().prometheus_text(), "");
     assert_eq!(off.telemetry().json_snapshot(), "{\"enabled\":false}");
 }
 
@@ -140,137 +129,220 @@ fn histogram_totals_cross_check_workload_and_profile() {
     assert!(batch_total > 0, "no servicing batches recorded");
 }
 
-/// One parsed Prometheus sample: metric name, labels, value text.
-type Sample = (String, Vec<(String, String)>, String);
-
-fn parse_sample(line: &str) -> Sample {
-    let (series, value) = line.rsplit_once(' ').expect("sample has a value");
-    let (name, labels) = match series.split_once('{') {
-        None => (series.to_string(), Vec::new()),
-        Some((name, rest)) => {
-            let body = rest.strip_suffix('}').expect("labels close with }");
-            let labels = body
-                .split(',')
-                .map(|kv| {
-                    let (k, v) = kv.split_once('=').expect("label is key=value");
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .expect("label value is quoted");
-                    assert!(!v.contains('"') && !v.contains('\\'), "unescaped label");
-                    (k.to_string(), v.to_string())
-                })
-                .collect();
-            (name.to_string(), labels)
-        }
-    };
-    assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-        "bad metric name {name:?}"
-    );
-    (name, labels, value.to_string())
+/// A parsed JSON value: as much of the grammar as the snapshot uses
+/// (objects, arrays, strings without escapes, unsigned integers and
+/// fixed-point fractions, booleans).
+#[derive(Debug)]
+enum Json {
+    Bool(bool),
+    Num(String),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
 }
 
-fn samples_of(text: &str) -> Vec<Sample> {
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(parse_sample)
-        .collect()
+impl Json {
+    fn get(&self, key: &str) -> &Json {
+        let Json::Obj(fields) = self else {
+            panic!("{key}: not an object: {self:?}")
+        };
+        let (_, v) =
+            (fields.iter().find(|(k, _)| k == key)).unwrap_or_else(|| panic!("missing key {key}"));
+        v
+    }
+
+    fn arr(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            _ => panic!("not an array: {self:?}"),
+        }
+    }
+
+    fn int(&self) -> u64 {
+        match self {
+            Json::Num(n) => n.parse().unwrap_or_else(|_| panic!("not an integer: {n}")),
+            _ => panic!("not a number: {self:?}"),
+        }
+    }
+
+    /// Every integer leaf under a dotted path (array elements by index).
+    fn int_leaves(&self, path: String, out: &mut HashMap<String, u64>) {
+        match self {
+            Json::Num(n) if !n.contains('.') => {
+                out.insert(path, n.parse().expect("integer"));
+            }
+            Json::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    v.int_leaves(format!("{path}.{i}"), out);
+                }
+            }
+            Json::Obj(fields) => {
+                for (k, v) in fields {
+                    v.int_leaves(format!("{path}.{k}"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Parses `text` as one JSON document, panicking on any syntax error or
+/// trailing bytes.
+fn parse_json(text: &str) -> Json {
+    struct Reader<'a> {
+        s: &'a [u8],
+        i: usize,
+    }
+    impl Reader<'_> {
+        fn peek(&mut self) -> u8 {
+            while self.s[self.i].is_ascii_whitespace() {
+                self.i += 1;
+            }
+            self.s[self.i]
+        }
+        fn eat(&mut self, c: u8) {
+            assert_eq!(
+                self.peek(),
+                c,
+                "expected {:?} at byte {}",
+                c as char,
+                self.i
+            );
+            self.i += 1;
+        }
+        /// Items separated by commas up to `close`.
+        fn list<T>(&mut self, close: u8, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            let mut out = Vec::new();
+            if self.peek() != close {
+                out.push(item(self));
+                while self.peek() == b',' {
+                    self.eat(b',');
+                    out.push(item(self));
+                }
+            }
+            self.eat(close);
+            out
+        }
+        fn string(&mut self) -> String {
+            self.eat(b'"');
+            let start = self.i;
+            while self.s[self.i] != b'"' {
+                assert_ne!(self.s[self.i], b'\\', "escapes are not expected");
+                self.i += 1;
+            }
+            self.i += 1;
+            String::from_utf8(self.s[start..self.i - 1].to_vec()).expect("utf-8")
+        }
+        fn value(&mut self) -> Json {
+            match self.peek() {
+                b'{' => {
+                    self.eat(b'{');
+                    Json::Obj(self.list(b'}', |r| {
+                        let key = r.string();
+                        r.eat(b':');
+                        (key, r.value())
+                    }))
+                }
+                b'[' => {
+                    self.eat(b'[');
+                    Json::Arr(self.list(b']', Self::value))
+                }
+                b'"' => Json::Str(self.string()),
+                b't' | b'f' => {
+                    let word: &[u8] = if self.s[self.i] == b't' {
+                        b"true"
+                    } else {
+                        b"false"
+                    };
+                    assert!(
+                        self.s[self.i..].starts_with(word),
+                        "bad literal at {}",
+                        self.i
+                    );
+                    self.i += word.len();
+                    Json::Bool(word == b"true")
+                }
+                _ => {
+                    let start = self.i;
+                    while self.s[self.i].is_ascii_digit() || self.s[self.i] == b'.' {
+                        self.i += 1;
+                    }
+                    let n = std::str::from_utf8(&self.s[start..self.i]).unwrap();
+                    let (int, frac) = n.split_once('.').unwrap_or((n, "0"));
+                    assert!(
+                        !int.is_empty() && int.bytes().all(|b| b.is_ascii_digit()),
+                        "bad number {n:?} at byte {start}"
+                    );
+                    assert!(frac.bytes().all(|b| b.is_ascii_digit()), "bad number {n:?}");
+                    Json::Num(n.to_string())
+                }
+            }
+        }
+    }
+    let mut r = Reader {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let doc = r.value();
+    assert!(
+        text[r.i..].trim().is_empty(),
+        "trailing bytes after the document"
+    );
+    doc
 }
 
 #[test]
-fn prometheus_text_round_trips_through_a_parser() {
+fn json_snapshot_round_trips_through_a_parser() {
     let w = run_world();
-    let text = w.telemetry().prometheus_text();
-    assert!(!text.is_empty());
+    // The echo is lockstep (p50 = p99 on every queue), so give queue 0's
+    // RTT histogram a heavy tail: its three percentiles then differ and
+    // the ordering check below can tell them apart.
+    for (n, rtt) in [(940, 1), (40, 1_000), (20, 1_000_000)] {
+        for _ in 0..n {
+            w.telemetry().record_rtt(0, cio_sim::Cycles(rtt));
+        }
+    }
+    let doc = parse_json(&w.telemetry().json_snapshot());
+    assert!(matches!(doc.get("enabled"), Json::Bool(true)));
+    assert_eq!(doc.get("queues").int(), QUEUES as u64);
 
-    // Grammar: every line is HELP, TYPE, or a well-formed sample whose
-    // value is a base-10 integer — except gauges, which are emitted with
-    // a fixed six-decimal fraction so the export stays byte-stable.
-    let mut types: HashMap<String, String> = HashMap::new();
-    for line in text.lines().filter(|l| !l.is_empty()) {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split(' ');
-            let name = it.next().expect("TYPE names a metric");
-            let ty = it.next().expect("TYPE has a kind");
+    // The attribution table exports one cycles and one spans cell per
+    // queue x stage, in fixed stage order, and each row's total is the
+    // sum of its cells.
+    let stages = doc.get("stages").arr();
+    assert_eq!(stages.len(), Stage::ALL.len());
+    for (row, stage) in stages.iter().zip(Stage::ALL) {
+        assert!(matches!(row.get("stage"), Json::Str(s) if s == stage.name()));
+        let cycles: Vec<u64> = row.get("cycles").arr().iter().map(Json::int).collect();
+        assert_eq!(cycles.len(), QUEUES, "{stage}: cycles cells");
+        assert_eq!(row.get("spans").arr().len(), QUEUES, "{stage}: spans cells");
+        assert_eq!(
+            row.get("total_cycles").int(),
+            cycles.iter().sum::<u64>(),
+            "{stage}: total is not the sum of its queues"
+        );
+    }
+
+    let tail = doc.get("rtt").arr()[0].get("hist");
+    let [p50, p95, p99] = ["p50", "p95", "p99"].map(|k| tail.get(k).int());
+    assert!(p50 < p95 && p95 < p99, "queue 0's tail: {tail:?}");
+
+    // Histogram discipline: one per queue (RTT, batch) or stage
+    // (residency), percentiles ordered and bounded by the maximum.
+    for (section, rows) in [
+        ("rtt", QUEUES),
+        ("residency", Stage::COUNT),
+        ("batch", QUEUES),
+    ] {
+        let entries = doc.get(section).arr();
+        assert_eq!(entries.len(), rows, "{section} rows");
+        for entry in entries {
+            let h = entry.get("hist");
+            let [p50, p95, p99, max] = ["p50", "p95", "p99", "max"].map(|k| h.get(k).int());
             assert!(
-                ty == "counter" || ty == "histogram" || ty == "gauge",
-                "unknown type {ty}"
+                p50 <= p95 && p95 <= p99 && p99 <= max,
+                "{section}: percentiles out of order in {entry:?}"
             );
-            types.insert(name.to_string(), ty.to_string());
-        } else if !line.starts_with("# HELP") {
-            let (name, _, value) = parse_sample(line);
-            if types.get(&name).is_some_and(|t| t == "gauge") {
-                let (int, frac) = value.split_once('.').expect("fixed-point gauge");
-                int.parse::<u64>().expect("gauge integer part");
-                assert_eq!(frac.len(), 6, "gauge fraction is six digits: {value}");
-                frac.parse::<u64>().expect("gauge fractional part");
-            } else {
-                value.parse::<u64>().expect("integer sample value");
-            }
-        }
-    }
-
-    // Every sample's family must be declared, with histogram suffixes
-    // resolving to their base family.
-    for (name, _, _) in samples_of(&text) {
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .filter(|b| types.contains_key(*b))
-            .unwrap_or(&name);
-        assert!(types.contains_key(base), "undeclared family for {name}");
-    }
-
-    // Counter coverage: the attribution table exports every queue x stage
-    // cell, in fixed order.
-    let cycles: Vec<_> = samples_of(&text)
-        .into_iter()
-        .filter(|(n, _, _)| n == "cio_stage_cycles_total")
-        .collect();
-    assert_eq!(cycles.len(), QUEUES * Stage::ALL.len());
-
-    // Histogram discipline per series: cumulative buckets monotone, le
-    // bounds strictly increasing, +Inf bucket equal to the _count sample.
-    let samples = samples_of(&text);
-    let series_key = |labels: &[(String, String)]| {
-        labels
-            .iter()
-            .filter(|(k, _)| k != "le")
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let mut counts: HashMap<(String, String), u64> = HashMap::new();
-    for (name, labels, value) in &samples {
-        if let Some(base) = name.strip_suffix("_count") {
-            counts.insert(
-                (base.to_string(), series_key(labels)),
-                value.parse().unwrap(),
-            );
-        }
-    }
-    let mut cursor: HashMap<(String, String), (u64, Option<u64>)> = HashMap::new();
-    for (name, labels, value) in &samples {
-        let Some(base) = name.strip_suffix("_bucket") else {
-            continue;
-        };
-        let le = &labels.iter().find(|(k, _)| k == "le").expect("le label").1;
-        let cum: u64 = value.parse().unwrap();
-        let key = (base.to_string(), series_key(labels));
-        let entry = cursor.entry(key.clone()).or_insert((0, None));
-        assert!(cum >= entry.0, "cumulative bucket decreased in {name}");
-        entry.0 = cum;
-        if le == "+Inf" {
-            let count = counts.get(&key).expect("histogram has _count");
-            assert_eq!(cum, *count, "+Inf bucket != count for {name}");
-        } else {
-            let bound: u64 = le.parse().expect("numeric le bound");
-            if let Some(prev) = entry.1 {
-                assert!(bound > prev, "le bounds not increasing in {name}");
-            }
-            entry.1 = Some(bound);
         }
     }
 }
@@ -278,42 +350,31 @@ fn prometheus_text_round_trips_through_a_parser() {
 #[test]
 fn counters_are_monotone_across_exports() {
     let w = run_world();
-    // The per-record ratio gauges and the session occupancy gauges are
-    // not counters (live sessions legitimately fall on close) — exempt.
-    let counters = |text: &str| -> HashMap<(String, String), u64> {
-        samples_of(text)
-            .into_iter()
-            .filter(|(n, _, _)| {
-                n != "cio_copies_per_record"
-                    && n != "cio_records_per_commit"
-                    && n != "cio_lock_acquisitions_per_record"
-                    && n != "cio_doorbells_per_record"
-                    && n != "cio_blk_copies_per_record"
-                    && n != "cio_blk_records_per_commit"
-                    && n != "cio_blk_doorbells_per_record"
-                    && n != "cio_sessions_live"
-                    && n != "cio_sessions_peak"
-                    && n != "cio_session_table_slots"
-            })
-            .map(|(n, l, v)| ((n, format!("{l:?}")), v.parse::<u64>().unwrap()))
-            .collect()
+    // Every integer in the snapshot is a count, a sum or a maximum except
+    // the percentiles (a burst of small samples lowers them) and the
+    // session occupancy gauges (live sessions legitimately fall on
+    // close) — exempt. Ratios and fractions are not integers.
+    let counters = |text: &str| -> HashMap<String, u64> {
+        let mut leaves = HashMap::new();
+        parse_json(text).int_leaves(String::new(), &mut leaves);
+        leaves.retain(|path, _| {
+            !["p50", "p95", "p99", "live", "peak", "slots"]
+                .iter()
+                .any(|k| path.ends_with(&format!(".{k}")) || path.contains(&format!(".{k}.")))
+        });
+        leaves
     };
-    let before = counters(&w.telemetry().prometheus_text());
-    // More activity between two scrapes of the same domain: every sample
-    // (counters, sums, cumulative buckets) may only grow.
+    let before = counters(&w.telemetry().json_snapshot());
+    assert!(before.contains_key(".stages.0.cycles.0") && before.contains_key(".rtt.0.hist.count"));
+    // More activity between two scrapes of the same domain: every counter
+    // may only grow.
     for q in 0..QUEUES {
         w.telemetry().record_rtt(q, cio_sim::Cycles(1 << q));
         w.telemetry().record_batch(q, 3);
     }
     w.telemetry().attribute(0, Stage::Idle, cio_sim::Cycles(17));
-    for ((name, labels), after) in counters(&w.telemetry().prometheus_text()) {
-        let prev = before
-            .get(&(name.clone(), labels.clone()))
-            .copied()
-            .unwrap_or(0);
-        assert!(
-            after >= prev,
-            "{name}{labels} went backwards: {prev} -> {after}"
-        );
+    for (path, after) in counters(&w.telemetry().json_snapshot()) {
+        let prev = before.get(&path).copied().unwrap_or(0);
+        assert!(after >= prev, "{path} went backwards: {prev} -> {after}");
     }
 }
