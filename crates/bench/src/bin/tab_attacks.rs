@@ -4,8 +4,10 @@
 //! world's timeline (the timeline half of the telemetry domain).
 
 use cio::attacks::{
-    attack_opts, coalesce_forgery, netvsc_offset_forgery, non_tcp_forgery, payload_toctou,
-    run_blk_suite, run_matrix, Outcome, ALL_ATTACKS, COALESCE_FORGERIES, NON_TCP_FORGERIES,
+    attack_opts, batch_partial_poison, coalesce_forgery, event_idx_hostile, netvsc_offset_forgery,
+    non_tcp_forgery, parallel_hostile_mutation, payload_toctou, payload_toctou_in_slot,
+    run_blk_suite, run_matrix, session_churn_poison, session_mid_handshake, session_mid_rekey,
+    EventIdxAttack, Outcome, ALL_ATTACKS, COALESCE_FORGERIES, NON_TCP_FORGERIES,
 };
 use cio::world::ALL_BOUNDARIES;
 use cio_bench::print_table;
@@ -99,6 +101,47 @@ fn main() {
         &grows,
     );
 
+    // Every other scenario the suite's tests pin, with the outcome they
+    // expect and the workload (or the victim's neighbour) intact.
+    use EventIdxAttack::{Backwards, MaxValue, Racing, Stuck};
+    use Outcome::{Detected, Prevented};
+    let mut pinned = Vec::new();
+    let mut pin = |what: String, got: Outcome, want: Outcome, contained: bool| {
+        assert!(got == want && contained, "{what}: {got}");
+        pinned.push(vec![what, got.to_string()]);
+    };
+    let got = payload_toctou_in_slot().expect("in-slot scenario");
+    let what = "payload flipped after an in-slot consume".into();
+    pin(what, got, Prevented, true);
+    let got = batch_partial_poison().expect("batch scenario");
+    let what = "one record poisoned inside a batch".into();
+    pin(what, got, Detected, true);
+    let (r, _sweeps) = parallel_hostile_mutation(4).expect("race scenario");
+    assert_ne!(r.outcome, Outcome::Undetected, "{r:?}");
+    let what = "ring forged while 4 host threads serve it".into();
+    pin(what, r.outcome, r.outcome, r.workload_survived);
+    for attack in [Stuck, Backwards, MaxValue, Racing] {
+        let want = if attack == Stuck { Prevented } else { Detected };
+        let r = event_idx_hostile(attack).expect("event-idx scenario");
+        let what = format!("event index {attack}");
+        pin(what, r.outcome, want, r.workload_survived);
+    }
+    for (when, run) in [
+        ("mid-handshake", session_mid_handshake as fn() -> _),
+        ("mid-rekey", session_mid_rekey),
+        ("under churn", session_churn_poison),
+    ] {
+        let r = run().expect("session scenario");
+        let contained = r.victim_failed_closed && r.neighbor_survived;
+        let what = format!("one session poisoned {when}");
+        pin(what, r.outcome, Detected, contained);
+    }
+    print_table(
+        "E10h — the scenarios the test suite pins",
+        &["scenario", "outcome"],
+        &pinned,
+    );
+
     // Summary counts.
     let mut srows = Vec::new();
     for boundary in ALL_BOUNDARIES {
@@ -148,7 +191,7 @@ fn main() {
         );
         brows.push(vec![
             name.into(),
-            format!("sealed as {}", r.attack),
+            r.attack.to_string(),
             r.outcome.to_string(),
             if r.fail_closed { "yes" } else { "NO" }.into(),
             if r.intact_elsewhere { "yes" } else { "NO" }.into(),
@@ -158,7 +201,7 @@ fn main() {
         "E10e — the batched block ring under the storage adversary",
         &[
             "attack",
-            "verdict code",
+            "filed under",
             "outcome",
             "fail-closed",
             "blast radius contained",

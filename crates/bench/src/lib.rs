@@ -251,37 +251,16 @@ pub fn echo_latency(
     ))
 }
 
-/// Runs a multi-flow echo workload with the telemetry layer optionally
-/// enabled and returns the finished [`World`] so callers can inspect the
+/// Runs a multi-flow echo workload on a cio-ring world built from `opts`
+/// and returns the finished [`World`] so callers can inspect the
 /// attribution profile, histograms, and exports.
 ///
 /// Each flow keeps one `size`-byte ping outstanding and records the
 /// application-observed round-trip into the per-queue RTT histogram of the
-/// flow's RSS lane. This is the workload behind `cio-top` (E17) and the
-/// telemetry determinism suite; running it with `telemetry: false` gives
-/// the control for "observability does not perturb the simulation".
-///
-/// # Errors
-///
-/// World construction or timeout failures.
-pub fn telemetry_echo_world(
-    queues: usize,
-    flows: usize,
-    rounds: u32,
-    size: usize,
-    telemetry: bool,
-) -> Result<World, CioError> {
-    let opts = WorldOptions {
-        queues,
-        telemetry,
-        ..bench_opts()
-    };
-    telemetry_echo_world_with(opts, flows, rounds, size)
-}
-
-/// [`telemetry_echo_world`] with full [`WorldOptions`] control — used by
-/// the telemetry-under-threads determinism suite to run the identical
-/// workload with `parallel` worker threads.
+/// flow's RSS lane. This is the workload behind `cio-top` (E17),
+/// `exp_observe` and the telemetry determinism suites; running it with
+/// `telemetry: false` gives the control for "observability does not
+/// perturb the simulation".
 ///
 /// # Errors
 ///

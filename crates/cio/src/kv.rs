@@ -94,13 +94,6 @@ impl KvConfig {
         }
     }
 
-    /// Sets the lane count (power of two).
-    #[must_use]
-    pub fn with_queues(mut self, queues: usize) -> Self {
-        self.queues = queues;
-        self
-    }
-
     /// Sets the notify policy, keeping the ring mode consistent with it
     /// by the net host's rule ([`ring_notify`] over a doorbell ring).
     #[must_use]
@@ -632,8 +625,14 @@ mod tests {
 
     #[test]
     fn overwrites_and_large_values() {
-        let mut kv =
-            KvWorld::new(KvConfig::batched(8).with_queues(2), CostModel::default()).unwrap();
+        let mut kv = KvWorld::new(
+            KvConfig {
+                queues: 2,
+                ..KvConfig::batched(8)
+            },
+            CostModel::default(),
+        )
+        .unwrap();
         kv.put(b"k", &val(1, 100)).unwrap();
         kv.put(b"k", &val(2, 65_536)).unwrap(); // 64 KiB forces a flush
         kv.flush().unwrap();
@@ -697,8 +696,14 @@ mod tests {
 
     #[test]
     fn host_tamper_on_any_lane_fails_closed() {
-        let mut kv =
-            KvWorld::new(KvConfig::batched(8).with_queues(2), CostModel::default()).unwrap();
+        let mut kv = KvWorld::new(
+            KvConfig {
+                queues: 2,
+                ..KvConfig::batched(8)
+            },
+            CostModel::default(),
+        )
+        .unwrap();
         for i in 0..24 {
             kv.put(format!("k{i}").as_bytes(), &val(i, 4096)).unwrap();
         }
@@ -757,7 +762,10 @@ mod tests {
         // re-arm is idempotent) and nothing else.
         for lanes in [1u64, 2] {
             let cost = CostModel::default();
-            let cfg = KvConfig::batched(8).with_queues(lanes as usize);
+            let cfg = KvConfig {
+                queues: lanes as usize,
+                ..KvConfig::batched(8)
+            };
             let mut kv = KvWorld::new(cfg, cost.clone()).unwrap();
             for i in 0..16 {
                 kv.put(format!("k{i}").as_bytes(), &val(i, 4096)).unwrap();

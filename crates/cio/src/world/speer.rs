@@ -373,11 +373,6 @@ impl<D: NetDevice> SecurePeer<D> {
         received += self.iface.poll().unwrap_or(0);
         received + (self.iface.frames_sent() - sent_before) as usize
     }
-
-    /// Live connections (diagnostic).
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
 }
 
 /// Result of feeding received bytes into a [`SecureStream`].
@@ -477,17 +472,6 @@ impl SecureStream {
         }
     }
 
-    /// Protects outgoing application bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CioError::Ctls`] if called before the handshake completes.
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, CioError> {
-        let mut out = RecordScratch::new();
-        self.seal_into(plaintext, &mut out)?;
-        Ok(out.as_slice().to_vec())
-    }
-
     /// Protects outgoing application bytes into a reusable scratch.
     ///
     /// # Errors
@@ -502,19 +486,6 @@ impl SecureStream {
             StreamState::Open { chan, .. } => Ok(chan.seal_into(plaintext, out)?),
             StreamState::AwaitServerHello { .. } => Err(CioError::Ctls(CtlsError::BadSequence)),
         }
-    }
-
-    /// Feeds raw bytes received from the transport.
-    ///
-    /// Allocating convenience over [`SecureStream::feed_into`].
-    ///
-    /// # Errors
-    ///
-    /// Handshake/record failures; the stream is dead afterwards.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<FeedResult, CioError> {
-        let mut result = FeedResult::default();
-        self.feed_into(bytes, &mut result)?;
-        Ok(result)
     }
 
     /// Feeds raw bytes received from the transport, reusing the caller's
@@ -619,22 +590,40 @@ impl TunnelGateway {
             }
         }
     }
-
-    /// Encapsulates frames arriving from the safe segment; returns sealed
-    /// blobs for the untrusted side.
-    ///
-    /// Allocating convenience over [`TunnelGateway::egress_each`].
-    pub fn egress(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        self.egress_each(|blob| out.push(blob.to_vec()));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cio_netstack::Ipv4Addr;
+
+    /// One [`SecureStream::feed_into`] into a fresh result.
+    fn feed(stream: &mut SecureStream, bytes: &[u8]) -> Result<FeedResult, CioError> {
+        let mut result = FeedResult::default();
+        stream.feed_into(bytes, &mut result).map(|()| result)
+    }
+
+    /// One [`Channel::seal_into`], copied out of its scratch.
+    fn chan_seal(c: &mut Channel, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = RecordScratch::new();
+        c.seal_into(plaintext, &mut out).unwrap();
+        out.as_slice().to_vec()
+    }
+
+    /// One [`Channel::open_into`], copied out of its scratch.
+    fn chan_open(c: &mut Channel, record: &[u8]) -> Vec<u8> {
+        let mut out = RecordScratch::new();
+        c.open_into(record, &mut out).unwrap();
+        out.as_slice().to_vec()
+    }
+
+    /// One [`SecureStream::seal_into`], copied out of its scratch.
+    fn seal(stream: &mut SecureStream, plaintext: &[u8]) -> Result<Vec<u8>, CioError> {
+        let mut out = RecordScratch::new();
+        stream
+            .seal_into(plaintext, &mut out)
+            .map(|()| out.as_slice().to_vec())
+    }
 
     /// A header whose length prefix is one past [`MAX_RECORD_BODY`].
     fn oversize_header() -> [u8; 5] {
@@ -651,11 +640,11 @@ mod tests {
             measurement: peer_measurement(),
         };
         let (sh, _) = ServerHandshake::respond(&hello, &identity, [4u8; 64], None).unwrap();
-        stream.feed(&sh.to_bytes()).unwrap();
+        feed(&mut stream, &sh.to_bytes()).unwrap();
         assert!(stream.is_open());
         // Not "incomplete, keep buffering": a typed error, at once.
         assert_eq!(
-            stream.feed(&oversize_header()),
+            feed(&mut stream, &oversize_header()),
             Err(CioError::Ctls(CtlsError::Malformed))
         );
     }
@@ -683,9 +672,9 @@ mod tests {
                     to_send.clear();
                 }
                 let rx = client.tcp_recv(h, usize::MAX).unwrap();
-                to_send.extend(stream.feed(&rx).unwrap().to_send);
+                to_send.extend(feed(stream, &rx).unwrap().to_send);
             }
-            peer.connections()
+            peer.conns.len()
         };
         assert_eq!(pump(&mut stream, &[]), 1);
         assert!(stream.is_open());
@@ -700,8 +689,8 @@ mod tests {
     fn stream_plain_passthrough() {
         let mut s = SecureStream::plain();
         assert!(s.is_open());
-        assert_eq!(s.seal(b"data").unwrap(), b"data");
-        let r = s.feed(b"reply").unwrap();
+        assert_eq!(seal(&mut s, b"data").unwrap(), b"data");
+        let r = feed(&mut s, b"reply").unwrap();
         assert_eq!(r.app_data, b"reply");
         assert!(r.to_send.is_empty());
     }
@@ -710,22 +699,22 @@ mod tests {
     fn stream_handshake_against_server() {
         let (hello, mut stream) = SecureStream::client([7u8; 64], None);
         assert!(!stream.is_open());
-        assert!(stream.seal(b"too early").is_err());
+        assert!(seal(&mut stream, b"too early").is_err());
 
         let identity = ServerIdentity {
             platform_key: PLATFORM_KEY,
             measurement: peer_measurement(),
         };
         let (sh, cont) = ServerHandshake::respond(&hello, &identity, [9u8; 64], None).unwrap();
-        let r = stream.feed(&sh.to_bytes()).unwrap();
+        let r = feed(&mut stream, &sh.to_bytes()).unwrap();
         assert!(stream.is_open());
         let mut server_chan = cont.verify_finished(&r.to_send).unwrap();
 
         // Bidirectional data.
-        let rec = stream.seal(b"request").unwrap();
-        assert_eq!(server_chan.open(&rec).unwrap(), b"request");
-        let resp = server_chan.seal(b"response").unwrap();
-        let r = stream.feed(&resp).unwrap();
+        let rec = seal(&mut stream, b"request").unwrap();
+        assert_eq!(chan_open(&mut server_chan, &rec), b"request");
+        let resp = chan_seal(&mut server_chan, b"response");
+        let r = feed(&mut stream, &resp).unwrap();
         assert_eq!(r.app_data, b"response");
     }
 
@@ -741,14 +730,14 @@ mod tests {
         // Deliver the ServerHello one byte at a time.
         let mut fin = Vec::new();
         for b in sh_bytes.iter() {
-            fin.extend(stream.feed(std::slice::from_ref(b)).unwrap().to_send);
+            fin.extend(feed(&mut stream, std::slice::from_ref(b)).unwrap().to_send);
         }
         let mut server_chan = cont.verify_finished(&fin).unwrap();
         // Deliver a record split in two.
-        let resp = server_chan.seal(b"fragmented").unwrap();
-        let r1 = stream.feed(&resp[..3]).unwrap();
+        let resp = chan_seal(&mut server_chan, b"fragmented");
+        let r1 = feed(&mut stream, &resp[..3]).unwrap();
         assert!(r1.app_data.is_empty());
-        let r2 = stream.feed(&resp[3..]).unwrap();
+        let r2 = feed(&mut stream, &resp[3..]).unwrap();
         assert_eq!(r2.app_data, b"fragmented");
     }
 
@@ -770,8 +759,8 @@ mod tests {
         for i in 0..8usize {
             let msg = vec![i as u8; i * 31];
             stream.seal_into(&msg, &mut rec).unwrap();
-            assert_eq!(server_chan.open(rec.as_slice()).unwrap(), msg);
-            let resp = server_chan.seal(&msg).unwrap();
+            assert_eq!(chan_open(&mut server_chan, rec.as_slice()), msg);
+            let resp = chan_seal(&mut server_chan, &msg);
             stream.feed_into(&resp, &mut result).unwrap();
             assert_eq!(result.app_data, msg);
             assert!(result.to_send.is_empty());
@@ -790,7 +779,7 @@ mod tests {
         let mut gw = TunnelGateway::new(gw_end, gw_side);
 
         // Guest -> gateway -> segment.
-        let blob = guest.seal(b"inner ethernet frame").unwrap();
+        let blob = chan_seal(&mut guest, b"inner ethernet frame");
         assert!(gw.ingress(&blob));
         let mut frame = Vec::new();
         assert!(peer_side.receive(&mut frame));
@@ -798,9 +787,10 @@ mod tests {
 
         // Segment -> gateway -> guest.
         peer_side.transmit(b"reply frame").unwrap();
-        let blobs = gw.egress();
+        let mut blobs = Vec::new();
+        gw.egress_each(|blob| blobs.push(blob.to_vec()));
         assert_eq!(blobs.len(), 1);
-        assert_eq!(guest.open(&blobs[0]).unwrap(), b"reply frame");
+        assert_eq!(chan_open(&mut guest, &blobs[0]), b"reply frame");
 
         // Host-forged blob is dropped at the gateway.
         assert!(!gw.ingress(b"garbage from the host"));

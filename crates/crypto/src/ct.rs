@@ -27,18 +27,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Constant-time conditional select: returns `a` if `choice` is 1, `b` if 0.
-///
-/// `choice` must be exactly 0 or 1; other values produce garbage (debug
-/// assertion enforces the contract).
-#[inline]
-#[must_use]
-pub fn ct_select_u64(choice: u64, a: u64, b: u64) -> u64 {
-    debug_assert!(choice <= 1);
-    let mask = choice.wrapping_neg(); // 0 -> 0x0000..., 1 -> 0xffff...
-    (a & mask) | (b & !mask)
-}
-
 /// Constant-time swap of two u64 arrays when `choice` is 1.
 #[inline]
 pub fn ct_swap<const N: usize>(choice: u64, a: &mut [u64; N], b: &mut [u64; N]) {
@@ -87,12 +75,6 @@ mod tests {
             b[i] = 1;
             assert!(!ct_eq(&a, &b), "difference at {i} missed");
         }
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select_u64(1, 7, 9), 7);
-        assert_eq!(ct_select_u64(0, 7, 9), 9);
     }
 
     #[test]

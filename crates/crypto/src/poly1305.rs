@@ -353,13 +353,6 @@ impl Poly1305 {
         tag[8..16].copy_from_slice(&w1.to_le_bytes());
         tag
     }
-
-    /// One-shot convenience.
-    pub fn mac(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
-        let mut p = Poly1305::new(key);
-        p.update(data);
-        p.finish()
-    }
 }
 
 use crate::avx512;
@@ -448,6 +441,13 @@ fn lane_powers(mac: &mut Poly1305) -> [[u64; 8]; 5] {
 mod tests {
     use super::*;
 
+    /// One whole message through a fresh MAC.
+    fn mac(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
+        let mut p = Poly1305::new(key);
+        p.update(data);
+        p.finish()
+    }
+
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
             .step_by(2)
@@ -462,7 +462,7 @@ mod tests {
             unhex("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b")
                 .try_into()
                 .unwrap();
-        let tag = Poly1305::mac(&key, b"Cryptographic Forum Research Group");
+        let tag = mac(&key, b"Cryptographic Forum Research Group");
         assert_eq!(tag.to_vec(), unhex("a8061dc1305136c6c22b8baf0c0127a9"));
     }
 
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn zero_key_zero_message() {
         let key = [0u8; 32];
-        let tag = Poly1305::mac(&key, &[0u8; 64]);
+        let tag = mac(&key, &[0u8; 64]);
         assert_eq!(tag, [0u8; 16]);
     }
 
@@ -480,7 +480,7 @@ mod tests {
         let mut key = [0u8; 32];
         key[16..].copy_from_slice(&unhex("36e5f6b5c5e06070f0efca96227a863e"));
         let text = b"Any submission to the IETF intended by the Contributor for publication as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in IETF sessions, as well as written and electronic communications made at any time or place, which are addressed to";
-        let tag = Poly1305::mac(&key, text);
+        let tag = mac(&key, text);
         assert_eq!(tag.to_vec(), unhex("36e5f6b5c5e06070f0efca96227a863e"));
     }
 
@@ -490,7 +490,7 @@ mod tests {
         let mut key = [0u8; 32];
         key[..16].copy_from_slice(&unhex("36e5f6b5c5e06070f0efca96227a863e"));
         let text = b"Any submission to the IETF intended by the Contributor for publication as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in IETF sessions, as well as written and electronic communications made at any time or place, which are addressed to";
-        let tag = Poly1305::mac(&key, text);
+        let tag = mac(&key, text);
         assert_eq!(tag.to_vec(), unhex("f3477e7cd95417af89a6b8794c310cf0"));
     }
 
@@ -504,7 +504,7 @@ mod tests {
              f0ffffffffffffffffffffffffffffff\
              11000000000000000000000000000000",
         );
-        let tag = Poly1305::mac(&key, &msg);
+        let tag = mac(&key, &msg);
         assert_eq!(tag.to_vec(), unhex("05000000000000000000000000000000"));
     }
 
@@ -519,7 +519,7 @@ mod tests {
              00000000000000000000000000000000\
              01000000000000000000000000000000",
         );
-        let tag = Poly1305::mac(&key, &msg);
+        let tag = mac(&key, &msg);
         assert_eq!(tag.to_vec(), unhex("14000000000000005500000000000000"));
     }
 
@@ -579,11 +579,7 @@ mod tests {
         ];
         for (n, key, msg, tag) in vectors {
             let key: [u8; 32] = unhex(&key).try_into().unwrap();
-            assert_eq!(
-                Poly1305::mac(&key, &unhex(msg)).to_vec(),
-                unhex(tag),
-                "#{n}"
-            );
+            assert_eq!(mac(&key, &unhex(msg)).to_vec(), unhex(tag), "#{n}");
         }
     }
 
@@ -756,7 +752,7 @@ mod tests {
             for b in &data {
                 bytewise.update(core::slice::from_ref(b));
             }
-            assert_eq!(bytewise.finalize(), Poly1305::mac(&key, &data), "len {len}");
+            assert_eq!(bytewise.finalize(), mac(&key, &data), "len {len}");
         }
     }
 
@@ -768,7 +764,7 @@ mod tests {
             let mut p = Poly1305::new(&key);
             p.update(&data[..split]);
             p.update(&data[split..]);
-            assert_eq!(p.finalize(), Poly1305::mac(&key, &data), "split {split}");
+            assert_eq!(p.finalize(), mac(&key, &data), "split {split}");
         }
     }
 }

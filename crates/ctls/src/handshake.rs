@@ -462,6 +462,7 @@ impl ServerHandshake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::{open, seal};
 
     const PLATFORM: [u8; 32] = [0x42; 32];
 
@@ -508,8 +509,8 @@ mod tests {
     #[test]
     fn full_handshake_succeeds() {
         let (mut c, mut s) = handshake();
-        let rec = c.seal(b"first application data").unwrap();
-        assert_eq!(s.open(&rec).unwrap(), b"first application data");
+        let rec = seal(&mut c, b"first application data");
+        assert_eq!(open(&mut s, &rec).unwrap(), b"first application data");
     }
 
     #[test]
@@ -586,12 +587,12 @@ mod tests {
         let mut s2 = server.verify_finished(&fin).unwrap();
 
         // A record from session 1 is garbage in session 2.
-        let rec = c1.seal(b"session one").unwrap();
-        assert!(s2.open(&rec).is_err());
+        let rec = seal(&mut c1, b"session one");
+        assert!(open(&mut s2, &rec).is_err());
         // Each session still works internally.
-        assert_eq!(s1.open(&rec).unwrap(), b"session one");
-        let rec2 = c2.seal(b"session two").unwrap();
-        assert_eq!(s2.open(&rec2).unwrap(), b"session two");
+        assert_eq!(open(&mut s1, &rec).unwrap(), b"session one");
+        let rec2 = seal(&mut c2, b"session two");
+        assert_eq!(open(&mut s2, &rec2).unwrap(), b"session two");
     }
 
     #[test]
@@ -613,9 +614,9 @@ mod tests {
         }
         // Sessions sharing the batch ephemeral still have distinct keys:
         // a record from one is garbage in another.
-        let rec = channels[0].0.seal(b"batchmate secret").unwrap();
-        assert!(channels[1].1.open(&rec).is_err());
-        assert_eq!(channels[0].1.open(&rec).unwrap(), b"batchmate secret");
+        let rec = seal(&mut channels[0].0, b"batchmate secret");
+        assert!(open(&mut channels[1].1, &rec).is_err());
+        assert_eq!(open(&mut channels[0].1, &rec).unwrap(), b"batchmate secret");
     }
 
     #[test]
@@ -696,8 +697,8 @@ mod tests {
         }
         assert_eq!(channels.len(), 3);
         for (c, s) in &mut channels {
-            let rec = c.seal(b"good slot").unwrap();
-            assert_eq!(s.open(&rec).unwrap(), b"good slot");
+            let rec = seal(c, b"good slot");
+            assert_eq!(open(s, &rec).unwrap(), b"good slot");
         }
     }
 }

@@ -276,20 +276,6 @@ impl Channel {
         Channel::new(client_secret, server_secret, is_client, hooks)
     }
 
-    /// Encrypts one application message into a record.
-    ///
-    /// Allocating convenience over [`Channel::seal_into`].
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in practice; kept fallible for API stability
-    /// with future length limits.
-    pub fn seal(&mut self, plaintext: &[u8]) -> Result<Vec<u8>, CtlsError> {
-        let mut out = RecordScratch::new();
-        self.seal_into(plaintext, &mut out)?;
-        Ok(out.buf)
-    }
-
     /// Encrypts one application message into a reusable scratch: the
     /// scratch is sized to the record and becomes the slot of
     /// [`Channel::seal_into_slot`]; steady state performs zero
@@ -396,28 +382,13 @@ impl Channel {
     ///
     /// # Errors
     ///
-    /// Same as [`Channel::open`].
+    /// Same as [`Channel::open_into`].
     pub fn open_in_slot(
         &mut self,
         record: &[u8],
         out: &mut RecordScratch,
     ) -> Result<(), CtlsError> {
         self.open_into(record, out)
-    }
-
-    /// Verifies and decrypts one record.
-    ///
-    /// Allocating convenience over [`Channel::open_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`CtlsError::BadSequence`] for anything the transport did to the
-    /// stream (replay, reorder, tamper); [`CtlsError::Malformed`] for
-    /// framing damage.
-    pub fn open(&mut self, record: &[u8]) -> Result<Vec<u8>, CtlsError> {
-        let mut out = RecordScratch::new();
-        self.open_into(record, &mut out)?;
-        Ok(out.buf)
     }
 
     /// Verifies and decrypts one record into a reusable scratch:
@@ -430,7 +401,9 @@ impl Channel {
     ///
     /// # Errors
     ///
-    /// Same as [`Channel::open`].
+    /// [`CtlsError::BadSequence`] for anything the transport did to the
+    /// stream (replay, reorder, tamper); [`CtlsError::Malformed`] for
+    /// framing damage.
     pub fn open_into(&mut self, record: &[u8], out: &mut RecordScratch) -> Result<(), CtlsError> {
         let seq = self.rx.seq;
         let mut result = [Ok(())];
@@ -453,8 +426,21 @@ impl Channel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One [`Channel::seal_into`], copied out of its scratch.
+    pub(crate) fn seal(c: &mut Channel, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = RecordScratch::new();
+        c.seal_into(plaintext, &mut out).unwrap();
+        out.buf
+    }
+
+    /// One [`Channel::open_into`], copied out of its scratch.
+    pub(crate) fn open(c: &mut Channel, record: &[u8]) -> Result<Vec<u8>, CtlsError> {
+        let mut out = RecordScratch::new();
+        c.open_into(record, &mut out).map(|()| out.buf)
+    }
 
     fn pair() -> (Channel, Channel) {
         let c = Channel::new([1; 32], [2; 32], true, None);
@@ -465,10 +451,10 @@ mod tests {
     #[test]
     fn roundtrip_both_directions() {
         let (mut c, mut s) = pair();
-        let r1 = c.seal(b"to server").unwrap();
-        assert_eq!(s.open(&r1).unwrap(), b"to server");
-        let r2 = s.seal(b"to client").unwrap();
-        assert_eq!(c.open(&r2).unwrap(), b"to client");
+        let r1 = seal(&mut c, b"to server");
+        assert_eq!(open(&mut s, &r1).unwrap(), b"to server");
+        let r2 = seal(&mut s, b"to client");
+        assert_eq!(open(&mut c, &r2).unwrap(), b"to client");
         assert_eq!(c.records_sent(), 1);
         assert_eq!(c.records_received(), 1);
     }
@@ -476,62 +462,62 @@ mod tests {
     #[test]
     fn replay_detected() {
         let (mut c, mut s) = pair();
-        let r = c.seal(b"pay me once").unwrap();
-        assert!(s.open(&r).is_ok());
-        assert_eq!(s.open(&r), Err(CtlsError::BadSequence));
+        let r = seal(&mut c, b"pay me once");
+        assert!(open(&mut s, &r).is_ok());
+        assert_eq!(open(&mut s, &r), Err(CtlsError::BadSequence));
     }
 
     #[test]
     fn reorder_detected() {
         let (mut c, mut s) = pair();
-        let r1 = c.seal(b"first").unwrap();
-        let r2 = c.seal(b"second").unwrap();
-        assert_eq!(s.open(&r2), Err(CtlsError::BadSequence));
+        let r1 = seal(&mut c, b"first");
+        let r2 = seal(&mut c, b"second");
+        assert_eq!(open(&mut s, &r2), Err(CtlsError::BadSequence));
         // The stream is not resynchronizable by the attacker: even the
         // "right" record now fails (seq advanced? no — failed opens do not
         // advance). r1 still opens.
-        assert_eq!(s.open(&r1).unwrap(), b"first");
-        assert_eq!(s.open(&r2).unwrap(), b"second");
+        assert_eq!(open(&mut s, &r1).unwrap(), b"first");
+        assert_eq!(open(&mut s, &r2).unwrap(), b"second");
     }
 
     #[test]
     fn drop_detected() {
         let (mut c, mut s) = pair();
-        let _lost = c.seal(b"eaten by the host").unwrap();
-        let r2 = c.seal(b"arrives").unwrap();
-        assert_eq!(s.open(&r2), Err(CtlsError::BadSequence));
+        let _lost = seal(&mut c, b"eaten by the host");
+        let r2 = seal(&mut c, b"arrives");
+        assert_eq!(open(&mut s, &r2), Err(CtlsError::BadSequence));
     }
 
     #[test]
     fn tamper_detected_everywhere() {
         let (mut c, mut s) = pair();
-        let r = c.seal(b"integrity matters").unwrap();
+        let r = seal(&mut c, b"integrity matters");
         for i in 4..r.len() {
             let mut bad = r.clone();
             bad[i] ^= 0x80;
-            assert!(s.open(&bad).is_err(), "byte {i}");
+            assert!(open(&mut s, &bad).is_err(), "byte {i}");
         }
     }
 
     #[test]
     fn framing_damage_detected() {
         let (mut c, mut s) = pair();
-        let r = c.seal(b"msg").unwrap();
-        assert_eq!(s.open(&r[..3]), Err(CtlsError::Malformed));
+        let r = seal(&mut c, b"msg");
+        assert_eq!(open(&mut s, &r[..3]), Err(CtlsError::Malformed));
         let mut long = r.clone();
         long.push(0);
-        assert_eq!(s.open(&long), Err(CtlsError::Malformed));
+        assert_eq!(open(&mut s, &long), Err(CtlsError::Malformed));
         let mut bad_len = r.clone();
         bad_len[0] ^= 1;
-        assert_eq!(s.open(&bad_len), Err(CtlsError::Malformed));
+        assert_eq!(open(&mut s, &bad_len), Err(CtlsError::Malformed));
     }
 
     #[test]
     fn empty_message_roundtrip() {
         let (mut c, mut s) = pair();
-        let r = c.seal(b"").unwrap();
+        let r = seal(&mut c, b"");
         assert_eq!(r.len(), RECORD_OVERHEAD);
-        assert_eq!(s.open(&r).unwrap(), b"");
+        assert_eq!(open(&mut s, &r).unwrap(), b"");
     }
 
     #[test]
@@ -539,11 +525,11 @@ mod tests {
         let (mut c, mut s) = pair();
         // Client sends 3, server sends 1 — sequence spaces do not collide.
         for i in 0..3u8 {
-            let r = c.seal(&[i]).unwrap();
-            assert_eq!(s.open(&r).unwrap(), [i]);
+            let r = seal(&mut c, &[i]);
+            assert_eq!(open(&mut s, &r).unwrap(), [i]);
         }
-        let r = s.seal(b"reply").unwrap();
-        assert_eq!(c.open(&r).unwrap(), b"reply");
+        let r = seal(&mut s, b"reply");
+        assert_eq!(open(&mut c, &r).unwrap(), b"reply");
     }
 
     #[test]
@@ -553,8 +539,8 @@ mod tests {
         c.set_rekey_interval(Some(4));
         s.set_rekey_interval(Some(4));
         for i in 0..20u8 {
-            let r = c.seal(&[i]).unwrap();
-            assert_eq!(s.open(&r).unwrap(), [i], "record {i}");
+            let r = seal(&mut c, &[i]);
+            assert_eq!(open(&mut s, &r).unwrap(), [i], "record {i}");
         }
         // 20 records at interval 4 -> generation 4 (rekey before 4,8,12,16).
         assert_eq!(c.tx_generation(), 4);
@@ -568,8 +554,8 @@ mod tests {
         s.set_rekey_interval(None);
         let mut failed = false;
         for i in 0..4u8 {
-            let r = c.seal(&[i]).unwrap();
-            if s.open(&r).is_err() {
+            let r = seal(&mut c, &[i]);
+            if open(&mut s, &r).is_err() {
                 failed = true;
                 break;
             }
@@ -583,15 +569,15 @@ mod tests {
         let mut s = Channel::new([1; 32], [2; 32], false, None);
         c.set_rekey_interval(Some(2));
         s.set_rekey_interval(Some(2));
-        let old = c.seal(b"gen0 record").unwrap();
-        s.open(&old).unwrap();
+        let old = seal(&mut c, b"gen0 record");
+        open(&mut s, &old).unwrap();
         // Advance both sides past the rekey point.
         for _ in 0..3 {
-            let r = c.seal(b"x").unwrap();
-            s.open(&r).unwrap();
+            let r = seal(&mut c, b"x");
+            open(&mut s, &r).unwrap();
         }
         // The generation-0 record cannot be replayed into generation 1+.
-        assert!(s.open(&old).is_err());
+        assert!(open(&mut s, &old).is_err());
     }
 
     #[test]
@@ -606,9 +592,9 @@ mod tests {
             s.set_rekey_interval(Some(4));
             let mut plain = RecordScratch::new();
             for i in 0..4u8 {
-                open(&mut s, &c.seal(&[i]).unwrap(), &mut plain).unwrap();
+                open(&mut s, &seal(&mut c, &[i]), &mut plain).unwrap();
             }
-            let genuine = c.seal(b"first of generation 1").unwrap();
+            let genuine = seal(&mut c, b"first of generation 1");
             let mut forged = genuine.clone();
             *forged.last_mut().unwrap() ^= 1;
             assert_eq!(
@@ -649,8 +635,8 @@ mod tests {
             Err(CtlsError::Crypto(_))
         ));
         // Sequence did not advance: the staged fallback still lines up.
-        let r = c.seal(b"does not fit here").unwrap();
-        assert_eq!(s.open(&r).unwrap(), b"does not fit here");
+        let r = seal(&mut c, b"does not fit here");
+        assert_eq!(open(&mut s, &r).unwrap(), b"does not fit here");
     }
 
     #[test]
@@ -661,7 +647,7 @@ mod tests {
         // continues past the batch (positional sequence consumption).
         let (mut c, mut s) = pair();
         let msgs: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8 + 1; 200 + i * 31]).collect();
-        let mut records: Vec<Vec<u8>> = msgs.iter().map(|m| c.seal(m).unwrap()).collect();
+        let mut records: Vec<Vec<u8>> = msgs.iter().map(|m| seal(&mut c, m)).collect();
         records[3][10] ^= 0x80; // corrupt ciphertext of record 3
         let recs: Vec<&[u8]> = records.iter().map(|r| &r[..]).collect();
         let mut outs: Vec<RecordScratch> = (0..6).map(|_| RecordScratch::new()).collect();
@@ -679,15 +665,15 @@ mod tests {
         // The failed record consumed its sequence number: the very next
         // serial record still lines up.
         assert_eq!(s.records_received(), 6);
-        let next = c.seal(b"after the batch").unwrap();
-        assert_eq!(s.open(&next).unwrap(), b"after the batch");
+        let next = seal(&mut c, b"after the batch");
+        assert_eq!(open(&mut s, &next).unwrap(), b"after the batch");
     }
 
     #[test]
     fn batch_open_malformed_frame_is_isolated() {
         let (mut c, mut s) = pair();
         let msgs: Vec<Vec<u8>> = (0..3).map(|i| vec![0x30 + i as u8; 64]).collect();
-        let records: Vec<Vec<u8>> = msgs.iter().map(|m| c.seal(m).unwrap()).collect();
+        let records: Vec<Vec<u8>> = msgs.iter().map(|m| seal(&mut c, m)).collect();
         let truncated = &records[1][..3];
         let recs: Vec<&[u8]> = vec![&records[0], truncated, &records[2]];
         let mut outs: Vec<RecordScratch> = (0..3).map(|_| RecordScratch::new()).collect();
@@ -714,16 +700,16 @@ mod tests {
         ));
         // Nothing advanced: the serial fallback still lines up.
         assert_eq!(c.records_sent(), 0);
-        let r = c.seal(msgs[1]).unwrap();
-        assert_eq!(s.open(&r).unwrap(), msgs[1]);
+        let r = seal(&mut c, msgs[1]);
+        assert_eq!(open(&mut s, &r).unwrap(), msgs[1]);
     }
 
     #[test]
     fn cross_direction_splice_detected() {
         // A record the client sent cannot be reflected back to the client.
         let (mut c, s) = pair();
-        let r = c.seal(b"reflect me").unwrap();
-        assert!(c.open(&r).is_err());
+        let r = seal(&mut c, b"reflect me");
+        assert!(open(&mut c, &r).is_err());
         let _ = s;
     }
 }

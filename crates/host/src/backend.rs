@@ -839,16 +839,6 @@ impl CioNetBackend {
         }
     }
 
-    /// The guest->host consumer of queue `q` (adversary access).
-    pub fn tx_ring_of(&mut self, q: usize) -> &mut Consumer<HostView> {
-        &mut self.queues.lane_mut(q).end.tx
-    }
-
-    /// The host->guest producer of queue `q` (adversary access).
-    pub fn rx_ring_of(&mut self, q: usize) -> &mut Producer<HostView> {
-        &mut self.queues.lane_mut(q).end.rx
-    }
-
     /// One admitted service pass over queue `q`.
     fn service_queue(&mut self, q: usize, pass: Pass) -> Result<usize, HostError> {
         let ctx = CioLaneCtx {
@@ -1114,7 +1104,10 @@ mod tests {
             clock.clone(),
         )
         .unwrap();
-        assert_eq!(backend.rx_ring_of(0).copy_policy(), CopyPolicy::InPlace);
+        assert_eq!(
+            backend.queues.lane(0).end.rx.copy_policy(),
+            CopyPolicy::InPlace
+        );
 
         // Guest positions the payload once; the backend reads it in place.
         guest_tx.produce(b"out with no copies").unwrap();
@@ -1175,7 +1168,10 @@ mod tests {
             assert_eq!(guest_tx.kick(), i == 0, "publish {i}");
             assert_eq!(pass(&mut backend, &clock), 1);
             assert_eq!(recv(&mut peer_port).unwrap(), b"busy");
-            assert!(!backend.tx_ring_of(0).is_armed(), "busy pass {i} armed");
+            assert!(
+                !backend.queues.lane(0).end.tx.is_armed(),
+                "busy pass {i} armed"
+            );
         }
         let s = meter.snapshot();
         assert_eq!(
@@ -1194,7 +1190,7 @@ mod tests {
         let idle = backend.idle_passes();
         assert_eq!(pass(&mut backend, &clock), 0);
         assert_eq!(ev(), BUSY + 1, "the cold-turning pass did not arm");
-        assert!(backend.tx_ring_of(0).is_armed());
+        assert!(backend.queues.lane(0).end.tx.is_armed());
         // Cold: skipped outright, nothing published again.
         for _ in 0..8 {
             assert_eq!(pass(&mut backend, &clock), 0);

@@ -149,12 +149,6 @@ pub struct FabricPort {
 }
 
 impl FabricPort {
-    /// Frames queued for this port, delivered or not (diagnostic).
-    pub fn queued(&self) -> usize {
-        let g = self.fabric.inner.lock().expect("fabric lock");
-        g.ports[self.id].inbox.len()
-    }
-
     /// Transmits a frame *as of* virtual time `sent_at` instead of the
     /// fabric clock's current reading: delivery is scheduled for
     /// `sent_at + latency` and the loss draw is taken now, in call

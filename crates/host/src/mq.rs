@@ -85,12 +85,6 @@ impl<E> MultiQueue<E> {
         self.mask
     }
 
-    /// Maps a flow hash to a queue index; masking makes any hash in range.
-    #[inline]
-    pub fn lane_for(&self, hash: u32) -> usize {
-        (hash & self.mask) as usize
-    }
-
     /// Borrows queue `q`.
     pub fn lane(&self, q: usize) -> &QueueLane<E> {
         &self.lanes[q]
@@ -173,16 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn multiqueue_steering_is_masked() {
-        let mq = MultiQueue::new((0u32..8).collect::<Vec<_>>()).unwrap();
-        for hash in [0u32, 7, 8, 0xdead_beef, u32::MAX] {
-            let q = mq.lane_for(hash);
-            assert!(q < mq.queues());
-            assert_eq!(q, (hash as usize) & 7);
-        }
-    }
-
-    #[test]
     fn multiqueue_lanes_have_private_meters() {
         let mq = MultiQueue::new(vec![(), ()]).unwrap();
         mq.lane(0).note_frame(1514);
@@ -198,7 +182,7 @@ mod tests {
             pairs.push(ring_pair());
         }
         let mut mq = MultiQueue::new(pairs).unwrap();
-        let q = mq.lane_for(0xabcd_1234);
+        let q = (0xabcd_1234 & mq.mask()) as usize;
         let lane = mq.lane_mut(q);
         lane.end.0.produce(b"steered frame").unwrap();
         let got = lane

@@ -279,15 +279,6 @@ impl<D: NetDevice> Interface<D> {
         Ok(self.sock(h)?.conn.state() == State::Established)
     }
 
-    /// Current TCP state (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`] for dead handles.
-    pub fn tcp_state(&mut self, h: SocketHandle) -> Result<State, NetError> {
-        Ok(self.sock(h)?.conn.state())
-    }
-
     /// The connection's local port (used e.g. to compute its RSS queue).
     ///
     /// # Errors
@@ -571,7 +562,7 @@ mod tests {
         assert!(b.tcp_peer_closed(srv).unwrap());
         b.tcp_close(srv).unwrap();
         settle(&mut a, &mut b);
-        assert_eq!(b.tcp_state(srv).unwrap(), State::Closed);
+        assert_eq!(b.sock(srv).unwrap().conn.state(), State::Closed);
         b.tcp_release(srv).unwrap();
         assert_eq!(b.tcp_recv(srv, 1), Err(NetError::BadSocket));
     }
@@ -650,7 +641,7 @@ mod tests {
         let cli = a
             .tcp_connect(IP_B, 9000)
             .expect("backpressure is not failure");
-        assert_eq!(a.tcp_state(cli).unwrap(), State::SynSent);
+        assert_eq!(a.sock(cli).unwrap().conn.state(), State::SynSent);
         assert_eq!(a.poll(), Err(NetError::DeviceFull), "still full");
         // Room for one frame at a time is enough to finish the handshake.
         a.link.dev.capacity = 1;

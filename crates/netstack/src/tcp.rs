@@ -375,11 +375,6 @@ impl Connection {
         self.error
     }
 
-    /// Bytes of application data ready to read.
-    pub fn readable(&self) -> usize {
-        self.recv_ring.len()
-    }
-
     /// Bytes queued by [`send`](Self::send) but not yet emitted as
     /// segments (the unsent backlog; excludes in-flight data).
     pub fn send_backlog(&self) -> usize {
@@ -940,7 +935,7 @@ mod tests {
         let seg2 = c.poll_outbox().unwrap();
         // Deliver out of order.
         s.on_segment(&seg2).unwrap();
-        assert_eq!(s.readable(), 0, "gap holds data back");
+        assert_eq!(s.recv_ring.len(), 0, "gap holds data back");
         s.on_segment(&seg1).unwrap();
         assert_eq!(s.recv(100), b"AAAABBBB");
     }
@@ -980,7 +975,7 @@ mod tests {
         for k in 0..10_000 {
             deliver(&mut s, 1 + 7 * k, 1460);
         }
-        assert_eq!(s.readable(), 0, "the gap holds everything back");
+        assert_eq!(s.recv_ring.len(), 0, "the gap holds everything back");
         assert_eq!(s.ooo.held(), window - 1);
         // The gap fills: the whole window reassembles, in order.
         deliver(&mut s, 0, 1);
@@ -1227,7 +1222,7 @@ mod tests {
         // Peer advertises 1000; sending 5000 must stall until drained.
         c.send(&vec![0xAB; 5000]).unwrap();
         settle(&mut c, &mut s);
-        assert!(s.readable() <= 1000);
+        assert!(s.recv_ring.len() <= 1000);
         let mut total = s.recv(usize::MAX).len();
         while total < 5000 {
             settle(&mut c, &mut s);

@@ -16,11 +16,14 @@
 //! [`tcb`] is different: it measures *this reproduction's own source
 //! tree*, counting the lines of code inside each boundary design's
 //! confidential TCB — the reproduction's analogue of the paper's
-//! "TCB: S/M/L/XL" annotations in Figure 5.
+//! "TCB: S/M/L/XL" annotations in Figure 5. [`reach`] reads the same tree
+//! through the same scanner and lists the `pub` items and crate edges that
+//! no production code uses, so that what Figure 5 counts is what runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cve;
 pub mod hardening;
+pub mod reach;
 pub mod tcb;

@@ -11,23 +11,20 @@
 
 use std::path::{Path, PathBuf};
 
-/// Lines of non-test Rust code in the file `path`, or under the directory
-/// `path` (recursively).
-///
-/// Counting rules: `.rs` files only; `#[cfg(test)] mod tests` blocks are
-/// excluded by a brace-tracking scan; blank lines and pure-comment lines
-/// are excluded. Rough but uniform — the comparison is relative.
+/// Lines of production Rust in the file `path`, or under the directory
+/// `path` (recursively): the non-blank lines of each file's
+/// [`production_text`]. Rough but uniform — the comparison is relative.
 pub fn count_loc(path: &Path) -> u64 {
     rust_files(path)
         .iter()
         .filter_map(|f| std::fs::read_to_string(f).ok())
-        .map(|src| count_file(&src))
+        .map(|src| count_lines(&production_text(&src)))
         .sum()
 }
 
 /// `path` itself when it is a `.rs` file; every `.rs` file below it when
 /// it is a directory.
-fn rust_files(path: &Path) -> Vec<PathBuf> {
+pub fn rust_files(path: &Path) -> Vec<PathBuf> {
     if path.is_dir() {
         let entries = std::fs::read_dir(path).into_iter().flatten().flatten();
         entries.flat_map(|e| rust_files(&e.path())).collect()
@@ -38,54 +35,82 @@ fn rust_files(path: &Path) -> Vec<PathBuf> {
     }
 }
 
-fn count_file(src: &str) -> u64 {
-    let mut loc = 0u64;
-    let mut in_tests = false;
-    let mut depth = 0i32;
-    let mut lines = src.lines().peekable();
-    while let Some(line) = lines.next() {
-        let trimmed = line.trim();
-        if !in_tests && trimmed.starts_with("#[cfg(test)]") {
-            // Skip until the matching block closes.
-            in_tests = true;
-            depth = 0;
-            // The mod line may follow on the next line(s).
-            for l in lines.by_ref() {
-                depth += braces(l);
-                if l.contains('{') {
-                    break;
-                }
-            }
-            continue;
-        }
-        if in_tests {
-            // A brace in a comment closes nothing.
-            if !trimmed.starts_with("//") {
-                depth += braces(line);
-            }
-            if depth <= 0 {
-                in_tests = false;
-            }
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.starts_with("//") {
-            continue;
-        }
-        loc += 1;
-    }
-    loc
+/// Non-blank lines of `text`.
+pub fn count_lines(text: &str) -> u64 {
+    text.lines().filter(|l| !l.trim().is_empty()).count() as u64
 }
 
-fn braces(line: &str) -> i32 {
-    let mut d = 0;
-    for c in line.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => d -= 1,
-            _ => {}
+/// What `src` compiles to outside tests: its [`code_text`] without the
+/// `#[cfg(test)]` items. Line `n` of the result is line `n` of `src`.
+pub fn production_text(src: &str) -> String {
+    const CFG_TEST: &str = "#[cfg(test)]";
+    let mut code = code_text(src);
+    while let Some(at) = code.find(CFG_TEST) {
+        let end = at + CFG_TEST.len() + item_len(&code[at + CFG_TEST.len()..]);
+        let lines = "\n".repeat(code[at..end].matches('\n').count());
+        code.replace_range(at..end, &lines);
+    }
+    code
+}
+
+/// Bytes of the item or statement that starts `code`: through its first
+/// `;` outside brackets, or through the `}` that closes its first `{` (and
+/// a `;` right after it, as in `use a::{b};`).
+pub(crate) fn item_len(code: &str) -> usize {
+    let mut depth = 0;
+    for (i, c) in code.char_indices() {
+        depth += match c {
+            '(' | '[' | '{' => 1,
+            ')' | ']' | '}' => -1,
+            _ => 0,
+        };
+        if depth == 0 && (c == ';' || c == '}') {
+            let rest = &code[i + 1..];
+            let after_semi = rest.trim_start().strip_prefix(';').filter(|_| c == '}');
+            return code.len() - after_semi.unwrap_or(rest).len();
         }
     }
-    d
+    code.len()
+}
+
+/// `src` with its comments removed and every string and char literal
+/// emptied (`""`, `' '`), so that neither names an item nor opens a
+/// brace. Newlines are kept: line `n` of the result is line `n` of `src`.
+/// A raw string is read as a plain one, so it must not hold a `"`.
+pub fn code_text(src: &str) -> String {
+    let s = src.as_bytes();
+    // The end of the first `pat` at or after `from`.
+    let past = |from: usize, pat: &[u8]| {
+        let at = (from..s.len()).find(|&j| s[j..].starts_with(pat));
+        at.map_or(s.len(), |e| e + pat.len())
+    };
+    let mut out = Vec::with_capacity(s.len());
+    let mut i = 0;
+    while i < s.len() {
+        let (end, keep): (usize, &[u8]) = match s[i] {
+            b'/' if s[i..].starts_with(b"//") => (past(i, b"\n"), b""),
+            b'/' if s[i..].starts_with(b"/*") => (past(i + 2, b"*/"), b""),
+            b'"' => {
+                let mut j = i + 1;
+                while j < s.len() && s[j] != b'"' {
+                    j += if s[j] == b'\\' { 2 } else { 1 };
+                }
+                ((j + 1).min(s.len()), b"\"\"")
+            }
+            b'\'' if s.get(i + 1) == Some(&b'\\') => (past(i + 3, b"'"), b"' '"),
+            b'\'' if s.get(i + 2) == Some(&b'\'') => (i + 3, b"' '"),
+            // Code, or a lifetime's quote.
+            c => {
+                out.push(c);
+                i += 1;
+                continue;
+            }
+        };
+        out.extend_from_slice(keep);
+        out.extend(s[i..end].iter().filter(|&&c| c == b'\n'));
+        i = end;
+    }
+    String::from_utf8(out).expect("only whole literals and comments are dropped")
 }
 
 /// What separates the application from the stack serving its sockets —
@@ -184,29 +209,6 @@ pub const TCB_SPECS: [TcbSpec; 7] = [
     },
 ];
 
-/// Source under the counted trees that no design runs in its guest, each
-/// with the reason — the coverage test fails on any file that is neither
-/// here nor charged to some design, so nothing is "charged to nobody" by
-/// accident.
-pub const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 4] = [
-    (
-        "vring/src/netvsc.rs",
-        "Figure 3's NetVSC scenario only; no BoundaryKind runs over it",
-    ),
-    (
-        "vring/src/cioring/revoke.rs",
-        "the cio ring's revocation receive arm (E7): no world's device runs it",
-    ),
-    (
-        "vring/src/virtqueue/device.rs",
-        "the host's model of the device side: untrusted by definition",
-    ),
-    (
-        "tee/src/trust.rs",
-        "the trust relation as a model tests assert; no dataplane code calls it",
-    ),
-];
-
 /// Measured TCB sizes for one design.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcbReport {
@@ -261,6 +263,25 @@ pub fn default_crates_dir() -> PathBuf {
 mod tests {
     use super::*;
 
+    /// Source under the counted trees that no design runs in its guest, each
+    /// with the reason — the coverage test fails on any file that is neither
+    /// here nor charged to some design, so nothing is "charged to nobody" by
+    /// accident.
+    const NOT_RUN_BY_ANY_DESIGN: [(&str, &str); 3] = [
+        (
+            "vring/src/netvsc.rs",
+            "Figure 3's NetVSC scenario only; no BoundaryKind runs over it",
+        ),
+        (
+            "vring/src/cioring/revoke.rs",
+            "the cio ring's revocation receive arm (E7): no world's device runs it",
+        ),
+        (
+            "vring/src/virtqueue/device.rs",
+            "the host's model of the device side: untrusted by definition",
+        ),
+    ];
+
     #[test]
     fn counts_code_not_tests_or_comments() {
         let src = r#"
@@ -279,13 +300,21 @@ mod tests {
 }
 "#;
         // `pub fn real`, `42`, `}` = 3 lines of code.
-        assert_eq!(count_file(src), 3);
+        assert_eq!(count_lines(&production_text(src)), 3);
     }
 
     #[test]
     fn cfg_test_attribute_on_fn_is_skipped() {
         let src = "#[cfg(test)]\nfn helper() {\n    body();\n}\nfn live() {}\n";
-        assert_eq!(count_file(src), 1);
+        assert_eq!(count_lines(&production_text(src)), 1);
+    }
+
+    #[test]
+    fn production_text_keeps_lines_and_drops_what_names_nothing() {
+        let src = "use a::b; // b\n#[cfg(test)]\nuse c::{d, e};\n\
+                   fn f() { g(\"}{\", '{', b\"h\"); } /* i\n j */\n";
+        let want = "use a::b; \n\n\nfn f() { g(\"\", ' ', b\"\"); } \n\n";
+        assert_eq!(production_text(src), want);
     }
 
     fn report(design: &str) -> TcbReport {

@@ -12,10 +12,10 @@
 //!   [`compartment`] page-ownership tables enforced in software;
 //! * *attestation* so a remote peer (or a PCIe device, §3.4) can bind a
 //!   secure channel to a measured workload — modelled by [`attest`] with
-//!   HMAC-based platform keys;
-//! * the *ternary trust model* itself, which [`trust`] encodes as an
-//!   explicit, queryable matrix so configurations can assert their own
-//!   trust assumptions instead of leaving them in comments.
+//!   HMAC-based platform keys.
+//!
+//! The *ternary trust model* itself is not a type here: it is the rule by
+//! which `cio-study`'s TCB accounting counts each design's crossing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,11 +23,9 @@
 pub mod attest;
 pub mod compartment;
 pub mod dda;
-pub mod trust;
 
 pub use attest::{Measurement, Quote};
 pub use compartment::{CompartmentId, Gate};
-pub use trust::{Party, TrustMatrix};
 
 use cio_mem::GuestMemory;
 use cio_sim::{Clock, CostModel, Cycles, Meter};

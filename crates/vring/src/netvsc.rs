@@ -23,8 +23,6 @@ use crate::cioring::{CioRing, Consumer, Producer, RingConfig};
 use crate::{RingError, Violation};
 use cio_mem::{GuestAddr, GuestMemory, GuestView, HostView};
 
-/// Message type: guest-to-host inline RNDIS data packet.
-const MSG_INLINE_DATA: u8 = 1;
 /// Message type: host-to-guest receive-buffer descriptor.
 const MSG_RECV_DESC: u8 = 2;
 /// Message type: guest-to-host receive-buffer section completion.
@@ -73,19 +71,6 @@ impl NetvscGuest {
             hardened,
             mem,
         }
-    }
-
-    /// Transmits a frame inline over the channel.
-    ///
-    /// # Errors
-    ///
-    /// Channel full / oversized.
-    pub fn send(&mut self, frame: &[u8]) -> Result<(), RingError> {
-        let mut msg = Vec::with_capacity(5 + frame.len());
-        msg.push(MSG_INLINE_DATA);
-        msg.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        msg.extend_from_slice(frame);
-        self.chan_tx.produce(&msg)
     }
 
     /// Receives one frame from the receive buffer, if a descriptor is
@@ -188,6 +173,9 @@ impl NetvscHost {
     ///
     /// Channel full; frame larger than the buffer.
     pub fn deliver(&mut self, frame: &[u8]) -> Result<(), RingError> {
+        // The guest's completions recycle sections; the bump allocator
+        // needs no bookkeeping, so they are only drained.
+        while self.chan_tx.consume()?.is_some() {}
         let len = frame.len() as u32;
         if len > self.recv_buf_len {
             return Err(RingError::TooLarge);
@@ -218,26 +206,6 @@ impl NetvscHost {
         msg.extend_from_slice(&offset.to_le_bytes());
         msg.extend_from_slice(&len.to_le_bytes());
         self.chan_rx.produce(&msg)
-    }
-
-    /// Collects guest transmissions (inline data) and completions.
-    ///
-    /// # Errors
-    ///
-    /// Channel errors.
-    pub fn poll_tx(&mut self) -> Result<Vec<Vec<u8>>, RingError> {
-        let mut frames = Vec::new();
-        while let Some(msg) = self.chan_tx.consume()? {
-            if msg.len() >= 5 && msg[0] == MSG_INLINE_DATA {
-                let len = u32::from_le_bytes(msg[1..5].try_into().expect("4 bytes")) as usize;
-                if msg.len() >= 5 + len {
-                    frames.push(msg[5..5 + len].to_vec());
-                }
-            }
-            // MSG_RECV_DONE recycles sections; the bump allocator model
-            // needs no bookkeeping.
-        }
-        Ok(frames)
     }
 }
 
@@ -315,18 +283,16 @@ mod tests {
     }
 
     #[test]
-    fn frames_flow_both_directions() {
+    fn frames_flow_to_the_guest_and_completions_back() {
         let (_mem, mut g, mut h) = world(false);
-        g.send(b"guest to host frame").unwrap();
-        let frames = h.poll_tx().unwrap();
-        assert_eq!(frames, vec![b"guest to host frame".to_vec()]);
-
         h.deliver(b"host to guest frame").unwrap();
         let got = g.recv().unwrap().unwrap();
         assert_eq!(got, b"host to guest frame");
         assert!(g.recv().unwrap().is_none());
         // The completion flowed back.
-        assert!(h.poll_tx().unwrap().is_empty());
+        let done = h.chan_tx.consume().unwrap().unwrap();
+        assert_eq!((done[0], done.len()), (MSG_RECV_DONE, 5));
+        assert!(h.chan_tx.consume().unwrap().is_none());
     }
 
     #[test]
@@ -336,7 +302,6 @@ mod tests {
             let frame = vec![i as u8; 3000];
             h.deliver(&frame).unwrap();
             assert_eq!(g.recv().unwrap().unwrap(), frame, "frame {i}");
-            h.poll_tx().unwrap(); // drain completions
         }
     }
 

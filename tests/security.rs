@@ -5,7 +5,6 @@ use cio::world::{BoundaryKind, World, WorldOptions, ECHO_PORT};
 use cio_host::adversary::{AttackKind, ALL_ATTACKS};
 use cio_host::fabric::LinkParams;
 use cio_sim::{Cycles, EventKind};
-use cio_tee::trust::{Party, TrustMatrix};
 
 fn opts() -> WorldOptions {
     WorldOptions {
@@ -76,24 +75,47 @@ fn compromised_io_path_cannot_forge_application_data() {
 /// application messages (the §3.2 "attempts to break TCP guarantees").
 #[test]
 fn record_replay_never_surfaces_twice() {
-    use cio_ctls::{Channel, CtlsError};
+    use cio_ctls::{Channel, CtlsError, RecordScratch};
     let mut tx = Channel::from_secrets([1; 32], [2; 32], true, None);
     let mut rx = Channel::from_secrets([1; 32], [2; 32], false, None);
-    let r1 = tx.seal(b"transfer $100").unwrap();
-    assert_eq!(rx.open(&r1).unwrap(), b"transfer $100");
-    assert_eq!(rx.open(&r1), Err(CtlsError::BadSequence));
+    let mut rec = RecordScratch::new();
+    tx.seal_into(b"transfer $100", &mut rec).unwrap();
+    let mut plain = RecordScratch::new();
+    rx.open_into(rec.as_slice(), &mut plain).unwrap();
+    assert_eq!(plain.as_slice(), b"transfer $100");
+    assert_eq!(
+        rx.open_into(rec.as_slice(), &mut plain),
+        Err(CtlsError::BadSequence)
+    );
 }
 
-/// The trust matrix drives TCB claims: verify the matrix agrees with the
-/// measured TCB ordering from cio-study.
+/// The ternary trust model is the TCB rule Figure 5 counts by: behind a
+/// compartment crossing the I/O stack is semi-trusted and outside the
+/// application's TCB; with no crossing the application trusts it. The
+/// measured ordering follows.
 #[test]
 fn trust_matrix_matches_tcb_accounting() {
-    let ternary = TrustMatrix::ternary();
-    let single = TrustMatrix::single_boundary();
-    assert!(!ternary.tcb_of(Party::App).contains(&Party::IoStack));
-    assert!(single.tcb_of(Party::App).contains(&Party::IoStack));
+    use cio_study::tcb::{
+        count_loc, default_crates_dir, measure, Crossing, COMMON, COMPARTMENT, STACK, TCB_SPECS,
+    };
 
-    let reports = cio_study::tcb::measure_all(&cio_study::tcb::default_crates_dir());
+    let dir = default_crates_dir();
+    let sum = |paths: &[&str]| -> u64 { paths.iter().map(|p| count_loc(&dir.join(p))).sum() };
+    let spec = |d: &str| TCB_SPECS.iter().find(|s| s.design == d).unwrap();
+    let (dual, cio) = (spec("dual-boundary"), spec("cio-ring"));
+    assert_eq!(
+        (dual.crossing, cio.crossing),
+        (Crossing::Compartment, Crossing::None)
+    );
+    let (dual, cio) = (measure(&dir, dual), measure(&dir, cio));
+    let stack = sum(STACK);
+    assert!(stack > 0);
+    assert_eq!(dual.semi_trusted_loc, stack + dual.transport_loc);
+    assert_eq!(dual.app_trusted_loc, sum(COMMON) + sum(COMPARTMENT));
+    assert_eq!(cio.app_trusted_loc, sum(COMMON) + stack + cio.transport_loc);
+    assert_eq!(cio.semi_trusted_loc, 0);
+
+    let reports = cio_study::tcb::measure_all(&dir);
     let loc = |d: &str| {
         reports
             .iter()

@@ -10,7 +10,8 @@
 
 use std::collections::HashMap;
 
-use cio_bench::telemetry_echo_world;
+use cio::world::{World, WorldOptions};
+use cio_bench::{bench_opts, telemetry_echo_world_with};
 use cio_sim::Stage;
 
 const QUEUES: usize = 4;
@@ -18,8 +19,19 @@ const FLOWS: usize = 8;
 const ROUNDS: u32 = 8;
 const SIZE: usize = 512;
 
-fn run_world() -> cio::world::World {
-    telemetry_echo_world(QUEUES, FLOWS, ROUNDS, SIZE, true).expect("telemetry echo workload")
+/// The E17 echo workload (`cio_bench::telemetry_echo_world_with`) over
+/// `QUEUES` queues, with the telemetry domain armed or not.
+fn echo_world(telemetry: bool) -> World {
+    let opts = WorldOptions {
+        queues: QUEUES,
+        telemetry,
+        ..bench_opts()
+    };
+    telemetry_echo_world_with(opts, FLOWS, ROUNDS, SIZE).expect("telemetry echo workload")
+}
+
+fn run_world() -> World {
+    echo_world(true)
 }
 
 #[test]
@@ -46,9 +58,6 @@ fn exports_are_byte_identical_across_same_seed_runs() {
 /// schedule the workers.
 #[test]
 fn exports_are_byte_identical_under_worker_threads() {
-    use cio::world::WorldOptions;
-    use cio_bench::{bench_opts, telemetry_echo_world_with};
-
     let run = |parallel: usize| {
         let opts = WorldOptions {
             queues: QUEUES,
@@ -84,7 +93,7 @@ fn exports_are_byte_identical_under_worker_threads() {
 #[test]
 fn telemetry_off_does_not_perturb_the_simulation() {
     let on = run_world();
-    let off = telemetry_echo_world(QUEUES, FLOWS, ROUNDS, SIZE, false).expect("control workload");
+    let off = echo_world(false);
     assert_eq!(
         on.clock().now(),
         off.clock().now(),
